@@ -2,63 +2,34 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-recall bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet clean
+.PHONY: build test bench bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet clean
 
 build:
 	$(GO) build ./...
 
+# The benchmark is a module of its own (benchmark/go.mod, replace repro =>
+# ../), so ./... does not reach it; its tests are what pin the API it
+# measures.
 test: vet
 	$(GO) test -race ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Bench-regression harness: machine-readable ns/op for the hot paths
-# (ComputeAll, OptBSearch, Maintainer.InsertEdge, snapshot build, the
-# PR 3 persistence costs, the PR 4 write-throughput rows, the PR 5
-# snapshot-publication rows: full-freeze vs copy-on-write overlay at
-# 1/16/256-edge batches, plus the background compaction cost, and the
-# PR 6 instant-recovery rows: state-carrying checkpoints and fast vs
-# rebuild restart, the PR 7 read-path kernel rows: overlay read tax,
-# degree-relabeled search, hub×hub scalar vs word-parallel intersection,
-# and the PR 8 replication rows: follower bootstrap, read latency under
-# open-loop load, and steady-state replica lag, and the PR 9 temporal
-# rows: expiry-churn drain cost at 0/16/256/2048 expired edges and
-# windowed read p50/p99 under open-loop churn, and the PR 10 approx-tier
-# rows: the algo=approx latency/recall frontier at three eps points with a
-# paired exact baseline), written to BENCH_PR10.json so the perf
-# trajectory is tracked across PRs.
-bench: bench-pr10
-
-bench-pr5: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR5.json
-
-bench-pr6: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR6.json
-
-bench-pr7: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR7.json
-
-bench-pr8: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR8.json
-
-bench-pr9: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR9.json
-
-bench-pr10: build
-	$(GO) run ./cmd/benchtab -prbench BENCH_PR10.json
-
-# Approx-tier recall smoke: the latency/recall frontier table, gated on
-# recall@100 >= 0.9 at the default eps (the CI non-gating step).
-bench-recall: build
-	$(GO) run ./cmd/benchtab -recall dblp,ir -min-recall 0.9
+# The repository's one benchmark (BENCHMARK.json, benchmark/README.md): both
+# workloads, every end-to-end metric, oracles on every run. Arguments pass
+# through run.sh, e.g. `bash benchmark/run.sh -workload collab -trace`.
+bench:
+	bash benchmark/run.sh
 
 # Regenerate the paper's tables and figures (quick grids; -full for the
 # paper's grids). See EXPERIMENTS.md.
 bench-figs: build
 	$(GO) run ./cmd/benchtab -exp all
 
-# Compile-and-run every Go benchmark once (the CI smoke step; not a
-# measurement).
+# Compile-and-run every Go benchmark once, then the benchmark on tiny
+# graphs (the CI smoke steps; not a measurement).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+	bash benchmark/run.sh -smoke
 
 # Short fuzz runs of the persistence decoders (internal/store). `go test`
 # accepts one -fuzz pattern per invocation, hence one run per target. CI
@@ -81,7 +52,7 @@ serve:
 	$(GO) run ./cmd/egobwd -addr :8080
 
 fmt:
-	gofmt -l .
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -6,12 +6,6 @@
 //	benchtab -exp all            # every experiment, quick grids
 //	benchtab -exp fig6 -full     # one experiment, the paper's full grids
 //	benchtab -list               # what is available
-//	benchtab -prbench BENCH.json # machine-readable regression suite
-//	benchtab -recall dblp,ir     # approx-tier latency/recall frontier
-//	benchtab -recall dblp -min-recall 0.9
-//	                             # ...and exit 1 below the recall floor
-//	benchtab -readtax-guard BENCH_PR9.json,BENCH_PR10.json
-//	                             # flag overlay_read_tax drift > 10%
 //
 // EGOBW_SCALE=2 benchtab ... doubles every dataset's vertex count.
 package main
@@ -20,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 )
@@ -29,75 +22,12 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (table1, table2, fig6..fig12, table3, table4, all)")
 	full := flag.Bool("full", false, "use the paper's full parameter grids (slower)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	prbench := flag.String("prbench", "", "write the machine-readable bench-regression JSON to this path and exit")
-	recall := flag.String("recall", "", "comma-separated dataset names: run the approx-tier latency/recall frontier and exit")
-	minRecall := flag.Float64("min-recall", 0, "with -recall: exit 1 if any dataset's recall@100 at the default eps falls below this floor")
-	guard := flag.String("readtax-guard", "", "two bench JSON paths, base,current: exit 1 if overlay_read_tax drifted more than -readtax-drift on any dataset")
-	drift := flag.Float64("readtax-drift", 0.10, "relative overlay_read_tax drift threshold for -readtax-guard")
 	flag.Parse()
 
 	if *list {
 		for _, e := range bench.Experiments {
 			fmt.Printf("%-8s %s\n", e.ID, e.What)
 		}
-		return
-	}
-	if *guard != "" {
-		paths := strings.Split(*guard, ",")
-		if len(paths) != 2 {
-			fmt.Fprintln(os.Stderr, "benchtab: -readtax-guard wants exactly two paths: base.json,current.json")
-			os.Exit(2)
-		}
-		base, err := bench.LoadPRBench(strings.TrimSpace(paths[0]))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cur, err := bench.LoadPRBench(strings.TrimSpace(paths[1]))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		flags := bench.ReadTaxDrift(base, cur, *drift)
-		for _, f := range flags {
-			fmt.Println("benchtab: read-tax drift:", f)
-		}
-		if len(flags) > 0 {
-			os.Exit(1)
-		}
-		fmt.Printf("benchtab: overlay_read_tax within ±%.0f%% on every shared dataset\n", 100**drift)
-		return
-	}
-	if *recall != "" {
-		names := strings.Split(*recall, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		atDefault, err := bench.RecallReport(os.Stdout, names)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *minRecall > 0 {
-			ok := true
-			for name, r := range atDefault {
-				if r < *minRecall {
-					fmt.Fprintf(os.Stderr, "benchtab: %s recall@100 %.3f below floor %.3f\n", name, r, *minRecall)
-					ok = false
-				}
-			}
-			if !ok {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *prbench != "" {
-		if err := bench.WritePRBench(*prbench, []string{"dblp", "ir"}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchtab: wrote %s\n", *prbench)
 		return
 	}
 	cfg := bench.Quick(os.Stdout)

@@ -1,7 +1,7 @@
 // Package approx is the approximate serving tier: sampled top-k
 // ego-betweenness with probabilistic error bounds, for graphs where the
-// exact tier's per-query cost (BENCH_PR9: ~82ms OptBSearch on a 16k-vertex
-// slice) is too slow.
+// exact tier's per-query cost (~82ms OptBSearch on the 16k-vertex dblp
+// analog) is too slow.
 //
 // The estimator treats CB(p) = Σ_{u<v ∈ N(p)} term(u,v) as ub(p)·E[X]
 // where ub(p) = d(d−1)/2 and X is the term of a uniformly drawn neighbor

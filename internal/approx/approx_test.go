@@ -208,7 +208,7 @@ func TestEscalationSoundness(t *testing.T) {
 }
 
 // BenchmarkTopK prices an approx k=100 query at the frontier ε points on
-// a dataset-shaped skewed graph (the prbench approx rows' shape).
+// a dataset-shaped skewed graph.
 func BenchmarkTopK(b *testing.B) {
 	g := dataset.MustLoad("dblp")
 	for _, eps := range []float64{0.05, 0.1} {

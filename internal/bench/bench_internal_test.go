@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 // tiny returns a configuration that finishes in well under a second per
@@ -129,19 +127,6 @@ func TestCaseStudyTables(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "Top-10 EBW") || !strings.Contains(out, "overlap") {
 		t.Errorf("table output incomplete:\n%s", out)
-	}
-}
-
-// TestExpiryDrainMeasures exercises the PR 9 drain-measurement protocol at
-// one small tier: every sample must be counter-verified (the cohort really
-// expired inside the timed drain) and the cohort row must cost at least the
-// no-expiry baseline.
-func TestExpiryDrainMeasures(t *testing.T) {
-	g := dataset.MustLoad("ir")
-	base := expiryDrain(g, 0)
-	with := expiryDrain(g, 16)
-	if base <= 0 || with <= 0 {
-		t.Fatalf("no verified samples: b0=%d b16=%d", base, with)
 	}
 }
 

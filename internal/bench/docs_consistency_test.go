@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -49,7 +51,7 @@ func TestDocsCoverEveryExperiment(t *testing.T) {
 }
 
 // TestReadmeMentionsDeliverables: the README must point at the design doc,
-// the experiment record, and the three CLI tools.
+// the experiment record, the three CLI tools, and the benchmark.
 func TestReadmeMentionsDeliverables(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "README.md"))
 	if err != nil {
@@ -59,7 +61,7 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 	for _, want := range []string{
 		"DESIGN.md", "EXPERIMENTS.md",
 		"cmd/egobw", "cmd/benchtab", "cmd/datagen",
-		"examples/quickstart",
+		"examples/quickstart", "benchmark/",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("README.md does not mention %s", want)
@@ -67,17 +69,92 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 	}
 }
 
-// TestRawOutputsExist: the recorded harness outputs referenced by
-// EXPERIMENTS.md must be present in the repository.
-func TestRawOutputsExist(t *testing.T) {
+// TestDocsHaveNoDanglingReferences: every `make <target>` and every
+// repo-relative path the three top-level documents name must exist, so a
+// deleted file or Make target cannot linger in the prose. Three spellings
+// count as a path: a/b/c whose first segment is a top-level directory,
+// pkg/file.go under internal/, and — in prose only, because command
+// examples name the user's own files — a bare file name, which must match
+// some file of the repository.
+func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	root := repoRoot(t)
-	for _, f := range []string{"benchtab_part1.txt", "benchtab_part2.txt"} {
-		info, err := os.Stat(filepath.Join(root, f))
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	baseNames := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatalf("%s missing: %v", f, err)
+			return err
 		}
-		if info.Size() == 0 {
-			t.Fatalf("%s is empty", f)
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build") {
+			return filepath.SkipDir
+		}
+		baseNames[d.Name()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(rel string) bool {
+		_, err := os.Stat(filepath.Join(root, rel))
+		return err == nil
+	}
+	isDir := func(rel string) bool {
+		info, err := os.Stat(filepath.Join(root, rel))
+		return err == nil && info.IsDir()
+	}
+
+	makeRef := regexp.MustCompile("(?m)(?:`|^\\s+)make ([a-z][a-z0-9-]*)")
+	token := regexp.MustCompile(`[A-Za-z0-9_./-]+`)
+	fileName := regexp.MustCompile(`\.(go|md|json|txt|sh|yml|mod)$`)
+	// Code blocks (fenced or indented), and inline spans: one holding a
+	// space is a command line.
+	codeBlock := regexp.MustCompile("(?ms)^```.*?^```|^    .*?$")
+	codeSpan := regexp.MustCompile("`[^`\n]*`")
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, m := range makeRef.FindAllSubmatch(raw, -1) {
+			if !targets[string(m[1])] {
+				t.Errorf("%s names `make %s`, which the Makefile does not define", doc, m[1])
+			}
+		}
+		for _, tok := range token.FindAllString(string(raw), -1) {
+			first, _, nested := strings.Cut(tok, "/")
+			if !nested || first == "" { // bare name, or an absolute/URL path
+				continue
+			}
+			tok = strings.TrimRight(tok, "./")
+			switch {
+			case isDir(first):
+				if !exists(tok) {
+					t.Errorf("%s names %s, which does not exist", doc, tok)
+				}
+			case strings.HasSuffix(tok, ".go") && isDir(filepath.Join("internal", first)):
+				if !exists(filepath.Join("internal", tok)) {
+					t.Errorf("%s names %s, which does not exist under internal/", doc, tok)
+				}
+			}
+		}
+		prose := codeSpan.ReplaceAllStringFunc(codeBlock.ReplaceAllString(string(raw), " "), func(span string) string {
+			if strings.Contains(span, " ") {
+				return " "
+			}
+			return span
+		})
+		for _, tok := range token.FindAllString(prose, -1) {
+			tok = strings.TrimRight(tok, ".")
+			if !strings.Contains(tok, "/") && fileName.MatchString(tok) && !baseNames[tok] {
+				t.Errorf("%s names the file %s, which does not exist in the repository", doc, tok)
+			}
 		}
 	}
 }

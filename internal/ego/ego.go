@@ -127,6 +127,8 @@ type evidence struct {
 	done      []bool // exact CB already extracted; skip further credits
 	comm      []int32
 	comm2     []int32
+	adj       []int32  // applyEdge: members of comm adjacent to the current one
+	pairs     []uint64 // applyEdge: keys of the non-adjacent pairs of comm
 
 	// Counters for the experiment harness (Table II, ablations).
 	EdgesProcessed int64
@@ -154,7 +156,8 @@ func (e *evidence) mapFor(v int32) *pairmap.Map {
 }
 
 // applyEdge applies the markers and credits of edge (a, b) whose common
-// neighborhood is comm. Callers must have claimed the edge in e.processed.
+// neighborhood is comm, ascending. Callers must have claimed the edge in
+// e.processed.
 func (e *evidence) applyEdge(a, b int32, comm []int32) {
 	e.EdgesProcessed++
 	key := pairmap.Key(a, b)
@@ -169,23 +172,44 @@ func (e *evidence) applyEdge(a, b int32, comm []int32) {
 	if !creditA && !creditB {
 		return
 	}
-	for i := 0; i < len(comm); i++ {
-		for j := i + 1; j < len(comm); j++ {
-			p, q := comm[i], comm[j]
-			if e.g.HasEdge(p, q) {
+	// The non-adjacent pairs of comm, in (i, j) order. comm is ascending, so
+	// the later members adjacent to comm[i] come out of one sorted
+	// intersection with its neighbor list instead of a HasEdge probe per pair.
+	pairs := e.pairs[:0]
+	for i := 0; i+1 < len(comm); i++ {
+		p, rest := comm[i], comm[i+1:]
+		e.adj = nbr.IntersectInto(e.adj[:0], rest, e.g.Neighbors(p))
+		adj := e.adj
+		for _, q := range rest {
+			if len(adj) > 0 && adj[0] == q {
+				adj = adj[1:]
 				continue
 			}
-			pk := pairmap.Key(p, q)
-			if creditA {
-				e.mapFor(a).Add(pk, 1)
-				e.CreditOps++
-			}
-			if creditB {
-				e.mapFor(b).Add(pk, 1)
-				e.CreditOps++
-			}
+			pairs = append(pairs, pairmap.Key(p, q))
 		}
 	}
+	e.pairs = pairs
+	if len(pairs) == 0 {
+		return
+	}
+	// One map at a time: a hub's table is megabytes of random probes, and
+	// alternating between two of them per pair evicts each from the cache
+	// the other just filled. Each map still sees its keys in (i, j) order.
+	if creditA {
+		e.credit(a, pairs)
+	}
+	if creditB {
+		e.credit(b, pairs)
+	}
+}
+
+// credit adds one connector to every pair of pairs in the evidence of v.
+func (e *evidence) credit(v int32, pairs []uint64) {
+	m := e.mapFor(v)
+	for _, pk := range pairs {
+		m.Add(pk, 1)
+	}
+	e.CreditOps += int64(len(pairs))
 }
 
 // ensureEgo processes every not-yet-processed edge of GE(u): the d(u) edges

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/nbr"
 	"repro/internal/paperex"
 )
 
@@ -56,7 +57,7 @@ func TestPaperExampleReferenceBFS(t *testing.T) {
 func TestPaperExampleExampleOneDetail(t *testing.T) {
 	g := paperex.New()
 	// Connectors of the non-adjacent pair (c, i) inside N(d): g and h.
-	comm := g.CommonNeighbors(nil, paperex.C, paperex.I)
+	comm := nbr.IntersectInto(nil, g.Neighbors(paperex.C), g.Neighbors(paperex.I))
 	inND := 0
 	for _, w := range comm {
 		if g.HasEdge(w, paperex.D) {

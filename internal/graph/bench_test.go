@@ -3,6 +3,8 @@ package graph
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/nbr"
 )
 
 // Ablation: merge vs galloping intersection, the kernel choice DESIGN.md
@@ -38,7 +40,7 @@ func BenchmarkIntersectBalanced(b *testing.B) {
 	var dst []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = IntersectSorted(dst[:0], x, y)
+		dst = nbr.IntersectInto(dst[:0], x, y)
 	}
 }
 
@@ -48,7 +50,7 @@ func BenchmarkIntersectLopsided(b *testing.B) {
 	var dst []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = IntersectSorted(dst[:0], small, big)
+		dst = nbr.IntersectInto(dst[:0], small, big)
 	}
 }
 

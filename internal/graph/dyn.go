@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/nbr"
 )
 
 // DynGraph is a mutable undirected graph with per-vertex sorted adjacency
@@ -194,7 +196,7 @@ func (d *DynGraph) DeleteEdge(u, v int32) error {
 
 // CommonNeighbors appends N(u) ∩ N(v) to dst and returns it.
 func (d *DynGraph) CommonNeighbors(dst []int32, u, v int32) []int32 {
-	return IntersectSorted(dst, d.adj[u], d.adj[v])
+	return nbr.IntersectInto(dst, d.adj[u], d.adj[v])
 }
 
 // MaxDegree returns the current maximum degree.

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/nbr"
 )
 
 func mustG(t *testing.T, n int32, edges [][2]int32) *Graph {
@@ -162,7 +164,7 @@ func TestIntersectSorted(t *testing.T) {
 			21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40}, []int32{5}},
 	}
 	for i, c := range cases {
-		got := IntersectSorted(nil, c.a, c.b)
+		got := nbr.IntersectInto(nil, c.a, c.b)
 		if len(got) != len(c.want) {
 			t.Fatalf("case %d: got %v, want %v", i, got, c.want)
 		}
@@ -171,7 +173,7 @@ func TestIntersectSorted(t *testing.T) {
 				t.Fatalf("case %d: got %v, want %v", i, got, c.want)
 			}
 		}
-		if n := CountCommonSorted(c.a, c.b); n != len(c.want) {
+		if n := nbr.IntersectCount(c.a, c.b); n != len(c.want) {
 			t.Fatalf("case %d: count %d, want %d", i, n, len(c.want))
 		}
 	}
@@ -193,8 +195,8 @@ func TestQuickIntersect(t *testing.T) {
 				want = append(want, x)
 			}
 		}
-		got := IntersectSorted(nil, a, b)
-		if len(got) != len(want) || CountCommonSorted(a, b) != len(want) {
+		got := nbr.IntersectInto(nil, a, b)
+		if len(got) != len(want) || nbr.IntersectCount(a, b) != len(want) {
 			return false
 		}
 		for i := range got {
@@ -225,7 +227,7 @@ func sortedUnique(raw []uint16) []int32 {
 
 func TestCommonNeighbors(t *testing.T) {
 	g := mustG(t, 5, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 4}})
-	got := g.CommonNeighbors(nil, 0, 1)
+	got := nbr.IntersectInto(nil, g.Neighbors(0), g.Neighbors(1))
 	want := []int32{2, 3}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("common(0,1) = %v, want %v", got, want)

@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/nbr"
+)
 
 // Stats summarizes a graph the way Table I of the paper does, plus the
 // triangle count and degeneracy-style orientation width that drive the
@@ -36,7 +40,7 @@ func CountTriangles(g View, o *Oriented) int64 {
 	for u := int32(0); u < g.NumVertices(); u++ {
 		outU := o.OutNeighbors(u)
 		for _, v := range outU {
-			total += int64(CountCommonSorted(outU, o.OutNeighbors(v)))
+			total += int64(nbr.IntersectCount(outU, o.OutNeighbors(v)))
 		}
 	}
 	return total

@@ -25,8 +25,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		if info.BuildWorkers != workers {
 			t.Errorf("workers=%d: BuildWorkers = %d", workers, info.BuildWorkers)
 		}
-		if info.SnapshotBuildMS < 0 {
-			t.Errorf("workers=%d: negative SnapshotBuildMS %v", workers, info.SnapshotBuildMS)
+		if info.CompactMS < 0 {
+			t.Errorf("workers=%d: negative CompactMS %v", workers, info.CompactMS)
 		}
 		res, err := reg.TopK("g", 10, AlgoScores, 0)
 		if err != nil {

@@ -108,8 +108,8 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if info.Compactions > 0 && info.OverlayDepth < 2 {
-			if info.CompactMS != info.SnapshotBuildMS {
-				t.Fatalf("snapshot_build_ms %v must alias compact_ms %v", info.SnapshotBuildMS, info.CompactMS)
+			if info.CompactMS <= 0 {
+				t.Fatalf("compact_ms %v must be positive after %d compactions", info.CompactMS, info.Compactions)
 			}
 			break
 		}

@@ -118,12 +118,21 @@ func (s *snapshot) cacheStore(key cacheKey, res cachedResult) {
 // cachedResult is what the snapshot cache holds per key: the result list
 // plus, for AlgoApprox, the estimator telemetry the payload echoes — a
 // cache hit must report the same samples/ε-achieved the original
-// computation did.
+// computation did. hitBody is the encoded payload every hit on the entry
+// answers with (a hit's payload is a function of the snapshot and the key
+// alone), so the HTTP layer encodes it once per entry instead of once per
+// hit; nil for k above maxHitBodyK.
 type cachedResult struct {
 	res         []ego.Result
 	samples     int64
 	epsAchieved float64
+	hitBody     []byte
 }
+
+// maxHitBodyK bounds the result count whose encoded payload a cache entry
+// keeps: at about 64 bytes per result a full cache of such entries stays
+// within 16 MiB per snapshot whatever k the clients ask for.
+const maxHitBodyK = 1024
 
 // cacheKey identifies one top-k answer shape on a given snapshot. Floats
 // (θ, ε, δ) are keyed by their bit patterns so any value compares
@@ -249,12 +258,11 @@ type entry struct {
 	// (senders hold it shared, the closer exclusively — a channel must not
 	// be closed under racing sends); stopped is closed when the writer
 	// goroutine has drained the closed queue and exited.
-	queue    chan *writeReq
-	qmu      sync.RWMutex
-	qclosed  bool
-	stopped  chan struct{}
-	flush    time.Duration // coalescing window after the first arrival
-	maxGroup int           // largest group one drain may commit
+	queue   chan *writeReq
+	qmu     sync.RWMutex
+	qclosed bool
+	stopped chan struct{}
+	flush   time.Duration // coalescing window after the first arrival
 
 	// mu serializes all mutation of the maintainer state below and every
 	// snapshot publication. Readers never take it.
@@ -380,8 +388,8 @@ const (
 	defaultCheckpointBytes   = 4 << 20
 )
 
-// Default write-pipeline tuning: admission-queue capacity (also the group
-// size cap unless WithGroupLimit lowers it) and the coalescing window.
+// Default write-pipeline tuning: admission-queue capacity, which is also the
+// largest group one drain may commit.
 const defaultWriteQueue = 128
 
 // Default compaction policy: flatten the overlay chain once it is this many
@@ -403,7 +411,6 @@ type Registry struct {
 	// Write pipeline (DESIGN.md §9).
 	queueCap int
 	flush    time.Duration
-	maxGroup int
 
 	// Overlay compaction policy (DESIGN.md §10).
 	compactDepth int
@@ -510,18 +517,6 @@ func WithFlushInterval(d time.Duration) RegistryOption {
 	}
 }
 
-// WithGroupLimit caps how many batches one drain may fold into a single
-// group commit. n ≤ 0 keeps the default (the queue capacity). Limit 1
-// degenerates to the serialized one-batch-one-fsync-one-snapshot pipeline —
-// the baseline the write-throughput benchmark compares against.
-func WithGroupLimit(n int) RegistryOption {
-	return func(r *Registry) {
-		if n > 0 {
-			r.maxGroup = n
-		}
-	}
-}
-
 // WithCompactPolicy sets when a graph's overlay chain is flattened into a
 // fresh base CSR by the background compactor: once the chain is maxDepth
 // layers deep, or once the dirty vertices across the chain reach dirtyRatio
@@ -613,9 +608,6 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 	if r.queueCap <= 0 {
 		r.queueCap = defaultWriteQueue
 	}
-	if r.maxGroup <= 0 || r.maxGroup > r.queueCap {
-		r.maxGroup = r.queueCap
-	}
 	if r.compactDepth <= 0 {
 		r.compactDepth = defaultCompactDepth
 	}
@@ -639,7 +631,6 @@ func (r *Registry) newEntry(name, mode string) *entry {
 		queue:      make(chan *writeReq, r.queueCap),
 		stopped:    make(chan struct{}),
 		flush:      r.flush,
-		maxGroup:   r.maxGroup,
 		nowMS:      r.nowMS,
 	}
 }
@@ -866,13 +857,13 @@ func (e *entry) enqueue(req *writeReq) error {
 }
 
 // retryAfter estimates how long a rejected writer should wait: the queued
-// batches drain in ceil(depth/maxGroup) group commits, each taking at least
+// batches drain in ceil(depth/capacity) group commits, each taking at least
 // the coalescing window. The 1s floor keeps the hint meaningful when the
 // window is zero (drains are then bounded by fsync + publication, which the
 // estimate cannot see); the 60s cap keeps a pathological configuration from
 // parking clients for minutes.
 func (e *entry) retryAfter() time.Duration {
-	drains := (len(e.queue) + e.maxGroup - 1) / e.maxGroup
+	drains := (len(e.queue) + cap(e.queue) - 1) / cap(e.queue)
 	est := time.Duration(drains) * e.flush
 	if est < time.Second {
 		return time.Second
@@ -890,21 +881,18 @@ func (e *entry) retryAfter() time.Duration {
 // publication inside the write lock for later epochs. CompactMS is the last
 // compaction's wall-clock — the O(n+m) flatten of the overlay chain into a
 // fresh base CSR, run off the write path (or forced synchronously by a
-// checkpoint). SnapshotBuildMS is kept for compatibility and mirrors
-// CompactMS, which is what the pre-overlay field measured (a full CSR
-// export per drain). BuildWorkers is the worker budget compactions and
-// freezes shard across.
+// checkpoint). BuildWorkers is the worker budget compactions and freezes
+// shard across.
 type GraphInfo struct {
-	Name            string  `json:"name"`
-	Mode            string  `json:"mode"`
-	Epoch           uint64  `json:"epoch"`
-	N               int32   `json:"n"`
-	M               int64   `json:"m"`
-	LazyK           int     `json:"lazy_k,omitempty"`
-	BuildWorkers    int     `json:"build_workers"`
-	PublishMS       float64 `json:"publish_ms"`
-	CompactMS       float64 `json:"compact_ms"`
-	SnapshotBuildMS float64 `json:"snapshot_build_ms"` // deprecated alias of compact_ms
+	Name         string  `json:"name"`
+	Mode         string  `json:"mode"`
+	Epoch        uint64  `json:"epoch"`
+	N            int32   `json:"n"`
+	M            int64   `json:"m"`
+	LazyK        int     `json:"lazy_k,omitempty"`
+	BuildWorkers int     `json:"build_workers"`
+	PublishMS    float64 `json:"publish_ms"`
+	CompactMS    float64 `json:"compact_ms"`
 
 	// Relabeled reports whether the graph serves with degree-ordered
 	// relabeling (DESIGN.md §12): recompute queries run on a permuted CSR
@@ -983,15 +971,13 @@ func (e *entry) info() GraphInfo {
 // infoAt summarizes the entry against one specific snapshot, so callers that
 // already hold a snapshot report a single consistent epoch.
 func (e *entry) infoAt(s *snapshot) GraphInfo {
-	compactMS := float64(e.lastCompactNs.Load()) / 1e6
 	gi := GraphInfo{
 		Name: e.name, Mode: e.mode, Epoch: s.epoch,
 		N: s.view.NumVertices(), M: s.view.NumEdges(),
 		Relabeled:        e.relabel,
 		BuildWorkers:     s.buildWorkers,
 		PublishMS:        float64(s.publishDur.Microseconds()) / 1000,
-		CompactMS:        compactMS,
-		SnapshotBuildMS:  compactMS,
+		CompactMS:        float64(e.lastCompactNs.Load()) / 1e6,
 		Compactions:      e.compactions.Load(),
 		ScoresCopied:     e.scoresCopied.Load(),
 		WriteQueueCap:    cap(e.queue),
@@ -1113,6 +1099,8 @@ type TopKResult struct {
 	ApproxEpsAchieved float64      `json:"approx_eps_achieved,omitempty"`
 	Cached            bool         `json:"cached"`
 	Results           []ego.Result `json:"results"`
+
+	hitBody []byte // cache hits: this payload already encoded (cachedResult.hitBody)
 }
 
 // TopKQuery is the full top-k query shape. Zero-valued knobs select the
@@ -1226,7 +1214,10 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 
 	if v, ok := snap.cache.Load(key); ok {
 		e.cacheHits.Add(1)
-		return e.topkResult(snap, key, theta, eps, conf, true, v.(cachedResult)), nil
+		cr := v.(cachedResult)
+		tr := e.topkResult(snap, key, theta, eps, conf, true, cr)
+		tr.hitBody = cr.hitBody
+		return tr, nil
 	}
 	e.cacheMisses.Add(1)
 
@@ -1283,6 +1274,9 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		cr.res = full
 	default:
 		return TopKResult{}, fmt.Errorf("server: unknown algo %q", algo)
+	}
+	if key.k <= maxHitBodyK {
+		cr.hitBody = encodeJSON(e.topkResult(snap, key, theta, eps, conf, true, cr))
 	}
 	snap.cacheStore(key, cr)
 	return e.topkResult(snap, key, theta, eps, conf, false, cr), nil
@@ -1500,7 +1494,7 @@ func (e *entry) windowedWriterLoop(r *Registry) {
 
 // collectGroup gathers the batches of one group commit: the first request
 // plus everything already queued (and, with a positive flush interval,
-// everything arriving within the window), capped at maxGroup.
+// everything arriving within the window), capped at the queue capacity.
 //
 // With no flush window, the drain yields the scheduler once before
 // committing a short group: a sender that just enqueued is scheduled with
@@ -1515,7 +1509,7 @@ func (e *entry) collectGroup(first *writeReq) []*writeReq {
 	if e.flush > 0 {
 		timer := time.NewTimer(e.flush)
 		defer timer.Stop()
-		for len(group) < e.maxGroup {
+		for len(group) < cap(e.queue) {
 			select {
 			case req, ok := <-e.queue:
 				if !ok {
@@ -1529,7 +1523,7 @@ func (e *entry) collectGroup(first *writeReq) []*writeReq {
 		return group
 	}
 	yielded := false
-	for len(group) < e.maxGroup {
+	for len(group) < cap(e.queue) {
 		select {
 		case req, ok := <-e.queue:
 			if !ok {

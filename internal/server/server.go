@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,11 +104,25 @@ func (s *Server) Handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON is the one body format of the API: indented, newline-terminated.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = enc.Encode(v) // the payload types hold nothing json cannot encode
+	return buf.Bytes()
+}
+
+// writeBody sends an encoded body in one write with its length, so a large
+// answer is not cut into chunks at the response buffer's size.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a client that went away is not the handler's error
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -372,6 +387,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusNotFound
 		}
 		writeError(w, status, err)
+		return
+	}
+	if res.hitBody != nil {
+		writeBody(w, http.StatusOK, res.hitBody)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -290,6 +290,47 @@ func TestServeGeneratorAndDataset(t *testing.T) {
 	}
 }
 
+// TestTopKHitPayload pins the bytes of a cache hit: whether the body comes
+// from the cache entry (k ≤ maxHitBodyK) or is encoded per request (above
+// it), a hit answers with exactly the miss's payload with "cached" flipped,
+// sent in one piece with its length.
+func TestTopKHitPayload(t *testing.T) {
+	ts := newTestServer(t)
+	req := LoadRequest{Name: "ba", Generator: &GeneratorSpec{Model: "ba", N: maxHitBodyK + 200, MPer: 3, Seed: 7}}
+	if code := doJSON(t, "POST", ts.URL+"/graphs", req, nil); code != http.StatusCreated {
+		t.Fatalf("load: status %d", code)
+	}
+	get := func(query string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/graphs/ba/topk?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("%s: status %d, Content-Length %d for %d bytes", query, resp.StatusCode, resp.ContentLength, len(raw))
+		}
+		return raw
+	}
+	for _, query := range []string{
+		"k=10", "k=100&algo=opt&theta=1.2", "k=20&algo=approx&eps=0.1&seed=3",
+		fmt.Sprintf("k=%d", maxHitBodyK), fmt.Sprintf("k=%d", maxHitBodyK+1),
+	} {
+		miss, hit, again := get(query), get(query), get(query)
+		if !bytes.Contains(miss, []byte(`"cached": false`)) {
+			t.Fatalf("%s: first answer is not a miss: %.200s", query, miss)
+		}
+		want := bytes.Replace(miss, []byte(`"cached": false`), []byte(`"cached": true`), 1)
+		if !bytes.Equal(hit, want) || !bytes.Equal(again, want) {
+			t.Fatalf("%s: hit payload differs from the miss's with cached flipped\nmiss %.300s\nhit  %.300s", query, miss, hit)
+		}
+	}
+}
+
 // TestServeErrors covers the failure surface: bad bodies, duplicate names,
 // unknown graphs/algos/vertices, empty batches.
 func TestServeErrors(t *testing.T) {

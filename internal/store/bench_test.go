@@ -11,8 +11,8 @@ import (
 // Micro-benchmarks for the durability hot paths. The snapshot codec runs
 // inside the serving layer's write lock at every checkpoint, and the WAL
 // append runs on every update batch, so their costs bound the write-path
-// latency the persistence layer adds (EXPERIMENTS.md has the dataset-scale
-// numbers via `benchtab -prbench`).
+// latency the persistence layer adds (benchmark/README.md has the
+// graph-scale numbers: store.checkpoint_ms, store.wal_append_us).
 
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()

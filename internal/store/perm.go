@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/graph"
 )
@@ -43,21 +41,6 @@ func EncodeSnapshotSections(g *graph.Graph, meta SnapshotMeta, st *MaintainerSta
 	return EncodeSnapshotFull(g, meta, st, perm, nil)
 }
 
-// appendPermSection appends the framed relabel-permutation section to buf
-// (whose length must already be 8-aligned, making the int32 payload
-// mappable).
-func appendPermSection(buf []byte, n uint32, perm []int32) []byte {
-	start := len(buf)
-	buf = append(buf, permMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, PermVersion)
-	buf = append(buf, 0, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, n)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(4*len(perm)))
-	buf = appendWords(buf, perm)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-}
-
 // DecodeSnapshotPerm extracts the relabel permutation of a snapshot image,
 // or (nil, nil) when the snapshot carries none (every version-1 file, and
 // version-2 files checkpointed without relabeling). An error means the
@@ -66,83 +49,15 @@ func appendPermSection(buf []byte, n uint32, perm []int32) []byte {
 // returned slice aliases data zero-copy on little-endian hosts; the caller
 // must not modify data afterwards.
 func DecodeSnapshotPerm(data []byte) ([]int32, error) {
-	version, n, graphLen, err := snapshotLayout(data)
-	if err != nil {
+	sec, err := findSection(data, sectionPerm)
+	if sec == nil {
 		return nil, err
 	}
-	if version == SnapshotVersion {
-		return nil, nil
-	}
-	pos, err := skipSectionPadding(data, graphLen)
-	if err != nil || pos == uint64(len(data)) {
-		return nil, err
-	}
-	if uint64(len(data))-pos < stateHeaderLen+4 {
-		return nil, fmt.Errorf("store: relabel section truncated (%d bytes after graph part)", uint64(len(data))-pos)
-	}
-	if [4]byte(data[pos:pos+4]) == stateMagic {
-		// Skip the maintainer-state section by its frame; its content is
-		// DecodeSnapshotState's concern.
-		payloadLen := binary.LittleEndian.Uint64(data[pos+16 : pos+24])
-		if payloadLen > uint64(len(data))-pos-stateHeaderLen-4 {
-			return nil, fmt.Errorf("store: maintainer-state section overruns the snapshot")
-		}
-		pos += stateHeaderLen + payloadLen + 4
-		pos, err = skipSectionPadding(data, pos)
-		if err != nil || pos == uint64(len(data)) {
-			return nil, err
-		}
-	}
-	sec := data[pos:]
-	if uint64(len(sec)) < stateHeaderLen+4 {
-		return nil, fmt.Errorf("store: relabel section truncated (%d trailing bytes)", len(sec))
-	}
-	if [4]byte(sec[0:4]) == stampsMagic {
-		// Sections are ordered state, perm, temporal: a temporal section
-		// here means no permutation was checkpointed.
-		return nil, nil
-	}
-	if [4]byte(sec[0:4]) != permMagic {
-		return nil, fmt.Errorf("store: bad relabel-section magic %q", sec[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(sec[4:6]); v != PermVersion {
-		return nil, fmt.Errorf("store: unsupported relabel-section version %d (this build reads %d)", v, PermVersion)
-	}
-	if binary.LittleEndian.Uint16(sec[6:8]) != 0 || binary.LittleEndian.Uint32(sec[12:16]) != 0 {
-		return nil, fmt.Errorf("store: corrupt relabel-section header (reserved fields)")
-	}
-	if secN := binary.LittleEndian.Uint32(sec[8:12]); uint64(secN) != n {
-		return nil, fmt.Errorf("store: relabel section covers n=%d, snapshot graph has n=%d", secN, n)
-	}
-	if n == 0 {
+	if sec.n == 0 {
 		return nil, fmt.Errorf("store: relabel section present for an empty graph")
 	}
-	payloadLen := binary.LittleEndian.Uint64(sec[16:24])
-	if payloadLen != 4*n {
-		return nil, fmt.Errorf("store: relabel payload is %d bytes, n=%d implies %d", payloadLen, n, 4*n)
+	if uint64(len(sec.payload)) != 4*sec.n {
+		return nil, fmt.Errorf("store: relabel payload is %d bytes, n=%d implies %d", len(sec.payload), sec.n, 4*sec.n)
 	}
-	if uint64(len(sec)) < stateHeaderLen+payloadLen+4 {
-		return nil, fmt.Errorf("store: relabel section truncated (%d of %d bytes)",
-			len(sec), stateHeaderLen+payloadLen+4)
-	}
-	// The section frames its own length; bytes beyond it belong to the
-	// temporal section and are not examined here.
-	sec = sec[:stateHeaderLen+payloadLen+4]
-	body, crcBytes := sec[:stateHeaderLen+payloadLen], sec[stateHeaderLen+payloadLen:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("store: relabel-section checksum mismatch (file %#x, computed %#x)", want, got)
-	}
-	return aliasWords[int32](body[stateHeaderLen:], n), nil
-}
-
-// skipSectionPadding advances pos over the zero padding to the next 8-byte
-// boundary (or to end of input), erroring on a nonzero pad byte.
-func skipSectionPadding(data []byte, pos uint64) (uint64, error) {
-	for pos%8 != 0 && pos < uint64(len(data)) {
-		if data[pos] != 0 {
-			return 0, fmt.Errorf("store: nonzero padding between snapshot sections")
-		}
-		pos++
-	}
-	return pos, nil
+	return aliasWords[int32](sec.payload, sec.n), nil
 }

@@ -135,6 +135,120 @@ func snapshotLayout(data []byte) (version uint16, n, graphLen uint64, err error)
 	return version, n, graphLen, nil
 }
 
+// The trailing sections of a version-2 snapshot share one frame (state.go
+// documents it field by field); they appear in this order, each at most once.
+type sectionKind int
+
+const (
+	sectionState sectionKind = iota
+	sectionPerm
+	sectionStamps
+)
+
+var sectionKinds = [...]struct {
+	magic   [4]byte
+	name    string
+	version uint16
+}{
+	sectionState:  {stateMagic, "maintainer-state", StateVersion},
+	sectionPerm:   {permMagic, "relabel-section", PermVersion},
+	sectionStamps: {stampsMagic, "temporal-section", TemporalVersion},
+}
+
+// section is one framed section whose header and checksum validated.
+type section struct {
+	tag     uint8  // header byte 6: the state section's mode, zero elsewhere
+	n       uint64 // the graph part's vertex count, which the section matched
+	payload []byte
+}
+
+// appendSection appends one framed section to buf: zero padding to the next
+// 8-byte boundary (the alignment is what makes a payload's word arrays
+// mappable), the header, whatever payload fill appends, and the CRC.
+func appendSection(buf []byte, kind sectionKind, tag uint8, n uint32, fill func([]byte) []byte) []byte {
+	for len(buf)%8 != 0 {
+		buf = append(buf, 0)
+	}
+	start, k := len(buf), sectionKinds[kind]
+	buf = append(buf, k.magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, k.version)
+	buf = append(buf, tag, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, n)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // payloadLen, backfilled
+	buf = fill(buf)
+	binary.LittleEndian.PutUint64(buf[start+16:], uint64(len(buf)-start-stateHeaderLen))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// findSection walks the frames after a snapshot's graph part and returns the
+// section of kind want, or (nil, nil) when the snapshot carries none — every
+// version-1 file, and version-2 files checkpointed without it. Padding,
+// framing and ordering are checked for every frame walked over; version,
+// reserved fields, n and the CRC only for the wanted one, so damage inside
+// one section never blocks decoding another (nor the graph, which
+// DecodeSnapshot judges alone). Bytes after the wanted section are not
+// examined. Like every decoder at this trust boundary it never panics and
+// bounds every slice by the input length.
+func findSection(data []byte, want sectionKind) (*section, error) {
+	version, n, pos, err := snapshotLayout(data)
+	if err != nil || version == SnapshotVersion {
+		return nil, err
+	}
+	last := sectionKind(-1)
+	for {
+		for ; pos%8 != 0 && pos < uint64(len(data)); pos++ {
+			if data[pos] != 0 {
+				return nil, fmt.Errorf("store: nonzero padding between snapshot sections")
+			}
+		}
+		sec := data[pos:]
+		if len(sec) == 0 && last >= 0 {
+			return nil, nil
+		}
+		// A version-2 header promises at least one section, so running out
+		// of bytes before the first is truncation too.
+		if len(sec) < stateHeaderLen+4 {
+			return nil, fmt.Errorf("store: snapshot section truncated (%d trailing bytes)", len(sec))
+		}
+		kind := sectionKind(-1)
+		for k := range sectionKinds {
+			if sectionKinds[k].magic == [4]byte(sec[0:4]) {
+				kind = sectionKind(k)
+			}
+		}
+		if kind <= last {
+			return nil, fmt.Errorf("store: unknown or misplaced snapshot section magic %q", sec[0:4])
+		}
+		if kind > want {
+			return nil, nil
+		}
+		name := sectionKinds[kind].name // kind ≥ 0: it is > last
+		payloadLen := binary.LittleEndian.Uint64(sec[16:24])
+		if room := uint64(len(sec)) - stateHeaderLen - 4; payloadLen > room {
+			return nil, fmt.Errorf("store: %s payload frames %d bytes, %d remain", name, payloadLen, room)
+		}
+		end := stateHeaderLen + payloadLen
+		if kind < want {
+			last, pos = kind, pos+end+4
+			continue
+		}
+		if v, reads := binary.LittleEndian.Uint16(sec[4:6]), sectionKinds[kind].version; v != reads {
+			return nil, fmt.Errorf("store: unsupported %s version %d (this build reads %d)", name, v, reads)
+		}
+		if (kind != sectionState && sec[6] != 0) || sec[7] != 0 || binary.LittleEndian.Uint32(sec[12:16]) != 0 {
+			return nil, fmt.Errorf("store: corrupt %s header (reserved fields)", name)
+		}
+		if secN := binary.LittleEndian.Uint32(sec[8:12]); uint64(secN) != n {
+			return nil, fmt.Errorf("store: %s covers n=%d, snapshot graph has n=%d", name, secN, n)
+		}
+		if got, want := crc32.ChecksumIEEE(sec[:end]), binary.LittleEndian.Uint32(sec[end:]); got != want {
+			return nil, fmt.Errorf("store: %s checksum mismatch (file %#x, computed %#x)", name, want, got)
+		}
+		return &section{tag: sec[6], n: n, payload: sec[stateHeaderLen:end]}, nil
+	}
+}
+
 // PeekSnapshotMeta validates a snapshot image's header far enough to read
 // its serving metadata — notably Meta.Seq, which identifies the WAL segment
 // that continues after this checkpoint — without decoding the CSR body. The

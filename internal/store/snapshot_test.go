@@ -220,3 +220,51 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	sameGraph(t, rec.Graph, g)
 }
+
+// TestSectionWalkOrder pins what the shared section walker adds to the three
+// decoders' own checks: sections are accepted in their canonical order only,
+// each at most once, and a version-2 image with no section at all is a torn
+// file, not an empty one.
+func TestSectionWalkOrder(t *testing.T) {
+	g := goldenGraph(t, 1)
+	n := uint32(g.NumVertices())
+	perm := []int32{2, 0, 1}
+	ts := &TemporalState{WindowMS: 1000, Stamps: []int64{1, 2, 3}}
+	graphPart := func() []byte { return encodeGraphPart(g, SnapshotMeta{}, SnapshotVersionState, 0) }
+	permSec := func(b []byte) []byte {
+		return appendSection(b, sectionPerm, 0, n, func(b []byte) []byte { return appendWords(b, perm) })
+	}
+	stampsSec := func(b []byte) []byte {
+		return appendSection(b, sectionStamps, 0, n, func(b []byte) []byte { return appendStampsPayload(b, ts) })
+	}
+
+	decodeAll := func(img []byte) (stErr, permErr, tsErr error) {
+		if _, _, err := DecodeSnapshot(img); err != nil {
+			t.Fatalf("graph part should be unaffected: %v", err)
+		}
+		_, stErr = DecodeSnapshotState(img)
+		_, permErr = DecodeSnapshotPerm(img)
+		_, tsErr = DecodeSnapshotStamps(img)
+		return
+	}
+
+	if stErr, permErr, tsErr := decodeAll(graphPart()); stErr == nil || permErr == nil || tsErr == nil {
+		t.Errorf("sectionless v2 image accepted: state %v, perm %v, stamps %v", stErr, permErr, tsErr)
+	}
+	swapped := permSec(stampsSec(graphPart()))
+	if stErr, permErr, tsErr := decodeAll(swapped); stErr != nil || permErr != nil || tsErr != nil {
+		// Each decoder stops at the temporal section: it is either the one
+		// wanted or proof that an earlier kind is absent.
+		t.Errorf("stamps-then-perm: state %v, perm %v, stamps %v; want no errors", stErr, permErr, tsErr)
+	}
+	if got, _ := DecodeSnapshotPerm(swapped); got != nil {
+		t.Errorf("perm section after the temporal section decoded: %v", got)
+	}
+	if got, _ := DecodeSnapshotStamps(swapped); got == nil {
+		t.Error("leading temporal section not decoded")
+	}
+	doubled := stampsSec(permSec(permSec(graphPart())))
+	if _, _, tsErr := decodeAll(doubled); tsErr == nil {
+		t.Error("temporal section behind a duplicated perm section accepted")
+	}
+}

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/graph"
 )
@@ -73,40 +72,21 @@ func EncodeSnapshotFull(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, 
 	}
 	buf := encodeGraphPart(g, meta, SnapshotVersionState, extra)
 	if !st.empty() {
-		for len(buf)%8 != 0 {
-			buf = append(buf, 0)
-		}
 		buf = appendStateSection(buf, uint32(n), st)
 	}
 	if len(perm) > 0 {
-		for len(buf)%8 != 0 {
-			buf = append(buf, 0)
-		}
-		buf = appendPermSection(buf, uint32(n), perm)
+		buf = appendSection(buf, sectionPerm, 0, uint32(n), func(b []byte) []byte { return appendWords(b, perm) })
 	}
 	if !ts.empty() {
-		for len(buf)%8 != 0 {
-			buf = append(buf, 0)
-		}
-		buf = appendStampsSection(buf, uint32(n), ts)
+		buf = appendSection(buf, sectionStamps, 0, uint32(n), func(b []byte) []byte { return appendStampsPayload(b, ts) })
 	}
 	return buf
 }
 
-// appendStampsSection appends the framed temporal section to buf (whose
-// length must already be 8-aligned, making the int64 payload mappable).
-func appendStampsSection(buf []byte, n uint32, ts *TemporalState) []byte {
-	start := len(buf)
-	buf = append(buf, stampsMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, TemporalVersion)
-	buf = append(buf, 0, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, n)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(16+8*len(ts.Stamps)))
+func appendStampsPayload(buf []byte, ts *TemporalState) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, ts.WindowMS)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ts.Stamps)))
-	buf = appendWords(buf, ts.Stamps)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	return appendWords(buf, ts.Stamps)
 }
 
 // DecodeSnapshotStamps extracts the temporal section of a snapshot image, or
@@ -117,73 +97,24 @@ func appendStampsSection(buf []byte, n uint32, ts *TemporalState) []byte {
 // slice aliases data zero-copy on little-endian hosts; the caller must not
 // modify data afterwards.
 func DecodeSnapshotStamps(data []byte) (*TemporalState, error) {
-	version, n, graphLen, err := snapshotLayout(data)
-	if err != nil {
+	sec, err := findSection(data, sectionStamps)
+	if sec == nil {
 		return nil, err
 	}
-	if version == SnapshotVersion {
-		return nil, nil
+	payload := sec.payload
+	if len(payload) < 16 || (len(payload)-16)%8 != 0 {
+		return nil, fmt.Errorf("store: temporal payload is %d bytes, not 16+8m", len(payload))
 	}
-	m := binary.LittleEndian.Uint64(data[24:32])
-	pos, err := skipSectionPadding(data, graphLen)
-	if err != nil {
-		return nil, err
-	}
-	for pos < uint64(len(data)) {
-		if uint64(len(data))-pos < stateHeaderLen+4 {
-			return nil, fmt.Errorf("store: temporal section truncated (%d trailing bytes)", uint64(len(data))-pos)
-		}
-		magic := [4]byte(data[pos : pos+4])
-		payloadLen := binary.LittleEndian.Uint64(data[pos+16 : pos+24])
-		if payloadLen > uint64(len(data))-pos-stateHeaderLen-4 {
-			return nil, fmt.Errorf("store: snapshot section %q overruns the snapshot", magic[:])
-		}
-		sec := data[pos : pos+stateHeaderLen+payloadLen+4]
-		if magic == stampsMagic {
-			return decodeStampsSection(sec, n, m)
-		}
-		if magic != stateMagic && magic != permMagic {
-			return nil, fmt.Errorf("store: unknown snapshot section magic %q", magic[:])
-		}
-		pos += stateHeaderLen + payloadLen + 4
-		if pos, err = skipSectionPadding(data, pos); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// decodeStampsSection validates and decodes one framed temporal section
-// against the graph part's n and m.
-func decodeStampsSection(sec []byte, n, m uint64) (*TemporalState, error) {
-	if v := binary.LittleEndian.Uint16(sec[4:6]); v != TemporalVersion {
-		return nil, fmt.Errorf("store: unsupported temporal-section version %d (this build reads %d)", v, TemporalVersion)
-	}
-	if binary.LittleEndian.Uint16(sec[6:8]) != 0 || binary.LittleEndian.Uint32(sec[12:16]) != 0 {
-		return nil, fmt.Errorf("store: corrupt temporal-section header (reserved fields)")
-	}
-	if secN := binary.LittleEndian.Uint32(sec[8:12]); uint64(secN) != n {
-		return nil, fmt.Errorf("store: temporal section covers n=%d, snapshot graph has n=%d", secN, n)
-	}
-	payloadLen := binary.LittleEndian.Uint64(sec[16:24])
-	if payloadLen < 16 || (payloadLen-16)%8 != 0 {
-		return nil, fmt.Errorf("store: temporal payload is %d bytes, not 16+8m", payloadLen)
-	}
-	body, crcBytes := sec[:stateHeaderLen+payloadLen], sec[stateHeaderLen+payloadLen:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("store: temporal-section checksum mismatch (file %#x, computed %#x)", want, got)
-	}
-	payload := body[stateHeaderLen:]
 	ts := &TemporalState{WindowMS: binary.LittleEndian.Uint64(payload[0:8])}
 	if ts.WindowMS == 0 {
 		return nil, fmt.Errorf("store: temporal section with zero window")
 	}
 	secM := binary.LittleEndian.Uint64(payload[8:16])
-	if secM != m {
+	if m := binary.LittleEndian.Uint64(data[24:32]); secM != m {
 		return nil, fmt.Errorf("store: temporal section stamps %d edges, snapshot graph has %d", secM, m)
 	}
-	if payloadLen != 16+8*secM {
-		return nil, fmt.Errorf("store: temporal payload frames %d bytes, m=%d implies %d", payloadLen, secM, 16+8*secM)
+	if uint64(len(payload)) != 16+8*secM {
+		return nil, fmt.Errorf("store: temporal payload frames %d bytes, m=%d implies %d", len(payload), secM, 16+8*secM)
 	}
 	ts.Stamps = aliasWords[int64](payload[16:], secM)
 	return ts, nil

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -78,30 +77,16 @@ func EncodeSnapshotWithState(g *graph.Graph, meta SnapshotMeta, st *MaintainerSt
 	return EncodeSnapshotSections(g, meta, st, nil)
 }
 
-// appendStateSection appends the framed state section to buf (whose length
-// must already be 8-aligned — the encoder pads; the alignment is what makes
-// the section's word arrays mappable).
+// appendStateSection appends the framed state section to buf.
 func appendStateSection(buf []byte, n uint32, st *MaintainerState) []byte {
-	start := len(buf)
-	buf = append(buf, stateMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, StateVersion)
 	if st.Local != nil {
-		buf = append(buf, stateModeLocal, 0)
-	} else {
-		buf = append(buf, stateModeLazy, 0)
+		return appendSection(buf, sectionState, stateModeLocal, n, func(b []byte) []byte {
+			return appendLocalPayload(b, st.Local)
+		})
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, n)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	lenAt := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // payloadLen backfilled
-	payloadStart := len(buf)
-	if st.Local != nil {
-		buf = appendLocalPayload(buf, st.Local)
-	} else {
-		buf = appendLazyPayload(buf, st.Lazy)
-	}
-	binary.LittleEndian.PutUint64(buf[lenAt:lenAt+8], uint64(len(buf)-payloadStart))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	return appendSection(buf, sectionState, stateModeLazy, n, func(b []byte) []byte {
+		return appendLazyPayload(b, st.Lazy)
+	})
 }
 
 // stateSectionLen is the encoded byte length of the state section for an
@@ -165,71 +150,25 @@ func appendLazyPayload(buf []byte, st *dynamic.LazyState) []byte {
 // reads its own buffer, so this costs nothing and saves the copy of the
 // largest thing in the file.
 func DecodeSnapshotState(data []byte) (*MaintainerState, error) {
-	version, n, graphLen, err := snapshotLayout(data)
-	if err != nil {
+	sec, err := findSection(data, sectionState)
+	if sec == nil {
 		return nil, err
 	}
-	if version == SnapshotVersion {
-		return nil, nil
-	}
-	start := graphLen
-	for start%8 != 0 {
-		if start >= uint64(len(data)) || data[start] != 0 {
-			return nil, fmt.Errorf("store: maintainer state: nonzero padding after graph part")
-		}
-		start++
-	}
-	if uint64(len(data))-start < stateHeaderLen+4 {
-		return nil, fmt.Errorf("store: maintainer state truncated (%d bytes after graph part)", uint64(len(data))-start)
-	}
-	sec := data[start:]
-	if [4]byte(sec[0:4]) != stateMagic {
-		if m := [4]byte(sec[0:4]); m == permMagic || m == stampsMagic {
-			// A version-2 snapshot whose first section is the relabel
-			// permutation or the temporal section: no maintainer state was
-			// checkpointed and none is expected.
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: bad maintainer-state magic %q", sec[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(sec[4:6]); v != StateVersion {
-		return nil, fmt.Errorf("store: unsupported maintainer-state version %d (this build reads %d)", v, StateVersion)
-	}
-	mode := sec[6]
-	if sec[7] != 0 || binary.LittleEndian.Uint32(sec[12:16]) != 0 {
-		return nil, fmt.Errorf("store: corrupt maintainer-state header (reserved fields)")
-	}
-	if secN := binary.LittleEndian.Uint32(sec[8:12]); uint64(secN) != n {
-		return nil, fmt.Errorf("store: maintainer state covers n=%d, snapshot graph has n=%d", secN, n)
-	}
-	// The section frames its own length; bytes beyond it belong to later
-	// sections (the relabel permutation) and are not examined here.
-	payloadLen := binary.LittleEndian.Uint64(sec[16:24])
-	if payloadLen > uint64(len(sec))-stateHeaderLen-4 {
-		return nil, fmt.Errorf("store: maintainer-state payload frames %d bytes, %d remain",
-			payloadLen, uint64(len(sec))-stateHeaderLen-4)
-	}
-	sec = sec[:stateHeaderLen+payloadLen+4]
-	body, crcBytes := sec[:stateHeaderLen+payloadLen], sec[stateHeaderLen+payloadLen:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("store: maintainer-state checksum mismatch (file %#x, computed %#x)", want, got)
-	}
-	payload := body[stateHeaderLen:]
-	switch mode {
+	switch sec.tag {
 	case stateModeLocal:
-		st, err := decodeLocalPayload(payload, n)
+		st, err := decodeLocalPayload(sec.payload, sec.n)
 		if err != nil {
 			return nil, err
 		}
 		return &MaintainerState{Local: st}, nil
 	case stateModeLazy:
-		st, err := decodeLazyPayload(payload, n)
+		st, err := decodeLazyPayload(sec.payload, sec.n)
 		if err != nil {
 			return nil, err
 		}
 		return &MaintainerState{Lazy: st}, nil
 	default:
-		return nil, fmt.Errorf("store: unknown maintainer-state mode tag %d", mode)
+		return nil, fmt.Errorf("store: unknown maintainer-state mode tag %d", sec.tag)
 	}
 }
 
