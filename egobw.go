@@ -114,14 +114,16 @@ func SaveEdgeList(w io.Writer, g *Graph) error {
 // Stats computes summary statistics for g, including the triangle count.
 func Stats(g *Graph) GraphStats { return graph.ComputeStats(g) }
 
-// EgoBetweenness computes the exact CB of a single vertex in O(Σ_{v∈N(u)}
-// d(v) + ego-pair) time without touching the rest of the graph.
+// EgoBetweenness computes the exact CB of a single vertex with the dense
+// per-ego kernel, in O(Σ_{v∈N(u)} d(v) + Σ_v |N(v)∩N(u)|²) array steps,
+// without touching the rest of the graph.
 func EgoBetweenness(g *Graph, v int32) float64 {
 	return ego.EgoBetweenness(g, v, nil)
 }
 
-// ComputeAll computes the exact ego-betweenness of every vertex with the
-// sequential once-per-edge engine (O(α·m·d_max) worst case).
+// ComputeAll computes the exact ego-betweenness of every vertex: one pass
+// of the per-ego kernel per vertex, O(d_max + largest ego network) working
+// memory.
 func ComputeAll(g *Graph) []float64 { return ego.ComputeAll(g) }
 
 // ComputeAllParallel computes all ego-betweennesses with t workers using the

@@ -33,8 +33,6 @@
 package ego
 
 import (
-	"slices"
-
 	"repro/internal/graph"
 	"repro/internal/nbr"
 	"repro/internal/pairmap"
@@ -58,63 +56,49 @@ func StaticUB(d int32) float64 {
 // partial map it is the Lemma 3 dynamic upper bound ũb. A nil map means no
 // evidence and yields the Lemma 2 static bound.
 //
-// Derivation: start from d(d−1)/2 (every pair contributing 1), subtract 1
-// for each identified adjacent pair (marker), and replace 1 by 1/(c+1) for
-// each pair with c identified connectors.
-// The evidence terms are folded through scoreTerms, so the returned value
-// is a function of the evidence content alone — independent of hash-table
-// iteration order and hence of the internal vertex labeling. This is what
-// lets degree-relabeled serving return bit-identical scores to unrelabeled
-// serving.
-func ScoreEvidence(d int32, s *pairmap.Map) float64 {
-	return StaticUB(d) + scoreTerms(s)
-}
-
-// scoreTerms evaluates the evidence adjustments of a map: −1 per marker
-// (adjacent pair) and 1/(c+1) − 1 per pair with c identified connectors.
 // The entries are first accumulated into an exact integer histogram over
-// the connector counts, and the float sum then runs over the histogram in
-// ascending-c order — a canonical evaluation order, so two maps holding
-// the same evidence under different vertex labelings score bitwise
-// identically. A nil map contributes nothing.
-func scoreTerms(s *pairmap.Map) float64 {
+// the connector counts and the float sum then runs through foldScore, so the
+// returned value is a function of the evidence content alone — independent
+// of hash-table iteration order and hence of the internal vertex labeling.
+// This is what lets degree-relabeled serving return bit-identical scores to
+// unrelabeled serving, and the dense kernel (EgoBetweenness) bit-identical
+// scores to the evidence engine.
+func ScoreEvidence(d int32, s *pairmap.Map) float64 {
 	if s == nil {
-		return 0
+		return foldScore(d, nil)
 	}
-	var markers int64
 	var small [64]int64
-	var big map[int32]int64
+	hist := small[:]
+	// pairmap.Marker is 0, so hist[0] counts the adjacent pairs.
 	s.Iterate(func(_ uint64, val int32) bool {
-		switch {
-		case val == pairmap.Marker:
-			markers++
-		case val < int32(len(small)):
-			small[val]++
-		default:
-			if big == nil {
-				big = make(map[int32]int64)
-			}
-			big[val]++
+		if int(val) >= len(hist) {
+			hist = append(hist, make([]int64, int(val)+1-len(hist))...)
 		}
+		hist[val]++
 		return true
 	})
-	adj := -float64(markers)
-	for c, cnt := range small {
-		if cnt != 0 {
+	return foldScore(d, hist)
+}
+
+// foldScore is the one place a score is summed. hist[0] is the number of
+// adjacent neighbor pairs and hist[c], c ≥ 1, the number of non-adjacent
+// pairs with c connectors; an empty histogram is no evidence. Start from
+// d(d−1)/2 (every pair contributing 1), subtract 1 for each adjacent pair,
+// and replace 1 by 1/(c+1) for each pair with c connectors — summed in
+// ascending-c order, a canonical evaluation order, so equal histograms score
+// bitwise identically however they were collected.
+func foldScore(d int32, hist []int64) float64 {
+	var adj float64
+	for c, cnt := range hist {
+		switch {
+		case cnt == 0:
+		case c == 0:
+			adj -= float64(cnt)
+		default:
 			adj += float64(cnt) * (1/float64(c+1) - 1)
 		}
 	}
-	if big != nil {
-		cs := make([]int32, 0, len(big))
-		for c := range big {
-			cs = append(cs, c)
-		}
-		slices.Sort(cs)
-		for _, c := range cs {
-			adj += float64(big[c]) * (1/float64(c+1) - 1)
-		}
-	}
-	return adj
+	return StaticUB(d) + adj
 }
 
 // evidence is the shared engine: lazily allocated S maps, the global

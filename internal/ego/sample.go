@@ -10,8 +10,7 @@ import (
 // neighborhood per probe: BeginCenter marks N(p) once in the scratch
 // register, PairContribution then prices any neighbor pair with one
 // HasEdge probe plus one fused three-way intersection count, and EndCenter
-// releases the marks. Between Begin and End the scratch must not be used
-// by EgoBetweenness (it shares the register).
+// releases the marks.
 
 // BeginCenter marks N(p) into the scratch register and returns p's sorted
 // neighbor list (aliasing the view's storage — callers must not modify

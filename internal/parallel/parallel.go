@@ -97,8 +97,9 @@ type workerScratch struct {
 
 // ComputeAll computes every vertex's exact ego-betweenness with t workers
 // using the given strategy. t ≤ 0 selects GOMAXPROCS. The result is
-// identical (up to float summation order, bounded by ~1e-12 relative) to the
-// sequential ego.ComputeAll.
+// bit-identical to the sequential ego.ComputeAll at any worker count: the
+// workers only fill integer evidence maps, and ego.ScoreEvidence folds each
+// map's histogram in one canonical order.
 func ComputeAll(g *graph.Graph, t int, strategy Strategy) ([]float64, Stats) {
 	cb, _, st := ComputeAllWithMaps(g, t, strategy)
 	return cb, st

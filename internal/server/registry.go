@@ -1307,8 +1307,8 @@ type VertexResult struct {
 	Bound  float64 `json:"bound"` // Lemma 2 static upper bound d(d−1)/2
 }
 
-// egoScratch pools the recomputation scratch (center bitset register,
-// neighborhood buffer, local evidence map) of the lock-free ModeLazy
+// egoScratch pools the recomputation scratch (vertex → local id table and
+// the dense per-ego arrays of ego.EgoBetweenness) of the lock-free ModeLazy
 // per-vertex read path, so the steady state allocates nothing per query.
 // The scratch grows to any graph's vertex count and is safe to share
 // across graphs; a sync.Pool keeps one per P under load.
