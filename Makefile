@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet clean
+.PHONY: build test bench bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet loc clean
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,10 @@ STATICCHECK_VERSION ?= 2025.1.1
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; fi
+
+# The one size ROADMAP.md quotes: non-test Go lines outside benchmark/.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

@@ -19,9 +19,6 @@
 //	egobwd -compact-depth 4 -compact-dirty 0.1
 //	                                  # overlay compaction policy: flatten
 //	                                  # the snapshot's delta chain sooner
-//	egobwd -relabel                   # degree-ordered internal relabeling:
-//	                                  # recompute queries run on a hub-first
-//	                                  # CSR, same external ids and results
 //	egobwd -window 6h                 # temporal serving: graphs default to a
 //	                                  # 6-hour sliding window; edges older
 //	                                  # than that are expired through WAL-
@@ -74,12 +71,9 @@ type config struct {
 	flushEvery   time.Duration
 	compactDepth int
 	compactDirty float64
-	relabel      bool
 	window       time.Duration
 	follow       string
 	followEvery  time.Duration
-	approxEps    float64
-	approxConf   float64
 }
 
 func main() {
@@ -96,12 +90,9 @@ func main() {
 	flag.DurationVar(&cfg.flushEvery, "flush-interval", 0, "group-commit coalescing window: how long the writer waits for more batches after the first arrives (0 = commit whatever is queued immediately)")
 	flag.IntVar(&cfg.compactDepth, "compact-depth", 0, "compact a graph's overlay chain into a fresh base CSR once it is this many layers deep (0 = default 8; 1 compacts after every drain)")
 	flag.Float64Var(&cfg.compactDirty, "compact-dirty", 0, "also compact once the chain's dirty vertices reach this fraction of n (0 = default 0.25)")
-	flag.BoolVar(&cfg.relabel, "relabel", false, "serve recompute top-k queries (algo=opt/base) on a degree-ordered relabeled CSR; external ids and results are unchanged")
 	flag.DurationVar(&cfg.window, "window", 0, "default sliding window for created graphs (e.g. 6h): edges older than the window are expired through WAL-recorded delete batches; 0 = unwindowed. Per-graph \"window\" on create overrides")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of the leader at this base URL (e.g. http://leader:8080): graphs ship over from its checkpoints and WAL stream; local writes are rejected")
 	flag.DurationVar(&cfg.followEvery, "follow-interval", 200*time.Millisecond, "how often a follower polls the leader's WAL stream (bounds read staleness)")
-	flag.Float64Var(&cfg.approxEps, "approx-eps", 0, "default normalized error target for algo=approx top-k queries that leave eps unset, in (0, 1) (0 = package default 0.05)")
-	flag.Float64Var(&cfg.approxConf, "approx-conf", 0, "default confidence for algo=approx top-k queries that leave conf unset, in (0, 1) (0 = package default 0.95)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -128,9 +119,7 @@ func setup(cfg config) (*server.Server, error) {
 		server.WithWriteQueue(cfg.writeQueue),
 		server.WithFlushInterval(cfg.flushEvery),
 		server.WithCompactPolicy(cfg.compactDepth, cfg.compactDirty),
-		server.WithRelabeling(cfg.relabel),
 		server.WithWindow(cfg.window),
-		server.WithApproxDefaults(cfg.approxEps, cfg.approxConf),
 	}
 	if cfg.dataDir != "" {
 		regOpts = append(regOpts,

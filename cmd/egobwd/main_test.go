@@ -35,7 +35,7 @@ func TestSetupRecoversDataDir(t *testing.T) {
 	if _, err := reg.Add("demo", g, server.ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ApplyEdges("demo", [][2]int32{{1, 3}}, true); err != nil {
+	if _, err := reg.ApplyEdgesStamped("demo", [][2]int32{{1, 3}}, nil, true, server.AckDurable); err != nil {
 		t.Fatal(err)
 	}
 	// Stand-in for process death: releases the store locks (content is
@@ -75,7 +75,7 @@ func TestSetupFastRecovery(t *testing.T) {
 	// Three batches against checkpoint-every-2: a state-carrying checkpoint
 	// lands at batch 2, batch 3 stays in the WAL tail for replay.
 	for _, e := range [][2]int32{{1, 3}, {0, 4}, {2, 5}} {
-		if _, err := reg.ApplyEdges("demo", [][2]int32{e}, true); err != nil {
+		if _, err := reg.ApplyEdgesStamped("demo", [][2]int32{e}, nil, true, server.AckDurable); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestSetupFastRecovery(t *testing.T) {
 	if info.M != 9 || info.WALSeq != 3 {
 		t.Fatalf("recovered info = %+v, want m=9 wal_seq=3", info)
 	}
-	if _, err := srv.Registry().TopK("demo", 3, "opt", 1.05); err != nil {
+	if _, err := srv.Registry().TopKQ("demo", server.TopKQuery{K: 3, Algo: "opt", Theta: 1.05}); err != nil {
 		t.Fatalf("TopK after fast recovery: %v", err)
 	}
 }

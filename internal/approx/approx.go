@@ -38,9 +38,8 @@
 // decisions happen only at round barriers, computed from those streams, so
 // results do not depend on worker count or scheduling, and running on any
 // view flavor with the same vertex ids (frozen CSR, overlay, dynamic)
-// yields bit-identical results. The serving layer always evaluates approx
-// on the external-id view, which is what makes answers identical across
-// frozen/overlay/relabeled snapshots.
+// yields bit-identical results — which is what makes the serving layer's
+// answers identical across frozen and overlay snapshots.
 package approx
 
 import (

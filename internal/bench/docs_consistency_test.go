@@ -75,7 +75,9 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 // count as a path: a/b/c whose first segment is a top-level directory,
 // pkg/file.go under internal/, and — in prose only, because command
 // examples name the user's own files — a bare file name, which must match
-// some file of the repository.
+// some file of the repository. The CI workflow and the verify skill are
+// scanned too, for the one spelling their command lines use: a ./internal/…
+// or ./cmd/… package path, which must be a directory.
 func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	root := repoRoot(t)
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -154,6 +156,19 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 			tok = strings.TrimRight(tok, ".")
 			if !strings.Contains(tok, "/") && fileName.MatchString(tok) && !baseNames[tok] {
 				t.Errorf("%s names the file %s, which does not exist in the repository", doc, tok)
+			}
+		}
+	}
+
+	pkgPath := regexp.MustCompile(`\./(?:internal|cmd)/[A-Za-z0-9_/-]+`)
+	for _, doc := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, pkg := range pkgPath.FindAllString(string(raw), -1) {
+			if !isDir(strings.TrimRight(pkg, "/")) {
+				t.Errorf("%s names the package %s, which does not exist", doc, pkg)
 			}
 		}
 	}

@@ -60,9 +60,9 @@ func StaticUB(d int32) float64 {
 // the connector counts and the float sum then runs through foldScore, so the
 // returned value is a function of the evidence content alone — independent
 // of hash-table iteration order and hence of the internal vertex labeling.
-// This is what lets degree-relabeled serving return bit-identical scores to
-// unrelabeled serving, and the dense kernel (EgoBetweenness) bit-identical
-// scores to the evidence engine.
+// This is what lets a search on a degree-relabeled copy (OptBSearchLabeled)
+// return bit-identical scores to the search on the original graph, and the
+// dense kernel (EgoBetweenness) bit-identical scores to the evidence engine.
 func ScoreEvidence(d int32, s *pairmap.Map) float64 {
 	if s == nil {
 		return foldScore(d, nil)
@@ -156,23 +156,8 @@ func (e *evidence) applyEdge(a, b int32, comm []int32) {
 	if !creditA && !creditB {
 		return
 	}
-	// The non-adjacent pairs of comm, in (i, j) order. comm is ascending, so
-	// the later members adjacent to comm[i] come out of one sorted
-	// intersection with its neighbor list instead of a HasEdge probe per pair.
-	pairs := e.pairs[:0]
-	for i := 0; i+1 < len(comm); i++ {
-		p, rest := comm[i], comm[i+1:]
-		e.adj = nbr.IntersectInto(e.adj[:0], rest, e.g.Neighbors(p))
-		adj := e.adj
-		for _, q := range rest {
-			if len(adj) > 0 && adj[0] == q {
-				adj = adj[1:]
-				continue
-			}
-			pairs = append(pairs, pairmap.Key(p, q))
-		}
-	}
-	e.pairs = pairs
+	e.pairs, e.adj = NonAdjacentPairs(e.g, comm, e.pairs[:0], e.adj)
+	pairs := e.pairs
 	if len(pairs) == 0 {
 		return
 	}
@@ -185,6 +170,30 @@ func (e *evidence) applyEdge(a, b int32, comm []int32) {
 	if creditB {
 		e.credit(b, pairs)
 	}
+}
+
+// NonAdjacentPairs appends to pairs the pairmap keys of the non-adjacent
+// pairs of comm — an edge's common neighborhood, ascending — in (i, j)
+// order: the pairs that edge connects, which both the sequential evidence
+// engine and the parallel engines credit to its endpoints. comm is
+// ascending, so the later members adjacent to comm[i] come out of one
+// sorted intersection with its neighbor list instead of a HasEdge probe per
+// pair. Both buffers are the caller's: pairs is extended, adj is scratch
+// for the intersections; both come back, possibly regrown.
+func NonAdjacentPairs(g graph.Adjacency, comm []int32, pairs []uint64, adj []int32) ([]uint64, []int32) {
+	for i := 0; i+1 < len(comm); i++ {
+		p, rest := comm[i], comm[i+1:]
+		adj = nbr.IntersectInto(adj[:0], rest, g.Neighbors(p))
+		hit := adj
+		for _, q := range rest {
+			if len(hit) > 0 && hit[0] == q {
+				hit = hit[1:]
+				continue
+			}
+			pairs = append(pairs, pairmap.Key(p, q))
+		}
+	}
+	return pairs, adj
 }
 
 // credit adds one connector to every pair of pairs in the evidence of v.

@@ -38,20 +38,10 @@ type SearchStats struct {
 // (·, connector, w) only when x > w, so across the diamond's two triangles
 // exactly one credit fires.
 func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
-	return BaseBSearchLabeled(g, k, nil)
-}
-
-// BaseBSearchLabeled is BaseBSearch on an internally relabeled graph whose
-// external labels are ext (ext[v] = external id of internal vertex v, as in
-// graph.Relabeled.Ext). The total order, the orientation, and every score
-// tie-break run on external labels, and results carry external ids — so the
-// output is bitwise identical to BaseBSearch on the unrelabeled graph. A nil
-// ext means identity labels.
-func BaseBSearchLabeled(g graph.View, k int, ext []int32) ([]Result, SearchStats) {
 	var st SearchStats
-	r := topk.NewBoundedLabeled(k, ext)
-	order := graph.OrderOfLabeled(g, ext)
-	o := graph.OrientLabeled(g, ext)
+	r := topk.NewBounded(k)
+	order := graph.OrderOf(g)
+	o := graph.Orient(g)
 	maps := make([]*pairmap.Map, g.NumVertices())
 	done := make([]bool, g.NumVertices())
 	mapFor := func(v int32) *pairmap.Map {
@@ -119,7 +109,7 @@ func BaseBSearchLabeled(g graph.View, k int, ext []int32) ([]Result, SearchStats
 		maps[u] = nil
 		st.Computed++
 	}
-	return toResultsLabeled(r, ext), st
+	return toResults(r), st
 }
 
 // OptBSearch is Algorithm 2: top-k search under the dynamic Lemma 3 bound.
@@ -134,10 +124,13 @@ func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 }
 
 // OptBSearchLabeled is OptBSearch on an internally relabeled graph whose
-// external labels are ext (see BaseBSearchLabeled). The candidate heap pops
-// score ties by external label and results carry external ids, so the whole
-// search trajectory — and the output — is bitwise identical to OptBSearch on
-// the unrelabeled graph. A nil ext means identity labels.
+// external labels are ext (ext[v] = external id of internal vertex v, as in
+// graph.Relabeled.Ext). The candidate heap pops score ties by external label
+// and results carry external ids, so the whole search trajectory — and the
+// output — is bitwise identical to OptBSearch on the unrelabeled graph. A
+// nil ext means identity labels. Nothing serves through it: it is the
+// library half of the degree-relabeling layout experiment (DESIGN.md §12)
+// that the benchmark's ego.opt.relabeled_k100_ms keeps measuring.
 func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Result, SearchStats) {
 	if theta < 1 {
 		theta = 1

@@ -14,17 +14,7 @@ type Oriented struct {
 
 // Orient builds G+ from any view of g.
 func Orient(g View) *Oriented {
-	return orientWithRank(g, RankOf(g))
-}
-
-// OrientLabeled builds G+ under the OrderOfLabeled total order, so the
-// orientation of a relabeled graph matches the unrelabeled one edge for
-// edge (modulo the id translation). A nil ext is identical to Orient.
-func OrientLabeled(g View, ext []int32) *Oriented {
-	return orientWithRank(g, RankOfLabeled(g, ext))
-}
-
-func orientWithRank(g View, rank []int32) *Oriented {
+	rank := RankOf(g)
 	n := g.NumVertices()
 	offsets := make([]int64, n+1)
 	for v := int32(0); v < n; v++ {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Relabeled couples an internal CSR whose vertex ids were permuted — by
 // DegreeRelabel, in non-increasing degree order — with the two directions of
@@ -11,8 +8,9 @@ import (
 // return) never change; only the internal layout does, so hubs occupy a
 // dense low-id prefix: their neighbor lists compress into few bitset words,
 // bitset registers mark and intersect over short spans, and the hottest rows
-// pack into the front of the adjacency array. The serving layer translates
-// at its boundary and runs every kernel on G.
+// pack into the front of the adjacency array. A library-level layout
+// experiment (DESIGN.md §12): a caller runs ego.OptBSearchLabeled on G and
+// reads results through Ext; the serving layer does not use it.
 type Relabeled struct {
 	G    *Graph
 	Perm []int32 // Perm[external] = internal
@@ -23,43 +21,14 @@ type Relabeled struct {
 // position i of OrderOf(g) (non-increasing degree, ties by descending id)
 // receives internal id i. O(n log n + m).
 func DegreeRelabel(g *Graph) *Relabeled {
-	order := OrderOf(g) // order[i] = external id of internal vertex i
+	ext := OrderOf(g) // ext[i] = external id of internal vertex i
 	perm := make([]int32, g.n)
-	for i, v := range order {
+	for i, v := range ext {
 		perm[v] = int32(i)
 	}
-	return relabelCSR(g, perm, order)
-}
-
-// RelabelFromPerm rebuilds a Relabeled from a persisted permutation
-// (Perm[external] = internal), validating that it is a bijection on g's
-// vertex set. Any bijection yields a correct serving view — degree order is
-// a performance heuristic, not a correctness requirement — so a recovered
-// permutation from an older graph generation is usable as long as it still
-// covers n vertices. The perm slice is retained by the result.
-func RelabelFromPerm(g *Graph, perm []int32) (*Relabeled, error) {
-	if int32(len(perm)) != g.n {
-		return nil, fmt.Errorf("graph: relabel permutation covers %d vertices, graph has %d", len(perm), g.n)
-	}
-	ext := make([]int32, g.n)
-	seen := make([]bool, g.n)
-	for v, p := range perm {
-		if p < 0 || p >= g.n {
-			return nil, fmt.Errorf("graph: relabel permutation maps %d out of range to %d", v, p)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("graph: relabel permutation maps two vertices to %d", p)
-		}
-		seen[p] = true
-		ext[p] = int32(v)
-	}
-	return relabelCSR(g, perm, ext), nil
-}
-
-// relabelCSR materializes the permuted CSR: internal vertex i takes the
-// neighbor list of external vertex ext[i], mapped through perm and re-sorted
-// (a permutation does not preserve the ascending-list invariant).
-func relabelCSR(g *Graph, perm, ext []int32) *Relabeled {
+	// Materialize the permuted CSR: internal vertex i takes the neighbor
+	// list of external vertex ext[i], mapped through perm and re-sorted (a
+	// permutation does not preserve the ascending-list invariant).
 	n := g.n
 	offsets := make([]int64, n+1)
 	for i := int32(0); i < n; i++ {

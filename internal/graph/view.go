@@ -50,42 +50,7 @@ func OrderOf(a Adjacency) []int32 {
 // RankOf returns rank[v] = position of v in OrderOf(a). Lower rank means
 // earlier in ≺ (higher degree); it is the orientation key for G+.
 func RankOf(a Adjacency) []int32 {
-	return rankFromOrder(OrderOf(a))
-}
-
-// OrderOfLabeled is OrderOf with degree ties broken by descending external
-// label ext[v] instead of the internal identifier. Running a search on a
-// relabeled graph with its Ext labels therefore visits the same external
-// vertices in the same ≺ positions as the unrelabeled run — the total order,
-// and everything derived from it, is invariant under internal relabeling.
-// A nil ext falls back to OrderOf.
-func OrderOfLabeled(a Adjacency, ext []int32) []int32 {
-	if ext == nil {
-		return OrderOf(a)
-	}
-	n := a.NumVertices()
-	deg := make([]int32, n)
-	order := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		deg[v] = a.Degree(v)
-		order[v] = v
-	}
-	sort.Slice(order, func(i, j int) bool {
-		u, v := order[i], order[j]
-		if deg[u] != deg[v] {
-			return deg[u] > deg[v]
-		}
-		return ext[u] > ext[v]
-	})
-	return order
-}
-
-// RankOfLabeled is RankOf under the OrderOfLabeled total order.
-func RankOfLabeled(a Adjacency, ext []int32) []int32 {
-	return rankFromOrder(OrderOfLabeled(a, ext))
-}
-
-func rankFromOrder(order []int32) []int32 {
+	order := OrderOf(a)
 	rank := make([]int32, len(order))
 	for i, v := range order {
 		rank[v] = int32(i)

@@ -86,13 +86,15 @@ const (
 )
 
 // workerScratch is the per-worker reusable state: the common-neighborhood
-// buffer and the collected non-adjacent pair keys of the edge in flight.
-// Keeping both on the worker (instead of per processEdge call) makes the
+// buffer, the collected non-adjacent pair keys of the edge in flight, and
+// the intersection scratch ego.NonAdjacentPairs collects them through.
+// Keeping them on the worker (instead of per processEdge call) makes the
 // steady path allocation-free once the buffers have warmed to the graph's
 // degree profile.
 type workerScratch struct {
 	comm  []int32
 	pairs []uint64
+	adj   []int32
 }
 
 // ComputeAll computes every vertex's exact ego-betweenness with t workers
@@ -159,14 +161,7 @@ func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []
 		}
 		// Collect the non-adjacent pairs once, then apply per endpoint
 		// under a single lock each.
-		ws.pairs = ws.pairs[:0]
-		for i := 0; i < len(ws.comm); i++ {
-			for j := i + 1; j < len(ws.comm); j++ {
-				if !g.HasEdge(ws.comm[i], ws.comm[j]) {
-					ws.pairs = append(ws.pairs, pairmap.Key(ws.comm[i], ws.comm[j]))
-				}
-			}
-		}
+		ws.pairs, ws.adj = ego.NonAdjacentPairs(g, ws.comm, ws.pairs[:0], ws.adj)
 		if len(ws.pairs) > 0 {
 			for _, end := range [2]int32{a, b} {
 				mu := lockOf(end)

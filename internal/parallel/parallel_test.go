@@ -7,6 +7,7 @@ import (
 	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pairmap"
 	"repro/internal/paperex"
 )
 
@@ -38,9 +39,12 @@ func TestParallelMatchesSequentialPaperExample(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialRandom cross-validates both strategies
-// against the sequential kernel on a spread of generator families and
-// thread counts. Every engine folds the same integer histogram in the same
-// order, so the comparison is ==, not a tolerance.
+// against the sequential kernel and the sequential evidence engine on a
+// spread of generator families and thread counts. Every engine folds the
+// same integer histogram in the same order, so scores compare with ==, not
+// a tolerance; the evidence maps — which the Maintainer takes ownership of —
+// must hold the same (pair, count) entries as ego.ComputeAllWithMaps, since
+// both enumerate an edge's pairs through ego.NonAdjacentPairs.
 func TestParallelMatchesSequentialRandom(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.ErdosRenyi(400, 1600, 3),
@@ -50,18 +54,41 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := ego.ComputeAll(g)
+		_, wantMaps := ego.ComputeAllWithMaps(g)
 		for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
-			for _, threads := range []int{1, 3, 8} {
-				got, _ := ComputeAll(g, threads, strat)
+			for _, threads := range []int{1, 2, 3, 8} {
+				got, gotMaps, _ := ComputeAllWithMaps(g, threads, strat)
 				for v := range want {
 					if got[v] != want[v] {
 						t.Fatalf("graph %d %v t=%d: CB(%d) = %v, want %v",
 							gi, strat, threads, v, got[v], want[v])
 					}
+					if !sameEvidence(gotMaps[v], wantMaps[v]) {
+						t.Fatalf("graph %d %v t=%d: evidence map of %d differs from the sequential engine's",
+							gi, strat, threads, v)
+					}
 				}
 			}
 		}
 	}
+}
+
+// sameEvidence reports whether two evidence maps hold the same entries; a
+// nil map is an empty one (a vertex that accumulated no evidence).
+func sameEvidence(a, b *pairmap.Map) bool {
+	if a == nil || b == nil {
+		return (a == nil || a.Len() == 0) && (b == nil || b.Len() == 0)
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	same := true
+	a.Iterate(func(k uint64, val int32) bool {
+		other, ok := b.Get(k)
+		same = ok && other == val
+		return same
+	})
+	return same
 }
 
 // TestParallelDefaultThreads exercises the t ≤ 0 GOMAXPROCS path.

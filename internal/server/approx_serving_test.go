@@ -19,8 +19,8 @@ func approxTestGraph() *graph.Graph {
 
 // TestApproxServingEquivalenceAcrossViews pins the acceptance contract:
 // with a fixed seed, algo=approx answers bit-identically whether the
-// snapshot serves a frozen CSR, an overlay chain, or a relabeled CSR —
-// and whatever the build-worker budget.
+// snapshot serves a frozen CSR or an overlay chain — and whatever the
+// build-worker budget.
 func TestApproxServingEquivalenceAcrossViews(t *testing.T) {
 	full := approxTestGraph()
 
@@ -51,8 +51,8 @@ func TestApproxServingEquivalenceAcrossViews(t *testing.T) {
 		t.Fatalf("got %d results, want 25", len(want.Results))
 	}
 
-	relabeled := NewRegistry(WithBuildWorkers(4), WithRelabeling(true))
-	if _, err := relabeled.Add("g", full, ModeLocal, 0); err != nil {
+	frozen4 := NewRegistry(WithBuildWorkers(4))
+	if _, err := frozen4.Add("g", full, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,14 +60,14 @@ func TestApproxServingEquivalenceAcrossViews(t *testing.T) {
 	if _, err := overlay.Add("g", base, ModeLazy, 25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := overlay.ApplyEdges("g", extraEdges, true); err != nil {
+	if _, err := overlay.applyEdges("g", extraEdges, true); err != nil {
 		t.Fatal(err)
 	}
 	if info, err := overlay.Info("g"); err != nil || info.OverlayDepth == 0 {
 		t.Fatalf("overlay registry did not produce an overlay view (info %+v, err %v)", info, err)
 	}
 
-	for name, reg := range map[string]*Registry{"relabeled": relabeled, "overlay": overlay} {
+	for name, reg := range map[string]*Registry{"frozen/4 workers": frozen4, "overlay": overlay} {
 		got, err := reg.TopKQ("g", q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

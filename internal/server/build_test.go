@@ -28,7 +28,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		if info.CompactMS < 0 {
 			t.Errorf("workers=%d: negative CompactMS %v", workers, info.CompactMS)
 		}
-		res, err := reg.TopK("g", 10, AlgoScores, 0)
+		res, err := reg.topK("g", 10, AlgoScores, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: TopK: %v", workers, err)
 		}
@@ -40,7 +40,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 
 		// A write batch publishes a new snapshot; its build telemetry
 		// must carry the same worker budget.
-		up, err := reg.ApplyEdges("g", g.Edges()[:2], false)
+		up, err := reg.applyEdges("g", g.Edges()[:2], false)
 		if err != nil {
 			t.Fatalf("workers=%d: ApplyEdges: %v", workers, err)
 		}
@@ -79,11 +79,11 @@ func TestParallelBuildLazyMode(t *testing.T) {
 	if _, err := par.Add("g", g, ModeLazy, 8); err != nil {
 		t.Fatal(err)
 	}
-	a, err := seq.TopK("g", 8, AlgoLazy, 0)
+	a, err := seq.topK("g", 8, AlgoLazy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.TopK("g", 8, AlgoLazy, 0)
+	b, err := par.topK("g", 8, AlgoLazy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

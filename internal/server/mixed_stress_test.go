@@ -54,13 +54,13 @@ func TestMixedWorkloadStress(t *testing.T) {
 		last := uint64(0)
 		for i, sb := range script[:scriptLen] {
 			if i%3 == 2 {
-				if _, err := victim.ApplyEdgesAck("main", sb.edges, sb.insert, AckAsync); err != nil && !errors.Is(err, ErrBacklog) {
+				if _, err := victim.applyEdgesAck("main", sb.edges, sb.insert, AckAsync); err != nil && !errors.Is(err, ErrBacklog) {
 					t.Errorf("async write %d: %v", i, err)
 					return
 				}
 				continue
 			}
-			res, err := victim.ApplyEdges("main", sb.edges, sb.insert)
+			res, err := victim.applyEdges("main", sb.edges, sb.insert)
 			if err != nil {
 				t.Errorf("durable write %d: %v", i, err)
 				return
@@ -91,7 +91,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 				var epoch uint64
 				switch rng.IntN(3) {
 				case 0:
-					res, err := victim.TopK("main", 1+rng.IntN(10), algos[rng.IntN(len(algos))], 0)
+					res, err := victim.topK("main", 1+rng.IntN(10), algos[rng.IntN(len(algos))], 0)
 					if err != nil {
 						t.Errorf("reader topk: %v", err)
 						return
@@ -142,7 +142,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := victim.ApplyEdgesAck("churn", [][2]int32{{int32(i % 50), int32(50 + i%13)}}, true, ack); !tolerable(err) {
+				if _, err := victim.applyEdgesAck("churn", [][2]int32{{int32(i % 50), int32(50 + i%13)}}, true, ack); !tolerable(err) {
 					t.Errorf("churn writer: %v", err)
 					return
 				}
@@ -158,7 +158,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := victim.TopK("churn", 3, AlgoLazy, 0); !tolerable(err) {
+			if _, err := victim.topK("churn", 3, AlgoLazy, 0); !tolerable(err) {
 				t.Errorf("churn lazy reader: %v", err)
 				return
 			}
@@ -191,12 +191,12 @@ func TestMixedWorkloadStress(t *testing.T) {
 	// commit (after the WAL append, before the apply).
 	killArmed.Store(true)
 	for _, sb := range script[scriptLen : scriptLen+3] {
-		if _, err := victim.ApplyEdgesAck("main", sb.edges, sb.insert, AckAsync); err != nil {
+		if _, err := victim.applyEdgesAck("main", sb.edges, sb.insert, AckAsync); err != nil {
 			t.Fatal(err)
 		}
 	}
 	probe := script[scriptLen+3]
-	if _, err := victim.ApplyEdges("main", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
+	if _, err := victim.applyEdges("main", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
 		t.Fatalf("probe after armed kill: err = %v, want ErrStorage", err)
 	}
 	victim.Close()

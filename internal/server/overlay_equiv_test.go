@@ -46,7 +46,7 @@ func TestOverlayServingEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, sb := range script {
-					if _, err := reg.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+					if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
 					}
 					if i%5 != 4 {
@@ -88,12 +88,12 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sb := range script {
-		if _, err := reg.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 		// Read under the compactor: correctness must not depend on whether
 		// the flatten has landed yet.
-		if _, err := reg.TopK("g", 5, AlgoOpt, 1.05); err != nil {
+		if _, err := reg.topK("g", 5, AlgoOpt, 1.05); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestScoresCopyOnWrite(t *testing.T) {
 	// they share no neighbors). The epoch must advance — the graph did
 	// change — while the score vector is carried over untouched.
 	n := info.N
-	up, err := reg.ApplyEdges("g", [][2]int32{{n, n + 1}}, true)
+	up, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScoresCopyOnWrite(t *testing.T) {
 
 	// A real update dirties scores near its endpoints: chunks are copied,
 	// but far fewer entries than two full vectors' worth.
-	if _, err := reg.ApplyEdges("g", base.Edges()[:2], false); err != nil {
+	if _, err := reg.applyEdges("g", base.Edges()[:2], false); err != nil {
 		t.Fatal(err)
 	}
 	info3, _ := reg.Info("g")

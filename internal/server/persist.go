@@ -113,15 +113,7 @@ func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) e
 	if e.sinceCkpt < ckptBatches && e.st.WALBytes() < ckptBytes {
 		return nil
 	}
-	// fullGraphLocked also (re)attaches the relabeling to the published
-	// snapshot when the entry relabels, so the permutation checkpointed here
-	// is exactly the layout the recompute queries serve with — recovery
-	// restores both from the same section.
 	g := e.fullGraphLocked()
-	var perm []int32
-	if rl := e.snap.Load().relab; rl != nil {
-		perm = rl.Perm
-	}
 	// A windowed graph checkpoints its temporal sidecar alongside the CSR,
 	// so recovery keeps expiring from the exact per-edge stamps. A sidecar
 	// that cannot produce a stamp for every graph edge is a divergence bug,
@@ -134,7 +126,7 @@ func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) e
 		}
 		ts = &store.TemporalState{WindowMS: uint64(e.tidx.WindowMS()), Stamps: stamps}
 	}
-	if err := e.st.CheckpointFull(g, e.persistMeta(e.st.Seq()), e.maintainerState(), perm, ts); err != nil {
+	if err := e.st.CheckpointFull(g, e.persistMeta(e.st.Seq()), e.maintainerState(), nil, ts); err != nil {
 		return err
 	}
 	e.sinceCkpt = 0
@@ -374,10 +366,8 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 	// The epoch restarts at wal-seq+1, so it keeps advancing with the
 	// batch sequence across restarts instead of snapping back to 1. The
 	// recovered view is a fully compacted CSR: replay dirtied state that no
-	// previous publication exists to overlay on. The checkpointed relabel
-	// permutation (if any, and still a bijection after the tail replay)
-	// restores the exact pre-crash internal layout.
-	s := e.buildFullSnapshot(lastSeq+1, rec.Perm)
+	// previous publication exists to overlay on.
+	s := e.buildFullSnapshot(lastSeq + 1)
 	s.publishDur = time.Since(t0)
 	e.lastCompactNs.Store(s.publishDur.Nanoseconds())
 	e.snap.Store(s)

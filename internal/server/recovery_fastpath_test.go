@@ -33,7 +33,7 @@ func checkpointedDir(t *testing.T, dir, mode string, seed uint64, nBatches int) 
 		t.Fatal(err)
 	}
 	for _, sb := range script {
-		if _, err := reg.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestRecoveryFastPath(t *testing.T) {
 			assertRecovered(t, reborn, "g", mode, want)
 
 			// Still a fully working durable pipeline after a fast boot.
-			if _, err := reborn.ApplyEdges("g", [][2]int32{{0, 7}}, false); err != nil {
+			if _, err := reborn.applyEdges("g", [][2]int32{{0, 7}}, false); err != nil {
 				t.Fatal(err)
 			}
 			mirror := graph.DynFromGraph(want)
@@ -119,7 +119,7 @@ func TestRecoveryFallbackPreState(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, sb := range script {
-				if _, err := reg.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+				if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -257,11 +257,11 @@ func TestRecoveryFastVsRebuildEquivalence(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 10} {
 				for _, algo := range algos {
-					fr, err := fast.TopK("g", k, algo, 1.05)
+					fr, err := fast.topK("g", k, algo, 1.05)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rr, err := rebuilt.TopK("g", k, algo, 1.05)
+					rr, err := rebuilt.topK("g", k, algo, 1.05)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -142,7 +142,7 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 	for _, k := range []int{1, 5, 10} {
 		want := ego.TopKOfScores(scores, k)
 		for _, algo := range algos {
-			res, err := reg.TopK(name, k, algo, 1.05)
+			res, err := reg.topK(name, k, algo, 1.05)
 			if err != nil {
 				t.Fatalf("TopK(%s, k=%d): %v", algo, k, err)
 			}
@@ -197,7 +197,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, sb := range script[:killAt] {
-						if _, err := victim.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+						if _, err := victim.applyEdges("g", sb.edges, sb.insert); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -220,7 +220,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 					// The recovered registry keeps serving writes durably:
 					// finish the stream, restart again, recheck.
 					for _, sb := range script[killAt:] {
-						if _, err := reborn.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+						if _, err := reborn.applyEdges("g", sb.edges, sb.insert); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -277,19 +277,19 @@ func TestRecoveryCrashPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, sb := range script[:killBatch] {
-					if _, err := victim.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+					if _, err := victim.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
 					}
 				}
 				armed = true
 				last := script[killBatch]
-				if _, err := victim.ApplyEdges("g", last.edges, last.insert); !errors.Is(err, errBoom) {
+				if _, err := victim.applyEdges("g", last.edges, last.insert); !errors.Is(err, errBoom) {
 					t.Fatalf("crash not injected: err = %v", err)
 				}
 				// The injected crash poisons the store: the victim must
 				// refuse further durable writes rather than risk appending
 				// behind a write of unknown extent.
-				if _, err := victim.ApplyEdges("g", last.edges, last.insert); !errors.Is(err, ErrStorage) {
+				if _, err := victim.applyEdges("g", last.edges, last.insert); !errors.Is(err, ErrStorage) {
 					t.Fatalf("post-crash write: err = %v, want ErrStorage", err)
 				}
 				victim.Close() // lock release only; content is as the crash left it
@@ -351,7 +351,7 @@ func TestRecoveryGroupCommitCrash(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, sb := range script[:preBatches] {
-					if _, err := victim.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+					if _, err := victim.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -360,17 +360,17 @@ func TestRecoveryGroupCommitCrash(t *testing.T) {
 				// durable: its ack is the fence that proves the crash fired.
 				armed = true
 				for _, sb := range script[preBatches : preBatches+burstBatches] {
-					if _, err := victim.ApplyEdgesAck("g", sb.edges, sb.insert, AckAsync); err != nil {
+					if _, err := victim.applyEdgesAck("g", sb.edges, sb.insert, AckAsync); err != nil {
 						t.Fatal(err)
 					}
 				}
 				probe := script[preBatches+burstBatches]
-				if _, err := victim.ApplyEdges("g", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
+				if _, err := victim.applyEdges("g", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
 					t.Fatalf("probe after armed crash: err = %v, want ErrStorage", err)
 				}
 				// The pipeline is poisoned: further writes must keep failing
 				// rather than diverge from the durable history.
-				if _, err := victim.ApplyEdges("g", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
+				if _, err := victim.applyEdges("g", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
 					t.Fatalf("second write after crash: err = %v, want ErrStorage", err)
 				}
 				victim.Close() // lock release only; files are as the crash left them
@@ -416,7 +416,7 @@ func TestRecoveryTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sb := range script {
-		if _, err := victim.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := victim.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -456,7 +456,7 @@ func TestRecoveryInfoAndRemove(t *testing.T) {
 		t.Fatalf("fresh info = %+v", info)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := reg.ApplyEdges("g", [][2]int32{{int32(i), int32(i + 10)}}, true); err != nil {
+		if _, err := reg.applyEdges("g", [][2]int32{{int32(i), int32(i + 10)}}, true); err != nil {
 			t.Fatal(err)
 		}
 	}

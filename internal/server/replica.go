@@ -147,7 +147,7 @@ func (r *Registry) ApplyReplica(name string, batches []store.Batch) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.removed {
-		return fmt.Errorf("server: no graph named %q", name)
+		return notFound(name)
 	}
 	if perr := e.failed.Load(); perr != nil {
 		return fmt.Errorf("server: graph %q: %w: pipeline poisoned by earlier failure: %w", e.name, ErrStorage, *perr)

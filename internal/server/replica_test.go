@@ -110,11 +110,11 @@ func assertBitwiseEqual(t *testing.T, leader, follower *Registry, name, mode str
 		algo = AlgoLazy
 	}
 	for _, k := range []int{1, 5, 10} {
-		lr, err := leader.TopK(name, k, algo, 0)
+		lr, err := leader.topK(name, k, algo, 0)
 		if err != nil {
 			t.Fatalf("leader TopK(k=%d,%s): %v", k, algo, err)
 		}
-		fr, err := follower.TopK(name, k, algo, 0)
+		fr, err := follower.topK(name, k, algo, 0)
 		if err != nil {
 			t.Fatalf("follower TopK(k=%d,%s): %v", k, algo, err)
 		}
@@ -163,7 +163,7 @@ func TestReplicaEquivalence(t *testing.T) {
 				}
 
 				for i, sb := range script {
-					if _, err := p.leader.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+					if _, err := p.leader.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
 					}
 					if i%6 != 5 {
@@ -211,7 +211,7 @@ func TestReplicaLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sb := range script[:8] {
-		if _, err := p.leader.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := p.leader.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestReplicaLeaderRestart(t *testing.T) {
 
 	p.restartLeader(t)
 	for _, sb := range script[8:] {
-		if _, err := p.leader.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := p.leader.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestReplicaFollowerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sb := range script[:10] {
-		if _, err := p.leader.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := p.leader.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestReplicaFollowerRestart(t *testing.T) {
 	p.fol = ship.NewFollower(p.client, p.folReg)
 
 	for _, sb := range script[10:] {
-		if _, err := p.leader.ApplyEdges("g", sb.edges, sb.insert); err != nil {
+		if _, err := p.leader.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,10 +288,10 @@ func TestReplicaReadOnly(t *testing.T) {
 	if err := p.folReg.Remove("g"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Remove on follower: %v, want ErrReadOnly", err)
 	}
-	if _, err := p.folReg.ApplyEdges("g", [][2]int32{{0, 1}}, true); !errors.Is(err, ErrReadOnly) {
+	if _, err := p.folReg.applyEdges("g", [][2]int32{{0, 1}}, true); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ApplyEdges on follower: %v, want ErrReadOnly", err)
 	}
-	if _, err := p.folReg.TopK("g", 5, AlgoOpt, 0); err != nil {
+	if _, err := p.folReg.topK("g", 5, AlgoOpt, 0); err != nil {
 		t.Fatalf("read on follower: %v", err)
 	}
 
@@ -361,7 +361,7 @@ func TestApplyReplicaContract(t *testing.T) {
 	if _, err := p.leader.Add("g", base, ModeLocal, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.leader.ApplyEdges("g", [][2]int32{{0, 39}}, true); err != nil {
+	if _, err := p.leader.applyEdges("g", [][2]int32{{0, 39}}, true); err != nil {
 		t.Fatal(err)
 	}
 	p.syncUntilCaughtUp(t, "g")
@@ -423,7 +423,7 @@ func TestRecoverPartialFailure(t *testing.T) {
 		t.Fatalf("recovered %d graphs, want 2 healthy ones", len(infos))
 	}
 	for _, name := range []string{"good-a", "good-b"} {
-		if _, err := reborn.TopK(name, 5, AlgoOpt, 0); err != nil {
+		if _, err := reborn.topK(name, 5, AlgoOpt, 0); err != nil {
 			t.Fatalf("healthy graph %q unreadable after partial recovery: %v", name, err)
 		}
 	}
@@ -456,7 +456,7 @@ func TestRecoverLazyKFallbackReason(t *testing.T) {
 	if !strings.Contains(infos[0].RecoverReason, "lazy-k 0 invalid") {
 		t.Fatalf("recover_reason %q does not record the lazy-k fallback", infos[0].RecoverReason)
 	}
-	res, err := reg.TopK("g", 10, AlgoLazy, 0)
+	res, err := reg.topK("g", 10, AlgoLazy, 0)
 	if err != nil {
 		t.Fatalf("TopK on fallback graph: %v", err)
 	}
@@ -480,7 +480,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 	var be *BacklogError
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, err := reg.ApplyEdgesAck("g", [][2]int32{{0, 39}}, true, AckAsync)
+		_, err := reg.applyEdgesAck("g", [][2]int32{{0, 39}}, true, AckAsync)
 		if errors.As(err, &be) {
 			if !errors.Is(err, ErrBacklog) {
 				t.Fatalf("BacklogError does not match ErrBacklog: %v", err)

@@ -129,12 +129,36 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// leaderHint attaches the leader's address to a read-only rejection, so a
-// client holding only the follower's URL learns where writes go.
-func (s *Server) leaderHint(w http.ResponseWriter) {
-	if l := s.reg.Leader(); l != "" {
-		w.Header().Set("X-Leader", l)
+// writeRegistryError answers a failed registry call. The sentinel the error
+// wraps decides the status — the failure itself, never a second lookup that
+// could race a concurrent load or removal; an error wrapping none is the
+// request's own fault (validation). A read-only rejection carries the
+// leader's address, so a client holding only the follower's URL learns where
+// writes go; a full admission queue is backpressure, not failure: 429 with a
+// Retry-After derived from the actual backlog (see retryAfter). A storage
+// failure is the server's fault, not the request's. (For a failed checkpoint
+// the batch itself is already durable and applied — ApplyEdgesStamped
+// documents this — but the operator needs the 500 more than the client
+// needs the partial result.)
+func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var be *BacklogError
+	switch {
+	case errors.Is(err, ErrNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, ErrDuplicate):
+		status = http.StatusConflict
+	case errors.Is(err, ErrReadOnly):
+		status = http.StatusForbidden
+		w.Header().Set("X-Leader", s.reg.Leader())
+	case errors.As(err, &be):
+		status = http.StatusTooManyRequests
+		secs := int64((be.RetryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	case errors.Is(err, ErrStorage):
+		status = http.StatusInternalServerError
 	}
+	writeError(w, status, err)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -294,14 +318,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, req.K, window)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrDuplicate) {
-			status = http.StatusConflict
-		} else if errors.Is(err, ErrReadOnly) {
-			status = http.StatusForbidden
-			s.leaderHint(w)
-		}
-		writeError(w, status, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	s.logf("server: loaded graph %q mode=%s n=%d m=%d", info.Name, info.Mode, info.N, info.M)
@@ -311,7 +328,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.reg.Info(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -320,12 +337,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.reg.Remove(name); err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, ErrReadOnly) {
-			status = http.StatusForbidden
-			s.leaderHint(w)
-		}
-		writeError(w, status, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	s.logf("server: removed graph %q", name)
@@ -333,7 +345,6 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	q := r.URL.Query()
 	k := 10
 	if qs := q.Get("k"); qs != "" {
@@ -380,13 +391,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		tq.Seed = v
 	}
-	res, err := s.reg.TopKQ(name, tq)
+	res, err := s.reg.TopKQ(r.PathValue("name"), tq)
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, lookupErr := s.reg.Info(name); lookupErr != nil {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	if res.hitBody != nil {
@@ -397,19 +404,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	v64, err := strconv.ParseInt(r.PathValue("v"), 10, 32)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad vertex id %q: %w", r.PathValue("v"), err))
 		return
 	}
-	res, err := s.reg.EgoBetweenness(name, int32(v64))
+	res, err := s.reg.EgoBetweenness(r.PathValue("name"), int32(v64))
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, lookupErr := s.reg.Info(name); lookupErr != nil {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -418,7 +420,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := s.reg.Stats(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		s.writeRegistryError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -456,32 +458,7 @@ func (s *Server) handleEdges(insert bool) http.HandlerFunc {
 		}
 		res, err := s.reg.ApplyEdgesStamped(name, batch.Edges, stamps, insert, r.URL.Query().Get("ack"))
 		if err != nil {
-			// A full admission queue is backpressure, not failure: 429
-			// with a pacing hint. A storage failure is the server's
-			// fault, not the request's. (For a failed checkpoint the
-			// batch itself is already durable and applied —
-			// ApplyEdgesAck documents this — but the operator needs the
-			// 500 more than the client needs the partial result.)
-			status := http.StatusBadRequest
-			var be *BacklogError
-			if errors.As(err, &be) {
-				// Retry-After derived from the actual backlog: queue depth,
-				// group size, and the coalescing window (see retryAfter).
-				status = http.StatusTooManyRequests
-				secs := int64((be.RetryAfter + time.Second - 1) / time.Second)
-				w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			} else if errors.Is(err, ErrBacklog) {
-				status = http.StatusTooManyRequests
-				w.Header().Set("Retry-After", "1")
-			} else if errors.Is(err, ErrReadOnly) {
-				status = http.StatusForbidden
-				s.leaderHint(w)
-			} else if errors.Is(err, ErrStorage) {
-				status = http.StatusInternalServerError
-			} else if _, lookupErr := s.reg.Info(name); lookupErr != nil {
-				status = http.StatusNotFound
-			}
-			writeError(w, status, err)
+			s.writeRegistryError(w, err)
 			return
 		}
 		op := "insert"

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -422,5 +423,69 @@ func TestEpochNotBumpedOnNoopBatch(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/graphs/g/topk?k=2", nil, &tk)
 	if !tk.Cached || tk.Epoch != 1 {
 		t.Fatalf("cache should survive a no-op batch: %+v", tk)
+	}
+}
+
+// TestNotFoundSentinel: every endpoint naming a missing graph answers 404
+// from the registry's own failure (ErrNotFound under errors.Is — no second
+// lookup that a concurrent load or removal could race), while a bad
+// parameter on an existing graph stays a 400.
+func TestNotFoundSentinel(t *testing.T) {
+	ts := newTestServer(t)
+	if code := doJSON(t, "POST", ts.URL+"/graphs", LoadRequest{Name: "g", Edges: [][2]int32{{0, 1}, {1, 2}}}, nil); code != http.StatusCreated {
+		t.Fatalf("load: status %d", code)
+	}
+	batch := EdgeBatch{Edges: [][2]int32{{0, 2}}}
+	for _, tc := range []struct {
+		method, path string
+		body         any
+		want         int
+	}{
+		{"GET", "/graphs/nope", nil, http.StatusNotFound},
+		{"GET", "/graphs/nope/topk", nil, http.StatusNotFound},
+		{"GET", "/graphs/nope/topk?k=0", nil, http.StatusNotFound},
+		{"GET", "/graphs/nope/vertices/0/ego-betweenness", nil, http.StatusNotFound},
+		{"POST", "/graphs/nope/edges", batch, http.StatusNotFound},
+		{"DELETE", "/graphs/nope/edges", batch, http.StatusNotFound},
+		{"GET", "/graphs/nope/stats", nil, http.StatusNotFound},
+		{"DELETE", "/graphs/nope", nil, http.StatusNotFound},
+
+		{"GET", "/graphs/g/topk?k=0", nil, http.StatusBadRequest},
+		{"GET", "/graphs/g/topk?k=x", nil, http.StatusBadRequest},
+		{"GET", "/graphs/g/topk?algo=opt&theta=0.5", nil, http.StatusBadRequest},
+		{"GET", "/graphs/g/topk?algo=opt&eps=0.1", nil, http.StatusBadRequest},
+		{"GET", "/graphs/g/vertices/99/ego-betweenness", nil, http.StatusBadRequest},
+		{"GET", "/graphs/g/vertices/x/ego-betweenness", nil, http.StatusBadRequest},
+		{"POST", "/graphs/g/edges?ack=bogus", batch, http.StatusBadRequest},
+	} {
+		if code := doJSON(t, tc.method, ts.URL+tc.path, tc.body, nil); code != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, code, tc.want)
+		}
+	}
+
+	// The library surface wraps the same sentinel, including for a writer
+	// that looked the graph up before its removal and admits afterwards.
+	reg := NewRegistry()
+	if _, err := reg.Add("g", graph.MustFromEdges(3, [][2]int32{{0, 1}, {1, 2}}), ModeLazy, 2); err != nil {
+		t.Fatal(err)
+	}
+	straggler, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	_, infoErr := reg.Info("g")
+	_, topkErr := reg.TopKQ("g", TopKQuery{K: 1})
+	_, applyErr := reg.applyEdges("g", [][2]int32{{0, 2}}, true)
+	for what, err := range map[string]error{
+		"Info": infoErr, "TopKQ": topkErr, "ApplyEdgesStamped": applyErr,
+		"Remove":          reg.Remove("g"),
+		"straggler write": straggler.enqueue(&writeReq{edges: [][2]int32{{0, 2}}, insert: true}),
+	} {
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s on a removed graph: %v, want ErrNotFound", what, err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestWindowedServing(t *testing.T) {
 	if _, err := reg.ApplyEdgesStamped("g", [][2]int32{{0, 2}}, []int64{clk.now() - 50_000}, true, AckDurable); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ApplyEdges("g", [][2]int32{{1, 3}}, true); err != nil {
+	if _, err := reg.applyEdges("g", [][2]int32{{1, 3}}, true); err != nil {
 		t.Fatal(err)
 	}
 	info, _ = reg.Info("g")
@@ -95,7 +95,7 @@ func TestWindowedServing(t *testing.T) {
 	// +11s: the back-stamped edge (stamp −50s) crosses the 60s window;
 	// everything else is ≤ 21s old. The next drain must expire exactly it.
 	clk.advance(11_000)
-	if _, err := reg.ApplyEdges("g", [][2]int32{{0, 3}}, true); err != nil {
+	if _, err := reg.applyEdges("g", [][2]int32{{0, 3}}, true); err != nil {
 		t.Fatal(err)
 	}
 	info = waitForM(t, reg, "g", 5)
@@ -113,7 +113,7 @@ func TestWindowedServing(t *testing.T) {
 	}
 
 	// An explicitly deleted edge must not resurrect as a later expiry.
-	if _, err := reg.ApplyEdges("g", [][2]int32{{1, 3}}, false); err != nil {
+	if _, err := reg.applyEdges("g", [][2]int32{{1, 3}}, false); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * 60_000)
@@ -279,7 +279,7 @@ func playWindowed(t *testing.T, reg *Registry, clk *fakeClock, name string,
 			}
 		}
 		if len(stp.delete) > 0 {
-			if _, err := reg.ApplyEdges(name, stp.delete, false); err != nil {
+			if _, err := reg.applyEdges(name, stp.delete, false); err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range stp.delete {
@@ -398,14 +398,14 @@ func TestWindowedExpiryCrashPoint(t *testing.T) {
 	if _, err := victim.AddWindowed("g", base, ModeLocal, 10, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := victim.ApplyEdges("g", [][2]int32{{0, 2}}, true); err != nil {
+	if _, err := victim.applyEdges("g", [][2]int32{{0, 2}}, true); err != nil {
 		t.Fatal(err)
 	}
 	armed.Store(true)
 	clk.advance(2 * 60_000) // everything is past the window now
 	// The next drain synthesizes the expiry batch and dies on the injected
 	// crash; either our write triggers it or the idle ticker beat us to it.
-	if _, err := victim.ApplyEdges("g", [][2]int32{{1, 3}}, true); !errors.Is(err, errBoom) && !errors.Is(err, ErrStorage) {
+	if _, err := victim.applyEdges("g", [][2]int32{{1, 3}}, true); !errors.Is(err, errBoom) && !errors.Is(err, ErrStorage) {
 		t.Fatalf("crash not injected: err = %v", err)
 	}
 	victim.Close()

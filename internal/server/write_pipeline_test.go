@@ -49,7 +49,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	// open window. Then one durable insert: its ack fences the whole queue.
 	async := [][2]int32{{0, 190}, {1, 191}, {2, 192}, {3, 193}, {4, 194}, {5, 195}}
 	for _, e := range async {
-		res, err := reg.ApplyEdgesAck("g", [][2]int32{e}, true, AckAsync)
+		res, err := reg.applyEdgesAck("g", [][2]int32{e}, true, AckAsync)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			t.Fatalf("async response %+v, want pending", res)
 		}
 	}
-	res, err := reg.ApplyEdges("g", [][2]int32{{6, 196}}, true)
+	res, err := reg.applyEdges("g", [][2]int32{{6, 196}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestConcurrentDurableWritersCoalesce(t *testing.T) {
 				// is past the base vertex set, so the insert grows the
 				// graph and can never collide with an existing edge.
 				e := [2]int32{int32(w), int32(300 + w*perWriter + i)}
-				res, err := reg.ApplyEdges("g", [][2]int32{e}, true)
+				res, err := reg.applyEdges("g", [][2]int32{e}, true)
 				if err != nil {
 					errs <- err
 					return
@@ -170,7 +170,7 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// First batch: the writer takes it and parks inside the commit.
-	if _, err := reg.ApplyEdgesAck("g", [][2]int32{{0, 90}}, true, AckAsync); err != nil {
+	if _, err := reg.applyEdgesAck("g", [][2]int32{{0, 90}}, true, AckAsync); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "writer to take the first batch", func() bool {
@@ -179,11 +179,11 @@ func TestBackpressure(t *testing.T) {
 	})
 	// Two more fill the queue; the fourth must bounce.
 	for i := 0; i < 2; i++ {
-		if _, err := reg.ApplyEdgesAck("g", [][2]int32{{1, int32(91 + i)}}, true, AckAsync); err != nil {
+		if _, err := reg.applyEdgesAck("g", [][2]int32{{1, int32(91 + i)}}, true, AckAsync); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := reg.ApplyEdgesAck("g", [][2]int32{{2, 93}}, true, AckAsync); !errors.Is(err, ErrBacklog) {
+	if _, err := reg.applyEdgesAck("g", [][2]int32{{2, 93}}, true, AckAsync); !errors.Is(err, ErrBacklog) {
 		t.Fatalf("overflow admission: err = %v, want ErrBacklog", err)
 	}
 	info, err := reg.Info("g")
@@ -275,14 +275,14 @@ func TestAsyncAdmissionAfterPoisonRejected(t *testing.T) {
 	if _, err := reg.Add("g", gen.BarabasiAlbert(60, 3, 1), ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ApplyEdges("g", [][2]int32{{0, 55}}, true); err != nil {
+	if _, err := reg.applyEdges("g", [][2]int32{{0, 55}}, true); err != nil {
 		t.Fatal(err)
 	}
 	armed = true
-	if _, err := reg.ApplyEdges("g", [][2]int32{{1, 56}}, true); !errors.Is(err, ErrStorage) || !errors.Is(err, errBoom) {
+	if _, err := reg.applyEdges("g", [][2]int32{{1, 56}}, true); !errors.Is(err, ErrStorage) || !errors.Is(err, errBoom) {
 		t.Fatalf("poisoning write: err = %v, want ErrStorage wrapping the cause", err)
 	}
-	res, err := reg.ApplyEdgesAck("g", [][2]int32{{2, 57}}, true, AckAsync)
+	res, err := reg.applyEdgesAck("g", [][2]int32{{2, 57}}, true, AckAsync)
 	if !errors.Is(err, ErrStorage) {
 		t.Fatalf("async admission after poison: res = %+v err = %v, want ErrStorage", res, err)
 	}
@@ -323,7 +323,7 @@ func TestRemoveConcurrentWithWrites(t *testing.T) {
 						return
 					default:
 					}
-					_, err := reg.ApplyEdgesAck("g", [][2]int32{{int32(w), int32(40 + i%39)}}, i%2 == 0, ack)
+					_, err := reg.applyEdgesAck("g", [][2]int32{{int32(w), int32(40 + i%39)}}, i%2 == 0, ack)
 					if err != nil && !errors.Is(err, ErrBacklog) {
 						if !strings.Contains(err.Error(), "no graph named") {
 							t.Errorf("writer %d: unexpected error %v", w, err)
@@ -344,7 +344,7 @@ func TestRemoveConcurrentWithWrites(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := reg.TopK("g", 3, AlgoLazy, 0); err != nil {
+				if _, err := reg.topK("g", 3, AlgoLazy, 0); err != nil {
 					if !strings.Contains(err.Error(), "no graph named") {
 						t.Errorf("lazy reader: unexpected error %v", err)
 					}
@@ -449,7 +449,7 @@ func TestThetaValidation(t *testing.T) {
 	for _, tc := range cases {
 		name := fmt.Sprintf("go/theta=%v/algo=%s", tc.theta, tc.algo)
 		// Go API surface.
-		res, err := reg.TopK("g", 3, tc.algo, tc.theta)
+		res, err := reg.topK("g", 3, tc.algo, tc.theta)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("%s: no error", name)

@@ -52,7 +52,7 @@ func benchAppend(b *testing.B, sync bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AppendBatch(true, edges); err != nil {
+		if _, err := s.AppendBatches(one(true, edges)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := s.AppendBatch(true, [][2]int32{{int32(i), 4100 + int32(i)}}); err != nil {
+		if _, err := s.AppendBatches(one(true, [][2]int32{{int32(i), 4100 + int32(i)}})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,10 +47,10 @@ func fuzzSnapshotSeeds() [][]byte {
 func fuzzPermSeeds() [][]byte {
 	g, _ := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	perm := []int32{2, 0, 3, 1}
-	permOnly := EncodeSnapshotSections(g, SnapshotMeta{Seq: 3}, nil, perm)
+	permOnly := EncodeSnapshotFull(g, SnapshotMeta{Seq: 3}, nil, perm, nil)
 	m := dynamic.NewMaintainer(g)
-	both := EncodeSnapshotSections(g, SnapshotMeta{Seq: 5},
-		&MaintainerState{Local: m.ExportState()}, perm)
+	both := EncodeSnapshotFull(g, SnapshotMeta{Seq: 5},
+		&MaintainerState{Local: m.ExportState()}, perm, nil)
 	torn := permOnly[:len(permOnly)-5]
 	flipped := append([]byte(nil), both...)
 	flipped[len(flipped)-3] ^= 0x40
@@ -65,10 +65,9 @@ func fuzzPermSeeds() [][]byte {
 }
 
 // FuzzDecodeSnapshotPerm hammers the relabel-section decoder: arbitrary
-// bytes must yield a clean error or a permutation of the right length that
-// can be offered to graph.RelabelFromPerm without panicking — a rejection
-// there is exactly the recovery path's recompute fall-back, so it is
-// acceptable; a panic never is.
+// bytes must yield a clean error or a permutation of the right length —
+// never a panic. (Nothing applies the permutation any more, so its values
+// are not judged here.)
 func FuzzDecodeSnapshotPerm(f *testing.F) {
 	for _, seed := range fuzzPermSeeds() {
 		f.Add(seed)
@@ -85,7 +84,6 @@ func FuzzDecodeSnapshotPerm(f *testing.F) {
 		if int32(len(perm)) != g.NumVertices() {
 			t.Fatalf("accepted perm has %d entries for an n=%d graph", len(perm), g.NumVertices())
 		}
-		_, _ = graph.RelabelFromPerm(g, perm)
 	})
 }
 
@@ -97,12 +95,12 @@ func fuzzStateSeeds() [][]byte {
 	m := dynamic.NewMaintainer(g)
 	_ = m.InsertEdge(1, 3)
 	_ = m.DeleteEdge(0, 1)
-	local := EncodeSnapshotWithState(m.Graph().Freeze(1), SnapshotMeta{Seq: 2},
-		&MaintainerState{Local: m.ExportState()})
+	local := EncodeSnapshotFull(m.Graph().Freeze(1), SnapshotMeta{Seq: 2},
+		&MaintainerState{Local: m.ExportState()}, nil, nil)
 	lt := dynamic.NewLazyTopK(g, 2)
 	_ = lt.DeleteEdge(0, 2)
-	lazy := EncodeSnapshotWithState(lt.Graph().Freeze(1), SnapshotMeta{Mode: 1, LazyK: 2, Seq: 1},
-		&MaintainerState{Lazy: lt.ExportState()})
+	lazy := EncodeSnapshotFull(lt.Graph().Freeze(1), SnapshotMeta{Mode: 1, LazyK: 2, Seq: 1},
+		&MaintainerState{Lazy: lt.ExportState()}, nil, nil)
 	torn := local[:len(local)-8]
 	flipped := append([]byte(nil), lazy...)
 	flipped[len(flipped)-2] ^= 0x20
@@ -178,7 +176,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			st, stErr := DecodeSnapshotState(data)
 			perm, permErr := DecodeSnapshotPerm(data)
 			if stErr == nil && permErr == nil && (st != nil || perm != nil) {
-				if re := EncodeSnapshotSections(g, meta, st, perm); !bytes.Equal(re, data) {
+				if re := EncodeSnapshotFull(g, meta, st, perm, nil); !bytes.Equal(re, data) {
 					t.Fatalf("accepted v2 snapshot is not canonical: %d in, %d re-encoded", len(data), len(re))
 				}
 			}
@@ -209,7 +207,7 @@ func FuzzDecodeMaintainerState(f *testing.F) {
 		}
 		perm, permErr := DecodeSnapshotPerm(data)
 		if permErr == nil {
-			if re := EncodeSnapshotSections(g, meta, st, perm); !bytes.Equal(re, data) {
+			if re := EncodeSnapshotFull(g, meta, st, perm, nil); !bytes.Equal(re, data) {
 				t.Fatalf("accepted state section is not canonical: %d in, %d re-encoded", len(data), len(re))
 			}
 		}

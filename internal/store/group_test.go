@@ -15,7 +15,7 @@ func TestAppendBatchesGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq, err := s.AppendBatch(true, [][2]int32{{0, 3}}); err != nil || seq != 1 {
+	if seq, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil || seq != 1 {
 		t.Fatalf("single append: seq=%d err=%v", seq, err)
 	}
 	group := []BatchSpec{
@@ -30,7 +30,7 @@ func TestAppendBatchesGroup(t *testing.T) {
 	if first != 2 || s.Seq() != 4 {
 		t.Fatalf("first=%d seq=%d, want 2/4", first, s.Seq())
 	}
-	if seq, err := s.AppendBatch(false, [][2]int32{{4, 5}}); err != nil || seq != 5 {
+	if seq, err := s.AppendBatches(one(false, [][2]int32{{4, 5}})); err != nil || seq != 5 {
 		t.Fatalf("post-group append: seq=%d err=%v", seq, err)
 	}
 	if err := s.Close(); err != nil {
@@ -81,7 +81,7 @@ func TestAppendBatchesEmptyGroup(t *testing.T) {
 	if s.Failed() != nil {
 		t.Fatalf("empty group poisoned the store: %v", s.Failed())
 	}
-	if seq, err := s.AppendBatch(true, [][2]int32{{0, 3}}); err != nil || seq != 1 {
+	if seq, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil || seq != 1 {
 		t.Fatalf("append after empty group: seq=%d err=%v", seq, err)
 	}
 }
@@ -114,7 +114,7 @@ func TestAppendBatchesCrashPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.AppendBatch(true, [][2]int32{{0, 3}}); err != nil {
+			if _, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil {
 				t.Fatal(err)
 			}
 			armed = true

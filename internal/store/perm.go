@@ -1,16 +1,14 @@
 package store
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/graph"
-)
-
-// Relabel-permutation section of a version-2 snapshot. When the serving
-// layer runs with degree-ordered relabeling it persists the permutation
-// alongside the graph, so recovery reuses it instead of re-deriving one —
-// the recovered internal layout (and thus every cached artifact keyed on
-// it) round-trips. The section mirrors the maintainer-state frame and
+// Relabel-permutation section of a version-2 snapshot. Daemons that served
+// with degree-ordered relabeling (retired from serving, DESIGN.md §12)
+// persisted the permutation alongside the graph; the format stays readable
+// so their data directories still recover — the serving layer validates the
+// frame while walking past it and never applies the permutation — and
+// CheckpointFull still writes it for a caller that passes one. The section
+// mirrors the maintainer-state frame and
 // follows it (or the graph part directly, when no state was checkpointed),
 // zero-padded to the next 8-byte boundary:
 //
@@ -23,9 +21,7 @@ import (
 //	[..]   crc        uint32 (IEEE, over the section from S through payload)
 //
 // Like the state section, its CRC covers only itself: a corrupt permutation
-// never blocks loading the graph or the maintainer state — recovery falls
-// back to recomputing the relabeling, which is always a valid substitute
-// (any bijection serves correctly; degree order is a layout heuristic).
+// never blocks loading the graph or the maintainer state.
 const (
 	// PermVersion is the relabel-permutation section format version.
 	PermVersion = 1
@@ -33,20 +29,11 @@ const (
 
 var permMagic = [4]byte{'E', 'B', 'R', 'L'}
 
-// EncodeSnapshotSections serializes g, its metadata, and any of the optional
-// trailing sections: maintainer state and the relabel permutation. With
-// neither present it degrades to the bit-identical version-1 format.
-// EncodeSnapshotFull additionally carries the temporal section.
-func EncodeSnapshotSections(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32) []byte {
-	return EncodeSnapshotFull(g, meta, st, perm, nil)
-}
-
 // DecodeSnapshotPerm extracts the relabel permutation of a snapshot image,
 // or (nil, nil) when the snapshot carries none (every version-1 file, and
 // version-2 files checkpointed without relabeling). An error means the
 // section is present but unusable — truncated, checksum mismatch, version
-// skew — and the caller should recompute the relabeling instead. The
-// returned slice aliases data zero-copy on little-endian hosts; the caller
+// skew. The returned slice aliases data zero-copy on little-endian hosts; the caller
 // must not modify data afterwards.
 func DecodeSnapshotPerm(data []byte) ([]int32, error) {
 	sec, err := findSection(data, sectionPerm)

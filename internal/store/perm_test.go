@@ -21,7 +21,7 @@ func permTestGraph(t *testing.T) *graph.Graph {
 }
 
 // TestPermRoundTrip pins the recovery contract of the relabel section: a
-// permutation checkpointed via CheckpointSections comes back verbatim from
+// permutation checkpointed via CheckpointFull comes back verbatim from
 // Open, with and without a maintainer-state section in front of it.
 func TestPermRoundTrip(t *testing.T) {
 	g := permTestGraph(t)
@@ -36,7 +36,7 @@ func TestPermRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.CheckpointSections(g, SnapshotMeta{Seq: s.Seq()}, st, perm); err != nil {
+			if err := s.CheckpointFull(g, SnapshotMeta{Seq: s.Seq()}, st, perm, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
@@ -71,7 +71,7 @@ func TestPermCorruption(t *testing.T) {
 	g := permTestGraph(t)
 	perm := []int32{1, 3, 0, 4, 2}
 	st := &MaintainerState{Local: dynamic.NewMaintainer(g).ExportState()}
-	img := EncodeSnapshotSections(g, SnapshotMeta{}, st, perm)
+	img := EncodeSnapshotFull(g, SnapshotMeta{}, st, perm, nil)
 
 	cases := map[string]struct {
 		mutate func([]byte)
@@ -121,7 +121,7 @@ func TestPermCorruption(t *testing.T) {
 	})
 
 	t.Run("perm-only image has no state", func(t *testing.T) {
-		data := EncodeSnapshotSections(g, SnapshotMeta{}, nil, perm)
+		data := EncodeSnapshotFull(g, SnapshotMeta{}, nil, perm, nil)
 		state, err := DecodeSnapshotState(data)
 		if state != nil || err != nil {
 			t.Fatalf("state = %v, err = %v; want nil, nil", state, err)
@@ -138,7 +138,7 @@ func TestPermCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CheckpointSections(g, SnapshotMeta{}, st, perm); err != nil {
+		if err := s.CheckpointFull(g, SnapshotMeta{}, st, perm, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()

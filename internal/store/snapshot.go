@@ -62,7 +62,7 @@ const (
 )
 
 // EncodeSnapshot serializes g and its metadata into the version-1 snapshot
-// format (no maintainer state). EncodeSnapshotWithState produces version 2.
+// format (no trailing sections). EncodeSnapshotFull produces version 2.
 func EncodeSnapshot(g *graph.Graph, meta SnapshotMeta) []byte {
 	return encodeGraphPart(g, meta, SnapshotVersion, 0)
 }
@@ -266,7 +266,7 @@ func PeekSnapshotMeta(data []byte) (SnapshotMeta, error) {
 }
 
 // DecodeSnapshot parses the graph part of a snapshot produced by
-// EncodeSnapshot or EncodeSnapshotWithState, validating the version, every
+// EncodeSnapshot or EncodeSnapshotFull, validating the version, every
 // length prefix, the graph checksum, and finally the full CSR structural
 // invariants. Corrupt, truncated, or trailing-garbage input returns an
 // error; it never panics and never allocates more than the input itself

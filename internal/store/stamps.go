@@ -54,7 +54,9 @@ func (ts *TemporalState) empty() bool {
 
 // EncodeSnapshotFull serializes g, its metadata, and all optional trailing
 // sections: maintainer state, relabel permutation, and temporal state. With
-// none present it degrades to the bit-identical version-1 format.
+// none present (nil or empty) it degrades to the bit-identical version-1
+// format — EncodeSnapshot — so stores that never checkpointed a section keep
+// producing v1 files; any section present makes it version 2.
 func EncodeSnapshotFull(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) []byte {
 	if st.empty() && len(perm) == 0 && ts.empty() {
 		return EncodeSnapshot(g, meta)

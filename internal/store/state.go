@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dynamic"
-	"repro/internal/graph"
 )
 
 // Maintainer-state section of a version-2 snapshot (DESIGN.md §11). A v2
@@ -67,14 +66,6 @@ type MaintainerState struct {
 // empty reports whether no state is carried at all.
 func (st *MaintainerState) empty() bool {
 	return st == nil || (st.Local == nil && st.Lazy == nil)
-}
-
-// EncodeSnapshotWithState serializes g, its metadata, and the maintainer
-// state into a version-2 snapshot. A nil (or empty) state degrades to the
-// version-1 format — EncodeSnapshot — so stores that never checkpointed
-// maintainer state keep producing bit-identical v1 files.
-func EncodeSnapshotWithState(g *graph.Graph, meta SnapshotMeta, st *MaintainerState) []byte {
-	return EncodeSnapshotSections(g, meta, st, nil)
 }
 
 // appendStateSection appends the framed state section to buf.

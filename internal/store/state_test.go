@@ -85,7 +85,7 @@ func TestStateGolden(t *testing.T) {
 	for i, tc := range stateGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, st := buildStateCase(t, i)
-			enc := EncodeSnapshotWithState(g, tc.meta, st)
+			enc := EncodeSnapshotFull(g, tc.meta, st, nil, nil)
 			path := filepath.Join("testdata", tc.name+".snap")
 			if *update {
 				if err := os.WriteFile(path, enc, 0o644); err != nil {
@@ -138,7 +138,7 @@ func TestStateGolden(t *testing.T) {
 func TestStateRoundTripCanonical(t *testing.T) {
 	for i, tc := range stateGoldenCases {
 		g, st := buildStateCase(t, i)
-		enc := EncodeSnapshotWithState(g, tc.meta, st)
+		enc := EncodeSnapshotFull(g, tc.meta, st, nil, nil)
 		dg, meta, err := DecodeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -147,7 +147,7 @@ func TestStateRoundTripCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if re := EncodeSnapshotWithState(dg, meta, dst); !bytes.Equal(re, enc) {
+		if re := EncodeSnapshotFull(dg, meta, dst, nil, nil); !bytes.Equal(re, enc) {
 			t.Fatalf("%s: re-encoding is not canonical (%d in, %d out)", tc.name, len(enc), len(re))
 		}
 	}
@@ -168,7 +168,7 @@ func resealState(data []byte) []byte {
 // onto its fast-vs-rebuild recovery decision.
 func TestStateSectionCorruption(t *testing.T) {
 	g, st := buildStateCase(t, 1) // v2_local_batch
-	valid := EncodeSnapshotWithState(g, stateGoldenCases[1].meta, st)
+	valid := EncodeSnapshotFull(g, stateGoldenCases[1].meta, st, nil, nil)
 	secAt := bytes.LastIndex(valid, stateMagic[:])
 	if secAt < 0 || secAt%8 != 0 {
 		t.Fatalf("state section offset %d, want 8-aligned", secAt)
@@ -259,13 +259,13 @@ func TestCheckpointWithStateStoreCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendBatch(true, [][2]int32{{1, 3}}); err != nil {
+	if _, err := s.AppendBatches(one(true, [][2]int32{{1, 3}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CheckpointWithState(g, SnapshotMeta{Seq: s.Seq()}, st); err != nil {
+	if err := s.CheckpointFull(g, SnapshotMeta{Seq: s.Seq()}, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendBatch(false, [][2]int32{{0, 1}}); err != nil {
+	if _, err := s.AppendBatches(one(false, [][2]int32{{0, 1}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

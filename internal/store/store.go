@@ -196,7 +196,7 @@ type Recovered struct {
 	// away) because a crash tore the final record; 0 on a clean shutdown.
 	TornBytes int64
 	// State is the snapshot's decoded maintainer-state section, when one was
-	// written (CheckpointWithState) and decoded cleanly — the fast-recovery
+	// written (CheckpointFull) and decoded cleanly — the fast-recovery
 	// input: import it and replay only Tail, skipping the maintainer rebuild.
 	// nil means recover by rebuilding; StateErr distinguishes "the snapshot
 	// never carried state" (nil — every version-1 file) from "the section was
@@ -205,9 +205,8 @@ type Recovered struct {
 	State    *MaintainerState
 	StateErr error
 	// Perm is the snapshot's relabel permutation (perm[external] = internal)
-	// when one was checkpointed (CheckpointSections) and decoded cleanly;
-	// nil means the serving layer derives a fresh relabeling if it needs
-	// one. PermErr mirrors StateErr's distinction between "never written"
+	// when one was checkpointed (CheckpointFull) and decoded cleanly; the
+	// serving layer no longer reads it (perm.go). PermErr mirrors StateErr's distinction between "never written"
 	// (nil) and "present but unusable" (the decode error); neither fails
 	// Open.
 	Perm    []int32
@@ -329,24 +328,18 @@ type BatchSpec struct {
 	Stamps []int64
 }
 
-// AppendBatch makes one edge-update batch durable and returns its sequence
-// number. Callers append before applying: a batch whose append fails must
-// not be applied, and a batch whose append succeeded will be replayed on
-// recovery even if the process dies before applying it. Any failure — a
-// partial write, a failed fsync — poisons the store (see Store.failed):
-// accepting further appends after a write of unknown extent could orphan
-// them behind a torn record, silently un-acknowledging them.
-func (s *Store) AppendBatch(insert bool, edges [][2]int32) (uint64, error) {
-	return s.AppendBatches([]BatchSpec{{Insert: insert, Edges: edges}})
-}
-
 // AppendBatches is the group commit: it makes n batches durable as n
 // consecutive per-batch WAL records — so recovery replay is byte-for-byte
 // the same as n individual appends — but pays one write and one fsync for
 // the whole group. It returns the sequence assigned to the first batch;
-// batch i gets first+i. The failure contract matches AppendBatch: the group
-// is durable as a unit (one fsync covers it), and any failure poisons the
-// store with the whole group un-acknowledged.
+// batch i gets first+i. Callers append before applying: a batch whose
+// append fails must not be applied, and a batch whose append succeeded will
+// be replayed on recovery even if the process dies before applying it. The
+// group is durable as a unit (one fsync covers it), and any failure — a
+// partial write, a failed fsync — poisons the store (see Store.failed) with
+// the whole group un-acknowledged: accepting further appends after a write
+// of unknown extent could orphan them behind a torn record, silently
+// un-acknowledging them.
 func (s *Store) AppendBatches(specs []BatchSpec) (uint64, error) {
 	if len(specs) == 0 {
 		return 0, fmt.Errorf("store: empty append group")
@@ -381,36 +374,18 @@ func (s *Store) AppendBatches(specs []BatchSpec) (uint64, error) {
 	return first, nil
 }
 
-// Checkpoint atomically replaces the snapshot with g (which must reflect
+// CheckpointFull atomically replaces the snapshot with g (which must reflect
 // every batch up to meta.Seq, normally Seq()) and truncates the WAL. A crash
 // anywhere inside leaves a recoverable store: either the old snapshot with
 // the full WAL, or the new snapshot with a WAL whose stale prefix recovery
-// skips by sequence.
-func (s *Store) Checkpoint(g *graph.Graph, meta SnapshotMeta) error {
-	return s.CheckpointWithState(g, meta, nil)
-}
-
-// CheckpointWithState is Checkpoint carrying the maintainer state exported
-// at the same instant as g: the snapshot is written in the version-2 format,
-// and the next recovery can import the state instead of rebuilding it (nil
-// state keeps the version-1 format). The atomicity contract is Checkpoint's.
-func (s *Store) CheckpointWithState(g *graph.Graph, meta SnapshotMeta, st *MaintainerState) error {
-	return s.CheckpointSections(g, meta, st, nil)
-}
-
-// CheckpointSections is CheckpointWithState additionally carrying the
-// serving layer's relabel permutation (perm[external] = internal, empty for
-// none), persisted as its own checksummed section so the next recovery
-// reuses the internal layout instead of re-deriving it. The atomicity
-// contract is Checkpoint's.
-func (s *Store) CheckpointSections(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32) error {
-	return s.CheckpointFull(g, meta, st, perm, nil)
-}
-
-// CheckpointFull is CheckpointSections additionally carrying the temporal
-// state of a windowed graph (window length + per-edge admission stamps), so
-// the next recovery resumes expiring without re-deriving any stamp. The
-// atomicity contract is Checkpoint's.
+// skips by sequence. Each optional section rides in the version-2 format
+// under its own checksum; with all three nil or empty the file is version 1:
+// st is the maintainer state exported at the same instant as g, which the
+// next recovery imports instead of rebuilding; perm a relabel permutation
+// (perm[external] = internal; the serving layer passes none, see perm.go);
+// ts the temporal state of a windowed graph (window length + per-edge
+// admission stamps), so the next recovery resumes expiring without
+// re-deriving any stamp.
 func (s *Store) CheckpointFull(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) error {
 	if s.failed != nil {
 		return fmt.Errorf("store: poisoned by earlier failure: %w", s.failed)

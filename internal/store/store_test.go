@@ -29,7 +29,7 @@ func TestStoreCreateOpenReplay(t *testing.T) {
 	batches := [][][2]int32{{{0, 3}}, {{1, 4}, {2, 5}}, {{0, 1}}}
 	for i, edges := range batches {
 		insert := i != 2
-		seq, err := s.AppendBatch(insert, edges)
+		seq, err := s.AppendBatches(one(insert, edges))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestStoreCreateOpenReplay(t *testing.T) {
 		t.Fatalf("seq=%d snapSeq=%d, want 3/0", s2.Seq(), s2.SnapshotSeq())
 	}
 	// Appends continue after the recovered tail.
-	if seq, err := s2.AppendBatch(true, [][2]int32{{5, 0}}); err != nil || seq != 4 {
+	if seq, err := s2.AppendBatches(one(true, [][2]int32{{5, 0}})); err != nil || seq != 4 {
 		t.Fatalf("post-recovery append: seq=%d err=%v", seq, err)
 	}
 }
@@ -76,7 +76,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendBatch(true, [][2]int32{{0, 3}}); err != nil {
+	if _, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -104,7 +104,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 	}
 	// The repair is durable: append, close, and the next Open sees a clean
 	// log with consecutive sequences.
-	if seq, err := s2.AppendBatch(false, [][2]int32{{0, 3}}); err != nil || seq != 2 {
+	if seq, err := s2.AppendBatches(one(false, [][2]int32{{0, 3}})); err != nil || seq != 2 {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	s2.Close()
@@ -126,7 +126,7 @@ func TestStoreCheckpoint(t *testing.T) {
 	}
 	dyn := graph.DynFromGraph(g)
 	for _, e := range [][2]int32{{0, 3}, {1, 4}} {
-		if _, err := s.AppendBatch(true, [][2]int32{e}); err != nil {
+		if _, err := s.AppendBatches(one(true, [][2]int32{e})); err != nil {
 			t.Fatal(err)
 		}
 		if err := dyn.InsertEdge(e[0], e[1]); err != nil {
@@ -134,13 +134,13 @@ func TestStoreCheckpoint(t *testing.T) {
 		}
 	}
 	preBytes := s.WALBytes()
-	if err := s.Checkpoint(dyn.Freeze(1), SnapshotMeta{Mode: 1, LazyK: 5, Seq: s.Seq()}); err != nil {
+	if err := s.CheckpointFull(dyn.Freeze(1), SnapshotMeta{Mode: 1, LazyK: 5, Seq: s.Seq()}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.WALBytes() >= preBytes || s.SnapshotSeq() != 2 || s.Checkpoints() != 1 {
 		t.Fatalf("after checkpoint: walBytes=%d snapSeq=%d ckpts=%d", s.WALBytes(), s.SnapshotSeq(), s.Checkpoints())
 	}
-	if _, err := s.AppendBatch(false, [][2]int32{{0, 1}}); err != nil {
+	if _, err := s.AppendBatches(one(false, [][2]int32{{0, 1}})); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -180,7 +180,7 @@ func TestStoreCrashHooks(t *testing.T) {
 			t.Fatal(err)
 		}
 		dyn := graph.DynFromGraph(g)
-		if _, err := s.AppendBatch(true, [][2]int32{{0, 3}}); err != nil {
+		if _, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil {
 			t.Fatal(err)
 		}
 		if err := dyn.InsertEdge(0, 3); err != nil {
@@ -192,7 +192,7 @@ func TestStoreCrashHooks(t *testing.T) {
 
 	t.Run(CrashBeforeWALAppend, func(t *testing.T) {
 		s, _ := setup(t, CrashBeforeWALAppend)
-		if _, err := s.AppendBatch(true, [][2]int32{{1, 4}}); !errors.Is(err, errBoom) {
+		if _, err := s.AppendBatches(one(true, [][2]int32{{1, 4}})); !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v", err)
 		}
 		s.Close()
@@ -207,7 +207,7 @@ func TestStoreCrashHooks(t *testing.T) {
 
 	t.Run(CrashAfterWALAppend, func(t *testing.T) {
 		s, _ := setup(t, CrashAfterWALAppend)
-		if _, err := s.AppendBatch(true, [][2]int32{{1, 4}}); !errors.Is(err, errBoom) {
+		if _, err := s.AppendBatches(one(true, [][2]int32{{1, 4}})); !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v", err)
 		}
 		s.Close()
@@ -234,7 +234,7 @@ func TestStoreCrashHooks(t *testing.T) {
 	for _, tc := range ckptPoints {
 		t.Run(tc.point, func(t *testing.T) {
 			s, dyn := setup(t, tc.point)
-			err := s.Checkpoint(dyn.Freeze(1), SnapshotMeta{Seq: s.Seq()})
+			err := s.CheckpointFull(dyn.Freeze(1), SnapshotMeta{Seq: s.Seq()}, nil, nil, nil)
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("err = %v", err)
 			}
@@ -400,17 +400,17 @@ func TestStorePoisonedAfterFailure(t *testing.T) {
 	}
 	defer s.Close()
 	armed = true
-	if _, err := s.AppendBatch(true, [][2]int32{{0, 3}}); !errors.Is(err, boom) {
+	if _, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if s.Failed() == nil {
 		t.Fatal("store not poisoned")
 	}
 	armed = false // even with the fault gone, the store must stay down
-	if _, err := s.AppendBatch(true, [][2]int32{{1, 4}}); !errors.Is(err, boom) {
+	if _, err := s.AppendBatches(one(true, [][2]int32{{1, 4}})); !errors.Is(err, boom) {
 		t.Fatalf("append on poisoned store: err = %v", err)
 	}
-	if err := s.Checkpoint(g, SnapshotMeta{Seq: s.Seq()}); !errors.Is(err, boom) {
+	if err := s.CheckpointFull(g, SnapshotMeta{Seq: s.Seq()}, nil, nil, nil); !errors.Is(err, boom) {
 		t.Fatalf("checkpoint on poisoned store: err = %v", err)
 	}
 }
@@ -441,7 +441,7 @@ func TestStoreShortWALRecovered(t *testing.T) {
 			}
 			sameGraph(t, rec.Graph, g)
 			// The log was rebuilt: appends and a clean reopen both work.
-			if seq, err := s2.AppendBatch(true, [][2]int32{{0, 3}}); err != nil || seq != 8 {
+			if seq, err := s2.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil || seq != 8 {
 				t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 			}
 			s2.Close()
@@ -471,4 +471,9 @@ func TestStoreCreateFailureLeavesNothing(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("failed Create left %s behind: %v", dir, err)
 	}
+}
+
+// one wraps a single batch as the group AppendBatches takes.
+func one(insert bool, edges [][2]int32) []BatchSpec {
+	return []BatchSpec{{Insert: insert, Edges: edges}}
 }
