@@ -31,8 +31,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	bash benchmark/run.sh -smoke
 
-# Short fuzz runs of the persistence decoders (internal/store) and of the
-# per-ego kernel against its two oracles (internal/ego). `go test` accepts
+# Short fuzz runs of the persistence decoders (internal/store), of the
+# per-ego kernel against its two oracles and of both top-k searches against
+# exhaustive selection (internal/ego). `go test` accepts
 # one -fuzz pattern per invocation, hence one run per target. CI runs this
 # non-gating, like bench-smoke; crank -fuzztime up for a real session.
 FUZZTIME ?= 10s
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeMaintainerState -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeWAL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzEgoKernel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzSearch -fuzztime $(FUZZTIME)
 
 # Coverage profile over every package (atomic mode so it composes with
 # -race); CI uploads coverage.out as a workflow artifact.

@@ -23,7 +23,9 @@ type Fig6Row struct {
 
 // Fig6 compares BaseBSearch and OptBSearch runtimes across k (paper
 // Fig. 6). The paper's claim: OptBSearch wins on every dataset and k,
-// by roughly 6-23x.
+// by roughly 6-23x. Here both run on the dense per-ego kernel, so the ratio
+// only reflects the few computations the dynamic bound saves
+// (EXPERIMENTS.md).
 func Fig6(cfg Config) []Fig6Row {
 	fmt.Fprintf(cfg.Out, "%-12s %8s %12s %12s %8s\n", "Dataset", "k", "BaseBSearch", "OptBSearch", "ratio")
 	var rows []Fig6Row

@@ -30,7 +30,7 @@ func ComputeAll(g graph.View) []float64 {
 // when vertex v accumulated no evidence (no edges inside GE(v) beyond the
 // spokes); such vertices have CB(v) = d(d−1)/2.
 func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
-	e := newEvidence(g)
+	e := &evidence{g: g, maps: make([]*pairmap.Map, g.NumVertices())}
 	var comm []int32
 	graph.EachEdgeIn(g, func(u, v int32) bool {
 		comm = nbr.CommonInto(comm[:0], g, u, v)
@@ -69,10 +69,20 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 // This is a sparse evaluation of Everett–Borgatti's A²∘(1−A) over the ego
 // adjacency A, in O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
+	cb, _, _ := egoKernel(a, p, s)
+	return cb
+}
+
+// egoKernel is EgoBetweenness that also hands back the ego CSR of step 2 —
+// row i of (off, adj) is T_v for v = N(p)[i], as ascending positions in
+// N(p) — valid until the next call on s. The top-k search reads p's
+// triangles off it. Both are empty when d(p) < 2: such an ego has no
+// neighbor pair, and no CSR is built for it.
+func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, adj []int32) {
 	nu := a.Neighbors(p)
 	d := len(nu)
 	if d < 2 {
-		return 0
+		return 0, nil, nil
 	}
 	if s == nil {
 		s = NewScratch(a.NumVertices())
@@ -83,7 +93,7 @@ func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 	for i, v := range nu {
 		loc[v] = int32(i) + 1
 	}
-	off, adj := s.off[:0], s.adj[:0]
+	off, adj = s.off[:0], s.adj[:0]
 	for _, v := range nu {
 		off = append(off, len(adj))
 		for _, w := range a.Neighbors(v) {
@@ -132,9 +142,9 @@ func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 		}
 	}
 	s.touched = touched
-	cb := foldScore(int32(d), hist)
+	cb = foldScore(int32(d), hist)
 	clear(hist)
-	return cb
+	return cb, off, adj
 }
 
 // Scratch holds the reusable state of EgoBetweenness — the vertex → local id

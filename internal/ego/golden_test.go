@@ -118,42 +118,6 @@ func assertTop5(t *testing.T, res []Result) {
 	}
 }
 
-// TestOnceDiscipline asserts the engine's core safety property on the
-// example graph: every undirected edge is processed at most once even when
-// every vertex's ego is ensured.
-func TestOnceDiscipline(t *testing.T) {
-	g := paperex.New()
-	e := newEvidence(g)
-	for v := int32(0); v < g.NumVertices(); v++ {
-		e.ensureEgo(v)
-	}
-	if e.EdgesProcessed > g.NumEdges() {
-		t.Errorf("processed %d edges, graph has only %d", e.EdgesProcessed, g.NumEdges())
-	}
-}
-
-// TestDynamicBoundDominatesCB asserts Lemma 3 on the example graph: at any
-// prefix of processing, the partial-evidence score is an upper bound of the
-// true CB for every vertex.
-func TestDynamicBoundDominatesCB(t *testing.T) {
-	g := paperex.New()
-	truth := ComputeAll(g)
-	e := newEvidence(g)
-	check := func(stage string) {
-		for v := int32(0); v < g.NumVertices(); v++ {
-			ub := ScoreEvidence(g.Degree(v), e.maps[v])
-			if ub < truth[v]-eps {
-				t.Errorf("%s: ũb(%s)=%v < CB=%v", stage, paperex.Names[v], ub, truth[v])
-			}
-		}
-	}
-	check("initial")
-	for _, u := range []int32{paperex.C, paperex.I, paperex.F, paperex.X} {
-		e.ensureEgo(u)
-		check("after ego " + paperex.Names[u])
-	}
-}
-
 // TestStaticUB spot checks Lemma 2 values from Fig. 2.
 func TestStaticUB(t *testing.T) {
 	g := paperex.New()

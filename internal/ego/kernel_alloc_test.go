@@ -29,3 +29,27 @@ func TestKernelZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchAllocs pins the search loop's allocation contract: a fixed
+// handful of O(n) slices (heap, counters, Scratch), the result list, and the
+// Scratch's doubling growth to the largest ego, which is among the first
+// popped — and nothing per computed vertex, so a search that computes ten
+// times as many vertices allocates the same number of times.
+func TestSearchAllocs(t *testing.T) {
+	g := gen.ChungLu(1500, 2.2, 5.3, 120, 3)
+	for name, run := range map[string]func(k int) SearchStats{
+		"opt":  func(k int) SearchStats { _, st := OptBSearch(g, k, 1.05); return st },
+		"base": func(k int) SearchStats { _, st := BaseBSearch(g, k); return st },
+	} {
+		few, many := run(10).Computed, run(300).Computed
+		if many < 10*few {
+			t.Fatalf("%s: k=300 computes %d vertices, k=10 %d: not a tenfold spread", name, many, few)
+		}
+		small := testing.AllocsPerRun(10, func() { run(10) })
+		large := testing.AllocsPerRun(10, func() { run(300) })
+		if small > 64 || large > small+4 {
+			t.Errorf("%s: %v allocs at k=10 (%d computed), %v at k=300 (%d computed); want ≤ 64 and no growth with computed",
+				name, small, few, large, many)
+		}
+	}
+}

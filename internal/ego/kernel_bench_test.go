@@ -52,3 +52,27 @@ func BenchmarkComputeAll(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOptBSearch and BenchmarkBaseBSearch time exact top-100, the
+// benchmark's topk_exact query, next to BenchmarkComputeAll — the cost the
+// bounds are there to beat.
+func BenchmarkOptBSearch(b *testing.B) {
+	benchSearch(b, func(g *graph.Graph) []Result { r, _ := OptBSearch(g, 100, 1.05); return r })
+}
+
+func BenchmarkBaseBSearch(b *testing.B) {
+	benchSearch(b, func(g *graph.Graph) []Result { r, _ := BaseBSearch(g, 100); return r })
+}
+
+func benchSearch(b *testing.B, run func(*graph.Graph) []Result) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			g := sh.make()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += run(g)[0].CB
+			}
+		})
+	}
+}

@@ -57,21 +57,10 @@ func TestKernelOneScoreFold(t *testing.T) {
 		}
 
 		d := graph.DynFromGraph(g)
-		n := g.NumVertices()
 		rng := rand.New(rand.NewPCG(11, 13))
 		var view graph.View = g
 		for round := 0; round < 4; round++ {
-			for i := 0; i < 300; i++ {
-				u, v := rng.Int32N(n), rng.Int32N(n)
-				if u == v {
-					continue
-				}
-				if d.HasEdge(u, v) {
-					_ = d.DeleteEdge(u, v) // present: cannot fail
-				} else {
-					_ = d.InsertEdge(u, v) // absent, distinct, in range: cannot fail
-				}
-			}
+			churn(d, rng, 300)
 			view = d.FreezeOverlay(view)
 			dyn := assertKernelExact(t, name+"/dyn", d, s)
 			ov := assertKernelExact(t, name+"/overlay", view, s)
@@ -80,6 +69,23 @@ func TestKernelOneScoreFold(t *testing.T) {
 					t.Fatalf("%s round %d: vertex %d: dyn %v != overlay %v", name, round, v, dyn[v], ov[v])
 				}
 			}
+		}
+	}
+}
+
+// churn toggles up to count random vertex pairs of d: an edge that is present
+// is deleted, an absent one inserted.
+func churn(d *graph.DynGraph, rng *rand.Rand, count int) {
+	n := d.NumVertices()
+	for i := 0; i < count; i++ {
+		u, v := rng.Int32N(n), rng.Int32N(n)
+		if u == v {
+			continue
+		}
+		if d.HasEdge(u, v) {
+			_ = d.DeleteEdge(u, v) // present: cannot fail
+		} else {
+			_ = d.InsertEdge(u, v) // absent, distinct, in range: cannot fail
 		}
 	}
 }

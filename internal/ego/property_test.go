@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -40,54 +41,15 @@ func TestCrossValidateSingleVertex(t *testing.T) {
 	}
 }
 
-// TestSearchesAgreeWithExhaustive verifies that both search algorithms
-// return a valid top-k (score multiset equal to exhaustive sort) across
-// random graphs and k values, and that OptBSearch never computes more
-// vertices than BaseBSearch prunes down to n.
-func TestSearchesAgreeWithExhaustive(t *testing.T) {
-	for seed := uint64(200); seed < 240; seed++ {
-		g := gen.Random(seed, 50)
-		n := int(g.NumVertices())
-		for _, k := range []int{1, 2, 3, n / 2, n, n + 5} {
-			if k < 1 {
-				k = 1
-			}
-			want := TopKExact(g, k)
-			base, bst := BaseBSearch(g, k)
-			opt, ost := OptBSearch(g, k, 1.05)
-			assertSameScores(t, "BaseBSearch", seed, k, want, base)
-			assertSameScores(t, "OptBSearch", seed, k, want, opt)
-			if bst.Computed > int64(n) || ost.Computed > int64(n) {
-				t.Fatalf("seed %d k=%d: computed more than n vertices", seed, k)
-			}
-		}
-	}
-}
-
-// assertSameScores compares result lists by their score sequences (vertex
-// identity can differ under ties; scores cannot).
-func assertSameScores(t *testing.T, name string, seed uint64, k int, want, got []Result) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s seed %d k=%d: got %d results, want %d", name, seed, k, len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(want[i].CB-got[i].CB) > 1e-9 {
-			t.Fatalf("%s seed %d k=%d: rank %d score %v, want %v",
-				name, seed, k, i, got[i].CB, want[i].CB)
-		}
-	}
-}
-
 // TestThetaInsensitivity: theta trades work, never answers. All theta values
-// must give identical score sequences.
+// must give the identical list.
 func TestThetaInsensitivity(t *testing.T) {
 	for seed := uint64(300); seed < 315; seed++ {
 		g := gen.Random(seed, 60)
 		want, _ := OptBSearch(g, 8, 1)
 		for _, theta := range []float64{1.05, 1.10, 1.20, 1.30, 2.0, 10.0} {
 			got, _ := OptBSearch(g, 8, theta)
-			assertSameScores(t, "theta", seed, 8, want, got)
+			assertSameResults(t, fmt.Sprintf("seed %d θ=%v", seed, theta), want, got)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ego
 
 import (
 	"repro/internal/graph"
-	"repro/internal/pairmap"
 	"repro/internal/topk"
 )
 
@@ -13,111 +12,30 @@ type SearchStats struct {
 	Pruned         int64 // vertices discarded by a bound without computation
 	Reinserted     int64 // OptBSearch: vertices pushed back with a tighter bound
 	BoundRefreshes int64 // OptBSearch: dynamic bound evaluations
-	EdgesProcessed int64 // undirected edges processed once
-	CreditOps      int64 // connector-credit map operations
+	EdgesProcessed int64 // OptBSearch: ego-internal edges (triangles) walked for the bound
+	CreditOps      int64 // OptBSearch: increments of the adjacent-pair counters
 }
 
 // BaseBSearch is Algorithm 1: top-k ego-betweenness search under the static
 // Lemma 2 bound. Vertices are visited in the total order ≺ (non-increasing
-// static bound) and the search stops as soon as the k-th best exact score
-// dominates the next static bound. Results are sorted by descending CB,
-// ties by ascending vertex id.
+// static bound, ties by descending id) and the search stops as soon as the
+// k-th best exact score dominates the next static bound. Results are sorted
+// by descending CB, ties by ascending vertex id.
 //
-// Faithful to the published algorithm, evidence is gathered by progressive
-// oriented triangle enumeration: processing vertex u enumerates the
-// triangles whose ≺-highest vertex is u, and each triangle triggers
-// UptSMap-style scans of the incident neighborhoods to discover diamonds —
-// the O(d_max)-per-triangle cost that Theorem 2 charges. Because every
-// triangle containing u has its top vertex at or before u in the order, S_u
-// is complete when u's own triangles have been enumerated, exactly the
-// paper's invariant.
-//
-// One correction to the printed pseudocode (DESIGN.md §4): as published,
-// UptSMap credits every diamond twice, once from each of its two triangles.
-// The scans here apply a credit for pair (x, w) discovered from a triangle
-// (·, connector, w) only when x > w, so across the diamond's two triangles
-// exactly one credit fires.
+// It is the search loop (searcher) without the dynamic bound: every popped
+// candidate that could still enter the result set is scored by the dense
+// per-ego kernel (EgoBetweenness), which needs no cross-vertex evidence.
 func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
-	var st SearchStats
-	r := topk.NewBounded(k)
-	order := graph.OrderOf(g)
-	o := graph.Orient(g)
-	maps := make([]*pairmap.Map, g.NumVertices())
-	done := make([]bool, g.NumVertices())
-	mapFor := func(v int32) *pairmap.Map {
-		if maps[v] == nil {
-			maps[v] = pairmap.NewWithCapacity(int(g.Degree(v)))
-		}
-		return maps[v]
-	}
-	// uptSMap scans N(p) for diamonds closed by triangle (p, a, b): every
-	// x ∈ N(p) adjacent to exactly one of {a, b} forms a non-adjacent pair
-	// with the other, connected through the adjacent one.
-	uptSMap := func(p, a, b int32) {
-		if done[p] {
-			return
-		}
-		m := mapFor(p)
-		for _, x := range g.Neighbors(p) {
-			adjA := x == a || g.HasEdge(x, a)
-			adjB := x == b || g.HasEdge(x, b)
-			st.CreditOps++
-			if adjA && !adjB && x > b {
-				m.Add(pairmap.Key(x, b), 1)
-			} else if adjB && !adjA && x > a {
-				m.Add(pairmap.Key(x, a), 1)
-			}
-		}
-	}
-	marked := make([]bool, g.NumVertices())
-	for idx, u := range order {
-		ub := StaticUB(g.Degree(u))
-		if min, ok := r.Min(); ok && min >= ub {
-			st.Pruned = int64(len(order) - idx)
-			break
-		}
-		// Enumerate the triangles owned by u (u is the ≺-top vertex).
-		outU := o.OutNeighbors(u)
-		for _, v := range outU {
-			marked[v] = true
-		}
-		for _, v := range outU {
-			for _, w := range o.OutNeighbors(v) {
-				if !marked[w] {
-					continue
-				}
-				// Triangle (u, v, w): markers for all three egos,
-				// diamond scans for all three egos.
-				if !done[w] {
-					mapFor(w).SetMarker(pairmap.Key(u, v))
-				}
-				if !done[v] {
-					mapFor(v).SetMarker(pairmap.Key(u, w))
-				}
-				mapFor(u).SetMarker(pairmap.Key(v, w))
-				uptSMap(u, v, w)
-				uptSMap(v, u, w)
-				uptSMap(w, u, v)
-				st.EdgesProcessed++ // one triangle enumerated
-			}
-		}
-		for _, v := range outU {
-			marked[v] = false
-		}
-		r.Add(u, ScoreEvidence(g.Degree(u), maps[u]))
-		done[u] = true
-		maps[u] = nil
-		st.Computed++
-	}
-	return toResults(r), st
+	return newSearcher(g, k, 1, nil, false).run()
 }
 
 // OptBSearch is Algorithm 2: top-k search under the dynamic Lemma 3 bound.
 // Candidates live in a max-heap keyed by their last-known bound. On pop the
-// bound is re-evaluated against the evidence accumulated so far ("identified
-// information"); if it has dropped by more than the gradient ratio θ ≥ 1 the
+// bound is re-evaluated against the "identified information" accumulated so
+// far — here the triangles seen while scoring earlier vertices, see
+// searcher; if it has dropped by more than the gradient ratio θ ≥ 1 the
 // vertex is pushed back (or pruned when it can no longer reach the top-k)
-// instead of being computed. θ trades bound-refresh cost against exact
+// instead of being computed. θ trades reinsertions against exact
 // computations; the paper's default is 1.05.
 func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 	return OptBSearchLabeled(g, k, theta, nil)
@@ -132,45 +50,136 @@ func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 // library half of the degree-relabeling layout experiment (DESIGN.md §12)
 // that the benchmark's ego.opt.relabeled_k100_ms keeps measuring.
 func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Result, SearchStats) {
-	if theta < 1 {
-		theta = 1
-	}
-	var st SearchStats
-	e := newEvidence(g)
-	r := topk.NewBoundedLabeled(k, ext)
+	return newSearcher(g, k, max(theta, 1), ext, true).run()
+}
+
+// searcher is the one loop behind both searches: a candidate heap H keyed by
+// upper bound, the result set R, and one Scratch for the exact scores. Every
+// vertex starts in H under the static bound d(d−1)/2; step pops the largest.
+//
+// With dynamic set, t[v] counts the adjacent neighbor pairs of v identified
+// so far, and the Lemma 3 bound is ũb(v) = d(d−1)/2 − t[v]: every pair of
+// N(v) contributes at most 1 to CB(v) and an adjacent pair contributes 0.
+// This is Lemma 3 restricted to markers — the part of the identified
+// information that costs nothing, because the ego CSR the kernel builds for
+// a computed vertex p lists every triangle {p, a, b} as an ego-internal
+// edge (a, b). The first vertex of a triangle to be computed credits the
+// other two; later ones find that vertex done and credit nothing, so t[v]
+// counts each triangle at most once per corner and never exceeds the true
+// number of adjacent pairs. Bounds only order and prune candidates: every
+// score in R comes from the kernel.
+type searcher struct {
+	g     graph.View
+	theta float64
+	ext   []int32 // external labels: tie order in R and H, ids of the results
+	r     *topk.Bounded
+	h     *topk.MaxHeap
+	s     *Scratch
+	t     []int64 // nil under the static bound (BaseBSearch)
+	done  []bool  // computed exactly; its triangles have been credited
+	st    SearchStats
+}
+
+func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool) *searcher {
 	n := g.NumVertices()
-	h := topk.NewMaxHeapLabeled(int(n), ext)
-	for v := int32(0); v < n; v++ {
-		h.Push(v, StaticUB(g.Degree(v)))
+	q := &searcher{
+		g:     g,
+		theta: theta,
+		ext:   ext,
+		r:     topk.NewBoundedLabeled(k, ext),
+		h:     topk.NewMaxHeapLabeled(int(n), ext),
+		s:     NewScratch(n),
 	}
-	for h.Len() > 0 {
-		top := h.Pop()
-		v, tb := top.V, top.Score
-		ub := ScoreEvidence(g.Degree(v), e.maps[v]) // Lemma 3 dynamic bound
-		st.BoundRefreshes++
-		if theta*ub < tb {
+	if dynamic {
+		q.t = make([]int64, n)
+		q.done = make([]bool, n)
+	}
+	for v := int32(0); v < n; v++ {
+		q.h.Push(v, StaticUB(g.Degree(v)))
+	}
+	return q
+}
+
+// run steps the search to its end.
+func (q *searcher) run() ([]Result, SearchStats) {
+	for q.step() {
+	}
+	return toResultsLabeled(q.r, q.ext), q.st
+}
+
+// bound is the dynamic upper bound ũb(v) under the triangles seen so far.
+func (q *searcher) bound(v int32) float64 {
+	return StaticUB(q.g.Degree(v)) - float64(q.t[v])
+}
+
+// step handles the candidate with the largest bound: prunes it, defers it
+// under a tighter bound, or computes it. It reports false once the search is
+// over. R is ordered by (score desc, label asc), so a candidate is hopeless
+// exactly when its bound does not beat the worst held item under its own
+// label: below the k-th score everything left in H is hopeless too, while
+// on a tie with the k-th score only this candidate is — H pops the larger
+// label first, and a later one with the same bound may carry a smaller.
+func (q *searcher) step() bool {
+	if q.h.Len() == 0 {
+		return false
+	}
+	top := q.h.Pop()
+	v, tb := top.V, top.Score
+	worst, full := q.r.Worst()
+	if full && !q.r.Beats(v, tb, worst) {
+		if tb < worst.Score {
+			q.st.Pruned += int64(q.h.Len()) + 1
+			return false
+		}
+		q.st.Pruned++
+		return true
+	}
+	if q.t != nil {
+		ub := q.bound(v)
+		q.st.BoundRefreshes++
+		if q.theta*ub < tb {
 			// The bound dropped substantially: defer or prune.
-			if min, ok := r.Min(); !ok || ub > min {
-				h.Push(v, ub)
-				st.Reinserted++
+			if !full || ub >= worst.Score {
+				q.h.Push(v, ub)
+				q.st.Reinserted++
 			} else {
-				st.Pruned++
+				q.st.Pruned++
 			}
+			return true
+		}
+	}
+	cb, off, adj := egoKernel(q.g, v, q.s)
+	q.r.Add(v, cb)
+	q.st.Computed++
+	if q.t != nil {
+		q.credit(v, off, adj)
+	}
+	return true
+}
+
+// credit feeds the bound from the ego CSR of the just-computed p: edge
+// (a, b) between two neighbors is the triangle {p, a, b}, an adjacent pair
+// in GE(a) and in GE(b). A done endpoint means that vertex discovered the
+// triangle first and credited the rest of it then.
+func (q *searcher) credit(p int32, off []int, adj []int32) {
+	q.done[p] = true
+	q.st.EdgesProcessed += int64(len(adj) / 2)
+	nu := q.g.Neighbors(p)
+	for x := 0; x+1 < len(off); x++ {
+		a := nu[x]
+		if q.done[a] {
 			continue
 		}
-		if min, ok := r.Min(); ok && tb <= min {
-			// tb is the largest bound left; nothing remaining can
-			// enter the top-k.
-			st.Pruned += int64(h.Len()) + 1
-			break
+		var credits int64
+		for _, y := range adj[off[x]:off[x+1]] {
+			if int(y) > x && !q.done[nu[y]] {
+				q.t[nu[y]]++
+				credits++
+			}
 		}
-		e.ensureEgo(v)
-		r.Add(v, e.finish(v))
-		st.Computed++
+		q.t[a] += credits
+		q.st.CreditOps += 2 * credits
 	}
-	st.EdgesProcessed = e.EdgesProcessed
-	st.CreditOps = e.CreditOps
-	return toResultsLabeled(r, ext), st
 }
 
 // TopKExact is the straightforward baseline: compute every vertex exactly

@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,8 +84,9 @@ func TestSearchSmallK(t *testing.T) {
 	}
 }
 
-// TestSearchAllTiedScores: on vertex-transitive graphs every CB ties; any
-// k-subset is valid but scores must all equal the common value.
+// TestSearchAllTiedScores: on vertex-transitive graphs every CB ties, and
+// the tie rule (ascending id) alone decides the answer: the searches return
+// vertices 0…k−1 although the heap offers the largest ids first.
 func TestSearchAllTiedScores(t *testing.T) {
 	// Cycle C12: every vertex has CB = 1 (its two neighbors are
 	// non-adjacent with no connector in the ego).
@@ -93,15 +95,11 @@ func TestSearchAllTiedScores(t *testing.T) {
 		edges = append(edges, [2]int32{i, (i + 1) % 12})
 	}
 	g := graph.MustFromEdges(12, edges)
-	res, _ := OptBSearch(g, 5, 1.05)
-	if len(res) != 5 {
-		t.Fatalf("got %d results", len(res))
-	}
-	for _, r := range res {
-		if math.Abs(r.CB-1) > 1e-9 {
-			t.Errorf("cycle CB = %v, want 1", r.CB)
-		}
-	}
+	want := []Result{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}}
+	opt, _ := OptBSearch(g, 5, 1.05)
+	assertSameResults(t, "OptBSearch", want, opt)
+	base, _ := BaseBSearch(g, 5)
+	assertSameResults(t, "BaseBSearch", want, base)
 }
 
 // TestOptBSearchThetaClamped: θ < 1 is clamped to 1 rather than corrupting
@@ -124,15 +122,7 @@ func TestTopKExactMatchesSearchOnPaperGraph(t *testing.T) {
 		exact := TopKExact(g, k)
 		base, _ := BaseBSearch(g, k)
 		opt, _ := OptBSearch(g, k, 1.05)
-		if len(exact) != len(base) || len(exact) != len(opt) {
-			t.Fatalf("k=%d: sizes %d/%d/%d", k, len(exact), len(base), len(opt))
-		}
-		for i := range exact {
-			if math.Abs(exact[i].CB-base[i].CB) > 1e-9 ||
-				math.Abs(exact[i].CB-opt[i].CB) > 1e-9 {
-				t.Fatalf("k=%d rank %d: exact %v base %v opt %v",
-					k, i, exact[i].CB, base[i].CB, opt[i].CB)
-			}
-		}
+		assertSameResults(t, fmt.Sprintf("BaseBSearch k=%d", k), exact, base)
+		assertSameResults(t, fmt.Sprintf("OptBSearch k=%d", k), exact, opt)
 	}
 }

@@ -1,9 +1,10 @@
-// Package nbr is the shared neighborhood-intersection kernel layer. Every
-// hot path of the reproduction — the evidence engine behind the top-k
-// searches, the dynamic maintainers' local repair scans, and the parallel
-// PEBW workers — bottoms out in common-neighbor intersection over sorted
-// adjacency lists. This package implements that core once, with four
-// strategies selected adaptively:
+// Package nbr is the shared neighborhood-intersection kernel layer. The
+// evidence engine behind ComputeAllWithMaps, the dynamic maintainers' local
+// repair scans, the sampled estimator and the parallel PEBW workers bottom
+// out in common-neighbor intersection over sorted adjacency lists (the
+// dense per-ego kernel behind ComputeAll and the top-k searches does not: it
+// numbers the ego once and works on local ids). This package implements
+// that core once, with three strategies selected adaptively:
 //
 //   - linear merge for size-balanced lists: one pass over both, O(|a|+|b|);
 //   - galloping (exponential probe + binary search) when one list is much
@@ -11,27 +12,25 @@
 //   - bitset registers for hub centers: the center's neighborhood is marked
 //     once into a pooled bitset, and every subsequent intersection against
 //     it costs O(|other|) probes — amortizing the marking cost across all
-//     of the center's pair scans;
-//   - word-parallel AND for hub×hub pairs: with both neighborhoods marked
-//     into Registers, AndInto/AndCount intersect 64 vertices per machine
-//     word (OnesCount64/TrailingZeros64) and a one-bit-per-word summary
-//     skips empty 64-word blocks, so sparse intersections never touch the
-//     gaps between hub neighborhoods.
+//     of the center's pair scans.
 //
-// All four strategies produce the identical ascending result set, so
-// swapping one for another never changes any downstream score — the kernels
-// differ only in how they walk the inputs, not in what they emit.
+// All three produce the identical ascending result set, so swapping one for
+// another never changes any downstream score — the kernels differ only in
+// how they walk the inputs, not in what they emit. Two Registers can also
+// be counted against each other 64 vertices per machine word
+// (Register.AndCount, with a one-bit-per-word summary that skips empty
+// 64-word blocks); no algorithm routes through it any more — the benchmark
+// keeps it as the nbr.hub_word_ns probe.
 //
 // Caller contract for strategy selection: the pairwise entry points
 // (IntersectInto, IntersectCount, ForEachCommon, the view-level Common*)
 // dispatch only between linear and gallop — Choose never returns
-// StrategyBitset or StrategyWord, because both register strategies carry a
-// marking cost that only a caller looping over many intersections of the
-// same side can amortize. Such callers decide centrally through
-// ChooseHub(la, lb): StrategyWord means "mark both sides, run the
-// word-parallel AND", StrategyBitset means "mark the hub side once, probe
-// the rest", and anything else defers to the pairwise kernels. Passing 0
-// for one length asks about a single amortizable side.
+// StrategyBitset, because marking carries a cost that only a caller looping
+// over many intersections of the same side can amortize. Such callers
+// decide centrally through ChooseHub(la, lb): StrategyBitset means "mark
+// the hub side once, probe the rest", and anything else defers to the
+// pairwise kernels. Passing 0 for one length asks about a single
+// amortizable side.
 //
 // The package is a leaf: it depends on nothing else in the repository, so
 // every layer (graph, ego, dynamic, parallel, server) can use it without

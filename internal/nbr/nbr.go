@@ -22,10 +22,6 @@ const (
 	// StrategyBitset is the pre-marked Register probe (chosen by callers
 	// holding a Register, not by Choose — marking has per-center cost).
 	StrategyBitset
-	// StrategyWord is the Register×Register word-parallel AND with
-	// block-skipping summaries (chosen by callers holding two pre-marked
-	// Registers, via ChooseHub — marking has per-side cost).
-	StrategyWord
 )
 
 // String names the strategy.
@@ -35,10 +31,8 @@ func (s Strategy) String() string {
 		return "linear"
 	case StrategyGallop:
 		return "gallop"
-	case StrategyBitset:
-		return "bitset"
 	default:
-		return "word"
+		return "bitset"
 	}
 }
 
@@ -56,26 +50,19 @@ func Choose(la, lb int) Strategy {
 }
 
 // ChooseHub extends Choose for callers that can amortize Register marking
-// across many scans of the same side(s). It is the central dispatch for the
-// register strategies, replacing ad-hoc HubDegree comparisons at call
-// sites:
+// across many scans of the same side. It is the central dispatch for the
+// register strategy, replacing ad-hoc HubDegree comparisons at call sites:
 //
-//   - both lengths ≥ HubDegree → StrategyWord: mark both sides and run the
-//     word-parallel AND (AndInto/AndCount);
-//   - exactly one length ≥ HubDegree → StrategyBitset: mark that side once
-//     and probe the others element-by-element (Register.IntersectInto);
+//   - either length ≥ HubDegree → StrategyBitset: mark that side once and
+//     probe the others element-by-element (Register.IntersectInto);
 //   - otherwise → whatever the pairwise Choose picks.
 //
 // Callers testing only one amortizable side pass 0 for the other length
 // (ChooseHub(la, 0) == StrategyBitset ⇔ la qualifies as a hub center).
-// As with StrategyBitset in Choose, the pairwise kernels never select
-// StrategyWord on their own: both register strategies have a marking cost
-// only the caller can amortize, so IntersectInto/IntersectCount dispatch
-// exclusively between linear and gallop.
+// The pairwise kernels never select StrategyBitset on their own: marking
+// has a cost only the caller can amortize, so IntersectInto/IntersectCount
+// dispatch exclusively between linear and gallop.
 func ChooseHub(la, lb int) Strategy {
-	if la >= HubDegree && lb >= HubDegree {
-		return StrategyWord
-	}
 	if la >= HubDegree || lb >= HubDegree {
 		return StrategyBitset
 	}

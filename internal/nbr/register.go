@@ -26,8 +26,8 @@ import (
 //
 // On top of the bit words sits a one-bit-per-word summary (bit b of
 // sum[s] set ⇔ word s·64+b was marked this epoch). The summary is what
-// makes the word-parallel Register×Register kernels (AndInto, AndCount)
-// skip empty 64-word blocks — 4096 vertex ids per summary word — so
+// makes the word-parallel Register×Register kernel (AndCount) skip empty
+// 64-word blocks — 4096 vertex ids per summary word — so
 // sparse hub×hub intersections never touch the gaps. Direct clearing
 // leaves summary bits (and the span) as an over-approximation: a stale
 // summary bit only routes the AND to a zeroed word, which contributes
@@ -190,15 +190,6 @@ func (r *Register) Count(list []int32) int {
 	return n
 }
 
-// SpanWords returns an upper bound on the word span of the marked set: at
-// least 1 + the highest word index holding a marked vertex (0 when nothing
-// was marked since the last epoch bump). It bounds the scan of the
-// word-parallel kernels and is the profitability input for call-site
-// gating: after degree-ordered relabeling hub neighborhoods compress into
-// a low-id prefix, so their spans — and the AND scans over them — shrink
-// with them.
-func (r *Register) SpanWords() int32 { return r.span }
-
 // liveSum returns the summary word s, or 0 when it is stale this epoch.
 func (r *Register) liveSum(s int32) uint64 {
 	if r.sumStamps[s] != r.epoch {
@@ -207,41 +198,18 @@ func (r *Register) liveSum(s int32) uint64 {
 	return r.sum[s]
 }
 
-// AndInto appends marked(r) ∩ marked(o) to dst in ascending order and
-// returns it — the word-parallel hub×hub kernel. It ANDs the two summary
-// bitmaps to find 64-bit words live in both registers (skipping empty
-// 64-word blocks wholesale), ANDs those words, and decodes set bits with
-// TrailingZeros64. Cost is O(min(span)/64) summary words plus one word AND
-// per block where both sides hold vertices, independent of the degrees.
+// AndCount returns |marked(r) ∩ marked(o)| — the word-parallel hub×hub
+// kernel. It ANDs the two summary bitmaps to find 64-bit words live in both
+// registers (skipping empty 64-word blocks wholesale) and sums OnesCount64
+// over the AND of those words. Cost is O(min(span)/64) summary words plus
+// one word AND per block where both sides hold vertices, independent of the
+// degrees.
 //
 // A summary bit live in both registers implies both underlying words carry
 // the current epoch (a word's summary bit is set exactly when the word is
 // freshly stamped), so the word AND below never reads a stale word; the
 // scan stops at the smaller span because an id marked in only one register
 // cannot be in the intersection.
-func (r *Register) AndInto(dst []int32, o *Register) []int32 {
-	lim := r.span
-	if o.span < lim {
-		lim = o.span
-	}
-	for s := int32(0); s<<6 < lim; s++ {
-		sw := r.liveSum(s) & o.liveSum(s)
-		for sw != 0 {
-			w := s<<6 + int32(bits.TrailingZeros64(sw))
-			sw &= sw - 1
-			word := r.words[w] & o.words[w]
-			base := w << 6
-			for word != 0 {
-				dst = append(dst, base+int32(bits.TrailingZeros64(word)))
-				word &= word - 1
-			}
-		}
-	}
-	return dst
-}
-
-// AndCount returns |marked(r) ∩ marked(o)| via OnesCount64 over the common
-// words, without materializing the intersection.
 func (r *Register) AndCount(o *Register) int {
 	lim := r.span
 	if o.span < lim {

@@ -31,7 +31,7 @@ func spanOf(lists ...[]int32) int32 {
 	return span
 }
 
-// TestAndAgainstReference pins the word-parallel kernels against the naive
+// TestAndAgainstReference pins the word-parallel kernel against the naive
 // reference and the scalar kernels on the adversarial shapes of the
 // satellite checklist: dense runs, hits at word and summary-block
 // boundaries, empty sides, and hub×hub lists.
@@ -70,30 +70,25 @@ func TestAndAgainstReference(t *testing.T) {
 			want := naiveIntersect(tc.a, tc.b)
 			span := spanOf(tc.a, tc.b)
 			markedPair(span, tc.a, tc.b, func(ra, rb *Register) {
-				got := ra.AndInto(nil, rb)
-				if !slices.Equal(got, want) && (len(got) != 0 || len(want) != 0) {
-					t.Errorf("AndInto = %v, want %v", got, want)
-				}
-				// Commutes, counts, and agrees with every scalar kernel.
-				rev := rb.AndInto(nil, ra)
-				if !slices.Equal(rev, got) {
-					t.Errorf("AndInto not symmetric: %v vs %v", rev, got)
-				}
+				// Counts, commutes, and agrees with every scalar kernel.
 				if c := ra.AndCount(rb); c != len(want) {
 					t.Errorf("AndCount = %d, want %d", c, len(want))
 				}
-				if sc := ra.IntersectInto(nil, tc.b); !slices.Equal(sc, got) && (len(sc) != 0 || len(got) != 0) {
-					t.Errorf("scalar probe %v disagrees with AndInto %v", sc, got)
+				if c := rb.AndCount(ra); c != len(want) {
+					t.Errorf("AndCount not symmetric: %d, want %d", c, len(want))
 				}
-				if lin := linearInto(nil, tc.a, tc.b); !slices.Equal(lin, got) && (len(lin) != 0 || len(got) != 0) {
-					t.Errorf("linear %v disagrees with AndInto %v", lin, got)
+				if sc := ra.IntersectInto(nil, tc.b); !slices.Equal(sc, want) && (len(sc) != 0 || len(want) != 0) {
+					t.Errorf("scalar probe %v, want %v", sc, want)
+				}
+				if lin := linearInto(nil, tc.a, tc.b); !slices.Equal(lin, want) && (len(lin) != 0 || len(want) != 0) {
+					t.Errorf("linear %v, want %v", lin, want)
 				}
 			})
 		})
 	}
 }
 
-// TestAndRandomized drives the word kernels over random size mixes,
+// TestAndRandomized drives the word kernel over random size mixes,
 // including skews where the registers' spans differ wildly, and re-marks
 // through epochs so the O(1) Unmark path is covered.
 func TestAndRandomized(t *testing.T) {
@@ -118,9 +113,8 @@ func TestAndRandomized(t *testing.T) {
 				ra.Mark(a)
 				rb.Mark(b)
 				want := naiveIntersect(a, b)
-				got := ra.AndInto(nil, rb)
-				if !slices.Equal(got, want) && (len(got) != 0 || len(want) != 0) {
-					t.Fatalf("la=%d lb=%d trial=%d: AndInto = %v, want %v", la, lb, trial, got, want)
+				if c := ra.AndCount(rb); c != len(want) {
+					t.Fatalf("la=%d lb=%d trial=%d: AndCount = %d, want %d", la, lb, trial, c, len(want))
 				}
 				if c := rb.AndCount(ra); c != len(want) {
 					t.Fatalf("la=%d lb=%d trial=%d: AndCount = %d, want %d", la, lb, trial, c, len(want))
@@ -144,12 +138,12 @@ func TestAndStaleEpochIsolation(t *testing.T) {
 		t.Fatalf("AndCount before Unmark = %d, want 4", got)
 	}
 	ra.Unmark()
-	if got := ra.AndInto(nil, rb); len(got) != 0 {
-		t.Fatalf("AndInto after one-sided Unmark = %v, want empty", got)
+	if got := ra.AndCount(rb); got != 0 {
+		t.Fatalf("AndCount after one-sided Unmark = %d, want 0", got)
 	}
 	ra.Mark([]int32{64, 200})
-	if got, want := ra.AndInto(nil, rb), []int32{64}; !slices.Equal(got, want) {
-		t.Fatalf("AndInto after re-mark = %v, want %v", got, want)
+	if got := ra.AndCount(rb); got != 1 || !ra.Contains(64) {
+		t.Fatalf("AndCount after re-mark = %d, want 1 (vertex 64)", got)
 	}
 	if ra.Contains(50000) {
 		t.Fatal("stale vertex still Contains after Unmark")
@@ -162,8 +156,8 @@ func TestChooseHub(t *testing.T) {
 		la, lb int
 		want   Strategy
 	}{
-		{HubDegree, HubDegree, StrategyWord},
-		{HubDegree + 100, HubDegree, StrategyWord},
+		{HubDegree, HubDegree, StrategyBitset},
+		{HubDegree + 100, HubDegree, StrategyBitset},
 		{HubDegree, 0, StrategyBitset},
 		{0, HubDegree, StrategyBitset},
 		{HubDegree - 1, HubDegree * 2, StrategyBitset},
@@ -176,12 +170,12 @@ func TestChooseHub(t *testing.T) {
 			t.Errorf("ChooseHub(%d,%d) = %v, want %v", tc.la, tc.lb, got, tc.want)
 		}
 	}
-	if StrategyWord.String() != "word" {
-		t.Errorf("StrategyWord.String() = %q", StrategyWord.String())
+	if StrategyBitset.String() != "bitset" {
+		t.Errorf("StrategyBitset.String() = %q", StrategyBitset.String())
 	}
 }
 
-// FuzzAnd cross-checks the word-parallel kernels against the scalar paths
+// FuzzAnd cross-checks the word-parallel kernel against the naive reference
 // on arbitrary byte-derived sorted lists, cycling registers through an
 // extra epoch so stale-word re-zeroing is always in play.
 func FuzzAnd(f *testing.F) {
@@ -203,10 +197,6 @@ func FuzzAnd(f *testing.F) {
 		rb.Unmark()
 		ra.Mark(a)
 		rb.Mark(b)
-		got := ra.AndInto(nil, rb)
-		if !slices.Equal(got, want) && (len(got) != 0 || len(want) != 0) {
-			t.Fatalf("AndInto(%v,%v) = %v, want %v", a, b, got, want)
-		}
 		if c := ra.AndCount(rb); c != len(want) {
 			t.Fatalf("AndCount(%v,%v) = %d, want %d", a, b, c, len(want))
 		}
@@ -342,10 +332,10 @@ func BenchmarkHubHubWordAnd(b *testing.B) {
 	rb := NewRegister(1 << 16)
 	ra.Mark(la)
 	rb.Mark(lb)
-	var dst []int32
+	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ra.AndInto(dst[:0], rb)
+		n += ra.AndCount(rb)
 	}
-	_ = dst
+	_ = n
 }

@@ -11,8 +11,7 @@
 //
 // Map is a linear-probing open-addressing table over packed uint64 pair keys
 // with int32 values: two flat slices, no per-entry allocation, deletion via
-// tombstones. Set is the same table without values, used to record globally
-// processed edges.
+// tombstones.
 package pairmap
 
 import "fmt"

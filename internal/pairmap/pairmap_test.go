@@ -214,34 +214,6 @@ func TestQuickAgainstBuiltinMap(t *testing.T) {
 	}
 }
 
-func TestSetBasics(t *testing.T) {
-	s := NewSet(4)
-	if s.Contains(Key(1, 2)) {
-		t.Fatal("empty set claims membership")
-	}
-	if !s.Insert(Key(1, 2)) {
-		t.Fatal("first insert returned false")
-	}
-	if s.Insert(Key(1, 2)) {
-		t.Fatal("duplicate insert returned true")
-	}
-	for i := int32(0); i < 1000; i++ {
-		s.Insert(Key(i, i+1))
-	}
-	// Key(1,2) was already present, so 1000 distinct keys total.
-	if s.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", s.Len())
-	}
-	for i := int32(0); i < 1000; i++ {
-		if !s.Contains(Key(i, i+1)) {
-			t.Fatalf("lost key %d after growth", i)
-		}
-	}
-	if s.Contains(Key(2000, 2001)) {
-		t.Fatal("phantom membership")
-	}
-}
-
 func TestMemoryFootprint(t *testing.T) {
 	m := NewWithCapacity(1000)
 	if m.MemoryFootprint() <= 0 {

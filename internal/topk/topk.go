@@ -9,8 +9,13 @@ type Item struct {
 	Score float64
 }
 
-// Bounded is the top-k result set R: a min-heap holding at most k items.
-// The zero value is not usable; construct with NewBounded.
+// Bounded is the top-k result set R: the k best items seen so far under the
+// total order "higher score first, ties by smaller label first", kept as a
+// heap with the worst held item at the root. Because the order is total,
+// the held set is a function of the offered items alone — not of the order
+// they were offered in — which is what lets every exact top-k path
+// (exhaustive, BaseBSearch, OptBSearch on any labeling) return the same
+// list. The zero value is not usable; construct with NewBounded.
 type Bounded struct {
 	k     int
 	items []Item
@@ -44,79 +49,65 @@ func (b *Bounded) label(v int32) int32 {
 // Full reports whether k items are held.
 func (b *Bounded) Full() bool { return len(b.items) == b.k }
 
-// Len returns the current number of items.
-func (b *Bounded) Len() int { return len(b.items) }
-
 // K returns the capacity.
 func (b *Bounded) K() int { return b.k }
 
-// Min returns the smallest score currently held — the pruning threshold
-// min_{v∈R} CB(v). It returns -Inf semantics via ok=false when R is not yet
+// Worst returns the held item that the next better offer would displace —
+// the lowest score, and among equal scores the largest label. Its score is
+// the pruning threshold min_{v∈R} CB(v). ok is false while R is not yet
 // full, because no pruning is possible then.
-func (b *Bounded) Min() (float64, bool) {
+func (b *Bounded) Worst() (Item, bool) {
 	if !b.Full() {
-		return 0, false
+		return Item{}, false
 	}
-	return b.items[0].Score, true
+	return b.items[0], true
 }
 
-// Add offers (v, score) to the result set. When full, the item replaces the
-// current minimum only if it scores strictly higher (ties keep the
-// incumbent, matching "any valid top-k" semantics under score ties).
+// Beats reports whether (v, score) ranks strictly before it in the result
+// order: a higher score, or the same score under a smaller label.
+func (b *Bounded) Beats(v int32, score float64, it Item) bool {
+	if score != it.Score {
+		return score > it.Score
+	}
+	return b.label(v) < b.label(it.V)
+}
+
+// Add offers (v, score) to the result set. When full, the item displaces
+// the worst held one only if it ranks strictly before it. Nearly every offer
+// to a full set scores below the worst held item; that case is settled here,
+// on one comparison the compiler inlines into the caller's loop.
 func (b *Bounded) Add(v int32, score float64) {
+	if len(b.items) == b.k && score < b.items[0].Score {
+		return
+	}
+	b.add(v, score)
+}
+
+func (b *Bounded) add(v int32, score float64) {
 	if len(b.items) < b.k {
 		b.items = append(b.items, Item{V: v, Score: score})
 		b.siftUp(len(b.items) - 1)
 		return
 	}
-	if score <= b.items[0].Score {
+	if !b.Beats(v, score, b.items[0]) {
 		return
 	}
 	b.items[0] = Item{V: v, Score: score}
 	b.siftDown(0)
 }
 
-// Remove deletes the entry for vertex v, reporting whether it was present.
-// It is used by the lazy maintainers when membership changes.
-func (b *Bounded) Remove(v int32) bool {
-	for i := range b.items {
-		if b.items[i].V == v {
-			last := len(b.items) - 1
-			b.items[i] = b.items[last]
-			b.items = b.items[:last]
-			if i < last {
-				b.siftDown(i)
-				b.siftUp(i)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// Results returns the held items sorted by descending score, ties by
-// ascending vertex id (external label when labeled) for deterministic
-// output.
+// Results returns the held items in result order: descending score, ties by
+// ascending vertex id (external label when labeled).
 func (b *Bounded) Results() []Item {
 	out := make([]Item, len(b.items))
 	copy(out, b.items)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return b.label(out[i].V) < b.label(out[j].V)
-	})
+	sort.Slice(out, func(i, j int) bool { return b.Beats(out[i].V, out[i].Score, out[j]) })
 	return out
 }
 
-// Items returns the unsorted underlying items (shared slice; read-only).
-func (b *Bounded) Items() []Item { return b.items }
-
+// less orders the heap worst-first: the reverse of the result order.
 func (b *Bounded) less(i, j int) bool {
-	if b.items[i].Score != b.items[j].Score {
-		return b.items[i].Score < b.items[j].Score
-	}
-	return b.label(b.items[i].V) < b.label(b.items[j].V)
+	return b.Beats(b.items[j].V, b.items[j].Score, b.items[i])
 }
 
 func (b *Bounded) siftUp(i int) {

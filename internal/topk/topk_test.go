@@ -11,8 +11,8 @@ func TestBoundedBasics(t *testing.T) {
 	if b.Full() {
 		t.Fatal("empty is not full")
 	}
-	if _, ok := b.Min(); ok {
-		t.Fatal("Min defined before full")
+	if _, ok := b.Worst(); ok {
+		t.Fatal("Worst defined before full")
 	}
 	b.Add(1, 10)
 	b.Add(2, 5)
@@ -20,12 +20,12 @@ func TestBoundedBasics(t *testing.T) {
 	if !b.Full() {
 		t.Fatal("should be full")
 	}
-	if min, _ := b.Min(); min != 5 {
-		t.Fatalf("min = %v, want 5", min)
+	if w, _ := b.Worst(); w != (Item{V: 2, Score: 5}) {
+		t.Fatalf("worst = %v, want vertex 2 at 5", w)
 	}
 	b.Add(4, 6) // evicts 5
-	if min, _ := b.Min(); min != 6 {
-		t.Fatalf("min = %v, want 6", min)
+	if w, _ := b.Worst(); w != (Item{V: 4, Score: 6}) {
+		t.Fatalf("worst = %v, want vertex 4 at 6", w)
 	}
 	b.Add(5, 1) // too small, ignored
 	res := b.Results()
@@ -37,33 +37,19 @@ func TestBoundedBasics(t *testing.T) {
 	}
 }
 
+// TestBoundedTieKeepsIncumbent: a score tie is decided by the label, so an
+// incumbent survives a tied offer under a larger id and yields to one under
+// a smaller id.
 func TestBoundedTieKeepsIncumbent(t *testing.T) {
 	b := NewBounded(1)
-	b.Add(1, 5)
 	b.Add(2, 5)
+	b.Add(3, 5)
+	if res := b.Results(); res[0].V != 2 {
+		t.Fatalf("tie under a larger id evicted the incumbent: %v", res)
+	}
+	b.Add(1, 5)
 	if res := b.Results(); res[0].V != 1 {
-		t.Fatalf("tie evicted incumbent: %v", res)
-	}
-}
-
-func TestBoundedRemove(t *testing.T) {
-	b := NewBounded(4)
-	for i := int32(1); i <= 4; i++ {
-		b.Add(i, float64(i))
-	}
-	if !b.Remove(2) {
-		t.Fatal("remove failed")
-	}
-	if b.Remove(2) {
-		t.Fatal("double remove succeeded")
-	}
-	if b.Len() != 3 || b.Full() {
-		t.Fatal("size wrong after remove")
-	}
-	b.Add(9, 0.5)
-	res := b.Results()
-	if len(res) != 4 || res[3].V != 9 {
-		t.Fatalf("results after refill: %v", res)
+		t.Fatalf("tie under a smaller id did not displace the incumbent: %v", res)
 	}
 }
 
