@@ -1,7 +1,10 @@
 // Package approx is the approximate serving tier: sampled top-k
-// ego-betweenness with probabilistic error bounds, for graphs where the
-// exact tier's per-query cost (~82ms OptBSearch on the 16k-vertex dblp
-// analog) is too slow.
+// ego-betweenness with probabilistic error bounds, for hub-heavy graphs
+// where even the exact tier's per-query cost — a kernel pass over the
+// largest egos — is more than an (ε, δ) answer needs to pay (DESIGN.md §15
+// has today's exact-vs-approx numbers). It owns the racing loop and the
+// stopping rule; everything per-ego — the exact fallback and the sampling
+// tables — comes from the dense kernel of internal/ego.
 //
 // The estimator treats CB(p) = Σ_{u<v ∈ N(p)} term(u,v) as ub(p)·E[X]
 // where ub(p) = d(d−1)/2 and X is the term of a uniformly drawn neighbor
@@ -46,6 +49,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,9 +71,8 @@ const (
 	// sqrt+log on the hot loop for no precision gain.
 	sampleBatch = 32
 	// roundBatches is how many sampleBatch groups a candidate draws per
-	// racing round. Larger rounds amortize the per-round center re-marking,
-	// smaller rounds prune losers sooner; two batches (64 draws) keeps the
-	// marking cost well under the sampling cost while still giving a
+	// racing round. Larger rounds amortize the per-round barrier, smaller
+	// rounds prune losers sooner; two batches (64 draws) still gives a
 	// t_max-budget candidate ~a dozen pruning checkpoints.
 	roundBatches = 2
 	// escalateMin floors both the initial candidate pool slack and each
@@ -128,21 +131,20 @@ const (
 // cand is one candidate's racing state. Workers touch a cand only inside
 // the round that owns it; pruning reads happen at the round barrier.
 //
-// nu/arena/off are the candidate's sampling tables, built once when it
-// enters the race: nu is the center's neighbor list, and arena[off[i]:
-// off[i+1]] is neighbor nu[i]'s adjacency restricted to the ego net,
-// R(nu[i]) = N(nu[i]) ∩ N(p). The pair term then needs only a merge of
-// two short restricted lists — c_p(u,v) = |R(u) ∩ R(v)| — instead of a
-// full-list three-way intersection per draw, which is where most of the
-// sampling time went. The tables are released the moment the candidate
-// leaves the race.
+// off/arena are the candidate's sampling tables: its own copy of the ego
+// CSR the exact kernel builds (ego.Scratch.EgoCSR), taken at its first
+// sampling touch. Row i, arena[off[i]:off[i+1]], is the i-th neighbor's
+// adjacency restricted to the ego net, R_i = N(N(p)[i]) ∩ N(p), as ascending
+// positions in N(p). A drawn pair {i, j} is adjacent iff j ∈ R_i, and
+// otherwise has c_p = |R_i ∩ R_j| connectors — one probe and one merge of
+// two short lists per draw, no graph access. The tables are released the
+// moment the candidate leaves the race.
 type cand struct {
 	v        int32
 	d        int
 	ub       float64
-	nu       []int32    // center's neighbor list (copied: stable across views)
-	arena    []int32    // concatenated restricted lists
-	off      []int32    // len d+1 prefix offsets into arena
+	off      []int      // len d+1 row offsets into arena
+	arena    []int32    // concatenated restricted lists, local ids
 	rng      *rand.Rand // per-vertex stream: pure in (seed, v)
 	t        int64      // pair samples drawn so far
 	mean, m2 float64    // Welford running moments of X
@@ -155,7 +157,7 @@ type cand struct {
 
 // release drops a candidate's sampling tables once it leaves the race.
 func (c *cand) release() {
-	c.nu, c.arena, c.off, c.rng = nil, nil, nil, nil
+	c.off, c.arena, c.rng = nil, nil, nil
 }
 
 // estimator carries the per-query constants shared by all workers.
@@ -168,8 +170,21 @@ type estimator struct {
 	hoeffL float64 // ln(2/δ) for the anytime Hoeffding half-width
 }
 
-// scratchPool recycles the per-worker ego scratch (center-mark register)
-// so the sampling loop itself is allocation-free.
+// newEstimator derives the per-query constants from resolved options.
+func newEstimator(g graph.View, o Options) *estimator {
+	delta := 1 - o.Conf
+	return &estimator{
+		g:      g,
+		eps:    o.Eps,
+		seed:   o.Seed,
+		tMax:   int64(math.Ceil(math.Log(2/delta) / (2 * o.Eps * o.Eps))),
+		bernL:  math.Log(3 / delta),
+		hoeffL: math.Log(2 / delta),
+	}
+}
+
+// scratchPool recycles the per-worker ego scratch the exact path and the
+// table copies run on.
 var scratchPool = sync.Pool{New: func() any { return ego.NewScratch(0) }}
 
 // streamOf decorrelates per-vertex PCG streams: a fixed odd multiplier
@@ -193,15 +208,7 @@ func TopK(g graph.View, k int, o Options) ([]ego.Result, Stats) {
 	if k > n {
 		k = n
 	}
-	delta := 1 - o.Conf
-	e := &estimator{
-		g:      g,
-		eps:    o.Eps,
-		seed:   o.Seed,
-		tMax:   int64(math.Ceil(math.Log(2/delta) / (2 * o.Eps * o.Eps))),
-		bernL:  math.Log(3 / delta),
-		hoeffL: math.Log(2 / delta),
-	}
+	e := newEstimator(g, o)
 
 	order := degreeOrder(g)
 	pool := k + escalateMin
@@ -399,35 +406,12 @@ func (e *estimator) runRound(work []*cand, workers int) {
 	wg.Wait()
 }
 
-// buildTables runs the one O(vol) pass over the center's neighborhood
-// volume that turns every later draw into a short merge.
-func (c *cand) buildTables(e *estimator, s *ego.Scratch) {
-	nu := s.BeginCenter(e.g, c.v)
-	c.nu = append(make([]int32, 0, len(nu)), nu...)
-	c.off = make([]int32, c.d+1)
-	c.arena = make([]int32, 0, 4*c.d)
-	for i, u := range c.nu {
-		c.off[i] = int32(len(c.arena))
-		c.arena = s.MarkedOf(c.arena, e.g.Neighbors(u))
-	}
-	c.off[c.d] = int32(len(c.arena))
-	s.EndCenter()
-}
-
 // round advances one candidate. Its first touch resolves it exactly when
 // its pair count is within the Hoeffding budget (sampling could not beat
-// enumeration) or seeds its stream; then it draws up to
-// roundBatches·sampleBatch pairs, re-certifying the confidence interval
-// after each batch.
-//
-// Draws run in one of two modes with identical values: direct (mark the
-// center, price each pair against the full adjacency rows) or through the
-// restricted tables. A direct draw touches two random neighbor rows,
-// ~2·vol/d elements, so t draws cost ~t·2·vol/d against the table build's
-// one O(vol) pass — tables win exactly when 2·(tMax−t) > d. Deciding at
-// the second round keeps first-round losers from paying a build they
-// never amortize, and keeps the biggest hubs (d beyond twice the whole
-// budget) on the direct path for good.
+// enumeration) or seeds its stream and copies its tables off the kernel's
+// ego CSR — one O(Σ_{v∈N(p)} d(v)) pass that turns every later draw into a
+// short merge; then it draws up to roundBatches·sampleBatch pairs,
+// re-certifying the confidence interval after each batch.
 func (e *estimator) round(c *cand, s *ego.Scratch) {
 	if c.state == candPending {
 		pairs := int64(c.d) * int64(c.d-1) / 2
@@ -438,15 +422,9 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 			return
 		}
 		c.rng = rand.New(rand.NewPCG(e.seed, streamOf(c.v)))
+		_, off, adj := s.EgoCSR(e.g, c.v)
+		c.off, c.arena = slices.Clone(off), slices.Clone(adj)
 		c.state = candAlive
-	}
-	if c.off == nil && c.t > 0 && 2*(e.tMax-c.t) > int64(c.d) {
-		c.buildTables(e, s)
-	}
-	var nu []int32
-	if c.off == nil {
-		nu = s.BeginCenter(e.g, c.v)
-		defer s.EndCenter()
 	}
 	d := c.d
 	// A candidate's first round is a single batch: losers prune after 32
@@ -467,23 +445,17 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 			if j >= i {
 				j++
 			}
+			// The pair is adjacent iff each sits in the other's restricted
+			// list — probe the shorter one.
+			ri := c.arena[c.off[i]:c.off[i+1]]
+			rj := c.arena[c.off[j]:c.off[j+1]]
+			short, other := ri, int32(j)
+			if len(rj) < len(ri) {
+				short, other = rj, int32(i)
+			}
 			var x float64
-			if c.off == nil {
-				x = s.PairContribution(e.g, nu[i], nu[j])
-			} else {
-				ru := c.arena[c.off[i]:c.off[i+1]]
-				rv := c.arena[c.off[j]:c.off[j+1]]
-				// Both endpoints are the center's neighbors, so u and v
-				// are adjacent iff v sits in R(u) = N(u) ∩ N(p) — probe
-				// the shorter restricted list, not the full adjacency row.
-				v := c.nu[j]
-				if len(rv) < len(ru) {
-					ru, rv = rv, ru
-					v = c.nu[i]
-				}
-				if !containsInt32(ru, v) {
-					x = 1 / float64(commonCount(ru, rv)+1)
-				}
+			if !containsInt32(short, other) {
+				x = 1 / float64(commonCount(ri, rj)+1)
 			}
 			c.t++
 			delta := x - c.mean

@@ -13,7 +13,7 @@ import (
 )
 
 // TestEverettBorgattiOracle cross-checks the closed-form oracle against
-// the evidence engine and the BFS reference on many random graphs — three
+// the per-ego kernel and the BFS reference on many random graphs — three
 // independent implementations agreeing on every vertex.
 func TestEverettBorgattiOracle(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
@@ -114,25 +114,7 @@ func TestTopKErrorBounds(t *testing.T) {
 func TestTopKDeterministicAcrossWorkersAndViews(t *testing.T) {
 	full := gen.BarabasiAlbert(800, 10, 3)
 
-	// Overlay: freeze a base missing the highest-vertex edges, then
-	// re-insert them through a DynGraph delta.
-	var baseEdges, extraEdges [][2]int32
-	graph.EachEdgeIn(full, func(u, v int32) bool {
-		if v >= 700 {
-			extraEdges = append(extraEdges, [2]int32{u, v})
-		} else {
-			baseEdges = append(baseEdges, [2]int32{u, v})
-		}
-		return true
-	})
-	base := graph.MustFromEdges(full.NumVertices(), baseEdges)
-	dyn := graph.DynFromGraph(base)
-	for _, e := range extraEdges {
-		if err := dyn.InsertEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	overlay := dyn.FreezeOverlay(base)
+	overlay := overlayOf(t, full)
 
 	// Fully dynamic copy.
 	dyn2 := graph.DynFromGraph(full)

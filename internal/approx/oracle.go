@@ -13,7 +13,7 @@ import "repro/internal/graph"
 // 2's Σ 1/(c_p(u,v)+1).
 //
 // The implementation is a dense O(d³) matrix product sharing no code with
-// the evidence engine, the per-vertex kernel, or the sampled estimator,
+// the per-ego kernel, the edge pass, or the sampled estimator,
 // which is what makes it an independent oracle for property tests.
 func EverettBorgatti(a graph.Adjacency, p int32) float64 {
 	nu := a.Neighbors(p)

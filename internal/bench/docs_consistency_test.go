@@ -77,7 +77,10 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 // examples name the user's own files — a bare file name, which must match
 // some file of the repository. The CI workflow and the verify skill are
 // scanned too, for the one spelling their command lines use: a ./internal/…
-// or ./cmd/… package path, which must be a directory.
+// or ./cmd/… package path, which must be a directory. Finally the living
+// documents — README, DESIGN, the workflow and the skill; EXPERIMENTS.md is
+// a dated record and may name what it measured — must not name a retired
+// symbol (retiredSymbols), and no Go file may declare one again.
 func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	root := repoRoot(t)
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -89,6 +92,8 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 	baseNames := map[string]bool{}
+	retired := regexp.MustCompile(`\b(` + strings.Join(retiredSymbols, "|") + `)\b`)
+	retiredDecl := regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?(` + strings.Join(retiredSymbols, "|") + `)\(`)
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -97,6 +102,15 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 			return filepath.SkipDir
 		}
 		baseNames[d.Name()] = true
+		if strings.HasSuffix(path, ".go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range retiredDecl.FindAllSubmatch(src, -1) {
+				t.Errorf("%s declares %s, which retiredSymbols lists as deleted", path, m[1])
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -161,10 +175,16 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	}
 
 	pkgPath := regexp.MustCompile(`\./(?:internal|cmd)/[A-Za-z0-9_/-]+`)
-	for _, doc := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, sym := range retired.FindAllString(string(raw), -1) {
+			t.Errorf("%s names %s, which is deleted", doc, sym)
+		}
+		if strings.HasSuffix(doc, ".md") && !strings.Contains(doc, "/") {
+			continue // top-level documents: their paths were checked above
 		}
 		for _, pkg := range pkgPath.FindAllString(string(raw), -1) {
 			if !isDir(strings.TrimRight(pkg, "/")) {
@@ -172,4 +192,16 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 			}
 		}
 	}
+}
+
+// retiredSymbols are the functions and methods deleted when the ego CSR
+// became the only per-ego substrate: the sequential edge-by-edge evidence
+// engine, the register-based sampling API with its direct-probe fork, the
+// nbr exports they were the last callers of, and the from-scores
+// constructors the kernel sweep made redundant.
+var retiredSymbols = []string{
+	"applyEdge", "NonAdjacentPairs",
+	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
+	"CommonMarkedCount", "ForEachCommon", "EachCommon",
+	"NewMaintainerFromScores", "NewLazyTopKFromScores",
 }

@@ -134,18 +134,20 @@ func (h *lazyHeap) grow(n int32) {
 // NewLazyTopK initializes the maintainer: all scores computed exactly once,
 // the k best become the result set R, everything else enters the candidate
 // heap (the paper's sorted list H).
-func NewLazyTopK(g *graph.Graph, k int) *LazyTopK {
-	return NewLazyTopKFromScores(g, k, ego.ComputeAll(g))
-}
+func NewLazyTopK(g *graph.Graph, k int) *LazyTopK { return NewLazyTopKParallel(g, k, 1) }
 
-// NewLazyTopKFromScores is NewLazyTopK over an already-computed exact score
-// vector (for example the parallel EdgePEBW engine's output), taking
-// ownership of it. len(cb) must equal g.NumVertices().
-func NewLazyTopKFromScores(g *graph.Graph, k int, cb []float64) *LazyTopK {
+// NewLazyTopKParallel is NewLazyTopK with the initial score vector computed
+// by `workers` goroutines (sweep); the scores, and hence the maintainer, are
+// bit-identical to NewLazyTopK's.
+func NewLazyTopKParallel(g *graph.Graph, k, workers int) *LazyTopK {
 	if k < 1 {
 		k = 1
 	}
 	n := g.NumVertices()
+	cb := make([]float64, n)
+	sweep(g, workers, func(v int32, s *ego.Scratch) {
+		cb[v] = ego.EgoBetweenness(g, v, s)
+	})
 	lt := &LazyTopK{
 		g:       graph.DynFromGraph(g),
 		k:       k,

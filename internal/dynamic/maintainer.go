@@ -65,21 +65,23 @@ type MaintainerStats struct {
 }
 
 // NewMaintainer builds the maintainer from a static snapshot, computing all
-// ego-betweennesses and taking ownership of the evidence maps.
-func NewMaintainer(g *graph.Graph) *Maintainer {
-	cb, maps := ego.ComputeAllWithMaps(g)
-	return NewMaintainerFromScores(g, cb, maps)
-}
+// ego-betweennesses and taking ownership of the evidence maps the per-ego
+// kernel emits along the way.
+func NewMaintainer(g *graph.Graph) *Maintainer { return NewMaintainerParallel(g, 1) }
 
-// NewMaintainerFromScores builds the maintainer from an already-computed
-// score vector and evidence maps (for example the parallel EdgePEBW
-// engine's output), taking ownership of both. len(cb) and len(maps) must
-// equal g.NumVertices().
-func NewMaintainerFromScores(g *graph.Graph, cb []float64, maps []*pairmap.Map) *Maintainer {
+// NewMaintainerParallel is NewMaintainer with the initial computation spread
+// over `workers` goroutines (sweep); it starts bit-identical to the
+// sequential construction, maps included.
+func NewMaintainerParallel(g *graph.Graph, workers int) *Maintainer {
+	n := g.NumVertices()
+	cb, maps := make([]float64, n), make([]*pairmap.Map, n)
+	sweep(g, workers, func(v int32, s *ego.Scratch) {
+		cb[v], maps[v] = ego.EgoBetweennessWithMap(g, v, s)
+	})
 	return &Maintainer{
 		g: graph.DynFromGraph(g), s: maps, cb: cb,
-		reg:      nbr.NewRegister(g.NumVertices()),
-		dirtySet: make([]bool, g.NumVertices()),
+		reg:      nbr.NewRegister(n),
+		dirtySet: make([]bool, n),
 	}
 }
 

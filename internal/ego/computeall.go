@@ -2,7 +2,6 @@ package ego
 
 import (
 	"repro/internal/graph"
-	"repro/internal/nbr"
 	"repro/internal/pairmap"
 )
 
@@ -10,8 +9,7 @@ import (
 // (frozen CSR, overlay, or dynamic graph): one EgoBetweenness per vertex
 // over a single Scratch. Time O(Σ_v d(v)² + Σ_p Σ_{v∈N(p)} |T_v|²) array
 // steps (see EgoBetweenness), space O(n) for the result plus the Scratch's
-// O(d_max + edges of the largest ego network). Bit-identical to scoring the
-// completed maps of ComputeAllWithMaps.
+// O(d_max + edges of the largest ego network).
 func ComputeAll(g graph.View) []float64 {
 	n := g.NumVertices()
 	cb := make([]float64, n)
@@ -22,26 +20,18 @@ func ComputeAll(g graph.View) []float64 {
 	return cb
 }
 
-// ComputeAllWithMaps computes every score on the evidence engine and also
-// returns the completed evidence maps, which the dynamic maintenance
-// algorithms take ownership of. It processes every undirected edge exactly
-// once (markers + credits, see the package comment); time O(α·m·d_max) in
-// the worst case, space O(m·d_max), matching Theorem 2. maps[v] may be nil
-// when vertex v accumulated no evidence (no edges inside GE(v) beyond the
-// spokes); such vertices have CB(v) = d(d−1)/2.
+// ComputeAllWithMaps is ComputeAll that also returns every vertex's
+// completed evidence map (EgoBetweennessWithMap), which the dynamic
+// maintainers take ownership of; space O(m·d_max) in the worst case,
+// matching Theorem 2. The scores are the same bits as ComputeAll's.
 func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
-	e := &evidence{g: g, maps: make([]*pairmap.Map, g.NumVertices())}
-	var comm []int32
-	graph.EachEdgeIn(g, func(u, v int32) bool {
-		comm = nbr.CommonInto(comm[:0], g, u, v)
-		e.applyEdge(u, v, comm)
-		return true
-	})
-	cb := make([]float64, g.NumVertices())
-	for v := int32(0); v < g.NumVertices(); v++ {
-		cb[v] = ScoreEvidence(g.Degree(v), e.maps[v])
+	n := g.NumVertices()
+	cb, maps := make([]float64, n), make([]*pairmap.Map, n)
+	s := NewScratch(n)
+	for v := int32(0); v < n; v++ {
+		cb[v], maps[v] = EgoBetweennessWithMap(g, v, s)
 	}
-	return cb, e.maps
+	return cb, maps
 }
 
 // EgoBetweenness computes CB(p) for a single vertex from scratch (the core
@@ -66,26 +56,55 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 //     is bit-identical to ScoreEvidence over a completed evidence map,
 //     under any vertex labeling.
 //
-// This is a sparse evaluation of Everett–Borgatti's A²∘(1−A) over the ego
-// adjacency A, in O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
+// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.count. This is a sparse
+// evaluation of Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
+// O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 	cb, _, _ := egoKernel(a, p, s)
 	return cb
 }
 
-// egoKernel is EgoBetweenness that also hands back the ego CSR of step 2 —
-// row i of (off, adj) is T_v for v = N(p)[i], as ascending positions in
-// N(p) — valid until the next call on s. The top-k search reads p's
-// triangles off it. Both are empty when d(p) < 2: such an ego has no
-// neighbor pair, and no CSR is built for it.
+// egoKernel is EgoBetweenness that also hands back the ego CSR it scored
+// (see EgoCSR). The top-k search reads p's triangles off it.
 func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, adj []int32) {
-	nu := a.Neighbors(p)
-	d := len(nu)
-	if d < 2 {
-		return 0, nil, nil
-	}
 	if s == nil {
 		s = NewScratch(a.NumVertices())
+	}
+	nu, off, adj := s.EgoCSR(a, p)
+	return s.count(nu, off, adj, nil), off, adj
+}
+
+// EgoBetweennessWithMap is EgoBetweenness that also emits p's completed
+// evidence map S_p (Theorem 2; the state LocalInsert / LocalDelete repair):
+// a marker for every adjacent neighbor pair and the connector count of every
+// non-adjacent pair with at least one connector, keyed by global vertex ids.
+// The map is owned by the caller; it is nil when GE(p) has no edge beyond the
+// spokes — no evidence, CB(p) = d(d−1)/2. ScoreEvidence over it returns cb.
+func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, m *pairmap.Map) {
+	if s == nil {
+		s = NewScratch(a.NumVertices())
+	}
+	nu, off, adj := s.EgoCSR(a, p)
+	if len(adj) > 0 {
+		m = pairmap.NewWithCapacity(len(nu))
+	}
+	return s.count(nu, off, adj, m), m
+}
+
+// EgoCSR numbers N(p) as local ids 0…d−1 in neighbor-list order — nu, p's
+// neighbor list, is the local id → vertex table — and builds the CSR of the
+// ego network on them: row i of (off, adj) is T_v = N(v) ∩ N(p) for
+// v = nu[i], as ascending local ids, so every ego-internal edge appears once
+// from each side. It is the one per-ego substrate — the score, the evidence
+// map, the search's triangle credits and the sampled estimator's tables are
+// all read off it. off and adj alias the Scratch and are valid until its
+// next call; both are empty when d(p) < 2: such an ego has no neighbor pair,
+// and no CSR is built for it.
+func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj []int32) {
+	nu = a.Neighbors(p)
+	d := len(nu)
+	if d < 2 {
+		return nu, nil, nil
 	}
 	s.ensure(int(a.NumVertices()), d)
 
@@ -107,10 +126,22 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 	for _, v := range nu {
 		loc[v] = 0
 	}
+	return nu, off, adj
+}
 
+// count is the kernel's counting pass (steps 3–4 of EgoBetweenness) over the
+// ego CSR EgoCSR built for the vertex whose neighbor list is nu. With a
+// non-nil sink it also records the evidence: a marker per adjacent pair and
+// the final connector count per touched pair, each written once, outside the
+// inner loop.
+func (s *Scratch) count(nu []int32, off []int, adj []int32, sink *pairmap.Map) float64 {
+	d := len(nu)
+	if d < 2 {
+		return 0
+	}
 	// cnt and hist are all-zero between calls; every entry written below is
 	// reset before returning.
-	pos, cnt, hist, touched := s.pos[:d], s.cnt[:d], s.hist[:d], s.touched[:0]
+	pos, cnt, hist, touched := s.pos[:d], s.cnt[:d], s.hist[:d], s.touched[:d]
 	copy(pos, off)
 	hist[0] = int64(len(adj) / 2)
 	for x := 0; x < d; x++ {
@@ -119,6 +150,7 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 		for _, y := range above {
 			cnt[y] = -1
 		}
+		nt := 0
 		for _, v := range adj[off[x]:off[x+1]] {
 			pos[v]++
 			for _, y := range adj[pos[v]:off[v+1]] {
@@ -126,46 +158,50 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 				if c < 0 {
 					continue
 				}
-				if c == 0 {
-					touched = append(touched, y)
+				if c == 0 { // at most d ids are touched per x
+					touched[nt] = y
+					nt++
 				}
 				cnt[y] = c + 1
 			}
 		}
-		for _, y := range touched {
+		if sink != nil {
+			for _, y := range above {
+				sink.SetMarker(pairmap.Key(nu[x], nu[y]))
+			}
+			for _, y := range touched[:nt] {
+				sink.Set(pairmap.Key(nu[x], nu[y]), cnt[y])
+			}
+		}
+		for _, y := range touched[:nt] {
 			hist[cnt[y]]++
 			cnt[y] = 0
 		}
-		touched = touched[:0]
 		for _, y := range above {
 			cnt[y] = 0
 		}
 	}
-	s.touched = touched
-	cb = foldScore(int32(d), hist)
+	cb := foldScore(int32(d), hist)
 	clear(hist)
-	return cb, off, adj
+	return cb
 }
 
-// Scratch holds the reusable state of EgoBetweenness — the vertex → local id
-// table and the dense per-ego arrays — plus the center bitset register of
-// the sampling API (sample.go).
+// Scratch holds the reusable state of the per-ego kernel: the vertex → local
+// id table and the dense per-ego arrays.
 type Scratch struct {
-	reg *nbr.Register
-
 	loc     []int32 // vertex → local id + 1 inside the current ego, else 0
 	off     []int   // ego CSR offsets, d+1 entries
 	adj     []int32 // ego CSR: T_v as ascending local ids
 	pos     []int   // per-connector cursor into adj
 	cnt     []int32 // connector count of the pair (x, y) in flight; −1 = adjacent
-	touched []int32 // ids with cnt > 0
+	touched []int32 // ids with cnt > 0 for the x in flight, d slots
 	hist    []int64 // hist[c] = pairs with c connectors; hist[0] = adjacent pairs
 }
 
 // NewScratch returns scratch space for graphs with up to n vertices; it
 // grows automatically if the graph does.
 func NewScratch(n int32) *Scratch {
-	return &Scratch{reg: nbr.NewRegister(n), loc: make([]int32, n)}
+	return &Scratch{loc: make([]int32, n)}
 }
 
 // ensure sizes the arrays for a graph of n vertices and an ego of degree d.
@@ -176,6 +212,7 @@ func (s *Scratch) ensure(n, d int) {
 	if len(s.cnt) < d {
 		s.pos = append(s.pos, make([]int, d-len(s.pos))...)
 		s.cnt = append(s.cnt, make([]int32, d-len(s.cnt))...)
+		s.touched = append(s.touched, make([]int32, d-len(s.touched))...)
 		s.hist = append(s.hist, make([]int64, d-len(s.hist))...)
 	}
 }

@@ -8,13 +8,18 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/nbr"
+	"repro/internal/pairmap"
 )
 
-// assertKernelExact checks, with == and no tolerance, that the three exact
-// paths agree on every vertex of a: the dense kernel loop (ComputeAll), the
-// evidence engine's completed maps scored by ScoreEvidence, and the
-// per-vertex kernel over a Scratch shared across the whole run. It returns
-// the score vector.
+// assertKernelExact checks, with == and no tolerance, that the exact paths
+// agree on every vertex of a: the dense kernel loop (ComputeAll), the
+// kernel-emitted evidence maps scored by ScoreEvidence, and the per-vertex
+// kernel over a Scratch shared across the whole run — and that every emitted
+// map is the one the definition gives (referenceMap): same keys, same
+// values, nil for the same vertices. (The second independent check of the
+// maps, against the paper's edge pass, is internal/parallel's
+// TestKernelMapsMatchEdgePass.) It returns the score vector.
 func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []float64 {
 	t.Helper()
 	all := ComputeAll(a)
@@ -30,8 +35,54 @@ func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []fl
 		if math.Signbit(all[v]) {
 			t.Fatalf("%s: vertex %d: negative zero or negative score %v", name, v, all[v])
 		}
+		want := referenceMap(a, v)
+		if (maps[v] == nil) != (want == nil) {
+			t.Fatalf("%s: vertex %d: kernel map nil = %v, by definition nil = %v", name, v, maps[v] == nil, want == nil)
+		}
+		if want == nil {
+			continue
+		}
+		if maps[v].Len() != want.Len() {
+			t.Fatalf("%s: vertex %d: kernel map has %d entries, by definition %d", name, v, maps[v].Len(), want.Len())
+		}
+		want.Iterate(func(k uint64, c int32) bool {
+			if got, ok := maps[v].Get(k); !ok || got != c {
+				x, y := pairmap.Split(k)
+				t.Fatalf("%s: vertex %d pair (%d,%d): kernel map (%d, %v), by definition %d", name, v, x, y, got, ok, c)
+			}
+			return true
+		})
 	}
 	return all
+}
+
+// referenceMap builds the evidence map S_p straight from its definition, one
+// neighbor pair at a time: a marker when the pair is adjacent, otherwise its
+// connector count |N(u) ∩ N(v) ∩ N(p)| when that is positive; nil when no
+// pair has an entry.
+func referenceMap(a graph.View, p int32) *pairmap.Map {
+	var m *pairmap.Map
+	set := func(u, v, c int32) {
+		if m == nil {
+			m = pairmap.New()
+		}
+		m.Set(pairmap.Key(u, v), c)
+	}
+	nu := a.Neighbors(p)
+	var comm []int32
+	for i, u := range nu {
+		for _, v := range nu[i+1:] {
+			if a.HasEdge(u, v) {
+				set(u, v, pairmap.Marker)
+				continue
+			}
+			comm = nbr.IntersectInto(comm[:0], a.Neighbors(u), a.Neighbors(v))
+			if c := nbr.IntersectCount(comm, nu); c > 0 {
+				set(u, v, int32(c))
+			}
+		}
+	}
+	return m
 }
 
 // TestKernelOneScoreFold pins the single score fold: every exact path
@@ -165,9 +216,9 @@ func kernelCases() map[string]*graph.Graph {
 }
 
 // assertKernelOracles checks the dense kernel against two independent
-// implementations: the evidence engine (assertKernelExact; same histogram,
-// hence ==) and Brandes-style BFS path counting on the extracted ego network
-// (ReferenceBFS; different float order, hence a tolerance).
+// implementations: the evidence maps by definition (assertKernelExact; same
+// histogram, hence ==) and Brandes-style BFS path counting on the extracted
+// ego network (ReferenceBFS; different float order, hence a tolerance).
 func assertKernelOracles(t *testing.T, name string, g *graph.Graph, s *Scratch) {
 	t.Helper()
 	all := assertKernelExact(t, name, g, s)
@@ -201,8 +252,8 @@ func fuzzGraph(data []byte) *graph.Graph {
 	return graph.MustFromEdges(n, edges)
 }
 
-// FuzzEgoKernel: on any edge list the dense kernel, the evidence engine and
-// the BFS oracle agree, and nothing panics. Seed corpus in
+// FuzzEgoKernel: on any edge list the dense kernel, the maps it emits, their
+// definition and the BFS oracle agree, and nothing panics. Seed corpus in
 // testdata/fuzz/FuzzEgoKernel.
 func FuzzEgoKernel(f *testing.F) {
 	f.Add([]byte{})

@@ -44,7 +44,7 @@ func BenchmarkGallopHub(b *testing.B) {
 }
 
 // BenchmarkRegisterHub measures the pooled-bitset kernel: mark the hub once,
-// probe every leaf — the per-center amortization the evidence engine uses.
+// probe every leaf — the per-center amortization the maintainers' hub scans use.
 func BenchmarkRegisterHub(b *testing.B) {
 	hub, leaves := benchLists(8192, 64, 64)
 	reg := AcquireRegister(4 * 8192)

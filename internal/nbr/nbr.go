@@ -99,109 +99,6 @@ func IntersectCount(a, b []int32) int {
 	return linearCount(a, b)
 }
 
-// CommonMarkedCount returns |a ∩ b ∩ marked(r)| — the fused three-way
-// kernel of the sampled estimator: with a center's neighborhood pre-marked
-// in r, one call counts the connectors c(u, v) of a neighbor pair without
-// materializing a ∩ b. Dispatch mirrors IntersectCount (linear merge vs
-// galloping on the length ratio); each common element costs one extra word
-// probe. Both lists must be strictly ascending and within r's Ensured
-// capacity.
-func CommonMarkedCount(r *Register, a, b []int32) int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var n int32
-	e := r.epoch
-	words, stamps := r.words, r.stamps
-	probe := func(v int32) bool {
-		w := uint32(v) >> 6
-		return stamps[w] == e && words[w]&(1<<(uint32(v)&63)) != 0
-	}
-	if len(b) >= GallopRatio*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo = gallopTo(b, lo, x)
-			if lo >= len(b) {
-				return n
-			}
-			if b[lo] == x {
-				if probe(x) {
-					n++
-				}
-				lo++
-				if lo >= len(b) {
-					return n
-				}
-			}
-		}
-		return n
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			if probe(a[i]) {
-				n++
-			}
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// ForEachCommon calls fn for every element of a ∩ b in ascending order,
-// stopping early when fn returns false. It allocates nothing.
-func ForEachCommon(a, b []int32, fn func(int32) bool) {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return
-	}
-	if len(b) >= GallopRatio*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo = gallopTo(b, lo, x)
-			if lo >= len(b) {
-				return
-			}
-			if b[lo] == x {
-				if !fn(x) {
-					return
-				}
-				lo++
-				if lo >= len(b) {
-					return
-				}
-			}
-		}
-		return
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			if !fn(a[i]) {
-				return
-			}
-			i++
-			j++
-		}
-	}
-}
-
 // linearInto is the balanced two-pointer merge.
 func linearInto(dst, a, b []int32) []int32 {
 	i, j := 0, 0

@@ -60,14 +60,7 @@ func allStrategies(t *testing.T, a, b []int32, check func(name string, got []int
 	reg := AcquireRegister(span)
 	reg.Mark(a)
 	check("Register.IntersectInto", reg.IntersectInto(nil, b))
-	if got, want := reg.Count(b), len(naiveIntersect(a, b)); got != want {
-		t.Errorf("Register.Count = %d, want %d", got, want)
-	}
 	ReleaseRegister(reg)
-
-	var each []int32
-	ForEachCommon(a, b, func(v int32) bool { each = append(each, v); return true })
-	check("ForEachCommon", each)
 
 	if got, want := IntersectCount(a, b), len(naiveIntersect(a, b)); got != want {
 		t.Errorf("IntersectCount = %d, want %d", got, want)
@@ -169,22 +162,8 @@ func TestChoose(t *testing.T) {
 	}
 }
 
-// TestForEachCommonEarlyStop checks that returning false stops iteration.
-func TestForEachCommonEarlyStop(t *testing.T) {
-	a := []int32{1, 2, 3, 4, 5}
-	b := []int32{2, 3, 4}
-	var seen []int32
-	ForEachCommon(a, b, func(v int32) bool {
-		seen = append(seen, v)
-		return len(seen) < 2
-	})
-	if !slices.Equal(seen, []int32{2, 3}) {
-		t.Errorf("early stop saw %v, want [2 3]", seen)
-	}
-}
-
 // TestRegisterReuse exercises mark/unmark cycles through the pool, which is
-// exactly the per-center amortization pattern of the evidence engine.
+// exactly the per-center amortization pattern of the maintainers' hub scans.
 func TestRegisterReuse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	reg := AcquireRegister(1 << 16)
@@ -254,47 +233,4 @@ func bytesToSorted(bs []byte) []int32 {
 		out = append(out, cur)
 	}
 	return out
-}
-
-// TestCommonMarkedCount cross-checks the fused three-way kernel against
-// the naive composition (intersect, then filter by membership) across
-// random list shapes on both the linear and galloping dispatch paths.
-func TestCommonMarkedCount(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 23))
-	for trial := 0; trial < 200; trial++ {
-		span := int32(64 + rng.IntN(2048))
-		clamp := func(n int) int {
-			if n > int(span)/2 {
-				return int(span) / 2 // sortedList needs n distinct draws from [0, span)
-			}
-			return n
-		}
-		a := sortedList(rng, clamp(rng.IntN(80)), span)
-		b := a
-		if rng.IntN(4) > 0 {
-			b = sortedList(rng, clamp(rng.IntN(1200)), span) // often ≥16× |a| → gallop path
-		}
-		marked := sortedList(rng, clamp(rng.IntN(128)), span)
-		reg := AcquireRegister(span)
-		reg.Mark(marked)
-		want := int32(0)
-		for _, v := range naiveIntersect(a, b) {
-			if slices.Contains(marked, v) {
-				want++
-			}
-		}
-		if got := CommonMarkedCount(reg, a, b); got != want {
-			t.Fatalf("CommonMarkedCount(|a|=%d,|b|=%d,|m|=%d) = %d, want %d",
-				len(a), len(b), len(marked), got, want)
-		}
-		if got := CommonMarkedCount(reg, b, a); got != want {
-			t.Fatalf("CommonMarkedCount swapped = %d, want %d", got, want)
-		}
-		ReleaseRegister(reg)
-	}
-	reg := AcquireRegister(8)
-	if got := CommonMarkedCount(reg, nil, []int32{1, 2}); got != 0 {
-		t.Fatalf("empty list count = %d, want 0", got)
-	}
-	ReleaseRegister(reg)
 }

@@ -176,20 +176,6 @@ func (r *Register) IntersectInto(dst, list []int32) []int32 {
 	return dst
 }
 
-// Count returns |list ∩ marked|.
-func (r *Register) Count(list []int32) int {
-	n := 0
-	e := r.epoch
-	words, stamps := r.words, r.stamps
-	for _, v := range list {
-		w := uint32(v) >> 6
-		if stamps[w] == e && words[w]&(1<<(uint32(v)&63)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // liveSum returns the summary word s, or 0 when it is stale this epoch.
 func (r *Register) liveSum(s int32) uint64 {
 	if r.sumStamps[s] != r.epoch {

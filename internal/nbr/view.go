@@ -13,8 +13,8 @@ type View interface {
 
 // CommonInto appends N(u) ∩ N(v) of the view to dst and returns the
 // extended slice, dispatching on the adaptive merge/gallop kernels. It is
-// the view-level entry point the evidence engines and maintainers use so
-// they run identically on any representation.
+// the view-level entry point the maintainers use so they run identically on
+// any representation.
 func CommonInto(dst []int32, g View, u, v int32) []int32 {
 	return IntersectInto(dst, g.Neighbors(u), g.Neighbors(v))
 }
@@ -22,10 +22,4 @@ func CommonInto(dst []int32, g View, u, v int32) []int32 {
 // CommonCount returns |N(u) ∩ N(v)| without materializing the intersection.
 func CommonCount(g View, u, v int32) int {
 	return IntersectCount(g.Neighbors(u), g.Neighbors(v))
-}
-
-// EachCommon calls fn for every w ∈ N(u) ∩ N(v) in ascending order,
-// stopping early when fn returns false. It allocates nothing.
-func EachCommon(g View, u, v int32, fn func(int32) bool) {
-	ForEachCommon(g.Neighbors(u), g.Neighbors(v), fn)
 }

@@ -87,7 +87,7 @@ const (
 
 // workerScratch is the per-worker reusable state: the common-neighborhood
 // buffer, the collected non-adjacent pair keys of the edge in flight, and
-// the intersection scratch ego.NonAdjacentPairs collects them through.
+// the intersection scratch nonAdjacentPairs collects them through.
 // Keeping them on the worker (instead of per processEdge call) makes the
 // steady path allocation-free once the buffers have warmed to the graph's
 // degree profile.
@@ -97,24 +97,73 @@ type workerScratch struct {
 	adj   []int32
 }
 
+// nonAdjacentPairs appends to pairs the pairmap keys of the non-adjacent
+// pairs of comm — an edge's common neighborhood, ascending — in (i, j)
+// order: the pairs that edge connects, credited to both its endpoints. comm
+// is ascending, so the later members adjacent to comm[i] come out of one
+// sorted intersection with its neighbor list instead of a HasEdge probe per
+// pair. Both buffers are the caller's: pairs is extended, adj is scratch
+// for the intersections; both come back, possibly regrown.
+func nonAdjacentPairs(g *graph.Graph, comm []int32, pairs []uint64, adj []int32) ([]uint64, []int32) {
+	for i := 0; i+1 < len(comm); i++ {
+		p, rest := comm[i], comm[i+1:]
+		adj = nbr.IntersectInto(adj[:0], rest, g.Neighbors(p))
+		hit := adj
+		for _, q := range rest {
+			if len(hit) > 0 && hit[0] == q {
+				hit = hit[1:]
+				continue
+			}
+			pairs = append(pairs, pairmap.Key(p, q))
+		}
+	}
+	return pairs, adj
+}
+
 // ComputeAll computes every vertex's exact ego-betweenness with t workers
 // using the given strategy. t ≤ 0 selects GOMAXPROCS. The result is
 // bit-identical to the sequential ego.ComputeAll at any worker count: the
-// workers only fill integer evidence maps, and ego.ScoreEvidence folds each
-// map's histogram in one canonical order.
+// workers only fill integer evidence maps (edgePass), and ego.ScoreEvidence
+// folds each map's histogram in one canonical order.
 func ComputeAll(g *graph.Graph, t int, strategy Strategy) ([]float64, Stats) {
-	cb, _, st := ComputeAllWithMaps(g, t, strategy)
-	return cb, st
-}
-
-// ComputeAllWithMaps is ComputeAll but also returns the completed evidence
-// maps, which the dynamic maintainers take ownership of — the parallel
-// counterpart of ego.ComputeAllWithMaps, used by the serving layer to build
-// a graph's initial snapshot with a worker budget.
-func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []*pairmap.Map, Stats) {
 	if t <= 0 {
 		t = runtime.GOMAXPROCS(0)
 	}
+	start := time.Now()
+	maps, st := edgePass(g, t, strategy)
+
+	// Scoring phase: read-only over completed maps, embarrassingly parallel.
+	n := g.NumVertices()
+	cb := make([]float64, n)
+	var cursor atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < t; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				v := cursor.Add(1) - 1
+				if v >= n {
+					break
+				}
+				cb[v] = ego.ScoreEvidence(g.Degree(v), maps[v])
+			}
+		}()
+	}
+	wg.Wait()
+	st.Elapsed = time.Since(start)
+	return cb, st
+}
+
+// edgePass is the paper's once-per-edge evidence pass under t workers: every
+// undirected edge (a, b), owned by its ≺-earlier endpoint, marks the pair
+// (a, b) adjacent in the map of every common neighbor and credits one
+// connector to every non-adjacent pair of N(a) ∩ N(b) in the maps of a and
+// b. A credit (center, pair, connector) is produced only by the edge
+// (center, connector), so once every edge is processed each map is exact. It
+// returns the completed maps — maps[v] is nil when v accumulated no evidence
+// — and the work statistics (Elapsed is the caller's to set).
+func edgePass(g *graph.Graph, t int, strategy Strategy) ([]*pairmap.Map, Stats) {
 	n := g.NumVertices()
 	st := Stats{
 		Threads:       t,
@@ -122,7 +171,6 @@ func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []
 		WorkPerWorker: make([]int64, t),
 		BusyPerWorker: make([]time.Duration, t),
 	}
-	start := time.Now()
 
 	o := graph.Orient(g)
 	maps := make([]*pairmap.Map, n)
@@ -144,11 +192,10 @@ func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []
 	}
 	lockOf := func(v int32) *sync.Mutex { return &stripes[uint32(v)%stripeCount] }
 
-	// processEdge applies the markers and credits of one undirected edge
-	// (see internal/ego): the mutation set per call touches each target
-	// vertex under its own stripe, one lock at a time (no nesting → no
-	// deadlock). All scratch lives on the worker, so the steady path
-	// allocates nothing.
+	// processEdge applies the markers and credits of one undirected edge:
+	// the mutation set per call touches each target vertex under its own
+	// stripe, one lock at a time (no nesting → no deadlock). All scratch
+	// lives on the worker, so the steady path allocates nothing.
 	processEdge := func(a, b int32, ws *workerScratch, work *int64) {
 		ws.comm = nbr.IntersectInto(ws.comm[:0], g.Neighbors(a), g.Neighbors(b))
 		key := pairmap.Key(a, b)
@@ -161,7 +208,7 @@ func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []
 		}
 		// Collect the non-adjacent pairs once, then apply per endpoint
 		// under a single lock each.
-		ws.pairs, ws.adj = ego.NonAdjacentPairs(g, ws.comm, ws.pairs[:0], ws.adj)
+		ws.pairs, ws.adj = nonAdjacentPairs(g, ws.comm, ws.pairs[:0], ws.adj)
 		if len(ws.pairs) > 0 {
 			for _, end := range [2]int32{a, b} {
 				mu := lockOf(end)
@@ -244,24 +291,5 @@ func ComputeAllWithMaps(g *graph.Graph, t int, strategy Strategy) ([]float64, []
 	for _, w := range st.WorkPerWorker {
 		st.TotalWork += w
 	}
-
-	// Scoring phase: read-only over completed maps, embarrassingly parallel.
-	cb := make([]float64, n)
-	var scoreCursor atomic.Int32
-	for w := 0; w < t; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				v := scoreCursor.Add(1) - 1
-				if v >= n {
-					break
-				}
-				cb[v] = ego.ScoreEvidence(g.Degree(v), maps[v])
-			}
-		}()
-	}
-	wg.Wait()
-	st.Elapsed = time.Since(start)
-	return cb, maps, st
+	return maps, st
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/ego"
@@ -39,12 +40,9 @@ func TestParallelMatchesSequentialPaperExample(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialRandom cross-validates both strategies
-// against the sequential kernel and the sequential evidence engine on a
-// spread of generator families and thread counts. Every engine folds the
-// same integer histogram in the same order, so scores compare with ==, not
-// a tolerance; the evidence maps — which the Maintainer takes ownership of —
-// must hold the same (pair, count) entries as ego.ComputeAllWithMaps, since
-// both enumerate an edge's pairs through ego.NonAdjacentPairs.
+// against the sequential kernel on a spread of generator families and thread
+// counts. The edge pass and the kernel fold the same integer histogram in
+// the same order, so scores compare with ==, not a tolerance.
 func TestParallelMatchesSequentialRandom(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.ErdosRenyi(400, 1600, 3),
@@ -54,18 +52,13 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := ego.ComputeAll(g)
-		_, wantMaps := ego.ComputeAllWithMaps(g)
 		for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
 			for _, threads := range []int{1, 2, 3, 8} {
-				got, gotMaps, _ := ComputeAllWithMaps(g, threads, strat)
+				got, _ := ComputeAll(g, threads, strat)
 				for v := range want {
 					if got[v] != want[v] {
 						t.Fatalf("graph %d %v t=%d: CB(%d) = %v, want %v",
 							gi, strat, threads, v, got[v], want[v])
-					}
-					if !sameEvidence(gotMaps[v], wantMaps[v]) {
-						t.Fatalf("graph %d %v t=%d: evidence map of %d differs from the sequential engine's",
-							gi, strat, threads, v)
 					}
 				}
 			}
@@ -73,11 +66,79 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 	}
 }
 
-// sameEvidence reports whether two evidence maps hold the same entries; a
-// nil map is an empty one (a vertex that accumulated no evidence).
+// assertKernelMaps is the maps differential: the evidence maps the dense
+// kernel emits for each view (ego.ComputeAllWithMaps — what the Maintainer
+// takes ownership of) must equal the maps the paper's edge pass fills on
+// frozen, a CSR of the same adjacency, at 1 and 3 workers under both
+// strategies — same key set, same values, nil for the same vertices — and
+// score to the same bits.
+func assertKernelMaps(t *testing.T, name string, frozen *graph.Graph, views map[string]graph.View) {
+	t.Helper()
+	type emitted struct {
+		cb   []float64
+		maps []*pairmap.Map
+	}
+	kernel := map[string]emitted{}
+	for vn, view := range views {
+		cb, maps := ego.ComputeAllWithMaps(view)
+		kernel[vn] = emitted{cb, maps}
+	}
+	for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
+		for _, threads := range []int{1, 3} {
+			edge, _ := edgePass(frozen, threads, strat)
+			for vn, k := range kernel {
+				for v := range edge {
+					if !sameEvidence(k.maps[v], edge[v]) {
+						t.Fatalf("%s/%s %v t=%d: kernel map of vertex %d differs from the edge pass's", name, vn, strat, threads, v)
+					}
+					if got := ego.ScoreEvidence(frozen.Degree(int32(v)), edge[v]); got != k.cb[v] {
+						t.Fatalf("%s/%s %v t=%d: CB(%d): edge pass %v, kernel %v", name, vn, strat, threads, v, got, k.cb[v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelMapsMatchEdgePass runs the maps differential on the paper's
+// example and the benchmark's two shapes at smoke scale: on the frozen
+// graph, then after each of four rounds of random churn on the DynGraph and
+// on the overlay chain those rounds publish.
+func TestKernelMapsMatchEdgePass(t *testing.T) {
+	shapes := map[string]*graph.Graph{
+		"collab":   gen.Affiliation(1200, 600, 5.5, 1, 7),
+		"powerlaw": gen.ChungLu(1500, 2.2, 5.3, 120, 7),
+		"paper":    paperex.New(),
+	}
+	for name, g := range shapes {
+		assertKernelMaps(t, name, g, map[string]graph.View{"frozen": g})
+		d := graph.DynFromGraph(g)
+		rng := rand.New(rand.NewPCG(11, 13))
+		var overlay graph.View = g
+		for round := 0; round < 4; round++ {
+			n := d.NumVertices()
+			for i := 0; i < 300; i++ {
+				u, v := rng.Int32N(n), rng.Int32N(n)
+				if u == v {
+					continue
+				}
+				if d.HasEdge(u, v) {
+					_ = d.DeleteEdge(u, v) // present: cannot fail
+				} else {
+					_ = d.InsertEdge(u, v) // absent, distinct, in range: cannot fail
+				}
+			}
+			overlay = d.FreezeOverlay(overlay)
+			assertKernelMaps(t, name, d.Freeze(1), map[string]graph.View{"dyn": d, "overlay": overlay})
+		}
+	}
+}
+
+// sameEvidence reports whether two evidence maps hold the same entries and
+// are nil together (a vertex that accumulated no evidence has no map).
 func sameEvidence(a, b *pairmap.Map) bool {
 	if a == nil || b == nil {
-		return (a == nil || a.Len() == 0) && (b == nil || b.Len() == 0)
+		return a == nil && b == nil
 	}
 	if a.Len() != b.Len() {
 		return false

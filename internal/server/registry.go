@@ -239,9 +239,9 @@ type Registry struct {
 type RegistryOption func(*Registry)
 
 // WithBuildWorkers sets the worker budget used to build graph snapshots:
-// the initial all-vertices computation runs on the EdgePEBW parallel engine
-// and the per-batch CSR export shards its row copy across this many
-// goroutines. n ≤ 0 selects GOMAXPROCS.
+// the initial all-vertices computation is a per-ego kernel sweep over this
+// many goroutines, and the per-batch CSR export shards its row copy across
+// them. n ≤ 0 selects GOMAXPROCS.
 func WithBuildWorkers(n int) RegistryOption {
 	return func(r *Registry) { r.workers = n }
 }
