@@ -204,4 +204,5 @@ var retiredSymbols = []string{
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
 	"CommonMarkedCount", "ForEachCommon", "EachCommon",
 	"NewMaintainerFromScores", "NewLazyTopKFromScores",
+	"edgePass", "nonAdjacentPairs", "workerScratch", "stripeCount", "Imbalance",
 }

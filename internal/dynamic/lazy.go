@@ -137,7 +137,7 @@ func (h *lazyHeap) grow(n int32) {
 func NewLazyTopK(g *graph.Graph, k int) *LazyTopK { return NewLazyTopKParallel(g, k, 1) }
 
 // NewLazyTopKParallel is NewLazyTopK with the initial score vector computed
-// by `workers` goroutines (sweep); the scores, and hence the maintainer, are
+// by `workers` goroutines (ego.Sweep); the scores, and hence the maintainer, are
 // bit-identical to NewLazyTopK's.
 func NewLazyTopKParallel(g *graph.Graph, k, workers int) *LazyTopK {
 	if k < 1 {
@@ -145,9 +145,9 @@ func NewLazyTopKParallel(g *graph.Graph, k, workers int) *LazyTopK {
 	}
 	n := g.NumVertices()
 	cb := make([]float64, n)
-	sweep(g, workers, func(v int32, s *ego.Scratch) {
+	ego.Sweep(g, workers, func(v int32, s *ego.Scratch) {
 		cb[v] = ego.EgoBetweenness(g, v, s)
-	})
+	}, nil)
 	lt := &LazyTopK{
 		g:       graph.DynFromGraph(g),
 		k:       k,

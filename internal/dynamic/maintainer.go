@@ -70,14 +70,14 @@ type MaintainerStats struct {
 func NewMaintainer(g *graph.Graph) *Maintainer { return NewMaintainerParallel(g, 1) }
 
 // NewMaintainerParallel is NewMaintainer with the initial computation spread
-// over `workers` goroutines (sweep); it starts bit-identical to the
+// over `workers` goroutines (ego.Sweep); it starts bit-identical to the
 // sequential construction, maps included.
 func NewMaintainerParallel(g *graph.Graph, workers int) *Maintainer {
 	n := g.NumVertices()
 	cb, maps := make([]float64, n), make([]*pairmap.Map, n)
-	sweep(g, workers, func(v int32, s *ego.Scratch) {
+	ego.Sweep(g, workers, func(v int32, s *ego.Scratch) {
 		cb[v], maps[v] = ego.EgoBetweennessWithMap(g, v, s)
-	})
+	}, nil)
 	return &Maintainer{
 		g: graph.DynFromGraph(g), s: maps, cb: cb,
 		reg:      nbr.NewRegister(n),

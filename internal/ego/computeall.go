@@ -1,6 +1,8 @@
 package ego
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/pairmap"
 )
@@ -56,7 +58,7 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 //     is bit-identical to ScoreEvidence over a completed evidence map,
 //     under any vertex labeling.
 //
-// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.count. This is a sparse
+// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.score. This is a sparse
 // evaluation of Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
 // O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
@@ -71,7 +73,7 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 		s = NewScratch(a.NumVertices())
 	}
 	nu, off, adj := s.EgoCSR(a, p)
-	return s.count(nu, off, adj, nil), off, adj
+	return s.score(nu, off, adj, nil), off, adj
 }
 
 // EgoBetweennessWithMap is EgoBetweenness that also emits p's completed
@@ -88,7 +90,7 @@ func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, 
 	if len(adj) > 0 {
 		m = pairmap.NewWithCapacity(len(nu))
 	}
-	return s.count(nu, off, adj, m), m
+	return s.score(nu, off, adj, m), m
 }
 
 // EgoCSR numbers N(p) as local ids 0…d−1 in neighbor-list order — nu, p's
@@ -129,22 +131,51 @@ func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj
 	return nu, off, adj
 }
 
-// count is the kernel's counting pass (steps 3–4 of EgoBetweenness) over the
-// ego CSR EgoCSR built for the vertex whose neighbor list is nu. With a
-// non-nil sink it also records the evidence: a marker per adjacent pair and
-// the final connector count per touched pair, each written once, outside the
-// inner loop.
-func (s *Scratch) count(nu []int32, off []int, adj []int32, sink *pairmap.Map) float64 {
+// score is the whole-ego counting pass: count over every row of the ego
+// CSR, then fold the histogram.
+func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) float64 {
 	d := len(nu)
 	if d < 2 {
 		return 0
 	}
-	// cnt and hist are all-zero between calls; every entry written below is
-	// reset before returning.
-	pos, cnt, hist, touched := s.pos[:d], s.cnt[:d], s.hist[:d], s.touched[:d]
-	copy(pos, off)
+	s.count(nu, off, adj, 0, d, sink)
+	hist := s.hist[:d]
 	hist[0] = int64(len(adj) / 2)
-	for x := 0; x < d; x++ {
+	cb := foldScore(int32(d), hist)
+	clear(hist)
+	return cb
+}
+
+// egoWork is the number of inner-loop steps count runs over all rows of an
+// ego CSR, one per pair of members of a T_v: Σ_v C(|T_v|, 2).
+func egoWork(off []int) (w int64) {
+	for i := 1; i < len(off); i++ {
+		l := int64(off[i] - off[i-1])
+		w += l * (l - 1) / 2
+	}
+	return w
+}
+
+// count is the kernel's counting pass (step 3 of EgoBetweenness) over the
+// rows x ∈ [lo, hi) of the ego CSR EgoCSR built for the vertex whose
+// neighbor list is nu (d ≥ 2): it adds the connector count of every touched
+// pair into s.hist[1:]. With a non-nil sink it also records the evidence: a
+// marker per adjacent pair and the final connector count per touched pair,
+// each written once, outside the inner loop.
+func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink *pairmap.Map) {
+	d := len(off) - 1
+	// cnt is all-zero between calls; every entry written below is reset
+	// before returning.
+	pos, cnt, hist, touched := s.pos[:d], s.cnt[:d], s.hist[:d], s.touched[:d]
+	// pos[v] starts past the members of T_v below lo.
+	copy(pos, off)
+	if lo > 0 {
+		for v := range pos {
+			i, _ := slices.BinarySearch(adj[off[v]:off[v+1]], int32(lo))
+			pos[v] += i
+		}
+	}
+	for x := lo; x < hi; x++ {
 		// pos[x] has advanced once per member of T_x below x.
 		above := adj[pos[x]:off[x+1]]
 		for _, y := range above {
@@ -181,9 +212,6 @@ func (s *Scratch) count(nu []int32, off []int, adj []int32, sink *pairmap.Map) f
 			cnt[y] = 0
 		}
 	}
-	cb := foldScore(int32(d), hist)
-	clear(hist)
-	return cb
 }
 
 // Scratch holds the reusable state of the per-ego kernel: the vertex → local

@@ -29,12 +29,12 @@
 // neighbor pair, the connector count of every other pair that has one
 // (EgoBetweennessWithMap, ComputeAllWithMaps).
 //
-// The paper fills the same maps edge by edge instead — every undirected edge
-// (a, b) marks its pair in the maps of N(a) ∩ N(b) and credits one connector
-// to each non-adjacent pair of that set in the maps of a and b. That pass is
-// Section V's parallel algorithms and lives in internal/parallel, where it
-// doubles as the independent check of the kernel's maps. ScoreEvidence
-// scores a map through the same foldScore, so both routes agree to the bit.
+// Section V's parallel all-vertices computation is Sweep: workers claim
+// whole egos, or chunks of the rows of a heavy one, through an atomic
+// cursor, each over its own Scratch. The paper's once-per-edge pass, which
+// fills the same maps edge by edge, survives only as a test oracle for the
+// kernel's maps. ScoreEvidence scores a map through the same foldScore, so
+// a map and the kernel agree to the bit.
 package ego
 
 import "repro/internal/pairmap"
@@ -62,8 +62,8 @@ func StaticUB(d int32) float64 {
 // returned value is a function of the evidence content alone — independent
 // of hash-table iteration order and hence of the internal vertex labeling.
 // This is what makes the dense kernel (EgoBetweenness), whose histogram is
-// the same multiset under any labeling, bit-identical to the edge pass of
-// internal/parallel.
+// the same multiset under any labeling, bit-identical to any evidence map
+// of the same ego, however it was filled.
 func ScoreEvidence(d int32, s *pairmap.Map) float64 {
 	if s == nil {
 		return foldScore(d, nil)

@@ -1,0 +1,150 @@
+package ego
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/graph"
+)
+
+// Sweep is the one parallel all-vertices loop over the per-ego kernel:
+// `workers` goroutines (at least one) claim units through an atomic cursor,
+// each over its own Scratch. A whole-ego unit calls each(v, s), which must
+// run the kernel on v over s and keeps what it needs; nothing is locked.
+//
+// With split non-nil an ego costing more than total/(4·workers) counting
+// steps (egoWork, read off every CSR by a first sweep) is cut into chunks of
+// its rows — its edges (p, x) — that add their integer histograms into one;
+// the last chunk folds it and hands the score to split(v, cb), so scores
+// are the same bits at any worker count. Split egos emit no evidence map.
+// Sweep returns the counting steps each worker ran and the heaviest unit's;
+// they sum to Σ_p egoWork however egos are cut.
+func Sweep(g graph.Adjacency, workers int, each func(v int32, s *Scratch), split func(v int32, cb float64)) (work []int64, maxUnit int64) {
+	workers = max(workers, 1)
+	var plan []chunk // nil: unit i is the whole ego of vertex i
+	if split != nil {
+		plan = splitPlan(g, workers)
+	}
+	units := max(int64(len(plan)), int64(g.NumVertices()))
+	work, maxW := make([]int64, workers), make([]int64, workers)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewScratch(g.NumVertices())
+			for i := cursor.Add(1) - 1; i < units; i = cursor.Add(1) - 1 {
+				u := chunk{v: int32(i)}
+				if plan != nil {
+					u = plan[i]
+				}
+				var steps int64
+				if u.e == nil {
+					each(u.v, s)
+					if len(g.Neighbors(u.v)) >= 2 { // each left v's CSR in s
+						steps = egoWork(s.off)
+					}
+				} else {
+					steps = u.run(g, s, split)
+				}
+				work[w] += steps
+				maxW[w] = max(maxW[w], steps)
+			}
+		}()
+	}
+	wg.Wait()
+	return work, slices.Max(maxW)
+}
+
+// A chunk is a unit: the whole ego of v (e nil), or the i-th of e.k chunks.
+type chunk struct {
+	v int32
+	i int
+	e *splitEgo
+}
+
+// splitEgo is what one ego's chunks share.
+type splitEgo struct {
+	k    int
+	hist []int64
+	left atomic.Int32
+}
+
+// splitPlan lists the units of a split sweep: each ego whole, unless it
+// costs more than the share total/(4·workers), then ⌈cost/share⌉ chunks.
+func splitPlan(g graph.Adjacency, workers int) []chunk {
+	cost := make([]int64, g.NumVertices())
+	var total atomic.Int64
+	Sweep(g, workers, func(v int32, s *Scratch) {
+		_, off, _ := s.EgoCSR(g, v)
+		cost[v] = egoWork(off)
+		total.Add(cost[v])
+	}, nil)
+	share := max(total.Load()/int64(4*workers), 1)
+	plan := make([]chunk, 0, len(cost))
+	for v, c := range cost {
+		k := int((c + share - 1) / share)
+		if k <= 1 {
+			plan = append(plan, chunk{v: int32(v)})
+			continue
+		}
+		e := &splitEgo{k: k, hist: make([]int64, len(g.Neighbors(int32(v))))}
+		e.left.Store(int32(k))
+		for i := range k {
+			plan = append(plan, chunk{v: int32(v), i: i, e: e})
+		}
+	}
+	return plan
+}
+
+// run counts the chunk's rows of its ego over s, adds the histogram into
+// the ego's shared one and, as the ego's last chunk, folds it. It returns
+// the counting steps the rows ran.
+func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64)) int64 {
+	nu, off, adj := s.EgoCSR(g, u.v)
+	d := len(nu)
+	lo, hi, steps := chunkRows(off, adj, u.i, u.e.k, s)
+	s.count(nu, off, adj, lo, hi, nil)
+	for c, x := range s.hist[:d] {
+		if x != 0 {
+			atomic.AddInt64(&u.e.hist[c], x)
+		}
+	}
+	clear(s.hist[:d])
+	if u.e.left.Add(-1) == 0 {
+		u.e.hist[0] = int64(len(adj) / 2)
+		split(u.v, foldScore(int32(d), u.e.hist))
+	}
+	return steps
+}
+
+// chunkRows returns the rows [lo, hi) of the i-th of k chunks of an ego CSR,
+// cut so that each runs about 1/k of the counting pass's steps — row x runs
+// w[x] = Σ_{v∈T_x} |T_v above x| — and the steps its rows run.
+func chunkRows(off []int, adj []int32, i, k int, s *Scratch) (lo, hi int, steps int64) {
+	w := s.pos[:len(off)-1]
+	clear(w)
+	for v := range w {
+		row := adj[off[v]:off[v+1]]
+		for j, x := range row {
+			w[x] += len(row) - 1 - j
+		}
+	}
+	total, acc := max(int(egoWork(off)), 1), 0
+	lo, hi = len(w), len(w)
+	for x, wx := range w {
+		c := min(acc*k/total, k-1) // the chunk row x falls in
+		if c > i {
+			hi = x
+			break
+		}
+		if c == i {
+			lo = min(lo, x)
+			steps += int64(wx)
+		}
+		acc += wx
+	}
+	return min(lo, hi), hi, steps // lo = hi when no row falls in chunk i
+}

@@ -2,7 +2,7 @@
 // repository: an immutable CSR (compressed sparse row) representation for the
 // static algorithms, a mutable adjacency-list representation for the dynamic
 // maintenance algorithms, the degree-based total order ≺ from the paper, the
-// oriented graph G+ used for once-per-edge and once-per-triangle processing,
+// oriented graph G+ used for once-per-triangle processing,
 // sorted-set intersection kernels, edge-list IO, and subgraph sampling for the
 // scalability experiments.
 //

@@ -1,13 +1,13 @@
-// Package nbr is the shared neighborhood-intersection kernel layer. Three
+// Package nbr is the shared neighborhood-intersection kernel layer. Two
 // callers still bottom out in common-neighbor intersection over sorted
 // adjacency lists: the dynamic maintainers' local repair scans (CommonInto,
-// IntersectCount, and the Register for hub endpoints), the parallel PEBW
-// workers' once-per-edge pass (IntersectInto), and the graph package's
-// triangle statistics and DynGraph.CommonNeighbors. Everything per-ego — the
-// kernel behind ComputeAll, the evidence maps, the top-k searches and the
-// sampled estimator — does not: it numbers the ego once and works on local
-// ids (ego.Scratch.EgoCSR). This package implements the intersection core
-// once, with three strategies selected adaptively:
+// IntersectCount, and the Register for hub endpoints) and the graph
+// package's triangle statistics and DynGraph.CommonNeighbors. Everything
+// per-ego — the kernel behind ComputeAll and its parallel Sweep, the
+// evidence maps, the top-k searches and the sampled estimator — does not:
+// it numbers the ego once and works on local ids (ego.Scratch.EgoCSR).
+// This package implements the intersection core once, with three
+// strategies selected adaptively:
 //
 //   - linear merge for size-balanced lists: one pass over both, O(|a|+|b|);
 //   - galloping (exponential probe + binary search) when one list is much
@@ -36,7 +36,7 @@
 // amortizable side.
 //
 // The package is a leaf: it depends on nothing else in the repository, so
-// every layer (graph, dynamic, parallel) can use it without import cycles.
+// every layer (graph, dynamic) can use it without import cycles.
 // Registers and scratch buffers are pooled (sync.Pool), so steady-state
 // callers allocate nothing; Register.Unmark is O(1) via an epoch counter, so
 // recycling a register costs nothing even after marking millions of

@@ -1,21 +1,8 @@
-// Package parallel implements Section V of the paper: parallel computation
-// of all vertices' ego-betweennesses.
-//
-// Both algorithms parallelize the once-per-edge evidence pass of
-// internal/ego. Each undirected edge is owned by its ≺-earlier endpoint
-// (the orientation G+), so the edge set partitions with no coordination;
-// only the evidence-map mutations need synchronization, which striped
-// mutexes hashed on the target vertex provide.
-//
-//   - VertexPEBW hands workers whole vertices (a vertex's owned edges).
-//     Out-degree skew makes some work units enormous on power-law graphs —
-//     the load-imbalance problem the paper observes.
-//   - EdgePEBW hands workers fixed-size chunks of the flat oriented edge
-//     array through an atomic cursor, which balances load because the
-//     distribution of per-edge work (common out-neighborhood sizes) is far
-//     less skewed than vertex degrees.
-//
-// Per-worker work counters quantify that balance difference directly, which
-// matters here because wall-clock speedup additionally depends on the host
-// actually having multiple CPUs (see DESIGN.md §5).
+// Package parallel implements Section V of the paper — parallel computation
+// of all vertices' ego-betweennesses — as one ego.Sweep of the per-ego
+// kernel. VertexPEBW hands workers whole egos, so on power-law graphs a hub
+// ego caps the balance (the paper's load-imbalance problem); EdgePEBW cuts
+// every ego heavier than an even share into chunks of its edges. Per-worker
+// work, in kernel steps, quantifies the difference independently of how
+// many CPUs the host has (see DESIGN.md §5).
 package parallel

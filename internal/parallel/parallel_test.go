@@ -8,6 +8,7 @@ import (
 	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/nbr"
 	"repro/internal/pairmap"
 	"repro/internal/paperex"
 )
@@ -40,15 +41,17 @@ func TestParallelMatchesSequentialPaperExample(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialRandom cross-validates both strategies
-// against the sequential kernel on a spread of generator families and thread
-// counts. The edge pass and the kernel fold the same integer histogram in
-// the same order, so scores compare with ==, not a tolerance.
+// against the sequential kernel on a spread of generator families, and on a
+// hub graph whose hub ego EdgePEBW splits, at several thread counts. A
+// split ego's chunks add into one integer histogram that is folded once, so
+// scores compare with ==, not a tolerance.
 func TestParallelMatchesSequentialRandom(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.ErdosRenyi(400, 1600, 3),
 		gen.BarabasiAlbert(400, 4, 4),
 		gen.ChungLu(400, 2.1, 8, 100, 5),
 		gen.Affiliation(400, 150, 6, 1, 6),
+		hubOfCliques(t, 60, 4),
 	}
 	for gi, g := range graphs {
 		want := ego.ComputeAll(g)
@@ -66,35 +69,100 @@ func TestParallelMatchesSequentialRandom(t *testing.T) {
 	}
 }
 
+// hubOfCliques is vertex 0 joined to every vertex of c disjoint cliques of
+// size k: the hub's ego holds 1/(k+1) of the kernel's work, far above the
+// split share at two or more workers, so EdgePEBW cuts it into chunks.
+func hubOfCliques(t *testing.T, c, k int32) *graph.Graph {
+	t.Helper()
+	var edges [][2]int32
+	for q := int32(0); q < c; q++ {
+		for i := int32(0); i < k; i++ {
+			a := 1 + q*k + i
+			edges = append(edges, [2]int32{0, a})
+			for j := i + 1; j < k; j++ {
+				edges = append(edges, [2]int32{a, 1 + q*k + j})
+			}
+		}
+	}
+	g, err := graph.FromEdges(-1, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSweepSplitsHubEgos: on the hub graph EdgePEBW really splits the hub
+// ego at two or more workers — its heaviest unit is strictly lighter than
+// VertexPEBW's, the work totals agree — and the scores are still the
+// sequential kernel's bits.
+func TestSweepSplitsHubEgos(t *testing.T) {
+	g := hubOfCliques(t, 60, 4)
+	want := ego.ComputeAll(g)
+	for _, threads := range []int{1, 2, 3, 8} {
+		cbV, stV := ComputeAll(g, threads, VertexPEBW)
+		cbE, stE := ComputeAll(g, threads, EdgePEBW)
+		for v := range want {
+			if cbV[v] != want[v] || cbE[v] != want[v] {
+				t.Fatalf("t=%d: CB(%d): vertex %v, edge %v, want %v", threads, v, cbV[v], cbE[v], want[v])
+			}
+		}
+		if stV.TotalWork != stE.TotalWork {
+			t.Fatalf("t=%d: total work differs: %d vs %d", threads, stV.TotalWork, stE.TotalWork)
+		}
+		if threads >= 2 && stE.MaxUnitWork >= stV.MaxUnitWork {
+			t.Errorf("t=%d: EdgePEBW max unit %d, want below VertexPEBW's %d", threads, stE.MaxUnitWork, stV.MaxUnitWork)
+		}
+	}
+}
+
+// edgeOracle is the paper's once-per-edge evidence pass, run sequentially as
+// the independent reference for the kernel's maps: every undirected edge
+// (a, b) marks the pair (a, b) adjacent in the map of every common neighbor
+// and credits one connector to every non-adjacent pair of N(a) ∩ N(b) in
+// the maps of a and b. A credit (center, pair, connector) is produced only
+// by the edge (center, connector), so once every edge is processed each map
+// is exact; maps[v] is nil when v accumulated no evidence.
+func edgeOracle(g *graph.Graph) []*pairmap.Map {
+	maps := make([]*pairmap.Map, g.NumVertices())
+	mapOf := func(v int32) *pairmap.Map {
+		if maps[v] == nil {
+			maps[v] = pairmap.NewWithCapacity(int(g.Degree(v)))
+		}
+		return maps[v]
+	}
+	var comm []int32
+	g.EachEdge(func(a, b int32) bool {
+		comm = nbr.IntersectInto(comm[:0], g.Neighbors(a), g.Neighbors(b))
+		for i, p := range comm {
+			mapOf(p).SetMarker(pairmap.Key(a, b))
+			for _, q := range comm[i+1:] {
+				if !g.HasEdge(p, q) {
+					mapOf(a).Add(pairmap.Key(p, q), 1)
+					mapOf(b).Add(pairmap.Key(p, q), 1)
+				}
+			}
+		}
+		return true
+	})
+	return maps
+}
+
 // assertKernelMaps is the maps differential: the evidence maps the dense
 // kernel emits for each view (ego.ComputeAllWithMaps — what the Maintainer
 // takes ownership of) must equal the maps the paper's edge pass fills on
-// frozen, a CSR of the same adjacency, at 1 and 3 workers under both
-// strategies — same key set, same values, nil for the same vertices — and
-// score to the same bits.
+// frozen, a CSR of the same adjacency — same key set, same values, nil for
+// the same vertices — and score to the same bits.
 func assertKernelMaps(t *testing.T, name string, frozen *graph.Graph, views map[string]graph.View) {
 	t.Helper()
-	type emitted struct {
-		cb   []float64
-		maps []*pairmap.Map
-	}
-	kernel := map[string]emitted{}
+	edge := edgeOracle(frozen)
 	for vn, view := range views {
 		cb, maps := ego.ComputeAllWithMaps(view)
-		kernel[vn] = emitted{cb, maps}
-	}
-	for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
-		for _, threads := range []int{1, 3} {
-			edge, _ := edgePass(frozen, threads, strat)
-			for vn, k := range kernel {
-				for v := range edge {
-					if !sameEvidence(k.maps[v], edge[v]) {
-						t.Fatalf("%s/%s %v t=%d: kernel map of vertex %d differs from the edge pass's", name, vn, strat, threads, v)
-					}
-					if got := ego.ScoreEvidence(frozen.Degree(int32(v)), edge[v]); got != k.cb[v] {
-						t.Fatalf("%s/%s %v t=%d: CB(%d): edge pass %v, kernel %v", name, vn, strat, threads, v, got, k.cb[v])
-					}
-				}
+		for v := range edge {
+			if !sameEvidence(maps[v], edge[v]) {
+				t.Fatalf("%s/%s: kernel map of vertex %d differs from the edge pass's", name, vn, v)
+			}
+			if got := ego.ScoreEvidence(frozen.Degree(int32(v)), edge[v]); got != cb[v] {
+				t.Fatalf("%s/%s: CB(%d): edge pass %v, kernel %v", name, vn, v, got, cb[v])
 			}
 		}
 	}
@@ -169,9 +237,9 @@ func TestParallelDefaultThreads(t *testing.T) {
 
 // TestEdgeBalancesBetterThanVertex verifies the paper's Section V claim in
 // its machine-independent form: on a skewed power-law graph, VertexPEBW's
-// heaviest indivisible work unit (a hub vertex) dwarfs EdgePEBW's heaviest
-// unit (a fixed edge chunk), so the achievable speedup bound of EdgePEBW is
-// at least that of VertexPEBW.
+// heaviest indivisible work unit (a hub ego) is strictly heavier than
+// EdgePEBW's heaviest unit (a chunk of a split hub ego, or a light ego), so
+// the achievable speedup bound of EdgePEBW is at least that of VertexPEBW.
 func TestEdgeBalancesBetterThanVertex(t *testing.T) {
 	// Heavy skew: a few giant hubs own most oriented edges.
 	g := gen.ChungLu(3000, 1.9, 10, 800, 7)
@@ -181,8 +249,8 @@ func TestEdgeBalancesBetterThanVertex(t *testing.T) {
 	if stV.TotalWork != stE.TotalWork {
 		t.Fatalf("total work differs: %d vs %d", stV.TotalWork, stE.TotalWork)
 	}
-	if stE.MaxUnitWork > stV.MaxUnitWork {
-		t.Errorf("EdgePEBW max unit %d should not exceed VertexPEBW %d",
+	if stE.MaxUnitWork >= stV.MaxUnitWork {
+		t.Errorf("EdgePEBW max unit %d should be below VertexPEBW %d",
 			stE.MaxUnitWork, stV.MaxUnitWork)
 	}
 	if stE.SpeedupBound(16) < stV.SpeedupBound(16) {
@@ -191,22 +259,27 @@ func TestEdgeBalancesBetterThanVertex(t *testing.T) {
 	}
 }
 
-// TestWorkConservation: total work is strategy- and thread-invariant (each
-// edge processed exactly once by exactly one worker).
+// TestWorkConservation: total work is strategy- and thread-invariant — the
+// kernel's inner-loop steps, Σ_v C(|T_v|, 2) per ego, however the egos are
+// cut into chunks — and agrees with TotalWork.
 func TestWorkConservation(t *testing.T) {
-	g := gen.BarabasiAlbert(600, 3, 11)
-	var ref int64 = -1
-	for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
-		for _, threads := range []int{1, 2, 5} {
-			_, st := ComputeAll(g, threads, strat)
-			var total int64
-			for _, w := range st.WorkPerWorker {
-				total += w
-			}
-			if ref < 0 {
-				ref = total
-			} else if total != ref {
-				t.Errorf("%v t=%d: total work %d, want %d", strat, threads, total, ref)
+	for gi, g := range []*graph.Graph{gen.BarabasiAlbert(600, 3, 11), hubOfCliques(t, 60, 4)} {
+		var ref int64 = -1
+		for _, strat := range []Strategy{VertexPEBW, EdgePEBW} {
+			for _, threads := range []int{1, 2, 5} {
+				_, st := ComputeAll(g, threads, strat)
+				var total int64
+				for _, w := range st.WorkPerWorker {
+					total += w
+				}
+				if total != st.TotalWork {
+					t.Errorf("graph %d %v t=%d: per-worker work sums to %d, TotalWork %d", gi, strat, threads, total, st.TotalWork)
+				}
+				if ref < 0 {
+					ref = total
+				} else if total != ref {
+					t.Errorf("graph %d %v t=%d: total work %d, want %d", gi, strat, threads, total, ref)
+				}
 			}
 		}
 	}
@@ -215,15 +288,5 @@ func TestWorkConservation(t *testing.T) {
 func TestStrategyString(t *testing.T) {
 	if VertexPEBW.String() != "VertexPEBW" || EdgePEBW.String() != "EdgePEBW" {
 		t.Fatal("strategy names wrong")
-	}
-}
-
-func TestImbalanceDegenerate(t *testing.T) {
-	if (Stats{}).Imbalance() != 1 {
-		t.Fatal("empty stats imbalance must be 1")
-	}
-	s := Stats{WorkPerWorker: []int64{0, 0}}
-	if s.Imbalance() != 1 {
-		t.Fatal("zero work imbalance must be 1")
 	}
 }
