@@ -194,15 +194,18 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	}
 }
 
-// retiredSymbols are the functions and methods deleted when the ego CSR
-// became the only per-ego substrate: the sequential edge-by-edge evidence
-// engine, the register-based sampling API with its direct-probe fork, the
-// nbr exports they were the last callers of, and the from-scores
-// constructors the kernel sweep made redundant.
+// retiredSymbols are deleted functions and methods: the sequential
+// edge-by-edge evidence engine, the register-based sampling API with its
+// direct-probe fork and the nbr exports they were the last callers of, the
+// from-scores constructors the kernel sweep made redundant, the striped
+// parallel edge pass, and the test-only API TestExportedSurfaceHasCallers
+// found (names too common to scan for, such as Len or Order, are left out).
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
 	"CommonMarkedCount", "ForEachCommon", "EachCommon",
 	"NewMaintainerFromScores", "NewLazyTopKFromScores",
 	"edgePass", "nonAdjacentPairs", "workerScratch", "stripeCount", "Imbalance",
+	"WriteBinary", "ReadBinary", "NewDynGraph", "DirtyCount", "CommonNeighbors",
+	"TopKOverlap", "FromTable", "IsMarker", "NewMaxHeap", "WithGraphs", "StampOf",
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/nbr"
 	"repro/internal/paperex"
 )
 
@@ -173,7 +174,7 @@ func TestLocalObservationOne(t *testing.T) {
 		t.Skip("edge exists in this seed; pick different endpoints")
 	}
 	affected := map[int32]bool{u: true, v: true}
-	for _, w := range m.Graph().CommonNeighbors(nil, u, v) {
+	for _, w := range nbr.CommonInto(nil, m.Graph(), u, v) {
 		affected[w] = true
 	}
 	if err := m.InsertEdge(u, v); err != nil {

@@ -68,19 +68,22 @@ func TestKernelParallelInit(t *testing.T) {
 
 // sameEntries reports whether two evidence maps hold the same (pair, value)
 // entries; a nil map holds none.
-func sameEntries(a, b *pairmap.Map) bool {
-	if a == nil || b == nil {
-		return (a == nil || a.Len() == 0) && (b == nil || b.Len() == 0)
-	}
-	if a.Len() != b.Len() {
-		return false
-	}
+func sameEntries(a, b *pairmap.Map) bool { return within(a, b) && within(b, a) }
+
+// within reports whether every entry of a is also an entry of b.
+func within(a, b *pairmap.Map) bool {
 	same := true
-	a.Iterate(func(k uint64, val int32) bool {
-		other, ok := b.Get(k)
-		same = ok && other == val
-		return same
-	})
+	if a != nil {
+		a.Iterate(func(k uint64, val int32) bool {
+			var other int32
+			ok := false
+			if b != nil {
+				other, ok = b.Get(k)
+			}
+			same = ok && other == val
+			return same
+		})
+	}
 	return same
 }
 

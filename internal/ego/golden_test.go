@@ -133,13 +133,13 @@ func TestStaticUB(t *testing.T) {
 	}
 }
 
-// TestProcessingOrderMatchesFig2 checks that Order() visits the ten
+// TestProcessingOrderMatchesFig2 checks that graph.OrderOf visits the ten
 // computed vertices of Fig. 2 in the paper's exact sequence.
 func TestProcessingOrderMatchesFig2(t *testing.T) {
 	g := paperex.New()
 	want := []int32{paperex.C, paperex.I, paperex.F, paperex.D, paperex.X,
 		paperex.E, paperex.H, paperex.G, paperex.B, paperex.A}
-	order := g.Order()
+	order := graph.OrderOf(g)
 	for i, v := range want {
 		if order[i] != v {
 			t.Fatalf("order[%d] = %s, want %s", i, paperex.Names[order[i]], paperex.Names[v])

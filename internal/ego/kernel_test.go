@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -42,9 +43,13 @@ func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []fl
 		if want == nil {
 			continue
 		}
-		if maps[v].Len() != want.Len() {
-			t.Fatalf("%s: vertex %d: kernel map has %d entries, by definition %d", name, v, maps[v].Len(), want.Len())
-		}
+		maps[v].Iterate(func(k uint64, c int32) bool {
+			if _, ok := want.Get(k); !ok {
+				x, y := pairmap.Split(k)
+				t.Fatalf("%s: vertex %d pair (%d,%d): kernel map holds %d, by definition no entry", name, v, x, y, c)
+			}
+			return true
+		})
 		want.Iterate(func(k uint64, c int32) bool {
 			if got, ok := maps[v].Get(k); !ok || got != c {
 				x, y := pairmap.Split(k)
@@ -72,7 +77,7 @@ func referenceMap(a graph.View, p int32) *pairmap.Map {
 	var comm []int32
 	for i, u := range nu {
 		for _, v := range nu[i+1:] {
-			if a.HasEdge(u, v) {
+			if slices.Contains(a.Neighbors(u), v) {
 				set(u, v, pairmap.Marker)
 				continue
 			}

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/nbr"
 )
 
 // DynGraph is a mutable undirected graph with per-vertex sorted adjacency
@@ -33,18 +31,12 @@ type Adjacency interface {
 	NumEdges() int64
 	Degree(v int32) int32
 	Neighbors(v int32) []int32
-	HasEdge(u, v int32) bool
 }
 
 var (
 	_ Adjacency = (*Graph)(nil)
 	_ Adjacency = (*DynGraph)(nil)
 )
-
-// NewDynGraph returns an empty dynamic graph with n isolated vertices.
-func NewDynGraph(n int32) *DynGraph {
-	return &DynGraph{adj: make([][]int32, n)}
-}
 
 // DynFromGraph copies a CSR graph into a mutable representation.
 func DynFromGraph(g *Graph) *DynGraph {
@@ -112,9 +104,6 @@ func (d *DynGraph) TakeDirty() []int32 {
 	d.dirty = nil
 	return out
 }
-
-// DirtyCount returns how many vertices are currently marked dirty.
-func (d *DynGraph) DirtyCount() int { return len(d.dirty) }
 
 // NumVertices returns the current number of vertices.
 func (d *DynGraph) NumVertices() int32 { return int32(len(d.adj)) }
@@ -192,11 +181,6 @@ func (d *DynGraph) DeleteEdge(u, v int32) error {
 	d.markDirty(u)
 	d.markDirty(v)
 	return nil
-}
-
-// CommonNeighbors appends N(u) ∩ N(v) to dst and returns it.
-func (d *DynGraph) CommonNeighbors(dst []int32, u, v int32) []int32 {
-	return nbr.IntersectInto(dst, d.adj[u], d.adj[v])
 }
 
 // MaxDegree returns the current maximum degree.

@@ -5,8 +5,11 @@ import (
 	"testing"
 )
 
+// emptyDyn returns a dynamic graph with n isolated vertices.
+func emptyDyn(n int32) *DynGraph { return &DynGraph{adj: make([][]int32, n)} }
+
 func TestDynInsertDelete(t *testing.T) {
-	d := NewDynGraph(4)
+	d := emptyDyn(4)
 	if err := d.InsertEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestDynInsertDelete(t *testing.T) {
 }
 
 func TestDynGrowsVertices(t *testing.T) {
-	d := NewDynGraph(2)
+	d := emptyDyn(2)
 	if err := d.InsertEdge(1, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestDynRoundTrip(t *testing.T) {
 func TestDynRandomizedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 43))
 	const n = 20
-	d := NewDynGraph(n)
+	d := emptyDyn(n)
 	oracle := map[[2]int32]bool{}
 	key := func(u, v int32) [2]int32 {
 		if u > v {
@@ -119,21 +122,8 @@ func TestDynRandomizedAgainstMap(t *testing.T) {
 	}
 }
 
-func TestDynCommonNeighbors(t *testing.T) {
-	d := NewDynGraph(5)
-	for _, e := range [][2]int32{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {1, 4}} {
-		if err := d.InsertEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := d.CommonNeighbors(nil, 0, 1)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("common = %v, want [2 3]", got)
-	}
-}
-
 func TestDynClone(t *testing.T) {
-	d := NewDynGraph(3)
+	d := emptyDyn(3)
 	_ = d.InsertEdge(0, 1)
 	c := d.Clone()
 	_ = c.InsertEdge(1, 2)

@@ -12,7 +12,7 @@ func TestFreezeMatchesFromAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	for trial := 0; trial < 20; trial++ {
 		n := int32(2 + rng.IntN(2000))
-		d := NewDynGraph(n)
+		d := emptyDyn(n)
 		for i := 0; i < 4*int(n); i++ {
 			u, v := rng.Int32N(n), rng.Int32N(n)
 			if u == v {

@@ -63,27 +63,6 @@ func containsSorted(s []int32, x int32) bool {
 	return lo < len(s) && s[lo] == x
 }
 
-// Before reports the paper's total order u ≺ v: u precedes v when u has the
-// strictly larger degree, or equal degrees and the larger identifier. The
-// highest-ranked vertex of the graph is therefore the one with the highest
-// degree (ties broken toward larger IDs), matching Section II of the paper.
-func (g *Graph) Before(u, v int32) bool {
-	du, dv := g.Degree(u), g.Degree(v)
-	if du != dv {
-		return du > dv
-	}
-	return u > v
-}
-
-// Order returns all vertices sorted by the total order ≺ (non-increasing
-// degree, ties broken by descending identifier). BaseBSearch processes
-// vertices in exactly this order.
-func (g *Graph) Order() []int32 { return OrderOf(g) }
-
-// Rank returns rank[v] = position of v in Order(). Lower rank means earlier
-// in ≺ (higher degree). It is the orientation key for G+.
-func (g *Graph) Rank() []int32 { return RankOf(g) }
-
 // EachEdge calls fn exactly once for every undirected edge, with u < v by
 // identifier. Iteration stops early if fn returns false.
 func (g *Graph) EachEdge(fn func(u, v int32) bool) { EachEdgeIn(g, fn) }

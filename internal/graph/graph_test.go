@@ -79,21 +79,18 @@ func TestHasEdgeExhaustive(t *testing.T) {
 func TestOrderAndRank(t *testing.T) {
 	// Degrees: 0:3, 1:2, 2:2, 3:1, 4:0. Ties (1,2) break to larger id.
 	g := mustG(t, 5, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
-	order := g.Order()
+	order := OrderOf(g)
 	want := []int32{0, 2, 1, 3, 4}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	rank := g.Rank()
+	rank := RankOf(g)
 	for i, v := range order {
 		if rank[v] != int32(i) {
 			t.Errorf("rank[%d] = %d, want %d", v, rank[v], i)
 		}
-	}
-	if !g.Before(2, 1) || g.Before(1, 2) {
-		t.Error("tie-break: want 2 ≺ 1 (larger id first)")
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -67,62 +66,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return writeErr
 	}
 	return bw.Flush()
-}
-
-// magic identifies the compact binary snapshot format.
-const magic uint32 = 0xE60B0001
-
-// WriteBinary serializes g into a compact little-endian binary snapshot
-// (magic, n, m, offsets, adjacency). It is ~10x faster to load than the text
-// format and is used by the dataset cache.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []any{magic, g.n, g.m}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a snapshot produced by WriteBinary and validates
-// its structural invariants before returning it.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var m32 uint32
-	if err := binary.Read(br, binary.LittleEndian, &m32); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
-	}
-	if m32 != magic {
-		return nil, fmt.Errorf("graph: bad magic %#x", m32)
-	}
-	var n int32
-	var m int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: corrupt header n=%d m=%d", n, m)
-	}
-	offsets := make([]int64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
-		return nil, err
-	}
-	adj := make([]int32, 2*m)
-	if err := binary.Read(br, binary.LittleEndian, adj); err != nil {
-		return nil, err
-	}
-	// adj was sized from the header's m, so FromCSR's offsets/adjacency
-	// consistency checks also pin the decoded graph to the claimed m.
-	return FromCSR(offsets, adj)
 }

@@ -54,33 +54,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	})
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := mustG(t, 100, genRing(100))
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if back.NumVertices() != 100 || back.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip changed shape")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("want error on truncated input")
-	}
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("want error on zero-magic input")
-	}
-}
-
 func genRing(n int32) [][2]int32 {
 	edges := make([][2]int32, n)
 	for i := int32(0); i < n; i++ {

@@ -103,9 +103,6 @@ func NewOverlay(prev View, n int32, m int64, delta map[int32][]int32) *Overlay {
 	return o
 }
 
-// Base returns the full CSR underneath the whole chain.
-func (o *Overlay) Base() *Graph { return o.base }
-
 // Depth returns the number of delta layers between this view and its base —
 // the chain length a Neighbors miss walks, and one of the two compaction
 // triggers.
@@ -148,19 +145,6 @@ func (o *Overlay) Neighbors(v int32) []int32 {
 
 // Degree returns the degree of v.
 func (o *Overlay) Degree(v int32) int32 { return int32(len(o.Neighbors(v))) }
-
-// HasEdge reports whether the undirected edge (u, v) is present, by binary
-// search of the smaller neighbor list.
-func (o *Overlay) HasEdge(u, v int32) bool {
-	if u == v || u < 0 || v < 0 || u >= o.n || v >= o.n {
-		return false
-	}
-	nu, nv := o.Neighbors(u), o.Neighbors(v)
-	if len(nu) > len(nv) {
-		nu, v = nv, u
-	}
-	return containsSorted(nu, v)
-}
 
 // MaxDegree returns the maximum degree, computed once on first demand (the
 // exact value needs a full scan — deletions may have lowered it below the

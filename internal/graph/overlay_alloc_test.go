@@ -12,7 +12,7 @@ import (
 // dirty-index word test, then the base row. The file is excluded under
 // -race because the race runtime instruments allocations.
 func TestOverlayCleanReadZeroAlloc(t *testing.T) {
-	d := NewDynGraph(64)
+	d := emptyDyn(64)
 	for v := int32(1); v < 64; v++ {
 		if err := d.InsertEdge(0, v); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestOverlayCleanReadZeroAlloc(t *testing.T) {
 	if ov.idx.clean(2) || ov.idx.clean(3) {
 		t.Fatal("dirtied vertices report clean")
 	}
-	if !ov.HasEdge(2, 3) {
+	if !containsSorted(ov.Neighbors(2), 3) {
 		t.Fatal("re-inserted edge (2,3) missing from the top layer")
 	}
 }

@@ -77,9 +77,6 @@ func NewTemporalIndexFromStamps(windowMS int64, g *Graph, stamps []int64) (*Temp
 // WindowMS returns the configured window length in milliseconds.
 func (t *TemporalIndex) WindowMS() int64 { return t.windowMS }
 
-// Len returns the number of live stamped edges.
-func (t *TemporalIndex) Len() int { return len(t.stamps) }
-
 // canonical orders an edge's endpoints ascending.
 func canonical(u, v int32) [2]int32 {
 	if u > v {
@@ -119,12 +116,6 @@ func (t *TemporalIndex) Stamp(u, v int32, ts int64) {
 // bucket entry goes stale and is discarded on the next scan of that bucket.
 func (t *TemporalIndex) Forget(u, v int32) {
 	delete(t.stamps, canonical(u, v))
-}
-
-// StampOf returns the live stamp of edge (u,v).
-func (t *TemporalIndex) StampOf(u, v int32) (int64, bool) {
-	ts, ok := t.stamps[canonical(u, v)]
-	return ts, ok
 }
 
 // ExpireBefore removes every live edge stamped strictly before cutoff and

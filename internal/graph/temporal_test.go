@@ -12,11 +12,11 @@ func TestTemporalIndexBasics(t *testing.T) {
 	ti.Stamp(3, 1, 100) // canonicalized to (1,3)
 	ti.Stamp(0, 2, 250)
 	ti.Stamp(4, 5, 900)
-	if ti.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ti.Len())
+	if len(ti.stamps) != 3 {
+		t.Fatalf("live edges = %d, want 3", len(ti.stamps))
 	}
-	if ts, ok := ti.StampOf(1, 3); !ok || ts != 100 {
-		t.Fatalf("StampOf(1,3) = %d,%v", ts, ok)
+	if ts, ok := ti.stamps[canonical(1, 3)]; !ok || ts != 100 {
+		t.Fatalf("stamp of (1,3) = %d,%v", ts, ok)
 	}
 	if oldest, ok := ti.OldestStamp(); !ok || oldest != 100 {
 		t.Fatalf("OldestStamp = %d,%v, want 100", oldest, ok)
@@ -32,16 +32,16 @@ func TestTemporalIndexBasics(t *testing.T) {
 	if !reflect.DeepEqual(got, [][2]int32{{0, 2}, {4, 5}}) {
 		t.Fatalf("ExpireBefore = %v", got)
 	}
-	if ti.Len() != 1 {
-		t.Fatalf("Len after expiry = %d, want 1", ti.Len())
+	if len(ti.stamps) != 1 {
+		t.Fatalf("live edges after expiry = %d, want 1", len(ti.stamps))
 	}
 	if got := ti.ExpireBefore(901); len(got) != 0 {
 		t.Fatalf("second expiry returned %v", got)
 	}
 
 	ti.Forget(3, 1)
-	if ti.Len() != 0 {
-		t.Fatalf("Len after forget = %d", ti.Len())
+	if len(ti.stamps) != 0 {
+		t.Fatalf("live edges after forget = %d", len(ti.stamps))
 	}
 	if _, ok := ti.OldestStamp(); ok {
 		t.Fatal("OldestStamp on empty index reported a value")
@@ -96,8 +96,8 @@ func TestTemporalIndexExpiryMatchesBruteForce(t *testing.T) {
 						t.Fatalf("trial %d cutoff %d: got %v, want %v", trial, cutoff, got, want)
 					}
 				}
-				if ti.Len() != len(oracle) {
-					t.Fatalf("trial %d: Len=%d oracle=%d", trial, ti.Len(), len(oracle))
+				if len(ti.stamps) != len(oracle) {
+					t.Fatalf("trial %d: live=%d oracle=%d", trial, len(ti.stamps), len(oracle))
 				}
 			}
 		}
@@ -126,12 +126,12 @@ func TestTemporalIndexExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ti2.Len() != len(stamps) {
-		t.Fatalf("rebuilt Len = %d, want %d", ti2.Len(), len(stamps))
+	if len(ti2.stamps) != len(stamps) {
+		t.Fatalf("rebuilt live edges = %d, want %d", len(ti2.stamps), len(stamps))
 	}
 	for e, want := range stamps {
-		if ts, ok := ti2.StampOf(e[0], e[1]); !ok || ts != want {
-			t.Fatalf("rebuilt StampOf(%v) = %d,%v, want %d", e, ts, ok, want)
+		if ts, ok := ti2.stamps[canonical(e[0], e[1])]; !ok || ts != want {
+			t.Fatalf("rebuilt stamp of %v = %d,%v, want %d", e, ts, ok, want)
 		}
 	}
 

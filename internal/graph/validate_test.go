@@ -79,8 +79,8 @@ func TestFromAdjacencyAsymmetricInput(t *testing.T) {
 // TestRankIsInverseOfOrder on a larger random-ish instance.
 func TestRankIsInverseOfOrder(t *testing.T) {
 	g := mustG(t, 200, genRing(200))
-	order := g.Order()
-	rank := g.Rank()
+	order := OrderOf(g)
+	rank := RankOf(g)
 	if len(order) != 200 || len(rank) != 200 {
 		t.Fatal("length mismatch")
 	}

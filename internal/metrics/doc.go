@@ -1,6 +1,6 @@
-// Package metrics provides the agreement measures used by the effectiveness
-// analysis (Section VI-B): top-k overlap, Jaccard similarity, and Spearman
-// rank correlation between centrality score vectors. The paper reports only
-// the overlap; Jaccard and Spearman extend the analysis to full-ranking
-// agreement, which the EXPERIMENTS.md effectiveness section uses.
+// Package metrics provides the agreement measures that extend the
+// effectiveness analysis (Section VI-B) beyond the paper's top-k overlap
+// (ego.Overlap): Jaccard similarity, and Spearman rank correlation between
+// centrality score vectors, for full-ranking agreement, which the
+// EXPERIMENTS.md effectiveness section uses.
 package metrics

@@ -6,28 +6,6 @@ import (
 	"sort"
 )
 
-// TopKOverlap returns |A ∩ B| / max(|A|, |B|) over two id sets.
-func TopKOverlap(a, b []int32) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	in := make(map[int32]struct{}, len(a))
-	for _, x := range a {
-		in[x] = struct{}{}
-	}
-	inter := 0
-	for _, y := range b {
-		if _, ok := in[y]; ok {
-			inter++
-		}
-	}
-	den := len(a)
-	if len(b) > den {
-		den = len(b)
-	}
-	return float64(inter) / float64(den)
-}
-
 // Jaccard returns |A ∩ B| / |A ∪ B| over two id sets.
 func Jaccard(a, b []int32) float64 {
 	if len(a) == 0 && len(b) == 0 {

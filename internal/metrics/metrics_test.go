@@ -6,24 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTopKOverlap(t *testing.T) {
-	cases := []struct {
-		a, b []int32
-		want float64
-	}{
-		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 1},
-		{[]int32{1, 2, 3}, []int32{4, 5, 6}, 0},
-		{[]int32{1, 2, 3, 4}, []int32{3, 4, 5, 6}, 0.5},
-		{[]int32{1, 2}, []int32{1, 2, 3, 4}, 0.5},
-		{nil, []int32{1}, 0},
-	}
-	for i, c := range cases {
-		if got := TopKOverlap(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("case %d: %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	cases := []struct {
 		a, b []int32

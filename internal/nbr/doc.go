@@ -2,10 +2,10 @@
 // callers still bottom out in common-neighbor intersection over sorted
 // adjacency lists: the dynamic maintainers' local repair scans (CommonInto,
 // IntersectCount, and the Register for hub endpoints) and the graph
-// package's triangle statistics and DynGraph.CommonNeighbors. Everything
-// per-ego — the kernel behind ComputeAll and its parallel Sweep, the
-// evidence maps, the top-k searches and the sampled estimator — does not:
-// it numbers the ego once and works on local ids (ego.Scratch.EgoCSR).
+// package's triangle statistics. Everything per-ego — the kernel behind
+// ComputeAll and its parallel Sweep, the evidence maps, the top-k searches
+// and the sampled estimator — does not: it numbers the ego once and works
+// on local ids (ego.Scratch.EgoCSR).
 // This package implements the intersection core once, with three
 // strategies selected adaptively:
 //

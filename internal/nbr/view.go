@@ -7,7 +7,6 @@ package nbr
 // Implementations must return sorted ascending neighbor lists that the
 // kernels may read but never modify.
 type View interface {
-	Degree(v int32) int32
 	Neighbors(v int32) []int32
 }
 

@@ -72,9 +72,6 @@ func NewWithCapacity(c int) *Map {
 	return &Map{keys: make([]uint64, size), vals: make([]int32, size)}
 }
 
-// Len returns the number of live entries.
-func (m *Map) Len() int { return m.live }
-
 // Get returns the value stored for key k.
 func (m *Map) Get(k uint64) (int32, bool) {
 	mask := uint64(len(m.keys) - 1)
@@ -124,12 +121,6 @@ func (m *Map) Set(k uint64, val int32) {
 // SetMarker records that the pair is adjacent (value 0). Overwrites any
 // previous value; markers are idempotent by design.
 func (m *Map) SetMarker(k uint64) { m.Set(k, Marker) }
-
-// IsMarker reports whether k is stored with the adjacent-pair marker.
-func (m *Map) IsMarker(k uint64) bool {
-	v, ok := m.Get(k)
-	return ok && v == Marker
-}
 
 // Add adds delta to the connector count of k and returns the new count,
 // inserting the entry at delta when absent. When the count reaches zero the
@@ -185,14 +176,6 @@ func (m *Map) Iterate(fn func(k uint64, val int32) bool) {
 	}
 }
 
-// Reset removes all entries but keeps the allocated table.
-func (m *Map) Reset() {
-	for i := range m.keys {
-		m.keys[i] = emptySlot
-	}
-	m.live, m.dirty = 0, 0
-}
-
 // MemoryFootprint returns the approximate heap bytes held by the table.
 func (m *Map) MemoryFootprint() int64 {
 	return int64(len(m.keys))*8 + int64(len(m.vals))*4
@@ -201,32 +184,21 @@ func (m *Map) MemoryFootprint() int64 {
 // Table exposes the raw open-addressing table: the key and value slot arrays,
 // including empty and tombstone slots. The slices are shared with the map and
 // must not be modified. Dumping the table verbatim (and restoring it with
-// FromTable) round-trips the map without rehashing a single key — the basis
-// of the O(load) maintainer-state snapshot codec.
+// ResetFromTable) round-trips the map without rehashing a single key — the
+// basis of the O(load) maintainer-state snapshot codec.
 func (m *Map) Table() (keys []uint64, vals []int32) {
 	return m.keys, m.vals
 }
 
-// FromTable reconstructs a Map directly from raw slot arrays as produced by
+// ResetFromTable initializes m in place from raw slot arrays as produced by
 // Table, taking ownership of both slices — no entry is rehashed, so the cost
-// is one validation scan. The table must be structurally sound: power-of-two
-// size ≥ 8, at least a quarter of the slots free (so probes terminate and the
-// load invariant holds), and every live key a canonical pair Key(i, j) with
-// 0 ≤ i < j < idBound. Deeper consistency (values matching any particular
-// graph) is the caller's contract, normally discharged by the checksum layer
-// above this codec.
-func FromTable(keys []uint64, vals []int32, idBound int32) (*Map, error) {
-	m := new(Map)
-	if err := m.ResetFromTable(keys, vals, idBound); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ResetFromTable initializes m in place from a verbatim table, under the same
-// contract as FromTable. It exists so a caller restoring many tables (one per
-// vertex at recovery) can lay the Map headers out in a single slab instead of
-// paying one heap allocation per table.
+// is one validation scan, and a caller restoring many tables (one per vertex
+// at recovery) lays the Map headers out in a single slab. The table must be
+// structurally sound: power-of-two size ≥ 8, at least a quarter of the slots
+// free (so probes terminate and the load invariant holds), and every live key
+// a canonical pair Key(i, j) with 0 ≤ i < j < idBound. Deeper consistency
+// (values matching any particular graph) is the caller's contract, normally
+// discharged by the checksum layer above this codec.
 func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("pairmap: table has %d key slots, %d value slots", len(keys), len(vals))

@@ -42,16 +42,16 @@ func TestMapBasics(t *testing.T) {
 	if v, ok := m.Get(k); !ok || v != 3 {
 		t.Fatalf("Get = %d,%v", v, ok)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
+	if m.live != 1 {
+		t.Fatalf("live = %d", m.live)
 	}
 	// Decrement back to zero removes the entry entirely.
 	m.Add(k, -3)
 	if _, ok := m.Get(k); ok {
 		t.Fatal("entry survived decrement to zero")
 	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after removal", m.Len())
+	if m.live != 0 {
+		t.Fatalf("live = %d after removal", m.live)
 	}
 }
 
@@ -59,12 +59,12 @@ func TestMarkerSemantics(t *testing.T) {
 	m := New()
 	k := Key(4, 9)
 	m.SetMarker(k)
-	if !m.IsMarker(k) {
+	if v, ok := m.Get(k); !ok || v != Marker {
 		t.Fatal("marker not set")
 	}
 	m.SetMarker(k) // idempotent
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d after double mark", m.Len())
+	if m.live != 1 {
+		t.Fatalf("live = %d after double mark", m.live)
 	}
 	defer func() {
 		if recover() == nil {
@@ -97,8 +97,8 @@ func TestDeleteAndTombstoneReuse(t *testing.T) {
 	if m.Delete(Key(0, 1)) {
 		t.Fatal("double delete returned true")
 	}
-	if m.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", m.Len())
+	if m.live != 50 {
+		t.Fatalf("live = %d, want 50", m.live)
 	}
 	for i := int32(1); i < 100; i += 2 {
 		if v, ok := m.Get(Key(i, i+1)); !ok || v != i+1 {
@@ -109,8 +109,8 @@ func TestDeleteAndTombstoneReuse(t *testing.T) {
 	for i := int32(0); i < 100; i += 2 {
 		m.Set(Key(i, i+1), 7)
 	}
-	if m.Len() != 100 {
-		t.Fatalf("Len = %d after reinserts", m.Len())
+	if m.live != 100 {
+		t.Fatalf("live = %d after reinserts", m.live)
 	}
 }
 
@@ -146,14 +146,18 @@ func TestIterate(t *testing.T) {
 	}
 }
 
+// TestReset: ResetFromTable reinitializes a populated map in place — the
+// recovery path restores tables into a preallocated slab of Map headers.
 func TestReset(t *testing.T) {
 	m := New()
 	for i := int32(0); i < 50; i++ {
 		m.Set(Key(i, i+1), 1)
 	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after reset", m.Len())
+	if err := m.ResetFromTable(make([]uint64, 8), make([]int32, 8), 100); err != nil {
+		t.Fatal(err)
+	}
+	if m.live != 0 {
+		t.Fatalf("live = %d after reset", m.live)
 	}
 	if _, ok := m.Get(Key(3, 4)); ok {
 		t.Fatal("entry survived reset")
@@ -197,7 +201,7 @@ func TestQuickAgainstBuiltinMap(t *testing.T) {
 				m.SetMarker(k)
 				oracle[k] = 0
 			}
-			if m.Len() != len(oracle) {
+			if m.live != len(oracle) {
 				return false
 			}
 		}
@@ -222,9 +226,9 @@ func TestMemoryFootprint(t *testing.T) {
 }
 
 // TestTableRoundTrip drives a map through a mixed insert/overwrite/delete
-// history, dumps the raw table, rebuilds via FromTable, and checks the copy
-// behaves identically — including tombstones and live counts surviving the
-// round trip verbatim.
+// history, dumps the raw table, rebuilds via ResetFromTable, and checks the
+// copy behaves identically — including tombstones and live counts surviving
+// the round trip verbatim.
 func TestTableRoundTrip(t *testing.T) {
 	m := New()
 	for i := int32(0); i < 300; i++ {
@@ -236,12 +240,12 @@ func TestTableRoundTrip(t *testing.T) {
 	m.SetMarker(Key(2, 5))
 
 	keys, vals := m.Table()
-	got, err := FromTable(append([]uint64(nil), keys...), append([]int32(nil), vals...), 1000)
-	if err != nil {
-		t.Fatalf("FromTable: %v", err)
+	got := new(Map)
+	if err := got.ResetFromTable(append([]uint64(nil), keys...), append([]int32(nil), vals...), 1000); err != nil {
+		t.Fatalf("ResetFromTable: %v", err)
 	}
-	if got.Len() != m.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), m.Len())
+	if got.live != m.live {
+		t.Fatalf("live = %d, want %d", got.live, m.live)
 	}
 	m.Iterate(func(k uint64, val int32) bool {
 		v, ok := got.Get(k)
@@ -258,12 +262,12 @@ func TestTableRoundTrip(t *testing.T) {
 	if v, ok := got.Get(Key(1, 8)); !ok || v != 2 {
 		t.Fatalf("lost pre-round-trip entry after growth: (%d,%v)", v, ok)
 	}
-	if !got.IsMarker(Key(2, 5)) {
+	if v, ok := got.Get(Key(2, 5)); !ok || v != Marker {
 		t.Fatal("marker entry lost in round trip")
 	}
 }
 
-// TestFromTableRejects enumerates the structural defects FromTable must
+// TestFromTableRejects enumerates the structural defects ResetFromTable must
 // refuse: size/shape violations, non-canonical keys, out-of-bound vertices,
 // negative counts, and over-full tables whose probes could not terminate.
 func TestFromTableRejects(t *testing.T) {
@@ -305,7 +309,7 @@ func TestFromTableRejects(t *testing.T) {
 		}
 	})
 	for _, tc := range cases {
-		if _, err := FromTable(tc.keys, tc.vals, 10); err == nil {
+		if err := new(Map).ResetFromTable(tc.keys, tc.vals, 10); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -313,7 +317,7 @@ func TestFromTableRejects(t *testing.T) {
 	keys, vals := mk(func(keys []uint64, vals []int32) {
 		keys[0], vals[0] = Key(1, 2), 3
 	})
-	if _, err := FromTable(keys, vals, 10); err != nil {
+	if err := new(Map).ResetFromTable(keys, vals, 10); err != nil {
 		t.Errorf("valid table rejected: %v", err)
 	}
 }

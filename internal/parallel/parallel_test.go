@@ -208,9 +208,11 @@ func sameEvidence(a, b *pairmap.Map) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a.Len() != b.Len() {
-		return false
-	}
+	return within(a, b) && within(b, a)
+}
+
+// within reports whether every entry of a is also an entry of b.
+func within(a, b *pairmap.Map) bool {
 	same := true
 	a.Iterate(func(k uint64, val int32) bool {
 		other, ok := b.Get(k)

@@ -32,7 +32,6 @@ type Follower struct {
 	client   *Client
 	target   Target
 	interval time.Duration
-	graphs   []string // fixed set; empty = follow whatever the leader lists
 	logf     func(format string, args ...any)
 	state    map[string]*followState
 }
@@ -47,12 +46,6 @@ func WithInterval(d time.Duration) FollowerOption {
 			f.interval = d
 		}
 	}
-}
-
-// WithGraphs pins the follower to an explicit graph set instead of
-// discovering the leader's list each pass.
-func WithGraphs(names ...string) FollowerOption {
-	return func(f *Follower) { f.graphs = names }
 }
 
 // WithLogf routes follower progress and error lines (default: silent).
@@ -100,12 +93,9 @@ func (f *Follower) Run(ctx context.Context) error {
 // until it is caught up with the leader's durable sequence. Per-graph
 // failures don't stop the pass; the joined error reports them all.
 func (f *Follower) SyncOnce(ctx context.Context) error {
-	names := f.graphs
-	if len(names) == 0 {
-		var err error
-		if names, err = f.client.Graphs(ctx); err != nil {
-			return fmt.Errorf("listing leader graphs: %w", err)
-		}
+	names, err := f.client.Graphs(ctx)
+	if err != nil {
+		return fmt.Errorf("listing leader graphs: %w", err)
 	}
 	var errs []error
 	for _, name := range names {

@@ -78,8 +78,8 @@ func TestAppendBatchesEmptyGroup(t *testing.T) {
 	if _, err := s.AppendBatches(nil); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if s.Failed() != nil {
-		t.Fatalf("empty group poisoned the store: %v", s.Failed())
+	if s.failed != nil {
+		t.Fatalf("empty group poisoned the store: %v", s.failed)
 	}
 	if seq, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); err != nil || seq != 1 {
 		t.Fatalf("append after empty group: seq=%d err=%v", seq, err)
@@ -125,7 +125,7 @@ func TestAppendBatchesCrashPoints(t *testing.T) {
 			if _, err := s.AppendBatches(group); !errors.Is(err, errBoom) {
 				t.Fatalf("crash not injected: %v", err)
 			}
-			if _, err := s.AppendBatches(group); err == nil || s.Failed() == nil {
+			if _, err := s.AppendBatches(group); err == nil || s.failed == nil {
 				t.Fatal("store not poisoned after group-append crash")
 			}
 			s.Close()

@@ -314,10 +314,6 @@ func (s *Store) fail(err error) error {
 	return err
 }
 
-// Failed returns the error that poisoned the store, or nil while it is
-// healthy.
-func (s *Store) Failed() error { return s.failed }
-
 // BatchSpec is one batch of a group append: the client-submitted edges and
 // the operation, before a sequence number is assigned. Stamps, when non-nil,
 // carries one admission timestamp per edge (windowed graphs); it rides the

@@ -403,7 +403,7 @@ func TestStorePoisonedAfterFailure(t *testing.T) {
 	if _, err := s.AppendBatches(one(true, [][2]int32{{0, 3}})); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Failed() == nil {
+	if s.failed == nil {
 		t.Fatal("store not poisoned")
 	}
 	armed = false // even with the fault gone, the store must stay down

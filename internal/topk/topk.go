@@ -49,9 +49,6 @@ func (b *Bounded) label(v int32) int32 {
 // Full reports whether k items are held.
 func (b *Bounded) Full() bool { return len(b.items) == b.k }
 
-// K returns the capacity.
-func (b *Bounded) K() int { return b.k }
-
 // Worst returns the held item that the next better offer would displace —
 // the lowest score, and among equal scores the largest label. Its score is
 // the pruning threshold min_{v∈R} CB(v). ok is false while R is not yet
@@ -148,15 +145,10 @@ type MaxHeap struct {
 	ext   []int32 // optional external labels for score-tie ordering
 }
 
-// NewMaxHeap returns an empty heap with capacity hint c.
-func NewMaxHeap(c int) *MaxHeap {
-	return NewMaxHeapLabeled(c, nil)
-}
-
-// NewMaxHeapLabeled is NewMaxHeap with score ties popped by descending
-// external label ext[v], so the pop sequence — the entire candidate visit
-// order of OptBSearch — is invariant under internal relabeling. A nil ext
-// means identity labels.
+// NewMaxHeapLabeled returns an empty heap with capacity hint c whose score
+// ties pop by descending external label ext[v], so the pop sequence — the
+// entire candidate visit order of OptBSearch — is invariant under internal
+// relabeling. A nil ext means identity labels.
 func NewMaxHeapLabeled(c int, ext []int32) *MaxHeap {
 	return &MaxHeap{items: make([]Item, 0, c), ext: ext}
 }
@@ -210,9 +202,6 @@ func (h *MaxHeap) Pop() Item {
 	}
 	return top
 }
-
-// Peek returns the current maximum without removing it.
-func (h *MaxHeap) Peek() Item { return h.items[0] }
 
 func (h *MaxHeap) greater(i, j int) bool {
 	if h.items[i].Score != h.items[j].Score {

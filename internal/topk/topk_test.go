@@ -81,13 +81,13 @@ func TestBoundedRandomizedAgainstSort(t *testing.T) {
 }
 
 func TestMaxHeapOrdering(t *testing.T) {
-	h := NewMaxHeap(0)
+	h := NewMaxHeapLabeled(0, nil)
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
 	for i, v := range vals {
 		h.Push(int32(i), v)
 	}
-	if h.Peek().Score != 9 {
-		t.Fatalf("peek = %v, want 9", h.Peek().Score)
+	if h.items[0].Score != 9 {
+		t.Fatalf("peek = %v, want 9", h.items[0].Score)
 	}
 	prev := h.Pop()
 	for h.Len() > 0 {
@@ -100,7 +100,7 @@ func TestMaxHeapOrdering(t *testing.T) {
 }
 
 func TestMaxHeapTieBreak(t *testing.T) {
-	h := NewMaxHeap(0)
+	h := NewMaxHeapLabeled(0, nil)
 	h.Push(3, 7)
 	h.Push(9, 7)
 	h.Push(5, 7)
@@ -115,7 +115,7 @@ func TestMaxHeapTieBreak(t *testing.T) {
 func TestNewBoundedClampsK(t *testing.T) {
 	b := NewBounded(0)
 	b.Add(1, 1)
-	if b.K() != 1 || !b.Full() {
+	if b.k != 1 || !b.Full() {
 		t.Fatal("k must clamp to 1")
 	}
 }
