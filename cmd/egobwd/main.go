@@ -9,16 +9,10 @@
 //	egobwd -addr :9090                # another port
 //	egobwd -preload dblp,ir           # pre-register dataset analogs
 //	egobwd -preload dblp -mode lazy -k 50
-//	egobwd -build-workers 8           # snapshot-build worker budget
+//	GOMAXPROCS=8 egobwd               # snapshot-build worker budget
 //	egobwd -data-dir /var/lib/egobwd  # durable graphs: WAL + snapshots,
 //	                                  # recovered on restart
 //	egobwd -data-dir d -checkpoint-every 64 -checkpoint-bytes 16777216
-//	egobwd -write-queue 256 -flush-interval 2ms
-//	                                  # write pipeline: admission-queue
-//	                                  # capacity and group-commit window
-//	egobwd -compact-depth 4 -compact-dirty 0.1
-//	                                  # overlay compaction policy: flatten
-//	                                  # the snapshot's delta chain sooner
 //	egobwd -window 6h                 # temporal serving: graphs default to a
 //	                                  # 6-hour sliding window; edges older
 //	                                  # than that are expired through WAL-
@@ -59,21 +53,16 @@ import (
 
 // config collects the daemon's flags.
 type config struct {
-	addr         string
-	preload      string
-	mode         string
-	k            int
-	buildWorkers int
-	dataDir      string
-	ckptEvery    int
-	ckptBytes    int64
-	writeQueue   int
-	flushEvery   time.Duration
-	compactDepth int
-	compactDirty float64
-	window       time.Duration
-	follow       string
-	followEvery  time.Duration
+	addr        string
+	preload     string
+	mode        string
+	k           int
+	dataDir     string
+	ckptEvery   int
+	ckptBytes   int64
+	window      time.Duration
+	follow      string
+	followEvery time.Duration
 }
 
 func main() {
@@ -82,14 +71,9 @@ func main() {
 	flag.StringVar(&cfg.preload, "preload", "", "comma-separated dataset names to register at startup (see egobw -dataset)")
 	flag.StringVar(&cfg.mode, "mode", server.ModeLocal, "maintenance mode for preloaded graphs: local or lazy")
 	flag.IntVar(&cfg.k, "k", 10, "maintained k for lazy-mode preloads")
-	flag.IntVar(&cfg.buildWorkers, "build-workers", 0, "worker budget for snapshot builds (initial score computation and per-batch CSR export); 0 = GOMAXPROCS")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable graphs (per-graph WAL + binary CSR snapshots); graphs recover on restart. Empty = in-memory only")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "fold the WAL into a fresh snapshot after this many update batches (0 = default 16)")
 	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 0, "also checkpoint once a graph's WAL exceeds this many bytes (0 = default 4 MiB)")
-	flag.IntVar(&cfg.writeQueue, "write-queue", 0, "per-graph write admission-queue capacity; a full queue answers 429 (0 = default 128)")
-	flag.DurationVar(&cfg.flushEvery, "flush-interval", 0, "group-commit coalescing window: how long the writer waits for more batches after the first arrives (0 = commit whatever is queued immediately)")
-	flag.IntVar(&cfg.compactDepth, "compact-depth", 0, "compact a graph's overlay chain into a fresh base CSR once it is this many layers deep (0 = default 8; 1 compacts after every drain)")
-	flag.Float64Var(&cfg.compactDirty, "compact-dirty", 0, "also compact once the chain's dirty vertices reach this fraction of n (0 = default 0.25)")
 	flag.DurationVar(&cfg.window, "window", 0, "default sliding window for created graphs (e.g. 6h): edges older than the window are expired through WAL-recorded delete batches; 0 = unwindowed. Per-graph \"window\" on create overrides")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of the leader at this base URL (e.g. http://leader:8080): graphs ship over from its checkpoints and WAL stream; local writes are rejected")
 	flag.DurationVar(&cfg.followEvery, "follow-interval", 200*time.Millisecond, "how often a follower polls the leader's WAL stream (bounds read staleness)")
@@ -111,16 +95,7 @@ func setup(cfg config) (*server.Server, error) {
 	if cfg.window < 0 {
 		return nil, fmt.Errorf("-window must be non-negative, got %v", cfg.window)
 	}
-	if cfg.window > 0 && cfg.window < cfg.flushEvery {
-		return nil, fmt.Errorf("-window %v is shorter than -flush-interval %v: edges would expire before the drain that admitted them", cfg.window, cfg.flushEvery)
-	}
-	regOpts := []server.RegistryOption{
-		server.WithBuildWorkers(cfg.buildWorkers),
-		server.WithWriteQueue(cfg.writeQueue),
-		server.WithFlushInterval(cfg.flushEvery),
-		server.WithCompactPolicy(cfg.compactDepth, cfg.compactDirty),
-		server.WithWindow(cfg.window),
-	}
+	regOpts := []server.RegistryOption{server.WithWindow(cfg.window)}
 	if cfg.dataDir != "" {
 		regOpts = append(regOpts,
 			server.WithDataDir(cfg.dataDir),

@@ -17,7 +17,7 @@ func TestRunRejectsBadPreload(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not-a-dataset") {
 		t.Fatalf("unknown dataset: err = %v", err)
 	}
-	err = run(config{addr: "127.0.0.1:0", preload: "ir", mode: "bogus-mode", k: 10, buildWorkers: 2})
+	err = run(config{addr: "127.0.0.1:0", preload: "ir", mode: "bogus-mode", k: 10})
 	if err == nil || !strings.Contains(err.Error(), "bogus-mode") {
 		t.Fatalf("bad mode: err = %v", err)
 	}
@@ -30,7 +30,7 @@ func TestSetupRecoversDataDir(t *testing.T) {
 	dir := t.TempDir()
 
 	// "Previous process": a durable registry with one graph and an update.
-	reg := server.NewRegistry(server.WithDataDir(dir), server.WithBuildWorkers(1))
+	reg := server.NewRegistry(server.WithDataDir(dir))
 	g := graph.MustFromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 2}})
 	if _, err := reg.Add("demo", g, server.ModeLocal, 0); err != nil {
 		t.Fatal(err)
@@ -66,8 +66,7 @@ func TestSetupRecoversDataDir(t *testing.T) {
 // recovered graph must answer queries.
 func TestSetupFastRecovery(t *testing.T) {
 	dir := t.TempDir()
-	reg := server.NewRegistry(server.WithDataDir(dir), server.WithBuildWorkers(1),
-		server.WithCheckpointPolicy(2, 1<<20))
+	reg := server.NewRegistry(server.WithDataDir(dir), server.WithCheckpointPolicy(2, 1<<20))
 	g := graph.MustFromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 2}, {4, 5}})
 	if _, err := reg.Add("demo", g, server.ModeLocal, 0); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -194,12 +195,50 @@ func TestDocsHaveNoDanglingReferences(t *testing.T) {
 	}
 }
 
+// TestReadmeNamesEveryDaemonFlag: README's "The daemon's … flags:" sentence
+// names exactly the flags cmd/egobwd registers, and counts them right, so a
+// flag added or removed without its documentation fails here.
+func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
+	root := repoRoot(t)
+	src, err := os.ReadFile(filepath.Join(root, "cmd", "egobwd", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registered []string
+	for _, m := range regexp.MustCompile(`flag\.\w+\((?:[^,"]+, )?"([\w-]+)"`).FindAllSubmatch(src, -1) {
+		registered = append(registered, "-"+string(m[1]))
+	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentence := regexp.MustCompile(`(?s)The daemon's (\w+) flags:(.*?)\.\s`).FindSubmatch(readme)
+	if sentence == nil {
+		t.Fatal("README.md has no \"The daemon's … flags:\" sentence")
+	}
+	var named []string
+	for _, m := range regexp.MustCompile("`(-[a-z-]+)`").FindAllSubmatch(sentence[2], -1) {
+		named = append(named, string(m[1]))
+	}
+	slices.Sort(registered)
+	slices.Sort(named)
+	if !slices.Equal(named, registered) {
+		t.Errorf("README.md names the daemon flags %v; cmd/egobwd registers %v", named, registered)
+	}
+	counts := strings.Fields("zero one two three four five six seven eight nine ten eleven twelve thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty")
+	if n := len(registered); n >= len(counts) || string(sentence[1]) != counts[n] {
+		t.Errorf("README.md speaks of the daemon's %s flags; cmd/egobwd registers %d", sentence[1], len(registered))
+	}
+}
+
 // retiredSymbols are deleted functions and methods: the sequential
 // edge-by-edge evidence engine, the register-based sampling API with its
 // direct-probe fork and the nbr exports they were the last callers of, the
 // from-scores constructors the kernel sweep made redundant, the striped
-// parallel edge pass, and the test-only API TestExportedSurfaceHasCallers
-// found (names too common to scan for, such as Len or Order, are left out).
+// parallel edge pass, the test-only API TestExportedSurfaceHasCallers found
+// (names too common to scan for, such as Len or Order, are left out), and
+// the registry options that had one value in use with the Retry-After
+// derivation only a flush window fed.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -208,4 +247,5 @@ var retiredSymbols = []string{
 	"edgePass", "nonAdjacentPairs", "workerScratch", "stripeCount", "Imbalance",
 	"WriteBinary", "ReadBinary", "NewDynGraph", "DirtyCount", "CommonNeighbors",
 	"TopKOverlap", "FromTable", "IsMarker", "NewMaxHeap", "WithGraphs", "StampOf",
+	"WithBuildWorkers", "WithWriteQueue", "WithFlushInterval", "WithCompactPolicy", "retryAfter",
 }

@@ -23,10 +23,7 @@ import (
 // and to the recovery suites' tolerance after score-changing batches.
 func TestExactAlgosByteIdentical(t *testing.T) {
 	base := gen.Affiliation(300, 150, 5.5, 1, 29)
-	reg := overlayRegistry(64)
-	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
-		t.Fatal(err)
-	}
+	reg := addOverlayGraph(t, base, ModeLocal, 0, 64)
 	check := func(stage string, scoresExact bool) {
 		t.Helper()
 		info, err := reg.Info("g")

@@ -39,7 +39,8 @@ func TestApproxServingEquivalenceAcrossViews(t *testing.T) {
 
 	q := TopKQuery{K: 25, Algo: AlgoApprox, Eps: 0.05, Seed: 7}
 
-	frozen := NewRegistry(WithBuildWorkers(1))
+	frozen := NewRegistry()
+	frozen.workers = 1
 	if _, err := frozen.Add("g", full, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +52,13 @@ func TestApproxServingEquivalenceAcrossViews(t *testing.T) {
 		t.Fatalf("got %d results, want 25", len(want.Results))
 	}
 
-	frozen4 := NewRegistry(WithBuildWorkers(4))
+	frozen4 := NewRegistry()
+	frozen4.workers = 4
 	if _, err := frozen4.Add("g", full, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	overlay := NewRegistry(WithBuildWorkers(4), WithCompactPolicy(1000, 1.0))
-	if _, err := overlay.Add("g", base, ModeLazy, 25); err != nil {
-		t.Fatal(err)
-	}
+	overlay := addOverlayGraph(t, base, ModeLazy, 25, 1000)
 	if _, err := overlay.applyEdges("g", extraEdges, true); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	want := ego.ComputeAll(g)
 
 	for _, workers := range []int{1, 4} {
-		reg := NewRegistry(WithBuildWorkers(workers))
+		reg := NewRegistry()
+		reg.workers = workers
 		info, err := reg.Add("g", g, ModeLocal, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: Add: %v", workers, err)
@@ -71,8 +72,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 // TestParallelBuildLazyMode checks the lazy mode's parallel initial build.
 func TestParallelBuildLazyMode(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 3, 17)
-	seq := NewRegistry(WithBuildWorkers(1))
-	par := NewRegistry(WithBuildWorkers(4))
+	seq, par := NewRegistry(), NewRegistry()
+	seq.workers, par.workers = 1, 4
 	if _, err := seq.Add("g", g, ModeLazy, 8); err != nil {
 		t.Fatal(err)
 	}

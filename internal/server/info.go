@@ -99,7 +99,7 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 	gi := GraphInfo{
 		Name: e.name, Mode: e.mode, Epoch: s.epoch,
 		N: s.view.NumVertices(), M: s.view.NumEdges(),
-		BuildWorkers:     s.buildWorkers,
+		BuildWorkers:     e.workers,
 		PublishMS:        float64(s.publishDur.Microseconds()) / 1000,
 		CompactMS:        float64(e.lastCompactNs.Load()) / 1e6,
 		Compactions:      e.compactions.Load(),

@@ -25,7 +25,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 	var killArmed atomic.Bool
 	errBoom := errors.New("injected mid-drain kill")
 	victim := NewRegistry(
-		WithDataDir(dir), WithBuildWorkers(2), WithCheckpointPolicy(7, 1<<20),
+		WithDataDir(dir), WithCheckpointPolicy(7, 1<<20),
 		WithCrashHook(func(g, p string) error {
 			if killArmed.Load() && g == "main" && p == crashBeforeApply {
 				return errBoom
@@ -205,7 +205,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 	// reports durable (admission order == script order: one writer
 	// goroutine, async and durable batches interleaved FIFO) must be what
 	// the reopened registry serves.
-	reborn := NewRegistry(WithDataDir(dir), WithBuildWorkers(2))
+	reborn := NewRegistry(WithDataDir(dir))
 	infos, err := reborn.Recover()
 	if err != nil {
 		t.Fatal(err)

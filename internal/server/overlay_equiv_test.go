@@ -19,14 +19,23 @@ import (
 // (the Makefile's test target), which also exercises the background
 // compactor racing the writer.
 
-// overlayRegistry disables the dirty-ratio trigger and sets a deep chain
-// bound so the tests control exactly when compaction happens.
-func overlayRegistry(depth int, extra ...RegistryOption) *Registry {
-	opts := append([]RegistryOption{
-		WithBuildWorkers(2),
-		WithCompactPolicy(depth, 1e9), // absurd ratio: depth is the only trigger
-	}, extra...)
-	return NewRegistry(opts...)
+// addOverlayGraph serves base as "g" on a fresh registry with the
+// dirty-ratio trigger disabled and the chain bounded at depth, so the tests
+// control exactly when compaction happens.
+func addOverlayGraph(t *testing.T, base *graph.Graph, mode string, lazyK, depth int) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	if _, err := reg.Add("g", base, mode, lazyK); err != nil {
+		t.Fatal(err)
+	}
+	e, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	e.maxDepth, e.dirtyRatio = depth, 1e9 // absurd ratio: depth is the only trigger
+	e.mu.Unlock()
+	return reg
 }
 
 func TestOverlayServingEquivalence(t *testing.T) {
@@ -41,10 +50,7 @@ func TestOverlayServingEquivalence(t *testing.T) {
 
 				// Deep depth bound: the chain grows across many drains, so
 				// the queries genuinely run over multi-layer overlays.
-				reg := overlayRegistry(64)
-				if _, err := reg.Add("g", base, mode, 10); err != nil {
-					t.Fatal(err)
-				}
+				reg := addOverlayGraph(t, base, mode, 10, 64)
 				for i, sb := range script {
 					if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
@@ -83,10 +89,7 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 	mirror := graph.DynFromGraph(base)
 	script := makeScript(rng, mirror, nBatches)
 
-	reg := overlayRegistry(2) // compact every other drain
-	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
-		t.Fatal(err)
-	}
+	reg := addOverlayGraph(t, base, ModeLocal, 0, 2) // compact every other drain
 	for _, sb := range script {
 		if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
@@ -128,10 +131,7 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 func TestScoresCopyOnWrite(t *testing.T) {
 	// > 1 chunk so partial copies are observable (n = 1500 → 2 chunks).
 	base := gen.BarabasiAlbert(1500, 3, 7)
-	reg := overlayRegistry(64)
-	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
-		t.Fatal(err)
-	}
+	reg := addOverlayGraph(t, base, ModeLocal, 0, 64)
 	info, _ := reg.Info("g")
 	if info.ScoresCopied != 0 {
 		t.Fatalf("fresh graph scores_copied = %d, want 0", info.ScoresCopied)

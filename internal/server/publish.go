@@ -27,7 +27,7 @@ func (e *entry) dyn() *graph.DynGraph {
 func (e *entry) publishLocked(epoch uint64) {
 	t0 := time.Now()
 	old := e.snap.Load()
-	s := &snapshot{epoch: epoch, view: e.dyn().FreezeOverlay(old.view), buildWorkers: e.workers}
+	s := &snapshot{epoch: epoch, view: e.dyn().FreezeOverlay(old.view)}
 	if e.local != nil {
 		sv, copied := old.scores.withUpdates(e.local.All(), e.local.TakeDirtyScores())
 		s.scores = sv
@@ -50,7 +50,7 @@ func (e *entry) buildFullSnapshot(epoch uint64) *snapshot {
 	dyn := e.dyn()
 	dyn.TakeDirty()
 	g := dyn.Freeze(e.workers)
-	s := &snapshot{epoch: epoch, view: g, buildWorkers: e.workers}
+	s := &snapshot{epoch: epoch, view: g}
 	if e.local != nil {
 		e.local.TakeDirtyScores()
 		s.scores = newScoreVec(e.local.All())

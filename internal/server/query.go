@@ -44,10 +44,8 @@ type snapshot struct {
 
 	// publishDur is how long this snapshot's publication took (the initial
 	// all-vertices computation for epoch 1, the O(batch) overlay
-	// publication for later epochs) and buildWorkers the worker budget the
-	// entry compacts and freezes with — both surfaced through GraphInfo.
-	publishDur   time.Duration
-	buildWorkers int
+	// publication for later epochs), surfaced through GraphInfo.
+	publishDur time.Duration
 
 	cache      sync.Map     // cacheKey -> cachedResult
 	cacheCount atomic.Int64 // entries stored, enforcing maxCacheEntries
@@ -63,8 +61,7 @@ type snapshot struct {
 // re-deriving them is cheaper than a cache scheme that outlives snapshots.
 func (s *snapshot) withView(v graph.View) *snapshot {
 	return &snapshot{
-		epoch: s.epoch, view: v, scores: s.scores,
-		publishDur: s.publishDur, buildWorkers: s.buildWorkers,
+		epoch: s.epoch, view: v, scores: s.scores, publishDur: s.publishDur,
 	}
 }
 
@@ -208,12 +205,13 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 	// θ: 0 (unset) selects the documented default; anything else below 1
 	// is invalid — OptBSearch's pruning needs θ ≥ 1 — and is rejected
 	// rather than silently rewritten, so a library caller asking for
-	// θ=0.5 learns about it exactly like an HTTP caller does.
+	// θ=0.5 learns about it exactly like an HTTP caller does. An infinite
+	// θ is rejected too: the payload echoes θ, and JSON has no Inf.
 	switch {
 	case theta == 0:
 		theta = defaultTheta
-	case theta < 1 || math.IsNaN(theta):
-		return cacheKey{}, fmt.Errorf("server: theta must be ≥ 1 (got %v; 0 selects the default %v)", theta, defaultTheta)
+	case theta < 1 || math.IsNaN(theta) || math.IsInf(theta, 1):
+		return cacheKey{}, fmt.Errorf("server: theta must be finite and ≥ 1 (got %v; 0 selects the default %v)", theta, defaultTheta)
 	}
 	key := cacheKey{k: k, algo: algo}
 	if algo == AlgoOpt {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/ego"
 	"repro/internal/gen"
@@ -170,7 +169,6 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 func durableRegistry(dir string, extra ...RegistryOption) *Registry {
 	opts := append([]RegistryOption{
 		WithDataDir(dir),
-		WithBuildWorkers(2),
 		WithCheckpointPolicy(3, 1<<20),
 	}, extra...)
 	return NewRegistry(opts...)
@@ -328,7 +326,7 @@ func TestRecoveryGroupCommitCrash(t *testing.T) {
 	errBoom := errors.New("injected crash")
 	const (
 		preBatches   = 4 // committed cleanly before arming
-		burstBatches = 3 // admitted async, coalesced by the flush window
+		burstBatches = 3 // admitted async behind a stalled drain: one group
 	)
 	for _, mode := range []string{ModeLocal, ModeLazy} {
 		for _, point := range points {
@@ -338,11 +336,23 @@ func TestRecoveryGroupCommitCrash(t *testing.T) {
 				script := makeScript(rng, graph.DynFromGraph(base), preBatches+burstBatches+1)
 				dir := t.TempDir()
 
-				armed := false
+				// Every group starts with one WAL append, so counting
+				// before-wal-append names the drain in flight. The last
+				// pre-batch's drain parks after its append until the burst
+				// is queued behind it; the crash is armed from the next
+				// drain on — the burst's.
+				groups := 0
+				stalled, release := make(chan struct{}), make(chan struct{})
 				victim := durableRegistry(dir,
-					WithFlushInterval(150*time.Millisecond),
 					WithCrashHook(func(g, p string) error {
-						if armed && p == point {
+						if p == store.CrashBeforeWALAppend {
+							groups++
+						}
+						if p == crashBeforeApply && groups == preBatches {
+							close(stalled)
+							<-release
+						}
+						if groups > preBatches && p == point {
 							return errBoom
 						}
 						return nil
@@ -350,20 +360,25 @@ func TestRecoveryGroupCommitCrash(t *testing.T) {
 				if _, err := victim.Add("g", base, mode, 10); err != nil {
 					t.Fatal(err)
 				}
-				for _, sb := range script[:preBatches] {
+				for _, sb := range script[:preBatches-1] {
 					if _, err := victim.applyEdges("g", sb.edges, sb.insert); err != nil {
 						t.Fatal(err)
 					}
 				}
-				// Arm, then admit the burst async (the writer's flush window
-				// coalesces it into one group) and the next script batch
-				// durable: its ack is the fence that proves the crash fired.
-				armed = true
+				last := script[preBatches-1]
+				if _, err := victim.applyEdgesAck("g", last.edges, last.insert, AckAsync); err != nil {
+					t.Fatal(err)
+				}
+				// Admit the burst async while that drain is parked, so it
+				// commits as one group, then the next script batch durable:
+				// its ack is the fence that proves the crash fired.
+				<-stalled
 				for _, sb := range script[preBatches : preBatches+burstBatches] {
 					if _, err := victim.applyEdgesAck("g", sb.edges, sb.insert, AckAsync); err != nil {
 						t.Fatal(err)
 					}
 				}
+				close(release)
 				probe := script[preBatches+burstBatches]
 				if _, err := victim.applyEdges("g", probe.edges, probe.insert); !errors.Is(err, ErrStorage) {
 					t.Fatalf("probe after armed crash: err = %v, want ErrStorage", err)
@@ -411,7 +426,7 @@ func TestRecoveryTornWALTail(t *testing.T) {
 	script := makeScript(rng, graph.DynFromGraph(base), 2)
 	dir := t.TempDir()
 
-	victim := NewRegistry(WithDataDir(dir), WithBuildWorkers(1), WithCheckpointPolicy(100, 1<<30))
+	victim := NewRegistry(WithDataDir(dir), WithCheckpointPolicy(100, 1<<30))
 	if _, err := victim.Add("g", base, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ type entry struct {
 
 	// Compaction policy (DESIGN.md §10): flatten the overlay chain into a
 	// fresh base CSR once its depth or its dirty-vertex share of n crosses
-	// these bounds. The compactor runs in its own goroutine, off the write
-	// path; compacting serializes it (one flatten at a time).
+	// these bounds (compactDepth and compactDirty; tests move them). The
+	// compactor runs in its own goroutine, off the write path; compacting
+	// serializes it (one flatten at a time).
 	maxDepth   int
 	dirtyRatio float64
 	compacting atomic.Bool
@@ -60,7 +61,6 @@ type entry struct {
 	qmu     sync.RWMutex
 	qclosed bool
 	stopped chan struct{}
-	flush   time.Duration // coalescing window after the first arrival
 
 	// mu serializes all mutation of the maintainer state below and every
 	// snapshot publication. Readers never take it.
@@ -188,17 +188,17 @@ const (
 	defaultCheckpointBytes   = 4 << 20
 )
 
-// Default write-pipeline tuning: admission-queue capacity, which is also the
+// writeQueueCap is the per-graph admission-queue capacity, which is also the
 // largest group one drain may commit.
-const defaultWriteQueue = 128
+const writeQueueCap = 128
 
-// Default compaction policy: flatten the overlay chain once it is this many
-// layers deep or once its dirty vertices reach this share of n, whichever
-// trips first. Depth bounds the chain walk a read pays on a delta miss;
-// the ratio bounds the memory the deltas duplicate.
+// Compaction policy: flatten the overlay chain once it is this many layers
+// deep or once its dirty vertices reach this share of n, whichever trips
+// first. Depth bounds the chain walk a read pays on a delta miss; the ratio
+// bounds the memory the deltas duplicate.
 const (
-	defaultCompactDepth = 8
-	defaultCompactDirty = 0.25
+	compactDepth = 8
+	compactDirty = 0.25
 )
 
 // Registry is a named collection of served graphs. Lookup is guarded by a
@@ -206,15 +206,11 @@ const (
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
-	workers int // snapshot-build worker budget applied to new graphs
 
-	// Write pipeline (DESIGN.md §9).
+	// Applied to new graphs: the snapshot-build worker budget (GOMAXPROCS)
+	// and the admission-queue capacity (writeQueueCap). Tests shrink them.
+	workers  int
 	queueCap int
-	flush    time.Duration
-
-	// Overlay compaction policy (DESIGN.md §10).
-	compactDepth int
-	compactDirty float64
 
 	// Persistence (DESIGN.md §8). Empty dataDir means in-memory only.
 	dataDir     string
@@ -238,14 +234,6 @@ type Registry struct {
 // RegistryOption configures a Registry.
 type RegistryOption func(*Registry)
 
-// WithBuildWorkers sets the worker budget used to build graph snapshots:
-// the initial all-vertices computation is a per-ego kernel sweep over this
-// many goroutines, and the per-batch CSR export shards its row copy across
-// them. n ≤ 0 selects GOMAXPROCS.
-func WithBuildWorkers(n int) RegistryOption {
-	return func(r *Registry) { r.workers = n }
-}
-
 // WithDataDir makes the registry durable: every graph gets a WAL + snapshot
 // store under dir, every update batch is logged before it is applied, and
 // Recover reloads the whole registry after a restart or crash.
@@ -264,49 +252,6 @@ func WithCheckpointPolicy(batches int, bytes int64) RegistryOption {
 		}
 		if bytes > 0 {
 			r.ckptBytes = bytes
-		}
-	}
-}
-
-// WithWriteQueue sets the per-graph admission-queue capacity: how many
-// update batches may wait for the writer goroutine before new admissions
-// are rejected with ErrBacklog (HTTP 429). n ≤ 0 keeps the default (128).
-func WithWriteQueue(n int) RegistryOption {
-	return func(r *Registry) {
-		if n > 0 {
-			r.queueCap = n
-		}
-	}
-}
-
-// WithFlushInterval sets the group-commit coalescing window: after the
-// first batch of a drain arrives, the writer waits up to d for more
-// batches before committing the group. Zero (the default) commits whatever
-// is already queued without waiting — lowest latency, with coalescing
-// arising naturally under concurrent load; a positive window trades
-// latency for larger groups on trickle workloads.
-func WithFlushInterval(d time.Duration) RegistryOption {
-	return func(r *Registry) {
-		if d > 0 {
-			r.flush = d
-		}
-	}
-}
-
-// WithCompactPolicy sets when a graph's overlay chain is flattened into a
-// fresh base CSR by the background compactor: once the chain is maxDepth
-// layers deep, or once the dirty vertices across the chain reach dirtyRatio
-// of the vertex count, whichever trips first. Non-positive values keep the
-// defaults (depth 8, ratio 0.25). Depth 1 compacts after every drain —
-// useful to benchmark the pre-overlay behavior, since every read then runs
-// on a full CSR.
-func WithCompactPolicy(maxDepth int, dirtyRatio float64) RegistryOption {
-	return func(r *Registry) {
-		if maxDepth > 0 {
-			r.compactDepth = maxDepth
-		}
-		if dirtyRatio > 0 {
-			r.compactDirty = dirtyRatio
 		}
 	}
 }
@@ -353,31 +298,19 @@ func WithCrashHook(h func(graph, point string) error) RegistryOption {
 	return func(r *Registry) { r.crashHook = h }
 }
 
-// NewRegistry returns an empty registry. The default snapshot-build worker
-// budget is GOMAXPROCS.
+// NewRegistry returns an empty registry. Snapshot builds use GOMAXPROCS
+// workers.
 func NewRegistry(opts ...RegistryOption) *Registry {
 	r := &Registry{
 		entries:     make(map[string]*entry),
+		workers:     runtime.GOMAXPROCS(0),
+		queueCap:    writeQueueCap,
 		ckptBatches: defaultCheckpointBatches,
 		ckptBytes:   defaultCheckpointBytes,
+		nowMS:       func() int64 { return time.Now().UnixMilli() },
 	}
 	for _, o := range opts {
 		o(r)
-	}
-	if r.workers <= 0 {
-		r.workers = runtime.GOMAXPROCS(0)
-	}
-	if r.queueCap <= 0 {
-		r.queueCap = defaultWriteQueue
-	}
-	if r.compactDepth <= 0 {
-		r.compactDepth = defaultCompactDepth
-	}
-	if r.compactDirty <= 0 {
-		r.compactDirty = defaultCompactDirty
-	}
-	if r.nowMS == nil {
-		r.nowMS = func() int64 { return time.Now().UnixMilli() }
 	}
 	return r
 }
@@ -387,11 +320,10 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 func (r *Registry) newEntry(name, mode string) *entry {
 	return &entry{
 		name: name, mode: mode, workers: r.workers,
-		maxDepth:   r.compactDepth,
-		dirtyRatio: r.compactDirty,
+		maxDepth:   compactDepth,
+		dirtyRatio: compactDirty,
 		queue:      make(chan *writeReq, r.queueCap),
 		stopped:    make(chan struct{}),
-		flush:      r.flush,
 		nowMS:      r.nowMS,
 	}
 }
@@ -451,18 +383,13 @@ func (r *Registry) Add(name string, g *graph.Graph, mode string, lazyK int) (Gra
 // admitted inserts are stamped on arrival, and the writer goroutine expires
 // edges older than now−window through WAL-recorded delete batches (DESIGN.md
 // §14). window == 0 serves the graph unwindowed regardless of the registry
-// default. A window must be at least the group-commit flush interval: a
-// shorter one would expire edges faster than drains occur, so it is rejected
-// up front (the HTTP layer answers 400).
+// default.
 func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK int, window time.Duration) (GraphInfo, error) {
 	if window < 0 {
 		return GraphInfo{}, fmt.Errorf("server: window must be non-negative, got %v", window)
 	}
 	if window > 0 && window < time.Millisecond {
 		return GraphInfo{}, fmt.Errorf("server: window %v is below the 1ms stamp resolution", window)
-	}
-	if window > 0 && window < r.flush {
-		return GraphInfo{}, fmt.Errorf("server: window %v is shorter than the flush interval %v (edges would expire before the drain that admitted them)", window, r.flush)
 	}
 	if name == "" {
 		return GraphInfo{}, fmt.Errorf("server: graph name must be non-empty")
@@ -507,7 +434,7 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 		initStamps = &store.TemporalState{WindowMS: uint64(window / time.Millisecond), Stamps: stamps}
 		e.refreshTemporalLocked()
 	}
-	first := &snapshot{epoch: 1, view: g, buildWorkers: e.workers}
+	first := &snapshot{epoch: 1, view: g}
 	t0 := time.Now()
 	if mode == ModeLocal {
 		e.local = dynamic.NewMaintainerParallel(g, e.workers)

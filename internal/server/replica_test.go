@@ -47,7 +47,7 @@ func newShipPair(t *testing.T, leadDir, folDir string) *shipPair {
 	p.ts = httptest.NewServer(ship.NewHandler(p.leader))
 	t.Cleanup(p.ts.Close)
 	p.client = ship.NewClient(p.ts.URL, nil)
-	folOpts := []RegistryOption{WithLeader(p.ts.URL), WithBuildWorkers(2), WithCheckpointPolicy(3, 1<<20)}
+	folOpts := []RegistryOption{WithLeader(p.ts.URL), WithCheckpointPolicy(3, 1<<20)}
 	if folDir != "" {
 		folOpts = append(folOpts, WithDataDir(folDir))
 	}
@@ -250,7 +250,7 @@ func TestReplicaFollowerRestart(t *testing.T) {
 	if err := p.folReg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p.folReg = NewRegistry(WithLeader(p.ts.URL), WithDataDir(folDir), WithBuildWorkers(2), WithCheckpointPolicy(3, 1<<20))
+	p.folReg = NewRegistry(WithLeader(p.ts.URL), WithDataDir(folDir), WithCheckpointPolicy(3, 1<<20))
 	t.Cleanup(func() { p.folReg.Close() })
 	infos, err := p.folReg.Recover()
 	if err != nil {
@@ -295,7 +295,7 @@ func TestReplicaReadOnly(t *testing.T) {
 		t.Fatalf("read on follower: %v", err)
 	}
 
-	srv := New(WithRegistryOptions(WithLeader(p.ts.URL), WithBuildWorkers(2)))
+	srv := New(WithRegistryOptions(WithLeader(p.ts.URL)))
 	defer srv.Registry().Close()
 	fol2 := ship.NewFollower(p.client, srv.Registry())
 	if err := fol2.SyncOnce(context.Background()); err != nil {
@@ -465,39 +465,50 @@ func TestRecoverLazyKFallbackReason(t *testing.T) {
 	}
 }
 
-// TestRetryAfterDerivation: a full admission queue answers with a
-// BacklogError whose RetryAfter reflects the actual backlog (queue depth ×
-// coalescing window), bounded to [1s, 60s] — and the error still matches
-// the ErrBacklog sentinel clients already check for.
+// TestRetryAfterDerivation: a full admission queue fails with an error that
+// matches ErrBacklog and names the graph and the queue capacity, and the
+// HTTP layer answers the overflow 429 with Retry-After: 1 — one second,
+// whatever the backlog.
 func TestRetryAfterDerivation(t *testing.T) {
-	reg := NewRegistry(WithBuildWorkers(1), WithWriteQueue(2), WithFlushInterval(500*time.Millisecond))
+	s := New(WithLogger(func(string, ...any) {}))
+	reg := s.Registry()
+	reg.queueCap = 2
 	defer reg.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	if _, err := reg.Add("g", gen.BarabasiAlbert(40, 3, 1), ModeLocal, 10); err != nil {
 		t.Fatal(err)
 	}
-	// Async writes pile up behind the first drain's coalescing window until
-	// the queue rejects one.
-	var be *BacklogError
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, err := reg.applyEdgesAck("g", [][2]int32{{0, 39}}, true, AckAsync)
-		if errors.As(err, &be) {
-			if !errors.Is(err, ErrBacklog) {
-				t.Fatalf("BacklogError does not match ErrBacklog: %v", err)
-			}
-			break
-		}
-		if err != nil {
-			t.Fatalf("ApplyEdgesAck: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
+	e, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if be.RetryAfter < time.Second || be.RetryAfter > 60*time.Second {
-		t.Fatalf("RetryAfter %v outside [1s, 60s]", be.RetryAfter)
+	// Under the entry lock the writer parks in its first commit, so async
+	// writes pile up until the queue rejects them: the writer holds at most
+	// one group of capacity batches, the queue another capacity.
+	e.mu.Lock()
+	for i := 0; i < 8 && err == nil; i++ {
+		_, err = reg.applyEdgesAck("g", [][2]int32{{0, 39}}, true, AckAsync)
 	}
-	if be.Graph != "g" || be.Capacity != 2 {
-		t.Fatalf("BacklogError context = %+v", be)
+	var resp *http.Response
+	for i := 0; i < 8 && (resp == nil || resp.StatusCode == http.StatusAccepted); i++ {
+		r, herr := http.Post(ts.URL+"/graphs/g/edges?ack=async", "application/json", strings.NewReader(`{"edges":[[0,39]]}`))
+		if herr != nil {
+			e.mu.Unlock()
+			t.Fatal(herr)
+		}
+		r.Body.Close()
+		resp = r
+	}
+	e.mu.Unlock()
+	if !errors.Is(err, ErrBacklog) {
+		t.Fatalf("overflow admission: err = %v, want ErrBacklog", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"g"`) || !strings.Contains(msg, "capacity 2") {
+		t.Fatalf("backlog error %q does not name the graph and its capacity", msg)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("overflow over HTTP: status %d Retry-After %q, want 429 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }

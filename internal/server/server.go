@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -54,7 +55,7 @@ func WithLogger(logf func(format string, args ...any)) Option {
 }
 
 // WithRegistryOptions forwards options to the Server's Registry (for
-// example WithBuildWorkers).
+// example WithDataDir).
 func WithRegistryOptions(opts ...RegistryOption) Option {
 	return func(s *Server) { s.regOpts = append(s.regOpts, opts...) }
 }
@@ -134,15 +135,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // could race a concurrent load or removal; an error wrapping none is the
 // request's own fault (validation). A read-only rejection carries the
 // leader's address, so a client holding only the follower's URL learns where
-// writes go; a full admission queue is backpressure, not failure: 429 with a
-// Retry-After derived from the actual backlog (see retryAfter). A storage
+// writes go; a full admission queue is backpressure, not failure: 429 with
+// Retry-After: 1, a one-second pacing hint. A storage
 // failure is the server's fault, not the request's. (For a failed checkpoint
 // the batch itself is already durable and applied — ApplyEdgesStamped
 // documents this — but the operator needs the 500 more than the client
 // needs the partial result.)
 func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	var be *BacklogError
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
@@ -151,10 +151,9 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrReadOnly):
 		status = http.StatusForbidden
 		w.Header().Set("X-Leader", s.reg.Leader())
-	case errors.As(err, &be):
+	case errors.Is(err, ErrBacklog):
 		status = http.StatusTooManyRequests
-		secs := int64((be.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrStorage):
 		status = http.StatusInternalServerError
 	}
@@ -267,13 +266,16 @@ func buildGraph(req *LoadRequest) (*graph.Graph, error) {
 		return nil, fmt.Errorf("generator size parameters must be non-negative")
 	}
 	// The generators preallocate proportionally to their edge budget, so
-	// every per-model size knob must respect maxLoadEdges.
+	// every per-model size knob must respect maxLoadEdges. An affiliation
+	// community has at least two members and at most 2+⌊2·mean_size⌋ (the
+	// generator's draw), each pair of them a possible edge.
+	community := 2 + math.Floor(2*math.Max(gs.MeanSize, 0))
 	switch {
 	case gs.M > maxLoadEdges,
 		int64(gs.N)*int64(gs.MPer) > maxLoadEdges,
 		int64(gs.N)*int64(gs.K) > maxLoadEdges,
 		gs.AvgDeg > float64(maxLoadEdges)/float64(gs.N),
-		float64(gs.Communities)*gs.MeanSize*gs.MeanSize > float64(maxLoadEdges):
+		float64(gs.Communities)*community*(community-1)/2 > float64(maxLoadEdges):
 		return nil, fmt.Errorf("generator parameters imply more than the limit of %d edges", int64(maxLoadEdges))
 	}
 	switch gs.Model {

@@ -399,6 +399,10 @@ func TestServeErrors(t *testing.T) {
 	if code := post(LoadRequest{Name: "huge", Generator: &GeneratorSpec{Model: "ba", N: 1000, MPer: 2000000000}}); code != http.StatusBadRequest {
 		t.Errorf("oversized generator edge budget: status %d", code)
 	}
+	aff := &GeneratorSpec{Model: "affiliation", N: 1000, Communities: 1000000000, MeanSize: 0, P: 1}
+	if code := post(LoadRequest{Name: "aff", Generator: aff}); code != http.StatusBadRequest {
+		t.Errorf("10⁹ two-member affiliation communities: status %d", code)
+	}
 
 	var health map[string]any
 	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != http.StatusOK || health["status"] != "ok" {

@@ -127,17 +127,13 @@ func TestWindowedServing(t *testing.T) {
 }
 
 // TestWindowedValidation pins the request-validation surface: windows
-// shorter than the flush interval or 1ms, stamps on unwindowed graphs, on
-// deletes, or with the wrong count are all rejected up front.
+// shorter than 1ms, stamps on unwindowed graphs, on deletes, or with the
+// wrong count are all rejected up front.
 func TestWindowedValidation(t *testing.T) {
-	reg := NewRegistry(WithBuildWorkers(2), WithFlushInterval(50*time.Millisecond))
+	reg := NewRegistry()
 	defer reg.Close()
 	base, _ := graph.FromEdges(3, [][2]int32{{0, 1}})
 
-	if _, err := reg.AddWindowed("w", base, ModeLocal, 10, 10*time.Millisecond); err == nil ||
-		!strings.Contains(err.Error(), "flush interval") {
-		t.Fatalf("window < flush accepted: %v", err)
-	}
 	if _, err := reg.AddWindowed("w", base, ModeLocal, 10, 100*time.Microsecond); err == nil {
 		t.Fatal("sub-millisecond window accepted")
 	}
@@ -167,15 +163,14 @@ func TestWindowedValidation(t *testing.T) {
 }
 
 // TestWindowedHTTP covers the HTTP surface: the window field on create
-// (including the 400 on a window below the flush interval — the documented
-// small fix), ts/stamps on edge batches, and the windowed fields of
-// GraphInfo coming back over the wire.
+// (including the 400 on a window below the 1ms stamp resolution), ts/stamps
+// on edge batches, and the windowed fields of GraphInfo coming back over
+// the wire.
 func TestWindowedHTTP(t *testing.T) {
 	clk := &fakeClock{}
 	clk.set(500_000)
 	srv := New(WithLogger(func(string, ...any) {}),
-		WithRegistryOptions(WithBuildWorkers(2), WithClock(clk.now),
-			WithFlushInterval(20*time.Millisecond), WithWindow(time.Hour)))
+		WithRegistryOptions(WithClock(clk.now), WithWindow(time.Hour)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Registry().Close()
@@ -199,9 +194,9 @@ func TestWindowedHTTP(t *testing.T) {
 		return resp.StatusCode, sb.String()
 	}
 
-	// Explicit window below the flush interval: clear 400.
-	if code, body := post("/graphs", `{"name":"bad","edges":[[0,1]],"window":"1ms"}`); code != http.StatusBadRequest ||
-		!strings.Contains(body, "flush interval") {
+	// Explicit window below the stamp resolution: clear 400.
+	if code, body := post("/graphs", `{"name":"bad","edges":[[0,1]],"window":"500us"}`); code != http.StatusBadRequest ||
+		!strings.Contains(body, "stamp resolution") {
 		t.Fatalf("short window: code=%d body=%s", code, body)
 	}
 	// Unparseable window: 400.
@@ -477,7 +472,7 @@ func TestApproxTemporalServing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := NewRegistry(WithBuildWorkers(2))
+		fresh := NewRegistry()
 		if _, err := fresh.Add("g", want, ModeLocal, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +516,7 @@ func TestWindowedReplicaEquivalence(t *testing.T) {
 			p.ts = httptest.NewServer(ship.NewHandler(p.leader))
 			t.Cleanup(p.ts.Close)
 			p.client = ship.NewClient(p.ts.URL, nil)
-			folOpts := []RegistryOption{WithLeader(p.ts.URL), WithBuildWorkers(2), WithCheckpointPolicy(3, 1<<20)}
+			folOpts := []RegistryOption{WithLeader(p.ts.URL), WithCheckpointPolicy(3, 1<<20)}
 			if durable {
 				p.folDir = t.TempDir()
 				folOpts = append(folOpts, WithDataDir(p.folDir))

@@ -12,7 +12,7 @@ import (
 // not allocate, where the old code built a fresh register + evidence map
 // per query on the hot read path.
 func BenchmarkLazyVertexQuery(b *testing.B) {
-	reg := NewRegistry(WithBuildWorkers(1))
+	reg := NewRegistry()
 	g := gen.BarabasiAlbert(2000, 4, 1)
 	if _, err := reg.Add("g", g, ModeLazy, 10); err != nil {
 		b.Fatal(err)

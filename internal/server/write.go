@@ -27,28 +27,9 @@ const (
 )
 
 // ErrBacklog marks an update rejected because the graph's admission queue
-// is full — backpressure, not failure. The HTTP layer answers 429 with a
-// Retry-After so well-behaved clients pace themselves.
+// is full — backpressure, not failure. The HTTP layer answers 429 with
+// Retry-After: 1 so well-behaved clients pace themselves.
 var ErrBacklog = fmt.Errorf("write queue full")
-
-// BacklogError is the concrete backpressure rejection: it matches ErrBacklog
-// under errors.Is and carries the derived pacing hint — how long the queued
-// work should take to drain — so the HTTP layer's Retry-After reflects the
-// actual backlog instead of a constant.
-type BacklogError struct {
-	Graph      string
-	Capacity   int
-	RetryAfter time.Duration
-}
-
-func (b *BacklogError) Error() string {
-	return fmt.Sprintf("server: graph %q: %v (capacity %d, retry in %v)",
-		b.Graph, ErrBacklog, b.Capacity, b.RetryAfter)
-}
-
-// Is makes errors.Is(err, ErrBacklog) match, keeping every existing caller
-// that tests for the sentinel working.
-func (b *BacklogError) Is(target error) bool { return target == ErrBacklog }
 
 // writeReq is one admitted edge batch waiting for the writer goroutine.
 // done is nil for AckAsync (nobody listens); for AckDurable it carries the
@@ -200,26 +181,8 @@ func (e *entry) enqueue(req *writeReq) error {
 		return nil
 	default:
 		e.writeRejects.Add(1)
-		return &BacklogError{Graph: e.name, Capacity: cap(e.queue), RetryAfter: e.retryAfter()}
+		return fmt.Errorf("server: graph %q: %w (capacity %d, retry in 1s)", e.name, ErrBacklog, cap(e.queue))
 	}
-}
-
-// retryAfter estimates how long a rejected writer should wait: the queued
-// batches drain in ceil(depth/capacity) group commits, each taking at least
-// the coalescing window. The 1s floor keeps the hint meaningful when the
-// window is zero (drains are then bounded by fsync + publication, which the
-// estimate cannot see); the 60s cap keeps a pathological configuration from
-// parking clients for minutes.
-func (e *entry) retryAfter() time.Duration {
-	drains := (len(e.queue) + cap(e.queue) - 1) / cap(e.queue)
-	est := time.Duration(drains) * e.flush
-	if est < time.Second {
-		return time.Second
-	}
-	if est > 60*time.Second {
-		return 60 * time.Second
-	}
-	return est
 }
 
 // writerLoop is the per-graph writer goroutine: it owns the drain side of
@@ -268,35 +231,17 @@ func (e *entry) windowedWriterLoop(r *Registry) {
 }
 
 // collectGroup gathers the batches of one group commit: the first request
-// plus everything already queued (and, with a positive flush interval,
-// everything arriving within the window), capped at the queue capacity.
+// plus everything already queued, capped at the queue capacity.
 //
-// With no flush window, the drain yields the scheduler once before
-// committing a short group: a sender that just enqueued is scheduled with
-// direct handoff (it readies this goroutine ahead of every other runnable
-// writer), so without the yield a saturated single-P process degenerates
-// into a one-producer ping-pong with groups of one while the remaining
-// writers starve. One Gosched moves this goroutine behind the runnable
-// writers, letting them land their batches first — bounded, timer-free
-// coalescing.
+// The drain yields the scheduler once before committing a short group: a
+// sender that just enqueued is scheduled with direct handoff (it readies
+// this goroutine ahead of every other runnable writer), so without the
+// yield a saturated single-P process degenerates into a one-producer
+// ping-pong with groups of one while the remaining writers starve. One
+// Gosched moves this goroutine behind the runnable writers, letting them
+// land their batches first — bounded, timer-free coalescing.
 func (e *entry) collectGroup(first *writeReq) []*writeReq {
 	group := []*writeReq{first}
-	if e.flush > 0 {
-		timer := time.NewTimer(e.flush)
-		defer timer.Stop()
-		for len(group) < cap(e.queue) {
-			select {
-			case req, ok := <-e.queue:
-				if !ok {
-					return group
-				}
-				group = append(group, req)
-			case <-timer.C:
-				return group
-			}
-		}
-		return group
-	}
 	yielded := false
 	for len(group) < cap(e.queue) {
 		select {

@@ -30,33 +30,42 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestGroupCommitCoalesces: async batches admitted while the writer holds a
-// coalescing window end up in one group commit — one snapshot epoch, one
-// WAL append covering per-batch records — and a durable batch admitted
-// behind them is acknowledged only after everything before it committed.
+// TestGroupCommitCoalesces: async batches admitted while the writer is busy
+// end up in one group commit — one snapshot epoch, one WAL append covering
+// per-batch records — and a durable batch admitted behind them is
+// acknowledged only after everything before it committed.
 func TestGroupCommitCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	reg := NewRegistry(WithDataDir(dir), WithBuildWorkers(1),
-		WithFlushInterval(300*time.Millisecond), WithCheckpointPolicy(1000, 1<<30))
+	reg := NewRegistry(WithDataDir(dir), WithCheckpointPolicy(1000, 1<<30))
 	defer reg.Close()
 	base := gen.BarabasiAlbert(200, 3, 42)
 	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
 	m0 := base.NumEdges()
+	e, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Six async single-edge inserts of new edges; they land in the writer's
-	// open window. Then one durable insert: its ack fences the whole queue.
+	// Six async single-edge inserts of new edges, admitted under the entry
+	// lock: the writer collects what is queued when it wakes, then blocks on
+	// the lock, so the rest wait in the queue and drain as one group once it
+	// is released. Then one durable insert: its ack fences the whole queue.
 	async := [][2]int32{{0, 190}, {1, 191}, {2, 192}, {3, 193}, {4, 194}, {5, 195}}
-	for _, e := range async {
-		res, err := reg.applyEdgesAck("g", [][2]int32{e}, true, AckAsync)
+	e.mu.Lock()
+	for _, ed := range async {
+		res, err := reg.applyEdgesAck("g", [][2]int32{ed}, true, AckAsync)
 		if err != nil {
+			e.mu.Unlock()
 			t.Fatal(err)
 		}
 		if !res.Pending || res.Ack != AckAsync {
+			e.mu.Unlock()
 			t.Fatalf("async response %+v, want pending", res)
 		}
 	}
+	e.mu.Unlock()
 	res, err := reg.applyEdges("g", [][2]int32{{6, 196}}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +101,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // carries every batch exactly once.
 func TestConcurrentDurableWritersCoalesce(t *testing.T) {
 	dir := t.TempDir()
-	reg := NewRegistry(WithDataDir(dir), WithBuildWorkers(1), WithCheckpointPolicy(1000, 1<<30))
+	reg := NewRegistry(WithDataDir(dir), WithCheckpointPolicy(1000, 1<<30))
 	defer reg.Close()
 	base := gen.BarabasiAlbert(300, 3, 7)
 	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
@@ -156,13 +165,13 @@ func TestConcurrentDurableWritersCoalesce(t *testing.T) {
 // ErrBacklog (not block, not get lost) and the accounting to record it.
 func TestBackpressure(t *testing.T) {
 	block := make(chan struct{})
-	reg := NewRegistry(WithBuildWorkers(1), WithWriteQueue(2),
-		WithCrashHook(func(g, p string) error {
-			if p == crashBeforeApply {
-				<-block // closed channel reads return immediately after release
-			}
-			return nil
-		}))
+	reg := NewRegistry(WithCrashHook(func(g, p string) error {
+		if p == crashBeforeApply {
+			<-block // closed channel reads return immediately after release
+		}
+		return nil
+	}))
+	reg.queueCap = 2
 	defer reg.Close()
 	defer close(block)
 	if _, err := reg.Add("g", gen.BarabasiAlbert(100, 3, 1), ModeLocal, 0); err != nil {
@@ -201,13 +210,13 @@ func TestBackpressure(t *testing.T) {
 func TestBackpressureHTTP(t *testing.T) {
 	block := make(chan struct{})
 	s := New(WithLogger(func(string, ...any) {}), WithRegistryOptions(
-		WithBuildWorkers(1), WithWriteQueue(1),
 		WithCrashHook(func(g, p string) error {
 			if p == crashBeforeApply {
 				<-block
 			}
 			return nil
 		})))
+	s.Registry().queueCap = 1
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	defer close(block)
@@ -264,13 +273,12 @@ func TestAckModeValidation(t *testing.T) {
 func TestAsyncAdmissionAfterPoisonRejected(t *testing.T) {
 	errBoom := errors.New("disk on fire")
 	armed := false
-	reg := NewRegistry(WithDataDir(t.TempDir()), WithBuildWorkers(1),
-		WithCrashHook(func(g, p string) error {
-			if armed && p == store.CrashBeforeWALAppend {
-				return errBoom
-			}
-			return nil
-		}))
+	reg := NewRegistry(WithDataDir(t.TempDir()), WithCrashHook(func(g, p string) error {
+		if armed && p == store.CrashBeforeWALAppend {
+			return errBoom
+		}
+		return nil
+	}))
 	defer reg.Close()
 	if _, err := reg.Add("g", gen.BarabasiAlbert(60, 3, 1), ModeLocal, 0); err != nil {
 		t.Fatal(err)
@@ -299,7 +307,7 @@ func TestAsyncAdmissionAfterPoisonRejected(t *testing.T) {
 func TestRemoveConcurrentWithWrites(t *testing.T) {
 	dir := t.TempDir()
 	for round := 0; round < 4; round++ {
-		reg := NewRegistry(WithDataDir(dir), WithBuildWorkers(1), WithCheckpointPolicy(2, 1<<30))
+		reg := NewRegistry(WithDataDir(dir), WithCheckpointPolicy(2, 1<<30))
 		base := gen.BarabasiAlbert(80, 3, uint64(round))
 		if _, err := reg.Add("g", base, ModeLazy, 5); err != nil {
 			t.Fatal(err)
@@ -441,7 +449,8 @@ func TestThetaValidation(t *testing.T) {
 		{theta: 0.5, algo: AlgoOpt, wantErr: true},
 		{theta: -3, algo: AlgoOpt, wantErr: true},
 		{theta: math.NaN(), algo: AlgoOpt, wantErr: true},
-		{theta: 0.5, algo: AlgoScores, wantErr: true}, // validated even where θ is unused
+		{theta: math.Inf(1), algo: AlgoOpt, wantErr: true}, // the payload echoes θ; JSON has no Inf
+		{theta: 0.5, algo: AlgoScores, wantErr: true},      // validated even where θ is unused
 		{theta: 0, algo: AlgoScores},
 	}
 	// reg is the httptest server's registry: exercising the same instance
