@@ -3,7 +3,7 @@
 // where even the exact tier's per-query cost — a kernel pass over the
 // largest egos — is more than an (ε, δ) answer needs to pay (DESIGN.md §15
 // has today's exact-vs-approx numbers). It owns the racing loop and the
-// stopping rule; everything per-ego — the exact fallback and the sampling
+// stopping rule; everything per-ego — the exact pass and the sampling
 // tables — comes from the dense kernel of internal/ego.
 //
 // The estimator treats CB(p) = Σ_{u<v ∈ N(p)} term(u,v) as ub(p)·E[X]
@@ -13,9 +13,20 @@
 // until an empirical-Bernstein stopping rule (Audibert et al.; the
 // adaptive-sampling design follows Chehreghani et al.) certifies a
 // normalized half-width ≤ ε at confidence 1−δ, capped by the fixed
-// Hoeffding budget t_max = ⌈ln(2/δ)/(2ε²)⌉; vertices whose pair count is
-// below t_max are computed exactly instead (sampling could not beat
-// enumeration there).
+// Hoeffding budget t_max = ⌈ln(2/δ)/(2ε²)⌉.
+//
+// Sampling is not always the cheaper way to that bound: a candidate's
+// tables are a copy of the ego CSR the exact kernel builds, so its exact
+// score is one counting pass away. One cost rule prices both in kernel
+// inner-loop steps — the pass at Σ_v C(|T_v|, 2) + |adj|, the count
+// ego.Sweep plans its chunks by; a draw at a + b·(the expected length of
+// the two rows it merges). A candidate resolves exactly at its first touch
+// when the pass costs no more than its first batch of draws plus the table
+// copy, or when its pair count is within t_max (enumeration beats sampling
+// outright); and at any later round when the pass costs no more than the
+// draws left in its budget. Everyone else draws a first batch before the
+// next check, so a loser can still be pruned without paying for a pass. An
+// exact candidate's interval has zero width.
 //
 // Candidates come from a betweenness-ordering prescreen (Singh et al.):
 // vertices are visited in the degree total order ≺, an initial pool of
@@ -80,6 +91,32 @@ const (
 	escalateMin = 64
 )
 
+// The cost rule's prices, in kernel inner-loop steps. A draw costs
+// drawBase + drawMerge·L, L = 2·|adj|/d being the expected merged length
+// |R_i| + |R_j| of the drawn pair's rows; copying the tables costs copyStep
+// per copied entry. BenchmarkCostModel measures them over the k = 100 pool
+// of the benchmark's generators (2-vCPU Xeon 2.1 GHz):
+//
+//	shape      ns/step  ns/draw   L     steps/draw  steps/copied entry
+//	collab     3.6–4.7  127–156  14.8   34–35       0.46–0.48
+//	powerlaw   5.4–6.5   73–82   14.1   12.5–14.4   0.34–0.38
+//
+// The draw price is fitted to powerlaw a little below its tight-loop cost
+// (10.9 steps): the budget it is compared with is the most a candidate can
+// draw, and pruning or early stopping usually cut that short. The
+// tight-loop fit, drawMerge = 0.9, sent 13–16 more of powerlaw's 200
+// candidates to the exact pass and cost its approx top-100 7 % (15.4 vs
+// 14.4 ms, medians of five alternating sets over three seeds). Collab's
+// draws cost 3× the model — its clique-shaped rows make every merge run to
+// the end, where a hub's skewed rows stop at the short one — so the rule
+// errs toward sampling there; one batch in, its later-round check still
+// resolves almost every collab candidate exactly.
+const (
+	drawBase  = 1.0
+	drawMerge = 0.7
+	copyStep  = 0.4
+)
+
 // Options are the approx-tier query knobs.
 type Options struct {
 	Eps     float64 // target normalized half-width ε ∈ (0, 1); 0 → DefaultEps
@@ -109,17 +146,17 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Candidates  int     // vertices admitted to the race (after escalation)
 	Escalations int     // candidate-pool extensions beyond the initial pool
-	Exact       int64   // candidates resolved on the exact small-pair path
+	Exact       int64   // candidates resolved by the exact counting pass
 	Sampled     int64   // candidates that entered the sampling loop
 	Pruned      int64   // candidates eliminated mid-race by the confidence bounds
 	Samples     int64   // total pair samples drawn
 	EpsAchieved float64 // max certified normalized half-width over the returned top-k
 }
 
-// Candidate states. A candidate enters pending, resolves on the exact
-// small-pair path or by sampling to a certified ≤ε half-width, or is
-// pruned when its upper confidence bound falls below the k-th best lower
-// bound.
+// Candidate states. A candidate enters pending, resolves exactly when the
+// cost rule finds the counting pass cheaper, or by sampling to a certified
+// ≤ε half-width, or is pruned when its upper confidence bound falls below
+// the k-th best lower bound.
 const (
 	candPending uint8 = iota
 	candAlive
@@ -143,6 +180,8 @@ type cand struct {
 	v        int32
 	d        int
 	ub       float64
+	work     float64    // the exact counting pass's price in kernel steps
+	draw     float64    // one draw's price in kernel steps
 	off      []int      // len d+1 row offsets into arena
 	arena    []int32    // concatenated restricted lists, local ids
 	rng      *rand.Rand // per-vertex stream: pure in (seed, v)
@@ -158,6 +197,26 @@ type cand struct {
 // release drops a candidate's sampling tables once it leaves the race.
 func (c *cand) release() {
 	c.off, c.arena, c.rng = nil, nil, nil
+}
+
+// settle resolves a candidate at its exact score cb: a zero-width interval.
+func (c *cand) settle(cb float64) {
+	c.est, c.low, c.high, c.halfNorm = cb, cb, cb, 0
+	c.state = candExact
+	c.release()
+}
+
+// price fills in the cost rule's two prices off the candidate's ego CSR.
+// The counting pass runs one step per pair of members of each row T_v —
+// the count ego.Sweep's planner reads off the same CSR — plus one per entry.
+func (c *cand) price(off []int, adj []int32) {
+	var w int64
+	for i := 1; i < len(off); i++ {
+		l := int64(off[i] - off[i-1])
+		w += l * (l - 1) / 2
+	}
+	c.work = float64(w + int64(len(adj)))
+	c.draw = drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
 }
 
 // estimator carries the per-query constants shared by all workers.
@@ -199,11 +258,22 @@ func streamOf(v int32) uint64 {
 // deterministic for a fixed Options.Seed regardless of Workers. With
 // probability ≥ 1−δ per returned vertex, |est − CB| ≤ ε·d(d−1)/2.
 func TopK(g graph.View, k int, o Options) ([]ego.Result, Stats) {
+	top, st := topK(g, k, o)
+	res := make([]ego.Result, len(top))
+	for i, c := range top {
+		res[i] = ego.Result{V: c.v, CB: c.est}
+	}
+	return res, st
+}
+
+// topK is TopK that returns the winning candidates themselves, in answer
+// order.
+func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	o = o.withDefaults()
 	var st Stats
 	n := int(g.NumVertices())
 	if k <= 0 || n == 0 {
-		return []ego.Result{}, st
+		return nil, st
 	}
 	if k > n {
 		k = n
@@ -280,17 +350,11 @@ func TopK(g graph.View, k int, o Options) ([]ego.Result, Stats) {
 		}
 		return final[i].v < final[j].v
 	})
-	if k > len(final) {
-		k = len(final)
+	final = final[:min(k, len(final))]
+	for _, c := range final {
+		st.EpsAchieved = max(st.EpsAchieved, c.halfNorm)
 	}
-	res := make([]ego.Result, k)
-	for i := 0; i < k; i++ {
-		res[i] = ego.Result{V: final[i].v, CB: final[i].est}
-		if final[i].halfNorm > st.EpsAchieved {
-			st.EpsAchieved = final[i].halfNorm
-		}
-	}
-	return res, st
+	return final, st
 }
 
 // degreeOrder returns g's vertices by non-increasing degree, ties by
@@ -406,27 +470,36 @@ func (e *estimator) runRound(work []*cand, workers int) {
 	wg.Wait()
 }
 
-// round advances one candidate. Its first touch resolves it exactly when
-// its pair count is within the Hoeffding budget (sampling could not beat
-// enumeration) or seeds its stream and copies its tables off the kernel's
-// ego CSR — one O(Σ_{v∈N(p)} d(v)) pass that turns every later draw into a
-// short merge; then it draws up to roundBatches·sampleBatch pairs,
-// re-certifying the confidence interval after each batch.
+// round advances one candidate by one round, applying the cost rule (see
+// the package comment) first. Its first touch builds and prices its ego CSR
+// and either resolves exactly or seeds its stream and copies its tables off
+// the CSR — one O(Σ_{v∈N(p)} d(v)) pass that turns every later draw into a
+// short merge; a later round may resolve it exactly off its own tables.
+// Otherwise it draws up to roundBatches·sampleBatch pairs, re-certifying the
+// confidence interval after each batch. The decision is a pure function of
+// the ego's adjacency and the candidate's draw count, so the determinism
+// contract holds. A candidate that has left the race is left alone.
 func (e *estimator) round(c *cand, s *ego.Scratch) {
-	if c.state == candPending {
-		pairs := int64(c.d) * int64(c.d-1) / 2
-		if pairs <= e.tMax {
-			cb := ego.EgoBetweenness(e.g, c.v, s)
-			c.est, c.low, c.high = cb, cb, cb
-			c.state = candExact
+	switch c.state {
+	case candPending:
+		_, off, adj := s.EgoCSR(e.g, c.v)
+		c.price(off, adj)
+		firstBatch := sampleBatch*c.draw + copyStep*float64(len(off)+len(adj))
+		if int64(c.d)*int64(c.d-1)/2 <= e.tMax || c.work <= firstBatch {
+			c.settle(s.ScoreCSR(off, adj))
 			return
 		}
 		c.rng = rand.New(rand.NewPCG(e.seed, streamOf(c.v)))
-		_, off, adj := s.EgoCSR(e.g, c.v)
 		c.off, c.arena = slices.Clone(off), slices.Clone(adj)
 		c.state = candAlive
+	case candAlive:
+		if c.work <= float64(e.tMax-c.t)*c.draw {
+			c.settle(s.ScoreCSR(c.off, c.arena))
+			return
+		}
+	default:
+		return
 	}
-	d := c.d
 	// A candidate's first round is a single batch: losers prune after 32
 	// draws instead of 64, halving the pool-wide warm-up cost.
 	batches := roundBatches
@@ -434,34 +507,7 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 		batches = 1
 	}
 	for r := 0; r < batches; r++ {
-		batch := e.tMax - c.t
-		if batch > sampleBatch {
-			batch = sampleBatch
-		}
-		for b := int64(0); b < batch; b++ {
-			// Uniform unordered pair {i, j}, i ≠ j, via a shifted second draw.
-			i := c.rng.IntN(d)
-			j := c.rng.IntN(d - 1)
-			if j >= i {
-				j++
-			}
-			// The pair is adjacent iff each sits in the other's restricted
-			// list — probe the shorter one.
-			ri := c.arena[c.off[i]:c.off[i+1]]
-			rj := c.arena[c.off[j]:c.off[j+1]]
-			short, other := ri, int32(j)
-			if len(rj) < len(ri) {
-				short, other = rj, int32(i)
-			}
-			var x float64
-			if !containsInt32(short, other) {
-				x = 1 / float64(commonCount(ri, rj)+1)
-			}
-			c.t++
-			delta := x - c.mean
-			c.mean += delta / float64(c.t)
-			c.m2 += delta * (x - c.mean)
-		}
+		c.sample(min(e.tMax-c.t, sampleBatch))
 		// Certify the tighter of the empirical-Bernstein and anytime
 		// Hoeffding half-widths at confidence 1−δ.
 		v := c.m2 / float64(c.t)
@@ -489,6 +535,36 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 			c.release()
 			return
 		}
+	}
+}
+
+// sample draws n uniform neighbor pairs off the candidate's tables and folds
+// their terms into its running moments.
+func (c *cand) sample(n int64) {
+	d := c.d
+	for b := int64(0); b < n; b++ {
+		// Uniform unordered pair {i, j}, i ≠ j, via a shifted second draw.
+		i := c.rng.IntN(d)
+		j := c.rng.IntN(d - 1)
+		if j >= i {
+			j++
+		}
+		// The pair is adjacent iff each sits in the other's restricted
+		// list — probe the shorter one.
+		ri := c.arena[c.off[i]:c.off[i+1]]
+		rj := c.arena[c.off[j]:c.off[j+1]]
+		short, other := ri, int32(j)
+		if len(rj) < len(ri) {
+			short, other = rj, int32(i)
+		}
+		var x float64
+		if !containsInt32(short, other) {
+			x = 1 / float64(commonCount(ri, rj)+1)
+		}
+		c.t++
+		delta := x - c.mean
+		c.mean += delta / float64(c.t)
+		c.m2 += delta * (x - c.mean)
 	}
 }
 

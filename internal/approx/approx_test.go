@@ -202,3 +202,49 @@ func BenchmarkTopK(b *testing.B) {
 		})
 	}
 }
+
+// TestTopKCoverage is the statistical (ε, δ) check: over 60 seeds of a
+// Chung–Lu hub graph, whose hubs' counting passes outprice their sampling
+// budgets, every returned estimate that sampling resolved must lie within
+// ε·ub of the kernel's score with probability ≥ conf. The covered share must
+// reach conf less three binomial standard deviations of a conf-coverage
+// estimator over the same count. Every returned vertex the cost rule
+// resolved exactly must carry the kernel's score bit for bit.
+func TestTopKCoverage(t *testing.T) {
+	const k = 50
+	o := Options{Seed: 3, Workers: 2}.withDefaults()
+	var sampled, covered, exact int
+	for seed := uint64(1); seed <= 60; seed++ {
+		g := gen.ChungLu(3000, 2.1, 8, 400, seed)
+		all := ego.ComputeAll(g)
+		top, st := topK(g, k, o)
+		if len(top) != k {
+			t.Fatalf("seed %d: %d results, want %d (stats %+v)", seed, len(top), k, st)
+		}
+		for _, c := range top {
+			switch c.state {
+			case candExact:
+				exact++
+				if c.est != all[c.v] {
+					t.Errorf("seed %d: exact-resolved vertex %d scored %v, kernel %v", seed, c.v, c.est, all[c.v])
+				}
+			case candResolved:
+				sampled++
+				if math.Abs(c.est-all[c.v]) <= o.Eps*c.ub {
+					covered++
+				}
+			default:
+				t.Fatalf("seed %d: returned vertex %d in state %d", seed, c.v, c.state)
+			}
+		}
+	}
+	if sampled < 200 {
+		t.Fatalf("only %d returned estimates were sampled (%d exact): the check has no power", sampled, exact)
+	}
+	n := float64(sampled)
+	floor := o.Conf - 3*math.Sqrt(o.Conf*(1-o.Conf)/n)
+	if share := float64(covered) / n; share < floor {
+		t.Errorf("%d/%d sampled estimates within ε·ub (%.4f), want ≥ %.4f", covered, sampled, share, floor)
+	}
+	t.Logf("%d/%d sampled estimates within ε·ub; %d exact-resolved", covered, sampled, exact)
+}

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -80,9 +81,11 @@ func overlayOf(t testing.TB, g *graph.Graph) graph.View {
 // TestTopKGolden pins TopK — results and every Stats field, bit for bit — on
 // the benchmark's two generator shapes, a preferential-attachment graph, a
 // tight-ε run and a flat-degree graph whose pool escalates, at k = 10 and 100
-// under fixed seeds. The goldens were recorded before the sampling tables
-// moved onto the ego kernel's CSR; each case must reproduce them at 1 and 3
-// workers on the frozen graph and on an overlay chain of the same adjacency.
+// under fixed seeds. The goldens were recorded when the cost rule replaced
+// the fixed pair-count cutoff for the exact pass; each case must reproduce
+// them at 1 and 3 workers on the frozen graph and on an overlay chain of the
+// same adjacency. Every case samples; a case whose returned vertices all
+// resolved exactly (zero achieved ε) must also be the exact top-k.
 func TestTopKGolden(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -125,6 +128,16 @@ func TestTopKGolden(t *testing.T) {
 			want = want[1:]
 			if w.Sampled == 0 {
 				t.Fatalf("%s: golden never sampled", name)
+			}
+			if w.EpsAchieved == 0 {
+				ex := ego.TopKExact(sh.g, k)
+				exact := make([][2]uint64, len(ex))
+				for i, r := range ex {
+					exact[i] = [2]uint64{uint64(r.V), math.Float64bits(r.CB)}
+				}
+				if !reflect.DeepEqual(w.Results, exact) {
+					t.Errorf("%s: every answer resolved exactly, but it is not the exact top-k", name)
+				}
 			}
 			for vn, view := range views {
 				for _, workers := range []int{1, 3} {

@@ -131,10 +131,19 @@ func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj
 	return nu, off, adj
 }
 
+// ScoreCSR returns the score of the ego whose CSR (off, adj) EgoCSR built —
+// the Scratch's own arrays or a caller's copy of them: the kernel's counting
+// pass and fold without the build, so it is the same bits EgoBetweenness
+// returns for that ego. It sizes the Scratch for the ego itself.
+func (s *Scratch) ScoreCSR(off []int, adj []int32) float64 {
+	s.ensure(0, len(off)-1)
+	return s.score(nil, off, adj, nil)
+}
+
 // score is the whole-ego counting pass: count over every row of the ego
-// CSR, then fold the histogram.
+// CSR, then fold the histogram. nu is read only to key a non-nil sink.
 func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) float64 {
-	d := len(nu)
+	d := len(off) - 1
 	if d < 2 {
 		return 0
 	}
