@@ -12,7 +12,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"time"
 
@@ -73,7 +72,7 @@ func main() {
 	want := local.TopK(k)
 	got := lazy.Results()
 	for i := range want {
-		if math.Abs(want[i].CB-got[i].CB) > 1e-6 {
+		if want[i].CB != got[i].CB {
 			panic(fmt.Sprintf("maintainers disagree at rank %d: %v vs %v",
 				i+1, got[i], want[i]))
 		}

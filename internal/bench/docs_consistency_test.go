@@ -238,7 +238,10 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // parallel edge pass, the test-only API TestExportedSurfaceHasCallers found
 // (names too common to scan for, such as Len or Order, are left out), and
 // the registry options that had one value in use with the Retry-After
-// derivation only a flush window fed.
+// derivation only a flush window fed, and the nbr strategy dispatch and
+// register pool, the mirrored loss half of the maintainer's repair walk and
+// the tolerance its float deltas needed, which the integer histograms
+// retired.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -248,4 +251,5 @@ var retiredSymbols = []string{
 	"WriteBinary", "ReadBinary", "NewDynGraph", "DirtyCount", "CommonNeighbors",
 	"TopKOverlap", "FromTable", "IsMarker", "NewMaxHeap", "WithGraphs", "StampOf",
 	"WithBuildWorkers", "WithWriteQueue", "WithFlushInterval", "WithCompactPolicy", "retryAfter",
+	"ChooseHub", "AcquireRegister", "ReleaseRegister", "releaseHubRegisters", "commonLosses", "scoreEps",
 }

@@ -3,10 +3,12 @@
 //
 // Two maintainers are provided, matching the paper's two regimes:
 //
-//   - Maintainer ("local update", Algorithms 4-5): keeps the exact CB of
-//     every vertex plus the exact evidence maps S_v, and repairs both with
-//     the Lemma 4-7 deltas. Only the vertices of Observation 1 — the two
-//     endpoints and their common neighbors L = N(u) ∩ N(v) — are touched.
+//   - Maintainer ("local update", Algorithms 4-5): keeps the exact evidence
+//     maps S_v and their connector-count histograms, repairs both with the
+//     Lemma 4-7 integer moves, and refolds the scores it touched with the
+//     kernel's fold (ego.FoldScore), so every score is the kernel's to the
+//     bit. Only the vertices of Observation 1 — the two endpoints and their
+//     common neighbors L = N(u) ∩ N(v) — are touched.
 //
 //   - LazyTopK ("lazy update", Algorithm 6): maintains only the top-k result
 //     set plus per-vertex cached scores with staleness flags, recomputing a

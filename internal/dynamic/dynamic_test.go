@@ -106,7 +106,7 @@ func assertMatchesScratch(t *testing.T, m *Maintainer, stage string) {
 	g := m.Graph().Freeze(1)
 	want := ego.ComputeAll(g)
 	for v := int32(0); v < g.NumVertices(); v++ {
-		if math.Abs(m.CB(v)-want[v]) > 1e-6 {
+		if m.CB(v) != want[v] {
 			t.Fatalf("%s: CB(%d) = %v, scratch %v", stage, v, m.CB(v), want[v])
 		}
 	}
@@ -251,7 +251,7 @@ func TestLazyMatchesLocalOnRandomScripts(t *testing.T) {
 				t.Fatalf("seed %d step %d: size %d vs %d", seed, step, len(got), len(want))
 			}
 			for i := range want {
-				if math.Abs(want[i].CB-got[i].CB) > 1e-6 {
+				if want[i].CB != got[i].CB {
 					t.Fatalf("seed %d step %d rank %d: lazy %v, local %v",
 						seed, step, i, got[i].CB, want[i].CB)
 				}

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
@@ -10,18 +11,24 @@ import (
 )
 
 // Maintainer keeps exact ego-betweennesses for every vertex under edge
-// updates (the paper's LocalInsert / LocalDelete).
+// updates (the paper's LocalInsert / LocalDelete). The repairs move integer
+// connector counts only: each vertex keeps its evidence map's histogram in
+// ego.FoldScore's layout, and its score is that histogram folded — the
+// kernel's fold, so a maintained score is the kernel's to the bit after any
+// update stream.
 type Maintainer struct {
 	g    *graph.DynGraph
-	s    []*pairmap.Map // exact evidence maps, lazily allocated
-	cb   []float64
-	comm []int32       // scratch: common neighborhoods
-	aux  []int32       // scratch: secondary intersections
-	reg  *nbr.Register // scratch: L-membership bitset for endpoint scans
+	s    []*pairmap.Map   // exact evidence maps, lazily allocated
+	hist [][]int64        // hist[v]: S_v's histogram — [0] markers, [c] pairs with c connectors
+	cb   []float64        // cb[v] = ego.FoldScore(d(v), hist[v])
+	comm []int32          // scratch: common neighborhoods
+	aux  []int32          // scratch: secondary intersections
+	reg  *nbr.Register    // scratch: L-membership bitset for endpoint scans
+	hub  [2]*nbr.Register // scratch: the hub endpoints' neighborhoods
 
 	// Dirty-score tracking for copy-on-write snapshot publication: the
 	// vertices whose cb actually moved since the last TakeDirtyScores,
-	// deduplicated. Every cb mutation goes through adjust, so a drain that
+	// deduplicated. Every cb mutation goes through refold, so a drain that
 	// changed no score publishes no score copies at all.
 	dirtyCB  []int32
 	dirtySet []bool
@@ -30,18 +37,59 @@ type Maintainer struct {
 	Stats MaintainerStats
 }
 
-// adjust applies a delta to v's maintained score, recording v as dirty so
-// the serving layer's chunked copy-on-write score vector copies only the
-// chunks that actually changed. A zero delta is a no-op.
-func (m *Maintainer) adjust(v int32, d float64) {
-	if d == 0 {
+// newMaintainer wraps g and its per-vertex evidence, histograms and scores.
+func newMaintainer(g *graph.Graph, maps []*pairmap.Map, hist [][]int64, cb []float64) *Maintainer {
+	n := g.NumVertices()
+	return &Maintainer{
+		g: graph.DynFromGraph(g), s: maps, hist: hist, cb: cb,
+		reg:      nbr.NewRegister(n),
+		hub:      [2]*nbr.Register{nbr.NewRegister(n), nbr.NewRegister(n)},
+		dirtySet: make([]bool, n),
+	}
+}
+
+// refold scores v from its histogram, recording v as dirty when the bits
+// move, so the serving layer's chunked copy-on-write score vector copies
+// only the chunks that actually changed.
+func (m *Maintainer) refold(v int32) {
+	cb := ego.FoldScore(m.g.Degree(v), m.hist[v])
+	if math.Float64bits(cb) == math.Float64bits(m.cb[v]) {
 		return
 	}
-	m.cb[v] += d
+	m.cb[v] = cb
 	if !m.dirtySet[v] {
 		m.dirtySet[v] = true
 		m.dirtyCB = append(m.dirtyCB, v)
 	}
+}
+
+// tally adds n pairs to bucket b of v's histogram, growing it as needed.
+func (m *Maintainer) tally(v, b int32, n int64) {
+	h := m.hist[v]
+	if int(b) >= len(h) {
+		h = append(h, make([]int64, int(b)+1-len(h))...)
+		m.hist[v] = h
+	}
+	h[b] += n
+}
+
+// moveCount moves one non-adjacent pair of GE(v) from `from` to `to`
+// connectors. A pair with no connector has no bucket: FoldScore counts it
+// through d(d−1)/2.
+func (m *Maintainer) moveCount(v, from, to int32) {
+	if from > 0 {
+		m.tally(v, from, -1)
+	}
+	if to > 0 {
+		m.tally(v, to, 1)
+	}
+}
+
+// shift adds delta to the connector count of the non-adjacent pair key of
+// GE(v), in S_v and in the histogram.
+func (m *Maintainer) shift(v int32, key uint64, delta int32) {
+	c := m.mapFor(v).Add(key, delta)
+	m.moveCount(v, c-delta, c)
 }
 
 // TakeDirtyScores returns the vertices whose maintained score changed since
@@ -74,15 +122,11 @@ func NewMaintainer(g *graph.Graph) *Maintainer { return NewMaintainerParallel(g,
 // sequential construction, maps included.
 func NewMaintainerParallel(g *graph.Graph, workers int) *Maintainer {
 	n := g.NumVertices()
-	cb, maps := make([]float64, n), make([]*pairmap.Map, n)
+	cb, maps, hist := make([]float64, n), make([]*pairmap.Map, n), make([][]int64, n)
 	ego.Sweep(g, workers, func(v int32, s *ego.Scratch) {
-		cb[v], maps[v] = ego.EgoBetweennessWithMap(g, v, s)
+		cb[v], maps[v], hist[v] = ego.EgoBetweennessWithMap(g, v, s)
 	}, nil)
-	return &Maintainer{
-		g: graph.DynFromGraph(g), s: maps, cb: cb,
-		reg:      nbr.NewRegister(n),
-		dirtySet: make([]bool, n),
-	}
+	return newMaintainer(g, maps, hist, cb)
 }
 
 // Graph exposes the maintained graph (read-only use).
@@ -95,14 +139,16 @@ func (m *Maintainer) CB(v int32) float64 { return m.cb[v] }
 func (m *Maintainer) All() []float64 { return m.cb }
 
 // MemoryFootprint returns the approximate heap bytes held by the evidence
-// maps — the price of exact all-vertices maintenance that LazyTopK avoids
-// (its footprint is O(n) scalars). Reported by the Fig. 8 experiment.
+// maps and their histograms — the price of exact all-vertices maintenance
+// that LazyTopK avoids (its footprint is O(n) scalars). Reported by the
+// Fig. 8 experiment.
 func (m *Maintainer) MemoryFootprint() int64 {
 	var total int64
-	for _, s := range m.s {
+	for v, s := range m.s {
 		if s != nil {
 			total += s.MemoryFootprint()
 		}
+		total += int64(cap(m.hist[v])) * 8
 	}
 	return total + int64(len(m.cb))*8
 }
@@ -134,12 +180,13 @@ func (m *Maintainer) growTo(n int32) {
 	for int32(len(m.cb)) < n {
 		m.cb = append(m.cb, 0)
 		m.s = append(m.s, nil)
+		m.hist = append(m.hist, nil)
 		m.dirtySet = append(m.dirtySet, false)
 	}
 }
 
 // InsertEdge performs LocalInsert (Algorithm 4): inserts (u, v) and repairs
-// CB and the evidence maps of u, v, and every common neighbor, per
+// the evidence maps and scores of u, v, and every common neighbor, per
 // Lemmas 4-5. Unknown endpoints grow the vertex set.
 func (m *Maintainer) InsertEdge(u, v int32) error {
 	if u == v {
@@ -158,91 +205,144 @@ func (m *Maintainer) InsertEdge(u, v int32) error {
 	}
 	// L before the insert equals L after: w ∈ L is untouched by (u,v).
 	m.comm = nbr.CommonInto(m.comm[:0], m.g, u, v)
-	l := append([]int32(nil), m.comm...)
 	if err := m.g.InsertEdge(u, v); err != nil {
 		return err
 	}
 	m.Stats.Inserts++
+	m.repair(u, v, m.comm, 1)
+	return nil
+}
+
+// DeleteEdge performs LocalDelete: removes (u, v) and repairs the evidence
+// maps and scores per Lemmas 6-7.
+func (m *Maintainer) DeleteEdge(u, v int32) error {
+	if u < 0 || v < 0 || u == v || !m.g.HasEdge(u, v) {
+		return fmt.Errorf("dynamic: edge (%d,%d) not present", u, v)
+	}
+	m.comm = nbr.CommonInto(m.comm[:0], m.g, u, v)
+	if err := m.g.DeleteEdge(u, v); err != nil {
+		return err
+	}
+	m.Stats.Deletes++
+	m.repair(u, v, m.comm, -1)
+	return nil
+}
+
+// repair is the one walk of LocalInsert (delta = +1, Lemmas 4-5) and
+// LocalDelete (delta = −1, Lemmas 6-7), run after the edge (u, v) entered or
+// left the graph, with l = L = N(u) ∩ N(v). Only S_u, S_v and S_w, w ∈ L,
+// change (Observation 1): every affected pair moves between histogram
+// buckets, and the walk ends by refolding exactly those vertices. No graph
+// read below depends on the edge (u, v) itself, so one walk serves both
+// directions.
+func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 	m.Stats.AffectedVerts += int64(len(l)) + 2
 
-	// Lemma 4, part 1: pairs inside L gain the new connector (v for GE(u),
-	// u for GE(v)).
-	for i := 0; i < len(l); i++ {
-		for j := i + 1; j < len(l); j++ {
-			x, y := l[i], l[j]
+	// Lemmas 4 and 6, part 1: non-adjacent pairs inside L gain or lose a
+	// connector — v in GE(u), u in GE(v).
+	for i, x := range l {
+		for _, y := range l[i+1:] {
 			if m.g.HasEdge(x, y) {
 				continue
 			}
 			key := pairmap.Key(x, y)
-			cu := m.mapFor(u).Add(key, 1)
-			m.adjust(u, 1/float64(cu+1)-1/float64(cu))
-			cv := m.mapFor(v).Add(key, 1)
-			m.adjust(v, 1/float64(cv+1)-1/float64(cv))
+			m.shift(u, key, delta)
+			m.shift(v, key, delta)
 			m.Stats.TouchedPairs += 2
 		}
 	}
-	// Lemma 4, part 2: brand-new pairs (v, x) in GE(u) and (u, x) in GE(v).
-	m.insertEndpointPairs(u, v, l)
-	m.insertEndpointPairs(v, u, l)
+	// Part 2: the pairs (v, x) enter or leave GE(u), and (u, x) GE(v).
+	// L-membership is tested against the maintainer's bitset register.
+	m.reg.Ensure(m.g.NumVertices())
+	m.reg.Mark(l)
+	m.endpointPairs(u, v, delta)
+	m.endpointPairs(v, u, delta)
+	m.reg.Unmark()
 
-	// Lemma 5: common neighbors w ∈ L. A hub endpoint's neighborhood is
-	// marked once into a pooled register, so each of the |L| scans against
-	// it probes in O(d(w)) instead of re-merging the hub list.
-	regU, regV := m.hubRegister(u, len(l)), m.hubRegister(v, len(l))
+	// Lemmas 5 and 7: in GE(w), w ∈ L, the pair (u, v) turns adjacent or
+	// non-adjacent, and pairs (u, x) and (v, x) gain or lose the connector
+	// v or u. A hub endpoint's neighborhood is marked once into a register,
+	// so each of the |L| scans against it probes in O(d(w)) instead of
+	// re-merging the hub list.
+	hubU, hubV := m.hubRegister(0, u, len(l)), m.hubRegister(1, v, len(l))
+	keyUV := pairmap.Key(u, v)
 	for _, w := range l {
-		keyUV := pairmap.Key(u, v)
-		old := m.getCount(w, keyUV) // exact connector count of (u,v) in GE(w)
-		m.adjust(w, -1/float64(old+1))
-		m.mapFor(w).SetMarker(keyUV) // the pair is adjacent now
+		var c int32 // connectors of (u, v) in GE(w) while it is non-adjacent
+		if delta > 0 {
+			c = m.getCount(w, keyUV)
+			m.mapFor(w).SetMarker(keyUV)
+			m.moveCount(w, c, 0)
+		} else {
+			c = int32(nbr.IntersectCount(l, m.g.Neighbors(w)))
+			if c > 0 {
+				m.mapFor(w).Set(keyUV, c)
+			} else {
+				m.mapFor(w).Delete(keyUV)
+			}
+			m.moveCount(w, 0, c)
+		}
+		m.tally(w, 0, int64(delta))
 		m.Stats.TouchedPairs++
-		m.commonGains(w, u, v, regV) // pairs (u,x) gain connector v
-		m.commonGains(w, v, u, regU) // pairs (v,x) gain connector u
+		m.commonShift(w, u, v, hubV, delta)
+		m.commonShift(w, v, u, hubU, delta)
 	}
-	m.releaseHubRegisters(regU, regV)
-	return nil
+	for _, r := range [...]*nbr.Register{hubU, hubV} {
+		if r != nil {
+			r.Unmark()
+		}
+	}
+
+	m.refold(u)
+	m.refold(v)
+	for _, w := range l {
+		m.refold(w)
+	}
 }
 
-// hubRegister returns a pooled register with N(b) marked when b is hub-sized
-// (per nbr.ChooseHub) and its neighborhood will be scanned against at least
-// `scans` times — the break-even for paying the one-time mark. Returns nil
-// otherwise; a non-nil register must go back through releaseHubRegisters.
-func (m *Maintainer) hubRegister(b int32, scans int) *nbr.Register {
+// hubRegister marks N(b) into the maintainer's i-th hub register when b is
+// a hub (degree ≥ nbr.HubDegree) whose neighborhood will be scanned against
+// at least `scans` times — the break-even for paying the one-time mark.
+// Returns nil otherwise; the caller unmarks a non-nil register.
+func (m *Maintainer) hubRegister(i int, b int32, scans int) *nbr.Register {
 	nb := m.g.Neighbors(b)
-	if scans < 2 || nbr.ChooseHub(len(nb), 0) != nbr.StrategyBitset {
+	if scans < 2 || len(nb) < nbr.HubDegree {
 		return nil
 	}
-	r := nbr.AcquireRegister(m.g.NumVertices())
+	r := m.hub[i]
+	r.Ensure(m.g.NumVertices())
 	r.Mark(nb)
 	return r
 }
 
-func (m *Maintainer) releaseHubRegisters(regs ...*nbr.Register) {
-	for _, r := range regs {
-		if r != nil {
-			nbr.ReleaseRegister(r)
-		}
-	}
-}
-
-// insertEndpointPairs handles the new pairs (other, x) that appear in GE(p)
-// when edge (p, other) is inserted: x ∈ L becomes an adjacent pair (marker),
-// x ∉ L gets a fresh connector count. L-membership is tested against the
-// maintainer's bitset register, marked once per call.
-func (m *Maintainer) insertEndpointPairs(p, other int32, l []int32) {
-	m.reg.Ensure(m.g.NumVertices())
-	m.reg.Mark(l)
-	defer m.reg.Unmark()
+// endpointPairs handles the pairs (other, x), x ∈ N(p), that enter GE(p)
+// (delta = +1) or leave it (delta = −1) with the edge (p, other). For x ∈ L
+// (marked in m.reg) the pair is adjacent: a marker. Otherwise it is
+// non-adjacent, with the connector count an insert counts — w ∈ N(p)
+// adjacent to both — and a delete reads back.
+func (m *Maintainer) endpointPairs(p, other int32, delta int32) {
 	for _, x := range m.g.Neighbors(p) {
 		if x == other {
 			continue
 		}
 		key := pairmap.Key(other, x)
+		m.Stats.TouchedPairs++
 		if m.reg.Contains(x) {
-			m.mapFor(p).SetMarker(key)
-			m.Stats.TouchedPairs++
+			if delta > 0 {
+				m.mapFor(p).SetMarker(key)
+			} else {
+				m.mapFor(p).Delete(key)
+			}
+			m.tally(p, 0, int64(delta))
 			continue
 		}
-		// Connectors of (other, x) in GE(p): w ∈ N(p) adjacent to both.
+		if delta < 0 {
+			c := m.getCount(p, key)
+			if c > 0 {
+				m.s[p].Delete(key)
+			}
+			m.moveCount(p, c, 0)
+			continue
+		}
 		c := int32(0)
 		m.aux = nbr.CommonInto(m.aux[:0], m.g, p, x)
 		for _, w := range m.aux {
@@ -253,19 +353,18 @@ func (m *Maintainer) insertEndpointPairs(p, other int32, l []int32) {
 		if c > 0 {
 			m.mapFor(p).Set(key, c)
 		}
-		m.adjust(p, 1/float64(c+1))
-		m.Stats.TouchedPairs++
+		m.moveCount(p, 0, c)
 	}
 }
 
-// commonGains applies, for common neighbor w, the Lemma 5 term: every pair
-// (a, x) with x ∈ N(w) ∩ N(b), x ≠ a, (a,x) ∉ E gains the connector b
-// (where {a, b} = {u, v}). regB, when non-nil, holds N(b) pre-marked; the
-// register probe emits the identical ascending intersection the merge
-// kernel would, so routing never changes any float operation.
-func (m *Maintainer) commonGains(w, a, b int32, regB *nbr.Register) {
-	if regB != nil {
-		m.aux = regB.IntersectInto(m.aux[:0], m.g.Neighbors(w))
+// commonShift applies, for common neighbor w, the Lemma 5 (delta = +1) or
+// Lemma 7 (delta = −1) term: every pair (a, x) with x ∈ N(w) ∩ N(b), x ≠ a,
+// (a,x) ∉ E gains or loses the connector b (where {a, b} = {u, v}). hubB,
+// when non-nil, holds N(b) marked; its probe emits the same intersection the
+// merge kernel would.
+func (m *Maintainer) commonShift(w, a, b int32, hubB *nbr.Register, delta int32) {
+	if hubB != nil {
+		m.aux = hubB.IntersectInto(m.aux[:0], m.g.Neighbors(w))
 	} else {
 		m.aux = nbr.CommonInto(m.aux[:0], m.g, w, b)
 	}
@@ -273,109 +372,7 @@ func (m *Maintainer) commonGains(w, a, b int32, regB *nbr.Register) {
 		if x == a || m.g.HasEdge(a, x) {
 			continue
 		}
-		c := m.mapFor(w).Add(pairmap.Key(a, x), 1)
-		m.adjust(w, 1/float64(c+1)-1/float64(c))
-		m.Stats.TouchedPairs++
-	}
-}
-
-// DeleteEdge performs LocalDelete: removes (u, v) and repairs CB and the
-// evidence maps per Lemmas 6-7.
-func (m *Maintainer) DeleteEdge(u, v int32) error {
-	if u < 0 || v < 0 || u == v || !m.g.HasEdge(u, v) {
-		return fmt.Errorf("dynamic: edge (%d,%d) not present", u, v)
-	}
-	m.comm = nbr.CommonInto(m.comm[:0], m.g, u, v)
-	l := append([]int32(nil), m.comm...)
-	m.Stats.Deletes++
-	m.Stats.AffectedVerts += int64(len(l)) + 2
-
-	// Lemma 6, part 1: pairs inside L lose a connector in GE(u) and GE(v).
-	for i := 0; i < len(l); i++ {
-		for j := i + 1; j < len(l); j++ {
-			x, y := l[i], l[j]
-			if m.g.HasEdge(x, y) {
-				continue
-			}
-			key := pairmap.Key(x, y)
-			cu := m.getCount(u, key) // ≥ 1: v is a connector
-			m.adjust(u, 1/float64(cu)-1/float64(cu+1))
-			m.mapFor(u).Add(key, -1)
-			cv := m.getCount(v, key)
-			m.adjust(v, 1/float64(cv)-1/float64(cv+1))
-			m.mapFor(v).Add(key, -1)
-			m.Stats.TouchedPairs += 2
-		}
-	}
-	// Lemma 6, part 2: pairs (v, x) leave GE(u), and (u, x) leave GE(v).
-	m.deleteEndpointPairs(u, v, l)
-	m.deleteEndpointPairs(v, u, l)
-
-	// Lemma 7: common neighbors w ∈ L, hub endpoints pre-marked as in
-	// Lemma 5.
-	regU, regV := m.hubRegister(u, len(l)), m.hubRegister(v, len(l))
-	for _, w := range l {
-		// Pair (u, v) becomes non-adjacent in GE(w); its connector count
-		// is |L ∩ N(w)|.
-		c := int32(nbr.IntersectCount(l, m.g.Neighbors(w)))
-		keyUV := pairmap.Key(u, v)
-		if c > 0 {
-			m.mapFor(w).Set(keyUV, c)
-		} else {
-			m.mapFor(w).Delete(keyUV)
-		}
-		m.adjust(w, 1/float64(c+1))
-		m.Stats.TouchedPairs++
-		m.commonLosses(w, u, v, regV) // pairs (u,x) lose connector v
-		m.commonLosses(w, v, u, regU) // pairs (v,x) lose connector u
-	}
-	m.releaseHubRegisters(regU, regV)
-	return m.g.DeleteEdge(u, v)
-}
-
-// deleteEndpointPairs removes from GE(p) every pair (other, x) when edge
-// (p, other) is deleted. L-membership is tested against the maintainer's
-// bitset register, marked once per call.
-func (m *Maintainer) deleteEndpointPairs(p, other int32, l []int32) {
-	m.reg.Ensure(m.g.NumVertices())
-	m.reg.Mark(l)
-	defer m.reg.Unmark()
-	for _, x := range m.g.Neighbors(p) {
-		if x == other {
-			continue
-		}
-		key := pairmap.Key(other, x)
-		if m.reg.Contains(x) {
-			// Adjacent pair: marker entry, contribution was 0.
-			m.mapFor(p).Delete(key)
-		} else {
-			c := m.getCount(p, key)
-			m.adjust(p, -1/float64(c+1))
-			if c > 0 {
-				m.s[p].Delete(key)
-			}
-		}
-		m.Stats.TouchedPairs++
-	}
-}
-
-// commonLosses applies, for common neighbor w, the Lemma 7 term: every pair
-// (a, x) with x ∈ N(w) ∩ N(b), x ≠ a, (a,x) ∉ E loses the connector b.
-// regB as in commonGains.
-func (m *Maintainer) commonLosses(w, a, b int32, regB *nbr.Register) {
-	if regB != nil {
-		m.aux = regB.IntersectInto(m.aux[:0], m.g.Neighbors(w))
-	} else {
-		m.aux = nbr.CommonInto(m.aux[:0], m.g, w, b)
-	}
-	for _, x := range m.aux {
-		if x == a || m.g.HasEdge(a, x) {
-			continue
-		}
-		key := pairmap.Key(a, x)
-		c := m.getCount(w, key) // ≥ 1: b was a connector
-		m.adjust(w, 1/float64(c)-1/float64(c+1))
-		m.mapFor(w).Add(key, -1)
+		m.shift(w, pairmap.Key(a, x), delta)
 		m.Stats.TouchedPairs++
 	}
 }

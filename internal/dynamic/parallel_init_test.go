@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -127,7 +126,7 @@ func TestKernelMapsSurviveUpdateStream(t *testing.T) {
 			if !sameEntries(m.s[v], fresh.s[v]) {
 				t.Fatalf("%s: evidence map of vertex %d differs from a rebuild on the final graph", name, v)
 			}
-			if math.Abs(m.cb[v]-fresh.cb[v]) > 1e-6 {
+			if m.cb[v] != fresh.cb[v] {
 				t.Fatalf("%s: CB(%d) = %v, rebuild %v", name, v, m.cb[v], fresh.cb[v])
 			}
 		}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
-	"repro/internal/nbr"
 	"repro/internal/pairmap"
 )
 
@@ -16,7 +16,7 @@ import (
 // layer (DESIGN.md §11): everything a Maintainer or LazyTopK holds beyond the
 // graph itself, flattened into plain slices a binary codec can frame, and the
 // inverse constructors that restore a maintainer from those slices in O(load)
-// — no score recomputation, no evidence rehashing. The serving layer exports
+// — no kernel run, no evidence rehashing. The serving layer exports
 // at checkpoint time and imports at recovery time; round-tripping reproduces
 // the paper's invariants exactly because the evidence tables travel verbatim
 // (slot arrays included), so a recovered maintainer is bit-for-bit the
@@ -87,8 +87,11 @@ func (m *Maintainer) ExportState() *LocalState {
 // LocalState, taking ownership of the state's slices. The evidence tables are
 // adopted slot-for-slot (each table is a sub-slice of the flat arrays), so
 // the cost is one validation scan over the state — O(load) — instead of the
-// O(Σ|GE(v)|²) recomputation of NewMaintainer. Structural corruption returns
-// an error; callers fall back to the rebuild path.
+// O(Σ|GE(v)|²) recomputation of NewMaintainer. The scan also fills every
+// vertex's histogram, and each persisted score must equal its histogram
+// folded: a maintained score is a fold, so a score that is not — corrupt, or
+// written by a maintainer that summed float deltas — fails the import like
+// any structural defect, and callers fall back to the rebuild path.
 func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error) {
 	n := g.NumVertices()
 	if int32(len(st.Scores)) != n || int32(len(st.TableSizes)) != n {
@@ -98,15 +101,6 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 	if len(st.Keys) != len(st.Vals) {
 		return nil, fmt.Errorf("dynamic: state has %d key slots, %d value slots", len(st.Keys), len(st.Vals))
 	}
-	for v, cb := range st.Scores {
-		// Incremental maintenance can leave a true-zero score at a tiny
-		// negative residue, so only non-finite values are structural
-		// corruption here.
-		if math.IsNaN(cb) || math.IsInf(cb, 0) {
-			return nil, fmt.Errorf("dynamic: score of vertex %d is %v", v, cb)
-		}
-	}
-	maps := make([]*pairmap.Map, n)
 	// Serial framing pass: which vertices own a table and where each table
 	// starts in the flat slot arrays. The per-slot validation below is the
 	// expensive part, so it is the part that shards.
@@ -129,37 +123,48 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 		return nil, fmt.Errorf("dynamic: %d slot(s) beyond the last evidence table", len(st.Keys)-off)
 	}
 	// One slab for every Map header (at hundreds of thousands of per-vertex
-	// tables, individual allocations would dominate the import), validated
-	// and adopted in parallel: tables are disjoint sub-slices of the flat
-	// arrays and each worker owns a contiguous range of them, so the only
+	// tables, individual allocations would dominate the import) and one for
+	// the histograms, d(v) buckets per vertex laid out like g's CSR. Both
+	// are filled in parallel: each worker owns a contiguous vertex range,
+	// whose tables are disjoint sub-slices of the flat arrays, so the only
 	// coordination is the join. This scan is the O(load) of the fast boot
 	// path — sharding it is what keeps recovery at memory-bandwidth speed.
-	slab := make([]pairmap.Map, len(tableVertex))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tableVertex) {
-		workers = len(tableVertex)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	offsets, _ := g.CSR()
+	maps, hist := make([]*pairmap.Map, n), make([][]int64, n)
+	slab, buckets := make([]pairmap.Map, len(tableVertex)), make([]int64, offsets[n])
+	workers := max(1, min(runtime.GOMAXPROCS(0), int(n)))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := len(tableVertex) * w / workers
-		hi := len(tableVertex) * (w + 1) / workers
+		lo, hi := int32(int(n)*w/workers), int32(int(n)*(w+1)/workers)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int, lo, hi int32) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				v, start := tableVertex[i], tableOff[i]
-				end := start + int(st.TableSizes[v])
-				// Full slice expressions cap capacity so a table growing
-				// in place can never scribble over its successor's slots.
-				if err := slab[i].ResetFromTable(st.Keys[start:end:end], st.Vals[start:end:end], n); err != nil {
-					errs[w] = fmt.Errorf("dynamic: evidence table of vertex %d: %w", v, err)
+			i, _ := slices.BinarySearch(tableVertex, lo)
+			for v := lo; v < hi; v++ {
+				// Full slice expressions cap capacity so a table or a
+				// histogram growing in place can never scribble over its
+				// successor.
+				h := buckets[offsets[v]:offsets[v+1]:offsets[v+1]]
+				if i < len(tableVertex) && tableVertex[i] == v {
+					start := tableOff[i]
+					end := start + int(st.TableSizes[v])
+					if err := slab[i].ResetFromTable(st.Keys[start:end:end], st.Vals[start:end:end], n, h); err != nil {
+						errs[w] = fmt.Errorf("dynamic: evidence table of vertex %d: %w", v, err)
+						return
+					}
+					maps[v] = &slab[i]
+					i++
+				}
+				t := len(h)
+				for t > 0 && h[t-1] == 0 {
+					t--
+				}
+				hist[v] = h[:t:t]
+				if cb := ego.FoldScore(int32(len(h)), hist[v]); math.Float64bits(cb) != math.Float64bits(st.Scores[v]) {
+					errs[w] = fmt.Errorf("dynamic: persisted score of vertex %d is %v, its evidence folds to %v", v, st.Scores[v], cb)
 					return
 				}
-				maps[v] = &slab[i]
 			}
 		}(w, lo, hi)
 	}
@@ -169,11 +174,7 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 			return nil, err
 		}
 	}
-	m := &Maintainer{
-		g: graph.DynFromGraph(g), s: maps, cb: st.Scores,
-		reg:      nbr.NewRegister(n),
-		dirtySet: make([]bool, n),
-	}
+	m := newMaintainer(g, maps, hist, st.Scores)
 	for _, v := range st.Dirty {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("dynamic: dirty-score vertex %d out of range", v)

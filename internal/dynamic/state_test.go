@@ -145,6 +145,15 @@ func TestStateImportRejects(t *testing.T) {
 		"short tables":       func(st *LocalState) { st.TableSizes = st.TableSizes[:2] },
 		"keys/vals differ":   func(st *LocalState) { st.Vals = st.Vals[:len(st.Vals)-1] },
 		"NaN score":          func(st *LocalState) { st.Scores[1] = math.NaN() },
+		"score off its fold": func(st *LocalState) { st.Scores[2] = math.Nextafter(st.Scores[2], 0) },
+		"count beyond the degree": func(st *LocalState) {
+			for i, k := range st.Keys {
+				if k != 0 && k != ^uint64(0) {
+					st.Vals[i] = 3 // every vertex of g has degree ≤ 3
+					return
+				}
+			}
+		},
 		"table overrun":      func(st *LocalState) { st.TableSizes[0] += 8 },
 		"trailing slots":     func(st *LocalState) { st.Keys = append(st.Keys, 0); st.Vals = append(st.Vals, 0) },
 		"dirty out of range": func(st *LocalState) { st.Dirty = append(st.Dirty, 99) },

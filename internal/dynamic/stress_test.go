@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -103,7 +102,7 @@ func TestMaintainerTopKTracksSearch(t *testing.T) {
 	want, _ := ego.OptBSearch(snap, 10, 1.05)
 	got := m.TopK(10)
 	for i := range want {
-		if math.Abs(want[i].CB-got[i].CB) > 1e-6 {
+		if want[i].CB != got[i].CB {
 			t.Fatalf("rank %d: maintainer %v, search %v", i, got[i].CB, want[i].CB)
 		}
 	}

@@ -125,7 +125,7 @@ func compareTopK(t *testing.T, m *Maintainer, lt *LazyTopK, k int, stage string)
 		t.Fatalf("%s: sizes %d vs %d", stage, len(got), len(want))
 	}
 	for i := range want {
-		if math.Abs(want[i].CB-got[i].CB) > 1e-6 {
+		if want[i].CB != got[i].CB {
 			t.Fatalf("%s: rank %d: lazy %v local %v", stage, i, got[i].CB, want[i].CB)
 		}
 	}

@@ -31,7 +31,7 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 	cb, maps := make([]float64, n), make([]*pairmap.Map, n)
 	s := NewScratch(n)
 	for v := int32(0); v < n; v++ {
-		cb[v], maps[v] = EgoBetweennessWithMap(g, v, s)
+		cb[v], maps[v], _ = EgoBetweennessWithMap(g, v, s)
 	}
 	return cb, maps
 }
@@ -54,7 +54,7 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 //     count for every unstamped y: afterwards cnt[y] = c_p(x, y) for the
 //     non-adjacent pairs {x, y} with at least one connector;
 //  4. fold the touched counts into the histogram over connector counts and
-//     score it with foldScore, the fold ScoreEvidence uses — so the result
+//     score it with FoldScore, the fold ScoreEvidence uses — so the result
 //     is bit-identical to ScoreEvidence over a completed evidence map,
 //     under any vertex labeling.
 //
@@ -73,16 +73,19 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 		s = NewScratch(a.NumVertices())
 	}
 	nu, off, adj := s.EgoCSR(a, p)
-	return s.score(nu, off, adj, nil), off, adj
+	cb, _ = s.score(nu, off, adj, nil)
+	return cb, off, adj
 }
 
 // EgoBetweennessWithMap is EgoBetweenness that also emits p's completed
 // evidence map S_p (Theorem 2; the state LocalInsert / LocalDelete repair):
 // a marker for every adjacent neighbor pair and the connector count of every
-// non-adjacent pair with at least one connector, keyed by global vertex ids.
-// The map is owned by the caller; it is nil when GE(p) has no edge beyond the
-// spokes — no evidence, CB(p) = d(d−1)/2. ScoreEvidence over it returns cb.
-func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, m *pairmap.Map) {
+// non-adjacent pair with at least one connector, keyed by global vertex ids —
+// and the map's histogram in FoldScore's layout, trimmed after its last
+// non-zero bucket. Both are owned by the caller and nil when GE(p) has no
+// edge beyond the spokes — no evidence, CB(p) = d(d−1)/2. ScoreEvidence over
+// the map and FoldScore over the histogram both return cb.
+func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, m *pairmap.Map, hist []int64) {
 	if s == nil {
 		s = NewScratch(a.NumVertices())
 	}
@@ -90,7 +93,8 @@ func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, 
 	if len(adj) > 0 {
 		m = pairmap.NewWithCapacity(len(nu))
 	}
-	return s.score(nu, off, adj, m), m
+	cb, hist = s.score(nu, off, adj, m)
+	return cb, m, hist
 }
 
 // EgoCSR numbers N(p) as local ids 0…d−1 in neighbor-list order — nu, p's
@@ -137,22 +141,33 @@ func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj
 // returns for that ego. It sizes the Scratch for the ego itself.
 func (s *Scratch) ScoreCSR(off []int, adj []int32) float64 {
 	s.ensure(0, len(off)-1)
-	return s.score(nil, off, adj, nil)
+	cb, _ := s.score(nil, off, adj, nil)
+	return cb
 }
 
 // score is the whole-ego counting pass: count over every row of the ego
-// CSR, then fold the histogram. nu is read only to key a non-nil sink.
-func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) float64 {
+// CSR, then fold the histogram. nu is read only to key a non-nil sink; with
+// one, score also returns a copy of the histogram, trimmed after its last
+// non-zero bucket, for the owner of the evidence to keep.
+func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) (float64, []int64) {
 	d := len(off) - 1
 	if d < 2 {
-		return 0
+		return 0, nil
 	}
 	s.count(nu, off, adj, 0, d, sink)
 	hist := s.hist[:d]
 	hist[0] = int64(len(adj) / 2)
-	cb := foldScore(int32(d), hist)
+	cb := FoldScore(int32(d), hist)
+	var kept []int64
+	if sink != nil {
+		t := len(hist)
+		for hist[t-1] == 0 {
+			t--
+		}
+		kept = slices.Clone(hist[:t])
+	}
 	clear(hist)
-	return cb
+	return cb, kept
 }
 
 // egoWork is the number of inner-loop steps count runs over all rows of an

@@ -18,7 +18,7 @@
 // The dense per-ego kernel (EgoBetweenness, computeall.go) scores one
 // vertex from its own ego network alone: number N(p), build the ego CSR
 // (Scratch.EgoCSR), count connectors per non-adjacent pair in dense arrays,
-// fold the counts (foldScore). Everything per-ego reads that one CSR:
+// fold the counts (FoldScore). Everything per-ego reads that one CSR:
 // ComputeAll is a loop of the kernel; both searches (search.go) draw every
 // exact score from it and feed their dynamic bound — the marker half of
 // Lemma 3's "identified information", a plain counter per vertex — from the
@@ -33,7 +33,7 @@
 // whole egos, or chunks of the rows of a heavy one, through an atomic
 // cursor, each over its own Scratch. The paper's once-per-edge pass, which
 // fills the same maps edge by edge, survives only as a test oracle for the
-// kernel's maps. ScoreEvidence scores a map through the same foldScore, so
+// kernel's maps. ScoreEvidence scores a map through the same FoldScore, so
 // a map and the kernel agree to the bit.
 package ego
 
@@ -58,7 +58,7 @@ func StaticUB(d int32) float64 {
 // and yields the Lemma 2 static bound.
 //
 // The entries are first accumulated into an exact integer histogram over
-// the connector counts and the float sum then runs through foldScore, so the
+// the connector counts and the float sum then runs through FoldScore, so the
 // returned value is a function of the evidence content alone — independent
 // of hash-table iteration order and hence of the internal vertex labeling.
 // This is what makes the dense kernel (EgoBetweenness), whose histogram is
@@ -66,7 +66,7 @@ func StaticUB(d int32) float64 {
 // of the same ego, however it was filled.
 func ScoreEvidence(d int32, s *pairmap.Map) float64 {
 	if s == nil {
-		return foldScore(d, nil)
+		return FoldScore(d, nil)
 	}
 	var small [64]int64
 	hist := small[:]
@@ -78,26 +78,43 @@ func ScoreEvidence(d int32, s *pairmap.Map) float64 {
 		hist[val]++
 		return true
 	})
-	return foldScore(d, hist)
+	return FoldScore(d, hist)
 }
 
-// foldScore is the one place a score is summed. hist[0] is the number of
-// adjacent neighbor pairs and hist[c], c ≥ 1, the number of non-adjacent
-// pairs with c connectors; an empty histogram is no evidence. Start from
-// d(d−1)/2 (every pair contributing 1), subtract 1 for each adjacent pair,
-// and replace 1 by 1/(c+1) for each pair with c connectors — summed in
-// ascending-c order, a canonical evaluation order, so equal histograms score
-// bitwise identically however they were collected.
-func foldScore(d int32, hist []int64) float64 {
+// FoldScore is the one place a score is summed — the kernel, the split
+// sweep, ScoreEvidence and the dynamic Maintainer all end here. hist[0] is
+// the number of adjacent neighbor pairs and hist[c], c ≥ 1, the number of
+// non-adjacent pairs with c connectors; an empty histogram is no evidence.
+// Start from d(d−1)/2 (every pair contributing 1), subtract 1 for each
+// adjacent pair, and replace 1 by 1/(c+1) for each pair with c connectors —
+// summed in ascending-c order, a canonical evaluation order, so equal
+// histograms score bitwise identically however they were collected. A
+// vertex of degree < 2 has no pair and scores 0.
+func FoldScore(d int32, hist []int64) float64 {
+	if d < 2 {
+		return 0
+	}
 	var adj float64
 	for c, cnt := range hist {
 		switch {
 		case cnt == 0:
 		case c == 0:
 			adj -= float64(cnt)
+		case c < len(foldTerms):
+			adj += float64(cnt) * foldTerms[c]
 		default:
 			adj += float64(cnt) * (1/float64(c+1) - 1)
 		}
 	}
 	return StaticUB(d) + adj
 }
+
+// foldTerms[c] is the term 1/(c+1) − 1 a pair with c connectors adds to
+// FoldScore, precomputed for the counts real egos mostly hold; the fold
+// computes larger ones in place, to the same bits.
+var foldTerms = func() (t [1024]float64) {
+	for c := range t {
+		t[c] = 1/float64(c+1) - 1
+	}
+	return t
+}()

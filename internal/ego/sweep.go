@@ -115,7 +115,7 @@ func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64
 	clear(s.hist[:d])
 	if u.e.left.Add(-1) == 0 {
 		u.e.hist[0] = int64(len(adj) / 2)
-		split(u.v, foldScore(int32(d), u.e.hist))
+		split(u.v, FoldScore(int32(d), u.e.hist))
 	}
 	return steps
 }

@@ -63,7 +63,7 @@ func TestSweepChunksMatchWholeEgo(t *testing.T) {
 					clear(s.hist[:d])
 				}
 				hist[0] = int64(len(adj) / 2)
-				if got := foldScore(int32(d), hist); got != want {
+				if got := FoldScore(int32(d), hist); got != want {
 					t.Fatalf("%s: ego %d in %d chunks: CB %v, whole %v", name, p, k, got, want)
 				}
 			}

@@ -43,12 +43,11 @@ func BenchmarkGallopHub(b *testing.B) {
 	}
 }
 
-// BenchmarkRegisterHub measures the pooled-bitset kernel: mark the hub once,
+// BenchmarkRegisterHub measures the bitset kernel: mark the hub once,
 // probe every leaf — the per-center amortization the maintainers' hub scans use.
 func BenchmarkRegisterHub(b *testing.B) {
 	hub, leaves := benchLists(8192, 64, 64)
-	reg := AcquireRegister(4 * 8192)
-	defer ReleaseRegister(reg)
+	reg := NewRegister(4 * 8192)
 	var dst []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,9 +13,9 @@
 //   - galloping (exponential probe + binary search) when one list is much
 //     longer than the other, O(|small| · log |large|);
 //   - bitset registers for hub centers: the center's neighborhood is marked
-//     once into a pooled bitset, and every subsequent intersection against
-//     it costs O(|other|) probes — amortizing the marking cost across all
-//     of the center's pair scans.
+//     once into a bitset, and every subsequent intersection against it costs
+//     O(|other|) probes — amortizing the marking cost across all of the
+//     center's pair scans.
 //
 // All three produce the identical ascending result set, so swapping one for
 // another never changes any downstream score — the kernels differ only in
@@ -25,20 +25,15 @@
 // 64-word blocks); no algorithm routes through it any more — the benchmark
 // keeps it as the nbr.hub_word_ns probe.
 //
-// Caller contract for strategy selection: the pairwise entry points
-// (IntersectInto, IntersectCount, the view-level Common*) dispatch only
-// between linear and gallop — Choose never returns StrategyBitset, because
-// marking carries a cost that only a caller looping over many
-// intersections of the same side can amortize. Such callers
-// decide centrally through ChooseHub(la, lb): StrategyBitset means "mark
-// the hub side once, probe the rest", and anything else defers to the
-// pairwise kernels. Passing 0 for one length asks about a single
-// amortizable side.
+// The pairwise entry points (IntersectInto, IntersectCount, the view-level
+// Common*) switch between linear and gallop on the length ratio
+// (GallopRatio). They never mark a register: marking carries a cost that
+// only a caller looping over many intersections of the same side can
+// amortize, so such a caller — the Maintainer, for an endpoint of degree
+// ≥ HubDegree — owns its registers and marks the hub side itself.
 //
 // The package is a leaf: it depends on nothing else in the repository, so
 // every layer (graph, dynamic) can use it without import cycles.
-// Registers and scratch buffers are pooled (sync.Pool), so steady-state
-// callers allocate nothing; Register.Unmark is O(1) via an epoch counter, so
-// recycling a register costs nothing even after marking millions of
-// vertices.
+// Register.Unmark is O(1) via an epoch counter, so reusing a register costs
+// nothing even after marking millions of vertices.
 package nbr

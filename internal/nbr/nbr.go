@@ -11,64 +11,6 @@ const GallopRatio = 16
 // scans, and each scan then costs O(|other|) word probes with no merge.
 const HubDegree = 64
 
-// Strategy identifies which kernel the adaptive dispatch would run.
-type Strategy uint8
-
-const (
-	// StrategyLinear is the two-pointer merge over both lists.
-	StrategyLinear Strategy = iota
-	// StrategyGallop probes the large list by exponential + binary search.
-	StrategyGallop
-	// StrategyBitset is the pre-marked Register probe (chosen by callers
-	// holding a Register, not by Choose — marking has per-center cost).
-	StrategyBitset
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyLinear:
-		return "linear"
-	case StrategyGallop:
-		return "gallop"
-	default:
-		return "bitset"
-	}
-}
-
-// Choose returns the strategy the pairwise kernels use for lists of the
-// given lengths. StrategyBitset is never returned here: it requires a
-// Register pre-marked with one side, which only the caller can amortize.
-func Choose(la, lb int) Strategy {
-	if la > lb {
-		la, lb = lb, la
-	}
-	if la > 0 && lb >= GallopRatio*la {
-		return StrategyGallop
-	}
-	return StrategyLinear
-}
-
-// ChooseHub extends Choose for callers that can amortize Register marking
-// across many scans of the same side. It is the central dispatch for the
-// register strategy, replacing ad-hoc HubDegree comparisons at call sites:
-//
-//   - either length ≥ HubDegree → StrategyBitset: mark that side once and
-//     probe the others element-by-element (Register.IntersectInto);
-//   - otherwise → whatever the pairwise Choose picks.
-//
-// Callers testing only one amortizable side pass 0 for the other length
-// (ChooseHub(la, 0) == StrategyBitset ⇔ la qualifies as a hub center).
-// The pairwise kernels never select StrategyBitset on their own: marking
-// has a cost only the caller can amortize, so IntersectInto/IntersectCount
-// dispatch exclusively between linear and gallop.
-func ChooseHub(la, lb int) Strategy {
-	if la >= HubDegree || lb >= HubDegree {
-		return StrategyBitset
-	}
-	return Choose(la, lb)
-}
-
 // IntersectInto appends a ∩ b to dst and returns the extended slice. Both
 // inputs must be strictly ascending; the appended run is ascending. dst may
 // be nil or a reused scratch buffer (pass dst[:0] to reuse).

@@ -57,10 +57,9 @@ func allStrategies(t *testing.T, a, b []int32, check func(name string, got []int
 			span = v + 1
 		}
 	}
-	reg := AcquireRegister(span)
+	reg := NewRegister(span)
 	reg.Mark(a)
 	check("Register.IntersectInto", reg.IntersectInto(nil, b))
-	ReleaseRegister(reg)
 
 	if got, want := IntersectCount(a, b), len(naiveIntersect(a, b)); got != want {
 		t.Errorf("IntersectCount = %d, want %d", got, want)
@@ -143,31 +142,12 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	}
 }
 
-// TestChoose pins the dispatch thresholds.
-func TestChoose(t *testing.T) {
-	if got := Choose(100, 100); got != StrategyLinear {
-		t.Errorf("Choose(100,100) = %v, want linear", got)
-	}
-	if got := Choose(4, 4*GallopRatio); got != StrategyGallop {
-		t.Errorf("Choose(4,%d) = %v, want gallop", 4*GallopRatio, got)
-	}
-	if got := Choose(4*GallopRatio, 4); got != StrategyGallop {
-		t.Errorf("Choose is not symmetric: got %v", got)
-	}
-	if got := Choose(4, 4*GallopRatio-1); got != StrategyLinear {
-		t.Errorf("Choose just under ratio = %v, want linear", got)
-	}
-	if got := Choose(0, 1000); got != StrategyLinear {
-		t.Errorf("Choose(0,1000) = %v, want linear (empty short-circuits)", got)
-	}
-}
-
-// TestRegisterReuse exercises mark/unmark cycles through the pool, which is
-// exactly the per-center amortization pattern of the maintainers' hub scans.
+// TestRegisterReuse exercises mark/unmark cycles on one reused register,
+// which is exactly the per-center amortization pattern of the maintainer's
+// hub scans.
 func TestRegisterReuse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
-	reg := AcquireRegister(1 << 16)
-	defer ReleaseRegister(reg)
+	reg := NewRegister(1 << 16)
 	for round := 0; round < 50; round++ {
 		center := sortedList(rng, 1+rng.IntN(200), 1<<16)
 		reg.Mark(center)

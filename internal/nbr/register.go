@@ -1,9 +1,6 @@
 package nbr
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Register is a reusable bitset over vertex identifiers, the third
 // intersection strategy. A caller that intersects one fixed neighborhood
@@ -211,22 +208,4 @@ func (r *Register) AndCount(o *Register) int {
 		}
 	}
 	return n
-}
-
-// registerPool recycles Registers across kernel invocations. Pooled
-// registers keep their arrays, so a steady-state acquire is
-// allocation-free once the pool has warmed to the graph's vertex count.
-var registerPool = sync.Pool{New: func() any { return &Register{epoch: 1} }}
-
-// AcquireRegister returns a cleared pooled Register covering [0, n).
-func AcquireRegister(n int32) *Register {
-	r := registerPool.Get().(*Register)
-	r.Ensure(n)
-	return r
-}
-
-// ReleaseRegister clears r and returns it to the pool.
-func ReleaseRegister(r *Register) {
-	r.Unmark()
-	registerPool.Put(r)
 }

@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// markedPair marks a and b into two pooled registers sized for span and
-// hands them to fn, releasing them afterwards.
+// markedPair marks a and b into two registers sized for span and hands them
+// to fn.
 func markedPair(span int32, a, b []int32, fn func(ra, rb *Register)) {
-	ra := AcquireRegister(span)
-	rb := AcquireRegister(span)
+	ra, rb := NewRegister(span), NewRegister(span)
 	ra.Mark(a)
 	rb.Mark(b)
 	fn(ra, rb)
-	ReleaseRegister(ra)
-	ReleaseRegister(rb)
 }
 
 // spanOf returns 1 + the largest element of the lists (at least 1).
@@ -94,10 +91,7 @@ func TestAndAgainstReference(t *testing.T) {
 func TestAndRandomized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	sizes := []int{0, 1, 7, 63, 64, 65, 300, 4000}
-	ra := AcquireRegister(1)
-	rb := AcquireRegister(1)
-	defer ReleaseRegister(ra)
-	defer ReleaseRegister(rb)
+	ra, rb := NewRegister(1), NewRegister(1)
 	for _, la := range sizes {
 		for _, lb := range sizes {
 			for trial := 0; trial < 3; trial++ {
@@ -147,31 +141,6 @@ func TestAndStaleEpochIsolation(t *testing.T) {
 	}
 	if ra.Contains(50000) {
 		t.Fatal("stale vertex still Contains after Unmark")
-	}
-}
-
-// TestChooseHub pins the central hub dispatch table.
-func TestChooseHub(t *testing.T) {
-	cases := []struct {
-		la, lb int
-		want   Strategy
-	}{
-		{HubDegree, HubDegree, StrategyBitset},
-		{HubDegree + 100, HubDegree, StrategyBitset},
-		{HubDegree, 0, StrategyBitset},
-		{0, HubDegree, StrategyBitset},
-		{HubDegree - 1, HubDegree * 2, StrategyBitset},
-		{HubDegree - 1, HubDegree - 1, StrategyLinear},
-		{2, 2 * GallopRatio, StrategyGallop},
-		{0, 0, StrategyLinear},
-	}
-	for _, tc := range cases {
-		if got := ChooseHub(tc.la, tc.lb); got != tc.want {
-			t.Errorf("ChooseHub(%d,%d) = %v, want %v", tc.la, tc.lb, got, tc.want)
-		}
-	}
-	if StrategyBitset.String() != "bitset" {
-		t.Errorf("StrategyBitset.String() = %q", StrategyBitset.String())
 	}
 }
 

@@ -193,13 +193,18 @@ func (m *Map) Table() (keys []uint64, vals []int32) {
 // ResetFromTable initializes m in place from raw slot arrays as produced by
 // Table, taking ownership of both slices — no entry is rehashed, so the cost
 // is one validation scan, and a caller restoring many tables (one per vertex
-// at recovery) lays the Map headers out in a single slab. The table must be
-// structurally sound: power-of-two size ≥ 8, at least a quarter of the slots
-// free (so probes terminate and the load invariant holds), and every live key
-// a canonical pair Key(i, j) with 0 ≤ i < j < idBound. Deeper consistency
-// (values matching any particular graph) is the caller's contract, normally
-// discharged by the checksum layer above this codec.
-func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32) error {
+// at recovery) lays the Map headers out in a single slab. The same scan adds
+// every live entry into hist, the map's histogram in the layout of the
+// score fold (ego.FoldScore): a marker into hist[0], a count c into hist[c].
+// The table must be structurally sound: power-of-two size ≥ 8, at least a
+// quarter of the slots free (so probes terminate and the load invariant
+// holds), every live key a canonical pair Key(i, j) with 0 ≤ i < j <
+// idBound, and every value below len(hist) — the map of a vertex of degree
+// d passes a histogram of d buckets, and no pair of its neighbors can have
+// d or more connectors. Deeper consistency (values matching any particular
+// graph) is the caller's contract, normally discharged by the checksum layer
+// above this codec.
+func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32, hist []int64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("pairmap: table has %d key slots, %d value slots", len(keys), len(vals))
 	}
@@ -210,8 +215,9 @@ func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32) error {
 	// This scan is the per-slot cost of restoring a maintainer from a
 	// snapshot, so the hot path is branch-lean: a valid occupied slot packs
 	// hi < lo < idBound, and since idBound ≤ 2³¹−1 the unsigned comparisons
-	// below subsume the hi ≥ 0 check (hi ≥ 2³¹ could never sit under lo).
-	bound := uint64(uint32(idBound))
+	// below subsume the hi ≥ 0 check (hi ≥ 2³¹ could never sit under lo);
+	// likewise a negative value reads as a huge unsigned count.
+	bound, buckets := uint64(uint32(idBound)), uint64(len(hist))
 	live, dirty := 0, 0
 	for i, k := range keys {
 		if k == emptySlot {
@@ -225,9 +231,11 @@ func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32) error {
 			shi, slo := Split(k)
 			return fmt.Errorf("pairmap: slot %d holds invalid pair key (%d,%d) under bound %d", i, shi, slo, idBound)
 		}
-		if vals[i] < 0 {
-			return fmt.Errorf("pairmap: slot %d holds negative count %d", i, vals[i])
+		c := uint64(uint32(vals[i]))
+		if c >= buckets {
+			return fmt.Errorf("pairmap: slot %d holds count %d, beyond an ego of degree %d", i, vals[i], len(hist))
 		}
+		hist[c]++
 		live++
 		dirty++
 	}

@@ -2,6 +2,7 @@ package pairmap
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,7 +154,7 @@ func TestReset(t *testing.T) {
 	for i := int32(0); i < 50; i++ {
 		m.Set(Key(i, i+1), 1)
 	}
-	if err := m.ResetFromTable(make([]uint64, 8), make([]int32, 8), 100); err != nil {
+	if err := m.ResetFromTable(make([]uint64, 8), make([]int32, 8), 100, make([]int64, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if m.live != 0 {
@@ -228,7 +229,7 @@ func TestMemoryFootprint(t *testing.T) {
 // TestTableRoundTrip drives a map through a mixed insert/overwrite/delete
 // history, dumps the raw table, rebuilds via ResetFromTable, and checks the
 // copy behaves identically — including tombstones and live counts surviving
-// the round trip verbatim.
+// the round trip verbatim, and the scan's histogram tallying every entry.
 func TestTableRoundTrip(t *testing.T) {
 	m := New()
 	for i := int32(0); i < 300; i++ {
@@ -240,20 +241,25 @@ func TestTableRoundTrip(t *testing.T) {
 	m.SetMarker(Key(2, 5))
 
 	keys, vals := m.Table()
-	got := new(Map)
-	if err := got.ResetFromTable(append([]uint64(nil), keys...), append([]int32(nil), vals...), 1000); err != nil {
+	got, hist := new(Map), make([]int64, 1000)
+	if err := got.ResetFromTable(append([]uint64(nil), keys...), append([]int32(nil), vals...), 1000, hist); err != nil {
 		t.Fatalf("ResetFromTable: %v", err)
 	}
 	if got.live != m.live {
 		t.Fatalf("live = %d, want %d", got.live, m.live)
 	}
+	want := make([]int64, len(hist))
 	m.Iterate(func(k uint64, val int32) bool {
 		v, ok := got.Get(k)
 		if !ok || v != val {
 			t.Fatalf("key %d: got (%d,%v), want (%d,true)", k, v, ok, val)
 		}
+		want[val]++
 		return true
 	})
+	if !slices.Equal(hist, want) {
+		t.Fatal("the scan's histogram does not tally the live entries")
+	}
 	// The rebuilt map must keep working as a hash table: insert enough new
 	// entries to force growth, then verify old and new coexist.
 	for i := int32(500); i < 900; i++ {
@@ -269,7 +275,8 @@ func TestTableRoundTrip(t *testing.T) {
 
 // TestFromTableRejects enumerates the structural defects ResetFromTable must
 // refuse: size/shape violations, non-canonical keys, out-of-bound vertices,
-// negative counts, and over-full tables whose probes could not terminate.
+// negative counts, counts no ego of the histogram's degree can hold, and
+// over-full tables whose probes could not terminate.
 func TestFromTableRejects(t *testing.T) {
 	mk := func(edit func(keys []uint64, vals []int32)) ([]uint64, []int32) {
 		keys := make([]uint64, 8)
@@ -303,13 +310,16 @@ func TestFromTableRejects(t *testing.T) {
 	addCase("negative count", func(keys []uint64, vals []int32) {
 		keys[0], vals[0] = Key(1, 2), -1
 	})
+	addCase("count beyond the degree", func(keys []uint64, vals []int32) {
+		keys[0], vals[0] = Key(1, 2), 4
+	})
 	addCase("over-full table", func(keys []uint64, _ []int32) {
 		for i := range keys {
 			keys[i] = tombstone
 		}
 	})
 	for _, tc := range cases {
-		if err := new(Map).ResetFromTable(tc.keys, tc.vals, 10); err == nil {
+		if err := new(Map).ResetFromTable(tc.keys, tc.vals, 10, make([]int64, 4)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -317,7 +327,10 @@ func TestFromTableRejects(t *testing.T) {
 	keys, vals := mk(func(keys []uint64, vals []int32) {
 		keys[0], vals[0] = Key(1, 2), 3
 	})
-	if err := new(Map).ResetFromTable(keys, vals, 10); err != nil {
+	hist := make([]int64, 4)
+	if err := new(Map).ResetFromTable(keys, vals, 10, hist); err != nil {
 		t.Errorf("valid table rejected: %v", err)
+	} else if !slices.Equal(hist, []int64{0, 0, 0, 1}) {
+		t.Errorf("valid table tallied %v", hist)
 	}
 }

@@ -15,16 +15,13 @@ import (
 // frozen snapshot of a fresh ModeLocal graph and on overlay snapshots.
 //
 // algo=opt and algo=base score every returned vertex with the same kernel,
-// so they are held to byte equality everywhere. algo=scores reads the
-// maintained vector, which a fresh build fills from the same score fold but
-// LocalInsert/LocalDelete then move by float deltas: it is held to byte
-// equality wherever no score has moved (the frozen snapshot, and an overlay
-// published by a score-neutral batch — an edge between two new vertices),
-// and to the recovery suites' tolerance after score-changing batches.
+// and algo=scores reads the maintained vector, whose every entry is its
+// connector-count histogram folded by the kernel's fold — so all three are
+// held to byte equality everywhere, after score-changing batches too.
 func TestExactAlgosByteIdentical(t *testing.T) {
 	base := gen.Affiliation(300, 150, 5.5, 1, 29)
 	reg := addOverlayGraph(t, base, ModeLocal, 0, 64)
-	check := func(stage string, scoresExact bool) {
+	check := func(stage string) {
 		t.Helper()
 		info, err := reg.Info("g")
 		if err != nil {
@@ -38,13 +35,10 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 				}
 			}
 			want := encodeJSON(answers[AlgoOpt].Results)
-			if got := encodeJSON(answers[AlgoBase].Results); !bytes.Equal(got, want) {
-				t.Fatalf("%s k=%d: algo=base returns\n%s\nalgo=opt returns\n%s", stage, k, got, want)
-			}
-			if !scoresExact {
-				assertTopKEquiv(t, fmt.Sprintf("%s k=%d algo=scores", stage, k), answers[AlgoScores].Results, answers[AlgoOpt].Results)
-			} else if got := encodeJSON(answers[AlgoScores].Results); !bytes.Equal(got, want) {
-				t.Fatalf("%s k=%d: algo=scores returns\n%s\nalgo=opt returns\n%s", stage, k, got, want)
+			for _, algo := range []string{AlgoBase, AlgoScores} {
+				if got := encodeJSON(answers[algo].Results); !bytes.Equal(got, want) {
+					t.Fatalf("%s k=%d: algo=%s returns\n%s\nalgo=opt returns\n%s", stage, k, algo, got, want)
+				}
 			}
 		}
 	}
@@ -55,7 +49,7 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 		}
 		return info.OverlayDepth
 	}
-	check("frozen", true)
+	check("frozen")
 
 	n := base.NumVertices()
 	if _, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true); err != nil {
@@ -64,7 +58,7 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 	if overlayDepth() != 1 {
 		t.Fatalf("overlay depth %d after one batch, want 1", overlayDepth())
 	}
-	check("score-neutral overlay", true)
+	check("score-neutral overlay")
 
 	rng := rand.New(rand.NewPCG(29, 0xA160))
 	mirror := graph.DynFromGraph(base)
@@ -72,7 +66,7 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 		if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("batch %d (overlay depth %d)", i, overlayDepth()), false)
+		check(fmt.Sprintf("batch %d (overlay depth %d)", i, overlayDepth()))
 	}
 	if overlayDepth() < 2 {
 		t.Fatalf("overlay depth %d after the script — the test lost its subject", overlayDepth())

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -182,7 +181,7 @@ func TestScoresCopyOnWrite(t *testing.T) {
 	snap := e.snap.Load()
 	want := ego.ComputeAll(snap.view)
 	for v := int32(0); v < snap.view.NumVertices(); v++ {
-		if math.Abs(snap.scores.At(v)-want[v]) > scoreEps {
+		if snap.scores.At(v) != want[v] {
 			t.Fatalf("score(%d) = %v, want %v", v, snap.scores.At(v), want[v])
 		}
 	}

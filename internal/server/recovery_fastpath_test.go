@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -194,6 +196,57 @@ func TestRecoveryFallbackCorruption(t *testing.T) {
 	}
 }
 
+// TestRecoveryFallbackScoreOffFold: a checkpoint whose maintained scores are
+// not their evidence folded — what a maintainer that summed float deltas
+// wrote, one ulp off the kernel — passes every checksum, so the import's
+// refold check is what sends recovery down the rebuild path, with a reason
+// naming the vertex, and the rebuilt answers are the kernel's.
+func TestRecoveryFallbackScoreOffFold(t *testing.T) {
+	base := gen.BarabasiAlbert(60, 3, 23)
+	n := base.NumVertices()
+	dir := t.TempDir()
+	reg := durableRegistry(dir)
+	if _, err := reg.Add("g", base, ModeLocal, 10); err != nil {
+		t.Fatal(err)
+	}
+	mirror := graph.DynFromGraph(base)
+	for _, e := range [][2]int32{{0, 30}, {1, 40}} {
+		if _, err := reg.applyEdges("g", [][2]int32{e}, !mirror.HasEdge(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+		if mirror.HasEdge(e[0], e[1]) {
+			_ = mirror.DeleteEdge(e[0], e[1])
+		} else {
+			_ = mirror.InsertEdge(e[0], e[1])
+		}
+	}
+	e, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	scores := e.local.All()
+	scores[5] = math.Nextafter(scores[5], math.Inf(1))
+	e.mu.Unlock()
+	// The third batch takes the checkpoint; an edge between two new vertices
+	// moves no existing score, so vertex 5 is still off its fold on disk.
+	if _, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true); err != nil {
+		t.Fatal(err)
+	}
+	_ = mirror.InsertEdge(n, n+1)
+	if info, err := reg.Info("g"); err != nil || info.Checkpoints < 1 {
+		t.Fatalf("no checkpoint taken (%v)", err)
+	}
+	reg.Close()
+
+	reborn, gi := recoverDir(t, dir)
+	defer reborn.Close()
+	if gi.RecoverPath != "rebuild" || !strings.Contains(gi.RecoverReason, "persisted score of vertex 5") {
+		t.Fatalf("recover_path=%q reason=%q, want rebuild naming vertex 5's score", gi.RecoverPath, gi.RecoverReason)
+	}
+	assertRecovered(t, reborn, "g", ModeLocal, mirror.Freeze(1))
+}
+
 // TestRecoveryFastVsRebuildEquivalence pins the two recovery paths against
 // each other on the same durable history: one registry boots fast, another
 // boots from the same bytes with the state section stripped (forcing a
@@ -265,7 +318,7 @@ func TestRecoveryFastVsRebuildEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertTopKEquiv(t, fmt.Sprintf("fast-vs-rebuild k=%d algo=%s", k, algo), fr.Results, rr.Results)
+					assertTopKEqual(t, fmt.Sprintf("fast-vs-rebuild k=%d algo=%s", k, algo), fr.Results, rr.Results)
 				}
 			}
 		})

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -22,11 +22,6 @@ import (
 // recompute of the graph the durable history implies. Runs under -race in
 // CI (the Makefile's test target), which also exercises the lock-free
 // persistence counters.
-
-// scoreEps absorbs float drift between incremental maintenance (the
-// recovered replay) and a from-scratch recomputation; ego-betweenness sums
-// 1/c terms in different orders on the two paths.
-const scoreEps = 1e-6
 
 // scriptBatch is one pre-generated update batch.
 type scriptBatch struct {
@@ -88,35 +83,14 @@ func stateAfter(base *graph.Graph, script []scriptBatch, upto int) *graph.Graph 
 	return mirror.Freeze(1)
 }
 
-// assertTopKEquiv requires got to be a valid top-k of the clean recompute
-// want: same length, rank-by-rank scores within scoreEps, and every vertex
-// scoring strictly above the boundary (want's k-th score) present — vertices
-// tied at the boundary are interchangeable between equally valid top-k sets,
-// which is exactly the tie-breaking contract pinned down in internal/topk.
-func assertTopKEquiv(t *testing.T, label string, got, want []ego.Result) {
+// assertTopKEqual requires got to encode to the same bytes as the clean
+// recompute want: every exact path — the kernel, the searches and the
+// maintained scores, recovered or not — ends in the same score fold, and
+// ties resolve by ascending vertex id everywhere.
+func assertTopKEqual(t *testing.T, label string, got, want []ego.Result) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d", label, len(got), len(want))
-	}
-	if len(want) == 0 {
-		return
-	}
-	for i := range want {
-		if math.Abs(got[i].CB-want[i].CB) > scoreEps {
-			t.Fatalf("%s: rank %d score %.9f, want %.9f\ngot  %v\nwant %v",
-				label, i, got[i].CB, want[i].CB, got, want)
-		}
-	}
-	boundary := want[len(want)-1].CB
-	gotSet := make(map[int32]bool, len(got))
-	for _, r := range got {
-		gotSet[r.V] = true
-	}
-	for _, r := range want {
-		if r.CB > boundary+scoreEps && !gotSet[r.V] {
-			t.Fatalf("%s: vertex %d (cb %.9f, strictly above the boundary %.9f) missing\ngot  %v\nwant %v",
-				label, r.V, r.CB, boundary, got, want)
-		}
+	if g, w := encodeJSON(got), encodeJSON(want); !bytes.Equal(g, w) {
+		t.Fatalf("%s: got\n%s\nwant\n%s", label, g, w)
 	}
 }
 
@@ -145,7 +119,7 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 			if err != nil {
 				t.Fatalf("TopK(%s, k=%d): %v", algo, k, err)
 			}
-			assertTopKEquiv(t, fmt.Sprintf("k=%d algo=%s", k, algo), res.Results, want)
+			assertTopKEqual(t, fmt.Sprintf("k=%d algo=%s", k, algo), res.Results, want)
 		}
 	}
 	if mode == ModeLocal {
@@ -156,7 +130,7 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(vr.CB-scores[v]) > scoreEps {
+			if vr.CB != scores[v] {
 				t.Fatalf("vertex %d recovered cb %.9f, recompute %.9f", v, vr.CB, scores[v])
 			}
 		}
