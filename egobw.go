@@ -153,8 +153,10 @@ func WithTheta(theta float64) Option { return func(o *options) { o.theta = theta
 func WithStats(st *SearchStats) Option { return func(o *options) { o.stats = st } }
 
 // TopK returns the k vertices with the highest ego-betweennesses, sorted by
-// descending score (ties by ascending id). The default algorithm is
-// OptBSearch with θ = 1.05; see the Options to switch.
+// descending score (ties by ascending id); k ≤ 0 returns none. The default
+// algorithm is OptBSearch with θ = 1.05; see the Options to switch. Either
+// search runs upcoming candidates' kernels on up to GOMAXPROCS cores, with
+// the same answer and SearchStats on any number.
 func TopK(g *Graph, k int, opts ...Option) ([]Result, SearchStats) {
 	o := options{theta: DefaultTheta}
 	for _, fn := range opts {

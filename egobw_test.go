@@ -40,6 +40,12 @@ func TestPublicOptions(t *testing.T) {
 			t.Errorf("rank %d: base %v, opt %v", i, base[i].CB, opt[i].CB)
 		}
 	}
+	// k ≤ 0 selects nothing and computes nothing, under either search.
+	for _, opts := range [][]egobw.Option{nil, {egobw.WithBaseSearch()}} {
+		if top, st := egobw.TopK(g, 0, opts...); len(top) != 0 || st.Computed != 0 {
+			t.Errorf("TopK(g, 0) = %v, %+v; want no result, nothing computed", top, st)
+		}
+	}
 }
 
 func TestPublicComputeVariants(t *testing.T) {

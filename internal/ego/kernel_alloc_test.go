@@ -34,22 +34,27 @@ func TestKernelZeroAlloc(t *testing.T) {
 // handful of O(n) slices (heap, counters, Scratch), the result list, and the
 // Scratch's doubling growth to the largest ego, which is among the first
 // popped — and nothing per computed vertex, so a search that computes ten
-// times as many vertices allocates the same number of times.
+// times as many vertices allocates the same number of times. It holds
+// inline (W = 1) and with a window of two that speculates every candidate:
+// the helpers' Scratches and the slots that hold results are sized once,
+// from the first candidate, and reused.
 func TestSearchAllocs(t *testing.T) {
 	g := gen.ChungLu(1500, 2.2, 5.3, 120, 3)
-	for name, run := range map[string]func(k int) SearchStats{
-		"opt":  func(k int) SearchStats { _, st := OptBSearch(g, k, 1.05); return st },
-		"base": func(k int) SearchStats { _, st := BaseBSearch(g, k); return st },
-	} {
-		few, many := run(10).Computed, run(300).Computed
-		if many < 10*few {
-			t.Fatalf("%s: k=300 computes %d vertices, k=10 %d: not a tenfold spread", name, many, few)
-		}
-		small := testing.AllocsPerRun(10, func() { run(10) })
-		large := testing.AllocsPerRun(10, func() { run(300) })
-		if small > 64 || large > small+4 {
-			t.Errorf("%s: %v allocs at k=10 (%d computed), %v at k=300 (%d computed); want ≤ 64 and no growth with computed",
-				name, small, few, large, many)
+	for _, w := range []int{1, 2} {
+		for name, run := range map[string]func(k int) SearchStats{
+			"opt":  func(k int) SearchStats { _, st := search(g, k, 1.05, nil, true, w, 0); return st },
+			"base": func(k int) SearchStats { _, st := search(g, k, 1, nil, false, w, 0); return st },
+		} {
+			few, many := run(10).Computed, run(300).Computed
+			if many < 10*few {
+				t.Fatalf("%s W=%d: k=300 computes %d vertices, k=10 %d: not a tenfold spread", name, w, many, few)
+			}
+			small := testing.AllocsPerRun(10, func() { run(10) })
+			large := testing.AllocsPerRun(10, func() { run(300) })
+			if small > 64 || large > small+4 {
+				t.Errorf("%s W=%d: %v allocs at k=10 (%d computed), %v at k=300 (%d computed); want ≤ 64 and no growth with computed",
+					name, w, small, few, large, many)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package ego
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/graph"
 	"repro/internal/topk"
 )
@@ -20,13 +24,14 @@ type SearchStats struct {
 // Lemma 2 bound. Vertices are visited in the total order ≺ (non-increasing
 // static bound, ties by descending id) and the search stops as soon as the
 // k-th best exact score dominates the next static bound. Results are sorted
-// by descending CB, ties by ascending vertex id.
+// by descending CB, ties by ascending vertex id; k ≤ 0 selects nothing.
 //
 // It is the search loop (searcher) without the dynamic bound: every popped
 // candidate that could still enter the result set is scored by the dense
 // per-ego kernel (EgoBetweenness), which needs no cross-vertex evidence.
+// Kernels of the next candidates run ahead on up to GOMAXPROCS cores.
 func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
-	return newSearcher(g, k, 1, nil, false).run()
+	return search(g, k, 1, nil, false, runtime.GOMAXPROCS(0), specPrice)
 }
 
 // OptBSearch is Algorithm 2: top-k search under the dynamic Lemma 3 bound.
@@ -36,7 +41,7 @@ func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
 // searcher; if it has dropped by more than the gradient ratio θ ≥ 1 the
 // vertex is pushed back (or pruned when it can no longer reach the top-k)
 // instead of being computed. θ trades reinsertions against exact
-// computations; the paper's default is 1.05.
+// computations; the paper's default is 1.05, and θ below 1 or NaN means 1.
 func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 	return OptBSearchLabeled(g, k, theta, nil)
 }
@@ -50,8 +55,37 @@ func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 // library half of the degree-relabeling layout experiment (DESIGN.md §12)
 // that the benchmark's ego.opt.relabeled_k100_ms keeps measuring.
 func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Result, SearchStats) {
-	return newSearcher(g, k, max(theta, 1), ext, true).run()
+	return search(g, k, theta, ext, true, runtime.GOMAXPROCS(0), specPrice)
 }
+
+// search runs the searcher to its end with a window of `workers`
+// candidates, speculating those whose ego-build price reaches minPrice. The
+// answer and the SearchStats are the same at every workers and minPrice.
+// θ below 1 is 1, and so is NaN, which max(theta, 1) would pass through.
+func search(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats) {
+	if k < 1 {
+		return []Result{}, SearchStats{}
+	}
+	if !(theta >= 1) {
+		theta = 1
+	}
+	q := newSearcher(g, k, theta, ext, dynamic, workers, minPrice)
+	for q.step() {
+	}
+	return toResultsLabeled(q.r, q.ext), q.st
+}
+
+// specPrice is the ego-build price Σ_{v∈N(p)} d(v) — the first term of the
+// kernel's cost, read in O(d) — from which a candidate's kernel is handed to
+// a helper; cheaper ones cost less than the handoff and run inline. It
+// decides where a kernel runs, never the answer (DESIGN.md §3 has the
+// measurements behind it).
+const specPrice = 4000
+
+// slotsPerHelper sizes the held results: the window's, and those of
+// candidates the loop deferred after their kernel had run, which wait in
+// their slot for the candidate's next pop.
+const slotsPerHelper = 4
 
 // searcher is the one loop behind both searches: a candidate heap H keyed by
 // upper bound, the result set R, and one Scratch for the exact scores. Every
@@ -68,6 +102,14 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 // counts each triangle at most once per corner and never exceeds the true
 // number of adjacent pairs. Bounds only order and prune candidates: every
 // score in R comes from the kernel.
+//
+// With workers W > 1 the next W candidates in pop order leave H for the
+// window win, and the kernels of those priced at minPrice or more run on W
+// helpers (spec) while the loop decides the earlier ones. The loop still
+// takes every candidate in pop order and decides it against the live R, H
+// and t; a computed candidate takes its speculated score and ego CSR, which
+// are the bits the inline kernel would return, so the answer and every
+// counter are those of W = 1.
 type searcher struct {
 	g     graph.View
 	theta float64
@@ -78,33 +120,46 @@ type searcher struct {
 	t     []int64 // nil under the static bound (BaseBSearch)
 	done  []bool  // computed exactly; its triangles have been credited
 	st    SearchStats
+
+	workers  int    // W; 1 runs every kernel inline
+	minPrice int64  // speculate a candidate from this ego-build price on
+	dmax     int32  // largest degree: sizes the helpers' Scratches
+	win      []cand // the next W candidates in pop order, all before H's
+	sp       *spec  // nil until the first candidate is speculated
 }
 
-func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool) *searcher {
+// cand is a window entry.
+type cand struct {
+	topk.Item
+	price   int64 // Σ_{v∈N(V)} d(v); −1 until priced
+	settled bool  // holds a slot, or runs inline
+}
+
+func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) *searcher {
 	n := g.NumVertices()
 	q := &searcher{
-		g:     g,
-		theta: theta,
-		ext:   ext,
-		r:     topk.NewBoundedLabeled(k, ext),
-		h:     topk.NewMaxHeapLabeled(int(n), ext),
-		s:     NewScratch(n),
+		g:        g,
+		theta:    theta,
+		ext:      ext,
+		r:        topk.NewBoundedLabeled(k, ext),
+		h:        topk.NewMaxHeapLabeled(int(n), ext),
+		s:        NewScratch(n),
+		workers:  workers,
+		minPrice: minPrice,
 	}
 	if dynamic {
 		q.t = make([]int64, n)
 		q.done = make([]bool, n)
 	}
+	if workers > 1 {
+		q.win = make([]cand, 0, workers)
+	}
 	for v := int32(0); v < n; v++ {
-		q.h.Push(v, StaticUB(g.Degree(v)))
+		d := g.Degree(v)
+		q.dmax = max(q.dmax, d)
+		q.h.Push(v, StaticUB(d))
 	}
 	return q
-}
-
-// run steps the search to its end.
-func (q *searcher) run() ([]Result, SearchStats) {
-	for q.step() {
-	}
-	return toResultsLabeled(q.r, q.ext), q.st
 }
 
 // bound is the dynamic upper bound ũb(v) under the triangles seen so far.
@@ -116,22 +171,26 @@ func (q *searcher) bound(v int32) float64 {
 // under a tighter bound, or computes it. It reports false once the search is
 // over. R is ordered by (score desc, label asc), so a candidate is hopeless
 // exactly when its bound does not beat the worst held item under its own
-// label: below the k-th score everything left in H is hopeless too, while
-// on a tie with the k-th score only this candidate is — H pops the larger
-// label first, and a later one with the same bound may carry a smaller.
+// label: below the k-th score everything left in H and the window is
+// hopeless too, while on a tie with the k-th score only this candidate is —
+// candidates pop the larger label first, and a later one with the same
+// bound may carry a smaller.
 func (q *searcher) step() bool {
-	if q.h.Len() == 0 {
+	top, ok := q.pop()
+	if !ok {
+		q.sp.close()
 		return false
 	}
-	top := q.h.Pop()
 	v, tb := top.V, top.Score
 	worst, full := q.r.Worst()
 	if full && !q.r.Beats(v, tb, worst) {
 		if tb < worst.Score {
-			q.st.Pruned += int64(q.h.Len()) + 1
+			q.st.Pruned += int64(q.h.Len()+len(q.win)) + 1
+			q.sp.close()
 			return false
 		}
 		q.st.Pruned++
+		q.sp.release(v)
 		return true
 	}
 	if q.t != nil {
@@ -140,21 +199,333 @@ func (q *searcher) step() bool {
 		if q.theta*ub < tb {
 			// The bound dropped substantially: defer or prune.
 			if !full || ub >= worst.Score {
-				q.h.Push(v, ub)
+				q.push(v, ub)
 				q.st.Reinserted++
 			} else {
 				q.st.Pruned++
+				q.sp.release(v)
 			}
 			return true
 		}
 	}
-	cb, off, adj := egoKernel(q.g, v, q.s)
+	cb, off, adj := q.kernel(v)
 	q.r.Add(v, cb)
 	q.st.Computed++
 	if q.t != nil {
 		q.credit(v, off, adj)
 	}
+	q.sp.release(v)
 	return true
+}
+
+// kernel returns v's score and ego CSR: the speculated ones when v holds a
+// slot, else the kernel's inline on the searcher's Scratch.
+func (q *searcher) kernel(v int32) (float64, []int, []int32) {
+	if i := q.sp.held(v); i >= 0 {
+		q.sp.await(i)
+		sl := &q.sp.slots[i]
+		return sl.cb, sl.off, sl.adj
+	}
+	return egoKernel(q.g, v, q.s)
+}
+
+// pop removes the next candidate in pop order: H's top, or with W > 1 the
+// window's front, after which the window is refilled from H and its new
+// entries are handed to the helpers, which run ahead while the loop decides.
+func (q *searcher) pop() (topk.Item, bool) {
+	if q.workers <= 1 {
+		if q.h.Len() == 0 {
+			return topk.Item{}, false
+		}
+		return q.h.Pop(), true
+	}
+	q.fill()
+	if len(q.win) == 0 {
+		return topk.Item{}, false
+	}
+	top := q.win[0].Item
+	q.win = append(q.win[:0], q.win[1:]...)
+	q.fill()
+	return top, true
+}
+
+// push reinserts v under the bound ub. With W > 1 a reinserted candidate
+// that pops before the window's last entry takes its place, and that entry
+// returns to H: the window stays the first W candidates in pop order, so its
+// front is always the next pop.
+func (q *searcher) push(v int32, ub float64) {
+	it := topk.Item{V: v, Score: ub}
+	if n := len(q.win); q.workers > 1 && (n < q.workers || q.before(it, q.win[n-1].Item)) {
+		if n == q.workers {
+			last := q.win[n-1].Item
+			q.win = q.win[:n-1]
+			q.h.Push(last.V, last.Score)
+			q.sp.park(last)
+		}
+		i := 0
+		for i < len(q.win) && q.before(q.win[i].Item, it) {
+			i++
+		}
+		q.win = append(q.win, cand{})
+		copy(q.win[i+1:], q.win[i:])
+		q.win[i] = cand{Item: it, price: -1, settled: q.sp.held(v) >= 0}
+		return
+	}
+	q.h.Push(v, ub)
+	q.sp.park(it)
+}
+
+// before is H's pop order: the larger bound first, on equal bounds the
+// larger label (topk.MaxHeap).
+func (q *searcher) before(a, b topk.Item) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if q.ext == nil {
+		return a.V > b.V
+	}
+	return q.ext[a.V] > q.ext[b.V]
+}
+
+// fill tops the window up from H, then hands each unsettled entry, front
+// first, to the helpers when its price reaches minPrice, until the slots run
+// out; the rest wait for a later fill, or run inline when popped first.
+func (q *searcher) fill() {
+	for len(q.win) < q.workers && q.h.Len() > 0 {
+		it := q.h.Pop()
+		q.win = append(q.win, cand{Item: it, price: -1, settled: q.sp.unpark(it.V)})
+	}
+	for i := range q.win {
+		c := &q.win[i]
+		if c.settled {
+			continue
+		}
+		if c.price < 0 {
+			c.price = q.price(c.V)
+		}
+		if c.price < q.minPrice || q.g.Degree(c.V) < 2 {
+			c.settled = true
+			continue
+		}
+		if q.sp == nil {
+			q.sp = newSpec(q.g, q.workers, q.dmax, c.price)
+		}
+		if !q.sp.dispatch(c.V, c.price) {
+			return
+		}
+		c.settled = true
+	}
+}
+
+// price is the ego-build price Σ_{v∈N(p)} d(v), an upper bound on the
+// length of p's ego CSR.
+func (q *searcher) price(p int32) (w int64) {
+	for _, v := range q.g.Neighbors(p) {
+		w += int64(q.g.Degree(v))
+	}
+	return w
+}
+
+// spec runs window kernels ahead of the loop: W helpers, each over its own
+// Scratch, build a candidate's ego CSR into the buffers of a slot and score
+// it. A slot belongs to the helper from dispatch until the searcher
+// receives its index on ready, and to the searcher otherwise; it holds its
+// result until the candidate is computed or pruned, or until the candidate,
+// deferred back into H, is evicted for a window entry, which pops sooner.
+// All methods but help run on the searcher's goroutine; held, park,
+// unpark, release and close are no-ops on a nil spec.
+type spec struct {
+	*specMem
+	jobs  chan job   // dispatched kernels, in window order
+	ready chan int32 // slots whose kernel has finished
+	stop  atomic.Bool
+	live  atomic.Int32 // helpers not yet exited
+	price int64        // the largest price a slot's buffer has been sized for
+}
+
+type job struct{ slot, v int32 }
+
+type slot struct {
+	v        int32   // the candidate whose result this is; −1 none
+	pending  bool    // dispatched, not yet back on ready
+	deferred bool    // v is in H: the result may be evicted
+	key      float64 // v's bound in H while deferred
+	cb       float64
+	off      []int // v's ego CSR once back, built in place: no growth
+	adj      []int32
+}
+
+// specMem is what a search's helpers hand to the next search once the last
+// of them exits: their Scratches and the slots with their CSR buffers, warm
+// and sized for the largest egos seen.
+type specMem struct {
+	scratch []*Scratch
+	slots   []slot
+}
+
+var specPool sync.Pool // of *specMem
+
+// newSpec starts w helpers over Scratches sized for egos of degree dmax,
+// with slotsPerHelper·w slots, from a pooled specMem when one fits. Fresh
+// slots carve their buffers from two arrays: CSR offsets for degree dmax,
+// CSR rows for the price of the first candidate — the largest ego comes
+// first, so a slot rarely grows after.
+func newSpec(g graph.View, w int, dmax int32, price int64) *spec {
+	ns := slotsPerHelper * w
+	d, p := int(dmax)+1, int(price)
+	m, _ := specPool.Get().(*specMem)
+	if m == nil || len(m.scratch) != w {
+		m = &specMem{scratch: make([]*Scratch, w), slots: make([]slot, ns)}
+		offs, adjs := make([]int, ns*d), make([]int32, ns*p)
+		for i := range m.slots {
+			m.slots[i] = slot{off: offs[i*d : i*d : (i+1)*d], adj: adjs[i*p : i*p : (i+1)*p]}
+		}
+		for i := range m.scratch {
+			m.scratch[i] = NewScratch(0)
+		}
+	}
+	for i := range m.slots {
+		sl := &m.slots[i]
+		sl.v, sl.pending, sl.deferred = -1, false, false
+		if cap(sl.off) < d {
+			sl.off = make([]int, 0, d)
+		}
+	}
+	// A slot has at most one job outstanding, so ns entries are room for
+	// every send on either channel: neither side ever blocks on a send.
+	sp := &spec{
+		specMem: m,
+		jobs:    make(chan job, ns),
+		ready:   make(chan int32, ns),
+		price:   price,
+	}
+	sp.live.Store(int32(w))
+	n := int(g.NumVertices())
+	for _, s := range m.scratch {
+		s.ensure(n, int(dmax))
+		go sp.help(g, s)
+	}
+	return sp
+}
+
+// help runs dispatched kernels until the searcher closes jobs; once the
+// search is over it returns the remaining slots unscored. Nothing waits for
+// the helpers — a search that stops early would otherwise pay for a kernel
+// it discards — so the last helper to exit pools the memory: by then
+// nothing reads it.
+func (sp *spec) help(g graph.View, s *Scratch) {
+	for j := range sp.jobs {
+		if !sp.stop.Load() {
+			sl := &sp.slots[j.slot]
+			s.off, s.adj = sl.off, sl.adj
+			sl.cb, sl.off, sl.adj = egoKernel(g, j.v, s)
+		}
+		sp.ready <- j.slot
+	}
+	if sp.live.Add(-1) == 0 {
+		specPool.Put(sp.specMem)
+	}
+}
+
+// dispatch hands v's kernel to the helpers in a free slot, evicting the
+// lowest deferred result if none is free, and reports false when every slot
+// is busy. A slot's row buffer too small for v's price is replaced by one
+// for the largest price so far, so the helper never allocates.
+func (sp *spec) dispatch(v int32, price int64) bool {
+	sp.poll()
+	i, evict := -1, -1
+	for j := range sp.slots {
+		sl := &sp.slots[j]
+		switch {
+		case sl.pending:
+		case sl.v < 0:
+			i = j
+		case sl.deferred && (evict < 0 || sl.key < sp.slots[evict].key):
+			evict = j
+		}
+		if i >= 0 {
+			break
+		}
+	}
+	if i < 0 {
+		i = evict
+	}
+	if i < 0 {
+		return false
+	}
+	sl := &sp.slots[i]
+	if int64(cap(sl.adj)) < price {
+		sp.price = max(sp.price, price)
+		sl.adj = make([]int32, 0, sp.price)
+	}
+	sl.v, sl.pending, sl.deferred = v, true, false
+	sp.jobs <- job{int32(i), v}
+	return true
+}
+
+// poll takes every finished kernel without blocking.
+func (sp *spec) poll() {
+	for {
+		select {
+		case i := <-sp.ready:
+			sp.slots[i].pending = false
+		default:
+			return
+		}
+	}
+}
+
+// await blocks until slot i's kernel has finished.
+func (sp *spec) await(i int) {
+	for sp.slots[i].pending {
+		sp.slots[<-sp.ready].pending = false
+	}
+}
+
+// held returns the slot holding v's result, or −1.
+func (sp *spec) held(v int32) int {
+	if sp == nil {
+		return -1
+	}
+	for i := range sp.slots {
+		if sp.slots[i].v == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// park marks the result of it.V, back in H under it.Score, as evictable.
+func (sp *spec) park(it topk.Item) {
+	if i := sp.held(it.V); i >= 0 {
+		sp.slots[i].deferred, sp.slots[i].key = true, it.Score
+	}
+}
+
+// unpark pins v's result again as v re-enters the window, and reports
+// whether v holds one.
+func (sp *spec) unpark(v int32) bool {
+	i := sp.held(v)
+	if i >= 0 {
+		sp.slots[i].deferred = false
+	}
+	return i >= 0
+}
+
+// release frees v's slot once v is decided; a kernel still running keeps it
+// until the kernel is back.
+func (sp *spec) release(v int32) {
+	if i := sp.held(v); i >= 0 {
+		sp.slots[i].v, sp.slots[i].deferred = -1, false
+	}
+}
+
+// close ends the helpers: kernels still queued are skipped, and a kernel
+// still running finishes into a slot nothing reads.
+func (sp *spec) close() {
+	if sp != nil && !sp.stop.Swap(true) {
+		close(sp.jobs)
+	}
 }
 
 // credit feeds the bound from the ego CSR of the just-computed p: edge
@@ -184,8 +555,11 @@ func (q *searcher) credit(p int32, off []int, adj []int32) {
 
 // TopKExact is the straightforward baseline: compute every vertex exactly
 // and sort. It anchors correctness tests and the "compute all" reference
-// point in the experiments.
+// point in the experiments. k ≤ 0 selects nothing and computes nothing.
 func TopKExact(g graph.View, k int) []Result {
+	if k < 1 {
+		return []Result{}
+	}
 	cb := ComputeAll(g)
 	r := topk.NewBounded(k)
 	for v := int32(0); v < g.NumVertices(); v++ {
@@ -197,8 +571,11 @@ func TopKExact(g graph.View, k int) []Result {
 // TopKOf selects the k best of n scores read through at(v), sorted
 // descending with ties by ascending id. The accessor form lets callers hold
 // scores in any layout — the serving layer's chunked copy-on-write vector
-// reads through it without flattening.
+// reads through it without flattening. k ≤ 0 selects nothing.
 func TopKOf(n int32, at func(int32) float64, k int) []Result {
+	if k < 1 {
+		return []Result{}
+	}
 	r := topk.NewBounded(k)
 	for v := int32(0); v < n; v++ {
 		r.Add(v, at(v))

@@ -21,17 +21,19 @@ func boundCases() map[string]*graph.Graph {
 }
 
 // eachSearchState drives OptBSearch's loop one pop at a time over a grid of
-// k and θ and calls check on the searcher before the first pop and after
-// every one.
+// k and θ, inline and with a window of two that speculates every candidate,
+// and calls check on the searcher before the first pop and after every one.
 func eachSearchState(g *graph.Graph, check func(stage string, q *searcher)) {
 	n := int(g.NumVertices())
 	for _, k := range []int{1, 5, n / 2, n} {
 		for _, theta := range []float64{1, 1.05, 1.5} {
-			q := newSearcher(g, k, theta, nil, true)
-			stage := fmt.Sprintf("k=%d θ=%v pop ", k, theta)
-			check(stage+"0", q)
-			for pop := 1; q.step(); pop++ {
-				check(stage+fmt.Sprint(pop), q)
+			for _, w := range []int{1, 2} {
+				q := newSearcher(g, k, theta, nil, true, w, 0)
+				stage := fmt.Sprintf("k=%d θ=%v W=%d pop ", k, theta, w)
+				check(stage+"0", q)
+				for pop := 1; q.step(); pop++ {
+					check(stage+fmt.Sprint(pop), q)
+				}
 			}
 		}
 	}

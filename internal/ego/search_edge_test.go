@@ -84,6 +84,30 @@ func TestSearchSmallK(t *testing.T) {
 	}
 }
 
+// TestSearchNonPositiveK: k ≤ 0 selects nothing — every exact top-k path
+// returns an empty list, and neither search computes a vertex.
+func TestSearchNonPositiveK(t *testing.T) {
+	g := gen.ChungLu(300, 2.2, 5.3, 40, 1)
+	cb := ComputeAll(g)
+	for _, k := range []int{0, -1, math.MinInt} {
+		for name, run := range map[string]func() ([]Result, SearchStats){
+			"base":    func() ([]Result, SearchStats) { return BaseBSearch(g, k) },
+			"opt":     func() ([]Result, SearchStats) { return OptBSearch(g, k, 1.05) },
+			"labeled": func() ([]Result, SearchStats) { return OptBSearchLabeled(g, k, 1.05, nil) },
+		} {
+			if res, st := run(); len(res) != 0 || st != (SearchStats{}) {
+				t.Errorf("%s k=%d: %d results, %+v; want none and zero stats", name, k, len(res), st)
+			}
+		}
+		if res := TopKExact(g, k); len(res) != 0 {
+			t.Errorf("TopKExact k=%d: %d results, want none", k, len(res))
+		}
+		if res := TopKOfScores(cb, k); len(res) != 0 {
+			t.Errorf("TopKOfScores k=%d: %d results, want none", k, len(res))
+		}
+	}
+}
+
 // TestSearchAllTiedScores: on vertex-transitive graphs every CB ties, and
 // the tie rule (ascending id) alone decides the answer: the searches return
 // vertices 0…k−1 although the heap offers the largest ids first.
@@ -103,13 +127,27 @@ func TestSearchAllTiedScores(t *testing.T) {
 }
 
 // TestOptBSearchThetaClamped: θ < 1 is clamped to 1 rather than corrupting
-// the pruning logic.
+// the pruning logic, and so is NaN: it runs the search θ = 1 runs, counters
+// included, rather than one whose dynamic bound never defers (θ·ũb < tb is
+// false for NaN).
 func TestOptBSearchThetaClamped(t *testing.T) {
 	g := paperex.New()
 	res, _ := OptBSearch(g, 5, 0.2)
 	for i, want := range paperex.Top5 {
 		if res[i].V != want {
 			t.Fatalf("clamped theta: rank %d = %v", i, res[i])
+		}
+	}
+	h := gen.ChungLu(300, 2.2, 5.3, 40, 1)
+	want, wantStats := OptBSearch(h, 10, 1)
+	if wantStats.Reinserted == 0 {
+		t.Fatalf("θ=1 reinserts nothing (%+v): the check below would be vacuous", wantStats)
+	}
+	for _, theta := range []float64{math.NaN(), 0.2, math.Inf(-1)} {
+		got, st := OptBSearch(h, 10, theta)
+		assertSameResults(t, fmt.Sprintf("θ=%v", theta), want, got)
+		if st != wantStats {
+			t.Errorf("θ=%v: SearchStats %+v, want θ=1's %+v", theta, st, wantStats)
 		}
 	}
 }

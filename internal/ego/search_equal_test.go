@@ -91,9 +91,11 @@ func TestSearchesExactAcrossViews(t *testing.T) {
 }
 
 // FuzzSearch: on any edge list, k and θ — NaN, infinite and sub-1 ratios
-// included — OptBSearch == BaseBSearch == TopKExact and nothing panics. The
-// seeds cover isolated and pendant vertices (the kernel's d < 2 exit, which
-// builds no ego CSR), a star, a clique and a ring where every score ties.
+// included — OptBSearch == BaseBSearch == TopKExact, a window of two
+// speculating every candidate returns the inline loop's lists and
+// SearchStats, and nothing panics. The seeds cover isolated and pendant
+// vertices (the kernel's d < 2 exit, which builds no ego CSR), a star, a
+// clique and a ring where every score ties.
 func FuzzSearch(f *testing.F) {
 	f.Add([]byte{}, uint16(1), 1.05)
 	f.Add([]byte{7, 0, 1, 1, 2, 2, 3, 3, 1, 3, 4}, uint16(3), 1.05) // triangle + pendant path, 5…7 isolated
@@ -125,5 +127,10 @@ func FuzzSearch(f *testing.F) {
 		assertSameResults(t, "BaseBSearch", want, base)
 		opt, _ := OptBSearch(g, kk, theta)
 		assertSameResults(t, "OptBSearch", want, opt)
+		for _, dynamic := range []bool{false, true} {
+			inline, ist := search(g, kk, theta, nil, dynamic, 1, 0)
+			spec, sst := search(g, kk, theta, nil, dynamic, 2, 0)
+			assertSameSearch(t, fmt.Sprintf("W=2 dynamic=%v", dynamic), inline, spec, ist, sst)
+		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -70,5 +71,59 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 	}
 	if overlayDepth() < 2 {
 		t.Fatalf("overlay depth %d after the script — the test lost its subject", overlayDepth())
+	}
+}
+
+// TestExactSearchAccounting: an algo=opt or algo=base miss adds exactly the
+// library search's SearchStats for that snapshot to the entry's exact_*
+// counters, and a cache hit adds nothing.
+func TestExactSearchAccounting(t *testing.T) {
+	g := gen.ChungLu(600, 2.2, 5.3, 60, 3)
+	reg := NewRegistry()
+	if _, err := reg.Add("g", g, ModeLocal, 0); err != nil {
+		t.Fatal(err)
+	}
+	info := func() GraphInfo {
+		t.Helper()
+		gi, err := reg.Info("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gi
+	}
+	if gi := info(); gi.ExactQueries != 0 || gi.ExactComputed != 0 || gi.ExactPruned != 0 {
+		t.Fatalf("fresh entry counts exact queries: %+v", gi)
+	}
+	if body := encodeJSON(info()); bytes.Contains(body, []byte("exact_")) {
+		t.Fatalf("fresh entry's info names an exact counter: %s", body)
+	}
+	_, optSt := ego.OptBSearch(g, 10, defaultTheta)
+	_, baseSt := ego.BaseBSearch(g, 25)
+	var want GraphInfo
+	for _, q := range []struct {
+		algo string
+		k    int
+		st   ego.SearchStats
+	}{{AlgoOpt, 10, optSt}, {AlgoBase, 25, baseSt}} {
+		for _, hit := range []bool{false, true} {
+			res, err := reg.TopKQ("g", TopKQuery{K: q.k, Algo: q.algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached != hit {
+				t.Fatalf("algo=%s k=%d: cached=%v, want %v", q.algo, q.k, res.Cached, hit)
+			}
+			if !hit {
+				want.ExactQueries++
+				want.ExactComputed += q.st.Computed
+				want.ExactPruned += q.st.Pruned
+			}
+			gi := info()
+			if gi.ExactQueries != want.ExactQueries || gi.ExactComputed != want.ExactComputed || gi.ExactPruned != want.ExactPruned {
+				t.Fatalf("after algo=%s k=%d (hit=%v): exact queries/computed/pruned = %d/%d/%d, want %d/%d/%d",
+					q.algo, q.k, hit, gi.ExactQueries, gi.ExactComputed, gi.ExactPruned,
+					want.ExactQueries, want.ExactComputed, want.ExactPruned)
+			}
+		}
 	}
 }

@@ -81,6 +81,13 @@ type GraphInfo struct {
 	ApproxQueries int64 `json:"approx_queries,omitempty"`
 	ApproxSamples int64 `json:"approx_samples,omitempty"`
 
+	// Exact-search accounting (set once an AlgoOpt or AlgoBase query has
+	// run): queries computed on this entry (cache hits excluded) and the
+	// vertices their searches computed exactly and pruned by a bound.
+	ExactQueries  int64 `json:"exact_queries,omitempty"`
+	ExactComputed int64 `json:"exact_computed,omitempty"`
+	ExactPruned   int64 `json:"exact_pruned,omitempty"`
+
 	// Recovery accounting (set only on entries that came up via Recover):
 	// "fast" when the checkpoint's maintainer-state section was imported
 	// instead of recomputed, "rebuild" otherwise, with the reason for the
@@ -146,6 +153,9 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 	}
 	gi.ApproxQueries = e.approxQueries.Load()
 	gi.ApproxSamples = e.approxSamples.Load()
+	gi.ExactQueries = e.exactQueries.Load()
+	gi.ExactComputed = e.exactComputed.Load()
+	gi.ExactPruned = e.exactPruned.Load()
 	gi.RecoverPath = e.recoverPath
 	gi.RecoverReason = e.recoverReason
 	return gi

@@ -276,10 +276,16 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 			return TopKResult{}, fmt.Errorf("server: algo %q needs mode %q (graph %q is %q)", AlgoScores, ModeLocal, name, e.mode)
 		}
 		cr.res = ego.TopKOf(snap.scores.Len(), snap.scores.At, key.k)
-	case AlgoOpt:
-		cr.res, _ = ego.OptBSearch(snap.view, key.k, math.Float64frombits(key.thetaBits))
-	case AlgoBase:
-		cr.res, _ = ego.BaseBSearch(snap.view, key.k)
+	case AlgoOpt, AlgoBase:
+		var st ego.SearchStats
+		if key.algo == AlgoOpt {
+			cr.res, st = ego.OptBSearch(snap.view, key.k, math.Float64frombits(key.thetaBits))
+		} else {
+			cr.res, st = ego.BaseBSearch(snap.view, key.k)
+		}
+		e.exactQueries.Add(1)
+		e.exactComputed.Add(st.Computed)
+		e.exactPruned.Add(st.Pruned)
 	case AlgoApprox:
 		res, st := approx.TopK(snap.view, key.k, approx.Options{
 			Eps:  math.Float64frombits(key.epsBits),

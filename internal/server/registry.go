@@ -109,6 +109,12 @@ type entry struct {
 	approxQueries atomic.Int64
 	approxSamples atomic.Int64
 
+	// Exact-search accounting: AlgoOpt / AlgoBase queries computed (cache
+	// hits excluded) and their SearchStats' Computed and Pruned in total.
+	exactQueries  atomic.Int64
+	exactComputed atomic.Int64
+	exactPruned   atomic.Int64
+
 	// Write-pipeline accounting: drains committed, batches carried by them
 	// (coalescedBatches/groupCommits is the amortization factor), and
 	// admissions rejected by backpressure.
