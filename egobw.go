@@ -121,10 +121,14 @@ func EgoBetweenness(g *Graph, v int32) float64 {
 	return ego.EgoBetweenness(g, v, nil)
 }
 
-// ComputeAll computes the exact ego-betweenness of every vertex: one pass
-// of the per-ego kernel per vertex, O(d_max + largest ego network) working
-// memory.
-func ComputeAll(g *Graph) []float64 { return ego.ComputeAll(g) }
+// ComputeAll computes the exact ego-betweenness of every vertex: the
+// per-ego kernel on up to GOMAXPROCS cores (ComputeAllParallel's VertexPEBW
+// sweep), O(d_max + largest ego network) working memory per worker, and the
+// same bits on any number of cores.
+func ComputeAll(g *Graph) []float64 {
+	cb, _ := parallel.ComputeAll(g, 0, VertexPEBW)
+	return cb
+}
 
 // ComputeAllParallel computes all ego-betweennesses with t workers using the
 // chosen strategy; t ≤ 0 selects GOMAXPROCS.
@@ -175,10 +179,13 @@ func TopK(g *Graph, k int, opts ...Option) ([]Result, SearchStats) {
 	return res, st
 }
 
-// NewMaintainer builds the exact all-vertices maintainer from a snapshot.
+// NewMaintainer builds the exact all-vertices maintainer from a snapshot on
+// up to GOMAXPROCS cores, the same bits on any number.
 func NewMaintainer(g *Graph) *Maintainer { return dynamic.NewMaintainer(g) }
 
-// NewLazyTopK builds the lazy top-k maintainer from a snapshot.
+// NewLazyTopK builds the lazy top-k maintainer (an empty result set for
+// k ≤ 0) from a snapshot on up to GOMAXPROCS cores, the same bits on any
+// number.
 func NewLazyTopK(g *Graph, k int) *LazyTopK { return dynamic.NewLazyTopK(g, k) }
 
 // Betweenness computes classic exact betweenness centrality (Brandes'

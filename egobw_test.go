@@ -3,10 +3,14 @@ package egobw_test
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	egobw "repro"
+	"repro/internal/ego"
+	"repro/internal/graph"
 	"repro/internal/paperex"
 )
 
@@ -79,6 +83,71 @@ func TestPublicMaintainers(t *testing.T) {
 	}
 	if res := lt.Results(); res[0].V != paperex.I {
 		t.Errorf("lazy top-1 = %v, want i", res)
+	}
+	// k ≤ 0 keeps an empty result set, as TopK(g, 0) returns none, while
+	// updates still reach the maintained graph.
+	for _, k := range []int{0, -3} {
+		lt := egobw.NewLazyTopK(mustPaper(t), k)
+		if err := lt.InsertEdge(paperex.I, paperex.K); err != nil {
+			t.Fatal(err)
+		}
+		if res := lt.Results(); lt.K() != 0 || len(res) != 0 || !lt.Graph().HasEdge(paperex.I, paperex.K) {
+			t.Errorf("NewLazyTopK(g, %d): K() = %d, Results() = %v; want 0, none, and the edge inserted", k, lt.K(), res)
+		}
+	}
+}
+
+// TestKernelFacadeMatchesSequential: the facade's all-vertices calls sweep
+// on up to GOMAXPROCS cores and land on the sequential reference
+// ego.ComputeAll bit for bit — ComputeAll's scores, a Maintainer's and a
+// LazyTopK's results — and leave no goroutine behind.
+func TestKernelFacadeMatchesSequential(t *testing.T) {
+	star := make([][2]int32, 40)
+	for i := range star {
+		star[i] = [2]int32{0, int32(i + 1)}
+	}
+	for name, g := range map[string]*egobw.Graph{
+		"collab":   egobw.GenerateAffiliation(1200, 600, 5.5, 1, 5),
+		"powerlaw": egobw.GenerateChungLu(1500, 2.2, 5.3, 120, 5),
+		"star":     graph.MustFromEdges(-1, star),
+		"empty":    graph.MustFromEdges(0, nil),
+	} {
+		want := ego.ComputeAll(g)
+		base := runtime.NumGoroutine()
+		settled := func(call string) {
+			t.Helper()
+			for i := 0; runtime.NumGoroutine() > base; i++ {
+				if i == 100 {
+					t.Fatalf("%s: %s left %d goroutines, %d before", name, call, runtime.NumGoroutine(), base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+		same := func(call string, got []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s has %d scores, want %d", name, call, len(got), len(want))
+			}
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s: %s CB(%d) = %v, sequential %v", name, call, v, got[v], want[v])
+				}
+			}
+		}
+		same("ComputeAll", egobw.ComputeAll(g))
+		settled("ComputeAll")
+		same("NewMaintainer", egobw.NewMaintainer(g).All())
+		settled("NewMaintainer")
+		res, top := egobw.NewLazyTopK(g, 10).Results(), ego.TopKOfScores(want, 10)
+		settled("NewLazyTopK")
+		if len(res) != len(top) {
+			t.Fatalf("%s: lazy top-10 has %d results, sequential %d", name, len(res), len(top))
+		}
+		for i := range top {
+			if res[i].V != top[i].V || math.Float64bits(res[i].CB) != math.Float64bits(top[i].CB) {
+				t.Fatalf("%s: lazy rank %d = %+v, sequential %+v", name, i, res[i], top[i])
+			}
+		}
 	}
 }
 

@@ -241,7 +241,8 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // derivation only a flush window fed, and the nbr strategy dispatch and
 // register pool, the mirrored loss half of the maintainer's repair walk and
 // the tolerance its float deltas needed, which the integer histograms
-// retired.
+// retired, and the maintainers' …Parallel constructors, whose plain
+// constructors now sweep on GOMAXPROCS workers.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -252,4 +253,5 @@ var retiredSymbols = []string{
 	"TopKOverlap", "FromTable", "IsMarker", "NewMaxHeap", "WithGraphs", "StampOf",
 	"WithBuildWorkers", "WithWriteQueue", "WithFlushInterval", "WithCompactPolicy", "retryAfter",
 	"ChooseHub", "AcquireRegister", "ReleaseRegister", "releaseHubRegisters", "commonLosses", "scoreEps",
+	"NewMaintainerParallel", "NewLazyTopKParallel",
 }

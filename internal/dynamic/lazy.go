@@ -7,6 +7,7 @@ import (
 	"repro/internal/ego"
 	"repro/internal/graph"
 	"repro/internal/nbr"
+	"repro/internal/parallel"
 )
 
 // LazyTopK maintains the top-k ego-betweenness result set under edge updates
@@ -131,54 +132,23 @@ func (h *lazyHeap) grow(n int32) {
 	}
 }
 
-// NewLazyTopK initializes the maintainer: all scores computed exactly once,
-// the k best become the result set R, everything else enters the candidate
-// heap (the paper's sorted list H).
-func NewLazyTopK(g *graph.Graph, k int) *LazyTopK { return NewLazyTopKParallel(g, k, 1) }
-
-// NewLazyTopKParallel is NewLazyTopK with the initial score vector computed
-// by `workers` goroutines (ego.Sweep); the scores, and hence the maintainer, are
-// bit-identical to NewLazyTopK's.
-func NewLazyTopKParallel(g *graph.Graph, k, workers int) *LazyTopK {
-	if k < 1 {
-		k = 1
+// NewLazyTopK initializes the maintainer: all scores computed exactly once
+// by parallel.ComputeAll's VertexPEBW sweep on up to GOMAXPROCS cores (the
+// same bits on any number), the k best become the result set R, everything
+// else enters the candidate heap (the paper's sorted list H) — the state
+// NewLazyTopKFromState restores. k ≤ 0 keeps R empty: updates still
+// maintain the graph and Results returns none.
+func NewLazyTopK(g *graph.Graph, k int) *LazyTopK {
+	cb, _ := parallel.ComputeAll(g, sweepWorkers(), parallel.VertexPEBW)
+	st := &LazyState{Cached: cb, Stale: make([]bool, len(cb))}
+	for _, r := range ego.TopKOfScores(cb, min(k, len(cb))) {
+		st.Members = append(st.Members, r.V)
 	}
-	n := g.NumVertices()
-	cb := make([]float64, n)
-	ego.Sweep(g, workers, func(v int32, s *ego.Scratch) {
-		cb[v] = ego.EgoBetweenness(g, v, s)
-	}, nil)
-	lt := &LazyTopK{
-		g:       graph.DynFromGraph(g),
-		k:       k,
-		cached:  cb,
-		stale:   make([]bool, n),
-		inR:     make([]bool, n),
-		heap:    &lazyHeap{ver: make([]int32, n)},
-		scratch: ego.NewScratch(n),
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if lt.cached[order[i]] != lt.cached[order[j]] {
-			return lt.cached[order[i]] > lt.cached[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	for i, v := range order {
-		if i < k {
-			lt.inR[v] = true
-			lt.members = append(lt.members, v)
-		} else {
-			lt.heap.push(v, lt.cached[v])
-		}
-	}
+	lt, _ := NewLazyTopKFromState(g, k, st) // a fresh sweep's state is valid
 	return lt
 }
 
-// K returns the configured k.
+// K returns the configured k (0 when built with k ≤ 0).
 func (lt *LazyTopK) K() int { return lt.k }
 
 // MemoryFootprint returns the approximate heap bytes of the lazy state:
@@ -205,7 +175,8 @@ func (lt *LazyTopK) refresh(v int32) {
 
 // minMember returns the member with the smallest exact CB, refreshing stale
 // members as needed (stale member scores are lower bounds, so a fresh argmin
-// is genuinely minimal; see the type comment).
+// is genuinely minimal; see the type comment), or −1 for an empty R, which
+// rebalance never asks about: it fills R before it compares.
 func (lt *LazyTopK) minMember() (int32, float64) {
 	for {
 		best := int32(-1)
@@ -229,7 +200,7 @@ func (lt *LazyTopK) minMember() (int32, float64) {
 // bound beats the worst member, resolve it (refresh if stale, swap if truly
 // better). Mirrors Algorithm 6 lines 4-8 with the termination fix.
 func (lt *LazyTopK) rebalance() {
-	for {
+	for lt.k > 0 { // k ≤ 0: R stays empty, with no member to fill or to beat
 		// Fill R first if it is short (k larger than it used to be, or
 		// vertex growth while R was underfull).
 		if len(lt.members) < lt.k {

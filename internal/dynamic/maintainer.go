@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
@@ -112,18 +113,18 @@ type MaintainerStats struct {
 	AffectedVerts int64 // |{u, v} ∪ L| summed over updates
 }
 
-// NewMaintainer builds the maintainer from a static snapshot, computing all
-// ego-betweennesses and taking ownership of the evidence maps the per-ego
-// kernel emits along the way.
-func NewMaintainer(g *graph.Graph) *Maintainer { return NewMaintainerParallel(g, 1) }
+// sweepWorkers is the constructors' sweep width, GOMAXPROCS: the state is
+// the same bits at any width, which the tests check through this seam.
+var sweepWorkers = func() int { return runtime.GOMAXPROCS(0) }
 
-// NewMaintainerParallel is NewMaintainer with the initial computation spread
-// over `workers` goroutines (ego.Sweep); it starts bit-identical to the
-// sequential construction, maps included.
-func NewMaintainerParallel(g *graph.Graph, workers int) *Maintainer {
+// NewMaintainer builds the maintainer from a static snapshot, computing all
+// ego-betweennesses in one ego.Sweep on up to GOMAXPROCS cores and taking
+// ownership of the evidence maps the per-ego kernel emits along the way;
+// each ego is one worker's, so the state is the same bits on any number.
+func NewMaintainer(g *graph.Graph) *Maintainer {
 	n := g.NumVertices()
 	cb, maps, hist := make([]float64, n), make([]*pairmap.Map, n), make([][]int64, n)
-	ego.Sweep(g, workers, func(v int32, s *ego.Scratch) {
+	ego.Sweep(g, sweepWorkers(), func(v int32, s *ego.Scratch) {
 		cb[v], maps[v], hist[v] = ego.EgoBetweennessWithMap(g, v, s)
 	}, nil)
 	return newMaintainer(g, maps, hist, cb)

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/ego"
@@ -10,32 +12,44 @@ import (
 	"repro/internal/pairmap"
 )
 
-// TestKernelParallelInit: both parallel constructors start from exactly the
-// sequential state — the same kernel sweep at any worker count, scores and
-// evidence maps (nil for the same vertices) alike — and a lazy maintainer
-// built in parallel answers like the sequential one after churn refreshes
-// hub egos through the kernel.
+// TestKernelParallelInit: both constructors start from exactly the
+// sequential state — the same kernel sweep at any worker count, scores,
+// evidence maps (nil for the same vertices) and histograms alike — and a
+// lazy maintainer built on several workers answers like a one-worker one
+// after churn refreshes hub egos through the kernel.
 func TestKernelParallelInit(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"collab":   gen.Affiliation(1200, 600, 5.5, 1, 5),
 		"powerlaw": gen.ChungLu(1500, 2.2, 5.3, 120, 5),
 	} {
 		want, wantMaps := ego.ComputeAllWithMaps(g)
+		wantHist := make([][]int64, len(want))
+		s := ego.NewScratch(g.NumVertices())
+		for v := range want {
+			_, _, wantHist[v] = ego.EgoBetweennessWithMap(g, int32(v), s)
+		}
 		for _, workers := range []int{1, 2, 5} {
-			lt := NewLazyTopKParallel(g, 10, workers)
-			m := NewMaintainerParallel(g, workers)
+			var lt *LazyTopK
+			var m *Maintainer
+			atWorkers(workers, func() { lt, m = NewLazyTopK(g, 10), NewMaintainer(g) })
 			for v := range want {
-				if lt.cached[v] != want[v] || m.CB(int32(v)) != want[v] {
+				w := math.Float64bits(want[v])
+				if math.Float64bits(lt.cached[v]) != w || math.Float64bits(m.CB(int32(v))) != w {
 					t.Fatalf("%s workers=%d vertex %d: lazy %v, maintainer %v, want %v",
 						name, workers, v, lt.cached[v], m.CB(int32(v)), want[v])
 				}
 				if (m.s[v] == nil) != (wantMaps[v] == nil) || !sameEntries(m.s[v], wantMaps[v]) {
 					t.Fatalf("%s workers=%d vertex %d: evidence map differs from the sequential sweep's", name, workers, v)
 				}
+				if !slices.Equal(m.hist[v], wantHist[v]) {
+					t.Fatalf("%s workers=%d vertex %d: histogram %v, sequential %v", name, workers, v, m.hist[v], wantHist[v])
+				}
 			}
 		}
 
-		seq, par := NewLazyTopK(g, 10), NewLazyTopKParallel(g, 10, 3)
+		var seq, par *LazyTopK
+		atWorkers(1, func() { seq = NewLazyTopK(g, 10) })
+		atWorkers(3, func() { par = NewLazyTopK(g, 10) })
 		hubs := graph.OrderOf(g)[:20]
 		for i, u := range hubs {
 			v := hubs[(i+7)%len(hubs)]
@@ -53,7 +67,7 @@ func TestKernelParallelInit(t *testing.T) {
 		a, b := seq.Results(), par.Results()
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: rank %d: sequential %+v, parallel %+v", name, i, a[i], b[i])
+				t.Fatalf("%s: rank %d: one worker %+v, three %+v", name, i, a[i], b[i])
 			}
 		}
 		fresh := ego.ComputeAll(seq.Graph())
@@ -63,6 +77,13 @@ func TestKernelParallelInit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// atWorkers runs fn with the constructors' sweeps pinned to w goroutines.
+func atWorkers(w int, fn func()) {
+	defer func(old func() int) { sweepWorkers = old }(sweepWorkers)
+	sweepWorkers = func() int { return w }
+	fn()
 }
 
 // sameEntries reports whether two evidence maps hold the same (pair, value)
@@ -98,7 +119,8 @@ func TestKernelMapsSurviveUpdateStream(t *testing.T) {
 		"powerlaw": gen.ChungLu(800, 2.2, 5.3, 90, 5),
 		"sparse":   gen.ErdosRenyi(60, 40, 5),
 	} {
-		m := NewMaintainerParallel(g, 3)
+		var m *Maintainer
+		atWorkers(3, func() { m = NewMaintainer(g) })
 		rng := rand.New(rand.NewPCG(17, 19))
 		n := g.NumVertices()
 		hubs := graph.OrderOf(g)[:n/10]

@@ -205,9 +205,7 @@ func (lt *LazyTopK) ExportState() *LazyState {
 // non-member pushes the new value, superseding older entries), so recovery
 // preserves the upper/lower-bound invariants documented on LazyTopK.
 func NewLazyTopKFromState(g *graph.Graph, k int, st *LazyState) (*LazyTopK, error) {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 0)
 	n := g.NumVertices()
 	if int32(len(st.Cached)) != n || int32(len(st.Stale)) != n {
 		return nil, fmt.Errorf("dynamic: lazy state covers %d scores / %d flags, graph has %d vertices",

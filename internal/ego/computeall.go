@@ -9,9 +9,11 @@ import (
 
 // ComputeAll returns the exact ego-betweenness of every vertex of any view
 // (frozen CSR, overlay, or dynamic graph): one EgoBetweenness per vertex
-// over a single Scratch. Time O(Σ_v d(v)² + Σ_p Σ_{v∈N(p)} |T_v|²) array
-// steps (see EgoBetweenness), space O(n) for the result plus the Scratch's
-// O(d_max + edges of the largest ego network).
+// over a single Scratch, in vertex order on one goroutine: the sequential
+// reference every parallel all-vertices path (Sweep and its callers) is
+// checked against bit for bit. Time O(Σ_v d(v)² + Σ_p Σ_{v∈N(p)} |T_v|²)
+// array steps (see EgoBetweenness), space O(n) for the result plus the
+// Scratch's O(d_max + edges of the largest ego network).
 func ComputeAll(g graph.View) []float64 {
 	n := g.NumVertices()
 	cb := make([]float64, n)

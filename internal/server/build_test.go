@@ -69,7 +69,9 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelBuildLazyMode checks the lazy mode's parallel initial build.
+// TestParallelBuildLazyMode checks that lazy mode serves the same top-k
+// under a 1- and a 4-worker build budget (the budget shards freezes and
+// compactions; the maintainer's own sweep runs on GOMAXPROCS).
 func TestParallelBuildLazyMode(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 3, 17)
 	seq, par := NewRegistry(), NewRegistry()

@@ -306,7 +306,7 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 			}
 		}
 		if e.local == nil {
-			e.local = dynamic.NewMaintainerParallel(rec.Graph, e.workers)
+			e.local = dynamic.NewMaintainer(rec.Graph)
 		}
 	} else {
 		lazyK := int(rec.Meta.LazyK)
@@ -324,7 +324,7 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 			}
 		}
 		if e.lazy == nil {
-			e.lazy = dynamic.NewLazyTopKParallel(rec.Graph, lazyK, e.workers)
+			e.lazy = dynamic.NewLazyTopK(rec.Graph, lazyK)
 		}
 	}
 	if metaReason != "" {

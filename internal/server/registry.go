@@ -443,13 +443,13 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 	first := &snapshot{epoch: 1, view: g}
 	t0 := time.Now()
 	if mode == ModeLocal {
-		e.local = dynamic.NewMaintainerParallel(g, e.workers)
+		e.local = dynamic.NewMaintainer(g)
 		first.scores = newScoreVec(e.local.All())
 	} else {
 		if lazyK < 1 {
 			lazyK = 10
 		}
-		e.lazy = dynamic.NewLazyTopKParallel(g, lazyK, e.workers)
+		e.lazy = dynamic.NewLazyTopK(g, lazyK)
 	}
 	first.publishDur = time.Since(t0)
 	// The initial all-vertices build is the moral equivalent of a
