@@ -52,6 +52,42 @@ func TestPublicOptions(t *testing.T) {
 	}
 }
 
+// TestPublicHugeK: a k beyond n selects what k = n does — it is never the
+// size of a reservation, so k = 1<<40 answers on a 5-vertex graph instead
+// of exhausting memory — under either search, the Maintainer, LazyTopK and
+// BetweennessTopK.
+func TestPublicHugeK(t *testing.T) {
+	g, err := egobw.NewGraph(5, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.NumVertices())
+	tops := map[string]func(k int) []egobw.Result{
+		"TopK":            func(k int) []egobw.Result { res, _ := egobw.TopK(g, k); return res },
+		"TopK/base":       func(k int) []egobw.Result { res, _ := egobw.TopK(g, k, egobw.WithBaseSearch()); return res },
+		"Maintainer.TopK": egobw.NewMaintainer(g).TopK,
+		"LazyTopK":        func(k int) []egobw.Result { return egobw.NewLazyTopK(g, k).Results() },
+		"BetweennessTopK": func(k int) []egobw.Result { return egobw.BetweennessTopK(g, k, 1) },
+	}
+	for name, top := range tops {
+		want := top(n)
+		if len(want) != n {
+			t.Fatalf("%s(k=n=%d) returns %d results", name, n, len(want))
+		}
+		for _, k := range []int{n, n + 1, 1 << 40} {
+			got := top(k)
+			if len(got) != len(want) {
+				t.Fatalf("%s(k=%d) = %v, k=n gives %v", name, k, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s(k=%d) = %v, k=n gives %v", name, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPublicComputeVariants(t *testing.T) {
 	g := mustPaper(t)
 	all := egobw.ComputeAll(g)

@@ -254,4 +254,5 @@ var retiredSymbols = []string{
 	"WithBuildWorkers", "WithWriteQueue", "WithFlushInterval", "WithCompactPolicy", "retryAfter",
 	"ChooseHub", "AcquireRegister", "ReleaseRegister", "releaseHubRegisters", "commonLosses", "scoreEps",
 	"NewMaintainerParallel", "NewLazyTopKParallel",
+	"specPool", "specMem", "unpark",
 }

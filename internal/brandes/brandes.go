@@ -71,10 +71,10 @@ func BetweennessParallel(g *graph.Graph, t int) []float64 {
 }
 
 // TopK returns the k vertices with the highest betweenness (TopBW), sorted
-// descending, computed with t parallel workers.
+// descending, computed with t parallel workers. A k beyond n selects all n.
 func TopK(g *graph.Graph, k, t int) []ego.Result {
 	bc := BetweennessParallel(g, t)
-	r := topk.NewBounded(k)
+	r := topk.NewBounded(min(k, len(bc)))
 	for v := int32(0); v < g.NumVertices(); v++ {
 		r.Add(v, bc[v])
 	}

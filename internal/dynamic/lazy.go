@@ -76,11 +76,13 @@ func (h *lazyHeap) push(v int32, score float64) {
 	}
 }
 
+// less orders the heap by the result order: the higher score pops first,
+// and among equal scores the smaller id.
 func (h *lazyHeap) less(i, j int) bool {
 	if h.items[i].score != h.items[j].score {
 		return h.items[i].score < h.items[j].score
 	}
-	return h.items[i].v < h.items[j].v
+	return h.items[i].v > h.items[j].v
 }
 
 func (h *lazyHeap) pop() (lazyItem, bool) {
@@ -173,16 +175,17 @@ func (lt *LazyTopK) refresh(v int32) {
 	}
 }
 
-// minMember returns the member with the smallest exact CB, refreshing stale
-// members as needed (stale member scores are lower bounds, so a fresh argmin
-// is genuinely minimal; see the type comment), or −1 for an empty R, which
+// minMember returns the worst member under the result order — the smallest
+// exact CB, and among equal ones the largest id — refreshing stale members
+// as needed (stale member scores are lower bounds, so a fresh worst is
+// genuinely worst; see the type comment), or −1 for an empty R, which
 // rebalance never asks about: it fills R before it compares.
 func (lt *LazyTopK) minMember() (int32, float64) {
 	for {
 		best := int32(-1)
 		bestVal := 0.0
 		for _, v := range lt.members {
-			if best < 0 || lt.cached[v] < bestVal {
+			if best < 0 || lt.cached[v] < bestVal || (lt.cached[v] == bestVal && v > best) {
 				best, bestVal = v, lt.cached[v]
 			}
 		}
@@ -196,9 +199,12 @@ func (lt *LazyTopK) minMember() (int32, float64) {
 	}
 }
 
-// rebalance restores the top-k property: while the best candidate's upper
-// bound beats the worst member, resolve it (refresh if stale, swap if truly
-// better). Mirrors Algorithm 6 lines 4-8 with the termination fix.
+// rebalance restores the top-k property: while the best candidate beats the
+// worst member under the result order (score desc, id asc) — on its upper
+// bound — resolve it (refresh if stale, swap if truly better). The heap pops
+// in that same order, so R ends as the k first vertices under it, the list
+// every exact path returns. Mirrors Algorithm 6 lines 4-8 with the
+// termination fix.
 func (lt *LazyTopK) rebalance() {
 	for lt.k > 0 { // k ≤ 0: R stays empty, with no member to fill or to beat
 		// Fill R first if it is short (k larger than it used to be, or
@@ -220,10 +226,10 @@ func (lt *LazyTopK) rebalance() {
 		if !ok {
 			return
 		}
-		_, worst := lt.minMember()
-		if item.score <= worst {
-			// Upper bound cannot beat the k-th exact score: put the
-			// entry back untouched and stop.
+		y, worst := lt.minMember()
+		if item.score < worst || (item.score == worst && item.v > y) {
+			// Upper bound cannot beat the k-th member: put the entry
+			// back untouched and stop.
 			lt.heap.reinsert(item)
 			return
 		}
@@ -232,7 +238,6 @@ func (lt *LazyTopK) rebalance() {
 			continue
 		}
 		// Exact candidate beats the k-th member: swap.
-		y, _ := lt.minMember()
 		lt.swap(y, item.v)
 	}
 }

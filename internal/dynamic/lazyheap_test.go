@@ -57,7 +57,8 @@ func TestLazyHeapReinsert(t *testing.T) {
 	}
 }
 
-// TestLazyHeapTieOrder: equal scores pop smaller vertex last (deterministic).
+// TestLazyHeapTieOrder: equal scores pop the smaller vertex first — the
+// result order, so rebalance resolves ties as every exact top-k path does.
 func TestLazyHeapTieOrder(t *testing.T) {
 	h := newTestHeap(5)
 	h.push(2, 7)
@@ -71,13 +72,14 @@ func TestLazyHeapTieOrder(t *testing.T) {
 		}
 		order = append(order, item.v)
 	}
-	if len(order) != 3 || order[0] != 4 || order[1] != 2 || order[2] != 1 {
-		t.Fatalf("tie order = %v, want [4 2 1]", order)
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 4 {
+		t.Fatalf("tie order = %v, want [1 2 4]", order)
 	}
 }
 
 // TestLazyHeapRandomizedAgainstSort: interleaved pushes and pops must
-// respect a reference model (latest value per vertex, max-first).
+// respect a reference model (latest value per vertex, max-first, ties by
+// ascending vertex).
 func TestLazyHeapRandomizedAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	const n = 50
@@ -101,7 +103,7 @@ func TestLazyHeapRandomizedAgainstSort(t *testing.T) {
 		if want[i].s != want[j].s {
 			return want[i].s > want[j].s
 		}
-		return want[i].v > want[j].v
+		return want[i].v < want[j].v
 	})
 	for _, w := range want {
 		item, ok := h.pop()

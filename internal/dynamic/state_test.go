@@ -3,8 +3,10 @@ package dynamic
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -192,5 +194,27 @@ func TestStateImportRejects(t *testing.T) {
 		if _, err := NewLazyTopKFromState(g, 2, st); err == nil {
 			t.Errorf("lazy %s: accepted", name)
 		}
+	}
+}
+
+// TestLazyStateHealsTieOrder: a member set that breaks the (score desc, id
+// asc) order on a tie — what a state persisted before LazyTopK kept that
+// order can hold — imports as is and heals at the first Results(), which
+// returns the exhaustive top-k.
+func TestLazyStateHealsTieOrder(t *testing.T) {
+	var ring [][2]int32
+	for v := int32(0); v < 12; v++ {
+		ring = append(ring, [2]int32{v, (v + 1) % 12})
+	}
+	g := graph.MustFromEdges(12, ring) // every CB is 1
+	const k = 3
+	st := &LazyState{Cached: ego.ComputeAll(g), Stale: make([]bool, 12), Members: []int32{11, 10, 9}}
+	lt, err := NewLazyTopKFromState(g, k, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := lt.Results(), ego.TopKExact(g, k)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Results() = %v, want %v", got, want)
 	}
 }

@@ -32,10 +32,11 @@
 // Section V's parallel all-vertices computation is Sweep: workers claim
 // whole egos, or chunks of the rows of a heavy one, through an atomic
 // cursor, each over its own Scratch. The searches parallelize across
-// candidates instead: helpers run the kernels of the next ones in pop
-// order, and the loop commits them in that order (searcher). The paper's
-// once-per-edge pass, which fills the same maps edge by edge, survives only
-// as a test oracle for the kernel's maps. ScoreEvidence scores a map through the same FoldScore, so
+// candidates instead: helpers run the kernels of the candidate heap's next
+// ones, read without taking them, and the loop still pops and commits every
+// candidate in heap order (searcher). The paper's once-per-edge pass, which
+// fills the same maps edge by edge, survives only as a test oracle for the
+// kernel's maps. ScoreEvidence scores a map through the same FoldScore, so
 // a map and the kernel agree to the bit.
 package ego
 

@@ -35,9 +35,10 @@ func TestKernelZeroAlloc(t *testing.T) {
 // Scratch's doubling growth to the largest ego, which is among the first
 // popped — and nothing per computed vertex, so a search that computes ten
 // times as many vertices allocates the same number of times. It holds
-// inline (W = 1) and with a window of two that speculates every candidate:
-// the helpers' Scratches and the slots that hold results are sized once,
-// from the first candidate, and reused.
+// inline (W = 1) and with two helpers that speculate every candidate: each
+// search carves the helpers' Scratches and the slots that hold results
+// afresh, sized once from the first candidate, and nothing is shared
+// between searches, so the count does not depend on a GC clearing a pool.
 func TestSearchAllocs(t *testing.T) {
 	g := gen.ChungLu(1500, 2.2, 5.3, 120, 3)
 	for _, w := range []int{1, 2} {

@@ -2,7 +2,7 @@ package ego
 
 import (
 	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -58,11 +58,13 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 	return search(g, k, theta, ext, true, runtime.GOMAXPROCS(0), specPrice)
 }
 
-// search runs the searcher to its end with a window of `workers`
-// candidates, speculating those whose ego-build price reaches minPrice. The
+// search runs the searcher to its end, running ahead on `workers` helpers
+// the kernels of candidates whose ego-build price reaches minPrice. The
 // answer and the SearchStats are the same at every workers and minPrice.
-// θ below 1 is 1, and so is NaN, which max(theta, 1) would pass through.
+// θ below 1 is 1, and so is NaN, which max(theta, 1) would pass through. A
+// k beyond n selects what k = n does, so R is never sized past n.
 func search(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats) {
+	k = min(k, int(g.NumVertices()))
 	if k < 1 {
 		return []Result{}, SearchStats{}
 	}
@@ -82,9 +84,9 @@ func search(g graph.View, k int, theta float64, ext []int32, dynamic bool, worke
 // measurements behind it).
 const specPrice = 4000
 
-// slotsPerHelper sizes the held results: the window's, and those of
-// candidates the loop deferred after their kernel had run, which wait in
-// their slot for the candidate's next pop.
+// slotsPerHelper sizes the held results: those of the candidates next in
+// pop order, and those of candidates the loop deferred after their kernel
+// had run, which wait in their slot for the candidate's next pop.
 const slotsPerHelper = 4
 
 // searcher is the one loop behind both searches: a candidate heap H keyed by
@@ -103,10 +105,10 @@ const slotsPerHelper = 4
 // number of adjacent pairs. Bounds only order and prune candidates: every
 // score in R comes from the kernel.
 //
-// With workers W > 1 the next W candidates in pop order leave H for the
-// window win, and the kernels of those priced at minPrice or more run on W
-// helpers (spec) while the loop decides the earlier ones. The loop still
-// takes every candidate in pop order and decides it against the live R, H
+// With workers W > 1, each step first reads H's next W+1 candidates without
+// taking them (ahead), and the kernels of those priced at minPrice or more
+// run on W helpers (spec) while the loop decides the earlier ones. The loop
+// still pops every candidate from H and decides it against the live R, H
 // and t; a computed candidate takes its speculated score and ego CSR, which
 // are the bits the inline kernel would return, so the answer and every
 // counter are those of W = 1.
@@ -121,18 +123,11 @@ type searcher struct {
 	done  []bool  // computed exactly; its triangles have been credited
 	st    SearchStats
 
-	workers  int    // W; 1 runs every kernel inline
-	minPrice int64  // speculate a candidate from this ego-build price on
-	dmax     int32  // largest degree: sizes the helpers' Scratches
-	win      []cand // the next W candidates in pop order, all before H's
-	sp       *spec  // nil until the first candidate is speculated
-}
-
-// cand is a window entry.
-type cand struct {
-	topk.Item
-	price   int64 // Σ_{v∈N(V)} d(v); −1 until priced
-	settled bool  // holds a slot, or runs inline
+	workers  int         // W; 1 runs every kernel inline
+	minPrice int64       // speculate a candidate from this ego-build price on
+	dmax     int32       // largest degree: sizes the helpers' Scratches
+	next     []topk.Item // H's next W+1 candidates, as ahead last read them
+	sp       *spec       // nil until the first candidate is speculated
 }
 
 func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) *searcher {
@@ -151,9 +146,6 @@ func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, 
 		q.t = make([]int64, n)
 		q.done = make([]bool, n)
 	}
-	if workers > 1 {
-		q.win = make([]cand, 0, workers)
-	}
 	for v := int32(0); v < n; v++ {
 		d := g.Degree(v)
 		q.dmax = max(q.dmax, d)
@@ -171,21 +163,22 @@ func (q *searcher) bound(v int32) float64 {
 // under a tighter bound, or computes it. It reports false once the search is
 // over. R is ordered by (score desc, label asc), so a candidate is hopeless
 // exactly when its bound does not beat the worst held item under its own
-// label: below the k-th score everything left in H and the window is
-// hopeless too, while on a tie with the k-th score only this candidate is —
-// candidates pop the larger label first, and a later one with the same
-// bound may carry a smaller.
+// label: below the k-th score everything left in H is hopeless too, while
+// on a tie with the k-th score only this candidate is — candidates pop the
+// larger label first, and a later one with the same bound may carry a
+// smaller.
 func (q *searcher) step() bool {
-	top, ok := q.pop()
-	if !ok {
+	q.ahead()
+	if q.h.Len() == 0 {
 		q.sp.close()
 		return false
 	}
+	top := q.h.Pop()
 	v, tb := top.V, top.Score
 	worst, full := q.r.Worst()
 	if full && !q.r.Beats(v, tb, worst) {
 		if tb < worst.Score {
-			q.st.Pruned += int64(q.h.Len()+len(q.win)) + 1
+			q.st.Pruned += int64(q.h.Len()) + 1
 			q.sp.close()
 			return false
 		}
@@ -199,7 +192,7 @@ func (q *searcher) step() bool {
 		if q.theta*ub < tb {
 			// The bound dropped substantially: defer or prune.
 			if !full || ub >= worst.Score {
-				q.push(v, ub)
+				q.h.Push(v, ub)
 				q.st.Reinserted++
 			} else {
 				q.st.Pruned++
@@ -229,91 +222,29 @@ func (q *searcher) kernel(v int32) (float64, []int, []int32) {
 	return egoKernel(q.g, v, q.s)
 }
 
-// pop removes the next candidate in pop order: H's top, or with W > 1 the
-// window's front, after which the window is refilled from H and its new
-// entries are handed to the helpers, which run ahead while the loop decides.
-func (q *searcher) pop() (topk.Item, bool) {
+// ahead reads H's next W+1 candidates — the one step is about to decide
+// and the W behind it — and hands each one that holds no slot yet and is
+// priced at minPrice or more to the helpers, front first, until the slots
+// run out; the rest run inline when popped. At W = 1 it does nothing.
+func (q *searcher) ahead() {
 	if q.workers <= 1 {
-		if q.h.Len() == 0 {
-			return topk.Item{}, false
-		}
-		return q.h.Pop(), true
-	}
-	q.fill()
-	if len(q.win) == 0 {
-		return topk.Item{}, false
-	}
-	top := q.win[0].Item
-	q.win = append(q.win[:0], q.win[1:]...)
-	q.fill()
-	return top, true
-}
-
-// push reinserts v under the bound ub. With W > 1 a reinserted candidate
-// that pops before the window's last entry takes its place, and that entry
-// returns to H: the window stays the first W candidates in pop order, so its
-// front is always the next pop.
-func (q *searcher) push(v int32, ub float64) {
-	it := topk.Item{V: v, Score: ub}
-	if n := len(q.win); q.workers > 1 && (n < q.workers || q.before(it, q.win[n-1].Item)) {
-		if n == q.workers {
-			last := q.win[n-1].Item
-			q.win = q.win[:n-1]
-			q.h.Push(last.V, last.Score)
-			q.sp.park(last)
-		}
-		i := 0
-		for i < len(q.win) && q.before(q.win[i].Item, it) {
-			i++
-		}
-		q.win = append(q.win, cand{})
-		copy(q.win[i+1:], q.win[i:])
-		q.win[i] = cand{Item: it, price: -1, settled: q.sp.held(v) >= 0}
 		return
 	}
-	q.h.Push(v, ub)
-	q.sp.park(it)
-}
-
-// before is H's pop order: the larger bound first, on equal bounds the
-// larger label (topk.MaxHeap).
-func (q *searcher) before(a, b topk.Item) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	if q.ext == nil {
-		return a.V > b.V
-	}
-	return q.ext[a.V] > q.ext[b.V]
-}
-
-// fill tops the window up from H, then hands each unsettled entry, front
-// first, to the helpers when its price reaches minPrice, until the slots run
-// out; the rest wait for a later fill, or run inline when popped first.
-func (q *searcher) fill() {
-	for len(q.win) < q.workers && q.h.Len() > 0 {
-		it := q.h.Pop()
-		q.win = append(q.win, cand{Item: it, price: -1, settled: q.sp.unpark(it.V)})
-	}
-	for i := range q.win {
-		c := &q.win[i]
-		if c.settled {
+	q.next = q.h.Top(q.next[:0], q.workers+1)
+	for _, it := range q.next {
+		if q.sp.held(it.V) >= 0 || q.g.Degree(it.V) < 2 {
 			continue
 		}
-		if c.price < 0 {
-			c.price = q.price(c.V)
-		}
-		if c.price < q.minPrice || q.g.Degree(c.V) < 2 {
-			c.settled = true
+		price := q.price(it.V)
+		if price < q.minPrice {
 			continue
 		}
 		if q.sp == nil {
-			q.sp = newSpec(q.g, q.workers, q.dmax, c.price)
+			q.sp = newSpec(q.g, q.workers, q.dmax, price)
 		}
-		if !q.sp.dispatch(c.V, c.price) {
+		if !q.sp.dispatch(it, price, q.next) {
 			return
 		}
-		c.settled = true
 	}
 }
 
@@ -326,82 +257,57 @@ func (q *searcher) price(p int32) (w int64) {
 	return w
 }
 
-// spec runs window kernels ahead of the loop: W helpers, each over its own
+// spec runs kernels ahead of the loop: W helpers, each over its own
 // Scratch, build a candidate's ego CSR into the buffers of a slot and score
 // it. A slot belongs to the helper from dispatch until the searcher
 // receives its index on ready, and to the searcher otherwise; it holds its
-// result until the candidate is computed or pruned, or until the candidate,
-// deferred back into H, is evicted for a window entry, which pops sooner.
-// All methods but help run on the searcher's goroutine; held, park,
-// unpark, release and close are no-ops on a nil spec.
+// result until the candidate is computed or pruned, or until a candidate
+// nearer the front of H needs the slot. All memory is the search's own:
+// a helper still running when the search ends writes into a slot nothing
+// reads any more, and the GC reclaims both. All methods but help run on
+// the searcher's goroutine; held, release and close are no-ops on a nil
+// spec.
 type spec struct {
-	*specMem
-	jobs  chan job   // dispatched kernels, in window order
+	slots []slot
+	jobs  chan job   // dispatched kernels, front of H first
 	ready chan int32 // slots whose kernel has finished
 	stop  atomic.Bool
-	live  atomic.Int32 // helpers not yet exited
-	price int64        // the largest price a slot's buffer has been sized for
+	price int64 // the largest price a slot's buffer has been sized for
 }
 
 type job struct{ slot, v int32 }
 
 type slot struct {
-	v        int32   // the candidate whose result this is; −1 none
-	pending  bool    // dispatched, not yet back on ready
-	deferred bool    // v is in H: the result may be evicted
-	key      float64 // v's bound in H while deferred
-	cb       float64
-	off      []int // v's ego CSR once back, built in place: no growth
-	adj      []int32
+	v       int32   // the candidate whose result this is; −1 none
+	pending bool    // dispatched, not yet back on ready
+	key     float64 // v's bound in H when dispatched
+	cb      float64
+	off     []int // v's ego CSR once back, built in place: no growth
+	adj     []int32
 }
 
-// specMem is what a search's helpers hand to the next search once the last
-// of them exits: their Scratches and the slots with their CSR buffers, warm
-// and sized for the largest egos seen.
-type specMem struct {
-	scratch []*Scratch
-	slots   []slot
-}
-
-var specPool sync.Pool // of *specMem
-
-// newSpec starts w helpers over Scratches sized for egos of degree dmax,
-// with slotsPerHelper·w slots, from a pooled specMem when one fits. Fresh
-// slots carve their buffers from two arrays: CSR offsets for degree dmax,
-// CSR rows for the price of the first candidate — the largest ego comes
-// first, so a slot rarely grows after.
+// newSpec starts w helpers over fresh Scratches sized for egos of degree
+// dmax, with slotsPerHelper·w slots carving their buffers from two arrays:
+// CSR offsets for degree dmax, CSR rows for the price of the first
+// candidate — the largest ego comes first, so a slot rarely grows after.
 func newSpec(g graph.View, w int, dmax int32, price int64) *spec {
 	ns := slotsPerHelper * w
 	d, p := int(dmax)+1, int(price)
-	m, _ := specPool.Get().(*specMem)
-	if m == nil || len(m.scratch) != w {
-		m = &specMem{scratch: make([]*Scratch, w), slots: make([]slot, ns)}
-		offs, adjs := make([]int, ns*d), make([]int32, ns*p)
-		for i := range m.slots {
-			m.slots[i] = slot{off: offs[i*d : i*d : (i+1)*d], adj: adjs[i*p : i*p : (i+1)*p]}
-		}
-		for i := range m.scratch {
-			m.scratch[i] = NewScratch(0)
-		}
-	}
-	for i := range m.slots {
-		sl := &m.slots[i]
-		sl.v, sl.pending, sl.deferred = -1, false, false
-		if cap(sl.off) < d {
-			sl.off = make([]int, 0, d)
-		}
-	}
 	// A slot has at most one job outstanding, so ns entries are room for
 	// every send on either channel: neither side ever blocks on a send.
 	sp := &spec{
-		specMem: m,
-		jobs:    make(chan job, ns),
-		ready:   make(chan int32, ns),
-		price:   price,
+		slots: make([]slot, ns),
+		jobs:  make(chan job, ns),
+		ready: make(chan int32, ns),
+		price: price,
 	}
-	sp.live.Store(int32(w))
+	offs, adjs := make([]int, ns*d), make([]int32, ns*p)
+	for i := range sp.slots {
+		sp.slots[i] = slot{v: -1, off: offs[i*d : i*d : (i+1)*d], adj: adjs[i*p : i*p : (i+1)*p]}
+	}
 	n := int(g.NumVertices())
-	for _, s := range m.scratch {
+	for range w {
+		s := NewScratch(0)
 		s.ensure(n, int(dmax))
 		go sp.help(g, s)
 	}
@@ -410,9 +316,8 @@ func newSpec(g graph.View, w int, dmax int32, price int64) *spec {
 
 // help runs dispatched kernels until the searcher closes jobs; once the
 // search is over it returns the remaining slots unscored. Nothing waits for
-// the helpers — a search that stops early would otherwise pay for a kernel
-// it discards — so the last helper to exit pools the memory: by then
-// nothing reads it.
+// the helpers: a search that stops early would otherwise pay for a kernel
+// it discards.
 func (sp *spec) help(g graph.View, s *Scratch) {
 	for j := range sp.jobs {
 		if !sp.stop.Load() {
@@ -422,29 +327,28 @@ func (sp *spec) help(g graph.View, s *Scratch) {
 		}
 		sp.ready <- j.slot
 	}
-	if sp.live.Add(-1) == 0 {
-		specPool.Put(sp.specMem)
-	}
 }
 
-// dispatch hands v's kernel to the helpers in a free slot, evicting the
-// lowest deferred result if none is free, and reports false when every slot
-// is busy. A slot's row buffer too small for v's price is replaced by one
-// for the largest price so far, so the helper never allocates.
-func (sp *spec) dispatch(v int32, price int64) bool {
+// dispatch hands the kernel of it.V to the helpers and reports false when no
+// slot can take it. It takes a free slot, else the idle held result with
+// the lowest key among those whose candidate is not in next, the
+// candidates about to pop. A slot's row buffer too small for the price is
+// replaced by one for the largest price so far, so the helper never
+// allocates.
+func (sp *spec) dispatch(it topk.Item, price int64, next []topk.Item) bool {
 	sp.poll()
 	i, evict := -1, -1
 	for j := range sp.slots {
 		sl := &sp.slots[j]
-		switch {
-		case sl.pending:
-		case sl.v < 0:
+		if sl.v < 0 && !sl.pending {
 			i = j
-		case sl.deferred && (evict < 0 || sl.key < sp.slots[evict].key):
-			evict = j
-		}
-		if i >= 0 {
 			break
+		}
+		if sl.pending || (evict >= 0 && sl.key >= sp.slots[evict].key) {
+			continue
+		}
+		if !slices.ContainsFunc(next, func(c topk.Item) bool { return c.V == sl.v }) {
+			evict = j
 		}
 	}
 	if i < 0 {
@@ -458,8 +362,8 @@ func (sp *spec) dispatch(v int32, price int64) bool {
 		sp.price = max(sp.price, price)
 		sl.adj = make([]int32, 0, sp.price)
 	}
-	sl.v, sl.pending, sl.deferred = v, true, false
-	sp.jobs <- job{int32(i), v}
+	sl.v, sl.pending, sl.key = it.V, true, it.Score
+	sp.jobs <- job{int32(i), it.V}
 	return true
 }
 
@@ -495,28 +399,11 @@ func (sp *spec) held(v int32) int {
 	return -1
 }
 
-// park marks the result of it.V, back in H under it.Score, as evictable.
-func (sp *spec) park(it topk.Item) {
-	if i := sp.held(it.V); i >= 0 {
-		sp.slots[i].deferred, sp.slots[i].key = true, it.Score
-	}
-}
-
-// unpark pins v's result again as v re-enters the window, and reports
-// whether v holds one.
-func (sp *spec) unpark(v int32) bool {
-	i := sp.held(v)
-	if i >= 0 {
-		sp.slots[i].deferred = false
-	}
-	return i >= 0
-}
-
 // release frees v's slot once v is decided; a kernel still running keeps it
 // until the kernel is back.
 func (sp *spec) release(v int32) {
 	if i := sp.held(v); i >= 0 {
-		sp.slots[i].v, sp.slots[i].deferred = -1, false
+		sp.slots[i].v = -1
 	}
 }
 
@@ -555,13 +442,14 @@ func (q *searcher) credit(p int32, off []int, adj []int32) {
 
 // TopKExact is the straightforward baseline: compute every vertex exactly
 // and sort. It anchors correctness tests and the "compute all" reference
-// point in the experiments. k ≤ 0 selects nothing and computes nothing.
+// point in the experiments. k ≤ 0 selects nothing and computes nothing; a
+// k beyond n selects all n.
 func TopKExact(g graph.View, k int) []Result {
 	if k < 1 {
 		return []Result{}
 	}
 	cb := ComputeAll(g)
-	r := topk.NewBounded(k)
+	r := topk.NewBounded(min(k, len(cb)))
 	for v := int32(0); v < g.NumVertices(); v++ {
 		r.Add(v, cb[v])
 	}
@@ -571,12 +459,13 @@ func TopKExact(g graph.View, k int) []Result {
 // TopKOf selects the k best of n scores read through at(v), sorted
 // descending with ties by ascending id. The accessor form lets callers hold
 // scores in any layout — the serving layer's chunked copy-on-write vector
-// reads through it without flattening. k ≤ 0 selects nothing.
+// reads through it without flattening. k ≤ 0 selects nothing; a k beyond n
+// selects all n.
 func TopKOf(n int32, at func(int32) float64, k int) []Result {
 	if k < 1 {
 		return []Result{}
 	}
-	r := topk.NewBounded(k)
+	r := topk.NewBounded(min(k, int(n)))
 	for v := int32(0); v < n; v++ {
 		r.Add(v, at(v))
 	}

@@ -21,7 +21,7 @@ func boundCases() map[string]*graph.Graph {
 }
 
 // eachSearchState drives OptBSearch's loop one pop at a time over a grid of
-// k and θ, inline and with a window of two that speculates every candidate,
+// k and θ, inline and with two helpers that speculate every candidate,
 // and calls check on the searcher before the first pop and after every one.
 func eachSearchState(g *graph.Graph, check func(stage string, q *searcher)) {
 	n := int(g.NumVertices())

@@ -91,8 +91,8 @@ func TestSearchesExactAcrossViews(t *testing.T) {
 }
 
 // FuzzSearch: on any edge list, k and θ — NaN, infinite and sub-1 ratios
-// included — OptBSearch == BaseBSearch == TopKExact, a window of two
-// speculating every candidate returns the inline loop's lists and
+// included — OptBSearch == BaseBSearch == TopKExact, two helpers
+// speculating every candidate return the inline loop's lists and
 // SearchStats, and nothing panics. The seeds cover isolated and pendant
 // vertices (the kernel's d < 2 exit, which builds no ego CSR), a star, a
 // clique and a ring where every score ties.

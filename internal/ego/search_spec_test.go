@@ -12,11 +12,11 @@ import (
 	"repro/internal/graph"
 )
 
-// specGraphs are the shapes the window runs over: hubs (powerlaw), cliques
+// specGraphs are the shapes speculation runs over: hubs (powerlaw), cliques
 // (collab), a star, whose hub ego has no edge and whose leaves have no pair,
 // a ring, on which every score ties, and small random graphs, on which
-// reinserted bounds often tie with the window's — the case the window's
-// order decides by label.
+// reinserted bounds often tie with those of the candidates read ahead — the
+// case H's order decides by label.
 func specGraphs() map[string]*graph.Graph {
 	var star, ring [][2]int32
 	for v := int32(1); v <= 40; v++ {
@@ -37,8 +37,8 @@ func specGraphs() map[string]*graph.Graph {
 	return graphs
 }
 
-// assertSameSearch holds a windowed search to the inline one: the same ids,
-// score bits and SearchStats.
+// assertSameSearch holds a speculating search to the inline one: the same
+// ids, score bits and SearchStats.
 func assertSameSearch(t *testing.T, name string, want, got []Result, wantSt, gotSt SearchStats) {
 	t.Helper()
 	assertSameResults(t, name, want, got)
@@ -47,12 +47,12 @@ func assertSameSearch(t *testing.T, name string, want, got []Result, wantSt, got
 	}
 }
 
-// TestSearchWorkersBitIdentical: a window of W candidates whose kernels run
-// on W helpers decides every candidate as the inline loop does, so all three
-// entry points — OptBSearchLabeled on a degree-relabeled copy included —
-// return the same list and the same SearchStats at W ∈ {1, 2, 4}, whether
-// every candidate is speculated (minPrice 0) or only those the price gate
-// admits.
+// TestSearchWorkersBitIdentical: a search that reads H's next W+1
+// candidates and runs their kernels on W helpers decides every candidate as
+// the inline loop does, so all three entry points — OptBSearchLabeled on a
+// degree-relabeled copy included — return the same list and the same
+// SearchStats at W ∈ {1, 2, 4}, whether every candidate is speculated
+// (minPrice 0) or only those the price gate admits.
 func TestSearchWorkersBitIdentical(t *testing.T) {
 	for name, g := range specGraphs() {
 		rl := graph.DegreeRelabel(g)
@@ -105,8 +105,8 @@ func TestSearchHelpersExit(t *testing.T) {
 }
 
 // TestSearchConcurrentWindows: searches running at once each start their own
-// helpers and share only the pool their memory returns to, so each still
-// returns the inline loop's list and SearchStats (run under -race).
+// helpers over memory of their own, so each still returns the inline loop's
+// list and SearchStats (run under -race).
 func TestSearchConcurrentWindows(t *testing.T) {
 	g := gen.ChungLu(1500, 2.2, 5.3, 120, 7)
 	type answer struct {

@@ -13,64 +13,83 @@ import (
 
 // TestExactAlgosByteIdentical: on one snapshot the exact strategies return
 // the same encoded result list, ties at the k-th rank included — on the
-// frozen snapshot of a fresh ModeLocal graph and on overlay snapshots.
+// frozen snapshot of a fresh graph and on overlay snapshots, in both modes.
 //
 // algo=opt and algo=base score every returned vertex with the same kernel,
 // and algo=scores reads the maintained vector, whose every entry is its
 // connector-count histogram folded by the kernel's fold — so all three are
-// held to byte equality everywhere, after score-changing batches too.
+// held to byte equality everywhere, after score-changing batches too. In
+// ModeLazy algo=lazy serves k ≤ lazy k from the LazyTopK set, which keeps
+// the k first vertices under the same (score desc, id asc) order: it is held
+// to the same bytes.
 func TestExactAlgosByteIdentical(t *testing.T) {
-	base := gen.Affiliation(300, 150, 5.5, 1, 29)
-	reg := addOverlayGraph(t, base, ModeLocal, 0, 64)
-	check := func(stage string) {
-		t.Helper()
-		info, err := reg.Info("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 10, 50, int(info.N) / 2, int(info.N)} {
-			answers := map[string]TopKResult{}
-			for _, algo := range []string{AlgoOpt, AlgoBase, AlgoScores} {
-				if answers[algo], err = reg.topK("g", k, algo, 0); err != nil {
-					t.Fatalf("%s k=%d algo=%s: %v", stage, k, algo, err)
+	const lazyK = 50
+	for mode, base := range map[string]*graph.Graph{
+		ModeLocal: gen.Affiliation(300, 150, 5.5, 1, 29),
+		ModeLazy:  gen.BarabasiAlbert(80, 3, 29), // small integer scores: ties at rank lazyK
+	} {
+		t.Run(mode, func(t *testing.T) {
+			reg := addOverlayGraph(t, base, mode, lazyK, 64)
+			check := func(stage string) {
+				t.Helper()
+				info, err := reg.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 4, 10, lazyK, int(info.N) / 2, int(info.N)} {
+					algos := []string{AlgoBase, AlgoScores}
+					if mode == ModeLazy {
+						algos = []string{AlgoBase}
+						if k <= lazyK {
+							algos = append(algos, AlgoLazy)
+						}
+					}
+					opt, err := reg.topK("g", k, AlgoOpt, 0)
+					if err != nil {
+						t.Fatalf("%s k=%d algo=opt: %v", stage, k, err)
+					}
+					want := encodeJSON(opt.Results)
+					for _, algo := range algos {
+						res, err := reg.topK("g", k, algo, 0)
+						if err != nil {
+							t.Fatalf("%s k=%d algo=%s: %v", stage, k, algo, err)
+						}
+						if got := encodeJSON(res.Results); !bytes.Equal(got, want) {
+							t.Fatalf("%s k=%d: algo=%s returns\n%s\nalgo=opt returns\n%s", stage, k, algo, got, want)
+						}
+					}
 				}
 			}
-			want := encodeJSON(answers[AlgoOpt].Results)
-			for _, algo := range []string{AlgoBase, AlgoScores} {
-				if got := encodeJSON(answers[algo].Results); !bytes.Equal(got, want) {
-					t.Fatalf("%s k=%d: algo=%s returns\n%s\nalgo=opt returns\n%s", stage, k, algo, got, want)
+			overlayDepth := func() int {
+				info, err := reg.Info("g")
+				if err != nil {
+					t.Fatal(err)
 				}
+				return info.OverlayDepth
 			}
-		}
-	}
-	overlayDepth := func() int {
-		info, err := reg.Info("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.OverlayDepth
-	}
-	check("frozen")
+			check("frozen")
 
-	n := base.NumVertices()
-	if _, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true); err != nil {
-		t.Fatal(err)
-	}
-	if overlayDepth() != 1 {
-		t.Fatalf("overlay depth %d after one batch, want 1", overlayDepth())
-	}
-	check("score-neutral overlay")
+			n := base.NumVertices()
+			if _, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true); err != nil {
+				t.Fatal(err)
+			}
+			if overlayDepth() != 1 {
+				t.Fatalf("overlay depth %d after one batch, want 1", overlayDepth())
+			}
+			check("score-neutral overlay")
 
-	rng := rand.New(rand.NewPCG(29, 0xA160))
-	mirror := graph.DynFromGraph(base)
-	for i, sb := range makeScript(rng, mirror, 10) {
-		if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("batch %d (overlay depth %d)", i, overlayDepth()))
-	}
-	if overlayDepth() < 2 {
-		t.Fatalf("overlay depth %d after the script — the test lost its subject", overlayDepth())
+			rng := rand.New(rand.NewPCG(29, 0xA160))
+			mirror := graph.DynFromGraph(base)
+			for i, sb := range makeScript(rng, mirror, 10) {
+				if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("batch %d (overlay depth %d)", i, overlayDepth()))
+			}
+			if overlayDepth() < 2 {
+				t.Fatalf("overlay depth %d after the script — the test lost its subject", overlayDepth())
+			}
+		})
 	}
 }
 

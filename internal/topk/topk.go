@@ -143,6 +143,7 @@ func (b *Bounded) siftDown(i int) {
 type MaxHeap struct {
 	items []Item
 	ext   []int32 // optional external labels for score-tie ordering
+	walk  []int   // Top's frontier, kept to reuse its memory
 }
 
 // NewMaxHeapLabeled returns an empty heap with capacity hint c whose score
@@ -201,6 +202,34 @@ func (h *MaxHeap) Pop() Item {
 		i = big
 	}
 	return top
+}
+
+// Top appends to dst the next n items Pop would return, in pop order,
+// without changing the heap. It walks best-first from the root: the next
+// item is the greatest on the frontier of nodes whose parent was taken, so
+// it reads at most 2n+1 nodes.
+func (h *MaxHeap) Top(dst []Item, n int) []Item {
+	f := h.walk[:0]
+	if len(h.items) > 0 {
+		f = append(f, 0)
+	}
+	for ; n > 0 && len(f) > 0; n-- {
+		b := 0
+		for j := 1; j < len(f); j++ {
+			if h.greater(f[j], f[b]) {
+				b = j
+			}
+		}
+		i := f[b]
+		dst = append(dst, h.items[i])
+		f[b] = f[len(f)-1]
+		f = f[:len(f)-1]
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h.items); c++ {
+			f = append(f, c)
+		}
+	}
+	h.walk = f
+	return dst
 }
 
 func (h *MaxHeap) greater(i, j int) bool {

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -117,5 +118,44 @@ func TestNewBoundedClampsK(t *testing.T) {
 	b.Add(1, 1)
 	if b.k != 1 || !b.Full() {
 		t.Fatal("k must clamp to 1")
+	}
+}
+
+// TestMaxHeapTopMatchesPop: on random heaps whose scores tie often, with
+// identity and with permuted labels, Top(n) returns exactly the next n items
+// a copy of the heap pops, and leaves the heap as it was.
+func TestMaxHeapTopMatchesPop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	for round := range 300 {
+		size := rng.IntN(60)
+		var ext []int32
+		if round%2 == 1 {
+			ext = make([]int32, size)
+			for i, p := range rng.Perm(size) {
+				ext[i] = int32(p)
+			}
+		}
+		h := NewMaxHeapLabeled(0, ext)
+		for v := range size {
+			h.Push(int32(v), float64(rng.IntN(5)))
+		}
+		// Pop a few so the heap is not only what Push built.
+		for range rng.IntN(size/2 + 1) {
+			h.Pop()
+		}
+		before := append([]Item(nil), h.items...)
+		n := rng.IntN(h.Len() + 3)
+		got := h.Top(nil, n)
+		if !slices.Equal(h.items, before) {
+			t.Fatalf("round %d: Top(%d) changed the heap", round, n)
+		}
+		c := &MaxHeap{items: append([]Item(nil), h.items...), ext: ext}
+		var want []Item
+		for len(want) < n && c.Len() > 0 {
+			want = append(want, c.Pop())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d (ext %v): Top(%d) = %v, pops %v", round, ext != nil, n, got, want)
+		}
 	}
 }
