@@ -255,4 +255,5 @@ var retiredSymbols = []string{
 	"ChooseHub", "AcquireRegister", "ReleaseRegister", "releaseHubRegisters", "commonLosses", "scoreEps",
 	"NewMaintainerParallel", "NewLazyTopKParallel",
 	"specPool", "specMem", "unpark",
+	"windowedWriterLoop", "abortGroup", "decodeRecovered",
 }

@@ -45,6 +45,10 @@ type GraphInfo struct {
 	GroupCommits     int64 `json:"group_commits"`
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	WriteRejects     int64 `json:"write_rejects,omitempty"`
+	// Poisoned is the cause of the durability failure (or injected crash)
+	// that stopped the write pipeline; every later write fails with 500
+	// until the process restarts and recovers from disk.
+	Poisoned string `json:"poisoned,omitempty"`
 
 	// Persistence accounting (WithDataDir only): the last durable WAL batch
 	// sequence, the current WAL size, the sequence folded into the on-disk
@@ -116,6 +120,9 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 		GroupCommits:     e.groupCommits.Load(),
 		CoalescedBatches: e.coalescedBatches.Load(),
 		WriteRejects:     e.writeRejects.Load(),
+	}
+	if perr := e.failed.Load(); perr != nil {
+		gi.Poisoned = (*perr).Error()
 	}
 	if ov := s.overlay(); ov != nil {
 		gi.OverlayDepth = ov.Depth()

@@ -19,6 +19,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dynamic"
@@ -87,13 +88,10 @@ func (e *entry) mirrorPersist() {
 // until the next applied batch — callers hold e.mu and encode synchronously,
 // which is exactly that window. Callers hold e.mu.
 func (e *entry) maintainerState() *store.MaintainerState {
-	switch {
-	case e.local != nil:
+	if e.local != nil {
 		return &store.MaintainerState{Local: e.local.ExportState()}
-	case e.lazy != nil:
-		return &store.MaintainerState{Lazy: e.lazy.ExportState()}
 	}
-	return nil
+	return &store.MaintainerState{Lazy: e.lazy.ExportState()}
 }
 
 // maybeCheckpoint folds the WAL into a fresh snapshot once the policy says
@@ -257,11 +255,10 @@ func (r *Registry) recoverOne(name string) (GraphInfo, error) {
 		return GraphInfo{}, err
 	}
 	e, err := r.restoreEntry(name, st, rec)
-	if err != nil {
-		st.Close()
-		return GraphInfo{}, err
+	if err == nil {
+		err = r.register(e)
 	}
-	if err := r.register(e); err != nil {
+	if err != nil {
 		st.Close()
 		return GraphInfo{}, err
 	}
@@ -283,80 +280,67 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 	e.st = st
 	t0 := time.Now()
 	e.recoverPath = "rebuild"
-	switch {
-	case rec.StateErr != nil:
-		e.recoverReason = rec.StateErr.Error()
-	case rec.State == nil:
-		e.recoverReason = "no maintainer-state section in snapshot"
-	}
 	// Invalid persisted metadata must not fail the boot over a value the
 	// rebuild path can substitute — but substituting silently would hide
 	// that the served lazy-k is not what the checkpoint claimed, so the
 	// fallback is recorded and survives into recover_reason whichever
 	// maintainer path wins below.
 	var metaReason string
-	if mode == ModeLocal {
-		if rec.State != nil && rec.StateErr == nil {
-			if rec.State.Local == nil {
-				e.recoverReason = "snapshot maintainer state is for the other maintenance mode"
-			} else if m, err := dynamic.NewMaintainerFromState(rec.Graph, rec.State.Local); err != nil {
-				e.recoverReason = fmt.Sprintf("maintainer-state import: %v", err)
-			} else {
-				e.local, e.recoverPath, e.recoverReason = m, "fast", ""
-			}
-		}
-		if e.local == nil {
-			e.local = dynamic.NewMaintainer(rec.Graph)
-		}
-	} else {
-		lazyK := int(rec.Meta.LazyK)
-		if lazyK < 1 {
-			metaReason = fmt.Sprintf("persisted lazy-k %d invalid; serving fallback k=10", lazyK)
-			lazyK = 10
-		}
-		if rec.State != nil && rec.StateErr == nil {
-			if rec.State.Lazy == nil {
-				e.recoverReason = "snapshot maintainer state is for the other maintenance mode"
-			} else if lt, err := dynamic.NewLazyTopKFromState(rec.Graph, lazyK, rec.State.Lazy); err != nil {
-				e.recoverReason = fmt.Sprintf("maintainer-state import: %v", err)
-			} else {
-				e.lazy, e.recoverPath, e.recoverReason = lt, "fast", ""
-			}
-		}
-		if e.lazy == nil {
-			e.lazy = dynamic.NewLazyTopK(rec.Graph, lazyK)
-		}
+	lazyK := int(rec.Meta.LazyK)
+	if mode == ModeLazy && lazyK < 1 {
+		metaReason = fmt.Sprintf("persisted lazy-k %d invalid; serving fallback k=10", lazyK)
+		lazyK = 10
+	}
+	var (
+		reasons  []string // joined into recover_reason
+		imported maintainer
+	)
+	switch {
+	case rec.StateErr != nil:
+		reasons = append(reasons, rec.StateErr.Error())
+	case rec.State == nil:
+		reasons = append(reasons, "no maintainer-state section in snapshot")
+	case mode == ModeLocal && rec.State.Local != nil:
+		imported, err = dynamic.NewMaintainerFromState(rec.Graph, rec.State.Local)
+	case mode == ModeLazy && rec.State.Lazy != nil:
+		imported, err = dynamic.NewLazyTopKFromState(rec.Graph, lazyK, rec.State.Lazy)
+	default:
+		reasons = append(reasons, "snapshot maintainer state is for the other maintenance mode")
+	}
+	if err != nil {
+		reasons = append(reasons, fmt.Sprintf("maintainer-state import: %v", err))
+		imported = nil
+	}
+	switch {
+	case imported != nil:
+		e.setMaintainer(imported)
+		e.recoverPath = "fast"
+	case mode == ModeLocal:
+		e.setMaintainer(dynamic.NewMaintainer(rec.Graph))
+	default:
+		e.setMaintainer(dynamic.NewLazyTopK(rec.Graph, lazyK))
 	}
 	if metaReason != "" {
-		if e.recoverReason != "" {
-			e.recoverReason += "; "
-		}
-		e.recoverReason += metaReason
+		reasons = append(reasons, metaReason)
 	}
 	// The temporal sidecar of a windowed graph is rebuilt from the
 	// snapshot's stamps section before the tail replay, so replayed stamped
 	// inserts land in it exactly as they did live. A missing or corrupt
 	// section degrades the graph to unwindowed serving — strictly a
 	// retention regression, never a correctness one — and is recorded.
-	var tempReason string
 	switch {
 	case rec.StampsErr != nil:
-		tempReason = fmt.Sprintf("temporal section unusable, serving unwindowed: %v", rec.StampsErr)
+		reasons = append(reasons, fmt.Sprintf("temporal section unusable, serving unwindowed: %v", rec.StampsErr))
 	case rec.Stamps != nil:
 		ti, err := graph.NewTemporalIndexFromStamps(int64(rec.Stamps.WindowMS), rec.Graph, rec.Stamps.Stamps)
 		if err != nil {
-			tempReason = fmt.Sprintf("temporal sidecar rebuild failed, serving unwindowed: %v", err)
+			reasons = append(reasons, fmt.Sprintf("temporal sidecar rebuild failed, serving unwindowed: %v", err))
 		} else {
 			e.window = time.Duration(rec.Stamps.WindowMS) * time.Millisecond
 			e.tidx = ti
 		}
 	}
-	if tempReason != "" {
-		if e.recoverReason != "" {
-			e.recoverReason += "; "
-		}
-		e.recoverReason += tempReason
-	}
+	e.recoverReason = strings.Join(reasons, "; ")
 	lastSeq := rec.Meta.Seq
 	for _, b := range rec.Tail {
 		e.applyLocked(b.Edges, b.Stamps, b.Insert)

@@ -10,14 +10,6 @@ import (
 	"repro/internal/graph"
 )
 
-// dyn returns the maintainer's mutable graph.
-func (e *entry) dyn() *graph.DynGraph {
-	if e.local != nil {
-		return e.local.Graph()
-	}
-	return e.lazy.Graph()
-}
-
 // publishLocked publishes the post-drain state as a copy-on-write snapshot:
 // a graph.Overlay carrying only the adjacency lists this drain dirtied,
 // layered on the previous view, and (in ModeLocal) a score vector sharing
@@ -27,7 +19,7 @@ func (e *entry) dyn() *graph.DynGraph {
 func (e *entry) publishLocked(epoch uint64) {
 	t0 := time.Now()
 	old := e.snap.Load()
-	s := &snapshot{epoch: epoch, view: e.dyn().FreezeOverlay(old.view)}
+	s := &snapshot{epoch: epoch, view: e.maint.Graph().FreezeOverlay(old.view)}
 	if e.local != nil {
 		sv, copied := old.scores.withUpdates(e.local.All(), e.local.TakeDirtyScores())
 		s.scores = sv
@@ -47,7 +39,7 @@ func (e *entry) publishLocked(epoch uint64) {
 // hold e.mu or own the entry exclusively.
 func (e *entry) buildFullSnapshot(epoch uint64) *snapshot {
 	t0 := time.Now()
-	dyn := e.dyn()
+	dyn := e.maint.Graph()
 	dyn.TakeDirty()
 	g := dyn.Freeze(e.workers)
 	s := &snapshot{epoch: epoch, view: g}

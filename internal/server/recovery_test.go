@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/ego"
@@ -480,5 +483,43 @@ func TestRecoverRejectsDuplicate(t *testing.T) {
 	}
 	if _, err := reg.Recover(); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
+	}
+}
+
+// TestRecoverLazyKLimit: the snapshot header persists a lazy graph's k as a
+// uint32, so a larger k is refused at load as a plain validation error (it
+// would come back truncated after a restart), and the largest k that fits
+// survives Close + Recover.
+func TestRecoverLazyKLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a k beyond uint32 needs a 64-bit int")
+	}
+	dir := t.TempDir()
+	g := gen.BarabasiAlbert(40, 3, 5)
+	tooBig, maxK := int(int64(1)<<32+5), int(int64(math.MaxUint32))
+	reg := durableRegistry(dir)
+	if _, err := reg.Add("big", g, ModeLazy, tooBig); err == nil {
+		t.Fatalf("lazy k %d accepted", tooBig)
+	}
+	ts := newTestServer(t)
+	req := LoadRequest{Name: "big", Edges: karateEdges(), Mode: ModeLazy, K: tooBig}
+	if code := doJSON(t, "POST", ts.URL+"/graphs", req, nil); code != http.StatusBadRequest {
+		t.Fatalf("load with lazy k %d: status %d, want 400", tooBig, code)
+	}
+
+	if info, err := reg.Add("g", g, ModeLazy, maxK); err != nil || info.LazyK != maxK {
+		t.Fatalf("Add with lazy k %d: info %+v err %v", maxK, info, err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reborn := durableRegistry(dir)
+	defer reborn.Close()
+	infos, err := reborn.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(infos) != 1 || infos[0].LazyK != maxK {
+		t.Fatalf("recovered %+v, want one graph with lazy_k %d", infos, maxK)
 	}
 }

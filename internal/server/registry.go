@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -65,6 +66,7 @@ type entry struct {
 	// mu serializes all mutation of the maintainer state below and every
 	// snapshot publication. Readers never take it.
 	mu    sync.Mutex
+	maint maintainer          // whichever of local and lazy is set
 	local *dynamic.Maintainer // ModeLocal
 	lazy  *dynamic.LazyTopK   // ModeLazy
 
@@ -79,8 +81,8 @@ type entry struct {
 	// in-memory and durable state may disagree, so further commits must
 	// fail rather than diverge. Admission checks it so an ack=async
 	// caller is rejected up front (ErrStorage) instead of being answered
-	// 202 for a batch the dead pipeline would silently drop. Written only
-	// by the writer goroutine, loaded lock-free by enqueuers.
+	// 202 for a batch the dead pipeline would silently drop. Written under
+	// mu by commits, loaded lock-free by enqueuers and GraphInfo.
 	failed atomic.Pointer[error]
 
 	// st is the graph's durable store (nil without WithDataDir). Set once
@@ -167,6 +169,23 @@ type entry struct {
 	replSeq        atomic.Uint64
 	replLeaderSeq  atomic.Uint64
 	replCaughtNano atomic.Int64
+}
+
+// maintainer is what the write side needs of either maintenance mode: the
+// mutable graph and the paper's two update operations (LocalInsert /
+// LocalDelete for ModeLocal, LazyInsert / LazyDelete for ModeLazy).
+type maintainer interface {
+	Graph() *graph.DynGraph
+	InsertEdge(u, v int32) error
+	DeleteEdge(u, v int32) error
+}
+
+// setMaintainer installs m as the entry's maintainer; local or lazy is set
+// to it by its type, for the read paths that need the mode's own methods.
+func (e *entry) setMaintainer(m maintainer) {
+	e.maint = m
+	e.local, _ = m.(*dynamic.Maintainer)
+	e.lazy, _ = m.(*dynamic.LazyTopK)
 }
 
 // ErrNotFound marks a request naming a graph the registry does not serve —
@@ -406,6 +425,10 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 	if mode != ModeLocal && mode != ModeLazy {
 		return GraphInfo{}, fmt.Errorf("server: unknown mode %q (want %q or %q)", mode, ModeLocal, ModeLazy)
 	}
+	if mode == ModeLazy && int64(lazyK) > math.MaxUint32 {
+		// A larger k would come back truncated after a restart.
+		return GraphInfo{}, fmt.Errorf("server: lazy k %d does not fit the snapshot header's uint32", lazyK)
+	}
 	if err := r.readOnlyErr("load graph"); err != nil {
 		return GraphInfo{}, err
 	}
@@ -443,13 +466,13 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 	first := &snapshot{epoch: 1, view: g}
 	t0 := time.Now()
 	if mode == ModeLocal {
-		e.local = dynamic.NewMaintainer(g)
+		e.setMaintainer(dynamic.NewMaintainer(g))
 		first.scores = newScoreVec(e.local.All())
 	} else {
 		if lazyK < 1 {
 			lazyK = 10
 		}
-		e.lazy = dynamic.NewLazyTopK(g, lazyK)
+		e.setMaintainer(dynamic.NewLazyTopK(g, lazyK))
 	}
 	first.publishDur = time.Since(t0)
 	// The initial all-vertices build is the moral equivalent of a

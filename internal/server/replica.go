@@ -4,9 +4,10 @@ package server
 // (DESIGN.md §13): the Registry implements ship.Target, so a ship.Follower
 // can install leader checkpoints and apply shipped WAL batches into the same
 // entries, snapshots, and read paths a leader serves from. Shipped batches
-// run through applyLocked — the exact deterministic code the leader's writer
-// and crash recovery use — which is what makes a caught-up replica's top-k
-// bitwise identical to the leader's at the same applied sequence.
+// commit through commitLocked and so applyLocked — the exact deterministic
+// code the leader's writer and crash recovery use — which is what makes a
+// caught-up replica's top-k bitwise identical to the leader's at the same
+// applied sequence.
 
 import (
 	"fmt"
@@ -65,40 +66,21 @@ func (r *Registry) InstallReplica(name string, snapshot []byte) error {
 		}
 	} else {
 		var err error
-		if rec, err = decodeRecovered(snapshot); err != nil {
+		if rec, err = store.DecodeImage(snapshot); err != nil {
 			return fmt.Errorf("server: graph %q: %w", name, err)
 		}
 	}
 	e, err := r.restoreEntry(name, st, rec)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return fmt.Errorf("server: graph %q: %w", name, err)
+	if err == nil {
+		err = r.register(e)
 	}
-	if err := r.register(e); err != nil {
+	if err != nil {
 		if st != nil {
 			st.Close()
 		}
 		return fmt.Errorf("server: graph %q: %w", name, err)
 	}
 	return nil
-}
-
-// decodeRecovered turns a checkpoint image into the store.Recovered shape
-// restoreEntry consumes, for the memory-only follower path: graph and
-// metadata are mandatory, the maintainer-state and permutation sections
-// optional exactly as they are for store.Open.
-func decodeRecovered(snapshot []byte) (*store.Recovered, error) {
-	g, meta, err := store.DecodeSnapshot(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	rec := &store.Recovered{Meta: meta, Graph: g}
-	rec.State, rec.StateErr = store.DecodeSnapshotState(snapshot)
-	rec.Perm, rec.PermErr = store.DecodeSnapshotPerm(snapshot)
-	rec.Stamps, rec.StampsErr = store.DecodeSnapshotStamps(snapshot)
-	return rec, nil
 }
 
 // dropEntry unregisters an entry and releases its resources without deleting
@@ -126,9 +108,9 @@ func (r *Registry) dropEntry(name string) error {
 	return nil
 }
 
-// ApplyReplica applies shipped batches in order: append to the local WAL
-// (group append, one fsync), apply each through applyLocked, publish one
-// overlay snapshot for the lot, then run the same checkpoint and compaction
+// ApplyReplica applies shipped batches in order through commitLocked, the
+// leader's own commit path: one local WAL append, the per-batch apply, one
+// overlay publication for the lot, then the same checkpoint and compaction
 // policies a leader runs — so a long-lived follower's disk footprint and
 // read-path shape stay bounded exactly like the leader's. Batches must
 // continue the local sequence exactly; any discontinuity means the follower
@@ -149,8 +131,8 @@ func (r *Registry) ApplyReplica(name string, batches []store.Batch) error {
 	if e.removed {
 		return notFound(name)
 	}
-	if perr := e.failed.Load(); perr != nil {
-		return fmt.Errorf("server: graph %q: %w: pipeline poisoned by earlier failure: %w", e.name, ErrStorage, *perr)
+	if err := e.poisonedErr(); err != nil {
+		return err
 	}
 	want := e.replSeq.Load()
 	for i, b := range batches {
@@ -158,50 +140,25 @@ func (r *Registry) ApplyReplica(name string, batches []store.Batch) error {
 			return fmt.Errorf("server: graph %q: shipped batch sequence %d where %d was expected", name, b.Seq, want+1+uint64(i))
 		}
 	}
-	if e.st != nil {
-		specs := make([]store.BatchSpec, len(batches))
-		for i, b := range batches {
-			specs[i] = store.BatchSpec{Insert: b.Insert, Edges: b.Edges, Stamps: b.Stamps}
-		}
-		first, err := e.st.AppendBatches(specs)
-		if err != nil {
-			e.failed.Store(&err)
-			e.mirrorPersist()
-			return fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, err)
-		}
-		if first != batches[0].Seq {
-			// The local WAL's next sequence disagrees with the stream's: the
-			// local durable history is not the prefix the leader continued
-			// from. Poison rather than serve a forked history.
-			err := fmt.Errorf("server: graph %q: local wal assigned sequence %d to shipped batch %d — divergent history", name, first, batches[0].Seq)
-			e.failed.Store(&err)
-			return err
-		}
+	if e.st != nil && e.st.Seq() != want {
+		// The local durable history is not the prefix the leader continued
+		// from: poison, before writing anything, rather than fork it.
+		return e.poison(fmt.Errorf("local wal is at sequence %d, the shipped stream continues from %d — divergent history", e.st.Seq(), want))
 	}
-	applied := 0
-	for _, b := range batches {
-		// Stamps ride the shipped records verbatim, and the leader's expiry
-		// deletes arrive as ordinary batches in the same stream — the
-		// follower maintains its sidecar without ever consulting a clock, so
-		// both sides hold the identical edge set at every common sequence.
-		res := e.applyLocked(b.Edges, b.Stamps, b.Insert)
-		applied += res.Applied
+	// Stamps ride the shipped records verbatim, and the leader's expiry
+	// deletes arrive as ordinary batches in the same stream — the follower
+	// maintains its sidecar without ever consulting a clock, so both sides
+	// hold the identical edge set at every common sequence.
+	specs := make([]store.BatchSpec, len(batches))
+	for i, b := range batches {
+		specs[i] = store.BatchSpec{Insert: b.Insert, Edges: b.Edges, Stamps: b.Stamps}
 	}
-	e.refreshTemporalLocked()
-	e.replSeq.Store(batches[len(batches)-1].Seq)
-	if applied > 0 {
-		e.publishLocked(e.snap.Load().epoch + 1)
+	res, err := e.commitLocked(r, specs)
+	if res != nil {
+		// Applied, even if the checkpoint after it failed.
+		e.replSeq.Store(batches[len(batches)-1].Seq)
 	}
-	var ckErr error
-	if e.st != nil {
-		ckErr = e.maybeCheckpoint(r.ckptBatches, r.ckptBytes, len(batches))
-	}
-	e.maybeCompactLocked()
-	if ckErr != nil {
-		e.failed.Store(&ckErr)
-		return fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, ckErr)
-	}
-	return nil
+	return err
 }
 
 // NoteReplica records replication progress for GraphInfo's staleness fields.

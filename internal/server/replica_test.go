@@ -12,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,6 +270,85 @@ func TestReplicaFollowerRestart(t *testing.T) {
 	p.syncUntilCaughtUp(t, "g")
 	assertBitwiseEqual(t, p.leader, p.folReg, "g", ModeLocal, base.NumVertices())
 	assertRecovered(t, p.folReg, "g", ModeLocal, stateAfter(base, script, len(script)))
+}
+
+// TestReplicaCommitFailurePoisons: a follower commits shipped batches
+// through the leader's commit path, crash points included, so a failure
+// there poisons the follower's pipeline exactly as it would a leader's: the
+// sync reports ErrStorage, reads keep answering the last published epoch,
+// later syncs keep failing, GraphInfo names the cause — and a restart on the
+// same directory recovers the durable batches and catches up bitwise.
+func TestReplicaCommitFailurePoisons(t *testing.T) {
+	errBoom := errors.New("follower disk on fire")
+	var armed atomic.Bool
+	base := gen.BarabasiAlbert(60, 3, 9)
+	folDir := t.TempDir()
+	p := newShipPair(t, t.TempDir(), folDir)
+	folOpts := []RegistryOption{WithLeader(p.ts.URL), WithDataDir(folDir), WithCheckpointPolicy(3, 1<<20)}
+	p.folReg.Close()
+	p.folReg = NewRegistry(append(folOpts, WithCrashHook(func(g, point string) error {
+		if armed.Load() && point == crashBeforePublish {
+			return errBoom
+		}
+		return nil
+	}))...)
+	t.Cleanup(func() { p.folReg.Close() })
+	p.fol = ship.NewFollower(p.client, p.folReg)
+	if _, err := p.leader.Add("g", base, ModeLocal, 10); err != nil {
+		t.Fatal(err)
+	}
+	p.syncUntilCaughtUp(t, "g")
+	before, err := p.folReg.topK("g", 10, AlgoScores, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	missing := [2]int32{0, 1}
+	for base.HasEdge(missing[0], missing[1]) {
+		missing[1]++
+	}
+	if _, err := p.leader.applyEdges("g", [][2]int32{missing}, true); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	ctx := context.Background()
+	if err := p.fol.SyncOnce(ctx); !errors.Is(err, ErrStorage) || !errors.Is(err, errBoom) {
+		t.Fatalf("sync past a failed follower commit: %v", err)
+	}
+	armed.Store(false)
+	after, err := p.folReg.topK("g", 10, AlgoScores, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Epoch != before.Epoch || !reflect.DeepEqual(after.Results, before.Results) {
+		t.Fatalf("poisoned follower serves epoch %d %v, want the previous epoch %d %v",
+			after.Epoch, after.Results, before.Epoch, before.Results)
+	}
+	info, err := p.folReg.Info("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(info.Poisoned, errBoom.Error()) {
+		t.Fatalf("GraphInfo.Poisoned = %q, want the cause %q", info.Poisoned, errBoom)
+	}
+	if err := p.fol.SyncOnce(ctx); !errors.Is(err, ErrStorage) {
+		t.Fatalf("second sync on a poisoned follower: %v, want ErrStorage", err)
+	}
+
+	if err := p.folReg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.folReg = NewRegistry(folOpts...)
+	t.Cleanup(func() { p.folReg.Close() })
+	if _, err := p.folReg.Recover(); err != nil {
+		t.Fatalf("follower recover: %v", err)
+	}
+	p.fol = ship.NewFollower(p.client, p.folReg)
+	p.syncUntilCaughtUp(t, "g")
+	assertBitwiseEqual(t, p.leader, p.folReg, "g", ModeLocal, base.NumVertices())
+	if info, err := p.folReg.Info("g"); err != nil || info.Poisoned != "" {
+		t.Fatalf("restarted follower: info %+v err %v, want healthy", info, err)
+	}
 }
 
 // TestReplicaReadOnly: a following registry rejects every client mutation

@@ -1,8 +1,9 @@
 package server
 
 // This file is the write pipeline of a served graph (DESIGN.md §9):
-// admission, the per-graph writer goroutine, the group commit, and the
-// deterministic batch apply that WAL replay shares.
+// admission, the per-graph writer goroutine, the one commit path a leader's
+// drain and a follower's shipped batches share, and the deterministic batch
+// apply that WAL replay shares.
 
 import (
 	"fmt"
@@ -42,10 +43,6 @@ type writeReq struct {
 	// admission — and rides the WAL record so every replay sees them.
 	stamps []int64
 	done   chan writeReply
-
-	// res is filled by the writer inside the commit; carried here so the
-	// group can be applied first and replied to as a whole afterwards.
-	res UpdateResult
 }
 
 type writeReply struct {
@@ -173,8 +170,8 @@ func (e *entry) enqueue(req *writeReq) error {
 	if e.qclosed {
 		return notFound(e.name)
 	}
-	if perr := e.failed.Load(); perr != nil {
-		return fmt.Errorf("server: graph %q: %w: pipeline poisoned by earlier failure: %w", e.name, ErrStorage, *perr)
+	if err := e.poisonedErr(); err != nil {
+		return err
 	}
 	select {
 	case e.queue <- req:
@@ -189,34 +186,22 @@ func (e *entry) enqueue(req *writeReq) error {
 // the admission queue for the entry's lifetime, group-committing everything
 // waiting, and exits once closeWrites both closed the queue and the loop
 // drained it.
+//
+// On a windowed leader a ticker also wakes the writer often enough that
+// edges crossing the window boundary expire promptly even when no client
+// writes arrive: a tick runs an expiry-only drain (commitGroup with an
+// empty group), which commits nothing when nothing is past the cutoff.
+// Followers never tick (tick stays nil) — their expiry arrives as the
+// leader's replayed delete batches, keeping both sides bitwise-equal at
+// every seq.
 func (e *entry) writerLoop(r *Registry) {
 	defer close(e.stopped)
-	if e.window > 0 && !e.replica && r.leader == "" {
-		e.windowedWriterLoop(r)
-		return
+	var tick <-chan time.Time
+	if e.window > 0 && r.leader == "" {
+		ticker := time.NewTicker(min(max(e.window/4, 10*time.Millisecond), time.Second))
+		defer ticker.Stop()
+		tick = ticker.C
 	}
-	for req := range e.queue {
-		e.commitGroup(r, e.collectGroup(req))
-	}
-}
-
-// windowedWriterLoop adds idle expiry to the plain drain loop: a ticker
-// wakes the writer often enough that edges crossing the window boundary
-// expire promptly even when no client writes arrive. A tick runs an
-// expiry-only drain (commitGroup with an empty group); one that finds
-// nothing past the cutoff commits nothing and costs nothing durable.
-// Followers never take this path — their expiry arrives as the leader's
-// replayed delete batches, keeping both sides bitwise-equal at every seq.
-func (e *entry) windowedWriterLoop(r *Registry) {
-	tick := e.window / 4
-	if tick > time.Second {
-		tick = time.Second
-	}
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
 	for {
 		select {
 		case req, ok := <-e.queue:
@@ -224,7 +209,7 @@ func (e *entry) windowedWriterLoop(r *Registry) {
 				return
 			}
 			e.commitGroup(r, e.collectGroup(req))
-		case <-ticker.C:
+		case <-tick:
 			e.commitGroup(r, nil)
 		}
 	}
@@ -287,22 +272,14 @@ func (r *Registry) serverCrash(name, point string) error {
 	return r.crashHook(name, point)
 }
 
-// commitGroup is one drain of the write pipeline: expiry synthesis on a
-// windowed leader, one WAL append covering every batch in the group (one
-// fsync), the deterministic per-batch apply in admission order, one
-// snapshot publication, one checkpoint-policy check — then the
-// acknowledgments. A nil group is an expiry-only drain from the windowed
-// writer's ticker; it commits nothing unless edges actually expired.
+// commitGroup is one drain of the write pipeline on a leader: the poison
+// check, expiry synthesis on a windowed graph, the group's commit through
+// commitLocked — then the acknowledgments. A nil group is an expiry-only
+// drain from the writer's ticker; it commits nothing unless edges actually
+// expired.
 func (e *entry) commitGroup(r *Registry, group []*writeReq) {
 	e.mu.Lock()
-	if perr := e.failed.Load(); perr != nil {
-		err := fmt.Errorf("server: graph %q: %w: pipeline poisoned by earlier failure: %w", e.name, ErrStorage, *perr)
-		e.mu.Unlock()
-		for _, req := range group {
-			req.reply(UpdateResult{}, err)
-		}
-		return
-	}
+	err := e.poisonedErr()
 
 	// Expiry synthesis (DESIGN.md §14): on a windowed leader every drain
 	// first turns the edges older than now−window into an ordinary delete
@@ -311,110 +288,111 @@ func (e *entry) commitGroup(r *Registry, group []*writeReq) {
 	// shipped replicas replay expiry as plain history and never need a
 	// clock of their own. ExpireBefore returns the edges in canonical order,
 	// a deterministic function of the live edge set.
-	if e.tidx != nil && !e.replica && r.leader == "" {
+	if err == nil && e.tidx != nil && r.leader == "" {
 		cutoff := e.nowMS() - int64(e.window/time.Millisecond)
 		if expired := e.tidx.ExpireBefore(cutoff); len(expired) > 0 {
 			group = append([]*writeReq{{edges: expired, insert: false}}, group...)
 			e.expiredEdges.Add(int64(len(expired)))
 			e.expiryBatches.Add(1)
-			if err := r.serverCrash(e.name, crashAfterExpiry); err != nil {
-				e.abortGroup(group, err)
-				return
+			if cerr := r.serverCrash(e.name, crashAfterExpiry); cerr != nil {
+				err = e.poison(cerr)
 			}
 		}
 	}
-	if len(group) == 0 {
-		e.mu.Unlock()
-		return
-	}
-
-	// Group WAL append: per-batch records, one fsync. An error here means
-	// nothing of the group was applied — and the store has poisoned
-	// itself, so poison the pipeline too: admissions (notably ack=async
-	// ones, which would otherwise be answered 202 and then silently
-	// dropped) must start failing up front.
-	if e.st != nil {
+	var res []UpdateResult
+	if err == nil && len(group) > 0 {
 		specs := make([]store.BatchSpec, len(group))
 		for i, req := range group {
 			specs[i] = store.BatchSpec{Insert: req.insert, Edges: req.edges, Stamps: req.stamps}
 		}
+		res, err = e.commitLocked(r, specs)
+	}
+	e.mu.Unlock()
+	for i, req := range group {
+		var ri UpdateResult
+		if res != nil {
+			ri = res[i]
+		}
+		req.reply(ri, err)
+	}
+}
+
+// commitLocked is the one commit path (DESIGN.md §9), run by the leader's
+// drain and the follower's shipped batches alike: one WAL append for every
+// batch (one fsync), the per-batch apply in order, one snapshot publication
+// if anything applied — each result carries the epoch now serving — then
+// the checkpoint and compaction policies.
+//
+// An error wraps ErrStorage and has already poisoned the pipeline: past it
+// in-memory and durable state may disagree, so admission (ack=async
+// included) fails up front from then on. The results are nil when the
+// failure came before the apply; a failed checkpoint comes after it, and
+// the results are valid alongside the error. Callers hold e.mu.
+func (e *entry) commitLocked(r *Registry, specs []store.BatchSpec) ([]UpdateResult, error) {
+	if e.st != nil {
 		if _, err := e.st.AppendBatches(specs); err != nil {
-			e.failed.Store(&err)
 			e.mirrorPersist()
-			e.mu.Unlock()
-			err = fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, err)
-			for _, req := range group {
-				req.reply(UpdateResult{}, err)
-			}
-			return
+			return nil, e.poison(err)
 		}
 	}
 	if err := r.serverCrash(e.name, crashBeforeApply); err != nil {
-		e.abortGroup(group, err)
-		return
+		return nil, e.poison(err)
 	}
-
-	// Apply each batch through the maintainer, in admission order — the
-	// same deterministic path WAL replay takes on recovery.
+	// Apply each batch through the maintainer, in order — the same
+	// deterministic path WAL replay takes on recovery.
+	res := make([]UpdateResult, len(specs))
 	applied := 0
-	for _, req := range group {
-		req.res = e.applyLocked(req.edges, req.stamps, req.insert)
-		applied += req.res.Applied
+	for i, sp := range specs {
+		res[i] = e.applyLocked(sp.Edges, sp.Stamps, sp.Insert)
+		applied += res[i].Applied
 	}
 	e.refreshTemporalLocked()
 
 	// One snapshot publication for the whole group: an O(batch) overlay on
 	// the previous view, never a full CSR export (the compactor owns those).
-	old := e.snap.Load()
-	epoch := old.epoch
+	epoch := e.snap.Load().epoch
 	if applied > 0 {
 		if err := r.serverCrash(e.name, crashBeforePublish); err != nil {
-			e.abortGroup(group, err)
-			return
+			return nil, e.poison(err)
 		}
-		epoch = old.epoch + 1
+		epoch++
 		e.publishLocked(epoch)
 		if err := r.serverCrash(e.name, crashAfterPublish); err != nil {
-			e.abortGroup(group, err)
-			return
+			return nil, e.poison(err)
 		}
 	}
-	for _, req := range group {
-		req.res.Epoch = epoch
+	for i := range res {
+		res[i].Epoch = epoch
 	}
 	e.groupCommits.Add(1)
-	e.coalescedBatches.Add(int64(len(group)))
+	e.coalescedBatches.Add(int64(len(specs)))
 
 	// Checkpoint before the compaction check: a checkpoint that fires on
-	// this drain forces its own synchronous flatten (fullGraphLocked), after
-	// which the chain is gone and the background trigger no-ops — the other
-	// order would materialize the same chain twice.
-	ckErr := e.maybeCheckpoint(r.ckptBatches, r.ckptBytes, len(group))
+	// this commit forces its own synchronous flatten (fullGraphLocked),
+	// after which the chain is gone and the background trigger no-ops — the
+	// other order would materialize the same chain twice.
+	ckErr := e.maybeCheckpoint(r.ckptBatches, r.ckptBytes, len(specs))
 	e.maybeCompactLocked()
-	e.mu.Unlock()
-
-	var groupErr error
 	if ckErr != nil {
-		// The group itself is durable and applied; only the fold failed —
-		// but the store is poisoned now, so poison admissions as well.
-		e.failed.Store(&ckErr)
-		groupErr = fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, ckErr)
+		return res, e.poison(ckErr)
 	}
-	for _, req := range group {
-		req.reply(req.res, groupErr)
-	}
+	return res, nil
 }
 
-// abortGroup poisons the pipeline after an injected server-level crash and
-// fails the whole group: past this point in-memory and durable state could
-// disagree, so no further commit may run. Callers hold e.mu.
-func (e *entry) abortGroup(group []*writeReq, cause error) {
+// poison stops the pipeline after a durability failure or an injected
+// crash and returns the ErrStorage error the failed commit reports.
+func (e *entry) poison(cause error) error {
 	e.failed.Store(&cause)
-	e.mu.Unlock()
-	err := fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, cause)
-	for _, req := range group {
-		req.reply(UpdateResult{}, err)
+	return fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, cause)
+}
+
+// poisonedErr is the error every write reports once the pipeline is
+// poisoned, or nil while it is healthy.
+func (e *entry) poisonedErr() error {
+	if perr := e.failed.Load(); perr != nil {
+		return fmt.Errorf("server: graph %q: %w: pipeline poisoned by earlier failure: %w", e.name, ErrStorage, *perr)
 	}
+	return nil
 }
 
 // applyLocked routes one batch through the graph's maintainer, skipping
@@ -429,32 +407,20 @@ func (e *entry) applyLocked(edges [][2]int32, stamps []int64, insert bool) Updat
 	// Inserts may grow the vertex set to max(u,v)+1, so bound how far one
 	// batch can push it: ids beyond the limit fail per-edge instead of
 	// allocating an arbitrarily large adjacency array under the lock.
-	var curN int32
-	if e.local != nil {
-		curN = e.local.Graph().NumVertices()
-	} else {
-		curN = e.lazy.Graph().NumVertices()
-	}
+	curN := e.maint.Graph().NumVertices()
 	limit := curN + maxBatchGrowth
+	op := e.maint.DeleteEdge
+	if insert {
+		op = e.maint.InsertEdge
+	}
 	for i, ed := range edges {
-		var opErr error
 		if ed[0] >= limit || ed[1] >= limit {
 			res.Errors = append(res.Errors, EdgeError{Edge: ed, Error: fmt.Sprintf(
 				"server: vertex id exceeds growth limit %d (current n %d + %d per batch)",
 				limit, curN, maxBatchGrowth)})
 			continue
 		}
-		switch {
-		case insert && e.local != nil:
-			opErr = e.local.InsertEdge(ed[0], ed[1])
-		case insert && e.lazy != nil:
-			opErr = e.lazy.InsertEdge(ed[0], ed[1])
-		case !insert && e.local != nil:
-			opErr = e.local.DeleteEdge(ed[0], ed[1])
-		default:
-			opErr = e.lazy.DeleteEdge(ed[0], ed[1])
-		}
-		if opErr != nil {
+		if opErr := op(ed[0], ed[1]); opErr != nil {
 			res.Errors = append(res.Errors, EdgeError{Edge: ed, Error: opErr.Error()})
 			continue
 		}

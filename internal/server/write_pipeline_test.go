@@ -297,6 +297,9 @@ func TestAsyncAdmissionAfterPoisonRejected(t *testing.T) {
 	if res.Pending {
 		t.Fatal("async admission after poison reported pending")
 	}
+	if info, err := reg.Info("g"); err != nil || !strings.Contains(info.Poisoned, errBoom.Error()) {
+		t.Fatalf("GraphInfo.Poisoned = %q (err %v), want the cause %q", info.Poisoned, err, errBoom)
+	}
 }
 
 // TestRemoveConcurrentWithWrites is the use-after-Remove regression test:

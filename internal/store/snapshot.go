@@ -357,20 +357,30 @@ func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *Maint
 	return syncDir(filepath.Dir(path))
 }
 
-// readSnapshotFile loads and decodes the snapshot at path into a Recovered
-// (Tail and TornBytes left for the caller): the graph always, the optional
-// sections — maintainer state, relabel permutation, temporal state — on a
-// best-effort basis. Each section is nil either when the snapshot does not
-// carry it (its error is then nil: nothing was expected) or when the section
-// is unusable (the error says why; the graph still serves).
+// readSnapshotFile loads the snapshot at path and decodes it (DecodeImage).
 func readSnapshotFile(path string) (*Recovered, error) {
 	data, err := readFileShared(path)
 	if err != nil {
 		return nil, err
 	}
-	g, meta, err := DecodeSnapshot(data)
+	rec, err := DecodeImage(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, nil
+}
+
+// DecodeImage decodes a whole snapshot image into a Recovered (Tail and
+// TornBytes left for the caller): the graph always, the optional sections —
+// maintainer state, relabel permutation, temporal state — on a best-effort
+// basis. Each section is nil either when the snapshot does not carry it (its
+// error is then nil: nothing was expected) or when the section is unusable
+// (the error says why; the graph still serves). Store recovery decodes its
+// snapshot file with it, a memory-only follower a shipped checkpoint.
+func DecodeImage(data []byte) (*Recovered, error) {
+	g, meta, err := DecodeSnapshot(data)
+	if err != nil {
+		return nil, err
 	}
 	rec := &Recovered{Meta: meta, Graph: g}
 	rec.State, rec.StateErr = DecodeSnapshotState(data)
