@@ -241,8 +241,9 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // derivation only a flush window fed, and the nbr strategy dispatch and
 // register pool, the mirrored loss half of the maintainer's repair walk and
 // the tolerance its float deltas needed, which the integer histograms
-// retired, and the maintainers' …Parallel constructors, whose plain
-// constructors now sweep on GOMAXPROCS workers.
+// retired, the maintainers' …Parallel constructors, whose plain
+// constructors now sweep on GOMAXPROCS workers, and the evidence maps'
+// adjacent-pair marker, which histogram bucket 0 counts instead.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -256,4 +257,5 @@ var retiredSymbols = []string{
 	"NewMaintainerParallel", "NewLazyTopKParallel",
 	"specPool", "specMem", "unpark",
 	"windowedWriterLoop", "abortGroup", "decodeRecovered",
+	"SetMarker",
 }

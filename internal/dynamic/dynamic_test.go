@@ -85,6 +85,32 @@ func TestMaintainerErrors(t *testing.T) {
 	}
 }
 
+// TestInsertEdgeMaxInt32: an endpoint id of math.MaxInt32 would need 2³¹
+// vertices, which no int32 count holds. Every InsertEdge refuses it with an
+// error and leaves the graph as it was.
+func TestInsertEdgeMaxInt32(t *testing.T) {
+	g := graph.MustFromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+	m, lt, d := NewMaintainer(g), NewLazyTopK(g, 2), graph.DynFromGraph(g)
+	for _, tc := range []struct {
+		name   string
+		insert func(u, v int32) error
+		graph  *graph.DynGraph
+	}{
+		{"Maintainer", m.InsertEdge, m.Graph()},
+		{"LazyTopK", lt.InsertEdge, lt.Graph()},
+		{"DynGraph", d.InsertEdge, d},
+	} {
+		for _, e := range [][2]int32{{0, math.MaxInt32}, {math.MaxInt32, 2}} {
+			if err := tc.insert(e[0], e[1]); err == nil {
+				t.Errorf("%s: InsertEdge(%d, %d) accepted", tc.name, e[0], e[1])
+			}
+		}
+		if n, edges := tc.graph.NumVertices(), tc.graph.NumEdges(); n != 3 || edges != 2 {
+			t.Errorf("%s: graph is (n=%d, m=%d) after the refusals, want (3, 2)", tc.name, n, edges)
+		}
+	}
+}
+
 // TestMaintainerGrowsVertices: inserting an edge with unseen endpoints must
 // extend the vertex set and keep everything consistent.
 func TestMaintainerGrowsVertices(t *testing.T) {

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ego"
@@ -274,7 +275,7 @@ func (lt *LazyTopK) growTo(n int32) {
 // non-members just get flagged (their old score stays a valid upper bound) —
 // that is the lazy win.
 func (lt *LazyTopK) InsertEdge(u, v int32) error {
-	if u == v || u < 0 || v < 0 {
+	if u == v || u < 0 || v < 0 || u == math.MaxInt32 || v == math.MaxInt32 {
 		return fmt.Errorf("dynamic: invalid edge (%d,%d)", u, v)
 	}
 	lt.g.EnsureVertices(max(u, v) + 1)

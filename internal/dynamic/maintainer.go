@@ -19,12 +19,11 @@ import (
 // update stream.
 type Maintainer struct {
 	g    *graph.DynGraph
-	s    []*pairmap.Map   // exact evidence maps, lazily allocated
-	hist [][]int64        // hist[v]: S_v's histogram — [0] markers, [c] pairs with c connectors
+	s    []*pairmap.Map   // exact connector counts, nil until v has one
+	hist [][]int64        // hist[v]: [0] adjacent pairs of N(v), [c] pairs with c connectors
 	cb   []float64        // cb[v] = ego.FoldScore(d(v), hist[v])
 	comm []int32          // scratch: common neighborhoods
 	aux  []int32          // scratch: secondary intersections
-	reg  *nbr.Register    // scratch: L-membership bitset for endpoint scans
 	hub  [2]*nbr.Register // scratch: the hub endpoints' neighborhoods
 
 	// Dirty-score tracking for copy-on-write snapshot publication: the
@@ -43,7 +42,6 @@ func newMaintainer(g *graph.Graph, maps []*pairmap.Map, hist [][]int64, cb []flo
 	n := g.NumVertices()
 	return &Maintainer{
 		g: graph.DynFromGraph(g), s: maps, hist: hist, cb: cb,
-		reg:      nbr.NewRegister(n),
 		hub:      [2]*nbr.Register{nbr.NewRegister(n), nbr.NewRegister(n)},
 		dirtySet: make([]bool, n),
 	}
@@ -167,14 +165,19 @@ func (m *Maintainer) mapFor(v int32) *pairmap.Map {
 	return m.s[v]
 }
 
-// getCount returns the connector count stored for key in S_v, treating a
-// missing entry (or a never-allocated map) as zero.
-func (m *Maintainer) getCount(v int32, key uint64) int32 {
-	if m.s[v] == nil {
-		return 0
+// setCount sets the connector count of the pair key of GE(v) to c, in S_v
+// and in the histogram; c = 0 leaves the pair without an entry.
+func (m *Maintainer) setCount(v int32, key uint64, c int32) {
+	var old int32
+	if m.s[v] != nil {
+		old, _ = m.s[v].Get(key)
 	}
-	c, _ := m.s[v].Get(key)
-	return c
+	if c > 0 {
+		m.mapFor(v).Set(key, c)
+	} else if old > 0 {
+		m.s[v].Delete(key)
+	}
+	m.moveCount(v, old, c)
 }
 
 func (m *Maintainer) growTo(n int32) {
@@ -193,8 +196,8 @@ func (m *Maintainer) InsertEdge(u, v int32) error {
 	if u == v {
 		return fmt.Errorf("dynamic: self-loop (%d,%d)", u, v)
 	}
-	if u < 0 || v < 0 {
-		return fmt.Errorf("dynamic: negative vertex in (%d,%d)", u, v)
+	if u < 0 || v < 0 || u == math.MaxInt32 || v == math.MaxInt32 {
+		return fmt.Errorf("dynamic: vertex out of range in (%d,%d)", u, v)
 	}
 	mx := max(u, v) + 1
 	if m.g.NumVertices() < mx {
@@ -253,12 +256,8 @@ func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 		}
 	}
 	// Part 2: the pairs (v, x) enter or leave GE(u), and (u, x) GE(v).
-	// L-membership is tested against the maintainer's bitset register.
-	m.reg.Ensure(m.g.NumVertices())
-	m.reg.Mark(l)
-	m.endpointPairs(u, v, delta)
-	m.endpointPairs(v, u, delta)
-	m.reg.Unmark()
+	m.endpointPairs(u, v, l, delta)
+	m.endpointPairs(v, u, l, delta)
 
 	// Lemmas 5 and 7: in GE(w), w ∈ L, the pair (u, v) turns adjacent or
 	// non-adjacent, and pairs (u, x) and (v, x) gain or lose the connector
@@ -268,20 +267,11 @@ func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 	hubU, hubV := m.hubRegister(0, u, len(l)), m.hubRegister(1, v, len(l))
 	keyUV := pairmap.Key(u, v)
 	for _, w := range l {
-		var c int32 // connectors of (u, v) in GE(w) while it is non-adjacent
-		if delta > 0 {
-			c = m.getCount(w, keyUV)
-			m.mapFor(w).SetMarker(keyUV)
-			m.moveCount(w, c, 0)
-		} else {
+		var c int32 // connectors of (u, v) in GE(w); none once adjacent
+		if delta < 0 {
 			c = int32(nbr.IntersectCount(l, m.g.Neighbors(w)))
-			if c > 0 {
-				m.mapFor(w).Set(keyUV, c)
-			} else {
-				m.mapFor(w).Delete(keyUV)
-			}
-			m.moveCount(w, 0, c)
 		}
+		m.setCount(w, keyUV, c)
 		m.tally(w, 0, int64(delta))
 		m.Stats.TouchedPairs++
 		m.commonShift(w, u, v, hubV, delta)
@@ -317,44 +307,35 @@ func (m *Maintainer) hubRegister(i int, b int32, scans int) *nbr.Register {
 
 // endpointPairs handles the pairs (other, x), x ∈ N(p), that enter GE(p)
 // (delta = +1) or leave it (delta = −1) with the edge (p, other). For x ∈ L
-// (marked in m.reg) the pair is adjacent: a marker. Otherwise it is
+// the pair is adjacent: the |L| of them move bucket 0 at once, and a merge
+// cursor skips them (L ⊆ N(p), both ascending). Otherwise it is
 // non-adjacent, with the connector count an insert counts — w ∈ N(p)
 // adjacent to both — and a delete reads back.
-func (m *Maintainer) endpointPairs(p, other int32, delta int32) {
+func (m *Maintainer) endpointPairs(p, other int32, l []int32, delta int32) {
+	if len(l) > 0 {
+		m.tally(p, 0, int64(delta)*int64(len(l)))
+	}
+	j := 0
 	for _, x := range m.g.Neighbors(p) {
 		if x == other {
 			continue
 		}
 		key := pairmap.Key(other, x)
 		m.Stats.TouchedPairs++
-		if m.reg.Contains(x) {
-			if delta > 0 {
-				m.mapFor(p).SetMarker(key)
-			} else {
-				m.mapFor(p).Delete(key)
-			}
-			m.tally(p, 0, int64(delta))
+		if j < len(l) && l[j] == x {
+			j++
 			continue
 		}
-		if delta < 0 {
-			c := m.getCount(p, key)
-			if c > 0 {
-				m.s[p].Delete(key)
-			}
-			m.moveCount(p, c, 0)
-			continue
-		}
-		c := int32(0)
-		m.aux = nbr.CommonInto(m.aux[:0], m.g, p, x)
-		for _, w := range m.aux {
-			if w != other && m.g.HasEdge(w, other) {
-				c++
+		var c int32
+		if delta > 0 {
+			m.aux = nbr.CommonInto(m.aux[:0], m.g, p, x)
+			for _, w := range m.aux {
+				if w != other && m.g.HasEdge(w, other) {
+					c++
+				}
 			}
 		}
-		if c > 0 {
-			m.mapFor(p).Set(key, c)
-		}
-		m.moveCount(p, 0, c)
+		m.setCount(p, key, c)
 	}
 }
 

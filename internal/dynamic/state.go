@@ -23,11 +23,15 @@ import (
 // in-memory state of a process that never crashed.
 
 // LocalState is the flattened state of an exact Maintainer (ModeLocal): the
-// score vector, every vertex's evidence table dumped slot-for-slot, and the
-// dirty-score bookkeeping of the copy-on-write publication path.
+// score vector, every vertex's adjacent-pair count and evidence table dumped
+// slot-for-slot, and the dirty-score bookkeeping of the copy-on-write
+// publication path.
 type LocalState struct {
 	// Scores is the exact ego-betweenness vector (length n).
 	Scores []float64
+	// Adjacent[v] is the number of adjacent pairs of N(v), bucket 0 of v's
+	// histogram (length n).
+	Adjacent []int64
 	// TableSizes[v] is the slot count of v's evidence table (0 = no table
 	// was ever allocated for v).
 	TableSizes []uint32
@@ -59,11 +63,15 @@ type LazyState struct {
 func (m *Maintainer) ExportState() *LocalState {
 	st := &LocalState{
 		Scores:     m.cb,
+		Adjacent:   make([]int64, len(m.s)),
 		TableSizes: make([]uint32, len(m.s)),
 		Dirty:      append([]int32(nil), m.dirtyCB...),
 	}
 	total := 0
-	for _, s := range m.s {
+	for v, s := range m.s {
+		if h := m.hist[v]; len(h) > 0 {
+			st.Adjacent[v] = h[0]
+		}
 		if s != nil {
 			keys, _ := s.Table()
 			total += len(keys)
@@ -88,15 +96,16 @@ func (m *Maintainer) ExportState() *LocalState {
 // adopted slot-for-slot (each table is a sub-slice of the flat arrays), so
 // the cost is one validation scan over the state — O(load) — instead of the
 // O(Σ|GE(v)|²) recomputation of NewMaintainer. The scan also fills every
-// vertex's histogram, and each persisted score must equal its histogram
+// vertex's histogram — bucket 0 from Adjacent, which must lie in
+// [0, d(d−1)/2] — and each persisted score must equal its histogram
 // folded: a maintained score is a fold, so a score that is not — corrupt, or
 // written by a maintainer that summed float deltas — fails the import like
 // any structural defect, and callers fall back to the rebuild path.
 func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error) {
 	n := g.NumVertices()
-	if int32(len(st.Scores)) != n || int32(len(st.TableSizes)) != n {
-		return nil, fmt.Errorf("dynamic: state covers %d scores / %d tables, graph has %d vertices",
-			len(st.Scores), len(st.TableSizes), n)
+	if int32(len(st.Scores)) != n || int32(len(st.Adjacent)) != n || int32(len(st.TableSizes)) != n {
+		return nil, fmt.Errorf("dynamic: state covers %d scores / %d adjacent counts / %d tables, graph has %d vertices",
+			len(st.Scores), len(st.Adjacent), len(st.TableSizes), n)
 	}
 	if len(st.Keys) != len(st.Vals) {
 		return nil, fmt.Errorf("dynamic: state has %d key slots, %d value slots", len(st.Keys), len(st.Vals))
@@ -146,6 +155,12 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 				// histogram growing in place can never scribble over its
 				// successor.
 				h := buckets[offsets[v]:offsets[v+1]:offsets[v+1]]
+				if a, d := st.Adjacent[v], int64(len(h)); a < 0 || a > d*(d-1)/2 {
+					errs[w] = fmt.Errorf("dynamic: vertex %d of degree %d has %d adjacent pairs", v, d, a)
+					return
+				} else if a > 0 {
+					h[0] = a
+				}
 				if i < len(tableVertex) && tableVertex[i] == v {
 					start := tableOff[i]
 					end := start + int(st.TableSizes[v])

@@ -53,6 +53,7 @@ func TestLocalStateRoundTrip(t *testing.T) {
 		// maintainer shares nothing with the original.
 		cp := &LocalState{
 			Scores:     append([]float64(nil), st.Scores...),
+			Adjacent:   append([]int64(nil), st.Adjacent...),
 			TableSizes: append([]uint32(nil), st.TableSizes...),
 			Keys:       append([]uint64(nil), st.Keys...),
 			Vals:       append([]int32(nil), st.Vals...),
@@ -136,14 +137,21 @@ func TestLazyStateRoundTrip(t *testing.T) {
 // the recovery path, so it must be an error, never a panic or a silently
 // wrong maintainer.
 func TestStateImportRejects(t *testing.T) {
-	g, err := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	// The pair (0, 3) has a connector in the egos of 1 and 2, so both carry
+	// an evidence table.
+	g, err := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := func() *LocalState { return NewMaintainer(g).ExportState() }
 
 	localCases := map[string]func(st *LocalState){
-		"short scores":       func(st *LocalState) { st.Scores = st.Scores[:2] },
+		"short scores":      func(st *LocalState) { st.Scores = st.Scores[:2] },
+		"short adjacent":    func(st *LocalState) { st.Adjacent = st.Adjacent[:2] },
+		"negative adjacent": func(st *LocalState) { st.Adjacent[3] = -1 },
+		"adjacent beyond the pairs": func(st *LocalState) {
+			st.Adjacent[0] = 2 // vertex 0 has degree 2: one pair
+		},
 		"short tables":       func(st *LocalState) { st.TableSizes = st.TableSizes[:2] },
 		"keys/vals differ":   func(st *LocalState) { st.Vals = st.Vals[:len(st.Vals)-1] },
 		"NaN score":          func(st *LocalState) { st.Scores[1] = math.NaN() },

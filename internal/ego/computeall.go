@@ -81,21 +81,18 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 
 // EgoBetweennessWithMap is EgoBetweenness that also emits p's completed
 // evidence map S_p (Theorem 2; the state LocalInsert / LocalDelete repair):
-// a marker for every adjacent neighbor pair and the connector count of every
-// non-adjacent pair with at least one connector, keyed by global vertex ids —
-// and the map's histogram in FoldScore's layout, trimmed after its last
-// non-zero bucket. Both are owned by the caller and nil when GE(p) has no
-// edge beyond the spokes — no evidence, CB(p) = d(d−1)/2. ScoreEvidence over
-// the map and FoldScore over the histogram both return cb.
+// the connector count of every non-adjacent pair with at least one
+// connector, keyed by global vertex ids — and p's histogram in FoldScore's
+// layout, hist[0] the number of adjacent pairs, trimmed after its last
+// non-zero bucket. Both are owned by the caller; the map is nil when no
+// non-adjacent pair has a connector. ScoreEvidence over hist[0] and the map,
+// and FoldScore over the histogram, both return cb.
 func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, m *pairmap.Map, hist []int64) {
 	if s == nil {
 		s = NewScratch(a.NumVertices())
 	}
 	nu, off, adj := s.EgoCSR(a, p)
-	if len(adj) > 0 {
-		m = pairmap.NewWithCapacity(len(nu))
-	}
-	cb, hist = s.score(nu, off, adj, m)
+	cb, hist = s.score(nu, off, adj, &m)
 	return cb, m, hist
 }
 
@@ -150,8 +147,8 @@ func (s *Scratch) ScoreCSR(off []int, adj []int32) float64 {
 // score is the whole-ego counting pass: count over every row of the ego
 // CSR, then fold the histogram. nu is read only to key a non-nil sink; with
 // one, score also returns a copy of the histogram, trimmed after its last
-// non-zero bucket, for the owner of the evidence to keep.
-func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) (float64, []int64) {
+// non-zero bucket (nil if none), for the owner of the evidence to keep.
+func (s *Scratch) score(nu []int32, off []int, adj []int32, sink **pairmap.Map) (float64, []int64) {
 	d := len(off) - 1
 	if d < 2 {
 		return 0, nil
@@ -163,10 +160,12 @@ func (s *Scratch) score(nu []int32, off []int, adj []int32, sink *pairmap.Map) (
 	var kept []int64
 	if sink != nil {
 		t := len(hist)
-		for hist[t-1] == 0 {
+		for t > 0 && hist[t-1] == 0 {
 			t--
 		}
-		kept = slices.Clone(hist[:t])
+		if t > 0 {
+			kept = slices.Clone(hist[:t])
+		}
 	}
 	clear(hist)
 	return cb, kept
@@ -185,10 +184,10 @@ func egoWork(off []int) (w int64) {
 // count is the kernel's counting pass (step 3 of EgoBetweenness) over the
 // rows x ∈ [lo, hi) of the ego CSR EgoCSR built for the vertex whose
 // neighbor list is nu (d ≥ 2): it adds the connector count of every touched
-// pair into s.hist[1:]. With a non-nil sink it also records the evidence: a
-// marker per adjacent pair and the final connector count per touched pair,
-// each written once, outside the inner loop.
-func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink *pairmap.Map) {
+// pair into s.hist[1:]. With a non-nil sink it also records the evidence:
+// the final connector count per touched pair, written once, outside the
+// inner loop, into a map allocated at the first count.
+func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink **pairmap.Map) {
 	d := len(off) - 1
 	// cnt is all-zero between calls; every entry written below is reset
 	// before returning.
@@ -222,12 +221,12 @@ func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink *pa
 				cnt[y] = c + 1
 			}
 		}
-		if sink != nil {
-			for _, y := range above {
-				sink.SetMarker(pairmap.Key(nu[x], nu[y]))
+		if sink != nil && nt > 0 {
+			if *sink == nil {
+				*sink = pairmap.NewWithCapacity(d)
 			}
 			for _, y := range touched[:nt] {
-				sink.Set(pairmap.Key(nu[x], nu[y]), cnt[y])
+				(*sink).Set(pairmap.Key(nu[x], nu[y]), cnt[y])
 			}
 		}
 		for _, y := range touched[:nt] {

@@ -25,9 +25,10 @@
 // triangles of each computed vertex's CSR; the sampled estimator
 // (internal/approx) copies the CSR as its per-candidate tables; and the
 // maintainers' per-vertex evidence maps S_u (pairmap.Map, Theorem 2) are the
-// kernel's counting pass written down — a marker for every adjacent
-// neighbor pair, the connector count of every other pair that has one
-// (EgoBetweennessWithMap, ComputeAllWithMaps).
+// kernel's counting pass written down — the connector count of every
+// non-adjacent neighbor pair that has one, beside the histogram whose
+// bucket 0 counts the adjacent pairs (EgoBetweennessWithMap,
+// ComputeAllWithMaps).
 //
 // Section V's parallel all-vertices computation is Sweep: workers claim
 // whole egos, or chunks of the rows of a heavy one, through an atomic
@@ -36,8 +37,8 @@
 // ones, read without taking them, and the loop still pops and commits every
 // candidate in heap order (searcher). The paper's once-per-edge pass, which
 // fills the same maps edge by edge, survives only as a test oracle for the
-// kernel's maps. ScoreEvidence scores a map through the same FoldScore, so
-// a map and the kernel agree to the bit.
+// kernel's maps. ScoreEvidence scores a map and an adjacent-pair count
+// through the same FoldScore, so a map and the kernel agree to the bit.
 package ego
 
 import "repro/internal/pairmap"
@@ -55,10 +56,11 @@ func StaticUB(d int32) float64 {
 	return float64(d) * float64(d-1) / 2
 }
 
-// ScoreEvidence evaluates the CB formula over an evidence map for a vertex of
-// degree d. With a complete map this is the exact ego-betweenness; with a
-// partial map it is an upper bound (Lemma 3). A nil map means no evidence
-// and yields the Lemma 2 static bound.
+// ScoreEvidence evaluates the CB formula for a vertex of degree d with
+// `adjacent` adjacent neighbor pairs and the connector counts of evidence
+// map s. With complete evidence this is the exact ego-betweenness; with
+// partial evidence it is an upper bound (Lemma 3). No evidence (adjacent 0,
+// a nil map) yields the Lemma 2 static bound.
 //
 // The entries are first accumulated into an exact integer histogram over
 // the connector counts and the float sum then runs through FoldScore, so the
@@ -67,13 +69,13 @@ func StaticUB(d int32) float64 {
 // This is what makes the dense kernel (EgoBetweenness), whose histogram is
 // the same multiset under any labeling, bit-identical to any evidence map
 // of the same ego, however it was filled.
-func ScoreEvidence(d int32, s *pairmap.Map) float64 {
-	if s == nil {
-		return FoldScore(d, nil)
-	}
+func ScoreEvidence(d int32, adjacent int64, s *pairmap.Map) float64 {
 	var small [64]int64
 	hist := small[:]
-	// pairmap.Marker is 0, so hist[0] counts the adjacent pairs.
+	hist[0] = adjacent
+	if s == nil {
+		return FoldScore(d, hist)
+	}
 	s.Iterate(func(_ uint64, val int32) bool {
 		if int(val) >= len(hist) {
 			hist = append(hist, make([]int64, int(val)+1-len(hist))...)

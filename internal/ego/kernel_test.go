@@ -15,7 +15,8 @@ import (
 
 // assertKernelExact checks, with == and no tolerance, that the exact paths
 // agree on every vertex of a: the dense kernel loop (ComputeAll), the
-// kernel-emitted evidence maps scored by ScoreEvidence, and the per-vertex
+// kernel-emitted evidence maps scored by ScoreEvidence with the adjacent
+// pairs the definition counts, and the per-vertex
 // kernel over a Scratch shared across the whole run — and that every emitted
 // map is the one the definition gives (referenceMap): same keys, same
 // values, nil for the same vertices. (The second independent check of the
@@ -26,7 +27,8 @@ func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []fl
 	all := ComputeAll(a)
 	viaMaps, maps := ComputeAllWithMaps(a)
 	for v := int32(0); v < a.NumVertices(); v++ {
-		if got := ScoreEvidence(a.Degree(v), maps[v]); got != all[v] || viaMaps[v] != all[v] {
+		want, adjacent := referenceMap(a, v)
+		if got := ScoreEvidence(a.Degree(v), adjacent, maps[v]); got != all[v] || viaMaps[v] != all[v] {
 			t.Fatalf("%s: vertex %d: ScoreEvidence %v / ComputeAllWithMaps %v != ComputeAll %v",
 				name, v, got, viaMaps[v], all[v])
 		}
@@ -36,7 +38,6 @@ func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []fl
 		if math.Signbit(all[v]) {
 			t.Fatalf("%s: vertex %d: negative zero or negative score %v", name, v, all[v])
 		}
-		want := referenceMap(a, v)
 		if (maps[v] == nil) != (want == nil) {
 			t.Fatalf("%s: vertex %d: kernel map nil = %v, by definition nil = %v", name, v, maps[v] == nil, want == nil)
 		}
@@ -62,32 +63,28 @@ func assertKernelExact(t *testing.T, name string, a graph.View, s *Scratch) []fl
 }
 
 // referenceMap builds the evidence map S_p straight from its definition, one
-// neighbor pair at a time: a marker when the pair is adjacent, otherwise its
-// connector count |N(u) ∩ N(v) ∩ N(p)| when that is positive; nil when no
-// pair has an entry.
-func referenceMap(a graph.View, p int32) *pairmap.Map {
-	var m *pairmap.Map
-	set := func(u, v, c int32) {
-		if m == nil {
-			m = pairmap.New()
-		}
-		m.Set(pairmap.Key(u, v), c)
-	}
+// neighbor pair at a time: an adjacent pair is counted in adjacent, a
+// non-adjacent one gets its connector count |N(u) ∩ N(v) ∩ N(p)| when that is
+// positive; the map is nil when no pair has an entry.
+func referenceMap(a graph.View, p int32) (m *pairmap.Map, adjacent int64) {
 	nu := a.Neighbors(p)
 	var comm []int32
 	for i, u := range nu {
 		for _, v := range nu[i+1:] {
 			if slices.Contains(a.Neighbors(u), v) {
-				set(u, v, pairmap.Marker)
+				adjacent++
 				continue
 			}
 			comm = nbr.IntersectInto(comm[:0], a.Neighbors(u), a.Neighbors(v))
 			if c := nbr.IntersectCount(comm, nu); c > 0 {
-				set(u, v, int32(c))
+				if m == nil {
+					m = pairmap.New()
+				}
+				m.Set(pairmap.Key(u, v), int32(c))
 			}
 		}
 	}
-	return m
+	return m, adjacent
 }
 
 // TestKernelOneScoreFold pins the single score fold: every exact path

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -138,19 +139,16 @@ func (d *DynGraph) EnsureVertices(n int32) {
 }
 
 // InsertEdge adds the undirected edge (u, v), growing the vertex set if
-// needed. It returns an error for self-loops and for edges already present.
+// needed. It returns an error for self-loops, for edges already present and
+// for an id outside [0, math.MaxInt32), which no int32 vertex count covers.
 func (d *DynGraph) InsertEdge(u, v int32) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop (%d,%d)", u, v)
 	}
-	if u < 0 || v < 0 {
-		return fmt.Errorf("graph: negative vertex in edge (%d,%d)", u, v)
+	if u < 0 || v < 0 || u == math.MaxInt32 || v == math.MaxInt32 {
+		return fmt.Errorf("graph: vertex out of range in edge (%d,%d)", u, v)
 	}
-	mx := u
-	if v > mx {
-		mx = v
-	}
-	d.EnsureVertices(mx + 1)
+	d.EnsureVertices(max(u, v) + 1)
 	if containsSorted(d.adj[u], v) {
 		return fmt.Errorf("graph: edge (%d,%d) already present", u, v)
 	}

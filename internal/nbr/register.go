@@ -152,12 +152,6 @@ func (r *Register) Unmark() {
 	}
 }
 
-// Contains reports whether v is marked. v must be within Ensured capacity.
-func (r *Register) Contains(v int32) bool {
-	w := uint32(v) >> 6
-	return r.stamps[w] == r.epoch && r.words[w]&(1<<(uint32(v)&63)) != 0
-}
-
 // IntersectInto appends list ∩ marked to dst and returns it. The appended
 // run preserves list's order (ascending when list is ascending), matching
 // the merge and galloping kernels exactly.

@@ -136,11 +136,11 @@ func TestAndStaleEpochIsolation(t *testing.T) {
 		t.Fatalf("AndCount after one-sided Unmark = %d, want 0", got)
 	}
 	ra.Mark([]int32{64, 200})
-	if got := ra.AndCount(rb); got != 1 || !ra.Contains(64) {
+	if got := ra.AndCount(rb); got != 1 || !marked(ra, 64) {
 		t.Fatalf("AndCount after re-mark = %d, want 1 (vertex 64)", got)
 	}
-	if ra.Contains(50000) {
-		t.Fatal("stale vertex still Contains after Unmark")
+	if marked(ra, 50000) {
+		t.Fatal("stale vertex still marked after Unmark")
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package pairmap provides the compact hash structures that back the paper's
 // per-vertex maps S_u. An S_u maps an unordered pair {i, j} of neighbors of u
-// to the evidence gathered about the pair inside u's ego network:
+// to the connectors found for it inside u's ego network, in two states:
 //
-//	val == 0  — marker: (i, j) ∈ E, the pair is adjacent in GE(u) and
-//	            contributes 0 to CB(u)  (the paper's S̄E set);
-//	val == c>0 — c connectors of the non-adjacent pair have been discovered
-//	            (the paper's ŜE set; exact once all ego edges are processed);
-//	absent    — no evidence; if S_u is complete the pair has no connector and
-//	            contributes exactly 1  (the paper's S̈E set).
+//	val == c ≥ 1 — c connectors of the non-adjacent pair have been found
+//	               (the paper's ŜE set; exact once all ego edges are processed);
+//	absent       — no connector: an adjacent pair (the paper's S̄E set, which
+//	               the owner only counts, in bucket 0 of ego.FoldScore's
+//	               histogram) or, if S_u is complete, a non-adjacent pair that
+//	               contributes exactly 1 (the paper's S̈E set).
 //
 // Map is a linear-probing open-addressing table over packed uint64 pair keys
 // with int32 values: two flat slices, no per-entry allocation, deletion via
@@ -36,8 +36,6 @@ func Split(k uint64) (int32, int32) {
 const (
 	emptySlot uint64 = 0
 	tombstone uint64 = ^uint64(0) // pair (2³²−1, 2³²−1) is invalid, safe sentinel
-	// Marker is the stored value for adjacent pairs.
-	Marker int32 = 0
 )
 
 // hash mixes a packed pair key (64-bit finalizer from MurmurHash3).
@@ -118,20 +116,12 @@ func (m *Map) Set(k uint64, val int32) {
 	}
 }
 
-// SetMarker records that the pair is adjacent (value 0). Overwrites any
-// previous value; markers are idempotent by design.
-func (m *Map) SetMarker(k uint64) { m.Set(k, Marker) }
-
 // Add adds delta to the connector count of k and returns the new count,
 // inserting the entry at delta when absent. When the count reaches zero the
-// entry is removed (the pair falls back to the "no evidence" state). Calling
-// Add on a marker entry or driving a count negative indicates a logic error
-// in the caller and panics.
+// entry is removed (the pair falls back to the "no connector" state). Driving
+// a count negative indicates a logic error in the caller and panics.
 func (m *Map) Add(k uint64, delta int32) int32 {
 	cur, ok := m.Get(k)
-	if ok && cur == Marker {
-		panic(fmt.Sprintf("pairmap: Add on marker entry %d,%d", int32(k>>32), int32(uint32(k))))
-	}
 	next := cur + delta
 	switch {
 	case next < 0:
@@ -195,13 +185,13 @@ func (m *Map) Table() (keys []uint64, vals []int32) {
 // is one validation scan, and a caller restoring many tables (one per vertex
 // at recovery) lays the Map headers out in a single slab. The same scan adds
 // every live entry into hist, the map's histogram in the layout of the
-// score fold (ego.FoldScore): a marker into hist[0], a count c into hist[c].
-// The table must be structurally sound: power-of-two size ≥ 8, at least a
-// quarter of the slots free (so probes terminate and the load invariant
-// holds), every live key a canonical pair Key(i, j) with 0 ≤ i < j <
-// idBound, and every value below len(hist) — the map of a vertex of degree
-// d passes a histogram of d buckets, and no pair of its neighbors can have
-// d or more connectors. Deeper consistency (values matching any particular
+// score fold (ego.FoldScore): a count c into hist[c]; hist[0] is not
+// touched. The table must be structurally sound: power-of-two size ≥ 8, at
+// least a quarter of the slots free (so probes terminate and the load
+// invariant holds), every live key a canonical pair Key(i, j) with 0 ≤ i <
+// j < idBound, and every value in [1, len(hist)) — the map of a vertex of
+// degree d passes a histogram of d buckets, and no pair of its neighbors can
+// have d or more connectors. Deeper consistency (values matching any particular
 // graph) is the caller's contract, normally discharged by the checksum layer
 // above this codec.
 func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32, hist []int64) error {
@@ -232,8 +222,8 @@ func (m *Map) ResetFromTable(keys []uint64, vals []int32, idBound int32, hist []
 			return fmt.Errorf("pairmap: slot %d holds invalid pair key (%d,%d) under bound %d", i, shi, slo, idBound)
 		}
 		c := uint64(uint32(vals[i]))
-		if c >= buckets {
-			return fmt.Errorf("pairmap: slot %d holds count %d, beyond an ego of degree %d", i, vals[i], len(hist))
+		if c == 0 || c >= buckets {
+			return fmt.Errorf("pairmap: slot %d holds count %d, outside [1, %d) for an ego of degree %d", i, vals[i], len(hist), len(hist))
 		}
 		hist[c]++
 		live++

@@ -56,25 +56,6 @@ func TestMapBasics(t *testing.T) {
 	}
 }
 
-func TestMarkerSemantics(t *testing.T) {
-	m := New()
-	k := Key(4, 9)
-	m.SetMarker(k)
-	if v, ok := m.Get(k); !ok || v != Marker {
-		t.Fatal("marker not set")
-	}
-	m.SetMarker(k) // idempotent
-	if m.live != 1 {
-		t.Fatalf("live = %d after double mark", m.live)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add on a marker must panic")
-		}
-	}()
-	m.Add(k, 1)
-}
-
 func TestNegativeCountPanics(t *testing.T) {
 	m := New()
 	defer func() {
@@ -183,12 +164,10 @@ func TestQuickAgainstBuiltinMap(t *testing.T) {
 				continue
 			}
 			k := Key(i, j)
-			switch rng.IntN(4) {
-			case 0: // Add 1 (skip if oracle holds marker)
-				if v, ok := oracle[k]; !ok || v != 0 {
-					m.Add(k, 1)
-					oracle[k] = oracle[k] + 1
-				}
+			switch rng.IntN(3) {
+			case 0: // Add 1
+				m.Add(k, 1)
+				oracle[k] = oracle[k] + 1
 			case 1: // Set arbitrary positive
 				v := rng.Int32N(100) + 1
 				m.Set(k, v)
@@ -198,9 +177,6 @@ func TestQuickAgainstBuiltinMap(t *testing.T) {
 					return false
 				}
 				delete(oracle, k)
-			case 3: // Marker
-				m.SetMarker(k)
-				oracle[k] = 0
 			}
 			if m.live != len(oracle) {
 				return false
@@ -238,7 +214,6 @@ func TestTableRoundTrip(t *testing.T) {
 	for i := int32(0); i < 300; i += 3 {
 		m.Delete(Key(i, i+7))
 	}
-	m.SetMarker(Key(2, 5))
 
 	keys, vals := m.Table()
 	got, hist := new(Map), make([]int64, 1000)
@@ -268,14 +243,11 @@ func TestTableRoundTrip(t *testing.T) {
 	if v, ok := got.Get(Key(1, 8)); !ok || v != 2 {
 		t.Fatalf("lost pre-round-trip entry after growth: (%d,%v)", v, ok)
 	}
-	if v, ok := got.Get(Key(2, 5)); !ok || v != Marker {
-		t.Fatal("marker entry lost in round trip")
-	}
 }
 
 // TestFromTableRejects enumerates the structural defects ResetFromTable must
 // refuse: size/shape violations, non-canonical keys, out-of-bound vertices,
-// negative counts, counts no ego of the histogram's degree can hold, and
+// zero and negative counts, counts no ego of the histogram's degree can hold, and
 // over-full tables whose probes could not terminate.
 func TestFromTableRejects(t *testing.T) {
 	mk := func(edit func(keys []uint64, vals []int32)) ([]uint64, []int32) {
@@ -306,6 +278,9 @@ func TestFromTableRejects(t *testing.T) {
 	})
 	addCase("vertex beyond bound", func(keys []uint64, _ []int32) {
 		keys[0] = Key(1, 99)
+	})
+	addCase("zero count", func(keys []uint64, vals []int32) {
+		keys[0], vals[0] = Key(1, 2), 0
 	})
 	addCase("negative count", func(keys []uint64, vals []int32) {
 		keys[0], vals[0] = Key(1, 2), -1

@@ -117,13 +117,13 @@ func TestSweepSplitsHubEgos(t *testing.T) {
 
 // edgeOracle is the paper's once-per-edge evidence pass, run sequentially as
 // the independent reference for the kernel's maps: every undirected edge
-// (a, b) marks the pair (a, b) adjacent in the map of every common neighbor
-// and credits one connector to every non-adjacent pair of N(a) ∩ N(b) in
-// the maps of a and b. A credit (center, pair, connector) is produced only
-// by the edge (center, connector), so once every edge is processed each map
-// is exact; maps[v] is nil when v accumulated no evidence.
-func edgeOracle(g *graph.Graph) []*pairmap.Map {
-	maps := make([]*pairmap.Map, g.NumVertices())
+// (a, b) counts one adjacent pair for every common neighbor and credits one
+// connector to every non-adjacent pair of N(a) ∩ N(b) in the maps of a and
+// b. A credit (center, pair, connector) is produced only by the edge
+// (center, connector), so once every edge is processed each map and count
+// is exact; maps[v] is nil when v accumulated no connector.
+func edgeOracle(g *graph.Graph) (maps []*pairmap.Map, adjacent []int64) {
+	maps, adjacent = make([]*pairmap.Map, g.NumVertices()), make([]int64, g.NumVertices())
 	mapOf := func(v int32) *pairmap.Map {
 		if maps[v] == nil {
 			maps[v] = pairmap.NewWithCapacity(int(g.Degree(v)))
@@ -134,7 +134,7 @@ func edgeOracle(g *graph.Graph) []*pairmap.Map {
 	g.EachEdge(func(a, b int32) bool {
 		comm = nbr.IntersectInto(comm[:0], g.Neighbors(a), g.Neighbors(b))
 		for i, p := range comm {
-			mapOf(p).SetMarker(pairmap.Key(a, b))
+			adjacent[p]++
 			for _, q := range comm[i+1:] {
 				if !g.HasEdge(p, q) {
 					mapOf(a).Add(pairmap.Key(p, q), 1)
@@ -144,7 +144,7 @@ func edgeOracle(g *graph.Graph) []*pairmap.Map {
 		}
 		return true
 	})
-	return maps
+	return maps, adjacent
 }
 
 // assertKernelMaps is the maps differential: the evidence maps the dense
@@ -154,14 +154,14 @@ func edgeOracle(g *graph.Graph) []*pairmap.Map {
 // the same vertices — and score to the same bits.
 func assertKernelMaps(t *testing.T, name string, frozen *graph.Graph, views map[string]graph.View) {
 	t.Helper()
-	edge := edgeOracle(frozen)
+	edge, adjacent := edgeOracle(frozen)
 	for vn, view := range views {
 		cb, maps := ego.ComputeAllWithMaps(view)
 		for v := range edge {
 			if !sameEvidence(maps[v], edge[v]) {
 				t.Fatalf("%s/%s: kernel map of vertex %d differs from the edge pass's", name, vn, v)
 			}
-			if got := ego.ScoreEvidence(frozen.Degree(int32(v)), edge[v]); got != cb[v] {
+			if got := ego.ScoreEvidence(frozen.Degree(int32(v)), adjacent[v], edge[v]); got != cb[v] {
 				t.Fatalf("%s/%s: CB(%d): edge pass %v, kernel %v", name, vn, v, got, cb[v])
 			}
 		}

@@ -52,13 +52,14 @@ type GraphInfo struct {
 
 	// Persistence accounting (WithDataDir only): the last durable WAL batch
 	// sequence, the current WAL size, the sequence folded into the on-disk
-	// snapshot, and the checkpoints taken since this process opened the
-	// graph.
-	Persisted   bool   `json:"persisted,omitempty"`
-	WALSeq      uint64 `json:"wal_seq,omitempty"`
-	WALBytes    int64  `json:"wal_bytes,omitempty"`
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
-	Checkpoints int64  `json:"checkpoints,omitempty"`
+	// snapshot and that image's size, and the checkpoints taken since this
+	// process opened the graph.
+	Persisted     bool   `json:"persisted,omitempty"`
+	WALSeq        uint64 `json:"wal_seq,omitempty"`
+	WALBytes      int64  `json:"wal_bytes,omitempty"`
+	SnapshotSeq   uint64 `json:"snapshot_seq,omitempty"`
+	SnapshotBytes int64  `json:"snapshot_bytes,omitempty"`
+	Checkpoints   int64  `json:"checkpoints,omitempty"`
 
 	// Sliding-window accounting (set only on windowed graphs, DESIGN.md
 	// §14): the configured window, how many edges this process expired and
@@ -136,6 +137,7 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 		gi.WALSeq = e.walSeq.Load()
 		gi.WALBytes = e.walBytes.Load()
 		gi.SnapshotSeq = e.snapSeq.Load()
+		gi.SnapshotBytes = e.snapBytes.Load()
 		gi.Checkpoints = e.ckpts.Load()
 	}
 	if e.window > 0 {

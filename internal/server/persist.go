@@ -80,6 +80,7 @@ func (e *entry) mirrorPersist() {
 	e.walSeq.Store(e.st.Seq())
 	e.walBytes.Store(e.st.WALBytes())
 	e.snapSeq.Store(e.st.SnapshotSeq())
+	e.snapBytes.Store(e.st.SnapshotBytes())
 	e.ckpts.Store(e.st.Checkpoints())
 }
 

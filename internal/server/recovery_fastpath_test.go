@@ -247,6 +247,85 @@ func TestRecoveryFallbackScoreOffFold(t *testing.T) {
 	assertRecovered(t, reborn, "g", ModeLocal, mirror.Freeze(1))
 }
 
+// TestRecoveryStateVersion1: a data dir whose checkpoint carries a
+// maintainer-state section of version 1 (internal/store's
+// statev1_local_batch.snap) recovers through the rebuild path with the
+// version as the reason, serves byte for byte what a fresh registry over the
+// same graph serves, and — once a checkpoint has rewritten the section in
+// the current version — recovers fast.
+func TestRecoveryStateVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "statev1_local_batch.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := store.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := store.InstallSnapshot(store.GraphDir(dir, "g"), data); err != nil {
+		t.Fatal(err)
+	}
+	reborn, gi := recoverDir(t, dir)
+	if gi.RecoverPath != "rebuild" || !strings.Contains(gi.RecoverReason, "maintainer-state version 1") {
+		reborn.Close()
+		t.Fatalf("recover_path=%q reason=%q, want rebuild naming maintainer-state version 1", gi.RecoverPath, gi.RecoverReason)
+	}
+	fresh := NewRegistry()
+	defer fresh.Close()
+	if _, err := fresh.Add("g", g, ModeLocal, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3, 5} {
+		for _, algo := range []string{AlgoOpt, AlgoBase, AlgoScores} {
+			got, err := reborn.topK("g", k, algo, 1.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.topK("g", k, algo, 1.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTopKEqual(t, fmt.Sprintf("k=%d algo=%s", k, algo), got.Results, want.Results)
+		}
+	}
+	for v := int32(0); v < g.NumVertices(); v++ {
+		got, err := reborn.EgoBetweenness("g", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.EgoBetweenness("g", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Epoch = want.Epoch // recovery restarts the epoch at the WAL sequence
+		if !bytes.Equal(encodeJSON(got), encodeJSON(want)) {
+			t.Fatalf("vertex %d: recovered %s, fresh %s", v, encodeJSON(got), encodeJSON(want))
+		}
+	}
+
+	// Three batches take a checkpoint (durableRegistry's policy); the next
+	// recovery imports the rewritten state.
+	mirror := graph.DynFromGraph(g)
+	for _, e := range [][2]int32{{0, 4}, {1, 4}, {0, 3}} {
+		if _, err := reborn.applyEdges("g", [][2]int32{e}, !mirror.HasEdge(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+		if mirror.HasEdge(e[0], e[1]) {
+			_ = mirror.DeleteEdge(e[0], e[1])
+		} else {
+			_ = mirror.InsertEdge(e[0], e[1])
+		}
+	}
+	reborn.Close()
+	again, gi := recoverDir(t, dir)
+	defer again.Close()
+	if gi.RecoverPath != "fast" {
+		t.Fatalf("after a checkpoint: recover_path=%q reason=%q, want fast", gi.RecoverPath, gi.RecoverReason)
+	}
+	assertRecovered(t, again, "g", ModeLocal, mirror.Freeze(1))
+}
+
 // TestRecoveryFastVsRebuildEquivalence pins the two recovery paths against
 // each other on the same durable history: one registry boots fast, another
 // boots from the same bytes with the state section stripped (forcing a

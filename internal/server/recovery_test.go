@@ -433,7 +433,8 @@ func TestRecoveryTornWALTail(t *testing.T) {
 }
 
 // TestRecoveryInfoAndRemove covers the bookkeeping around the property
-// tests: persistence fields in GraphInfo, checkpoint advancement, and
+// tests: persistence fields in GraphInfo (snapshot_bytes the size of the
+// snapshot file on disk), checkpoint advancement, and
 // Remove deleting the durable state so a restart no longer resurrects the
 // graph.
 func TestRecoveryInfoAndRemove(t *testing.T) {
@@ -443,9 +444,20 @@ func TestRecoveryInfoAndRemove(t *testing.T) {
 	if _, err := reg.Add("g", base, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
+	snapshotSize := func() int64 {
+		fi, err := os.Stat(store.SnapshotPath(store.GraphDir(dir, "g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
 	info, _ := reg.Info("g")
 	if !info.Persisted || info.WALSeq != 0 || info.SnapshotSeq != 0 {
 		t.Fatalf("fresh info = %+v", info)
+	}
+	fresh := info.SnapshotBytes
+	if fresh <= 0 || fresh != snapshotSize() {
+		t.Fatalf("fresh snapshot_bytes = %d, file holds %d", fresh, snapshotSize())
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := reg.applyEdges("g", [][2]int32{{int32(i), int32(i + 10)}}, true); err != nil {
@@ -458,6 +470,10 @@ func TestRecoveryInfoAndRemove(t *testing.T) {
 	}
 	if info.WALBytes <= 0 {
 		t.Fatalf("wal_bytes = %d, want > 0", info.WALBytes)
+	}
+	// The checkpoint image adds the maintainer-state section.
+	if info.SnapshotBytes <= fresh || info.SnapshotBytes != snapshotSize() {
+		t.Fatalf("checkpointed snapshot_bytes = %d (fresh %d), file holds %d", info.SnapshotBytes, fresh, snapshotSize())
 	}
 
 	if err := reg.Remove("g"); err != nil {

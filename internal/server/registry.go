@@ -134,10 +134,11 @@ type entry struct {
 
 	// Lock-free mirrors of the store's accounting, refreshed after every
 	// durable operation so GraphInfo never has to take mu.
-	walSeq   atomic.Uint64
-	walBytes atomic.Int64
-	snapSeq  atomic.Uint64
-	ckpts    atomic.Int64
+	walSeq    atomic.Uint64
+	walBytes  atomic.Int64
+	snapSeq   atomic.Uint64
+	snapBytes atomic.Int64
+	ckpts     atomic.Int64
 
 	// Sliding-window serving (DESIGN.md §14). window > 0 makes the entry
 	// temporal: inserts are stamped at admission (client stamp or receive

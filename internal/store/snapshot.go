@@ -309,8 +309,9 @@ func DecodeSnapshot(data []byte) (*graph.Graph, SnapshotMeta, error) {
 // injection seam: CrashInStateWrite fires between the graph part and the
 // maintainer-state section of the temp file (tearing the section exactly
 // where a real crash could), CrashAfterSnapshotTmp once the temp file is
-// durable, just before the rename; a non-nil return aborts there.
-func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState, hook func(point string) error) error {
+// durable, just before the rename; a non-nil return aborts there. It
+// returns the image's size in bytes.
+func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState, hook func(point string) error) (int64, error) {
 	img := EncodeSnapshotFull(g, meta, st, perm, ts)
 	split := len(img)
 	if !st.empty() || len(perm) > 0 || !ts.empty() {
@@ -321,53 +322,54 @@ func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *Maint
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: snapshot temp: %w", err)
+		return 0, fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	if _, err := f.Write(img[:split]); err != nil {
 		f.Close()
-		return fmt.Errorf("store: snapshot write: %w", err)
+		return 0, fmt.Errorf("store: snapshot write: %w", err)
 	}
 	if split < len(img) {
 		if hook != nil {
 			if err := hook(CrashInStateWrite); err != nil {
 				f.Close()
-				return err
+				return 0, err
 			}
 		}
 		if _, err := f.Write(img[split:]); err != nil {
 			f.Close()
-			return fmt.Errorf("store: snapshot state write: %w", err)
+			return 0, fmt.Errorf("store: snapshot state write: %w", err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("store: snapshot sync: %w", err)
+		return 0, fmt.Errorf("store: snapshot sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: snapshot close: %w", err)
+		return 0, fmt.Errorf("store: snapshot close: %w", err)
 	}
 	if hook != nil {
 		if err := hook(CrashAfterSnapshotTmp); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: snapshot rename: %w", err)
+		return 0, fmt.Errorf("store: snapshot rename: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	return int64(len(img)), syncDir(filepath.Dir(path))
 }
 
-// readSnapshotFile loads the snapshot at path and decodes it (DecodeImage).
-func readSnapshotFile(path string) (*Recovered, error) {
+// readSnapshotFile loads the snapshot at path and decodes it (DecodeImage),
+// returning the image's size in bytes too.
+func readSnapshotFile(path string) (*Recovered, int64, error) {
 	data, err := readFileShared(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	rec, err := DecodeImage(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return rec, nil
+	return rec, int64(len(data)), nil
 }
 
 // DecodeImage decodes a whole snapshot image into a Recovered (Tail and

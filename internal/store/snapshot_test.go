@@ -196,13 +196,13 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "s.ebws")
 	g := goldenGraph(t, 2)
 	meta := SnapshotMeta{Mode: 1, LazyK: 7, Seq: 42}
-	if err := writeSnapshotFile(path, g, meta, nil, nil, nil, nil); err != nil {
+	if _, err := writeSnapshotFile(path, g, meta, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
-	rec, err := readSnapshotFile(path)
+	rec, _, err := readSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

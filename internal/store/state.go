@@ -30,6 +30,7 @@ import (
 // Local (mode 0) payload — the flattened dynamic.LocalState:
 //
 //	scores     n × float64
+//	adjacent   n × int64  (adjacent pairs of N(v): histogram bucket 0)
 //	tableSizes n × uint32, then 4 zero bytes if n is odd (8-align the keys)
 //	totalSlots uint64 = Σ tableSizes
 //	keys       totalSlots × uint64  (raw open-addressing slot arrays,
@@ -44,8 +45,10 @@ import (
 //	memberCount uint32
 //	members     memberCount × int32
 const (
-	// StateVersion is the maintainer-state section format version.
-	StateVersion = 1
+	// StateVersion is the maintainer-state section format version. Version 1
+	// stored each adjacent pair as a marker in the evidence tables; version 2
+	// stores the per-vertex adjacent-pair counts instead.
+	StateVersion = 2
 	// stateHeaderLen covers magic through payloadLen.
 	stateHeaderLen = 24
 
@@ -89,7 +92,7 @@ func stateSectionLen(n int, st *MaintainerState) int {
 		if n%2 == 1 {
 			pad = 4
 		}
-		return stateHeaderLen + 8*n + 4*n + pad + 8 + 12*len(st.Local.Keys) + 4 + 4*len(st.Local.Dirty) + 4
+		return stateHeaderLen + 16*n + 4*n + pad + 8 + 12*len(st.Local.Keys) + 4 + 4*len(st.Local.Dirty) + 4
 	}
 	pad := (4 - (9*n)%4) % 4
 	return stateHeaderLen + 8*n + n + pad + 4 + 4*len(st.Lazy.Members) + 4
@@ -97,6 +100,7 @@ func stateSectionLen(n int, st *MaintainerState) int {
 
 func appendLocalPayload(buf []byte, st *dynamic.LocalState) []byte {
 	buf = appendWords(buf, st.Scores)
+	buf = appendWords(buf, st.Adjacent)
 	buf = appendWords(buf, st.TableSizes)
 	if len(st.TableSizes)%2 == 1 {
 		buf = append(buf, 0, 0, 0, 0)
@@ -168,15 +172,16 @@ func decodeLocalPayload(payload []byte, n uint64) (*dynamic.LocalState, error) {
 	if n%2 == 1 {
 		pad = 4
 	}
-	fixed := 8*n + 4*n + pad + 8 // scores, tableSizes, pad, totalSlots
+	fixed := 16*n + 4*n + pad + 8 // scores, adjacent, tableSizes, pad, totalSlots
 	if uint64(len(payload)) < fixed {
 		return nil, fmt.Errorf("store: maintainer state: local payload %d bytes, fixed part needs %d", len(payload), fixed)
 	}
 	st := &dynamic.LocalState{
 		Scores:     aliasWords[float64](payload, n),
-		TableSizes: aliasWords[uint32](payload[8*n:], n),
+		Adjacent:   aliasWords[int64](payload[8*n:], n),
+		TableSizes: aliasWords[uint32](payload[16*n:], n),
 	}
-	pos := 8*n + 4*n
+	pos := 16*n + 4*n
 	var totalSlots uint64
 	for _, sz := range st.TableSizes {
 		totalSlots += uint64(sz)

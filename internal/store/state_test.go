@@ -132,6 +132,31 @@ func TestStateGolden(t *testing.T) {
 	}
 }
 
+// TestStateVersion1Refused: testdata/statev1_local_batch.snap is the
+// v2_local_batch checkpoint as maintainer-state version 1 encoded it (an
+// adjacent pair stored as a zero-count entry in the evidence tables, no
+// adjacent-pair counts). Its graph part still loads; its state section is
+// refused with an error naming the version, which sends recovery down the
+// rebuild path once.
+func TestStateVersion1Refused(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "statev1_local_batch.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := buildStateCase(t, 1)
+	dg, meta, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("decode graph part: %v", err)
+	}
+	if meta != stateGoldenCases[1].meta {
+		t.Fatalf("meta = %+v, want %+v", meta, stateGoldenCases[1].meta)
+	}
+	sameGraph(t, dg, g)
+	if st, err := DecodeSnapshotState(data); err == nil || !strings.Contains(err.Error(), "maintainer-state version 1") {
+		t.Fatalf("DecodeSnapshotState = (%v, %v), want an error naming maintainer-state version 1", st, err)
+	}
+}
+
 // TestStateRoundTripCanonical: the v2 encoding is canonical — decoding the
 // graph and the state and re-encoding them reproduces the input bytes, which
 // is the invariant the fuzz targets lean on.

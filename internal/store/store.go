@@ -114,6 +114,7 @@ type Store struct {
 	walBytes int64
 	seq      uint64 // last batch sequence appended to the WAL
 	snapSeq  uint64 // sequence folded into the on-disk snapshot
+	snapSize int64  // bytes of the snapshot image last written or opened
 	ckpts    int64  // checkpoints taken by this Store instance
 
 	// failed poisons the store after any durability error (including an
@@ -168,13 +169,13 @@ func CreateWithStamps(dir string, g *graph.Graph, meta SnapshotMeta, ts *Tempora
 	if err := s.acquireLock(); err != nil {
 		return nil, err
 	}
-	if err := writeSnapshotFile(filepath.Join(dir, snapshotFile), g, meta, nil, nil, ts, s.crash); err != nil {
+	size, err := writeSnapshotFile(filepath.Join(dir, snapshotFile), g, meta, nil, nil, ts, s.crash)
+	if err != nil {
 		s.releaseLock()
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	s.snapSeq = meta.Seq
-	s.seq = meta.Seq
+	s.snapSize, s.snapSeq, s.seq = size, meta.Seq, meta.Seq
 	if err := s.resetWAL(); err != nil {
 		s.releaseLock()
 		os.RemoveAll(dir)
@@ -233,7 +234,7 @@ func Open(dir string, opts ...Option) (st *Store, rec *Recovered, err error) {
 			s.releaseLock()
 		}
 	}()
-	rec, err = readSnapshotFile(filepath.Join(dir, snapshotFile))
+	rec, s.snapSize, err = readSnapshotFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -389,10 +390,11 @@ func (s *Store) CheckpointFull(g *graph.Graph, meta SnapshotMeta, st *Maintainer
 	if err := s.crash(CrashBeforeCheckpoint); err != nil {
 		return s.fail(err)
 	}
-	if err := writeSnapshotFile(filepath.Join(s.dir, snapshotFile), g, meta, st, perm, ts, s.crash); err != nil {
+	size, err := writeSnapshotFile(filepath.Join(s.dir, snapshotFile), g, meta, st, perm, ts, s.crash)
+	if err != nil {
 		return s.fail(err)
 	}
-	s.snapSeq = meta.Seq
+	s.snapSeq, s.snapSize = meta.Seq, size
 	if err := s.crash(CrashAfterSnapshotRename); err != nil {
 		return s.fail(err)
 	}
@@ -438,6 +440,10 @@ func (s *Store) SnapshotSeq() uint64 { return s.snapSeq }
 
 // WALBytes returns the current WAL file size.
 func (s *Store) WALBytes() int64 { return s.walBytes }
+
+// SnapshotBytes returns the size of the snapshot image this Store last
+// wrote (Create, CheckpointFull) or opened.
+func (s *Store) SnapshotBytes() int64 { return s.snapSize }
 
 // Checkpoints returns how many checkpoints this Store instance has taken.
 func (s *Store) Checkpoints() int64 { return s.ckpts }
