@@ -33,7 +33,8 @@ bench-smoke:
 
 # Short fuzz runs of the persistence decoders (internal/store), of the
 # per-ego kernel against its two oracles and of both top-k searches against
-# exhaustive selection (internal/ego), and of the HTTP handler
+# exhaustive selection (internal/ego), of the register's word AND against
+# the naive intersection (internal/nbr), and of the HTTP handler
 # (internal/server). `go test` accepts
 # one -fuzz pattern per invocation, hence one run per target. CI runs this
 # non-gating, like bench-smoke; crank -fuzztime up for a real session.
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeWAL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzEgoKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzSearch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nbr -run '^$$' -fuzz FuzzAnd -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandler -fuzztime $(FUZZTIME)
 
 # Coverage profile over every package (atomic mode so it composes with

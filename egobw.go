@@ -140,7 +140,6 @@ func ComputeAllParallel(g *Graph, t int, s Strategy) ([]float64, ParallelStats) 
 type options struct {
 	useBase bool
 	theta   float64
-	stats   *SearchStats
 }
 
 // Option customizes TopK.
@@ -153,9 +152,6 @@ func WithBaseSearch() Option { return func(o *options) { o.useBase = true } }
 // WithTheta sets OptBSearch's gradient ratio θ ≥ 1 (default 1.05).
 func WithTheta(theta float64) Option { return func(o *options) { o.theta = theta } }
 
-// WithStats captures the search statistics into st.
-func WithStats(st *SearchStats) Option { return func(o *options) { o.stats = st } }
-
 // TopK returns the k vertices with the highest ego-betweennesses, sorted by
 // descending score (ties by ascending id); k ≤ 0 returns none. The default
 // algorithm is OptBSearch with θ = 1.05; see the Options to switch. Either
@@ -166,17 +162,10 @@ func TopK(g *Graph, k int, opts ...Option) ([]Result, SearchStats) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	var res []Result
-	var st SearchStats
 	if o.useBase {
-		res, st = ego.BaseBSearch(g, k)
-	} else {
-		res, st = ego.OptBSearch(g, k, o.theta)
+		return ego.BaseBSearch(g, k)
 	}
-	if o.stats != nil {
-		*o.stats = st
-	}
-	return res, st
+	return ego.OptBSearch(g, k, o.theta)
 }
 
 // NewMaintainer builds the exact all-vertices maintainer from a snapshot on

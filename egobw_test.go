@@ -33,8 +33,7 @@ func TestPublicQuickstart(t *testing.T) {
 
 func TestPublicOptions(t *testing.T) {
 	g := mustPaper(t)
-	var st egobw.SearchStats
-	base, _ := egobw.TopK(g, 5, egobw.WithBaseSearch(), egobw.WithStats(&st))
+	base, st := egobw.TopK(g, 5, egobw.WithBaseSearch())
 	if st.Computed != paperex.BaseSearchComputed {
 		t.Errorf("base computed %d, want %d", st.Computed, paperex.BaseSearchComputed)
 	}

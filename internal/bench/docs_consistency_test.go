@@ -242,8 +242,11 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // register pool, the mirrored loss half of the maintainer's repair walk and
 // the tolerance its float deltas needed, which the integer histograms
 // retired, the maintainers' …Parallel constructors, whose plain
-// constructors now sweep on GOMAXPROCS workers, and the evidence maps'
-// adjacent-pair marker, which histogram bucket 0 counts instead.
+// constructors now sweep on GOMAXPROCS workers, the evidence maps'
+// adjacent-pair marker, which histogram bucket 0 counts instead, and the
+// maintainer's hub threshold with the register's epoch/summary machinery
+// and its pre-epoch test baseline, which one always-marked plain bitset
+// replaced, and the TopK option that copied out the stats TopK returns.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -258,4 +261,6 @@ var retiredSymbols = []string{
 	"specPool", "specMem", "unpark",
 	"windowedWriterLoop", "abortGroup", "decodeRecovered",
 	"SetMarker",
+	"HubDegree", "hubRegister", "directClearWords", "stampedFresh", "liveSum", "legacyRegister",
+	"WithStats",
 }

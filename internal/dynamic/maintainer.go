@@ -24,7 +24,7 @@ type Maintainer struct {
 	cb   []float64        // cb[v] = ego.FoldScore(d(v), hist[v])
 	comm []int32          // scratch: common neighborhoods
 	aux  []int32          // scratch: secondary intersections
-	hub  [2]*nbr.Register // scratch: the hub endpoints' neighborhoods
+	reg  [2]*nbr.Register // scratch: N(u) and N(v) during a repair
 
 	// Dirty-score tracking for copy-on-write snapshot publication: the
 	// vertices whose cb actually moved since the last TakeDirtyScores,
@@ -42,7 +42,7 @@ func newMaintainer(g *graph.Graph, maps []*pairmap.Map, hist [][]int64, cb []flo
 	n := g.NumVertices()
 	return &Maintainer{
 		g: graph.DynFromGraph(g), s: maps, hist: hist, cb: cb,
-		hub:      [2]*nbr.Register{nbr.NewRegister(n), nbr.NewRegister(n)},
+		reg:      [2]*nbr.Register{nbr.NewRegister(n), nbr.NewRegister(n)},
 		dirtySet: make([]bool, n),
 	}
 }
@@ -261,26 +261,25 @@ func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 
 	// Lemmas 5 and 7: in GE(w), w ∈ L, the pair (u, v) turns adjacent or
 	// non-adjacent, and pairs (u, x) and (v, x) gain or lose the connector
-	// v or u. A hub endpoint's neighborhood is marked once into a register,
-	// so each of the |L| scans against it probes in O(d(w)) instead of
-	// re-merging the hub list.
-	hubU, hubV := m.hubRegister(0, u, len(l)), m.hubRegister(1, v, len(l))
-	keyUV := pairmap.Key(u, v)
-	for _, w := range l {
-		var c int32 // connectors of (u, v) in GE(w); none once adjacent
-		if delta < 0 {
-			c = int32(nbr.IntersectCount(l, m.g.Neighbors(w)))
+	// v or u. N(u) and N(v) are marked once into the two registers, so each
+	// of the 2|L| scans probes in O(d(w)) instead of re-merging an endpoint's
+	// list.
+	if len(l) > 0 {
+		nu, nv := m.mark(0, u), m.mark(1, v)
+		keyUV := pairmap.Key(u, v)
+		for _, w := range l {
+			var c int32 // connectors of (u, v) in GE(w); none once adjacent
+			if delta < 0 {
+				c = int32(nbr.IntersectCount(l, m.g.Neighbors(w)))
+			}
+			m.setCount(w, keyUV, c)
+			m.tally(w, 0, int64(delta))
+			m.Stats.TouchedPairs++
+			m.commonShift(w, u, nv, delta)
+			m.commonShift(w, v, nu, delta)
 		}
-		m.setCount(w, keyUV, c)
-		m.tally(w, 0, int64(delta))
-		m.Stats.TouchedPairs++
-		m.commonShift(w, u, v, hubV, delta)
-		m.commonShift(w, v, u, hubU, delta)
-	}
-	for _, r := range [...]*nbr.Register{hubU, hubV} {
-		if r != nil {
-			r.Unmark()
-		}
+		nu.Unmark()
+		nv.Unmark()
 	}
 
 	m.refold(u)
@@ -290,18 +289,12 @@ func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 	}
 }
 
-// hubRegister marks N(b) into the maintainer's i-th hub register when b is
-// a hub (degree ≥ nbr.HubDegree) whose neighborhood will be scanned against
-// at least `scans` times — the break-even for paying the one-time mark.
-// Returns nil otherwise; the caller unmarks a non-nil register.
-func (m *Maintainer) hubRegister(i int, b int32, scans int) *nbr.Register {
-	nb := m.g.Neighbors(b)
-	if scans < 2 || len(nb) < nbr.HubDegree {
-		return nil
-	}
-	r := m.hub[i]
+// mark marks N(b) into the maintainer's i-th register and returns it; the
+// caller unmarks it.
+func (m *Maintainer) mark(i int, b int32) *nbr.Register {
+	r := m.reg[i]
 	r.Ensure(m.g.NumVertices())
-	r.Mark(nb)
+	r.Mark(m.g.Neighbors(b))
 	return r
 }
 
@@ -309,8 +302,10 @@ func (m *Maintainer) hubRegister(i int, b int32, scans int) *nbr.Register {
 // (delta = +1) or leave it (delta = −1) with the edge (p, other). For x ∈ L
 // the pair is adjacent: the |L| of them move bucket 0 at once, and a merge
 // cursor skips them (L ⊆ N(p), both ascending). Otherwise it is
-// non-adjacent, with the connector count an insert counts — w ∈ N(p)
-// adjacent to both — and a delete reads back.
+// non-adjacent, with the connector count an insert counts and a delete
+// reads back. Its connectors are the w ∈ N(p) \ {other, x} adjacent to both
+// other and x; with the edge in place N(p) ∩ N(other) is exactly L (other
+// is not its own neighbor), so the count is |N(x) ∩ L|.
 func (m *Maintainer) endpointPairs(p, other int32, l []int32, delta int32) {
 	if len(l) > 0 {
 		m.tally(p, 0, int64(delta)*int64(len(l)))
@@ -328,12 +323,7 @@ func (m *Maintainer) endpointPairs(p, other int32, l []int32, delta int32) {
 		}
 		var c int32
 		if delta > 0 {
-			m.aux = nbr.CommonInto(m.aux[:0], m.g, p, x)
-			for _, w := range m.aux {
-				if w != other && m.g.HasEdge(w, other) {
-					c++
-				}
-			}
+			c = int32(nbr.IntersectCount(l, m.g.Neighbors(x)))
 		}
 		m.setCount(p, key, c)
 	}
@@ -341,15 +331,10 @@ func (m *Maintainer) endpointPairs(p, other int32, l []int32, delta int32) {
 
 // commonShift applies, for common neighbor w, the Lemma 5 (delta = +1) or
 // Lemma 7 (delta = −1) term: every pair (a, x) with x ∈ N(w) ∩ N(b), x ≠ a,
-// (a,x) ∉ E gains or loses the connector b (where {a, b} = {u, v}). hubB,
-// when non-nil, holds N(b) marked; its probe emits the same intersection the
-// merge kernel would.
-func (m *Maintainer) commonShift(w, a, b int32, hubB *nbr.Register, delta int32) {
-	if hubB != nil {
-		m.aux = hubB.IntersectInto(m.aux[:0], m.g.Neighbors(w))
-	} else {
-		m.aux = nbr.CommonInto(m.aux[:0], m.g, w, b)
-	}
+// (a,x) ∉ E gains or loses the connector b (where {a, b} = {u, v}). nb holds
+// N(b) marked; its probe emits the intersection the merge kernel would.
+func (m *Maintainer) commonShift(w, a int32, nb *nbr.Register, delta int32) {
+	m.aux = nb.IntersectInto(m.aux[:0], m.g.Neighbors(w))
 	for _, x := range m.aux {
 		if x == a || m.g.HasEdge(a, x) {
 			continue

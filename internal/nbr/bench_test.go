@@ -44,7 +44,8 @@ func BenchmarkGallopHub(b *testing.B) {
 }
 
 // BenchmarkRegisterHub measures the bitset kernel: mark the hub once,
-// probe every leaf — the per-center amortization the maintainers' hub scans use.
+// probe every leaf — the per-center amortization the maintainer's endpoint
+// scans use.
 func BenchmarkRegisterHub(b *testing.B) {
 	hub, leaves := benchLists(8192, 64, 64)
 	reg := NewRegister(4 * 8192)

@@ -5,12 +5,6 @@ package nbr
 // |small|, probing the large list beats scanning it.
 const GallopRatio = 16
 
-// HubDegree is the center degree at which callers that intersect one fixed
-// neighborhood against many others should switch to a pre-marked bitset
-// Register: the O(d) marking cost is amortized across the center's pair
-// scans, and each scan then costs O(|other|) word probes with no merge.
-const HubDegree = 64
-
 // IntersectInto appends a ∩ b to dst and returns the extended slice. Both
 // inputs must be strictly ascending; the appended run is ascending. dst may
 // be nil or a reused scratch buffer (pass dst[:0] to reuse).

@@ -144,7 +144,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 
 // TestRegisterReuse exercises mark/unmark cycles on one reused register,
 // which is exactly the per-center amortization pattern of the maintainer's
-// hub scans.
+// endpoint scans.
 func TestRegisterReuse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	reg := NewRegister(1 << 16)

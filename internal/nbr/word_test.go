@@ -86,8 +86,8 @@ func TestAndAgainstReference(t *testing.T) {
 }
 
 // TestAndRandomized drives the word kernel over random size mixes,
-// including skews where the registers' spans differ wildly, and re-marks
-// through epochs so the O(1) Unmark path is covered.
+// including skews where the registers' spans differ wildly, and reuses two
+// registers across Unmark so every cycle starts from cleared words.
 func TestAndRandomized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	sizes := []int{0, 1, 7, 63, 64, 65, 300, 4000}
@@ -120,7 +120,7 @@ func TestAndRandomized(t *testing.T) {
 	}
 }
 
-// TestAndStaleEpochIsolation checks that bits marked in an earlier epoch
+// TestAndStaleEpochIsolation checks that bits marked before an Unmark
 // never leak into a later intersection: words re-used across Unmark must
 // read as empty until re-marked.
 func TestAndStaleEpochIsolation(t *testing.T) {
@@ -146,7 +146,7 @@ func TestAndStaleEpochIsolation(t *testing.T) {
 
 // FuzzAnd cross-checks the word-parallel kernel against the naive reference
 // on arbitrary byte-derived sorted lists, cycling registers through an
-// extra epoch so stale-word re-zeroing is always in play.
+// extra mark/Unmark so clearing the marked words is always in play.
 func FuzzAnd(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0, 0, 255})
@@ -170,85 +170,6 @@ func FuzzAnd(f *testing.F) {
 			t.Fatalf("AndCount(%v,%v) = %d, want %d", a, b, c, len(want))
 		}
 	})
-}
-
-// legacyRegister is the pre-epoch implementation kept as the benchmark
-// baseline: Unmark walks the remembered marked list and clears bit by bit.
-type legacyRegister struct {
-	words  []uint64
-	marked []int32
-}
-
-func (r *legacyRegister) mark(vs []int32) {
-	for _, v := range vs {
-		r.words[uint32(v)>>6] |= 1 << (uint32(v) & 63)
-	}
-	r.marked = append(r.marked, vs...)
-}
-
-func (r *legacyRegister) unmark() {
-	for _, v := range r.marked {
-		r.words[uint32(v)>>6] &^= 1 << (uint32(v) & 63)
-	}
-	r.marked = r.marked[:0]
-}
-
-func (r *legacyRegister) count(list []int32) int {
-	n := 0
-	for _, v := range list {
-		if r.words[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// benchMarkSet is the mark → unmark recycle cycle both register designs
-// run between kernel invocations; the sizes pin the satellite requirement
-// that the epoch design does not regress the small-marks case (maintainer
-// L-sets, leaf centers) while making hub-sized Unmark O(1).
-func benchMarkSet(n int) []int32 {
-	rng := rand.New(rand.NewPCG(77, uint64(n)))
-	return sortedList(rng, n, 1<<16)
-}
-
-func BenchmarkMarkUnmarkEpoch(b *testing.B) {
-	for _, n := range []int{8, 64, 1024} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			vs := benchMarkSet(n)
-			r := NewRegister(1 << 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Mark(vs)
-				r.Unmark()
-			}
-		})
-	}
-}
-
-func BenchmarkMarkUnmarkLegacy(b *testing.B) {
-	for _, n := range []int{8, 64, 1024} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			vs := benchMarkSet(n)
-			r := &legacyRegister{words: make([]uint64, 1<<10)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.mark(vs)
-				r.unmark()
-			}
-		})
-	}
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 8:
-		return "marks=8"
-	case 64:
-		return "marks=64"
-	default:
-		return "marks=1024"
-	}
 }
 
 // denseHubPair is the hub×hub micro-benchmark shape: two degree-4096
