@@ -95,22 +95,23 @@ const (
 // drawBase + drawMerge·L, L = 2·|adj|/d being the expected merged length
 // |R_i| + |R_j| of the drawn pair's rows; copying the tables costs copyStep
 // per copied entry. BenchmarkCostModel measures them over the k = 100 pool
-// of the benchmark's generators (2-vCPU Xeon 2.1 GHz):
+// of the benchmark's generators (2-vCPU Xeon 2.1 GHz, three runs):
 //
 //	shape      ns/step  ns/draw   L     steps/draw  steps/copied entry
-//	collab     3.6–4.7  127–156  14.8   34–35       0.46–0.48
-//	powerlaw   5.4–6.5   73–82   14.1   12.5–14.4   0.34–0.38
+//	collab     4.8–5.3  162–172  14.8   32–34       0.54–0.59
+//	powerlaw   3.3–3.9   94–104  14.1   27–30       0.69–0.76
 //
-// The draw price is fitted to powerlaw a little below its tight-loop cost
-// (10.9 steps): the budget it is compared with is the most a candidate can
-// draw, and pruning or early stopping usually cut that short. The
-// tight-loop fit, drawMerge = 0.9, sent 13–16 more of powerlaw's 200
-// candidates to the exact pass and cost its approx top-100 7 % (15.4 vs
-// 14.4 ms, medians of five alternating sets over three seeds). Collab's
-// draws cost 3× the model — its clique-shaped rows make every merge run to
-// the end, where a hub's skewed rows stop at the short one — so the rule
-// errs toward sampling there; one batch in, its later-round check still
-// resolves almost every collab candidate exactly.
+// The constants were fitted on the kernel before its counting pass went
+// branch-free, when a powerlaw draw cost 12.5–14.4 steps at 5.4–6.5
+// ns/step: the draw price a little below its tight-loop cost (10.9 steps),
+// since the budget it is compared with is the most a candidate can draw
+// and pruning or early stopping usually cut that short. That pass now runs
+// powerlaw's steps about twice as fast, so its draws cost 2.5× the model,
+// as collab's (whose clique-shaped rows run every merge to the end, where
+// a hub's skewed rows stop at the short one) cost 3×: the rule errs toward
+// sampling on both, and one batch in, its later-round check still resolves
+// almost every collab candidate exactly. A refit changes answers, so it
+// waits for its own change with re-recorded goldens.
 const (
 	drawBase  = 1.0
 	drawMerge = 0.7

@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -13,7 +14,7 @@ import (
 // reference every parallel all-vertices path (Sweep and its callers) is
 // checked against bit for bit. Time O(Σ_v d(v)² + Σ_p Σ_{v∈N(p)} |T_v|²)
 // array steps (see EgoBetweenness), space O(n) for the result plus the
-// Scratch's O(d_max + edges of the largest ego network).
+// Scratch's O(d_max + the largest ego-build price Σ_{v∈N(p)} d(v)).
 func ComputeAll(g graph.View) []float64 {
 	n := g.NumVertices()
 	cb := make([]float64, n)
@@ -50,18 +51,20 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 //  1. number N(p) as local ids 0…d−1 (ascending, like the neighbor list);
 //  2. build the ego network's CSR: T_v = N(v) ∩ N(p) as ascending local
 //     ids; its half-length is the number of adjacent neighbor pairs;
-//  3. for each x ascending, stamp the members of T_x above x as adjacent,
-//     and for every connector v ∈ T_x walk the part of T_v above x — a
-//     cursor per v that advances by one on each visit — bumping a dense
-//     count for every unstamped y: afterwards cnt[y] = c_p(x, y) for the
-//     non-adjacent pairs {x, y} with at least one connector;
+//  3. for each x ascending, stamp the members of T_x above x as adjacent
+//     (a count no row can lift to 0), and for every connector v ∈ T_x walk
+//     the part of T_v above x — a cursor per v that advances by one on each
+//     visit — bumping a dense count for every y: afterwards cnt[y] =
+//     c_p(x, y) for the touched y, the non-adjacent pairs {x, y} with at
+//     least one connector;
 //  4. fold the touched counts into the histogram over connector counts and
 //     score it with FoldScore, the fold ScoreEvidence uses — so the result
 //     is bit-identical to ScoreEvidence over a completed evidence map,
 //     under any vertex labeling.
 //
-// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.score. This is a sparse
-// evaluation of Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
+// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.score; neither inner
+// loop takes a data-dependent branch. This is a sparse evaluation of
+// Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
 // O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 	cb, _, _ := egoKernel(a, p, s)
@@ -104,7 +107,8 @@ func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, 
 // map, the search's triangle credits and the sampled estimator's tables are
 // all read off it. off and adj alias the Scratch and are valid until its
 // next call; both are empty when d(p) < 2: such an ego has no neighbor pair,
-// and no CSR is built for it.
+// and no CSR is built for it. Row v reserves d(v) slots, so adj may need
+// capacity up to the ego-build price Σ_{v∈N(p)} d(v), beyond its length.
 func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj []int32) {
 	nu = a.Neighbors(p)
 	d := len(nu)
@@ -119,12 +123,19 @@ func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj
 	}
 	off, adj = s.off[:0], s.adj[:0]
 	for _, v := range nu {
-		off = append(off, len(adj))
-		for _, w := range a.Neighbors(v) {
-			if l := loc[w]; l != 0 {
-				adj = append(adj, l-1)
+		// No branch: every neighbor w of v writes its local id into the
+		// next slot, which only a member of N(p) keeps.
+		k, nv := len(adj), a.Neighbors(v)
+		off = append(off, k)
+		adj = slices.Grow(adj, len(nv))[:k+len(nv)]
+		for _, w := range nv {
+			l := loc[w]
+			adj[k] = l - 1
+			if l != 0 {
+				k++
 			}
 		}
+		adj = adj[:k]
 	}
 	off = append(off, len(adj))
 	s.off, s.adj = off, adj
@@ -204,21 +215,21 @@ func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink **p
 		// pos[x] has advanced once per member of T_x below x.
 		above := adj[pos[x]:off[x+1]]
 		for _, y := range above {
-			cnt[y] = -1
+			cnt[y] = stamped
 		}
 		nt := 0
 		for _, v := range adj[off[x]:off[x+1]] {
 			pos[v]++
 			for _, y := range adj[pos[v]:off[v+1]] {
+				// No branch: every step bumps cnt[y] (a stamped entry stays
+				// negative) and writes y into the next touched slot, kept
+				// only on a first touch; at most d−1 ids lie above x.
 				c := cnt[y]
-				if c < 0 {
-					continue
-				}
-				if c == 0 { // at most d ids are touched per x
-					touched[nt] = y
+				cnt[y] = c + 1
+				touched[nt] = y
+				if c == 0 {
 					nt++
 				}
-				cnt[y] = c + 1
 			}
 		}
 		if sink != nil && nt > 0 {
@@ -239,14 +250,19 @@ func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink **p
 	}
 }
 
+// stamped is the count the counting pass gives a pair {x, y} that is an
+// edge of the ego before its row runs. A row adds at most d−2 to a pair, so
+// a stamped entry stays negative: never 0, so never taken for a first touch.
+const stamped = math.MinInt32
+
 // Scratch holds the reusable state of the per-ego kernel: the vertex → local
 // id table and the dense per-ego arrays.
 type Scratch struct {
 	loc     []int32 // vertex → local id + 1 inside the current ego, else 0
 	off     []int   // ego CSR offsets, d+1 entries
-	adj     []int32 // ego CSR: T_v as ascending local ids
+	adj     []int32 // ego CSR: T_v as ascending local ids; capacity up to the ego-build price
 	pos     []int   // per-connector cursor into adj
-	cnt     []int32 // connector count of the pair (x, y) in flight; −1 = adjacent
+	cnt     []int32 // connector count of the pair (x, y) in flight; < 0 = adjacent (stamped)
 	touched []int32 // ids with cnt > 0 for the x in flight, d slots
 	hist    []int64 // hist[c] = pairs with c connectors; hist[0] = adjacent pairs
 }

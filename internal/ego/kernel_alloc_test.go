@@ -3,6 +3,7 @@
 package ego
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,20 +13,33 @@ import (
 // TestKernelZeroAlloc pins the kernel's steady-state cost contract: once a
 // Scratch has seen an ego at least as large, EgoBetweenness allocates
 // nothing — neither on a Scratch sized for the graph nor on a pooled
-// NewScratch(0) that had to grow on its first call. The file is excluded
-// under -race because the race runtime instruments allocations.
+// NewScratch(0) that had to grow on its first call, and on each view the
+// read path searches: a frozen CSR, a DynGraph, and a depth-2 Overlay of
+// the same graph. The file is excluded under -race because the race
+// runtime instruments allocations.
 func TestKernelZeroAlloc(t *testing.T) {
 	g := gen.ChungLu(1500, 2.2, 5.3, 120, 3)
 	hub := graph.OrderOf(g)[0]
-	for name, s := range map[string]*Scratch{
-		"sized":  NewScratch(g.NumVertices()),
-		"pooled": NewScratch(0),
-	} {
-		EgoBetweenness(g, hub, s) // first growth
-		if allocs := testing.AllocsPerRun(50, func() {
-			benchSink += EgoBetweenness(g, hub, s)
-		}); allocs != 0 {
-			t.Errorf("%s scratch: %v allocs per warm hub call, want 0", name, allocs)
+	d := graph.DynFromGraph(g)
+	rng := rand.New(rand.NewPCG(5, 7))
+	churn(d, rng, 300)
+	ov := d.FreezeOverlay(g)
+	churn(d, rng, 300)
+	ov = d.FreezeOverlay(ov)
+	if ov.Depth() != 2 {
+		t.Fatalf("overlay depth %d, want 2", ov.Depth())
+	}
+	for view, a := range map[string]graph.View{"csr": g, "dyn": d, "overlay": ov} {
+		for name, s := range map[string]*Scratch{
+			"sized":  NewScratch(a.NumVertices()),
+			"pooled": NewScratch(0),
+		} {
+			EgoBetweenness(a, hub, s) // first growth
+			if allocs := testing.AllocsPerRun(50, func() {
+				benchSink += EgoBetweenness(a, hub, s)
+			}); allocs != 0 {
+				t.Errorf("%s, %s scratch: %v allocs per warm hub call, want 0", view, name, allocs)
+			}
 		}
 	}
 }

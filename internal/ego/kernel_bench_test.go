@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -21,18 +22,45 @@ var benchSink float64
 
 // BenchmarkEgoBetweennessHub times the per-vertex kernel over the 100
 // highest-degree vertices with a warm Scratch — the recompute primitive of
-// the lazy maintainer on the egos that dominate its cost.
+// the lazy maintainer on the egos that dominate its cost: whole, and each
+// half alone. build is EgoCSR only; count is ScoreCSR, the counting pass and
+// fold, over copies of the hubs' CSRs made once before the timer starts.
 func BenchmarkEgoBetweennessHub(b *testing.B) {
 	for _, sh := range benchShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			g := sh.make()
-			hubs := graph.OrderOf(g)[:100]
-			s := NewScratch(g.NumVertices())
+		g := sh.make()
+		hubs := graph.OrderOf(g)[:100]
+		s := NewScratch(g.NumVertices())
+		type csr struct {
+			off []int
+			adj []int32
+		}
+		csrs := make([]csr, len(hubs))
+		for i, v := range hubs {
+			_, off, adj := s.EgoCSR(g, v)
+			csrs[i] = csr{slices.Clone(off), slices.Clone(adj)}
+		}
+		b.Run(sh.name+"/whole", func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, v := range hubs {
 					benchSink += EgoBetweenness(g, v, s)
+				}
+			}
+		})
+		b.Run(sh.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, v := range hubs {
+					_, off, _ := s.EgoCSR(g, v)
+					benchSink += float64(off[len(off)-1])
+				}
+			}
+		})
+		b.Run(sh.name+"/count", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range csrs {
+					benchSink += s.ScoreCSR(c.off, c.adj)
 				}
 			}
 		})

@@ -239,6 +239,48 @@ func TestKernelDifferential(t *testing.T) {
 	}
 }
 
+// TestKernelFoldBeyondTable reaches the fold's in-place term: an apex
+// joined to every vertex of K_{2,1100} holds the two hubs as a non-adjacent
+// pair with 1100 connectors, past foldTerms. The per-vertex kernel, both
+// folds of the evidence it emits and a split Sweep agree with ==; the
+// apex's score is C(1100, 2)/3 + 1/1101 within 1e-9, and every score is the
+// BFS oracle's within 1e-9 relative — the oracle adds the apex's 604 450
+// leaf-pair terms one by one and drifts about 1e-6 from the exact value.
+func TestKernelFoldBeyondTable(t *testing.T) {
+	const m = 1100
+	var edges [][2]int32
+	edges = append(edges, [2]int32{0, 1}, [2]int32{0, 2})
+	for l := int32(3); l < m+3; l++ {
+		edges = append(edges, [2]int32{0, l}, [2]int32{1, l}, [2]int32{2, l})
+	}
+	g := graph.MustFromEdges(-1, edges)
+	n := g.NumVertices()
+	swept := make([]float64, n)
+	set := func(v int32, cb float64) { swept[v] = cb }
+	Sweep(g, 2, func(v int32, s *Scratch) { set(v, EgoBetweenness(g, v, s)) }, set)
+	s := NewScratch(0)
+	for v := int32(0); v < n; v++ {
+		cb := EgoBetweenness(g, v, s)
+		_, sm, hist := EgoBetweennessWithMap(g, v, s) // every ego here has an adjacent pair
+		d := g.Degree(v)
+		if ev, fold := ScoreEvidence(d, hist[0], sm), FoldScore(d, hist); ev != cb || fold != cb || swept[v] != cb {
+			t.Fatalf("vertex %d: kernel %v, ScoreEvidence %v, FoldScore %v, split Sweep %v", v, cb, ev, fold, swept[v])
+		}
+		if ref := ReferenceBFS(g, v); math.Abs(cb-ref) > 1e-9*max(1, ref) {
+			t.Fatalf("vertex %d: kernel %v, BFS oracle %v", v, cb, ref)
+		}
+		if v != 0 {
+			continue
+		}
+		if len(hist) != m+1 || hist[m] != 1 || m < len(foldTerms) {
+			t.Fatalf("apex histogram has %d buckets, want one pair at %d connectors, past foldTerms (%d)", len(hist), m, len(foldTerms))
+		}
+		if want := float64(m*(m-1)/2)/3 + 1/float64(m+1); math.Abs(cb-want) > 1e-9 {
+			t.Fatalf("apex: kernel %v, closed form %v", cb, want)
+		}
+	}
+}
+
 // fuzzGraph decodes bytes as an edge list over at most 48 vertices: the
 // first byte picks n, every following pair of bytes is an edge (self-loops
 // and duplicates are dropped by the builder).
