@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet loc clean
+.PHONY: build test examples bench bench-figs bench-smoke fuzz-smoke cover serve fmt lint vet loc clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ build:
 test: vet
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Build and run every program under examples/; a failed build, an error or
+# a failed cross-check (several examples panic on one) fails the target.
+# They are the callers that keep the root package's API live (DESIGN.md §16).
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null; done
 
 # The repository's one benchmark (BENCHMARK.json, benchmark/README.md): both
 # workloads, every end-to-end metric, oracles on every run. Arguments pass

@@ -210,12 +210,12 @@ func BenchmarkLazyInsertDelete(b *testing.B) {
 	}
 }
 
-// BenchmarkBrandes measures the baseline on a small graph (O(nm) dominates
-// quickly).
+// BenchmarkBrandes measures the baseline, TopBW on one worker, on a small
+// graph (O(nm) dominates quickly).
 func BenchmarkBrandes(b *testing.B) {
 	g := egobw.GenerateChungLu(1500, 2.4, 8, 100, 43)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		egobw.Betweenness(g)
+		egobw.BetweennessTopK(g, 100, 1)
 	}
 }

@@ -94,7 +94,7 @@ func TestSetupFastRecovery(t *testing.T) {
 	if info.M != 9 || info.WALSeq != 3 {
 		t.Fatalf("recovered info = %+v, want m=9 wal_seq=3", info)
 	}
-	if _, err := srv.Registry().TopKQ("demo", server.TopKQuery{K: 3, Algo: "opt", Theta: 1.05}); err != nil {
+	if _, err := srv.Registry().TopKQ("demo", server.TopKQuery{K: 3, Algo: "opt"}); err != nil {
 		t.Fatalf("TopK after fast recovery: %v", err)
 	}
 }

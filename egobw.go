@@ -13,12 +13,12 @@
 //     all vertices (LocalInsert/LocalDelete) and lazily for just the top-k
 //     (LazyInsert/LazyDelete);
 //   - two parallel all-vertices algorithms (VertexPEBW, EdgePEBW);
-//   - Brandes' exact betweenness as the effectiveness baseline;
+//   - Brandes' exact betweenness top-k (TopBW) as the effectiveness baseline;
 //   - seeded graph generators and the benchmark dataset registry.
 //
 // # Quickstart
 //
-//	g, err := egobw.NewGraph(-1, edges)             // or LoadEdgeList(r)
+//	g, err := egobw.NewGraph(-1, edges)             // or LoadEdgeListFile(path)
 //	top, stats := egobw.TopK(g, 10)                 // OptBSearch, θ = 1.05
 //	for _, r := range top {
 //		fmt.Println(r.V, r.CB)
@@ -38,12 +38,11 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/ego"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 )
 
 // Graph is an immutable undirected graph in CSR form. Construct with
-// NewGraph, LoadEdgeList, or the generators in this package.
+// NewGraph, LoadEdgeListFile, or the generators in this package.
 type Graph = graph.Graph
 
 // DynGraph is the mutable graph representation used by the maintainers.
@@ -81,7 +80,7 @@ const (
 )
 
 // DefaultTheta is the paper's default gradient ratio for OptBSearch.
-const DefaultTheta = 1.05
+const DefaultTheta = ego.DefaultTheta
 
 // NewGraph builds a graph over n vertices from an undirected edge list;
 // self-loops are dropped and duplicates collapsed. Pass n < 0 to infer the
@@ -90,13 +89,8 @@ func NewGraph(n int32, edges [][2]int32) (*Graph, error) {
 	return graph.FromEdges(n, edges)
 }
 
-// LoadEdgeList parses the SNAP-style text format: "u v" per line, '#'/'%'
-// comments.
-func LoadEdgeList(r io.Reader) (*Graph, error) {
-	return graph.ReadEdgeList(r)
-}
-
-// LoadEdgeListFile is LoadEdgeList over a file path.
+// LoadEdgeListFile parses the SNAP-style text format at path: "u v" per
+// line, '#'/'%' comments.
 func LoadEdgeListFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -106,7 +100,7 @@ func LoadEdgeListFile(path string) (*Graph, error) {
 	return graph.ReadEdgeList(f)
 }
 
-// SaveEdgeList writes g in the format accepted by LoadEdgeList.
+// SaveEdgeList writes g in the format accepted by LoadEdgeListFile.
 func SaveEdgeList(w io.Writer, g *Graph) error {
 	return graph.WriteEdgeList(w, g)
 }
@@ -177,41 +171,10 @@ func NewMaintainer(g *Graph) *Maintainer { return dynamic.NewMaintainer(g) }
 // number.
 func NewLazyTopK(g *Graph, k int) *LazyTopK { return dynamic.NewLazyTopK(g, k) }
 
-// Betweenness computes classic exact betweenness centrality (Brandes'
-// algorithm, O(nm)) — the paper's effectiveness baseline.
-func Betweenness(g *Graph) []float64 { return brandes.Betweenness(g) }
-
 // BetweennessTopK returns the top-k by classic betweenness, computed with t
 // parallel workers (TopBW in the paper).
 func BetweennessTopK(g *Graph, k, t int) []Result { return brandes.TopK(g, k, t) }
 
-// BetweennessApprox estimates betweenness from `pivots` sampled BFS sources
-// (Brandes–Pich pivot sampling), scaled to be comparable with exact values;
-// the cheap classic-betweenness alternative the effectiveness ablation
-// compares ego-betweenness against.
-func BetweennessApprox(g *Graph, pivots int, seed uint64, t int) []float64 {
-	return brandes.BetweennessApprox(g, pivots, seed, t)
-}
-
 // Overlap returns |A ∩ B| / max(|A|,|B|) over two result lists' vertex sets,
 // the effectiveness metric of the paper's Fig. 11/12.
 func Overlap(a, b []Result) float64 { return ego.Overlap(a, b) }
-
-// Jaccard returns |A ∩ B| / |A ∪ B| over two result lists' vertex sets.
-func Jaccard(a, b []Result) float64 {
-	return metrics.Jaccard(resultIDs(a), resultIDs(b))
-}
-
-// SpearmanRho returns the tie-aware Spearman rank correlation between two
-// full score vectors (for example ComputeAll versus Betweenness output),
-// extending the paper's overlap-based effectiveness analysis to whole
-// rankings.
-func SpearmanRho(x, y []float64) (float64, error) { return metrics.SpearmanRho(x, y) }
-
-func resultIDs(rs []Result) []int32 {
-	ids := make([]int32, len(rs))
-	for i, r := range rs {
-		ids[i] = r.V
-	}
-	return ids
-}

@@ -3,8 +3,9 @@ package egobw_test
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -194,10 +195,6 @@ func TestPublicBetweennessAndOverlap(t *testing.T) {
 	if ov < 0.3 {
 		t.Errorf("EBW/BW top-20 overlap = %v; expected substantial agreement", ov)
 	}
-	bc := egobw.Betweenness(g)
-	if len(bc) != 300 {
-		t.Fatalf("betweenness size %d", len(bc))
-	}
 }
 
 func TestPublicIO(t *testing.T) {
@@ -206,22 +203,45 @@ func TestPublicIO(t *testing.T) {
 	if err := egobw.SaveEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := egobw.LoadEdgeList(&buf)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := egobw.LoadEdgeListFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip lost edges")
 	}
-	if _, err := egobw.LoadEdgeList(strings.NewReader("not numbers\n")); err == nil {
+	bad := filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(bad, []byte("not numbers\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := egobw.LoadEdgeListFile(bad); err == nil {
 		t.Fatal("want parse error")
 	}
 }
 
-func TestPublicGeneratorsAndDatasets(t *testing.T) {
-	if len(egobw.DatasetNames()) != 7 {
-		t.Fatalf("datasets: %v", egobw.DatasetNames())
+func TestPublicLoadEdgeListFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	g, err := egobw.LoadEdgeListFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 2 {
+		t.Fatalf("m = %d", g.NumEdges())
+	}
+	if _, err := egobw.LoadEdgeListFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+		t.Fatal("missing file must error")
+	}
+}
+
+func TestPublicGeneratorsAndDatasets(t *testing.T) {
 	if _, err := egobw.LoadDataset("ir"); err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +258,6 @@ func TestPublicGeneratorsAndDatasets(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-	sub := egobw.SampleEdges(egobw.GenerateER(100, 400, 2), 0.5, 3)
-	if sub.NumEdges() == 0 || sub.NumEdges() >= 400 {
-		t.Errorf("edge sample size %d", sub.NumEdges())
-	}
-	vs, ids := egobw.SampleVertices(egobw.GenerateER(100, 400, 2), 0.5, 3)
-	if int32(len(ids)) != vs.NumVertices() {
-		t.Error("vertex sample mapping size mismatch")
 	}
 }
 

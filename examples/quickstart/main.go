@@ -16,7 +16,10 @@ import (
 )
 
 func main() {
-	g := paperex.New()
+	g, err := egobw.NewGraph(paperex.NumVertices, paperex.Edges)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("Fig. 1 graph:", egobw.Stats(g))
 
 	// Exact ego-betweenness of every vertex (Definition 2).

@@ -3,7 +3,6 @@ package egobw
 import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
 
 // Seeded graph generators, re-exported for building workloads. All are
@@ -44,18 +43,3 @@ func GenerateAffiliation(nAuthors int32, nCommunities int, meanSize, p float64, 
 // analogs of the paper's graphs, sized by the EGOBW_SCALE environment
 // variable.
 func LoadDataset(name string) (*Graph, error) { return dataset.Load(name) }
-
-// DatasetNames lists the dataset registry.
-func DatasetNames() []string { return dataset.Names() }
-
-// SampleEdges returns a subgraph keeping a random fraction of edges
-// (scalability experiments).
-func SampleEdges(g *Graph, frac float64, seed uint64) *Graph {
-	return graph.SampleEdges(g, frac, seed)
-}
-
-// SampleVertices returns the subgraph induced by a random vertex fraction,
-// plus the new-to-original id mapping.
-func SampleVertices(g *Graph, frac float64, seed uint64) (*Graph, []int32) {
-	return graph.SampleVertices(g, frac, seed)
-}

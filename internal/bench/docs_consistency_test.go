@@ -263,4 +263,7 @@ var retiredSymbols = []string{
 	"SetMarker",
 	"HubDegree", "hubRegister", "directClearWords", "stampedFresh", "liveSum", "legacyRegister",
 	"WithStats",
+	"LoadEdgeList", "BetweennessApprox", "samplePivots", "Jaccard", "SpearmanRho", "fractionalRanks",
+	"resultIDs", "DatasetNames", "InsertVertex", "DeleteVertex", "insertVertex", "deleteVertex",
+	"edgeMaintainer", "thetaBits",
 }

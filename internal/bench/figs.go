@@ -34,7 +34,7 @@ func Fig6(cfg Config) []Fig6Row {
 		for _, k := range cfg.Ks {
 			row := Fig6Row{Dataset: name, K: k}
 			row.BaseTime = timeIt(func() { ego.BaseBSearch(g, k) })
-			row.OptTime = timeIt(func() { ego.OptBSearch(g, k, 1.05) })
+			row.OptTime = timeIt(func() { ego.OptBSearch(g, k, ego.DefaultTheta) })
 			rows = append(rows, row)
 			fmt.Fprintf(cfg.Out, "%-12s %8d %12s %12s %8.1fx\n", name, k,
 				ms(row.BaseTime), ms(row.OptTime),
@@ -192,7 +192,7 @@ func Fig9(cfg Config) []Fig9Row {
 			}
 			row := Fig9Row{Mode: mode, Fraction: frac}
 			row.BaseTime = timeIt(func() { ego.BaseBSearch(sub, k) })
-			row.OptTime = timeIt(func() { ego.OptBSearch(sub, k, 1.05) })
+			row.OptTime = timeIt(func() { ego.OptBSearch(sub, k, ego.DefaultTheta) })
 			rows = append(rows, row)
 			fmt.Fprintf(cfg.Out, "%-9s %5.0f%% %12s %12s\n",
 				mode, frac*100, ms(row.BaseTime), ms(row.OptTime))
@@ -270,7 +270,7 @@ func Fig11(cfg Config) []Fig11Row {
 		bwTime := timeIt(func() { bw = brandes.TopK(g, bwMax, 0) })
 		for _, k := range cfg.EffKs {
 			var ebw []ego.Result
-			ebwTime := timeIt(func() { ebw, _ = ego.OptBSearch(g, k, 1.05) })
+			ebwTime := timeIt(func() { ebw, _ = ego.OptBSearch(g, k, ego.DefaultTheta) })
 			row := Fig11Row{
 				Dataset: name, K: k, BWTime: bwTime, EBWTime: ebwTime,
 				Overlap: ego.Overlap(bw[:min(k, len(bw))], ebw),

@@ -20,13 +20,16 @@ import (
 // and functions, and the methods of its named types — must earn a non-test
 // caller, or carry one line on surfaceAllowlist saying why not. A caller
 // counts only when it is itself live: reachable through non-test code from
-// an entry point of the root module — a main package (cmd/, examples/), the
-// root package's exported API, an init function — or from an entry the
-// allowlist marks "facade". Code reached only from an oracle, a test seam or
-// a benchmark pin needs an entry of its own, so nothing survives merely
-// because test-only code calls it. Unexported declarations anywhere in the
-// root module need no entry, but must be reachable from the entry points or
-// the allowlist: a helper only tests call belongs in a test file.
+// an entry point of the root module — a main package (cmd/, examples/), an
+// init function, or a type alias the root package exports. The root
+// package's functions, variables and constants are no entry points: like
+// the internal packages' API they are live only when a main reaches them, so
+// the library exports nothing no program calls. Code reached only from an
+// oracle, a test seam or a benchmark pin needs an entry of its own, so
+// nothing survives merely because test-only code calls it. Unexported
+// declarations anywhere in the root module need no entry, but must be
+// reachable from the entry points or the allowlist: a helper only tests call
+// belongs in a test file.
 //
 // The check is type-aware: both modules are type-checked from source, so
 // two identifiers of one name are told apart, and a method counts as called
@@ -37,13 +40,12 @@ import (
 //
 // The allowlist is held to the same standard: an entry must name a declared
 // identifier that is not live without it, its reason must start with one of
-// surfaceReasons, a "benchmark pin" must be reachable from benchmark/, and a
-// "facade" must be a method of a type the root package exports as an alias.
+// surfaceReasons, and a "benchmark pin" must be reachable from benchmark/.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	m := loadModule(t, repoRoot(t))
 
 	allowed := map[string]string{}
-	var listed, facades []types.Object
+	var listed []types.Object
 	pinned := m.reach(m.benchEntries)
 	for _, e := range surfaceAllowlist {
 		if _, dup := allowed[e.name]; dup {
@@ -62,18 +64,12 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			if !pinned[obj] {
 				t.Errorf("%s is allowlisted as a benchmark pin but benchmark/ does not reach it", e.name)
 			}
-		case "facade":
-			if !m.facade[e.name] {
-				t.Errorf("%s is allowlisted as facade but is no method of a type the root package aliases", e.name)
-			}
-			facades = append(facades, obj)
 		default:
 			t.Errorf("%s: allowlist reason %q must start with one of %v", e.name, e.reason, surfaceReasons)
 		}
 	}
 
-	bare := m.reach(m.entries)
-	live := m.reach(append(m.entries, facades...))
+	live := m.reach(m.entries)
 	reached := m.reach(append(listed, m.entries...))
 	for _, name := range slices.Sorted(maps.Keys(m.declared)) {
 		obj := m.declared[name]
@@ -84,7 +80,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 				t.Errorf("%s (%s) is declared in a non-test file but only tests reach it; "+
 					"move it into a _test.go file or delete it", name, m.fset.Position(obj.Pos()))
 			}
-		case onList && bare[obj]:
+		case onList && live[obj]:
 			t.Errorf("%s is on surfaceAllowlist but live code calls it; drop the entry", name)
 		case !onList && !live[obj]:
 			t.Errorf("%s (%s) is exported but no live non-test code of the root module calls it; "+
@@ -95,13 +91,14 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 
 // surfaceReasons are the only grounds for an exported identifier without a
 // live non-test caller.
-var surfaceReasons = []string{"oracle", "test seam", "benchmark pin", "facade"}
+var surfaceReasons = []string{"oracle", "test seam", "benchmark pin"}
 
 // surfaceAllowlist names each exported identifier under internal/ that no
 // live non-test code calls, as pkg.Name or pkg.Type.Method (pkg relative to
 // internal/), with a one-line "<reason>: <why>" whose reason is one of
 // surfaceReasons.
 var surfaceAllowlist = []struct{ name, reason string }{
+	{"brandes.Betweenness", "oracle: the sequential source loop BetweennessParallel's merge is checked against"},
 	{"approx.EverettBorgatti", "oracle: the closed-form ego betweenness, sharing no code with the kernel"},
 	{"ego.ComputeAllReference", "oracle: BFS path counting on every vertex, independent of the kernel"},
 	{"ego.ReferenceBFS", "oracle: ComputeAllReference's per-vertex BFS path counting"},
@@ -113,6 +110,7 @@ var surfaceAllowlist = []struct{ name, reason string }{
 	{"paperex.AfterDeleteCG", "oracle: the paper's Examples 6/8 scores after deleting (c,g)"},
 	{"paperex.AfterInsertIK", "oracle: the paper's Examples 5/7 scores after inserting (i,k)"},
 	{"paperex.BaseSearchComputed", "oracle: the paper's Example 3 count of BaseBSearch computations"},
+	{"paperex.New", "oracle: the paper's Fig. 1 graph the Examples 1-8 checks run on"},
 	{"paperex.CB", "oracle: the paper's Examples 1-3 scores of every vertex"},
 	{"paperex.Top5", "oracle: the paper's Examples 3-4 top-5 answer"},
 	{"gen.Random", "test seam: the seeded random-graph source the property tests draw their inputs from"},
@@ -124,12 +122,6 @@ var surfaceAllowlist = []struct{ name, reason string }{
 	{"nbr.CommonCount", "benchmark pin: the nbr.edge_pass_ns and nbr.hub_pair_ns probes"},
 	{"nbr.Register.AndCount", "benchmark pin: the nbr.hub_word_ns probe"},
 	{"store.Create", "benchmark pin: the store.* layer and the replay stage create stores without stamps"},
-	{"graph.Graph.HasEdge", "facade: egobw.Graph's edge probe"},
-	{"graph.DynGraph.Clone", "facade: a detached copy of the graph egobw.Maintainer.Graph returns"},
-	{"dynamic.Maintainer.InsertVertex", "facade: vertex insertion on egobw.Maintainer"},
-	{"dynamic.Maintainer.DeleteVertex", "facade: vertex deletion on egobw.Maintainer"},
-	{"dynamic.LazyTopK.InsertVertex", "facade: vertex insertion on egobw.LazyTopK"},
-	{"dynamic.LazyTopK.DeleteVertex", "facade: vertex deletion on egobw.LazyTopK"},
 }
 
 // module is the non-test code of the root and benchmark modules as a graph:
@@ -139,10 +131,9 @@ type module struct {
 	fset         *token.FileSet
 	refs         map[types.Object]map[types.Object]bool
 	stdCalls     []*types.Interface      // interfaces the standard library calls into
-	entries      []types.Object          // mains, inits and the root package's API
+	entries      []types.Object          // mains, inits and the root package's type aliases
 	benchEntries []types.Object          // every declaration of the benchmark module
 	declared     map[string]types.Object // root-module declarations, by allowlist name
-	facade       map[string]bool         // methods of the types the root package aliases
 }
 
 // reach returns every object reachable from roots: along declaration
@@ -325,7 +316,6 @@ func loadModule(t *testing.T, root string) *module {
 		fset:     fset,
 		refs:     map[types.Object]map[types.Object]bool{},
 		declared: map[string]types.Object{},
-		facade:   map[string]bool{},
 	}
 	for _, path := range paths {
 		p, err := l.load(path)
@@ -434,28 +424,14 @@ func (m *module) index(path string, p *srcPackage) {
 	if path != modulePath {
 		return
 	}
-	// The root package is the library's API: its exported identifiers are
-	// entry points, and the methods of the internal types it aliases are the
-	// candidates for "facade" entries.
+	// The root package's type aliases are entry points: naming a type its
+	// functions return is their only use. Its functions, variables and
+	// constants are not; each must earn a caller in a main package, like
+	// any other declaration.
 	scope := p.pkg.Scope()
 	for _, name := range scope.Names() {
-		obj := scope.Lookup(name)
-		if !obj.Exported() {
-			continue
-		}
-		m.entries = append(m.entries, obj)
-		tn, ok := obj.(*types.TypeName)
-		if !ok || !tn.IsAlias() {
-			continue
-		}
-		named, ok := types.Unalias(tn.Type()).(*types.Named)
-		if !ok {
-			continue
-		}
-		if rel, ok := strings.CutPrefix(named.Obj().Pkg().Path(), modulePath+"/internal/"); ok {
-			for i := 0; i < named.NumMethods(); i++ {
-				m.facade[rel+"."+named.Obj().Name()+"."+named.Method(i).Name()] = true
-			}
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() && tn.IsAlias() {
+			m.entries = append(m.entries, tn)
 		}
 	}
 }

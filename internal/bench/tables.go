@@ -50,7 +50,7 @@ func Table2(cfg Config) []Table2Row {
 		g := dataset.MustLoad(name)
 		for _, k := range cfg.Ks {
 			_, bst := ego.BaseBSearch(g, k)
-			_, ost := ego.OptBSearch(g, k, 1.05)
+			_, ost := ego.OptBSearch(g, k, ego.DefaultTheta)
 			rows = append(rows, Table2Row{Dataset: name, K: k, BaseComp: bst.Computed, OptComp: ost.Computed})
 			fmt.Fprintf(cfg.Out, "%-12s %8d %10d %10d\n", name, k, bst.Computed, ost.Computed)
 		}
@@ -75,7 +75,7 @@ type ScholarRow struct {
 // the ten highest betweenness ones, with overlap marked.
 func caseStudyTable(cfg Config, name string) []ScholarRow {
 	g := dataset.MustLoad(name)
-	ebw, _ := ego.OptBSearch(g, 10, 1.05)
+	ebw, _ := ego.OptBSearch(g, 10, ego.DefaultTheta)
 	bw := brandes.TopK(g, 10, 0)
 	inEBW := map[int32]bool{}
 	for _, r := range ebw {

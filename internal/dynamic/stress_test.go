@@ -8,10 +8,10 @@ import (
 	"repro/internal/gen"
 )
 
-// TestStressMixedOpsWithGrowth drives a long script mixing edge inserts,
-// edge deletes, vertex inserts, and vertex deletes — including vertex-set
-// growth — on both maintainers, cross-checking against recomputation at
-// checkpoints.
+// TestStressMixedOpsWithGrowth drives a long script of edge inserts and
+// deletes — toggling random edges, wiring up new vertices (vertex-set
+// growth) and stripping a vertex bare — on both maintainers,
+// cross-checking against recomputation at checkpoints.
 func TestStressMixedOpsWithGrowth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long stress test")
@@ -25,31 +25,30 @@ func TestStressMixedOpsWithGrowth(t *testing.T) {
 	for step := 0; step < 250; step++ {
 		n := m.Graph().NumVertices()
 		switch rng.IntN(10) {
-		case 0: // insert a new vertex with up to 4 neighbors
-			var nbrs []int32
+		case 0: // wire a new vertex to up to 4 neighbors, growing the vertex set
 			seen := map[int32]bool{}
-			for len(nbrs) < 1+rng.IntN(4) {
+			for len(seen) < 1+rng.IntN(4) {
 				u := rng.Int32N(n)
-				if !seen[u] {
-					seen[u] = true
-					nbrs = append(nbrs, u)
+				if seen[u] {
+					continue
 				}
-			}
-			v1, err := m.InsertVertex(nbrs)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			v2, err := lt.InsertVertex(nbrs)
-			if err != nil || v1 != v2 {
-				t.Fatalf("step %d: lazy insert vertex: %v (ids %d/%d)", step, err, v1, v2)
+				seen[u] = true
+				if err := m.InsertEdge(n, u); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if err := lt.InsertEdge(n, u); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 			}
 		case 1: // strip a random vertex bare
 			v := rng.Int32N(n)
-			if err := m.DeleteVertex(v); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if err := lt.DeleteVertex(v); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+			for _, u := range append([]int32(nil), m.Graph().Neighbors(v)...) {
+				if err := m.DeleteEdge(v, u); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if err := lt.DeleteEdge(v, u); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 			}
 		default: // toggle a random edge
 			u, v := rng.Int32N(n), rng.Int32N(n)
@@ -127,5 +126,19 @@ func TestLazyResultsIdempotent(t *testing.T) {
 	}
 	if lt.Stats.Recomputed != work {
 		t.Errorf("idle Results recomputed %d extra vertices", lt.Stats.Recomputed-work)
+	}
+}
+
+func compareTopK(t *testing.T, m *Maintainer, lt *LazyTopK, k int, stage string) {
+	t.Helper()
+	want := m.TopK(k)
+	got := lt.Results()
+	if len(want) != len(got) {
+		t.Fatalf("%s: sizes %d vs %d", stage, len(got), len(want))
+	}
+	for i := range want {
+		if want[i].CB != got[i].CB {
+			t.Fatalf("%s: rank %d: lazy %v local %v", stage, i, got[i].CB, want[i].CB)
+		}
 	}
 }

@@ -34,6 +34,9 @@ func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
 	return search(g, k, 1, nil, false, runtime.GOMAXPROCS(0), specPrice)
 }
 
+// DefaultTheta is the paper's default gradient ratio θ for OptBSearch.
+const DefaultTheta = 1.05
+
 // OptBSearch is Algorithm 2: top-k search under the dynamic Lemma 3 bound.
 // Candidates live in a max-heap keyed by their last-known bound. On pop the
 // bound is re-evaluated against the "identified information" accumulated so
@@ -41,7 +44,8 @@ func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
 // searcher; if it has dropped by more than the gradient ratio θ ≥ 1 the
 // vertex is pushed back (or pruned when it can no longer reach the top-k)
 // instead of being computed. θ trades reinsertions against exact
-// computations; the paper's default is 1.05, and θ below 1 or NaN means 1.
+// computations; the paper's default is DefaultTheta, and θ below 1 or NaN
+// means 1.
 func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 	return OptBSearchLabeled(g, k, theta, nil)
 }

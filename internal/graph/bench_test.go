@@ -81,14 +81,6 @@ func BenchmarkIntersectLopsidedMergeOnly(b *testing.B) {
 	_ = n
 }
 
-func BenchmarkHasEdge(b *testing.B) {
-	g := buildBenchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.HasEdge(int32(i%1000), int32((i*7)%1000))
-	}
-}
-
 func BenchmarkOrient(b *testing.B) {
 	g := buildBenchGraph()
 	b.ResetTimer()

@@ -192,16 +192,6 @@ func (d *DynGraph) MaxDegree() int32 {
 	return mx
 }
 
-// Clone returns a deep copy of the adjacency state. Dirty tracking starts
-// fresh in the clone: it belongs to the publication pipeline of the original.
-func (d *DynGraph) Clone() *DynGraph {
-	adj := make([][]int32, len(d.adj))
-	for v, nbrs := range d.adj {
-		adj[v] = append(make([]int32, 0, len(nbrs)), nbrs...)
-	}
-	return &DynGraph{adj: adj, m: d.m}
-}
-
 func insertSorted(s []int32, x int32) []int32 {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
 	s = append(s, 0)

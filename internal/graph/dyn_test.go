@@ -60,7 +60,7 @@ func TestDynRoundTrip(t *testing.T) {
 		t.Fatal("round trip changed shape")
 	}
 	g.EachEdge(func(u, v int32) bool {
-		if !back.HasEdge(u, v) {
+		if !containsSorted(back.Neighbors(u), v) {
 			t.Errorf("edge (%d,%d) lost", u, v)
 		}
 		return true
@@ -119,18 +119,5 @@ func TestDynRandomizedAgainstMap(t *testing.T) {
 				t.Fatalf("neighbors of %d unsorted: %v", v, nbrs)
 			}
 		}
-	}
-}
-
-func TestDynClone(t *testing.T) {
-	d := emptyDyn(3)
-	_ = d.InsertEdge(0, 1)
-	c := d.Clone()
-	_ = c.InsertEdge(1, 2)
-	if d.HasEdge(1, 2) {
-		t.Fatal("clone shares storage with original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone lost edge")
 	}
 }

@@ -36,19 +36,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether the undirected edge (u, v) is present. It binary
-// searches the smaller of the two neighbor lists, so it costs
-// O(log min(d(u), d(v))).
-func (g *Graph) HasEdge(u, v int32) bool {
-	if u == v {
-		return false
-	}
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	return containsSorted(g.Neighbors(u), v)
-}
-
 // containsSorted reports whether x occurs in the ascending slice s.
 func containsSorted(s []int32, x int32) bool {
 	lo, hi := 0, len(s)

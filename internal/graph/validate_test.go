@@ -68,7 +68,7 @@ func TestFromAdjacencyAsymmetricInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(1, 0) || !g.HasEdge(2, 0) {
+	if !containsSorted(g.Neighbors(1), 0) || !containsSorted(g.Neighbors(2), 0) {
 		t.Fatal("one-sided adjacency not symmetrized")
 	}
 	if err := g.Validate(); err != nil {

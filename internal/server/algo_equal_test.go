@@ -44,13 +44,13 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 							algos = append(algos, AlgoLazy)
 						}
 					}
-					opt, err := reg.topK("g", k, AlgoOpt, 0)
+					opt, err := reg.topK("g", k, AlgoOpt)
 					if err != nil {
 						t.Fatalf("%s k=%d algo=opt: %v", stage, k, err)
 					}
 					want := encodeJSON(opt.Results)
 					for _, algo := range algos {
-						res, err := reg.topK("g", k, algo, 0)
+						res, err := reg.topK("g", k, algo)
 						if err != nil {
 							t.Fatalf("%s k=%d algo=%s: %v", stage, k, algo, err)
 						}
@@ -116,7 +116,7 @@ func TestExactSearchAccounting(t *testing.T) {
 	if body := encodeJSON(info()); bytes.Contains(body, []byte("exact_")) {
 		t.Fatalf("fresh entry's info names an exact counter: %s", body)
 	}
-	_, optSt := ego.OptBSearch(g, 10, defaultTheta)
+	_, optSt := ego.OptBSearch(g, 10, ego.DefaultTheta)
 	_, baseSt := ego.BaseBSearch(g, 25)
 	var want GraphInfo
 	for _, q := range []struct {

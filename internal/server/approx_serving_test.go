@@ -234,22 +234,3 @@ func TestApproxWorksInLazyMode(t *testing.T) {
 		t.Fatalf("got %d results, want 50", len(res.Results))
 	}
 }
-
-// TestApproxTheta ensures θ still validates on the approx tier (shared
-// contract) but is not echoed in approx payloads.
-func TestApproxTheta(t *testing.T) {
-	reg := NewRegistry()
-	if _, err := reg.Add("g", approxTestGraph(), ModeLocal, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.TopKQ("g", TopKQuery{K: 5, Algo: AlgoApprox, Theta: 0.5}); err == nil {
-		t.Fatal("theta 0.5 accepted")
-	}
-	res, err := reg.TopKQ("g", TopKQuery{K: 5, Algo: AlgoApprox, Theta: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Theta != 0 {
-		t.Fatalf("approx payload echoed theta: %+v", res)
-	}
-}

@@ -29,7 +29,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		if info.CompactMS < 0 {
 			t.Errorf("workers=%d: negative CompactMS %v", workers, info.CompactMS)
 		}
-		res, err := reg.topK("g", 10, AlgoScores, 0)
+		res, err := reg.topK("g", 10, AlgoScores)
 		if err != nil {
 			t.Fatalf("workers=%d: TopK: %v", workers, err)
 		}
@@ -82,11 +82,11 @@ func TestParallelBuildLazyMode(t *testing.T) {
 	if _, err := par.Add("g", g, ModeLazy, 8); err != nil {
 		t.Fatal(err)
 	}
-	a, err := seq.topK("g", 8, AlgoLazy, 0)
+	a, err := seq.topK("g", 8, AlgoLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.topK("g", 8, AlgoLazy, 0)
+	b, err := par.topK("g", 8, AlgoLazy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,6 @@ func (r *Registry) applyEdgesAck(name string, edges [][2]int32, insert bool, ack
 	return r.ApplyEdgesStamped(name, edges, nil, insert, ack)
 }
 
-func (r *Registry) topK(name string, k int, algo string, theta float64) (TopKResult, error) {
-	return r.TopKQ(name, TopKQuery{K: k, Algo: algo, Theta: theta})
+func (r *Registry) topK(name string, k int, algo string) (TopKResult, error) {
+	return r.TopKQ(name, TopKQuery{K: k, Algo: algo})
 }

@@ -91,7 +91,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 				var epoch uint64
 				switch rng.IntN(3) {
 				case 0:
-					res, err := victim.topK("main", 1+rng.IntN(10), algos[rng.IntN(len(algos))], 0)
+					res, err := victim.topK("main", 1+rng.IntN(10), algos[rng.IntN(len(algos))])
 					if err != nil {
 						t.Errorf("reader topk: %v", err)
 						return
@@ -158,7 +158,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := victim.topK("churn", 3, AlgoLazy, 0); !tolerable(err) {
+			if _, err := victim.topK("churn", 3, AlgoLazy); !tolerable(err) {
 				t.Errorf("churn lazy reader: %v", err)
 				return
 			}

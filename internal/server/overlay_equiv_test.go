@@ -95,7 +95,7 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 		}
 		// Read under the compactor: correctness must not depend on whether
 		// the flatten has landed yet.
-		if _, err := reg.topK("g", 5, AlgoOpt, 1.05); err != nil {
+		if _, err := reg.topK("g", 5, AlgoOpt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -132,10 +132,10 @@ func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) e
 	return nil
 }
 
-// Close shuts every graph's write pipeline — the admission queues stop
-// accepting, the writer goroutines drain what was admitted and exit — and
-// then releases every durable store: WAL handles and the per-directory
-// locks that exclude a second opener. The registry must not serve
+// Close tears every graph down in turn — its admission queue stops
+// accepting, its writer goroutine drains what was admitted and exits — and
+// releases its durable store: the WAL handle and the per-directory lock
+// that excludes a second opener. The registry must not serve
 // afterwards. Clean daemon shutdown calls it; so do tests and examples that
 // reopen a data dir in-process, where it stands in for the lock release a
 // real process death performs automatically.
@@ -146,19 +146,11 @@ func (r *Registry) Close() error {
 		entries = append(entries, e)
 	}
 	r.mu.Unlock()
-	for _, e := range entries {
-		e.closeWrites()
-		<-e.stopped
-	}
 	var first error
 	for _, e := range entries {
-		e.mu.Lock()
-		if e.st != nil {
-			if err := e.st.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := e.teardown(false); err != nil && first == nil {
+			first = err
 		}
-		e.mu.Unlock()
 	}
 	return first
 }

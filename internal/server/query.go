@@ -25,10 +25,6 @@ const (
 	AlgoApprox = "approx" // sampled estimator with (ε, δ) bounds (internal/approx)
 )
 
-// defaultTheta is the OptBSearch pruning parameter used when a query leaves
-// θ unset (0). Any explicit θ < 1 is rejected instead of defaulted.
-const defaultTheta = 1.05
-
 // snapshot is the immutable unit of the epoch scheme. Readers obtain the
 // current snapshot with one atomic pointer load and then work entirely on
 // data that no writer will ever mutate: the one graph view every read runs
@@ -107,16 +103,15 @@ type cachedResult struct {
 const maxHitBodyK = 1024
 
 // cacheKey identifies one top-k answer shape on a given snapshot. Floats
-// (θ, ε, δ) are keyed by their bit patterns so any value compares
-// exactly; the ε/δ/seed fields are zero except for AlgoApprox, whose
-// answers depend on all three.
+// (ε, δ) are keyed by their bit patterns so any value compares exactly;
+// the ε/δ/seed fields are zero except for AlgoApprox, whose answers depend
+// on all three.
 type cacheKey struct {
-	k         int
-	algo      string
-	thetaBits uint64
-	epsBits   uint64
-	confBits  uint64
-	seed      uint64
+	k        int
+	algo     string
+	epsBits  uint64
+	confBits uint64
+	seed     uint64
 }
 
 // Stats returns the Table-I style statistics of the snapshot, computed once
@@ -142,7 +137,6 @@ type TopKResult struct {
 	Epoch             uint64       `json:"epoch"`
 	K                 int          `json:"k"`
 	Algo              string       `json:"algo"`
-	Theta             float64      `json:"theta,omitempty"`
 	Eps               float64      `json:"eps,omitempty"`
 	Conf              float64      `json:"conf,omitempty"`
 	Seed              uint64       `json:"seed,omitempty"`
@@ -155,17 +149,16 @@ type TopKResult struct {
 }
 
 // TopKQuery is the full top-k query shape. Zero-valued knobs select the
-// documented defaults (θ → defaultTheta; ε / Conf → approx.DefaultEps /
-// approx.DefaultConf; Seed → approx.DefaultSeed). Eps/Conf/Seed apply only
-// to AlgoApprox — setting any of them steers an auto query to the approx
-// tier, and combining them with an explicit exact algo is rejected.
+// documented defaults (ε / Conf → approx.DefaultEps / approx.DefaultConf;
+// Seed → approx.DefaultSeed). Eps/Conf/Seed apply only to AlgoApprox —
+// setting any of them steers an auto query to the approx tier, and
+// combining them with an explicit exact algo is rejected.
 type TopKQuery struct {
-	K     int
-	Algo  string
-	Theta float64
-	Eps   float64
-	Conf  float64
-	Seed  uint64
+	K    int
+	Algo string
+	Eps  float64
+	Conf float64
+	Seed uint64
 }
 
 // resolveQuery validates q against snap and returns the cache key that
@@ -175,7 +168,7 @@ type TopKQuery struct {
 // default, so a query that spells a default out and one that leaves it
 // unset share an entry. Out-of-range values are rejected, never rewritten.
 func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
-	k, algo, theta := q.K, q.Algo, q.Theta
+	k, algo := q.K, q.Algo
 	if k < 1 {
 		return cacheKey{}, fmt.Errorf("server: k must be ≥ 1, got %d", k)
 	}
@@ -202,21 +195,7 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 	if approxKnobs && algo != AlgoApprox {
 		return cacheKey{}, fmt.Errorf("server: eps/conf/seed apply only to algo %q (got algo %q)", AlgoApprox, algo)
 	}
-	// θ: 0 (unset) selects the documented default; anything else below 1
-	// is invalid — OptBSearch's pruning needs θ ≥ 1 — and is rejected
-	// rather than silently rewritten, so a library caller asking for
-	// θ=0.5 learns about it exactly like an HTTP caller does. An infinite
-	// θ is rejected too: the payload echoes θ, and JSON has no Inf.
-	switch {
-	case theta == 0:
-		theta = defaultTheta
-	case theta < 1 || math.IsNaN(theta) || math.IsInf(theta, 1):
-		return cacheKey{}, fmt.Errorf("server: theta must be finite and ≥ 1 (got %v; 0 selects the default %v)", theta, defaultTheta)
-	}
 	key := cacheKey{k: k, algo: algo}
-	if algo == AlgoOpt {
-		key.thetaBits = math.Float64bits(theta)
-	}
 	if algo == AlgoApprox {
 		eps, conf := q.Eps, q.Conf
 		if eps == 0 {
@@ -247,7 +226,7 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 // maintainer under the write lock (its Results() call mutates lazy state).
 // AlgoApprox estimates are a pure function of (seed, vertex id, adjacency),
 // so frozen and overlay snapshots of the same graph answer bit-identically.
-// Answers are cached per (k, algo, θ, ε, δ, seed) in the snapshot they were
+// Answers are cached per (k, algo, ε, δ, seed) in the snapshot they were
 // computed against, so an epoch swap invalidates them wholesale.
 func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	e, err := r.get(name)
@@ -279,7 +258,7 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	case AlgoOpt, AlgoBase:
 		var st ego.SearchStats
 		if key.algo == AlgoOpt {
-			cr.res, st = ego.OptBSearch(snap.view, key.k, math.Float64frombits(key.thetaBits))
+			cr.res, st = ego.OptBSearch(snap.view, key.k, ego.DefaultTheta)
 		} else {
 			cr.res, st = ego.BaseBSearch(snap.view, key.k)
 		}
@@ -331,10 +310,7 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 // are the resolved ones the key carries.
 func (e *entry) topkResult(s *snapshot, key cacheKey, cached bool, cr cachedResult) TopKResult {
 	tr := TopKResult{Graph: e.name, Epoch: s.epoch, K: key.k, Algo: key.algo, Cached: cached, Results: cr.res}
-	switch key.algo {
-	case AlgoOpt:
-		tr.Theta = math.Float64frombits(key.thetaBits)
-	case AlgoApprox:
+	if key.algo == AlgoApprox {
 		tr.Eps = math.Float64frombits(key.epsBits)
 		tr.Conf = math.Float64frombits(key.confBits)
 		tr.Seed = key.seed

@@ -278,11 +278,11 @@ func TestRecoveryStateVersion1(t *testing.T) {
 	}
 	for _, k := range []int{1, 3, 5} {
 		for _, algo := range []string{AlgoOpt, AlgoBase, AlgoScores} {
-			got, err := reborn.topK("g", k, algo, 1.05)
+			got, err := reborn.topK("g", k, algo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.topK("g", k, algo, 1.05)
+			want, err := fresh.topK("g", k, algo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,11 +389,11 @@ func TestRecoveryFastVsRebuildEquivalence(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 10} {
 				for _, algo := range algos {
-					fr, err := fast.topK("g", k, algo, 1.05)
+					fr, err := fast.topK("g", k, algo)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rr, err := rebuilt.topK("g", k, algo, 1.05)
+					rr, err := rebuilt.topK("g", k, algo)
 					if err != nil {
 						t.Fatal(err)
 					}

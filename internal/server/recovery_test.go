@@ -118,7 +118,7 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 	for _, k := range []int{1, 5, 10} {
 		want := ego.TopKOfScores(scores, k)
 		for _, algo := range algos {
-			res, err := reg.topK(name, k, algo, 1.05)
+			res, err := reg.topK(name, k, algo)
 			if err != nil {
 				t.Fatalf("TopK(%s, k=%d): %v", algo, k, err)
 			}

@@ -526,18 +526,30 @@ func (r *Registry) Remove(name string) error {
 	delete(r.entries, name)
 	r.mu.Unlock()
 
+	if err := e.teardown(true); err != nil {
+		return fmt.Errorf("server: graph %q: %w: remove store: %w", name, ErrStorage, err)
+	}
+	return nil
+}
+
+// teardown is the one shutdown sequence of an entry that has left (or is
+// leaving with) the registry: close the admission queue, wait for the
+// writer to drain every admitted batch and exit, mark the entry removed so
+// a straggling lazy reader fails with not-found, and only then release the
+// durable store — deleting it when deleteStore is set, else closing it.
+func (e *entry) teardown(deleteStore bool) error {
 	e.closeWrites()
 	<-e.stopped
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.removed = true
-	if e.st != nil {
-		if err := e.st.Remove(); err != nil {
-			return fmt.Errorf("server: graph %q: %w: remove store: %w", name, ErrStorage, err)
-		}
+	switch {
+	case e.st == nil:
+		return nil
+	case deleteStore:
+		return e.st.Remove()
 	}
-	return nil
+	return e.st.Close()
 }
 
 // closeWrites shuts the admission queue: no new batch gets in, and the

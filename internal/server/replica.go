@@ -97,15 +97,7 @@ func (r *Registry) dropEntry(name string) error {
 	if !ok {
 		return nil
 	}
-	e.closeWrites()
-	<-e.stopped
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.removed = true
-	if e.st != nil {
-		return e.st.Close()
-	}
-	return nil
+	return e.teardown(false)
 }
 
 // ApplyReplica applies shipped batches in order through commitLocked, the

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,11 +112,11 @@ func assertBitwiseEqual(t *testing.T, leader, follower *Registry, name, mode str
 		algo = AlgoLazy
 	}
 	for _, k := range []int{1, 5, 10} {
-		lr, err := leader.topK(name, k, algo, 0)
+		lr, err := leader.topK(name, k, algo)
 		if err != nil {
 			t.Fatalf("leader TopK(k=%d,%s): %v", k, algo, err)
 		}
-		fr, err := follower.topK(name, k, algo, 0)
+		fr, err := follower.topK(name, k, algo)
 		if err != nil {
 			t.Fatalf("follower TopK(k=%d,%s): %v", k, algo, err)
 		}
@@ -298,13 +299,13 @@ func TestReplicaCommitFailurePoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.syncUntilCaughtUp(t, "g")
-	before, err := p.folReg.topK("g", 10, AlgoScores, 0)
+	before, err := p.folReg.topK("g", 10, AlgoScores)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	missing := [2]int32{0, 1}
-	for base.HasEdge(missing[0], missing[1]) {
+	for slices.Contains(base.Neighbors(missing[0]), missing[1]) {
 		missing[1]++
 	}
 	if _, err := p.leader.applyEdges("g", [][2]int32{missing}, true); err != nil {
@@ -316,7 +317,7 @@ func TestReplicaCommitFailurePoisons(t *testing.T) {
 		t.Fatalf("sync past a failed follower commit: %v", err)
 	}
 	armed.Store(false)
-	after, err := p.folReg.topK("g", 10, AlgoScores, 0)
+	after, err := p.folReg.topK("g", 10, AlgoScores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestReplicaReadOnly(t *testing.T) {
 	if _, err := p.folReg.applyEdges("g", [][2]int32{{0, 1}}, true); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ApplyEdges on follower: %v, want ErrReadOnly", err)
 	}
-	if _, err := p.folReg.topK("g", 5, AlgoOpt, 0); err != nil {
+	if _, err := p.folReg.topK("g", 5, AlgoOpt); err != nil {
 		t.Fatalf("read on follower: %v", err)
 	}
 
@@ -503,7 +504,7 @@ func TestRecoverPartialFailure(t *testing.T) {
 		t.Fatalf("recovered %d graphs, want 2 healthy ones", len(infos))
 	}
 	for _, name := range []string{"good-a", "good-b"} {
-		if _, err := reborn.topK(name, 5, AlgoOpt, 0); err != nil {
+		if _, err := reborn.topK(name, 5, AlgoOpt); err != nil {
 			t.Fatalf("healthy graph %q unreadable after partial recovery: %v", name, err)
 		}
 	}
@@ -536,7 +537,7 @@ func TestRecoverLazyKFallbackReason(t *testing.T) {
 	if !strings.Contains(infos[0].RecoverReason, "lazy-k 0 invalid") {
 		t.Fatalf("recover_reason %q does not record the lazy-k fallback", infos[0].RecoverReason)
 	}
-	res, err := reg.topK("g", 10, AlgoLazy, 0)
+	res, err := reg.topK("g", 10, AlgoLazy)
 	if err != nil {
 		t.Fatalf("TopK on fallback graph: %v", err)
 	}

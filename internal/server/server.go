@@ -80,7 +80,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 //	POST   /graphs                                    load/generate a graph
 //	GET    /graphs/{name}                             one graph's summary
 //	DELETE /graphs/{name}                             drop a graph
-//	GET    /graphs/{name}/topk?k=&algo=&theta=        top-k query
+//	GET    /graphs/{name}/topk?k=&algo=               top-k query
 //	GET    /graphs/{name}/vertices/{v}/ego-betweenness
 //	GET    /graphs/{name}/stats                       stats + serving counters
 //	POST   /graphs/{name}/edges?ack=durable|async     insert edge batch
@@ -358,17 +358,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		k = v
 	}
 	tq := TopKQuery{K: k, Algo: q.Get("algo")}
-	if qs := q.Get("theta"); qs != "" {
-		v, err := strconv.ParseFloat(qs, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad theta %q (want float ≥ 1)", qs))
-			return
-		}
-		// Range validation lives in Registry.TopKQ, so the HTTP and the
-		// library surface reject exactly the same values — same for the
-		// approx knobs below.
-		tq.Theta = v
-	}
+	// Range validation lives in Registry.TopKQ, so the HTTP and the library
+	// surface reject exactly the same values.
 	if qs := q.Get("eps"); qs != "" {
 		v, err := strconv.ParseFloat(qs, 64)
 		if err != nil {

@@ -268,10 +268,10 @@ func TestServeGeneratorAndDataset(t *testing.T) {
 	}
 
 	var tk TopKResult
-	if code := doJSON(t, "GET", ts.URL+"/graphs/ba/topk?k=10&algo=opt&theta=1.1", nil, &tk); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/graphs/ba/topk?k=10&algo=opt", nil, &tk); code != http.StatusOK {
 		t.Fatalf("topk: status %d", code)
 	}
-	if tk.Theta != 1.1 || len(tk.Results) != 10 {
+	if tk.Algo != AlgoOpt || len(tk.Results) != 10 {
 		t.Fatalf("topk: unexpected %+v", tk)
 	}
 
@@ -318,7 +318,7 @@ func TestTopKHitPayload(t *testing.T) {
 		return raw
 	}
 	for _, query := range []string{
-		"k=10", "k=100&algo=opt&theta=1.2", "k=20&algo=approx&eps=0.1&seed=3",
+		"k=10", "k=100&algo=opt", "k=20&algo=approx&eps=0.1&seed=3",
 		fmt.Sprintf("k=%d", maxHitBodyK), fmt.Sprintf("k=%d", maxHitBodyK+1),
 	} {
 		miss, hit, again := get(query), get(query), get(query)
@@ -362,9 +362,6 @@ func TestServeErrors(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", ts.URL+"/graphs/g/topk?algo=bogus", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("bad algo: status %d", code)
-	}
-	if code := doJSON(t, "GET", ts.URL+"/graphs/g/topk?theta=0.5", nil, nil); code != http.StatusBadRequest {
-		t.Errorf("bad theta: status %d", code)
 	}
 	if code := doJSON(t, "GET", ts.URL+"/graphs/g/vertices/99/ego-betweenness", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("vertex out of range: status %d", code)
@@ -456,7 +453,6 @@ func TestNotFoundSentinel(t *testing.T) {
 
 		{"GET", "/graphs/g/topk?k=0", nil, http.StatusBadRequest},
 		{"GET", "/graphs/g/topk?k=x", nil, http.StatusBadRequest},
-		{"GET", "/graphs/g/topk?algo=opt&theta=0.5", nil, http.StatusBadRequest},
 		{"GET", "/graphs/g/topk?algo=opt&eps=0.1", nil, http.StatusBadRequest},
 		{"GET", "/graphs/g/vertices/99/ego-betweenness", nil, http.StatusBadRequest},
 		{"GET", "/graphs/g/vertices/x/ego-betweenness", nil, http.StatusBadRequest},

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,18 +15,34 @@ import (
 	"repro/internal/store"
 )
 
-// waitFor polls cond (every millisecond, up to ~5 s) and fails the test if
-// it never becomes true. The write pipeline is asynchronous, so tests that
-// observe its side effects need a fence.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 5000; i++ {
-		if cond() {
-			return
+// parkAtApply returns a crash hook that parks the writer at
+// crashBeforeApply until release is called, and parked, which returns once
+// the writer has parked there. By then collectGroup has returned, so the
+// group is sealed and every batch admitted after parked stays queued; an
+// empty queue alone is no such fence, as the writer may still be yielding
+// inside collectGroup and about to drain more.
+func parkAtApply(t *testing.T) (hook func(name, point string) error, parked, release func()) {
+	reached := make(chan struct{}, 1)
+	block := make(chan struct{})
+	hook = func(_, p string) error {
+		if p == crashBeforeApply {
+			select {
+			case reached <- struct{}{}:
+			default:
+			}
+			<-block // closed channel reads return immediately after release
 		}
-		time.Sleep(time.Millisecond)
+		return nil
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	parked = func() {
+		t.Helper()
+		select {
+		case <-reached:
+		case <-time.After(10 * time.Second):
+			t.Fatal("timed out waiting for the writer to park before the apply")
+		}
+	}
+	return hook, parked, func() { close(block) }
 }
 
 // TestGroupCommitCoalesces: async batches admitted while the writer is busy
@@ -164,16 +179,11 @@ func TestConcurrentDurableWritersCoalesce(t *testing.T) {
 // writer goroutine and requires the overflow admission to fail fast with
 // ErrBacklog (not block, not get lost) and the accounting to record it.
 func TestBackpressure(t *testing.T) {
-	block := make(chan struct{})
-	reg := NewRegistry(WithCrashHook(func(g, p string) error {
-		if p == crashBeforeApply {
-			<-block // closed channel reads return immediately after release
-		}
-		return nil
-	}))
+	hook, parked, release := parkAtApply(t)
+	reg := NewRegistry(WithCrashHook(hook))
 	reg.queueCap = 2
 	defer reg.Close()
-	defer close(block)
+	defer release()
 	if _, err := reg.Add("g", gen.BarabasiAlbert(100, 3, 1), ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +192,7 @@ func TestBackpressure(t *testing.T) {
 	if _, err := reg.applyEdgesAck("g", [][2]int32{{0, 90}}, true, AckAsync); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "writer to take the first batch", func() bool {
-		info, err := reg.Info("g")
-		return err == nil && info.WriteQueueDepth == 0
-	})
+	parked()
 	// Two more fill the queue; the fourth must bounce.
 	for i := 0; i < 2; i++ {
 		if _, err := reg.applyEdgesAck("g", [][2]int32{{1, int32(91 + i)}}, true, AckAsync); err != nil {
@@ -208,18 +215,12 @@ func TestBackpressure(t *testing.T) {
 // TestBackpressureHTTP: the same overflow over HTTP answers 429 with a
 // Retry-After header, and an async admission answers 202.
 func TestBackpressureHTTP(t *testing.T) {
-	block := make(chan struct{})
-	s := New(WithLogger(func(string, ...any) {}), WithRegistryOptions(
-		WithCrashHook(func(g, p string) error {
-			if p == crashBeforeApply {
-				<-block
-			}
-			return nil
-		})))
+	hook, parked, release := parkAtApply(t)
+	s := New(WithLogger(func(string, ...any) {}), WithRegistryOptions(WithCrashHook(hook)))
 	s.Registry().queueCap = 1
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	defer close(block)
+	defer release()
 	if _, err := s.Registry().Add("g", gen.BarabasiAlbert(100, 3, 1), ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +238,7 @@ func TestBackpressureHTTP(t *testing.T) {
 	if resp := post([2]int32{0, 90}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first async admission: status %d, want 202", resp.StatusCode)
 	}
-	waitFor(t, "writer to take the first batch", func() bool {
-		info, err := s.Registry().Info("g")
-		return err == nil && info.WriteQueueDepth == 0
-	})
+	parked()
 	if resp := post([2]int32{1, 91}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue fill: status %d, want 202", resp.StatusCode)
 	}
@@ -355,7 +353,7 @@ func TestRemoveConcurrentWithWrites(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := reg.topK("g", 3, AlgoLazy, 0); err != nil {
+				if _, err := reg.topK("g", 3, AlgoLazy); err != nil {
 					if !strings.Contains(err.Error(), "no graph named") {
 						t.Errorf("lazy reader: unexpected error %v", err)
 					}
@@ -424,72 +422,5 @@ func TestCacheCapConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s2.cacheCount.Load(); got != 1 {
 		t.Fatalf("same-key stampede: cacheCount = %d, want 1", got)
-	}
-}
-
-// TestThetaValidation pins the unified θ contract on both surfaces: 0 (or
-// unset) selects the documented default 1.05, anything else below 1 is an
-// explicit error — no more silent rewriting on the Go API.
-func TestThetaValidation(t *testing.T) {
-	s := New(WithLogger(func(string, ...any) {}))
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	reg := s.Registry()
-	var info GraphInfo
-	if code := doJSON(t, "POST", ts.URL+"/graphs", LoadRequest{Name: "g", Edges: karateEdges()}, &info); code != http.StatusCreated {
-		t.Fatalf("load: status %d", code)
-	}
-
-	cases := []struct {
-		theta   float64
-		algo    string
-		wantErr bool
-		served  float64 // θ the opt search must report back
-	}{
-		{theta: 0, algo: AlgoOpt, served: defaultTheta},
-		{theta: 1, algo: AlgoOpt, served: 1},
-		{theta: 1.5, algo: AlgoOpt, served: 1.5},
-		{theta: 0.5, algo: AlgoOpt, wantErr: true},
-		{theta: -3, algo: AlgoOpt, wantErr: true},
-		{theta: math.NaN(), algo: AlgoOpt, wantErr: true},
-		{theta: math.Inf(1), algo: AlgoOpt, wantErr: true}, // the payload echoes θ; JSON has no Inf
-		{theta: 0.5, algo: AlgoScores, wantErr: true},      // validated even where θ is unused
-		{theta: 0, algo: AlgoScores},
-	}
-	// reg is the httptest server's registry: exercising the same instance
-	// on both surfaces keeps the comparison honest.
-	for _, tc := range cases {
-		name := fmt.Sprintf("go/theta=%v/algo=%s", tc.theta, tc.algo)
-		// Go API surface.
-		res, err := reg.topK("g", 3, tc.algo, tc.theta)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%s: no error", name)
-			}
-		} else if err != nil {
-			t.Errorf("%s: %v", name, err)
-		} else if tc.algo == AlgoOpt && res.Theta != tc.served {
-			t.Errorf("%s: served theta %v, want %v", name, res.Theta, tc.served)
-		}
-
-		// HTTP surface (NaN has no query-string spelling; skip it there).
-		if math.IsNaN(tc.theta) {
-			continue
-		}
-		url := fmt.Sprintf("%s/graphs/g/topk?k=3&algo=%s", ts.URL, tc.algo)
-		if tc.theta != 0 {
-			url += fmt.Sprintf("&theta=%g", tc.theta)
-		}
-		var tk TopKResult
-		code := doJSON(t, "GET", url, nil, &tk)
-		if tc.wantErr && code != http.StatusBadRequest {
-			t.Errorf("http %s: status %d, want 400", name, code)
-		}
-		if !tc.wantErr && code != http.StatusOK {
-			t.Errorf("http %s: status %d, want 200", name, code)
-		}
-		if !tc.wantErr && tc.algo == AlgoOpt && tk.Theta != tc.served {
-			t.Errorf("http %s: served theta %v, want %v", name, tk.Theta, tc.served)
-		}
 	}
 }
