@@ -3,13 +3,17 @@
 // Generates a power-law social graph, finds the top-k "influencers" by
 // ego-betweenness, and validates the paper's effectiveness claim by
 // comparing against exact betweenness centrality — ego-betweenness is a few
-// orders of magnitude cheaper and lands mostly the same vertices.
+// orders of magnitude cheaper and lands mostly the same vertices. The
+// search's answer is checked against the top-k of every vertex's score
+// (ComputeAll, ties to the smaller id): same vertices, same bits, or a panic.
 //
 //	go run ./examples/socialnetwork
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	egobw "repro"
@@ -29,6 +33,20 @@ func main() {
 	for i, r := range influencers {
 		fmt.Printf("  %2d. user %-6d CB=%10.1f degree=%d\n", i+1, r.V, r.CB, g.Degree(r.V))
 	}
+
+	// The search must return exactly the top-k of all scores.
+	cb := egobw.ComputeAll(g)
+	ids := make([]int32, len(cb))
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	slices.SortFunc(ids, func(u, v int32) int { return cmp.Or(cmp.Compare(cb[v], cb[u]), cmp.Compare(u, v)) })
+	for i, v := range ids[:k] {
+		if r := influencers[i]; r.V != v || r.CB != cb[v] {
+			panic(fmt.Sprintf("TopK rank %d: user %d CB=%v; top-k of ComputeAll: user %d CB=%v", i+1, r.V, r.CB, v, cb[v]))
+		}
+	}
+	fmt.Printf("TopK equals the top-%d of ComputeAll over all %d vertices.\n", k, len(cb))
 
 	// The expensive alternative: exact betweenness over the whole graph.
 	t0 = time.Now()

@@ -2,6 +2,7 @@ package ego
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -51,21 +52,28 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 //  1. number N(p) as local ids 0…d−1 (ascending, like the neighbor list);
 //  2. build the ego network's CSR: T_v = N(v) ∩ N(p) as ascending local
 //     ids; its half-length is the number of adjacent neighbor pairs;
-//  3. for each x ascending, stamp the members of T_x above x as adjacent
-//     (a count no row can lift to 0), and for every connector v ∈ T_x walk
-//     the part of T_v above x — a cursor per v that advances by one on each
-//     visit — bumping a dense count for every y: afterwards cnt[y] =
-//     c_p(x, y) for the touched y, the non-adjacent pairs {x, y} with at
-//     least one connector;
+//  3. for each x ascending, count the connectors of every pair {x, y} with
+//     y above x: for every connector v ∈ T_x visit the members y of T_v
+//     above x, bumping a dense count — afterwards cnt[y] = c_p(x, y) for
+//     the touched y, the non-adjacent pairs {x, y} with at least one
+//     connector. The visit has two row forms. An ego whose rows fit one
+//     machine word (d ≤ 64) keeps row v as a uint64 and walks the set bits
+//     of T_v masked to the non-neighbors of x above x, so an adjacent pair
+//     never comes up. A larger ego stamps the members of T_x above x as
+//     adjacent (a count no row can lift to 0) and walks T_v above x with a
+//     cursor per v that advances by one on each visit;
 //  4. fold the touched counts into the histogram over connector counts and
 //     score it with FoldScore, the fold ScoreEvidence uses — so the result
 //     is bit-identical to ScoreEvidence over a completed evidence map,
 //     under any vertex labeling.
 //
-// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.score; neither inner
-// loop takes a data-dependent branch. This is a sparse evaluation of
+// Steps 1–2 are Scratch.EgoCSR, steps 3–4 Scratch.score. The build and the
+// walk take no data-dependent branch in their inner loops; the bit loop
+// exits when the masked word runs out. This is a sparse evaluation of
 // Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
-// O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps.
+// O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps; with one-word rows the
+// second term drops to the steps that count — the connector counts of the
+// touched pairs summed — plus one word step per row and per ego edge.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 	cb, _, _ := egoKernel(a, p, s)
 	return cb
@@ -182,8 +190,11 @@ func (s *Scratch) score(nu []int32, off []int, adj []int32, sink **pairmap.Map) 
 	return cb, kept
 }
 
-// egoWork is the number of inner-loop steps count runs over all rows of an
-// ego CSR, one per pair of members of a T_v: Σ_v C(|T_v|, 2).
+// egoWork is the number of inner-loop steps the walk runs over all rows of
+// an ego CSR, one per pair of members of a T_v: Σ_v C(|T_v|, 2). It prices
+// the walk whichever row form count takes — one-word rows skip the adjacent
+// pairs among those steps — so it stays the one unit in which Sweep cuts
+// heavy egos and reports the work each worker ran.
 func egoWork(off []int) (w int64) {
 	for i := 1; i < len(off); i++ {
 		l := int64(off[i] - off[i-1])
@@ -197,12 +208,26 @@ func egoWork(off []int) (w int64) {
 // neighbor list is nu (d ≥ 2): it adds the connector count of every touched
 // pair into s.hist[1:]. With a non-nil sink it also records the evidence:
 // the final connector count per touched pair, written once, outside the
-// inner loop, into a map allocated at the first count.
+// inner loop, into a map allocated at the first count. An ego whose rows
+// fit one machine word (d ≤ 64) takes countWords, a larger one countWalk;
+// both visit the touched pairs in the same order, so the histogram and the
+// map's slots are the same bits either way.
 func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink **pairmap.Map) {
+	if len(off)-1 <= len(s.rows) {
+		s.countWords(nu, off, adj, lo, hi, sink)
+	} else {
+		s.countWalk(nu, off, adj, lo, hi, sink)
+	}
+}
+
+// countWalk is count for any d: for each x it stamps the members of T_x
+// above x as adjacent, and every connector v ∈ T_x walks the part of T_v
+// above x, adjacent pairs included.
+func (s *Scratch) countWalk(nu []int32, off []int, adj []int32, lo, hi int, sink **pairmap.Map) {
 	d := len(off) - 1
 	// cnt is all-zero between calls; every entry written below is reset
 	// before returning.
-	pos, cnt, hist, touched := s.pos[:d], s.cnt[:d], s.hist[:d], s.touched[:d]
+	pos, cnt, touched := s.pos[:d], s.cnt[:d], s.touched[:d]
 	// pos[v] starts past the members of T_v below lo.
 	copy(pos, off)
 	if lo > 0 {
@@ -217,36 +242,99 @@ func (s *Scratch) count(nu []int32, off []int, adj []int32, lo, hi int, sink **p
 		for _, y := range above {
 			cnt[y] = stamped
 		}
-		nt := 0
-		for _, v := range adj[off[x]:off[x+1]] {
-			pos[v]++
-			for _, y := range adj[pos[v]:off[v+1]] {
-				// No branch: every step bumps cnt[y] (a stamped entry stays
-				// negative) and writes y into the next touched slot, kept
-				// only on a first touch; at most d−1 ids lie above x.
-				c := cnt[y]
-				cnt[y] = c + 1
-				touched[nt] = y
-				if c == 0 {
-					nt++
-				}
-			}
-		}
-		if sink != nil && nt > 0 {
-			if *sink == nil {
-				*sink = pairmap.NewWithCapacity(d)
-			}
-			for _, y := range touched[:nt] {
-				(*sink).Set(pairmap.Key(nu[x], nu[y]), cnt[y])
-			}
-		}
-		for _, y := range touched[:nt] {
-			hist[cnt[y]]++
-			cnt[y] = 0
-		}
+		nt := walkRow(adj, off, pos, cnt, touched, x)
 		for _, y := range above {
 			cnt[y] = 0
 		}
+		s.flush(nu, x, nt, sink)
+	}
+}
+
+// walkRow is countWalk's row x: it returns the number of ids it touched,
+// listed in touched with their counts in cnt. It is kept out of line, like
+// wordRow: inlined into the loop over x, whose flush call spills registers,
+// its running count nt and cursor would live on the stack.
+//
+//go:noinline
+func walkRow(adj []int32, off, pos []int, cnt, touched []int32, x int) (nt int) {
+	for _, v := range adj[off[x]:off[x+1]] {
+		pos[v]++
+		for _, y := range adj[pos[v]:off[v+1]] {
+			// No branch: every step bumps cnt[y] (a stamped entry stays
+			// negative) and writes y into the next touched slot, kept
+			// only on a first touch; at most d−1 ids lie above x.
+			c := cnt[y]
+			cnt[y] = c + 1
+			touched[nt] = y
+			if c == 0 {
+				nt++
+			}
+		}
+	}
+	return nt
+}
+
+// countWords is count for d ≤ 64, on one word per row: bit y of rows[v] is
+// set when y ∈ T_v. For each x, keep masks out x's neighbors and every id
+// up to x, and each connector v ∈ T_x walks the set bits of rows[v] & keep
+// in ascending order — the steps of countWalk's walk minus the adjacent
+// pairs, which need no stamp because they never come up. A row without
+// connectors touches nothing and is skipped.
+func (s *Scratch) countWords(nu []int32, off []int, adj []int32, lo, hi int, sink **pairmap.Map) {
+	d := len(off) - 1
+	rows, cnt, touched := s.rows[:d], s.cnt[:d], s.touched[:d]
+	for v := range rows {
+		var r uint64
+		for _, y := range adj[off[v]:off[v+1]] {
+			r |= 1 << (y & 63) // y < d ≤ 64: the mask only spares the shift its range check
+		}
+		rows[v] = r
+	}
+	for x := lo; x < hi; x++ {
+		if tx := adj[off[x]:off[x+1]]; len(tx) > 0 {
+			s.flush(nu, x, wordRow(rows, tx, cnt, touched, x), sink)
+		}
+	}
+}
+
+// wordRow is countWords' row x, whose connectors tx = T_x are given: it
+// returns the number of ids it touched, listed in touched with their counts
+// in cnt. It is kept out of line like walkRow.
+//
+//go:noinline
+func wordRow(rows []uint64, tx, cnt, touched []int32, x int) (nt int) {
+	// Clear bits 0…x; at x = 63, 2<<63 wraps to 0 and 0−1 is all ones.
+	keep := ^rows[x] &^ (uint64(2)<<x - 1)
+	for _, v := range tx {
+		for b := rows[v] & keep; b != 0; b &= b - 1 {
+			y := int32(bits.TrailingZeros64(b))
+			c := cnt[y]
+			cnt[y] = c + 1
+			touched[nt] = y
+			if c == 0 {
+				nt++
+			}
+		}
+	}
+	return nt
+}
+
+// flush ends row x of the counting pass: it writes the touched pairs'
+// connector counts into the sink (allocating the map at the first one),
+// adds them to the histogram and resets them to 0.
+func (s *Scratch) flush(nu []int32, x, nt int, sink **pairmap.Map) {
+	cnt, hist, touched := s.cnt, s.hist, s.touched[:nt]
+	if sink != nil && len(touched) > 0 {
+		if *sink == nil {
+			*sink = pairmap.NewWithCapacity(len(nu))
+		}
+		for _, y := range touched {
+			(*sink).Set(pairmap.Key(nu[x], nu[y]), cnt[y])
+		}
+	}
+	for _, y := range touched {
+		hist[cnt[y]]++
+		cnt[y] = 0
 	}
 }
 
@@ -258,13 +346,14 @@ const stamped = math.MinInt32
 // Scratch holds the reusable state of the per-ego kernel: the vertex → local
 // id table and the dense per-ego arrays.
 type Scratch struct {
-	loc     []int32 // vertex → local id + 1 inside the current ego, else 0
-	off     []int   // ego CSR offsets, d+1 entries
-	adj     []int32 // ego CSR: T_v as ascending local ids; capacity up to the ego-build price
-	pos     []int   // per-connector cursor into adj
-	cnt     []int32 // connector count of the pair (x, y) in flight; < 0 = adjacent (stamped)
-	touched []int32 // ids with cnt > 0 for the x in flight, d slots
-	hist    []int64 // hist[c] = pairs with c connectors; hist[0] = adjacent pairs
+	loc     []int32    // vertex → local id + 1 inside the current ego, else 0
+	off     []int      // ego CSR offsets, d+1 entries
+	adj     []int32    // ego CSR: T_v as ascending local ids; capacity up to the ego-build price
+	pos     []int      // per-connector cursor into adj
+	cnt     []int32    // connector count of the pair (x, y) in flight; < 0 = adjacent (stamped)
+	touched []int32    // ids with cnt > 0 for the x in flight, d slots
+	hist    []int64    // hist[c] = pairs with c connectors; hist[0] = adjacent pairs
+	rows    [64]uint64 // countWords' ego adjacency, one word per row
 }
 
 // NewScratch returns scratch space for graphs with up to n vertices; it

@@ -18,7 +18,10 @@
 // The dense per-ego kernel (EgoBetweenness, computeall.go) scores one
 // vertex from its own ego network alone: number N(p), build the ego CSR
 // (Scratch.EgoCSR), count connectors per non-adjacent pair in dense arrays,
-// fold the counts (FoldScore). Everything per-ego reads that one CSR:
+// fold the counts (FoldScore). The count has two row forms with the same
+// bits: an ego of degree ≤ 64 holds each row in one machine word and masks
+// the adjacent pairs out 64 at a time; a larger one walks its rows and
+// steps over them. Everything per-ego reads that one CSR:
 // ComputeAll is a loop of the kernel; both searches (search.go) draw every
 // exact score from it and feed their dynamic bound — the marker half of
 // Lemma 3's "identified information", a plain counter per vertex — from the

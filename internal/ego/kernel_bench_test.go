@@ -22,49 +22,71 @@ var benchSink float64
 
 // BenchmarkEgoBetweennessHub times the per-vertex kernel over the 100
 // highest-degree vertices with a warm Scratch — the recompute primitive of
-// the lazy maintainer on the egos that dominate its cost: whole, and each
-// half alone. build is EgoCSR only; count is ScoreCSR, the counting pass and
-// fold, over copies of the hubs' CSRs made once before the timer starts.
+// the lazy maintainer on the egos that dominate its cost. Every hub has
+// d > 64 on both shapes, so its counting pass is the walk.
 func BenchmarkEgoBetweennessHub(b *testing.B) {
 	for _, sh := range benchShapes {
 		g := sh.make()
-		hubs := graph.OrderOf(g)[:100]
-		s := NewScratch(g.NumVertices())
-		type csr struct {
-			off []int
-			adj []int32
-		}
-		csrs := make([]csr, len(hubs))
-		for i, v := range hubs {
-			_, off, adj := s.EgoCSR(g, v)
-			csrs[i] = csr{slices.Clone(off), slices.Clone(adj)}
-		}
-		b.Run(sh.name+"/whole", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, v := range hubs {
-					benchSink += EgoBetweenness(g, v, s)
-				}
-			}
-		})
-		b.Run(sh.name+"/build", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, v := range hubs {
-					_, off, _ := s.EgoCSR(g, v)
-					benchSink += float64(off[len(off)-1])
-				}
-			}
-		})
-		b.Run(sh.name+"/count", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, c := range csrs {
-					benchSink += s.ScoreCSR(c.off, c.adj)
-				}
-			}
-		})
+		benchEgos(b, sh.name, g, graph.OrderOf(g)[:100])
 	}
+}
+
+// BenchmarkEgoBetweennessSmall is BenchmarkEgoBetweennessHub over every ego
+// with 2 ≤ d ≤ 64, whose counting pass runs on one word per row: on collab
+// they run 95 % of ComputeAll's counting steps, on powerlaw 3 %.
+func BenchmarkEgoBetweennessSmall(b *testing.B) {
+	for _, sh := range benchShapes {
+		g := sh.make()
+		var small []int32
+		for v := int32(0); v < g.NumVertices(); v++ {
+			if d := g.Degree(v); d >= 2 && d <= 64 {
+				small = append(small, v)
+			}
+		}
+		benchEgos(b, sh.name, g, small)
+	}
+}
+
+// benchEgos times the kernel over the egos of vs with a warm Scratch:
+// whole, and each half alone. build is EgoCSR only; count is ScoreCSR, the
+// counting pass and fold, over copies of the egos' CSRs made once before
+// the timer starts.
+func benchEgos(b *testing.B, name string, g *graph.Graph, vs []int32) {
+	s := NewScratch(g.NumVertices())
+	type csr struct {
+		off []int
+		adj []int32
+	}
+	csrs := make([]csr, len(vs))
+	for i, v := range vs {
+		_, off, adj := s.EgoCSR(g, v)
+		csrs[i] = csr{slices.Clone(off), slices.Clone(adj)}
+	}
+	b.Run(name+"/whole", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, v := range vs {
+				benchSink += EgoBetweenness(g, v, s)
+			}
+		}
+	})
+	b.Run(name+"/build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, v := range vs {
+				_, off, _ := s.EgoCSR(g, v)
+				benchSink += float64(off[len(off)-1])
+			}
+		}
+	})
+	b.Run(name+"/count", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range csrs {
+				benchSink += s.ScoreCSR(c.off, c.adj)
+			}
+		}
+	})
 }
 
 // BenchmarkComputeAll times the all-vertices baseline.

@@ -248,12 +248,7 @@ func TestKernelDifferential(t *testing.T) {
 // 604 450 leaf-pair terms stays that close to the exact value.
 func TestKernelFoldBeyondTable(t *testing.T) {
 	const m = 1100
-	var edges [][2]int32
-	edges = append(edges, [2]int32{0, 1}, [2]int32{0, 2})
-	for l := int32(3); l < m+3; l++ {
-		edges = append(edges, [2]int32{0, l}, [2]int32{1, l}, [2]int32{2, l})
-	}
-	g := graph.MustFromEdges(-1, edges)
+	g := apexOverK2m(m)
 	n := g.NumVertices()
 	swept := make([]float64, n)
 	set := func(v int32, cb float64) { swept[v] = cb }
@@ -281,14 +276,27 @@ func TestKernelFoldBeyondTable(t *testing.T) {
 	}
 }
 
-// fuzzGraph decodes bytes as an edge list over at most 48 vertices: the
+// apexOverK2m is an apex 0 joined to every vertex of K_{2,m}: hubs 1 and 2,
+// leaves 3…m+2. The apex's ego has degree m+2 and mixed adjacency — each
+// hub is adjacent to every leaf, the hubs and the leaves are not adjacent
+// among themselves, the two hubs have m connectors and two leaves two.
+func apexOverK2m(m int32) *graph.Graph {
+	edges := [][2]int32{{0, 1}, {0, 2}}
+	for l := int32(3); l < m+3; l++ {
+		edges = append(edges, [2]int32{0, l}, [2]int32{1, l}, [2]int32{2, l})
+	}
+	return graph.MustFromEdges(-1, edges)
+}
+
+// fuzzGraph decodes bytes as an edge list over at most 128 vertices: the
 // first byte picks n, every following pair of bytes is an edge (self-loops
-// and duplicates are dropped by the builder).
+// and duplicates are dropped by the builder). 128 vertices reach egos on
+// both sides of the counting pass's one-word cutoff, d ≤ 64.
 func fuzzGraph(data []byte) *graph.Graph {
 	if len(data) == 0 {
 		return graph.MustFromEdges(0, nil)
 	}
-	n := int32(data[0]%48) + 1
+	n := int32(data[0]%128) + 1
 	var edges [][2]int32
 	for i := 1; i+1 < len(data); i += 2 {
 		edges = append(edges, [2]int32{int32(data[i]) % n, int32(data[i+1]) % n})
