@@ -22,6 +22,8 @@
 //	                                  # tail its WAL stream, serve reads at
 //	                                  # bounded staleness; writes answer 403
 //	                                  # with the leader's address
+//	egobwd -pprof 127.0.0.1:6060      # net/http/pprof on a listener of its
+//	                                  # own, never on the API's
 //
 // Walkthrough (see README.md for the full API):
 //
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -63,6 +66,7 @@ type config struct {
 	window      time.Duration
 	follow      string
 	followEvery time.Duration
+	pprof       string
 }
 
 func main() {
@@ -77,6 +81,7 @@ func main() {
 	flag.DurationVar(&cfg.window, "window", 0, "default sliding window for created graphs (e.g. 6h): edges older than the window are expired through WAL-recorded delete batches; 0 = unwindowed. Per-graph \"window\" on create overrides")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of the leader at this base URL (e.g. http://leader:8080): graphs ship over from its checkpoints and WAL stream; local writes are rejected")
 	flag.DurationVar(&cfg.followEvery, "follow-interval", 200*time.Millisecond, "how often a follower polls the leader's WAL stream (bounds read staleness)")
+	flag.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof under /debug/pprof/ on this address (e.g. 127.0.0.1:6060), a listener of its own that shuts down with the API's; empty = off")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -189,25 +194,53 @@ func run(cfg config) error {
 		log.Printf("egobwd: following %s every %s", cfg.follow, cfg.followEvery)
 	}
 
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("egobwd: serving on %s", cfg.addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	servers := []*http.Server{httpSrv}
+	if cfg.pprof != "" {
+		servers = append(servers, pprofServer(cfg.pprof))
+	}
+	return serve(ctx, servers...)
+}
 
+// pprofServer serves net/http/pprof on a mux of its own: the profiles are
+// reachable only on addr, never through the API handler.
+func pprofServer(addr string) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+}
+
+// serve runs every server until ctx is done or one of them fails, then
+// shuts them all down and returns once every one has stopped.
+func serve(ctx context.Context, servers ...*http.Server) error {
+	errc := make(chan error, len(servers))
+	for _, s := range servers {
+		go func() {
+			log.Printf("egobwd: serving on %s", s.Addr)
+			errc <- s.ListenAndServe()
+		}()
+	}
+	running := len(servers)
+	var failed error
 	select {
-	case err := <-errc:
-		return err
+	case failed = <-errc:
+		running--
 	case <-ctx.Done():
 		log.Printf("egobwd: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
 	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := []error{failed}
+	for _, s := range servers {
+		errs = append(errs, s.Shutdown(shutdownCtx))
+	}
+	for range running {
+		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/server"
@@ -108,5 +112,54 @@ func TestSetupRejectsCorruptDataDir(t *testing.T) {
 	}
 	if _, err := setup(config{dataDir: dir}); err == nil {
 		t.Fatal("setup accepted a data dir with unrecognized contents")
+	}
+}
+
+// TestPprofListener: -pprof's listener answers /debug/pprof/ with 200, the
+// API handler answers the same path with 404, and both listeners close when
+// serve's context ends.
+func TestPprofListener(t *testing.T) {
+	free := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	apiAddr, pprofAddr := free(), free()
+	api := &http.Server{Addr: apiAddr, Handler: server.New().Handler()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, api, pprofServer(pprofAddr)) }()
+
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	get := func(addr string) (int, error) {
+		resp, err := client.Get("http://" + addr + "/debug/pprof/")
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	for addr, want := range map[string]int{pprofAddr: http.StatusOK, apiAddr: http.StatusNotFound} {
+		code, err := get(addr)
+		for i := 0; err != nil && i < 200; i++ { // the listener may not be up yet
+			time.Sleep(10 * time.Millisecond)
+			code, err = get(addr)
+		}
+		if err != nil || code != want {
+			t.Fatalf("GET %s/debug/pprof/: %d, %v; want %d", addr, code, err, want)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v after its context ended", err)
+	}
+	for _, addr := range []string{apiAddr, pprofAddr} {
+		if _, err := get(addr); err == nil {
+			t.Errorf("%s still answers after shutdown", addr)
+		}
 	}
 }

@@ -16,12 +16,13 @@ import (
 // re-certifications — allocates nothing. The file is excluded under -race
 // because the race runtime instruments allocations.
 func TestSamplingRoundZeroAlloc(t *testing.T) {
-	g := gen.ChungLu(6000, 2.2, 5.3, 500, 11)
+	g := gen.ChungLu(20000, 2.2, 5.3, 800, 1)
 	hub := graph.OrderOf(g)[0]
 	d := int(g.Degree(hub))
-	// ε = 0.02 puts the budget at ~4.6k draws: under the hub's ~92k pairs,
-	// and priced under its ~86k-step counting pass, so the cost rule keeps
-	// it sampling; and far beyond the rounds below, so it stays in the race.
+	// ε = 0.02 puts the budget at ~4.6k draws: under the hub's ~275k pairs,
+	// and priced under its ~307k-step counting pass (~7.7k draws at ~40
+	// steps each), so the cost rule keeps it sampling; and far beyond the
+	// rounds below, so it stays in the race.
 	e := newEstimator(g, Options{Eps: 0.02, Seed: 1}.withDefaults())
 	c := &cand{v: hub, d: d, ub: ego.StaticUB(int32(d)), high: ego.StaticUB(int32(d))}
 	s := ego.NewScratch(g.NumVertices())

@@ -18,15 +18,14 @@
 // Sampling is not always the cheaper way to that bound: a candidate's
 // tables are a copy of the ego CSR the exact kernel builds, so its exact
 // score is one counting pass away. One cost rule prices both in kernel
-// inner-loop steps — the pass at Σ_v C(|T_v|, 2) + |adj|, the count
-// ego.Sweep plans its chunks by; a draw at a + b·(the expected length of
-// the two rows it merges). A candidate resolves exactly at its first touch
-// when the pass costs no more than its first batch of draws plus the table
-// copy, or when its pair count is within t_max (enumeration beats sampling
-// outright); and at any later round when the pass costs no more than the
-// draws left in its budget. Everyone else draws a first batch before the
-// next check, so a loser can still be pruned without paying for a pass. An
-// exact candidate's interval has zero width.
+// steps — the pass at ego.Scratch.Price, the unit ego.Sweep plans by; a
+// draw at a + b·(the expected length of the two rows it merges). A
+// candidate resolves exactly at its first touch when the pass costs no more
+// than its first batch of draws plus the table copy, or when its pair count
+// is within t_max; and at any later round when the pass costs no more than
+// the draws left in its budget. Everyone else draws a first batch, so a
+// loser can still be pruned without paying for a pass. An exact
+// candidate's interval has zero width.
 //
 // Candidates come from a betweenness-ordering prescreen (Singh et al.):
 // vertices are visited in the degree total order ≺, an initial pool of
@@ -91,31 +90,25 @@ const (
 	escalateMin = 64
 )
 
-// The cost rule's prices, in kernel inner-loop steps. A draw costs
+// The cost rule's prices, in ego.Scratch.Price's kernel steps. A draw costs
 // drawBase + drawMerge·L, L = 2·|adj|/d being the expected merged length
 // |R_i| + |R_j| of the drawn pair's rows; copying the tables costs copyStep
 // per copied entry. BenchmarkCostModel measures them over the k = 100 pool
-// of the benchmark's generators (2-vCPU Xeon 2.1 GHz, three runs):
+// of the benchmark's generators (2-vCPU Xeon, six runs; base and merge fit
+// a line to each candidate's draw cost over its L):
 //
-//	shape      ns/step  ns/draw   L     steps/draw  steps/copied entry
-//	collab     4.8–5.3  162–172  14.8   32–34       0.54–0.59
-//	powerlaw   3.3–3.9   94–104  14.1   27–30       0.69–0.76
+//	shape     ns/step walk, words  L     steps/draw  base     merge    copy
+//	collab    5.0–5.5, 8.1–9.1     14.8  28–30       9.5–14   1.0–1.3  0.43–0.52
+//	powerlaw  2.7–3.3, 7.2–8.2     14.1  26–30       3.2–7.2  1.3–1.8  0.65–0.89
 //
-// The constants were fitted on the kernel before its counting pass went
-// branch-free, when a powerlaw draw cost 12.5–14.4 steps at 5.4–6.5
-// ns/step: the draw price a little below its tight-loop cost (10.9 steps),
-// since the budget it is compared with is the most a candidate can draw
-// and pruning or early stopping usually cut that short. That pass now runs
-// powerlaw's steps about twice as fast, so its draws cost 2.5× the model,
-// as collab's (whose clique-shaped rows run every merge to the end, where
-// a hub's skewed rows stop at the short one) cost 3×: the rule errs toward
-// sampling on both, and one batch in, its later-round check still resolves
-// almost every collab candidate exactly. A refit changes answers, so it
-// waits for its own change with re-recorded goldens.
+// The draw price, 25.6–26.5 steps, sits a little under both shapes' cost,
+// since pruning or early stopping usually cut short the budget a later
+// round compares with. A one-word-row step costs about twice a walk step,
+// so the rule errs toward the exact pass on the small egos priced so.
 const (
-	drawBase  = 1.0
-	drawMerge = 0.7
-	copyStep  = 0.4
+	drawBase  = 8.0
+	drawMerge = 1.25
+	copyStep  = 0.55
 )
 
 // Options are the approx-tier query knobs.
@@ -207,19 +200,6 @@ func (c *cand) settle(cb float64) {
 	c.release()
 }
 
-// price fills in the cost rule's two prices off the candidate's ego CSR.
-// The counting pass runs one step per pair of members of each row T_v —
-// the count ego.Sweep's planner reads off the same CSR — plus one per entry.
-func (c *cand) price(off []int, adj []int32) {
-	var w int64
-	for i := 1; i < len(off); i++ {
-		l := int64(off[i] - off[i-1])
-		w += l * (l - 1) / 2
-	}
-	c.work = float64(w + int64(len(adj)))
-	c.draw = drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
-}
-
 // estimator carries the per-query constants shared by all workers.
 type estimator struct {
 	g      graph.View
@@ -276,19 +256,11 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	if k <= 0 || n == 0 {
 		return nil, st
 	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	e := newEstimator(g, o)
 
 	order := degreeOrder(g)
-	pool := k + escalateMin
-	if c := 2 * k; c > pool {
-		pool = c
-	}
-	if pool > n {
-		pool = n
-	}
+	pool := min(max(2*k, k+escalateMin), n)
 	cands := make([]*cand, 0, pool)
 	admit := func(to int) {
 		for len(cands) < to {
@@ -310,15 +282,7 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 		if ego.StaticUB(g.Degree(order[len(cands)])) <= kthLow {
 			break
 		}
-		add := len(cands) / 2
-		if add < escalateMin {
-			add = escalateMin
-		}
-		to := len(cands) + add
-		if to > n {
-			to = n
-		}
-		admit(to)
+		admit(min(len(cands)+max(len(cands)/2, escalateMin), n))
 		e.race(cands, k, o.Workers)
 		st.Escalations++
 	}
@@ -368,11 +332,8 @@ func degreeOrder(g graph.View) []int32 {
 	degs := make([]int32, n)
 	maxd := int32(0)
 	for v := 0; v < n; v++ {
-		d := g.Degree(int32(v))
-		degs[v] = d
-		if d > maxd {
-			maxd = d
-		}
+		degs[v] = g.Degree(int32(v))
+		maxd = max(maxd, degs[v])
 	}
 	// count[b] buckets degree maxd−b, so bucket order is descending degree.
 	count := make([]int32, maxd+1)
@@ -440,9 +401,7 @@ func (e *estimator) race(cands []*cand, k, workers int) {
 // runRound advances every working candidate by one round, fanning out
 // across workers. Each candidate is owned by exactly one worker per round.
 func (e *estimator) runRound(work []*cand, workers int) {
-	if workers > len(work) {
-		workers = len(work)
-	}
+	workers = min(workers, len(work))
 	if workers <= 1 {
 		s := scratchPool.Get().(*ego.Scratch)
 		for _, c := range work {
@@ -484,7 +443,8 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 	switch c.state {
 	case candPending:
 		_, off, adj := s.EgoCSR(e.g, c.v)
-		c.price(off, adj)
+		c.work = float64(s.Price(off, adj))
+		c.draw = drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
 		firstBatch := sampleBatch*c.draw + copyStep*float64(len(off)+len(adj))
 		if int64(c.d)*int64(c.d-1)/2 <= e.tMax || c.work <= firstBatch {
 			c.settle(s.ScoreCSR(off, adj))
@@ -513,25 +473,15 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 		// Hoeffding half-widths at confidence 1−δ.
 		v := c.m2 / float64(c.t)
 		h := math.Sqrt(2*v*e.bernL/float64(c.t)) + 3*e.bernL/float64(c.t)
-		if hh := math.Sqrt(e.hoeffL / (2 * float64(c.t))); hh < h {
-			h = hh
-		}
+		h = min(h, math.Sqrt(e.hoeffL/(2*float64(c.t))))
 		if h <= e.eps || c.t >= e.tMax {
-			if h > e.eps {
-				h = e.eps // the full-budget Hoeffding certificate
-			}
+			h = min(h, e.eps) // the full-budget Hoeffding certificate
 			c.state = candResolved
 		}
 		c.halfNorm = h
 		c.est = c.ub * c.mean
-		c.low = c.est - c.ub*h
-		if c.low < 0 {
-			c.low = 0 // CB ≥ 0 always; the clamp only tightens the certificate
-		}
-		c.high = c.est + c.ub*h
-		if c.high > c.ub {
-			c.high = c.ub // CB ≤ d(d−1)/2 always
-		}
+		// CB ∈ [0, d(d−1)/2] always; the clamps only tighten the certificate.
+		c.low, c.high = max(c.est-c.ub*h, 0), min(c.est+c.ub*h, c.ub)
 		if c.state == candResolved {
 			c.release()
 			return

@@ -246,7 +246,8 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // adjacent-pair marker, which histogram bucket 0 counts instead, and the
 // maintainer's hub threshold with the register's epoch/summary machinery
 // and its pre-epoch test baseline, which one always-marked plain bitset
-// replaced, and the TopK option that copied out the stats TopK returns.
+// replaced, the TopK option that copied out the stats TopK returns, and the
+// walk-only ego price that ego.Scratch.Price replaced for both row forms.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -266,4 +267,5 @@ var retiredSymbols = []string{
 	"LoadEdgeList", "BetweennessApprox", "samplePivots", "Jaccard", "SpearmanRho", "fractionalRanks",
 	"resultIDs", "DatasetNames", "InsertVertex", "DeleteVertex", "insertVertex", "deleteVertex",
 	"edgeMaintainer", "thetaBits",
+	"egoWork",
 }

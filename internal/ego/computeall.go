@@ -71,9 +71,7 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 // walk take no data-dependent branch in their inner loops; the bit loop
 // exits when the masked word runs out. This is a sparse evaluation of
 // Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
-// O(Σ_{v∈N(p)} d(v) + Σ_v |T_v|²) array steps; with one-word rows the
-// second term drops to the steps that count — the connector counts of the
-// touched pairs summed — plus one word step per row and per ego edge.
+// O(Σ_{v∈N(p)} d(v)) array steps to build plus the ego's Price to count.
 func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
 	cb, _, _ := egoKernel(a, p, s)
 	return cb
@@ -164,16 +162,19 @@ func (s *Scratch) ScoreCSR(off []int, adj []int32) float64 {
 }
 
 // score is the whole-ego counting pass: count over every row of the ego
-// CSR, then fold the histogram. nu is read only to key a non-nil sink; with
-// one, score also returns a copy of the histogram, trimmed after its last
-// non-zero bucket (nil if none), for the owner of the evidence to keep.
+// CSR, then fold the histogram; it leaves the ego's Price in s.steps. nu is
+// read only to key a non-nil sink; with one, score also returns a copy of
+// the histogram, trimmed after its last non-zero bucket (nil if none), for
+// the owner of the evidence to keep.
 func (s *Scratch) score(nu []int32, off []int, adj []int32, sink **pairmap.Map) (float64, []int64) {
 	d := len(off) - 1
+	s.steps = 0
 	if d < 2 {
 		return 0, nil
 	}
 	s.count(nu, off, adj, 0, d, sink)
 	hist := s.hist[:d]
+	s.steps = s.price(off, adj, hist)
 	hist[0] = int64(len(adj) / 2)
 	cb := FoldScore(int32(d), hist)
 	var kept []int64
@@ -190,15 +191,63 @@ func (s *Scratch) score(nu []int32, off []int, adj []int32, sink **pairmap.Map) 
 	return cb, kept
 }
 
-// egoWork is the number of inner-loop steps the walk runs over all rows of
-// an ego CSR, one per pair of members of a T_v: Σ_v C(|T_v|, 2). It prices
-// the walk whichever row form count takes — one-word rows skip the adjacent
-// pairs among those steps — so it stays the one unit in which Sweep cuts
-// heavy egos and reports the work each worker ran.
-func egoWork(off []int) (w int64) {
-	for i := 1; i < len(off); i++ {
-		l := int64(off[i] - off[i-1])
-		w += l * (l - 1) / 2
+// Price is an ego's one price in kernel steps: the steps the counting pass
+// runs over all rows of the ego CSR (off, adj) EgoCSR built, in the row
+// form count takes. Row x runs one step per connector v ∈ T_x and one per
+// pair {x, y} that connector visits, so the walk (d > 64) costs
+// Σ_v C(|T_v|, 2) + |adj|, read off the offsets in O(d), and one-word rows
+// cost |adj| plus the set bits of every rows[v] & keep_x, in O(|adj|).
+// Sweep cuts heavy egos and reports each worker's work in this unit, and
+// the approx tier's cost rule prices an exact pass in it.
+func (s *Scratch) Price(off []int, adj []int32) int64 { return s.price(off, adj, nil) }
+
+// price is Price; given the histogram a whole-ego count of one-word rows
+// left, it reads their visits off it in O(d): c per pair with c connectors.
+func (s *Scratch) price(off []int, adj []int32, hist []int64) (w int64) {
+	d := len(off) - 1
+	switch {
+	case d < 2:
+	case d > len(s.rows):
+		w = int64(len(adj))
+		for v := range d {
+			l := int64(off[v+1] - off[v])
+			w += l * (l - 1) / 2
+		}
+	case hist != nil:
+		w = int64(len(adj))
+		for c, h := range hist[:d] {
+			w += int64(c) * h
+		}
+	default:
+		for _, r := range s.rowPrices(off, adj) {
+			w += int64(r)
+		}
+	}
+	return w
+}
+
+// rowPrices returns, in s.pos, the steps count runs for each row x of the
+// ego CSR: |T_x| plus its connectors' visits, Σ_{v∈T_x} |T_v above x| on the
+// walk and Σ_{v∈T_x} popcount(rows[v] & keep_x) on one-word rows.
+func (s *Scratch) rowPrices(off []int, adj []int32) []int {
+	w := s.pos[:len(off)-1]
+	clear(w)
+	if len(w) > len(s.rows) {
+		for v := range w { // x ∈ T_v is a connector of row x with |T_v above x| visits
+			row := adj[off[v]:off[v+1]]
+			for j, x := range row {
+				w[x] += len(row) - j
+			}
+		}
+		return w
+	}
+	rows := s.buildRows(off, adj)
+	for x := range w {
+		tx, keep := adj[off[x]:off[x+1]], keepOf(rows[x], x)
+		w[x] = len(tx)
+		for _, v := range tx {
+			w[x] += bits.OnesCount64(rows[v] & keep)
+		}
 	}
 	return w
 }
@@ -282,14 +331,7 @@ func walkRow(adj []int32, off, pos []int, cnt, touched []int32, x int) (nt int) 
 // connectors touches nothing and is skipped.
 func (s *Scratch) countWords(nu []int32, off []int, adj []int32, lo, hi int, sink **pairmap.Map) {
 	d := len(off) - 1
-	rows, cnt, touched := s.rows[:d], s.cnt[:d], s.touched[:d]
-	for v := range rows {
-		var r uint64
-		for _, y := range adj[off[v]:off[v+1]] {
-			r |= 1 << (y & 63) // y < d ≤ 64: the mask only spares the shift its range check
-		}
-		rows[v] = r
-	}
+	rows, cnt, touched := s.buildRows(off, adj), s.cnt[:d], s.touched[:d]
 	for x := lo; x < hi; x++ {
 		if tx := adj[off[x]:off[x+1]]; len(tx) > 0 {
 			s.flush(nu, x, wordRow(rows, tx, cnt, touched, x), sink)
@@ -297,14 +339,30 @@ func (s *Scratch) countWords(nu []int32, off []int, adj []int32, lo, hi int, sin
 	}
 }
 
+// buildRows fills countWords' one word per row off the ego CSR (d ≤ 64).
+func (s *Scratch) buildRows(off []int, adj []int32) []uint64 {
+	rows := s.rows[:len(off)-1]
+	for v := range rows {
+		var r uint64
+		for _, y := range adj[off[v]:off[v+1]] {
+			r |= 1 << (y & 63) // y < d ≤ 64: the mask only spares the shift its range check
+		}
+		rows[v] = r
+	}
+	return rows
+}
+
+// keepOf masks row x's neighbors and every id up to x out of a word: at
+// x = 63, 2<<63 wraps to 0 and 0−1 is all ones.
+func keepOf(row uint64, x int) uint64 { return ^row &^ (uint64(2)<<x - 1) }
+
 // wordRow is countWords' row x, whose connectors tx = T_x are given: it
 // returns the number of ids it touched, listed in touched with their counts
 // in cnt. It is kept out of line like walkRow.
 //
 //go:noinline
 func wordRow(rows []uint64, tx, cnt, touched []int32, x int) (nt int) {
-	// Clear bits 0…x; at x = 63, 2<<63 wraps to 0 and 0−1 is all ones.
-	keep := ^rows[x] &^ (uint64(2)<<x - 1)
+	keep := keepOf(rows[x], x)
 	for _, v := range tx {
 		for b := rows[v] & keep; b != 0; b &= b - 1 {
 			y := int32(bits.TrailingZeros64(b))
@@ -354,6 +412,7 @@ type Scratch struct {
 	touched []int32    // ids with cnt > 0 for the x in flight, d slots
 	hist    []int64    // hist[c] = pairs with c connectors; hist[0] = adjacent pairs
 	rows    [64]uint64 // countWords' ego adjacency, one word per row
+	steps   int64      // the Price of the ego score last counted
 }
 
 // NewScratch returns scratch space for graphs with up to n vertices; it

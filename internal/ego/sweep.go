@@ -13,13 +13,13 @@ import (
 // each over its own Scratch. A whole-ego unit calls each(v, s), which must
 // run the kernel on v over s and keeps what it needs; nothing is locked.
 //
-// With split non-nil an ego costing more than total/(4·workers) counting
-// steps (egoWork, read off every CSR by a first sweep) is cut into chunks of
+// With split non-nil an ego costing more than total/(4·workers) kernel steps
+// (its Price, read off every CSR by a first sweep) is cut into chunks of
 // its rows — its edges (p, x) — that add their integer histograms into one;
 // the last chunk folds it and hands the score to split(v, cb), so scores
 // are the same bits at any worker count. Split egos emit no evidence map.
-// Sweep returns the counting steps each worker ran and the heaviest unit's;
-// they sum to Σ_p egoWork however egos are cut.
+// Sweep returns the kernel steps each worker ran and the heaviest unit's;
+// they sum to Σ_p Price however egos are cut.
 func Sweep(g graph.Adjacency, workers int, each func(v int32, s *Scratch), split func(v int32, cb float64)) (work []int64, maxUnit int64) {
 	workers = max(workers, 1)
 	var plan []chunk // nil: unit i is the whole ego of vertex i
@@ -43,9 +43,7 @@ func Sweep(g graph.Adjacency, workers int, each func(v int32, s *Scratch), split
 				var steps int64
 				if u.e == nil {
 					each(u.v, s)
-					if len(g.Neighbors(u.v)) >= 2 { // each left v's CSR in s
-						steps = egoWork(s.off)
-					}
+					steps = s.steps // each scored v over s
 				} else {
 					steps = u.run(g, s, split)
 				}
@@ -78,8 +76,8 @@ func splitPlan(g graph.Adjacency, workers int) []chunk {
 	cost := make([]int64, g.NumVertices())
 	var total atomic.Int64
 	Sweep(g, workers, func(v int32, s *Scratch) {
-		_, off, _ := s.EgoCSR(g, v)
-		cost[v] = egoWork(off)
+		_, off, adj := s.EgoCSR(g, v)
+		cost[v] = s.Price(off, adj)
 		total.Add(cost[v])
 	}, nil)
 	share := max(total.Load()/int64(4*workers), 1)
@@ -101,7 +99,7 @@ func splitPlan(g graph.Adjacency, workers int) []chunk {
 
 // run counts the chunk's rows of its ego over s, adds the histogram into
 // the ego's shared one and, as the ego's last chunk, folds it. It returns
-// the counting steps the rows ran.
+// the kernel steps the rows ran.
 func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64)) int64 {
 	nu, off, adj := s.EgoCSR(g, u.v)
 	d := len(nu)
@@ -121,18 +119,11 @@ func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64
 }
 
 // chunkRows returns the rows [lo, hi) of the i-th of k chunks of an ego CSR,
-// cut so that each runs about 1/k of the counting pass's steps — row x runs
-// w[x] = Σ_{v∈T_x} |T_v above x| — and the steps its rows run.
+// cut so that each runs about 1/k of its Price by the rows' prices, and the
+// steps its rows run.
 func chunkRows(off []int, adj []int32, i, k int, s *Scratch) (lo, hi int, steps int64) {
-	w := s.pos[:len(off)-1]
-	clear(w)
-	for v := range w {
-		row := adj[off[v]:off[v+1]]
-		for j, x := range row {
-			w[x] += len(row) - 1 - j
-		}
-	}
-	total, acc := max(int(egoWork(off)), 1), 0
+	total, acc := max(int(s.Price(off, adj)), 1), 0
+	w := s.rowPrices(off, adj)
 	lo, hi = len(w), len(w)
 	for x, wx := range w {
 		c := min(acc*k/total, k-1) // the chunk row x falls in

@@ -1,20 +1,27 @@
 package ego
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// rowSteps counts, by definition, the inner-loop steps the counting pass
-// runs over the rows [lo, hi) of an ego CSR: for each x in the range and
-// each v ∈ T_x, one step per member of T_v above x.
+// rowSteps counts, by definition, the steps the counting pass runs over the
+// rows [lo, hi) of an ego CSR in the row form count takes: for each x in the
+// range, one per connector v ∈ T_x and one per member y of T_v above x that
+// the form visits — every one on the walk (d > 64), only those not adjacent
+// to x on one-word rows.
 func rowSteps(off []int, adj []int32, lo, hi int) (n int64) {
+	words := len(off)-1 <= 64
 	for x := lo; x < hi; x++ {
-		for _, v := range adj[off[x]:off[x+1]] {
+		tx := adj[off[x]:off[x+1]]
+		for _, v := range tx {
+			n++
 			for _, y := range adj[off[v]:off[v+1]] {
-				if int(y) > x {
+				if int(y) > x && !(words && slices.Contains(tx, y)) {
 					n++
 				}
 			}
@@ -23,11 +30,47 @@ func rowSteps(off []int, adj []int32, lo, hi int) (n int64) {
 	return n
 }
 
+// TestKernelPrice holds an ego's one price to the steps its row form runs.
+// On every ego of the differential test's shapes and of apex-over-K_{2,m}
+// graphs whose apex has degree 63, 64 and 65, Price, the price a whole-ego
+// score leaves for Sweep (read off the histogram on one-word rows) and each
+// row's price equal rowSteps' count.
+func TestKernelPrice(t *testing.T) {
+	graphs := kernelCases()
+	for _, d := range []int32{63, 64, 65} {
+		graphs[fmt.Sprintf("apex/d=%d", d)] = apexOverK2m(d - 2)
+	}
+	s := NewScratch(0)
+	for name, g := range graphs {
+		for p := int32(0); p < g.NumVertices(); p++ {
+			EgoBetweenness(g, p, s)
+			scored := s.steps
+			nu, off, adj := s.EgoCSR(g, p)
+			d := len(nu)
+			var want int64
+			if d >= 2 {
+				want = rowSteps(off, adj, 0, d)
+			}
+			if got := s.Price(off, adj); got != want || scored != want {
+				t.Fatalf("%s: ego %d (d=%d) priced %d, scored at %d, its rows run %d", name, p, d, got, scored, want)
+			}
+			if d < 2 {
+				continue
+			}
+			for x, w := range s.rowPrices(off, adj) {
+				if run := rowSteps(off, adj, x, x+1); int64(w) != run {
+					t.Fatalf("%s: ego %d (d=%d) row %d priced %d, it runs %d", name, p, d, x, w, run)
+				}
+			}
+		}
+	}
+}
+
 // TestSweepChunksMatchWholeEgo: for every ego and every chunk count k, the
 // chunks chunkRows cuts tile the rows [0, d) in order, each is charged the
 // steps its rows run, their counting passes add up to the whole ego's
 // histogram — so the one fold scores the same bits as EgoBetweenness — and
-// egoWork is the steps all its rows run.
+// its Price is the steps all its rows run.
 func TestSweepChunksMatchWholeEgo(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"powerlaw": gen.ChungLu(300, 2.1, 6, 80, 3),
@@ -41,7 +84,7 @@ func TestSweepChunksMatchWholeEgo(t *testing.T) {
 			if d < 2 {
 				continue
 			}
-			if w, all := egoWork(off), rowSteps(off, adj, 0, d); w != all {
+			if w, all := s.Price(off, adj), rowSteps(off, adj, 0, d); w != all {
 				t.Fatalf("%s: ego %d charged %d steps, its rows run %d", name, p, w, all)
 			}
 			for k := 1; k <= 5; k++ {

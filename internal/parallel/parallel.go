@@ -29,8 +29,8 @@ func (s Strategy) String() string {
 }
 
 // Stats reports per-run parallel behavior. Work is counted in the per-ego
-// kernel's inner-loop steps, so TotalWork is the same for both strategies at
-// any worker count.
+// kernel's steps (ego.Scratch.Price), so TotalWork is the same for both
+// strategies at any worker count.
 type Stats struct {
 	Threads       int
 	Strategy      Strategy

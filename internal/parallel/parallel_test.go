@@ -263,8 +263,8 @@ func TestEdgeBalancesBetterThanVertex(t *testing.T) {
 }
 
 // TestWorkConservation: total work is strategy- and thread-invariant — the
-// kernel's inner-loop steps, Σ_v C(|T_v|, 2) per ego, however the egos are
-// cut into chunks — and agrees with TotalWork.
+// kernel steps ego.Scratch.Price counts per ego, however the egos are cut
+// into chunks — and agrees with TotalWork.
 func TestWorkConservation(t *testing.T) {
 	for gi, g := range []*graph.Graph{gen.BarabasiAlbert(600, 3, 11), hubOfCliques(t, 60, 4)} {
 		var ref int64 = -1

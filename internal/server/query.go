@@ -62,9 +62,10 @@ func (s *snapshot) withView(v graph.View) *snapshot {
 }
 
 // maxCacheEntries caps a snapshot's result cache. The key space is
-// client-chosen (every distinct θ is a distinct key), so without a cap a
-// read-only graph — whose snapshot never swaps — would accumulate cached
-// results forever. Past the cap queries still compute, just uncached.
+// client-chosen (every distinct k, ε, δ and seed is a distinct key), so
+// without a cap a read-only graph — whose snapshot never swaps — would
+// accumulate cached results forever. Past the cap queries still compute,
+// just uncached.
 const maxCacheEntries = 256
 
 // cacheStore inserts res under key unless the cache is at capacity. The

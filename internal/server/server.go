@@ -7,7 +7,8 @@
 //   - Readers (top-k, per-vertex, stats) load the current snapshot with one
 //     atomic pointer read and never block or be blocked by writers. A
 //     snapshot is immutable: CSR graph, frozen exact-score vector (ModeLocal)
-//     and a monotonically growing result cache keyed by (k, algo, θ).
+//     and a result cache of its own, keyed by (k, algo, ε, δ, seed) and
+//     capped at 256 entries (maxCacheEntries).
 //   - Writers (edge batches) enter a per-graph bounded admission queue
 //     drained by a dedicated writer goroutine (DESIGN.md §9): each drain
 //     group-commits everything waiting — one WAL fsync, the per-batch
