@@ -39,20 +39,25 @@ bench-smoke:
 
 # Short fuzz runs of the persistence decoders (internal/store), of the
 # per-ego kernel against its two oracles and of both top-k searches against
-# exhaustive selection (internal/ego), of the register's word AND against
-# the naive intersection (internal/nbr), and of the HTTP handler
-# (internal/server). `go test` accepts
-# one -fuzz pattern per invocation, hence one run per target. CI runs this
+# exhaustive selection (internal/ego), of the sorted-list intersection and
+# the register's word AND against the naive ones (internal/nbr), of overlay
+# chains against a fresh freeze (internal/graph), and of the HTTP handler
+# (internal/server). `go test` accepts one -fuzz pattern per invocation and
+# refuses one that matches two targets, hence one anchored run per target;
+# internal/bench fails when a fuzz target has no line here. CI runs this
 # non-gating, like bench-smoke; crank -fuzztime up for a real session.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeMaintainerState -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeWAL -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzEgoKernel -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzSearch -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/nbr -run '^$$' -fuzz FuzzAnd -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeSnapshotPerm$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeMaintainerState$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeWAL$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ego -run '^$$' -fuzz '^FuzzEgoKernel$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ego -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nbr -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nbr -run '^$$' -fuzz '^FuzzAnd$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzOverlayEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZTIME)
 
 # Coverage profile over every package (atomic mode so it composes with
 # -race); CI uploads coverage.out as a workflow artifact.

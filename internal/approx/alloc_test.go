@@ -19,10 +19,10 @@ func TestSamplingRoundZeroAlloc(t *testing.T) {
 	g := gen.ChungLu(20000, 2.2, 5.3, 800, 1)
 	hub := graph.OrderOf(g)[0]
 	d := int(g.Degree(hub))
-	// ε = 0.02 puts the budget at ~4.6k draws: under the hub's ~275k pairs,
-	// and priced under its ~307k-step counting pass (~7.7k draws at ~40
-	// steps each), so the cost rule keeps it sampling; and far beyond the
-	// rounds below, so it stays in the race.
+	// ε = 0.02 puts the budget at ~4.6k draws of ~40 steps each, ~184k
+	// steps in all: under the hub's ~307k-step counting pass, so the cost
+	// rule keeps it sampling; and far beyond the rounds below, so it stays
+	// in the race.
 	e := newEstimator(g, Options{Eps: 0.02, Seed: 1}.withDefaults())
 	c := &cand{v: hub, d: d, ub: ego.StaticUB(int32(d)), high: ego.StaticUB(int32(d))}
 	s := ego.NewScratch(g.NumVertices())

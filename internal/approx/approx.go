@@ -17,22 +17,21 @@
 //
 // Sampling is not always the cheaper way to that bound: a candidate's
 // tables are a copy of the ego CSR the exact kernel builds, so its exact
-// score is one counting pass away. One cost rule prices both in kernel
-// steps — the pass at ego.Scratch.Price, the unit ego.Sweep plans by; a
-// draw at a + b·(the expected length of the two rows it merges). A
-// candidate resolves exactly at its first touch when the pass costs no more
-// than its first batch of draws plus the table copy, or when its pair count
-// is within t_max; and at any later round when the pass costs no more than
-// the draws left in its budget. Everyone else draws a first batch, so a
-// loser can still be pruned without paying for a pass. An exact
-// candidate's interval has zero width.
+// score is one counting pass away. One cost rule, applied once at a
+// candidate's first touch, prices both in kernel steps — the pass at
+// ego.Scratch.Price, the unit ego.Sweep plans by; a draw at a + b·(the
+// expected length of the two rows it merges) — and resolves the candidate
+// exactly iff the pass costs no more than its whole budget of t_max draws.
+// Everyone else samples until the stopping rule resolves it or the barrier
+// prunes it: its remaining budget only shrinks, so the pass never becomes
+// the cheaper way later. An exact candidate's interval has zero width.
 //
 // Candidates come from a betweenness-ordering prescreen (Singh et al.):
-// vertices are visited in the degree total order ≺, an initial pool of
-// max(2k, k+64) is estimated, and the pool escalates in batches while the
-// next unseen vertex's static upper bound d(d−1)/2 still exceeds the
-// certified lower bound of the current k-th estimate — every vertex never
-// estimated is provably (up to δ) unable to enter the top-k.
+// vertices are visited in the paper's total order ≺ (graph.OrderOf), an
+// initial pool of max(2k, k+64) is estimated, and the pool escalates in
+// batches while the next unseen vertex's static upper bound d(d−1)/2 still
+// exceeds the certified lower bound of the current k-th estimate — every
+// vertex never estimated is provably (up to δ) unable to enter the top-k.
 //
 // Candidates race rather than resolve one-shot: sampling proceeds in
 // global rounds, and at each round barrier a candidate whose upper
@@ -56,6 +55,7 @@
 package approx
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -90,25 +90,24 @@ const (
 	escalateMin = 64
 )
 
-// The cost rule's prices, in ego.Scratch.Price's kernel steps. A draw costs
-// drawBase + drawMerge·L, L = 2·|adj|/d being the expected merged length
-// |R_i| + |R_j| of the drawn pair's rows; copying the tables costs copyStep
-// per copied entry. BenchmarkCostModel measures them over the k = 100 pool
-// of the benchmark's generators (2-vCPU Xeon, six runs; base and merge fit
-// a line to each candidate's draw cost over its L):
+// The cost rule's draw price, in ego.Scratch.Price's kernel steps: a draw
+// costs drawBase + drawMerge·L, L = 2·|adj|/d being the expected merged
+// length |R_i| + |R_j| of the drawn pair's rows. BenchmarkCostModel
+// measures it over the k = 100 pool of the benchmark's generators (2-vCPU
+// Xeon, six runs; base and merge fit a line to each candidate's draw cost
+// over its L):
 //
-//	shape     ns/step walk, words  L     steps/draw  base     merge    copy
-//	collab    5.0–5.5, 8.1–9.1     14.8  28–30       9.5–14   1.0–1.3  0.43–0.52
-//	powerlaw  2.7–3.3, 7.2–8.2     14.1  26–30       3.2–7.2  1.3–1.8  0.65–0.89
+//	shape     ns/step walk, words  L     steps/draw  base     merge
+//	collab    5.0–5.5, 8.1–9.1     14.8  28–30       9.5–14   1.0–1.3
+//	powerlaw  2.7–3.3, 7.2–8.2     14.1  26–30       3.2–7.2  1.3–1.8
 //
 // The draw price, 25.6–26.5 steps, sits a little under both shapes' cost,
-// since pruning or early stopping usually cut short the budget a later
-// round compares with. A one-word-row step costs about twice a walk step,
-// so the rule errs toward the exact pass on the small egos priced so.
+// since pruning or early stopping usually cut a sampled candidate's budget
+// short. A one-word-row step costs about twice a walk step, so the rule
+// errs toward the exact pass on the small egos priced so.
 const (
 	drawBase  = 8.0
 	drawMerge = 1.25
-	copyStep  = 0.55
 )
 
 // Options are the approx-tier query knobs.
@@ -117,6 +116,8 @@ type Options struct {
 	Conf    float64 // confidence 1−δ ∈ (0, 1); 0 → DefaultConf
 	Seed    uint64  // sample-stream seed; 0 → DefaultSeed
 	Workers int     // parallel estimator workers; ≤ 0 → GOMAXPROCS
+
+	ctx context.Context // TopKContext's; nil never cancels
 }
 
 // withDefaults resolves zero values to the package defaults.
@@ -133,6 +134,9 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
+	if o.ctx == nil {
+		o.ctx = context.Background()
+	}
 	return o
 }
 
@@ -147,10 +151,10 @@ type Stats struct {
 	EpsAchieved float64 // max certified normalized half-width over the returned top-k
 }
 
-// Candidate states. A candidate enters pending, resolves exactly when the
-// cost rule finds the counting pass cheaper, or by sampling to a certified
-// ≤ε half-width, or is pruned when its upper confidence bound falls below
-// the k-th best lower bound.
+// Candidate states. A candidate enters pending and resolves exactly when
+// the cost rule finds the counting pass cheaper; otherwise it turns alive
+// and resolves by sampling to a certified ≤ε half-width, or is pruned when
+// its upper confidence bound falls below the k-th best lower bound.
 const (
 	candPending uint8 = iota
 	candAlive
@@ -174,8 +178,6 @@ type cand struct {
 	v        int32
 	d        int
 	ub       float64
-	work     float64    // the exact counting pass's price in kernel steps
-	draw     float64    // one draw's price in kernel steps
 	off      []int      // len d+1 row offsets into arena
 	arena    []int32    // concatenated restricted lists, local ids
 	rng      *rand.Rand // per-vertex stream: pure in (seed, v)
@@ -247,6 +249,18 @@ func TopK(g graph.View, k int, o Options) ([]ego.Result, Stats) {
 	return res, st
 }
 
+// TopKContext is TopK for a caller that may stop waiting: the race checks
+// ctx once per round, and once ctx is done TopKContext returns ctx.Err()
+// without results.
+func TopKContext(ctx context.Context, g graph.View, k int, o Options) ([]ego.Result, Stats, error) {
+	o.ctx = ctx
+	res, st := TopK(g, k, o)
+	if err := ctx.Err(); err != nil {
+		return nil, st, err
+	}
+	return res, st, nil
+}
+
 // topK is TopK that returns the winning candidates themselves, in answer
 // order.
 func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
@@ -259,7 +273,7 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	k = min(k, n)
 	e := newEstimator(g, o)
 
-	order := degreeOrder(g)
+	order := graph.OrderOf(g)
 	pool := min(max(2*k, k+escalateMin), n)
 	cands := make([]*cand, 0, pool)
 	admit := func(to int) {
@@ -271,7 +285,9 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 		}
 	}
 	admit(pool)
-	e.race(cands, k, o.Workers)
+	if e.race(o.ctx, cands, k, o.Workers) != nil {
+		return nil, st
+	}
 
 	// Escalate while the next unseen vertex's static UB could still beat
 	// the certified lower bound of the k-th best estimate. order is sorted
@@ -283,7 +299,9 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 			break
 		}
 		admit(min(len(cands)+max(len(cands)/2, escalateMin), n))
-		e.race(cands, k, o.Workers)
+		if e.race(o.ctx, cands, k, o.Workers) != nil {
+			return nil, st
+		}
 		st.Escalations++
 	}
 	st.Candidates = len(cands)
@@ -322,38 +340,6 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	return final, st
 }
 
-// degreeOrder returns g's vertices by non-increasing degree, ties by
-// ascending id — the prescreen's total order — via a counting sort over
-// degree buckets. The obvious comparison sort costs O(n log n) per query
-// and showed up as ~20% of an approx query on the profile; the bucket
-// pass is O(n + maxDegree).
-func degreeOrder(g graph.View) []int32 {
-	n := int(g.NumVertices())
-	degs := make([]int32, n)
-	maxd := int32(0)
-	for v := 0; v < n; v++ {
-		degs[v] = g.Degree(int32(v))
-		maxd = max(maxd, degs[v])
-	}
-	// count[b] buckets degree maxd−b, so bucket order is descending degree.
-	count := make([]int32, maxd+1)
-	for _, d := range degs {
-		count[maxd-d]++
-	}
-	var sum int32
-	for i, c := range count {
-		count[i] = sum
-		sum += c
-	}
-	order := make([]int32, n)
-	for v := 0; v < n; v++ { // ascending id within each bucket
-		b := maxd - degs[v]
-		order[count[b]] = int32(v)
-		count[b]++
-	}
-	return order
-}
-
 // kthBestLow returns the k-th largest certified lower bound among the
 // candidates (the escalation and pruning cutoff). Fewer candidates than k
 // means nothing is certified yet, so the cutoff is 0.
@@ -370,12 +356,16 @@ func kthBestLow(cands []*cand, k int) float64 {
 }
 
 // race runs the sampling rounds until every candidate is resolved or
-// pruned. Pruning happens only here, at the round barrier, from the
-// deterministic per-vertex streams — never inside a worker — which is what
-// keeps the outcome independent of worker count and scheduling.
-func (e *estimator) race(cands []*cand, k, workers int) {
+// pruned, or until ctx is done, which it checks once per round. Pruning
+// happens only here, at the round barrier, from the deterministic
+// per-vertex streams — never inside a worker — which is what keeps the
+// outcome independent of worker count and scheduling.
+func (e *estimator) race(ctx context.Context, cands []*cand, k, workers int) error {
 	work := make([]*cand, 0, len(cands))
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// Prune before the round, so escalated candidates whose static UB
 		// is already beaten never sample at all.
 		kthLow := kthBestLow(cands, k)
@@ -392,7 +382,7 @@ func (e *estimator) race(cands []*cand, k, workers int) {
 			work = append(work, c)
 		}
 		if len(work) == 0 {
-			return
+			return nil
 		}
 		e.runRound(work, workers)
 	}
@@ -430,35 +420,27 @@ func (e *estimator) runRound(work []*cand, workers int) {
 	wg.Wait()
 }
 
-// round advances one candidate by one round, applying the cost rule (see
-// the package comment) first. Its first touch builds and prices its ego CSR
-// and either resolves exactly or seeds its stream and copies its tables off
-// the CSR — one O(Σ_{v∈N(p)} d(v)) pass that turns every later draw into a
-// short merge; a later round may resolve it exactly off its own tables.
-// Otherwise it draws up to roundBatches·sampleBatch pairs, re-certifying the
-// confidence interval after each batch. The decision is a pure function of
-// the ego's adjacency and the candidate's draw count, so the determinism
-// contract holds. A candidate that has left the race is left alone.
+// round advances one candidate by one round. Its first touch builds its ego
+// CSR and applies the cost rule (see the package comment): it resolves
+// exactly, or seeds its stream and copies its tables off the CSR — one
+// O(Σ_{v∈N(p)} d(v)) pass that turns every later draw into a short merge.
+// A sampling candidate draws up to roundBatches·sampleBatch pairs per round,
+// re-certifying the confidence interval after each batch. The decision is a
+// pure function of the ego's adjacency, so the determinism contract holds.
+// A candidate that has left the race is left alone.
 func (e *estimator) round(c *cand, s *ego.Scratch) {
-	switch c.state {
-	case candPending:
+	if c.state == candPending {
 		_, off, adj := s.EgoCSR(e.g, c.v)
-		c.work = float64(s.Price(off, adj))
-		c.draw = drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
-		firstBatch := sampleBatch*c.draw + copyStep*float64(len(off)+len(adj))
-		if int64(c.d)*int64(c.d-1)/2 <= e.tMax || c.work <= firstBatch {
+		draw := drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
+		if float64(s.Price(off, adj)) <= float64(e.tMax)*draw {
 			c.settle(s.ScoreCSR(off, adj))
-			return
+		} else {
+			c.rng = rand.New(rand.NewPCG(e.seed, streamOf(c.v)))
+			c.off, c.arena = slices.Clone(off), slices.Clone(adj)
+			c.state = candAlive
 		}
-		c.rng = rand.New(rand.NewPCG(e.seed, streamOf(c.v)))
-		c.off, c.arena = slices.Clone(off), slices.Clone(adj)
-		c.state = candAlive
-	case candAlive:
-		if c.work <= float64(e.tMax-c.t)*c.draw {
-			c.settle(s.ScoreCSR(c.off, c.arena))
-			return
-		}
-	default:
+	}
+	if c.state != candAlive {
 		return
 	}
 	// A candidate's first round is a single batch: losers prune after 32

@@ -1,6 +1,8 @@
 package approx
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -48,12 +50,12 @@ func TestEverettBorgattiOnGenerators(t *testing.T) {
 	}
 }
 
-// TestTopKExactOnSmallGraphs: when every vertex's pair count fits the
-// Hoeffding budget the whole pool resolves on the exact path, so approx
-// must equal the exhaustive top-k score for score.
+// TestTopKExactOnSmallGraphs: when every vertex's counting pass prices
+// within its sampling budget the whole pool resolves on the exact path, so
+// approx must equal the exhaustive top-k score for score.
 func TestTopKExactOnSmallGraphs(t *testing.T) {
-	// maxN = 30 keeps every pair count ≤ 29·28/2 = 406, under the default
-	// Hoeffding budget of ~738, so no vertex can take the sampling path.
+	// maxN = 30 keeps every ego's pass within its whole default budget of
+	// ~738 draws, so no vertex can take the sampling path.
 	for seed := uint64(0); seed < 30; seed++ {
 		g := gen.Random(seed, 30)
 		for _, k := range []int{1, 3, 10} {
@@ -78,31 +80,40 @@ func TestTopKExactOnSmallGraphs(t *testing.T) {
 }
 
 // TestTopKErrorBounds verifies the (ε, δ) contract against exact scores on
-// a hub-heavy graph where sampling actually engages: every returned
-// estimate must lie within ε·ub(p) of the true CB(p). The run is
-// deterministic (fixed seed), so a pass is stable, and the per-vertex
-// failure probability δ = 0.05 makes a >k-wide systematic violation
-// astronomically unlikely to have been baked in.
+// hub-heavy graphs where sampling actually engages: every returned estimate
+// must lie within ε·ub(p) of the true CB(p). At ε = 0.02 the budget covers
+// every pass of the preferential-attachment graph, so the Chung–Lu graph's
+// larger hubs are what sample there. The runs are deterministic (fixed
+// seed), so a pass is stable, and the per-vertex failure probability
+// δ = 0.05 makes a >k-wide systematic violation astronomically unlikely to
+// have been baked in.
 func TestTopKErrorBounds(t *testing.T) {
-	g := gen.BarabasiAlbert(1500, 12, 7)
-	exact := ego.ComputeAll(g)
+	graphs := []*graph.Graph{gen.BarabasiAlbert(1500, 12, 7), gen.ChungLu(6000, 2.1, 8, 1200, 7)}
+	exact := make([][]float64, len(graphs))
+	for i, g := range graphs {
+		exact[i] = ego.ComputeAll(g)
+	}
 	for _, eps := range []float64{0.02, 0.1} {
-		res, st := TopK(g, 25, Options{Eps: eps, Seed: 42})
-		if st.Sampled == 0 {
-			t.Fatalf("eps=%v: estimator never sampled (max degree %d)", eps, g.MaxDegree())
-		}
-		if st.EpsAchieved > eps+1e-12 {
-			t.Fatalf("eps=%v: achieved %v", eps, st.EpsAchieved)
-		}
-		bad := 0
-		for _, r := range res {
-			tol := eps * ego.StaticUB(g.Degree(r.V))
-			if math.Abs(r.CB-exact[r.V]) > tol+1e-9 {
-				bad++
+		var sampled int64
+		for i, g := range graphs {
+			res, st := TopK(g, 25, Options{Eps: eps, Seed: 42})
+			sampled += st.Sampled
+			if st.EpsAchieved > eps+1e-12 {
+				t.Fatalf("eps=%v graph %d: achieved %v", eps, i, st.EpsAchieved)
+			}
+			bad := 0
+			for _, r := range res {
+				tol := eps * ego.StaticUB(g.Degree(r.V))
+				if math.Abs(r.CB-exact[i][r.V]) > tol+1e-9 {
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Fatalf("eps=%v graph %d: %d/%d returned estimates outside ε·ub", eps, i, bad, len(res))
 			}
 		}
-		if bad > 0 {
-			t.Fatalf("eps=%v: %d/%d returned estimates outside ε·ub", eps, bad, len(res))
+		if sampled == 0 {
+			t.Fatalf("eps=%v: estimator never sampled (max degrees %d, %d)", eps, graphs[0].MaxDegree(), graphs[1].MaxDegree())
 		}
 	}
 }
@@ -140,6 +151,42 @@ func TestTopKDeterministicAcrossWorkersAndViews(t *testing.T) {
 	other, _ := TopK(full, 20, Options{Seed: 100})
 	if reflect.DeepEqual(other, want) {
 		t.Log("seed change produced identical estimates (possible but unlikely)")
+	}
+}
+
+// doneAfter is a context whose Err reports it done from its n+1-th call on,
+// so a race checking it once per round stops after n rounds.
+type doneAfter struct {
+	context.Context
+	n int
+}
+
+func (c *doneAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTopKContext: a context that is never done answers what TopK does,
+// and one done before the first round or mid-race — with candidates still
+// sampling — ends TopKContext with its error and no results.
+func TestTopKContext(t *testing.T) {
+	g := gen.ChungLu(3000, 2.1, 8, 400, 1)
+	o := Options{Seed: 3, Workers: 2}
+	want, wantSt := TopK(g, 50, o)
+	got, st, err := TopKContext(context.Background(), g, 50, o)
+	if err != nil || !reflect.DeepEqual(got, want) || st != wantSt {
+		t.Fatalf("background context: err %v, stats %+v, want TopK's %+v", err, st, wantSt)
+	}
+	if wantSt.Sampled == 0 {
+		t.Fatal("nothing sampled: the race has a single round")
+	}
+	for _, n := range []int{0, 1} {
+		res, _, err := TopKContext(&doneAfter{context.Background(), n}, g, 50, o)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("done after %d rounds: %d results, err %v; want none and context.Canceled", n, len(res), err)
+		}
 	}
 }
 

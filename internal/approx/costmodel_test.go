@@ -18,9 +18,9 @@ import (
 // ego.Scratch.Price, and times, round-robin over the pool the way racing
 // rounds visit it, the exact counting pass of the egos on the walk
 // (d > 64) and of those on one-word rows (ns/step of each, and of the
-// whole pool), batches of 64 draws (ns/draw) and the table copy, next to
-// the mean merged row length L = 2·|adj|/d of a draw. steps/draw and
-// steps/copied convert the last two into the pool's kernel steps.
+// whole pool) and batches of 64 draws (ns/draw), next to the mean merged
+// row length L = 2·|adj|/d of a draw. steps/draw converts a draw into the
+// pool's kernel steps.
 func BenchmarkCostModel(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -38,7 +38,7 @@ func BenchmarkCostModel(b *testing.B) {
 				steps float64
 				pass  time.Duration
 			}
-			var merge, entries float64
+			var merge float64
 			for _, v := range graph.OrderOf(sh.g)[:200] {
 				_, off, adj := s.EgoCSR(sh.g, v)
 				if len(off) < 3 {
@@ -46,18 +46,16 @@ func BenchmarkCostModel(b *testing.B) {
 				}
 				c := &cand{v: v, d: len(off) - 1, off: slices.Clone(off), arena: slices.Clone(adj)}
 				c.rng = rand.New(rand.NewPCG(1, streamOf(v)))
-				c.work = float64(s.Price(off, adj))
 				f := &forms[0]
 				if c.d <= 64 {
 					f = &forms[1]
 				}
-				f.pool, f.steps = append(f.pool, c), f.steps+c.work
+				f.pool, f.steps = append(f.pool, c), f.steps+float64(s.Price(off, adj))
 				merge += 2 * float64(len(adj)) / float64(c.d)
-				entries += float64(len(off) + len(adj))
 				pool = append(pool, c)
 			}
 			const draws = 64
-			var sample, copying time.Duration
+			var sample time.Duration
 			drawTime := make([]time.Duration, len(pool))
 			for b.Loop() {
 				for i := range forms {
@@ -73,11 +71,7 @@ func BenchmarkCostModel(b *testing.B) {
 					c.sample(draws)
 					drawTime[i] += time.Since(t)
 				}
-				end := time.Now()
-				for _, c := range pool {
-					c.off, c.arena = slices.Clone(c.off), slices.Clone(c.arena)
-				}
-				sample, copying = sample+end.Sub(start), copying+time.Since(end)
+				sample += time.Since(start)
 			}
 			perStep := func(pass time.Duration, steps float64) float64 {
 				return float64(pass.Nanoseconds()) / (float64(b.N) * max(steps, 1))
@@ -102,37 +96,34 @@ func BenchmarkCostModel(b *testing.B) {
 			slope := (n*sly - sl*sy) / (n*sll - sl*sl)
 			b.ReportMetric((sy-slope*sl)/n/nsStep, "draw-base")
 			b.ReportMetric(slope/nsStep, "draw-merge")
-			b.ReportMetric(float64(copying.Nanoseconds())/(float64(b.N)*entries)/nsStep, "steps/copied")
 		})
 	}
 }
 
-// TestCostModelDecisions pins the cost rule's decision on five egos at the
-// default ε (t_max = 738 draws), in ego.Scratch.Price's steps:
+// TestCostModelDecisions pins the cost rule's decision on seven egos at the
+// default ε (t_max = 738 draws): exact at first touch iff the pass's
+// ego.Scratch.Price is within t_max draws at drawBase + drawMerge·L steps.
 //   - clique-heavy: p at the center of 14 K4s, so N(p) is 14 disjoint
-//     triangles — 861 pairs, over the budget, but one-word rows that visit
-//     no pair, an 84-step pass under the first batch's ~486: exact at first
-//     touch;
-//   - a powerlaw hub, whose ~86k-step pass outprices even its whole budget
-//     (~23k): it samples until the stopping rule resolves it;
-//   - a collab-shaped hub (d = 163, the walk), whose ~6.3k-step pass
-//     outprices its first batch (~1.7k) but not the rest of its budget
-//     (~19k): one batch, then exact at the next barrier;
-//   - an apex over K_{19,19}: 703 pairs, within the budget, so exact at first
-//     touch although its ~7.2k-step pass outprices the first batch (~2.2k);
-//   - a collab ego of degree 64, one-word rows: 2,016 pairs, over the
-//     budget, and a 725-step pass under the first batch's ~1.3k, so exact at
-//     first touch. The walk's price, 2,720 steps, put it over the first
-//     batch of the rule before one-word rows were priced, and it sampled.
+//     triangles; one-word rows that visit no pair price the pass at 84
+//     steps, under a 9,594-step budget (13-step draws): exact;
+//   - a powerlaw hub (d = 430, the walk), whose 85,985-step pass outprices
+//     its 23,144-step budget (31.4-step draws): it samples until the
+//     stopping rule resolves it;
+//   - a collab-shaped hub (d = 163, the walk): a 6,270-step pass under a
+//     20,324-step budget (27.5-step draws): exact;
+//   - an apex over K_{19,19} (d = 38, one-word rows): a 7,220-step pass
+//     under a 40,959-step budget (55.5-step draws): exact;
+//   - a collab ego of degree 64, one-word rows: a 725-step pass under a
+//     21,817-step budget (29.6-step draws): exact;
+//   - p at the center of 477 K5s (d = 1,908, the walk, rows of 3): a
+//     11,448-step pass just above its 11,439-step budget (15.5-step draws),
+//     so it samples to the end; with one blade fewer the pass is 11,424
+//     steps, just within the same budget, and it resolves exactly.
 //
 // An exact candidate's interval has zero width, its score is the kernel's,
 // and a round on it afterwards is a no-op.
 func TestCostModelDecisions(t *testing.T) {
-	var windmill, bipartite [][2]int32
-	for c := int32(0); c < 14; c++ {
-		a, b, x := 1+3*c, 2+3*c, 3+3*c
-		windmill = append(windmill, [2]int32{0, a}, [2]int32{0, b}, [2]int32{0, x}, [2]int32{a, b}, [2]int32{a, x}, [2]int32{b, x})
-	}
+	var bipartite [][2]int32
 	for u := int32(1); u <= 19; u++ {
 		bipartite = append(bipartite, [2]int32{0, u}, [2]int32{0, u + 19})
 		for v := int32(20); v <= 38; v++ {
@@ -148,11 +139,13 @@ func TestCostModelDecisions(t *testing.T) {
 		// draws before the exact pass, or −1 when it samples to the end
 		exactAfter int64
 	}{
-		{"clique-heavy", graph.MustFromEdges(43, windmill), 0, 0},
+		{"clique-heavy", windmill(14, 3), 0, 0},
 		{"powerlaw hub", powerlaw, graph.OrderOf(powerlaw)[0], -1},
-		{"collab hub", collab, graph.OrderOf(collab)[1], sampleBatch},
-		{"pairs within budget", graph.MustFromEdges(39, bipartite), 0, 0},
+		{"collab hub", collab, graph.OrderOf(collab)[1], 0},
+		{"K19,19 apex", graph.MustFromEdges(39, bipartite), 0, 0},
 		{"collab one-word rows", collab, graph.OrderOf(collab)[34], 0},
+		{"just above the budget", windmill(477, 4), 0, -1},
+		{"just within the budget", windmill(476, 4), 0, 0},
 	}
 	for _, tc := range cases {
 		e := newEstimator(tc.g, Options{}.withDefaults())
@@ -183,4 +176,20 @@ func TestCostModelDecisions(t *testing.T) {
 			t.Errorf("%s: a round on a settled candidate changed it (state %d, %d draws)", tc.name, c.state, c.t)
 		}
 	}
+}
+
+// windmill returns p = 0 at the center of blades copies of K_{size+1}: N(p)
+// is blades disjoint cliques of size vertices each.
+func windmill(blades, size int32) *graph.Graph {
+	var edges [][2]int32
+	for b := range blades {
+		for i := int32(1); i <= size; i++ {
+			u := b*size + i
+			edges = append(edges, [2]int32{0, u})
+			for w := u + 1; w <= (b+1)*size; w++ {
+				edges = append(edges, [2]int32{u, w})
+			}
+		}
+	}
+	return graph.MustFromEdges(blades*size+1, edges)
 }

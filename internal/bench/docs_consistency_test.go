@@ -247,7 +247,8 @@ func TestReadmeNamesEveryDaemonFlag(t *testing.T) {
 // maintainer's hub threshold with the register's epoch/summary machinery
 // and its pre-epoch test baseline, which one always-marked plain bitset
 // replaced, the TopK option that copied out the stats TopK returns, and the
-// walk-only ego price that ego.Scratch.Price replaced for both row forms.
+// walk-only ego price that ego.Scratch.Price replaced for both row forms,
+// and approx's degree order, which the prescreen reads from graph.OrderOf.
 var retiredSymbols = []string{
 	"applyEdge", "NonAdjacentPairs",
 	"BeginCenter", "EndCenter", "MarkedOf", "PairContribution", "buildTables",
@@ -267,5 +268,63 @@ var retiredSymbols = []string{
 	"LoadEdgeList", "BetweennessApprox", "samplePivots", "Jaccard", "SpearmanRho", "fractionalRanks",
 	"resultIDs", "DatasetNames", "InsertVertex", "DeleteVertex", "insertVertex", "deleteVertex",
 	"edgeMaintainer", "thetaBits",
-	"egoWork",
+	"egoWork", "degreeOrder",
+}
+
+// TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz
+// target of the module, each on a line of its own whose -fuzz pattern is
+// anchored ('^Name$'), since go test refuses a pattern that matches two
+// targets; and every line must name a target its package declares.
+func TestFuzzSmokeRunsEveryFuzzTarget(t *testing.T) {
+	root := repoRoot(t)
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := regexp.MustCompile(`(?m)^fuzz-smoke:\n((?:\t.*\n)*)`).FindSubmatch(makefile)
+	if recipe == nil {
+		t.Fatal("Makefile has no fuzz-smoke target")
+	}
+	line := regexp.MustCompile(`(?m)^\t\$\(GO\) test \./(\S+) -run '\^\$\$' -fuzz '\^(Fuzz\w+)\$\$' -fuzztime \$\(FUZZTIME\)$`)
+	listed := map[string]bool{}
+	for _, m := range line.FindAllSubmatch(recipe[1], -1) {
+		listed[string(m[1])+"."+string(m[2])] = true
+	}
+	if n := strings.Count(string(recipe[1]), "\n"); n != len(listed) {
+		t.Errorf("fuzz-smoke has %d lines but %d anchored, distinct target runs", n, len(listed))
+	}
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build" || d.Name() == "benchmark") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			key := filepath.ToSlash(pkg) + "." + string(m[1])
+			if !listed[key] {
+				t.Errorf("%s declares %s, which fuzz-smoke does not run on an anchored line", path, m[1])
+			}
+			delete(listed, key)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range listed {
+		t.Errorf("fuzz-smoke runs %s, which no test file declares", key)
+	}
 }

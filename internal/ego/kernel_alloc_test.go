@@ -57,8 +57,8 @@ func TestSearchAllocs(t *testing.T) {
 	g := gen.ChungLu(1500, 2.2, 5.3, 120, 3)
 	for _, w := range []int{1, 2} {
 		for name, run := range map[string]func(k int) SearchStats{
-			"opt":  func(k int) SearchStats { _, st := search(g, k, 1.05, nil, true, w, 0); return st },
-			"base": func(k int) SearchStats { _, st := search(g, k, 1, nil, false, w, 0); return st },
+			"opt":  func(k int) SearchStats { _, st := searchAll(g, k, 1.05, nil, true, w, 0); return st },
+			"base": func(k int) SearchStats { _, st := searchAll(g, k, 1, nil, false, w, 0); return st },
 		} {
 			few, many := run(10).Computed, run(300).Computed
 			if many < 10*few {

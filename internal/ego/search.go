@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -31,7 +32,8 @@ type SearchStats struct {
 // per-ego kernel (EgoBetweenness), which needs no cross-vertex evidence.
 // Kernels of the next candidates run ahead on up to GOMAXPROCS cores.
 func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
-	return search(g, k, 1, nil, false, runtime.GOMAXPROCS(0), specPrice)
+	res, st, _ := search(context.Background(), g, k, 1, nil, false, runtime.GOMAXPROCS(0), specPrice)
+	return res, st
 }
 
 // DefaultTheta is the paper's default gradient ratio θ for OptBSearch.
@@ -59,26 +61,42 @@ func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 // library half of the degree-relabeling layout experiment (DESIGN.md §12)
 // that the benchmark's ego.opt.relabeled_k100_ms keeps measuring.
 func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Result, SearchStats) {
-	return search(g, k, theta, ext, true, runtime.GOMAXPROCS(0), specPrice)
+	res, st, _ := search(context.Background(), g, k, theta, ext, true, runtime.GOMAXPROCS(0), specPrice)
+	return res, st
 }
 
-// search runs the searcher to its end, running ahead on `workers` helpers
-// the kernels of candidates whose ego-build price reaches minPrice. The
-// answer and the SearchStats are the same at every workers and minPrice.
-// θ below 1 is 1, and so is NaN, which max(theta, 1) would pass through. A
-// k beyond n selects what k = n does, so R is never sized past n.
-func search(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats) {
+// SearchContext is OptBSearch under θ when dynamic is set, and BaseBSearch
+// otherwise, for a caller that may stop waiting: it checks ctx once per
+// candidate, and once ctx is done it ends its helpers and returns ctx.Err()
+// without results.
+func SearchContext(ctx context.Context, g graph.View, k int, theta float64, dynamic bool) ([]Result, SearchStats, error) {
+	return search(ctx, g, k, theta, nil, dynamic, runtime.GOMAXPROCS(0), specPrice)
+}
+
+// search runs the searcher to its end, or until ctx is done, running ahead
+// on `workers` helpers the kernels of candidates whose ego-build price
+// reaches minPrice. The answer and the SearchStats are the same at every
+// workers and minPrice. θ below 1 is 1, and so is NaN, which max(theta, 1)
+// would pass through. A k beyond n selects what k = n does, so R is never
+// sized past n.
+func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats, error) {
 	k = min(k, int(g.NumVertices()))
 	if k < 1 {
-		return []Result{}, SearchStats{}
+		return []Result{}, SearchStats{}, nil
 	}
 	if !(theta >= 1) {
 		theta = 1
 	}
 	q := newSearcher(g, k, theta, ext, dynamic, workers, minPrice)
-	for q.step() {
+	for {
+		if err := ctx.Err(); err != nil {
+			q.sp.close()
+			return nil, q.st, err
+		}
+		if !q.step() {
+			return toResultsLabeled(q.r, q.ext), q.st, nil
+		}
 	}
-	return toResultsLabeled(q.r, q.ext), q.st
 }
 
 // specPrice is the ego-build price Σ_{v∈N(p)} d(v) — the first term of the

@@ -128,8 +128,8 @@ func FuzzSearch(f *testing.F) {
 		opt, _ := OptBSearch(g, kk, theta)
 		assertSameResults(t, "OptBSearch", want, opt)
 		for _, dynamic := range []bool{false, true} {
-			inline, ist := search(g, kk, theta, nil, dynamic, 1, 0)
-			spec, sst := search(g, kk, theta, nil, dynamic, 2, 0)
+			inline, ist := searchAll(g, kk, theta, nil, dynamic, 1, 0)
+			spec, sst := searchAll(g, kk, theta, nil, dynamic, 2, 0)
 			assertSameSearch(t, fmt.Sprintf("W=2 dynamic=%v", dynamic), inline, spec, ist, sst)
 		}
 	})

@@ -1,6 +1,8 @@
 package ego
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -58,22 +60,22 @@ func TestSearchWorkersBitIdentical(t *testing.T) {
 		rl := graph.DegreeRelabel(g)
 		n := int(g.NumVertices())
 		for _, k := range []int{1, 10, 100, n + 5} {
-			want, wantSt := search(g, k, 1, nil, false, 1, specPrice)
+			want, wantSt := searchAll(g, k, 1, nil, false, 1, specPrice)
 			for _, w := range []int{1, 2, 4} {
 				for _, price := range []int64{0, specPrice} {
 					at := fmt.Sprintf("%s k=%d W=%d minPrice=%d", name, k, w, price)
-					got, st := search(g, k, 1, nil, false, w, price)
+					got, st := searchAll(g, k, 1, nil, false, w, price)
 					assertSameSearch(t, "BaseBSearch "+at, want, got, wantSt, st)
 				}
 			}
 			for _, theta := range []float64{1, 1.05, 4, math.Inf(1)} {
-				want, wantSt := search(g, k, theta, nil, true, 1, specPrice)
+				want, wantSt := searchAll(g, k, theta, nil, true, 1, specPrice)
 				for _, w := range []int{1, 2, 4} {
 					for _, price := range []int64{0, specPrice} {
 						at := fmt.Sprintf("%s k=%d θ=%v W=%d minPrice=%d", name, k, theta, w, price)
-						got, st := search(g, k, theta, nil, true, w, price)
+						got, st := searchAll(g, k, theta, nil, true, w, price)
 						assertSameSearch(t, "OptBSearch "+at, want, got, wantSt, st)
-						got, st = search(rl.G, k, theta, rl.Ext, true, w, price)
+						got, st = searchAll(rl.G, k, theta, rl.Ext, true, w, price)
 						assertSameSearch(t, "OptBSearchLabeled "+at, want, got, wantSt, st)
 					}
 				}
@@ -90,15 +92,60 @@ func TestSearchHelpersExit(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, k := range []int{1, 10} {
 		for _, w := range []int{2, 4} {
-			if _, st := search(g, k, 1.05, nil, true, w, 0); st.Pruned == 0 {
+			if _, st := searchAll(g, k, 1.05, nil, true, w, 0); st.Pruned == 0 {
 				t.Fatalf("k=%d W=%d: nothing pruned, the search did not stop early", k, w)
 			}
-			search(g, k, 1, nil, false, w, 0)
+			searchAll(g, k, 1, nil, false, w, 0)
 		}
 	}
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the searches, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// searchAll is search under a context that is never done.
+func searchAll(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats) {
+	res, st, _ := search(context.Background(), g, k, theta, ext, dynamic, workers, minPrice)
+	return res, st
+}
+
+// doneAfter is a context whose Err reports it done from its n+1-th call on,
+// so a search checking it once per candidate stops after n candidates.
+type doneAfter struct {
+	context.Context
+	n int
+}
+
+func (c *doneAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSearchCancel: a search whose context is done returns its error and
+// no results, whether the context was done before the first candidate or
+// mid-search with kernels queued on the helpers, and leaves no helper
+// behind (TestSearchHelpersExit's count).
+func TestSearchCancel(t *testing.T) {
+	g := gen.ChungLu(1500, 2.2, 5.3, 120, 7)
+	before := runtime.NumGoroutine()
+	for _, dynamic := range []bool{true, false} {
+		for _, w := range []int{1, 2, 4} {
+			for _, n := range []int{0, 1, 20} {
+				res, _, err := search(&doneAfter{context.Background(), n}, g, 100, 1.05, nil, dynamic, w, 0)
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("dynamic=%v W=%d done after %d: %d results, err %v; want none and context.Canceled", dynamic, w, n, len(res), err)
+				}
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled searches, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -115,7 +162,7 @@ func TestSearchConcurrentWindows(t *testing.T) {
 	}
 	want := map[int]answer{}
 	for _, k := range []int{1, 10, 100} {
-		res, st := search(g, k, 1.05, nil, true, 1, specPrice)
+		res, st := searchAll(g, k, 1.05, nil, true, 1, specPrice)
 		want[k] = answer{res, st}
 	}
 	var wg sync.WaitGroup
@@ -125,7 +172,7 @@ func TestSearchConcurrentWindows(t *testing.T) {
 			defer wg.Done()
 			for i := range 6 {
 				k := []int{1, 10, 100}[(c+i)%3]
-				res, st := search(g, k, 1.05, nil, true, 2+c%3, 0)
+				res, st := searchAll(g, k, 1.05, nil, true, 2+c%3, 0)
 				if st != want[k].st || len(res) != len(want[k].res) {
 					t.Errorf("searcher %d k=%d: %d results, %+v; want %d, %+v", c, k, len(res), st, len(want[k].res), want[k].st)
 					return

@@ -122,8 +122,11 @@ func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64
 // cut so that each runs about 1/k of its Price by the rows' prices, and the
 // steps its rows run.
 func chunkRows(off []int, adj []int32, i, k int, s *Scratch) (lo, hi int, steps int64) {
-	total, acc := max(int(s.Price(off, adj)), 1), 0
-	w := s.rowPrices(off, adj)
+	w, total, acc := s.rowPrices(off, adj), 0, 0
+	for _, wx := range w { // the rows' prices sum to the ego's Price
+		total += wx
+	}
+	total = max(total, 1)
 	lo, hi = len(w), len(w)
 	for x, wx := range w {
 		c := min(acc*k/total, k-1) // the chunk row x falls in

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -74,6 +77,54 @@ func TestOrderAndRank(t *testing.T) {
 		if rank[v] != int32(i) {
 			t.Errorf("rank[%d] = %d, want %d", v, rank[v], i)
 		}
+	}
+}
+
+// TestOrderOfMatchesComparisonSort holds OrderOf's counting sort to a
+// comparison sort under ≺ (non-increasing degree, ties by descending id) on
+// tie-heavy random graphs — few edges, so most degrees repeat and many are
+// 0 — and on overlay chains, whose degrees come through the delta layers.
+func TestOrderOfMatchesComparisonSort(t *testing.T) {
+	reference := func(a Adjacency) []int32 {
+		order := make([]int32, a.NumVertices())
+		for v := range order {
+			order[v] = int32(v)
+		}
+		sort.Slice(order, func(i, j int) bool {
+			u, v := order[i], order[j]
+			if du, dv := a.Degree(u), a.Degree(v); du != dv {
+				return du > dv
+			}
+			return u > v
+		})
+		return order
+	}
+	check := func(label string, a Adjacency) {
+		t.Helper()
+		if got, want := OrderOf(a), reference(a); !slices.Equal(got, want) {
+			t.Fatalf("%s: OrderOf = %v, want %v", label, got, want)
+		}
+	}
+	check("empty", mustG(t, 0, nil))
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x0D3E))
+		n := 1 + rng.IntN(300)
+		var edges [][2]int32
+		for range rng.IntN(n) {
+			edges = append(edges, [2]int32{int32(rng.IntN(n)), int32(rng.IntN(n))})
+		}
+		g := mustG(t, int32(n), edges)
+		check(fmt.Sprintf("random seed %d", seed), g)
+
+		d := DynFromGraph(g)
+		var view View = g
+		for pub := 0; pub < 4; pub++ {
+			for range 10 {
+				randomScriptStep(rng, d)
+			}
+			view = d.FreezeOverlay(view)
+		}
+		check(fmt.Sprintf("overlay seed %d", seed), view)
 	}
 }
 

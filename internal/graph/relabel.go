@@ -19,7 +19,8 @@ type Relabeled struct {
 
 // DegreeRelabel builds the degree-ordered relabeling of g: the vertex at
 // position i of OrderOf(g) (non-increasing degree, ties by descending id)
-// receives internal id i. O(n log n + m).
+// receives internal id i. O(n + m log d_max): the order is a counting sort,
+// and each permuted row is re-sorted.
 func DegreeRelabel(g *Graph) *Relabeled {
 	ext := OrderOf(g) // ext[i] = external id of internal vertex i
 	perm := make([]int32, g.n)

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // View is the read-only graph interface the whole query stack runs on: the
 // ego-betweenness kernels, the top-k searches, the statistics, and the
 // serving layer's snapshots all accept a View. Two production
@@ -26,24 +24,32 @@ var (
 
 // OrderOf returns all vertices of a view sorted by the total order ≺
 // (non-increasing degree, ties broken by descending identifier). Degrees
-// are materialized once before sorting: on an overlay a Degree call walks
-// the delta chain, and paying that per comparison would put an O(depth)
-// factor on the sort's n·log n.
+// are read once, into a counting sort over degree buckets: O(n + d_max),
+// where a comparison sort would pay n·log n — and, on an overlay, whose
+// Degree walks the delta chain, an O(depth) factor on every comparison.
 func OrderOf(a Adjacency) []int32 {
 	n := a.NumVertices()
 	deg := make([]int32, n)
-	order := make([]int32, n)
-	for v := int32(0); v < n; v++ {
+	var maxd int32
+	for v := range n {
 		deg[v] = a.Degree(v)
-		order[v] = v
+		maxd = max(maxd, deg[v])
 	}
-	sort.Slice(order, func(i, j int) bool {
-		u, v := order[i], order[j]
-		if deg[u] != deg[v] {
-			return deg[u] > deg[v]
-		}
-		return u > v
-	})
+	// start[maxd−d] is where degree d's bucket begins, so buckets run in
+	// descending degree; filling each from the highest id down breaks ties.
+	start := make([]int32, maxd+2)
+	for _, d := range deg {
+		start[maxd-d+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	order := make([]int32, n)
+	for v := n - 1; v >= 0; v-- {
+		b := maxd - deg[v]
+		order[start[b]] = v
+		start[b]++
+	}
 	return order
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net/http"
 	"reflect"
@@ -11,10 +13,11 @@ import (
 	"repro/internal/graph"
 )
 
-// approxTestGraph returns a hub-heavy graph whose top vertices exceed the
-// default Hoeffding budget, so AlgoApprox actually samples.
+// approxTestGraph returns a Chung–Lu hub graph whose top hubs' counting
+// passes outprice their whole default sampling budget, so AlgoApprox
+// actually samples.
 func approxTestGraph() *graph.Graph {
-	return gen.BarabasiAlbert(900, 10, 21)
+	return gen.ChungLu(3000, 2.1, 8, 400, 21)
 }
 
 // TestApproxServingEquivalenceAcrossViews pins the acceptance contract:
@@ -232,5 +235,38 @@ func TestApproxWorksInLazyMode(t *testing.T) {
 	}
 	if len(res.Results) != 50 {
 		t.Fatalf("got %d results, want 50", len(res.Results))
+	}
+}
+
+// TestTopKQueryCancelled: a query whose request context is already done —
+// a client that went away — returns the context's error on every searching
+// algo, caches nothing, and the identical query after it misses the cache
+// and succeeds.
+func TestTopKQueryCancelled(t *testing.T) {
+	reg := NewRegistry()
+	if _, err := reg.Add("g", approxTestGraph(), ModeLocal, 0); err != nil {
+		t.Fatal(err)
+	}
+	e, err := reg.get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.snap.Load()
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox} {
+		stored := snap.cacheCount.Load()
+		q := TopKQuery{K: 20, Algo: algo}
+		q.ctx = gone
+		if _, err := reg.TopKQ("g", q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled query returned %v, want context.Canceled", algo, err)
+		}
+		if n := snap.cacheCount.Load(); n != stored {
+			t.Fatalf("%s: %d cache entries after the cancelled query, %d before", algo, n, stored)
+		}
+		res, err := reg.TopKQ("g", TopKQuery{K: 20, Algo: algo})
+		if err != nil || res.Cached || len(res.Results) != 20 {
+			t.Fatalf("%s: query after the cancelled one: cached %v, %d results, err %v", algo, res.Cached, len(res.Results), err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ package server
 // its result cache, the top-k query dispatch, and the per-vertex read.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -160,6 +161,8 @@ type TopKQuery struct {
 	Eps  float64
 	Conf float64
 	Seed uint64
+
+	ctx context.Context // the HTTP request's: a search it outlives stops; nil never does
 }
 
 // resolveQuery validates q against snap and returns the cache key that
@@ -228,7 +231,9 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 // AlgoApprox estimates are a pure function of (seed, vertex id, adjacency),
 // so frozen and overlay snapshots of the same graph answer bit-identically.
 // Answers are cached per (k, algo, ε, δ, seed) in the snapshot they were
-// computed against, so an epoch swap invalidates them wholesale.
+// computed against, so an epoch swap invalidates them wholesale. A search
+// whose request context is done stops and returns its error, caching
+// nothing.
 func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	e, err := r.get(name)
 	if err != nil {
@@ -249,6 +254,10 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	}
 	e.cacheMisses.Add(1)
 
+	ctx := q.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var cr cachedResult
 	switch key.algo {
 	case AlgoScores:
@@ -257,21 +266,23 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		}
 		cr.res = ego.TopKOf(snap.scores.Len(), snap.scores.At, key.k)
 	case AlgoOpt, AlgoBase:
-		var st ego.SearchStats
-		if key.algo == AlgoOpt {
-			cr.res, st = ego.OptBSearch(snap.view, key.k, ego.DefaultTheta)
-		} else {
-			cr.res, st = ego.BaseBSearch(snap.view, key.k)
+		res, st, err := ego.SearchContext(ctx, snap.view, key.k, ego.DefaultTheta, key.algo == AlgoOpt)
+		if err != nil {
+			return TopKResult{}, err
 		}
+		cr.res = res
 		e.exactQueries.Add(1)
 		e.exactComputed.Add(st.Computed)
 		e.exactPruned.Add(st.Pruned)
 	case AlgoApprox:
-		res, st := approx.TopK(snap.view, key.k, approx.Options{
+		res, st, err := approx.TopKContext(ctx, snap.view, key.k, approx.Options{
 			Eps:  math.Float64frombits(key.epsBits),
 			Conf: math.Float64frombits(key.confBits),
 			Seed: key.seed, Workers: e.workers,
 		})
+		if err != nil {
+			return TopKResult{}, err
+		}
 		cr = cachedResult{res: res, samples: st.Samples, epsAchieved: st.EpsAchieved}
 		e.approxQueries.Add(1)
 		e.approxSamples.Add(st.Samples)

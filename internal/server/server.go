@@ -358,7 +358,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	tq := TopKQuery{K: k, Algo: q.Get("algo")}
+	tq := TopKQuery{K: k, Algo: q.Get("algo"), ctx: r.Context()}
 	// Range validation lives in Registry.TopKQ, so the HTTP and the library
 	// surface reject exactly the same values.
 	if qs := q.Get("eps"); qs != "" {
