@@ -8,7 +8,7 @@
 //	egobwd                            # serve on :8080, empty registry
 //	egobwd -addr :9090                # another port
 //	egobwd -preload dblp,ir           # pre-register dataset analogs
-//	egobwd -preload dblp -mode lazy -k 50
+//	egobwd -preload dblp -mode lazy
 //	GOMAXPROCS=8 egobwd               # snapshot-build worker budget
 //	egobwd -data-dir /var/lib/egobwd  # durable graphs: WAL + snapshots,
 //	                                  # recovered on restart
@@ -59,7 +59,6 @@ type config struct {
 	addr        string
 	preload     string
 	mode        string
-	k           int
 	dataDir     string
 	ckptEvery   int
 	ckptBytes   int64
@@ -74,7 +73,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.preload, "preload", "", "comma-separated dataset names to register at startup (see egobw -dataset)")
 	flag.StringVar(&cfg.mode, "mode", server.ModeLocal, "maintenance mode for preloaded graphs: local or lazy")
-	flag.IntVar(&cfg.k, "k", 10, "maintained k for lazy-mode preloads")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable graphs (per-graph WAL + binary CSR snapshots); graphs recover on restart. Empty = in-memory only")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "fold the WAL into a fresh snapshot after this many update batches (0 = default 16)")
 	flag.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 0, "also checkpoint once a graph's WAL exceeds this many bytes (0 = default 4 MiB)")
@@ -144,7 +142,7 @@ func setup(cfg config) (*server.Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("preload %q: %w", name, err)
 		}
-		info, err := srv.Registry().Add(name, g, cfg.mode, cfg.k)
+		info, err := srv.Registry().Add(name, g, cfg.mode, 0)
 		if errors.Is(err, server.ErrDuplicate) {
 			// Already recovered from the data dir — the durable copy (with
 			// its applied updates) wins over a fresh preload.

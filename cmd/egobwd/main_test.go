@@ -17,11 +17,11 @@ import (
 // TestRunRejectsBadPreload: run must fail fast on an unknown dataset or an
 // invalid maintenance mode instead of starting a half-configured server.
 func TestRunRejectsBadPreload(t *testing.T) {
-	err := run(config{addr: "127.0.0.1:0", preload: "not-a-dataset", mode: "local", k: 10})
+	err := run(config{addr: "127.0.0.1:0", preload: "not-a-dataset", mode: "local"})
 	if err == nil || !strings.Contains(err.Error(), "not-a-dataset") {
 		t.Fatalf("unknown dataset: err = %v", err)
 	}
-	err = run(config{addr: "127.0.0.1:0", preload: "ir", mode: "bogus-mode", k: 10})
+	err = run(config{addr: "127.0.0.1:0", preload: "ir", mode: "bogus-mode"})
 	if err == nil || !strings.Contains(err.Error(), "bogus-mode") {
 		t.Fatalf("bad mode: err = %v", err)
 	}

@@ -290,12 +290,15 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	}
 
 	// Escalate while the next unseen vertex's static UB could still beat
-	// the certified lower bound of the k-th best estimate. order is sorted
-	// by non-increasing degree, so the first failing vertex proves every
-	// later one out too.
+	// the certified lower bound of the k-th best estimate — or tie it: ≺
+	// admits a degree class from its highest id down, while the answer
+	// breaks score ties by ascending id, so an unseen vertex whose bound
+	// equals the k-th score may be the one exact would name. order is
+	// sorted by non-increasing degree, so the first vertex below the bound
+	// proves every later one out too.
 	for len(cands) < n {
 		kthLow := kthBestLow(cands, k)
-		if ego.StaticUB(g.Degree(order[len(cands)])) <= kthLow {
+		if ego.StaticUB(g.Degree(order[len(cands)])) < kthLow {
 			break
 		}
 		admit(min(len(cands)+max(len(cands)/2, escalateMin), n))

@@ -269,6 +269,8 @@ var retiredSymbols = []string{
 	"resultIDs", "DatasetNames", "InsertVertex", "DeleteVertex", "insertVertex", "deleteVertex",
 	"edgeMaintainer", "thetaBits",
 	"egoWork", "degreeOrder",
+	"AlgoLazy", "LazyK", "LazyState", "NewLazyTopKFromState", "setMaintainer",
+	"appendLazyPayload", "decodeLazyPayload", "aliasBools",
 }
 
 // TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz

@@ -117,6 +117,7 @@ var surfaceAllowlist = []struct{ name, reason string }{
 	{"server.WithClock", "test seam: lets the windowed-serving tests advance time deterministically"},
 	{"server.WithCrashHook", "test seam: the crash-recovery harness's injection point on every graph store"},
 	{"store.WithSync", "test seam: the WAL benchmark's no-fsync arm"},
+	{"dynamic.LazyTopK.K", "benchmark pin: benchmark/verify.go checks the lib stage's LazyTopK.Results at its K()"},
 	{"graph.DegreeRelabel", "benchmark pin: the graph.relabel_ms and ego.opt.relabeled_k100_ms probes"},
 	{"graph.Relabeled", "benchmark pin: DegreeRelabel's result"},
 	{"nbr.CommonCount", "benchmark pin: the nbr.edge_pass_ns and nbr.hub_pair_ns probes"},

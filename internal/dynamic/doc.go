@@ -1,14 +1,14 @@
 // Package dynamic implements Section IV of the paper: maintaining
-// ego-betweenness under edge insertions and deletions.
+// ego-betweenness under edge insertions and deletions. Only the vertices of
+// Observation 1 — the two endpoints and their common neighbors
+// L = N(u) ∩ N(v) — are touched.
 //
-// Two maintainers are provided, matching the paper's two regimes:
-//
-//   - Maintainer ("local update", Algorithms 4-5): keeps the exact evidence
-//     maps S_v and their connector-count histograms, repairs both with the
-//     Lemma 4-7 integer moves, and refolds the scores it touched with the
-//     kernel's fold (ego.FoldScore), so every score is the kernel's to the
-//     bit. Only the vertices of Observation 1 — the two endpoints and their
-//     common neighbors L = N(u) ∩ N(v) — are touched.
+//   - Maintainer keeps every vertex's score in one of two forms. The
+//     map-holding form is the "local update" (Algorithms 4-5): evidence maps
+//     S_v and their connector-count histograms, repaired by the Lemma 4-7
+//     integer moves and refolded with the kernel's fold (ego.FoldScore), so
+//     every score is the kernel's to the bit. The map-free form keeps t(v)
+//     alone and leaves the touched vertices stale under d(d−1)/2 − t(v).
 //
 //   - LazyTopK ("lazy update", Algorithm 6): maintains only the top-k result
 //     set plus per-vertex cached scores with staleness flags, recomputing a

@@ -138,16 +138,23 @@ func (h *lazyHeap) grow(n int32) {
 // NewLazyTopK initializes the maintainer: all scores computed exactly once
 // by parallel.ComputeAll's VertexPEBW sweep on up to GOMAXPROCS cores (the
 // same bits on any number), the k best become the result set R, everything
-// else enters the candidate heap (the paper's sorted list H) — the state
-// NewLazyTopKFromState restores. k ≤ 0 keeps R empty: updates still
-// maintain the graph and Results returns none.
+// else enters the candidate heap (the paper's sorted list H). k ≤ 0 keeps R
+// empty: updates still maintain the graph and Results returns none.
 func NewLazyTopK(g *graph.Graph, k int) *LazyTopK {
 	cb, _ := parallel.ComputeAll(g, sweepWorkers(), parallel.VertexPEBW)
-	st := &LazyState{Cached: cb, Stale: make([]bool, len(cb))}
-	for _, r := range ego.TopKOfScores(cb, min(k, len(cb))) {
-		st.Members = append(st.Members, r.V)
+	n := g.NumVertices()
+	lt := &LazyTopK{
+		g: graph.DynFromGraph(g), k: max(k, 0),
+		cached:  cb,
+		stale:   make([]bool, n),
+		inR:     make([]bool, n),
+		heap:    &lazyHeap{ver: make([]int32, n)},
+		scratch: ego.NewScratch(n),
 	}
-	lt, _ := NewLazyTopKFromState(g, k, st) // a fresh sweep's state is valid
+	for v := int32(0); v < n; v++ {
+		lt.heap.push(v, cb[v])
+	}
+	lt.rebalance() // fills R with the k first under the result order
 	return lt
 }
 
@@ -161,9 +168,6 @@ func (lt *LazyTopK) MemoryFootprint() int64 {
 	return int64(len(lt.cached))*8 + int64(len(lt.stale)) + int64(len(lt.inR)) +
 		int64(len(lt.members))*4 + int64(len(lt.heap.items))*24 + int64(len(lt.heap.ver))*4
 }
-
-// Graph exposes the maintained graph (read-only use).
-func (lt *LazyTopK) Graph() *graph.DynGraph { return lt.g }
 
 // refresh recomputes v exactly and republishes it to the candidate heap when
 // it is not a member.

@@ -11,20 +11,27 @@ import (
 	"repro/internal/pairmap"
 )
 
-// Maintainer keeps exact ego-betweennesses for every vertex under edge
-// updates (the paper's LocalInsert / LocalDelete). The repairs move integer
-// connector counts only: each vertex keeps its evidence map's histogram in
+// Maintainer keeps the ego-betweennesses of every vertex under edge updates.
+// Its map-holding form (NewMaintainer) is the paper's LocalInsert /
+// LocalDelete, every score exact. The repairs move integer connector
+// counts only: each vertex keeps its evidence map's histogram in
 // ego.FoldScore's layout, and its score is that histogram folded — the
 // kernel's fold, so a maintained score is the kernel's to the bit after any
 // update stream.
+//
+// The map-free form (NewMapFreeMaintainer) keeps only each vertex's score
+// and t(v) = hist[v][0]: an update keeps t exact and leaves u, v and L
+// stale, their score the ceiling d(d−1)/2 − t(v) ≥ CB that readers
+// recompute — Algorithm 6's stale flags, for every vertex.
 type Maintainer struct {
-	g    *graph.DynGraph
-	s    []*pairmap.Map   // exact connector counts, nil until v has one
-	hist [][]int64        // hist[v]: [0] adjacent pairs of N(v), [c] pairs with c connectors
-	cb   []float64        // cb[v] = ego.FoldScore(d(v), hist[v])
-	comm []int32          // scratch: common neighborhoods
-	aux  []int32          // scratch: secondary intersections
-	reg  [2]*nbr.Register // scratch: N(u) and N(v) during a repair
+	g     *graph.DynGraph
+	s     []*pairmap.Map   // exact connector counts, nil until v has one; nil in the map-free form
+	hist  [][]int64        // hist[v]: [0] adjacent pairs of N(v), [c] pairs with c connectors
+	cb    []float64        // cb[v] = ego.FoldScore(d(v), hist[v]), or the exact score of a fresh map-free vertex
+	stale []bool           // map-free form: cb[v] is v's ceiling, not its score; nil in the map-holding form
+	comm  []int32          // scratch: common neighborhoods
+	aux   []int32          // scratch: secondary intersections
+	reg   [2]*nbr.Register // scratch: N(u) and N(v) during a repair
 
 	// Dirty-score tracking for copy-on-write snapshot publication: the
 	// vertices whose cb actually moved since the last TakeDirtyScores,
@@ -56,10 +63,25 @@ func (m *Maintainer) refold(v int32) {
 		return
 	}
 	m.cb[v] = cb
+	m.markDirty(v)
+}
+
+// markDirty records v for the next TakeDirtyScores.
+func (m *Maintainer) markDirty(v int32) {
 	if !m.dirtySet[v] {
 		m.dirtySet[v] = true
 		m.dirtyCB = append(m.dirtyCB, v)
 	}
+}
+
+// markStale turns v's score into its ceiling (map-free form); a flag that
+// moves is dirty even when the bits stay.
+func (m *Maintainer) markStale(v int32) {
+	if !m.stale[v] {
+		m.stale[v] = true
+		m.markDirty(v)
+	}
+	m.refold(v)
 }
 
 // tally adds n pairs to bucket b of v's histogram, growing it as needed.
@@ -91,9 +113,9 @@ func (m *Maintainer) shift(v int32, key uint64, delta int32) {
 	m.moveCount(v, c-delta, c)
 }
 
-// TakeDirtyScores returns the vertices whose maintained score changed since
-// the last call (deduplicated) and resets the tracking. The caller owns the
-// returned slice.
+// TakeDirtyScores returns the vertices whose score or stale flag changed
+// since the last call (deduplicated) and resets the tracking. The caller
+// owns the returned slice.
 func (m *Maintainer) TakeDirtyScores() []int32 {
 	out := m.dirtyCB
 	for _, v := range out {
@@ -128,31 +150,61 @@ func NewMaintainer(g *graph.Graph) *Maintainer {
 	return newMaintainer(g, maps, hist, cb)
 }
 
+// NewMapFreeMaintainer builds the map-free form by the same ego.Sweep,
+// keeping each vertex's exact score and t(v): every vertex starts fresh.
+func NewMapFreeMaintainer(g *graph.Graph) *Maintainer {
+	n := g.NumVertices()
+	cb, t := make([]float64, n), make([]int64, n)
+	ego.Sweep(g, sweepWorkers(), func(v int32, s *ego.Scratch) {
+		_, off, adj := s.EgoCSR(g, v)
+		cb[v], t[v] = s.ScoreCSR(off, adj), int64(len(adj)/2)
+	}, nil)
+	return newMapFree(g, cb, t)
+}
+
+// newMapFree wraps g, its scores and t in the map-free form, every vertex
+// fresh; hist[v] views t[v], so an update allocates nothing.
+func newMapFree(g *graph.Graph, cb []float64, t []int64) *Maintainer {
+	hist := make([][]int64, len(t))
+	for v := range t {
+		hist[v] = t[v : v+1 : v+1]
+	}
+	m := newMaintainer(g, nil, hist, cb)
+	m.stale = make([]bool, len(t))
+	return m
+}
+
 // Graph exposes the maintained graph (read-only use).
 func (m *Maintainer) Graph() *graph.DynGraph { return m.g }
 
-// CB returns the current exact ego-betweenness of v.
+// CB returns the current ego-betweenness of v (its ceiling when stale).
 func (m *Maintainer) CB(v int32) float64 { return m.cb[v] }
 
-// All returns the current exact ego-betweennesses (shared slice; read-only).
+// All returns the current scores, ceilings where stale (shared; read-only).
 func (m *Maintainer) All() []float64 { return m.cb }
 
+// Stale returns the map-free form's stale flags (shared slice; read-only),
+// nil in the map-holding form.
+func (m *Maintainer) Stale() []bool { return m.stale }
+
 // MemoryFootprint returns the approximate heap bytes held by the evidence
-// maps and their histograms — the price of exact all-vertices maintenance
-// that LazyTopK avoids (its footprint is O(n) scalars). Reported by the
+// maps, the histograms (slice headers included), the scores and the stale
+// flags — the map-free form and LazyTopK hold O(n) scalars. Reported by the
 // Fig. 8 experiment.
 func (m *Maintainer) MemoryFootprint() int64 {
 	var total int64
-	for v, s := range m.s {
+	for _, s := range m.s {
 		if s != nil {
 			total += s.MemoryFootprint()
 		}
-		total += int64(cap(m.hist[v])) * 8
 	}
-	return total + int64(len(m.cb))*8
+	for _, h := range m.hist {
+		total += 24 + int64(cap(h))*8
+	}
+	return total + int64(len(m.cb))*8 + int64(len(m.stale))
 }
 
-// TopK returns the current top-k by exact CB, sorted descending.
+// TopK returns the current top-k by CB (by ceiling where stale), sorted descending.
 func (m *Maintainer) TopK(k int) []ego.Result {
 	return ego.TopKOfScores(m.cb, k)
 }
@@ -183,7 +235,11 @@ func (m *Maintainer) setCount(v int32, key uint64, c int32) {
 func (m *Maintainer) growTo(n int32) {
 	for int32(len(m.cb)) < n {
 		m.cb = append(m.cb, 0)
-		m.s = append(m.s, nil)
+		if m.stale != nil {
+			m.stale = append(m.stale, false)
+		} else {
+			m.s = append(m.s, nil)
+		}
 		m.hist = append(m.hist, nil)
 		m.dirtySet = append(m.dirtySet, false)
 	}
@@ -191,7 +247,8 @@ func (m *Maintainer) growTo(n int32) {
 
 // InsertEdge performs LocalInsert (Algorithm 4): inserts (u, v) and repairs
 // the evidence maps and scores of u, v, and every common neighbor, per
-// Lemmas 4-5. Unknown endpoints grow the vertex set.
+// Lemmas 4-5 (see repair for the map-free form). Unknown endpoints grow the
+// vertex set.
 func (m *Maintainer) InsertEdge(u, v int32) error {
 	if u == v {
 		return fmt.Errorf("dynamic: self-loop (%d,%d)", u, v)
@@ -239,8 +296,23 @@ func (m *Maintainer) DeleteEdge(u, v int32) error {
 // buckets, and the walk ends by refolding exactly those vertices. No graph
 // read below depends on the edge (u, v) itself, so one walk serves both
 // directions.
+//
+// The map-free form moves only t: the |L| pairs (other endpoint, w ∈ L)
+// turn adjacent in GE(u) and GE(v) with an insert, and (u, v) in each
+// GE(w); a delete undoes both. Then u, v and L turn stale.
 func (m *Maintainer) repair(u, v int32, l []int32, delta int32) {
 	m.Stats.AffectedVerts += int64(len(l)) + 2
+	if m.stale != nil {
+		m.tally(u, 0, int64(delta)*int64(len(l)))
+		m.tally(v, 0, int64(delta)*int64(len(l)))
+		m.markStale(u)
+		m.markStale(v)
+		for _, w := range l {
+			m.tally(w, 0, int64(delta))
+			m.markStale(w)
+		}
+		return
+	}
 
 	// Lemmas 4 and 6, part 1: non-adjacent pairs inside L gain or lose a
 	// connector — v in GE(u), u in GE(v).

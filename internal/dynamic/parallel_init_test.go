@@ -57,7 +57,7 @@ func TestKernelParallelInit(t *testing.T) {
 				continue
 			}
 			for _, lt := range []*LazyTopK{seq, par} {
-				if lt.Graph().HasEdge(u, v) {
+				if lt.g.HasEdge(u, v) {
 					_ = lt.DeleteEdge(u, v) // present: cannot fail
 				} else {
 					_ = lt.InsertEdge(u, v) // absent, distinct, in range: cannot fail
@@ -70,7 +70,7 @@ func TestKernelParallelInit(t *testing.T) {
 				t.Fatalf("%s: rank %d: one worker %+v, three %+v", name, i, a[i], b[i])
 			}
 		}
-		fresh := ego.ComputeAll(seq.Graph())
+		fresh := ego.ComputeAll(seq.g)
 		for _, r := range a {
 			if r.CB != fresh[r.V] {
 				t.Fatalf("%s: vertex %d: lazy result %v, from scratch %v", name, r.V, r.CB, fresh[r.V])
@@ -114,35 +114,10 @@ func within(a, b *pairmap.Map) bool {
 // kernel-emitted state as they did the edge pass's. (A map the stream
 // emptied stays allocated; the rebuild has nil there.)
 func TestKernelMapsSurviveUpdateStream(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"collab":   gen.Affiliation(600, 300, 5.5, 1, 5),
-		"powerlaw": gen.ChungLu(800, 2.2, 5.3, 90, 5),
-		"sparse":   gen.ErdosRenyi(60, 40, 5),
-	} {
+	for name, g := range streamGraphs() {
 		var m *Maintainer
 		atWorkers(3, func() { m = NewMaintainer(g) })
-		rng := rand.New(rand.NewPCG(17, 19))
-		n := g.NumVertices()
-		hubs := graph.OrderOf(g)[:n/10]
-		for step := 0; step < 1500; step++ {
-			// Half the updates land on a hub so big egos churn too.
-			u, v := rng.Int32N(n), rng.Int32N(n)
-			if step%2 == 0 {
-				u = hubs[rng.IntN(len(hubs))]
-			}
-			if u == v {
-				continue
-			}
-			var err error
-			if m.Graph().HasEdge(u, v) {
-				err = m.DeleteEdge(u, v)
-			} else {
-				err = m.InsertEdge(u, v)
-			}
-			if err != nil {
-				t.Fatalf("%s step %d: %v", name, step, err)
-			}
-		}
+		hubStream(t, name, g, m, func(int) {})
 		fresh := NewMaintainer(m.Graph().Freeze(1))
 		for v := range fresh.s {
 			if !sameEntries(m.s[v], fresh.s[v]) {
@@ -152,5 +127,73 @@ func TestKernelMapsSurviveUpdateStream(t *testing.T) {
 				t.Fatalf("%s: CB(%d) = %v, rebuild %v", name, v, m.cb[v], fresh.cb[v])
 			}
 		}
+	}
+}
+
+// TestMapFreeBoundsSurviveUpdateStream is the map-free form's differential
+// test over the same stream: after every update, every vertex's t(v) is the
+// true number of adjacent pairs of N(v), a fresh score is the kernel's bits,
+// and a stale score is the ceiling d(d−1)/2 − t(v), at or above the kernel's.
+func TestMapFreeBoundsSurviveUpdateStream(t *testing.T) {
+	for name, g := range streamGraphs() {
+		var m *Maintainer
+		atWorkers(3, func() { m = NewMapFreeMaintainer(g) })
+		s := ego.NewScratch(0)
+		hubStream(t, name, g, m, func(step int) {
+			for v := int32(0); v < m.g.NumVertices(); v++ {
+				_, off, adj := s.EgoCSR(m.g, v)
+				cb, tv := s.ScoreCSR(off, adj), int64(len(adj)/2)
+				d := m.g.Degree(v)
+				if m.hist[v][0] != tv {
+					t.Fatalf("%s step %d: t(%d) = %d, true adjacent pairs %d", name, step, v, m.hist[v][0], tv)
+				}
+				got := m.CB(v)
+				if !m.stale[v] && math.Float64bits(got) != math.Float64bits(cb) {
+					t.Fatalf("%s step %d: fresh CB(%d) = %v, kernel %v", name, step, v, got, cb)
+				}
+				if m.stale[v] && (got != ego.StaticUB(d)-float64(tv) || got < cb) {
+					t.Fatalf("%s step %d: stale CB(%d) = %v, ceiling %v, kernel %v", name, step, v, got, ego.StaticUB(d)-float64(tv), cb)
+				}
+			}
+		})
+	}
+}
+
+// streamGraphs are the update streams' graphs: the benchmark's two shapes
+// in small, and a sparse one.
+func streamGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"collab":   gen.Affiliation(600, 300, 5.5, 1, 5),
+		"powerlaw": gen.ChungLu(800, 2.2, 5.3, 90, 5),
+		"sparse":   gen.ErdosRenyi(60, 40, 5),
+	}
+}
+
+// hubStream drives m through a seeded stream of 1500 edge toggles, half of
+// them with a hub endpoint so big egos churn too, calling after once each
+// update applied.
+func hubStream(t *testing.T, name string, g *graph.Graph, m *Maintainer, after func(step int)) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(17, 19))
+	n := g.NumVertices()
+	hubs := graph.OrderOf(g)[:n/10]
+	for step := 0; step < 1500; step++ {
+		u, v := rng.Int32N(n), rng.Int32N(n)
+		if step%2 == 0 {
+			u = hubs[rng.IntN(len(hubs))]
+		}
+		if u == v {
+			continue
+		}
+		var err error
+		if m.Graph().HasEdge(u, v) {
+			err = m.DeleteEdge(u, v)
+		} else {
+			err = m.InsertEdge(u, v)
+		}
+		if err != nil {
+			t.Fatalf("%s step %d: %v", name, step, err)
+		}
+		after(step)
 	}
 }

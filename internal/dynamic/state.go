@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the maintainer-state export/import seam of the durability
-// layer (DESIGN.md §11): everything a Maintainer or LazyTopK holds beyond the
-// graph itself, flattened into plain slices a binary codec can frame, and the
+// layer (DESIGN.md §11): everything a Maintainer holds beyond the graph
+// itself, in either form, flattened into plain slices a binary codec can frame, and the
 // inverse constructors that restore a maintainer from those slices in O(load)
 // — no kernel run, no evidence rehashing. The serving layer exports
 // at checkpoint time and imports at recovery time; round-tripping reproduces
@@ -46,17 +46,16 @@ type LocalState struct {
 	Dirty []int32
 }
 
-// LazyState is the flattened state of a LazyTopK (ModeLazy): cached scores,
-// staleness flags, and the result-set membership. The candidate heap is not
-// persisted — every valid heap entry of a non-member v is (v, cached[v]), so
-// import rebuilds it canonically from the cache (see NewLazyTopKFromState).
-type LazyState struct {
-	Cached  []float64
-	Stale   []bool
-	Members []int32
+// MapFreeState is the flattened state of a map-free Maintainer (the
+// server's ModeLazy) — no dirty list, since every recovery publishes a
+// full snapshot.
+type MapFreeState struct {
+	Scores   []float64 // exact, or the ceiling d(d−1)/2 − t(v) where stale (length n)
+	Adjacent []int64   // t(v), the adjacent pairs of N(v) (length n)
+	Stale    []int32   // the stale vertices, ascending
 }
 
-// ExportState flattens the maintainer's full update state. Scores, Keys, and
+// ExportState flattens the map-holding form's full update state. Scores, Keys, and
 // Vals alias live internal storage where possible, so the snapshot is only
 // consistent until the next InsertEdge/DeleteEdge/TakeDirtyScores — callers
 // encode (or copy) before releasing the lock that serialized the export.
@@ -194,68 +193,55 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("dynamic: dirty-score vertex %d out of range", v)
 		}
-		if !m.dirtySet[v] {
-			m.dirtySet[v] = true
-			m.dirtyCB = append(m.dirtyCB, v)
-		}
+		m.markDirty(v)
 	}
 	return m, nil
 }
 
-// ExportState flattens the lazy maintainer's state. Cached and Stale alias
-// live internal storage, so the snapshot is only consistent until the next
-// update or query — encode before releasing the serializing lock.
-func (lt *LazyTopK) ExportState() *LazyState {
-	return &LazyState{
-		Cached:  lt.cached,
-		Stale:   lt.stale,
-		Members: append([]int32(nil), lt.members...),
+// ExportMapFreeState flattens the map-free form's state. Scores aliases
+// live storage: encode before releasing the serializing lock.
+func (m *Maintainer) ExportMapFreeState() *MapFreeState {
+	st := &MapFreeState{Scores: m.cb, Adjacent: make([]int64, len(m.hist))}
+	for v, h := range m.hist {
+		if len(h) > 0 {
+			st.Adjacent[v] = h[0]
+		}
+		if m.stale[v] {
+			st.Stale = append(st.Stale, int32(v))
+		}
 	}
+	return st
 }
 
-// NewLazyTopKFromState restores a LazyTopK over g from an exported LazyState,
-// taking ownership of the state's slices. The candidate heap is rebuilt
-// canonically — one entry (v, cached[v]) per non-member — which is exactly
-// the set of valid entries a live heap carries (every cache change of a
-// non-member pushes the new value, superseding older entries), so recovery
-// preserves the upper/lower-bound invariants documented on LazyTopK.
-func NewLazyTopKFromState(g *graph.Graph, k int, st *LazyState) (*LazyTopK, error) {
-	k = max(k, 0)
+// NewMapFreeMaintainerFromState restores a map-free Maintainer over g,
+// taking ownership of st's slices, after one O(n) scan: t(v) in
+// [0, d(d−1)/2], the stale set ascending, a stale score its ceiling to the
+// bit, a fresh one in [0, ceiling] — its exact bits would take the kernel.
+func NewMapFreeMaintainerFromState(g *graph.Graph, st *MapFreeState) (*Maintainer, error) {
 	n := g.NumVertices()
-	if int32(len(st.Cached)) != n || int32(len(st.Stale)) != n {
-		return nil, fmt.Errorf("dynamic: lazy state covers %d scores / %d flags, graph has %d vertices",
-			len(st.Cached), len(st.Stale), n)
+	if int32(len(st.Scores)) != n || int32(len(st.Adjacent)) != n {
+		return nil, fmt.Errorf("dynamic: map-free state covers %d scores / %d adjacent counts, graph has %d vertices",
+			len(st.Scores), len(st.Adjacent), n)
 	}
-	for v, cb := range st.Cached {
-		if math.IsNaN(cb) || math.IsInf(cb, 0) {
-			return nil, fmt.Errorf("dynamic: cached score of vertex %d is %v", v, cb)
+	m := newMapFree(g, st.Scores, st.Adjacent)
+	for i, v := range st.Stale {
+		if v < 0 || v >= n || (i > 0 && v <= st.Stale[i-1]) {
+			return nil, fmt.Errorf("dynamic: stale vertex %d out of range or out of order", v)
 		}
-	}
-	if len(st.Members) > k {
-		return nil, fmt.Errorf("dynamic: %d result-set members exceed k=%d", len(st.Members), k)
-	}
-	lt := &LazyTopK{
-		g: graph.DynFromGraph(g), k: k,
-		cached:  st.Cached,
-		stale:   st.Stale,
-		inR:     make([]bool, n),
-		heap:    &lazyHeap{ver: make([]int32, n)},
-		scratch: ego.NewScratch(n),
-	}
-	for _, v := range st.Members {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("dynamic: result-set member %d out of range", v)
-		}
-		if lt.inR[v] {
-			return nil, fmt.Errorf("dynamic: result-set member %d duplicated", v)
-		}
-		lt.inR[v] = true
-		lt.members = append(lt.members, v)
+		m.stale[v] = true
 	}
 	for v := int32(0); v < n; v++ {
-		if !lt.inR[v] {
-			lt.heap.push(v, lt.cached[v])
+		d := int64(g.Degree(v))
+		if t := st.Adjacent[v]; t < 0 || t > d*(d-1)/2 {
+			return nil, fmt.Errorf("dynamic: vertex %d of degree %d has %d adjacent pairs", v, d, t)
+		}
+		ceil, cb := ego.FoldScore(int32(d), m.hist[v]), st.Scores[v]
+		if m.stale[v] && math.Float64bits(cb) != math.Float64bits(ceil) {
+			return nil, fmt.Errorf("dynamic: stale score of vertex %d is %v, its ceiling %v", v, cb, ceil)
+		}
+		if !(cb >= 0 && cb <= ceil) {
+			return nil, fmt.Errorf("dynamic: score of vertex %d is %v, outside [0, %v]", v, cb, ceil)
 		}
 	}
-	return lt, nil
+	return m, nil
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -92,42 +91,45 @@ func TestLocalStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLazyStateRoundTrip is the ModeLazy analogue: export → import must
-// reproduce identical Results() under continued updates, with the candidate
-// heap rebuilt canonically from the cache.
-func TestLazyStateRoundTrip(t *testing.T) {
+// TestMapFreeStateRoundTrip is the map-free analogue: export → import
+// reproduces the scores, t and stale flags bit for bit, also under continued
+// updates, with the same dirty drains.
+func TestMapFreeStateRoundTrip(t *testing.T) {
 	for seed := uint64(20); seed < 28; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x1A2))
 		g := gen.Random(seed, 26)
-		k := 1 + int(seed%5)
-		lt := NewLazyTopK(g, k)
+		m := NewMapFreeMaintainer(g)
 		n := g.NumVertices()
-		runScript(t, rng, n, 40, lt.Graph().HasEdge, lt.InsertEdge, lt.DeleteEdge)
+		runScript(t, rng, n, 40, m.Graph().HasEdge, m.InsertEdge, m.DeleteEdge)
+		m.TakeDirtyScores()
 
-		frozen := lt.Graph().Freeze(1)
-		st := lt.ExportState()
-		cp := &LazyState{
-			Cached:  append([]float64(nil), st.Cached...),
-			Stale:   append([]bool(nil), st.Stale...),
-			Members: append([]int32(nil), st.Members...),
+		st := m.ExportMapFreeState()
+		cp := &MapFreeState{
+			Scores:   append([]float64(nil), st.Scores...),
+			Adjacent: append([]int64(nil), st.Adjacent...),
+			Stale:    append([]int32(nil), st.Stale...),
 		}
-		lt2, err := NewLazyTopKFromState(frozen, k, cp)
+		m2, err := NewMapFreeMaintainerFromState(m.Graph().Freeze(1), cp)
 		if err != nil {
 			t.Fatalf("seed %d: import: %v", seed, err)
 		}
-
+		same := func(when string) {
+			t.Helper()
+			for v := int32(0); v < n; v++ {
+				if math.Float64bits(m.CB(v)) != math.Float64bits(m2.CB(v)) || m.stale[v] != m2.stale[v] || m.hist[v][0] != m2.hist[v][0] {
+					t.Fatalf("seed %d %s: vertex %d diverged: (%v %v %d) vs (%v %v %d)", seed, when, v,
+						m.CB(v), m.stale[v], m.hist[v][0], m2.CB(v), m2.stale[v], m2.hist[v][0])
+				}
+			}
+		}
+		same("at import")
 		rng1 := rand.New(rand.NewPCG(seed, 0xF00))
 		rng2 := rand.New(rand.NewPCG(seed, 0xF00))
-		runScript(t, rng1, n, 40, lt.Graph().HasEdge, lt.InsertEdge, lt.DeleteEdge)
-		runScript(t, rng2, n, 40, lt2.Graph().HasEdge, lt2.InsertEdge, lt2.DeleteEdge)
-		r1, r2 := lt.Results(), lt2.Results()
-		if len(r1) != len(r2) {
-			t.Fatalf("seed %d: result sizes %d vs %d", seed, len(r1), len(r2))
-		}
-		for i := range r1 {
-			if r1[i].V != r2[i].V || math.Abs(r1[i].CB-r2[i].CB) > eps {
-				t.Fatalf("seed %d: result %d diverged: %+v vs %+v", seed, i, r1[i], r2[i])
-			}
+		runScript(t, rng1, n, 40, m.Graph().HasEdge, m.InsertEdge, m.DeleteEdge)
+		runScript(t, rng2, n, 40, m2.Graph().HasEdge, m2.InsertEdge, m2.DeleteEdge)
+		same("after the script")
+		if d1, d2 := m.TakeDirtyScores(), m2.TakeDirtyScores(); !slices.Equal(d1, d2) {
+			t.Fatalf("seed %d: dirty drains differ: %v vs %v", seed, d1, d2)
 		}
 	}
 }
@@ -182,47 +184,36 @@ func TestStateImportRejects(t *testing.T) {
 		}
 	}
 
-	lazyBase := func() *LazyState {
-		st := NewLazyTopK(g, 2).ExportState()
-		st.Cached = append([]float64(nil), st.Cached...)
-		st.Stale = append([]bool(nil), st.Stale...)
-		return st
-	}
-	lazyCases := map[string]func(st *LazyState){
-		"short cache":         func(st *LazyState) { st.Cached = st.Cached[:1] },
-		"short flags":         func(st *LazyState) { st.Stale = st.Stale[:1] },
-		"Inf cache":           func(st *LazyState) { st.Cached[0] = math.Inf(1) },
-		"member out of range": func(st *LazyState) { st.Members[0] = -1 },
-		"member duplicated":   func(st *LazyState) { st.Members[1] = st.Members[0] },
-		"too many members":    func(st *LazyState) { st.Members = []int32{0, 1, 2} },
-	}
-	for name, corrupt := range lazyCases {
-		st := lazyBase()
-		corrupt(st)
-		if _, err := NewLazyTopKFromState(g, 2, st); err == nil {
-			t.Errorf("lazy %s: accepted", name)
-		}
-	}
-}
-
-// TestLazyStateHealsTieOrder: a member set that breaks the (score desc, id
-// asc) order on a tie — what a state persisted before LazyTopK kept that
-// order can hold — imports as is and heals at the first Results(), which
-// returns the exhaustive top-k.
-func TestLazyStateHealsTieOrder(t *testing.T) {
-	var ring [][2]int32
-	for v := int32(0); v < 12; v++ {
-		ring = append(ring, [2]int32{v, (v + 1) % 12})
-	}
-	g := graph.MustFromEdges(12, ring) // every CB is 1
-	const k = 3
-	st := &LazyState{Cached: ego.ComputeAll(g), Stale: make([]bool, 12), Members: []int32{11, 10, 9}}
-	lt, err := NewLazyTopKFromState(g, k, st)
-	if err != nil {
+	// The delete of (1, 3) leaves 1, 2 and 3 stale; vertex 0 stays fresh
+	// with its one adjacent pair (ceiling 0), and 2's ceiling is 2.
+	mf := NewMapFreeMaintainer(g)
+	if err := mf.DeleteEdge(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, want := lt.Results(), ego.TopKExact(g, k)
-	if !slices.Equal(got, want) {
-		t.Fatalf("Results() = %v, want %v", got, want)
+	g2 := mf.Graph().Freeze(1)
+	mapFreeCases := map[string]func(st *MapFreeState){
+		"short scores":              func(st *MapFreeState) { st.Scores = st.Scores[:1] },
+		"short adjacent":            func(st *MapFreeState) { st.Adjacent = st.Adjacent[:1] },
+		"negative adjacent":         func(st *MapFreeState) { st.Adjacent[3] = -1 },
+		"adjacent beyond the pairs": func(st *MapFreeState) { st.Adjacent[0] = 2 },
+		"NaN score":                 func(st *MapFreeState) { st.Scores[0] = math.NaN() },
+		"score above its ceiling":   func(st *MapFreeState) { st.Scores[0] = 0.5 },
+		"stale score off its ceiling": func(st *MapFreeState) {
+			st.Scores[2] = math.Nextafter(st.Scores[2], 0)
+		},
+		"stale out of range":    func(st *MapFreeState) { st.Stale = append(st.Stale, 99) },
+		"stale out of order":    func(st *MapFreeState) { st.Stale[0], st.Stale[1] = st.Stale[1], st.Stale[0] },
+		"stale vertex repeated": func(st *MapFreeState) { st.Stale = append(st.Stale, st.Stale[len(st.Stale)-1]) },
+	}
+	for name, corrupt := range mapFreeCases {
+		st := mf.ExportMapFreeState()
+		st.Scores = append([]float64(nil), st.Scores...)
+		corrupt(st)
+		if _, err := NewMapFreeMaintainerFromState(g2, st); err == nil {
+			t.Errorf("map-free %s: accepted", name)
+		}
+	}
+	if _, err := NewMapFreeMaintainerFromState(g2, mf.ExportMapFreeState()); err != nil {
+		t.Fatalf("map-free control: %v", err)
 	}
 }

@@ -32,7 +32,7 @@ type SearchStats struct {
 // per-ego kernel (EgoBetweenness), which needs no cross-vertex evidence.
 // Kernels of the next candidates run ahead on up to GOMAXPROCS cores.
 func BaseBSearch(g graph.View, k int) ([]Result, SearchStats) {
-	res, st, _ := search(context.Background(), g, k, 1, nil, false, runtime.GOMAXPROCS(0), specPrice)
+	res, st, _ := search(context.Background(), g, k, 1, nil, false, nil, runtime.GOMAXPROCS(0), specPrice)
 	return res, st
 }
 
@@ -61,7 +61,7 @@ func OptBSearch(g graph.View, k int, theta float64) ([]Result, SearchStats) {
 // library half of the degree-relabeling layout experiment (DESIGN.md §12)
 // that the benchmark's ego.opt.relabeled_k100_ms keeps measuring.
 func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Result, SearchStats) {
-	res, st, _ := search(context.Background(), g, k, theta, ext, true, runtime.GOMAXPROCS(0), specPrice)
+	res, st, _ := search(context.Background(), g, k, theta, ext, true, nil, runtime.GOMAXPROCS(0), specPrice)
 	return res, st
 }
 
@@ -70,7 +70,22 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 // candidate, and once ctx is done it ends its helpers and returns ctx.Err()
 // without results.
 func SearchContext(ctx context.Context, g graph.View, k int, theta float64, dynamic bool) ([]Result, SearchStats, error) {
-	return search(ctx, g, k, theta, nil, dynamic, runtime.GOMAXPROCS(0), specPrice)
+	return search(ctx, g, k, theta, nil, dynamic, nil, runtime.GOMAXPROCS(0), specPrice)
+}
+
+// SearchSeeded is the searcher over published scores, exact except where
+// stale(v) marks an upper bound: exact ones enter R with no kernel, H holds
+// the stale ones under their bounds, and a popped stale candidate runs the
+// kernel on g, speculation included — TopKExact's answer to the bit, with
+// Computed counting the stale kernels. It checks ctx as SearchContext does.
+func SearchSeeded(ctx context.Context, g graph.View, k int, score func(int32) float64, stale func(int32) bool) ([]Result, SearchStats, error) {
+	return search(ctx, g, k, 1, nil, false, &seed{score, stale}, runtime.GOMAXPROCS(0), specPrice)
+}
+
+// seed is a seeded search's published scores.
+type seed struct {
+	score func(int32) float64
+	stale func(int32) bool
 }
 
 // search runs the searcher to its end, or until ctx is done, running ahead
@@ -78,8 +93,8 @@ func SearchContext(ctx context.Context, g graph.View, k int, theta float64, dyna
 // reaches minPrice. The answer and the SearchStats are the same at every
 // workers and minPrice. θ below 1 is 1, and so is NaN, which max(theta, 1)
 // would pass through. A k beyond n selects what k = n does, so R is never
-// sized past n.
-func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats, error) {
+// sized past n. A non-nil sd seeds H (SearchSeeded).
+func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32, dynamic bool, sd *seed, workers int, minPrice int64) ([]Result, SearchStats, error) {
 	k = min(k, int(g.NumVertices()))
 	if k < 1 {
 		return []Result{}, SearchStats{}, nil
@@ -87,7 +102,7 @@ func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32
 	if !(theta >= 1) {
 		theta = 1
 	}
-	q := newSearcher(g, k, theta, ext, dynamic, workers, minPrice)
+	q := newSearcher(g, k, theta, ext, dynamic, sd, workers, minPrice)
 	for {
 		if err := ctx.Err(); err != nil {
 			q.sp.close()
@@ -113,7 +128,8 @@ const slotsPerHelper = 4
 
 // searcher is the one loop behind both searches: a candidate heap H keyed by
 // upper bound, the result set R, and one Scratch for the exact scores. Every
-// vertex starts in H under the static bound d(d−1)/2; step pops the largest.
+// vertex starts in H under the static bound d(d−1)/2 (seeded: see newSearcher);
+// step pops the largest.
 //
 // With dynamic set, t[v] counts the adjacent neighbor pairs of v identified
 // so far, and the Lemma 3 bound is ũb(v) = d(d−1)/2 − t[v]: every pair of
@@ -143,6 +159,7 @@ type searcher struct {
 	s     *Scratch
 	t     []int64 // nil under the static bound (BaseBSearch)
 	done  []bool  // computed exactly; its triangles have been credited
+	sd    *seed   // published scores H and R start from; nil for the paper's searches
 	st    SearchStats
 
 	workers  int         // W; 1 runs every kernel inline
@@ -152,12 +169,13 @@ type searcher struct {
 	sp       *spec       // nil until the first candidate is speculated
 }
 
-func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) *searcher {
+func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, sd *seed, workers int, minPrice int64) *searcher {
 	n := g.NumVertices()
 	q := &searcher{
 		g:        g,
 		theta:    theta,
 		ext:      ext,
+		sd:       sd,
 		r:        topk.NewBoundedLabeled(k, ext),
 		h:        topk.NewMaxHeapLabeled(int(n), ext),
 		s:        NewScratch(n),
@@ -171,7 +189,14 @@ func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, 
 	for v := int32(0); v < n; v++ {
 		d := g.Degree(v)
 		q.dmax = max(q.dmax, d)
-		q.h.Push(v, StaticUB(d))
+		switch {
+		case sd == nil:
+			q.h.Push(v, StaticUB(d))
+		case sd.stale(v):
+			q.h.Push(v, sd.score(v))
+		default:
+			q.r.Add(v, sd.score(v)) // seeded exact: no kernel, no trip through H
+		}
 	}
 	return q
 }

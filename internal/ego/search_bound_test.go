@@ -28,7 +28,7 @@ func eachSearchState(g *graph.Graph, check func(stage string, q *searcher)) {
 	for _, k := range []int{1, 5, n / 2, n} {
 		for _, theta := range []float64{1, 1.05, 1.5} {
 			for _, w := range []int{1, 2} {
-				q := newSearcher(g, k, theta, nil, true, w, 0)
+				q := newSearcher(g, k, theta, nil, true, nil, w, 0)
 				stage := fmt.Sprintf("k=%d θ=%v W=%d pop ", k, theta, w)
 				check(stage+"0", q)
 				for pop := 1; q.step(); pop++ {

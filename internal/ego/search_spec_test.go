@@ -108,7 +108,7 @@ func TestSearchHelpersExit(t *testing.T) {
 
 // searchAll is search under a context that is never done.
 func searchAll(g graph.View, k int, theta float64, ext []int32, dynamic bool, workers int, minPrice int64) ([]Result, SearchStats) {
-	res, st, _ := search(context.Background(), g, k, theta, ext, dynamic, workers, minPrice)
+	res, st, _ := search(context.Background(), g, k, theta, ext, dynamic, nil, workers, minPrice)
 	return res, st
 }
 
@@ -136,7 +136,7 @@ func TestSearchCancel(t *testing.T) {
 	for _, dynamic := range []bool{true, false} {
 		for _, w := range []int{1, 2, 4} {
 			for _, n := range []int{0, 1, 20} {
-				res, _, err := search(&doneAfter{context.Background(), n}, g, 100, 1.05, nil, dynamic, w, 0)
+				res, _, err := search(&doneAfter{context.Background(), n}, g, 100, 1.05, nil, dynamic, nil, w, 0)
 				if !errors.Is(err, context.Canceled) || res != nil {
 					t.Fatalf("dynamic=%v W=%d done after %d: %d results, err %v; want none and context.Canceled", dynamic, w, n, len(res), err)
 				}

@@ -13,43 +13,38 @@ import (
 
 // TestExactAlgosByteIdentical: on one snapshot the exact strategies return
 // the same encoded result list, ties at the k-th rank included — on the
-// frozen snapshot of a fresh graph and on overlay snapshots, in both modes.
+// frozen snapshot of a fresh graph, on overlay snapshots and on a compacted
+// one, in both modes.
 //
 // algo=opt and algo=base score every returned vertex with the same kernel,
 // and algo=scores reads the maintained vector, whose every entry is its
 // connector-count histogram folded by the kernel's fold — so all three are
 // held to byte equality everywhere, after score-changing batches too. In
-// ModeLazy algo=lazy serves k ≤ lazy k from the LazyTopK set, which keeps
-// the k first vertices under the same (score desc, id asc) order: it is held
-// to the same bytes.
+// ModeLazy algo=scores searches the published vector, recomputing the stale
+// bounds it cannot rule out: it is held to the same bytes, and every read —
+// top-k at every k and each vertex — to the same stream served in
+// ModeLocal and to ego.TopKExact on the snapshot's view.
 func TestExactAlgosByteIdentical(t *testing.T) {
-	const lazyK = 50
 	for mode, base := range map[string]*graph.Graph{
 		ModeLocal: gen.Affiliation(300, 150, 5.5, 1, 29),
-		ModeLazy:  gen.BarabasiAlbert(80, 3, 29), // small integer scores: ties at rank lazyK
+		ModeLazy:  gen.BarabasiAlbert(80, 3, 29), // small integer scores: ties at the k-th rank
 	} {
 		t.Run(mode, func(t *testing.T) {
-			reg := addOverlayGraph(t, base, mode, lazyK, 64)
+			reg := addOverlayGraph(t, base, mode, 0, 64)
+			ref := addOverlayGraph(t, base, ModeLocal, 0, 64) // ModeLocal under the same stream
 			check := func(stage string) {
 				t.Helper()
 				info, err := reg.Info("g")
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range []int{1, 4, 10, lazyK, int(info.N) / 2, int(info.N)} {
-					algos := []string{AlgoBase, AlgoScores}
-					if mode == ModeLazy {
-						algos = []string{AlgoBase}
-						if k <= lazyK {
-							algos = append(algos, AlgoLazy)
-						}
-					}
+				for _, k := range exactKs(info.N) {
 					opt, err := reg.topK("g", k, AlgoOpt)
 					if err != nil {
 						t.Fatalf("%s k=%d algo=opt: %v", stage, k, err)
 					}
 					want := encodeJSON(opt.Results)
-					for _, algo := range algos {
+					for _, algo := range []string{AlgoBase, AlgoScores, AlgoAuto} {
 						res, err := reg.topK("g", k, algo)
 						if err != nil {
 							t.Fatalf("%s k=%d algo=%s: %v", stage, k, algo, err)
@@ -58,7 +53,19 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 							t.Fatalf("%s k=%d: algo=%s returns\n%s\nalgo=opt returns\n%s", stage, k, algo, got, want)
 						}
 					}
+					local, err := ref.topK("g", k, AlgoScores)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := encodeJSON(local.Results); !bytes.Equal(got, want) {
+						t.Fatalf("%s k=%d: ModeLocal serves\n%s\nthis mode\n%s", stage, k, got, want)
+					}
 				}
+				e, err := reg.get("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertServesExact(t, reg, "g", e.snap.Load().view)
 			}
 			overlayDepth := func() int {
 				info, err := reg.Info("g")
@@ -67,12 +74,18 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 				}
 				return info.OverlayDepth
 			}
+			apply := func(edges [][2]int32, insert bool) {
+				t.Helper()
+				for _, r := range []*Registry{reg, ref} {
+					if _, err := r.applyEdges("g", edges, insert); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			check("frozen")
 
 			n := base.NumVertices()
-			if _, err := reg.applyEdges("g", [][2]int32{{n, n + 1}}, true); err != nil {
-				t.Fatal(err)
-			}
+			apply([][2]int32{{n, n + 1}}, true)
 			if overlayDepth() != 1 {
 				t.Fatalf("overlay depth %d after one batch, want 1", overlayDepth())
 			}
@@ -81,14 +94,23 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 			rng := rand.New(rand.NewPCG(29, 0xA160))
 			mirror := graph.DynFromGraph(base)
 			for i, sb := range makeScript(rng, mirror, 10) {
-				if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
-					t.Fatal(err)
-				}
+				apply(sb.edges, sb.insert)
 				check(fmt.Sprintf("batch %d (overlay depth %d)", i, overlayDepth()))
 			}
 			if overlayDepth() < 2 {
 				t.Fatalf("overlay depth %d after the script — the test lost its subject", overlayDepth())
 			}
+			e, err := reg.get("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.mu.Lock()
+			e.fullGraphLocked()
+			e.mu.Unlock()
+			if overlayDepth() != 0 {
+				t.Fatalf("overlay depth %d after a compaction", overlayDepth())
+			}
+			check("compacted")
 		})
 	}
 }

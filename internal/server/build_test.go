@@ -82,11 +82,11 @@ func TestParallelBuildLazyMode(t *testing.T) {
 	if _, err := par.Add("g", g, ModeLazy, 8); err != nil {
 		t.Fatal(err)
 	}
-	a, err := seq.topK("g", 8, AlgoLazy)
+	a, err := seq.topK("g", 8, AlgoScores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.topK("g", 8, AlgoLazy)
+	b, err := par.topK("g", 8, AlgoScores)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ type GraphInfo struct {
 	Epoch        uint64  `json:"epoch"`
 	N            int32   `json:"n"`
 	M            int64   `json:"m"`
-	LazyK        int     `json:"lazy_k,omitempty"`
 	BuildWorkers int     `json:"build_workers"`
 	PublishMS    float64 `json:"publish_ms"`
 	CompactMS    float64 `json:"compact_ms"`
@@ -28,7 +27,7 @@ type GraphInfo struct {
 	// view stacks on its base CSR (0 = fully compacted), the dirty-vertex
 	// total across those layers, how many compactions have folded the chain
 	// since this process opened the graph, and how many score entries the
-	// ModeLocal copy-on-write vector materialized across all drains (chunk
+	// copy-on-write score vector materialized across all drains (chunk
 	// granularity; a drain that changed no score adds 0).
 	OverlayDepth  int   `json:"overlay_depth"`
 	DirtyVertices int   `json:"dirty_vertices,omitempty"`
@@ -128,9 +127,6 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 	if ov := s.overlay(); ov != nil {
 		gi.OverlayDepth = ov.Depth()
 		gi.DirtyVertices = ov.DirtyVertices()
-	}
-	if e.lazy != nil {
-		gi.LazyK = e.lazy.K()
 	}
 	if e.st != nil {
 		gi.Persisted = true

@@ -158,8 +158,8 @@ func TestMixedWorkloadStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := victim.topK("churn", 3, AlgoLazy); !tolerable(err) {
-				t.Errorf("churn lazy reader: %v", err)
+			if _, err := victim.topK("churn", 3, AlgoScores); !tolerable(err) {
+				t.Errorf("churn lazy-mode reader: %v", err)
 				return
 			}
 		}

@@ -193,9 +193,9 @@ func TestScoreVecChunks(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i)
 	}
-	s := newScoreVec(src)
-	if s.Len() != int32(len(src)) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(src))
+	s := newScoreVec(src, nil)
+	if s.n != int32(len(src)) {
+		t.Fatalf("n = %d, want %d", s.n, len(src))
 	}
 	for i := range src {
 		if s.At(int32(i)) != src[i] {
@@ -204,13 +204,13 @@ func TestScoreVecChunks(t *testing.T) {
 	}
 
 	// No change: same vector back.
-	if next, copied := s.withUpdates(src, nil); next != s || copied != 0 {
+	if next, copied := s.withUpdates(src, nil, nil); next != s || copied != 0 {
 		t.Fatalf("no-op withUpdates: (%p, %d), want (%p, 0)", next, copied, s)
 	}
 
 	// One dirty vertex in chunk 1: chunks 0 and 2 shared, chunk 1 fresh.
 	src[scoreChunkSize+5] = -1
-	next, copied := s.withUpdates(src, []int32{scoreChunkSize + 5})
+	next, copied := s.withUpdates(src, nil, []int32{scoreChunkSize + 5})
 	if copied != 1 {
 		t.Fatalf("copied = %d, want 1", copied)
 	}
@@ -226,14 +226,38 @@ func TestScoreVecChunks(t *testing.T) {
 	// materializes; the untouched chunks keep sharing.
 	grown := append(append([]float64(nil), src...), make([]float64, scoreChunkSize)...)
 	grown[len(src)] = 42
-	next2, copied2 := next.withUpdates(grown, []int32{int32(len(src))})
+	next2, copied2 := next.withUpdates(grown, nil, []int32{int32(len(src))})
 	if copied2 != 2 {
 		t.Fatalf("growth copied = %d, want 2 (dirty tail chunk + new chunk)", copied2)
 	}
-	if next2.Len() != int32(len(grown)) || next2.At(int32(len(src))) != 42 {
+	if next2.n != int32(len(grown)) || next2.At(int32(len(src))) != 42 {
 		t.Fatal("growth not visible")
 	}
 	if &next2.chunks[1][0] != &next.chunks[1][0] {
 		t.Fatal("growth invalidated a clean chunk")
+	}
+	if next2.stale != nil || next2.Stale(5) {
+		t.Fatal("a vector with no flags reports a stale score")
+	}
+
+	// Stale flags (ModeLazy) ride in chunks of their own, copied with
+	// their score chunk and shared otherwise.
+	stale := make([]bool, len(grown))
+	flagged := newScoreVec(grown, stale)
+	if flagged.Stale(7) || len(flagged.stale) != len(flagged.chunks) {
+		t.Fatal("fresh flags")
+	}
+	stale[7] = true
+	next3, copied3 := flagged.withUpdates(grown, stale, []int32{7})
+	if copied3 != 1 || !next3.Stale(7) || next3.Stale(8) || flagged.Stale(7) {
+		t.Fatalf("a bound: copied %d, Stale(7)=%v Stale(8)=%v", copied3, next3.Stale(7), next3.Stale(8))
+	}
+	stale[2*scoreChunkSize] = true
+	next4, _ := next3.withUpdates(grown, stale, []int32{2 * scoreChunkSize})
+	if !next4.Stale(2*scoreChunkSize) || next3.Stale(2*scoreChunkSize) || !next4.Stale(7) {
+		t.Fatal("a later bound is not copied-on-write")
+	}
+	if &next4.stale[0][0] != &next3.stale[0][0] || &next4.stale[1][0] != &next3.stale[1][0] {
+		t.Fatal("clean flag chunks not shared")
 	}
 }

@@ -7,8 +7,9 @@ package server
 // batch to the graph's WAL (and fsyncs) before applying it, and periodically
 // folds the WAL into a fresh binary CSR snapshot (the checkpoint). Since the
 // version-2 snapshot format (DESIGN.md §11), a checkpoint also carries the
-// live maintainer's state — scores, pair-evidence tables, dirty bookkeeping —
-// in a separately checksummed section, so recovery has a fast path: load the
+// live maintainer's state — scores, adjacent-pair counts, and ModeLocal's
+// pair-evidence tables and dirty bookkeeping or ModeLazy's stale set — in a
+// separately checksummed section, so recovery has a fast path: load the
 // CSR, import the maintainer state in O(load), and replay only the WAL tail
 // through applyLocked, the same deterministic batch-application code the live
 // writer uses. When the section is absent (a pre-v2 or never-checkpointed
@@ -19,6 +20,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,28 +29,17 @@ import (
 	"repro/internal/store"
 )
 
-// Maintenance-mode tags in persisted snapshot headers.
-const (
-	modeTagLocal uint8 = 0
-	modeTagLazy  uint8 = 1
-)
+// modeTags are the maintenance modes by their tag in persisted snapshot
+// headers.
+var modeTags = [...]string{ModeLocal, ModeLazy}
 
-func modeToTag(mode string) uint8 {
-	if mode == ModeLazy {
-		return modeTagLazy
-	}
-	return modeTagLocal
-}
+func modeToTag(mode string) uint8 { return uint8(slices.Index(modeTags[:], mode)) }
 
 func modeFromTag(tag uint8) (string, error) {
-	switch tag {
-	case modeTagLocal:
-		return ModeLocal, nil
-	case modeTagLazy:
-		return ModeLazy, nil
-	default:
+	if int(tag) >= len(modeTags) {
 		return "", fmt.Errorf("server: unknown persisted mode tag %d", tag)
 	}
+	return modeTags[tag], nil
 }
 
 // storeOptions builds the per-graph store options, binding the registry's
@@ -64,11 +55,7 @@ func (r *Registry) storeOptions(name string) []store.Option {
 
 // persistMeta is the snapshot metadata for this entry at WAL sequence seq.
 func (e *entry) persistMeta(seq uint64) store.SnapshotMeta {
-	meta := store.SnapshotMeta{Mode: modeToTag(e.mode), Seq: seq}
-	if e.lazy != nil {
-		meta.LazyK = uint32(e.lazy.K())
-	}
-	return meta
+	return store.SnapshotMeta{Mode: modeToTag(e.mode), Seq: seq}
 }
 
 // mirrorPersist refreshes the entry's lock-free persistence counters from
@@ -89,10 +76,10 @@ func (e *entry) mirrorPersist() {
 // until the next applied batch — callers hold e.mu and encode synchronously,
 // which is exactly that window. Callers hold e.mu.
 func (e *entry) maintainerState() *store.MaintainerState {
-	if e.local != nil {
-		return &store.MaintainerState{Local: e.local.ExportState()}
+	if e.mode == ModeLazy {
+		return &store.MaintainerState{MapFree: e.m.ExportMapFreeState()}
 	}
-	return &store.MaintainerState{Lazy: e.lazy.ExportState()}
+	return &store.MaintainerState{Local: e.m.ExportState()}
 }
 
 // maybeCheckpoint folds the WAL into a fresh snapshot once the policy says
@@ -273,48 +260,26 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 	e.st = st
 	t0 := time.Now()
 	e.recoverPath = "rebuild"
-	// Invalid persisted metadata must not fail the boot over a value the
-	// rebuild path can substitute — but substituting silently would hide
-	// that the served lazy-k is not what the checkpoint claimed, so the
-	// fallback is recorded and survives into recover_reason whichever
-	// maintainer path wins below.
-	var metaReason string
-	lazyK := int(rec.Meta.LazyK)
-	if mode == ModeLazy && lazyK < 1 {
-		metaReason = fmt.Sprintf("persisted lazy-k %d invalid; serving fallback k=10", lazyK)
-		lazyK = 10
-	}
-	var (
-		reasons  []string // joined into recover_reason
-		imported maintainer
-	)
+	var reasons []string // joined into recover_reason
 	switch {
 	case rec.StateErr != nil:
 		reasons = append(reasons, rec.StateErr.Error())
 	case rec.State == nil:
 		reasons = append(reasons, "no maintainer-state section in snapshot")
 	case mode == ModeLocal && rec.State.Local != nil:
-		imported, err = dynamic.NewMaintainerFromState(rec.Graph, rec.State.Local)
-	case mode == ModeLazy && rec.State.Lazy != nil:
-		imported, err = dynamic.NewLazyTopKFromState(rec.Graph, lazyK, rec.State.Lazy)
+		e.m, err = dynamic.NewMaintainerFromState(rec.Graph, rec.State.Local)
+	case mode == ModeLazy && rec.State.MapFree != nil:
+		e.m, err = dynamic.NewMapFreeMaintainerFromState(rec.Graph, rec.State.MapFree)
 	default:
 		reasons = append(reasons, "snapshot maintainer state is for the other maintenance mode")
 	}
 	if err != nil {
 		reasons = append(reasons, fmt.Sprintf("maintainer-state import: %v", err))
-		imported = nil
 	}
-	switch {
-	case imported != nil:
-		e.setMaintainer(imported)
+	if e.m != nil {
 		e.recoverPath = "fast"
-	case mode == ModeLocal:
-		e.setMaintainer(dynamic.NewMaintainer(rec.Graph))
-	default:
-		e.setMaintainer(dynamic.NewLazyTopK(rec.Graph, lazyK))
-	}
-	if metaReason != "" {
-		reasons = append(reasons, metaReason)
+	} else {
+		e.m = newMaintainer(mode, rec.Graph)
 	}
 	// The temporal sidecar of a windowed graph is rebuilt from the
 	// snapshot's stamps section before the tail replay, so replayed stamped

@@ -12,41 +12,34 @@ import (
 
 // publishLocked publishes the post-drain state as a copy-on-write snapshot:
 // a graph.Overlay carrying only the adjacency lists this drain dirtied,
-// layered on the previous view, and (in ModeLocal) a score vector sharing
-// every chunk no score of which changed. Both costs are O(batch), so the
+// layered on the previous view, and a score vector sharing every chunk no
+// score or stale flag of which changed. Both costs are O(batch), so the
 // write lock holds publication latency independent of the graph size — the
 // O(n+m) work moved to the background compactor. Callers must hold e.mu.
 func (e *entry) publishLocked(epoch uint64) {
 	t0 := time.Now()
 	old := e.snap.Load()
-	s := &snapshot{epoch: epoch, view: e.maint.Graph().FreezeOverlay(old.view)}
-	if e.local != nil {
-		sv, copied := old.scores.withUpdates(e.local.All(), e.local.TakeDirtyScores())
-		s.scores = sv
-		if copied > 0 {
-			e.scoresCopied.Add(int64(copied) * scoreChunkSize)
-		}
+	sv, copied := old.scores.withUpdates(e.m.All(), e.m.Stale(), e.m.TakeDirtyScores())
+	s := &snapshot{epoch: epoch, view: e.m.Graph().FreezeOverlay(old.view), scores: sv}
+	if copied > 0 {
+		e.scoresCopied.Add(int64(copied) * scoreChunkSize)
 	}
 	s.publishDur = time.Since(t0)
 	e.snap.Store(s)
 }
 
-// buildFullSnapshot freezes the maintainer's current graph (and, in
-// ModeLocal, its exact scores) into a fully compacted snapshot — a
-// standalone CSR, no overlay. Recovery uses it to seed the first published
-// view; the steady-state write path publishes overlays instead. It resets
-// the maintainer's dirty tracking, which the freeze subsumes. Callers must
-// hold e.mu or own the entry exclusively.
+// buildFullSnapshot freezes the maintainer's current graph and scores into
+// a fully compacted snapshot — a standalone CSR, no overlay. Recovery uses
+// it to seed the first published view; the steady-state write path
+// publishes overlays instead. It resets the maintainer's dirty tracking,
+// which the freeze subsumes. Callers must hold e.mu or own the entry
+// exclusively.
 func (e *entry) buildFullSnapshot(epoch uint64) *snapshot {
 	t0 := time.Now()
-	dyn := e.maint.Graph()
+	dyn := e.m.Graph()
 	dyn.TakeDirty()
-	g := dyn.Freeze(e.workers)
-	s := &snapshot{epoch: epoch, view: g}
-	if e.local != nil {
-		e.local.TakeDirtyScores()
-		s.scores = newScoreVec(e.local.All())
-	}
+	e.m.TakeDirtyScores()
+	s := &snapshot{epoch: epoch, view: dyn.Freeze(e.workers), scores: newScoreVec(e.m.All(), e.m.Stale())}
 	s.publishDur = time.Since(t0)
 	e.lastCompactNs.Store(s.publishDur.Nanoseconds())
 	return s

@@ -18,9 +18,8 @@ import (
 
 // Top-k algorithms a query may select.
 const (
-	AlgoAuto   = "auto"   // scores in ModeLocal, lazy set in ModeLazy
-	AlgoScores = "scores" // read the maintained exact scores (ModeLocal)
-	AlgoLazy   = "lazy"   // the LazyTopK result set (ModeLazy, query k ≤ configured k)
+	AlgoAuto   = "auto"   // scores, or approx when an approx knob is set
+	AlgoScores = "scores" // the published scores: selected, or in ModeLazy searched over their stale bounds
 	AlgoOpt    = "opt"    // OptBSearch on the snapshot CSR
 	AlgoBase   = "base"   // BaseBSearch on the snapshot CSR
 	AlgoApprox = "approx" // sampled estimator with (ε, δ) bounds (internal/approx)
@@ -37,7 +36,7 @@ const (
 type snapshot struct {
 	epoch  uint64
 	view   graph.View // *graph.Graph or *graph.Overlay
-	scores *scoreVec  // exact CB per vertex at this epoch; nil in ModeLazy
+	scores *scoreVec  // CB per vertex at this epoch, or an upper bound where stale (ModeLazy)
 
 	// publishDur is how long this snapshot's publication took (the initial
 	// all-vertices computation for epoch 1, the O(batch) overlay
@@ -146,8 +145,32 @@ type TopKResult struct {
 	ApproxEpsAchieved float64      `json:"approx_eps_achieved,omitempty"`
 	Cached            bool         `json:"cached"`
 	Results           []ego.Result `json:"results"`
+	Explain           *Explain     `json:"explain,omitempty"`
 
 	hitBody []byte // cache hits: this payload already encoded (cachedResult.hitBody)
+}
+
+// Explain is the ?explain=1 account of one top-k answer: the microseconds
+// of its stages (search 0 on a hit; the handler times the encode) and what
+// the search did — SearchStats for opt, base and a seeded scores read,
+// whose Computed counts stale kernels, or approx.Stats.
+type Explain struct {
+	ResolveUS float64          `json:"resolve_us"`
+	CacheUS   float64          `json:"cache_us"`
+	SearchUS  float64          `json:"search_us"`
+	EncodeUS  float64          `json:"encode_us"`
+	Search    *ego.SearchStats `json:"search,omitempty"`
+	Approx    *approx.Stats    `json:"approx,omitempty"`
+
+	last time.Time // the end of the previous stage
+}
+
+// lap ends a stage, returning its microseconds.
+func (x *Explain) lap() float64 {
+	now := time.Now()
+	d := now.Sub(x.last)
+	x.last = now
+	return float64(d.Nanoseconds()) / 1e3
 }
 
 // TopKQuery is the full top-k query shape. Zero-valued knobs select the
@@ -162,13 +185,14 @@ type TopKQuery struct {
 	Conf float64
 	Seed uint64
 
-	ctx context.Context // the HTTP request's: a search it outlives stops; nil never does
+	ctx     context.Context // the HTTP request's: a search it outlives stops; nil never does
+	explain bool            // ?explain=1: time the stages and keep the search's stats
 }
 
 // resolveQuery validates q against snap and returns the cache key that
 // identifies its answer there: k clamped, "auto" (or "") replaced by the
-// cheapest exact strategy for the graph's mode — or the approx tier when an
-// approx knob is set explicitly — and every unset knob replaced by its
+// published scores — or the approx tier when an approx knob is set
+// explicitly — and every unset knob replaced by its
 // default, so a query that spells a default out and one that leaves it
 // unset share an entry. Out-of-range values are rejected, never rewritten.
 func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
@@ -184,16 +208,9 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 	}
 	approxKnobs := q.Eps != 0 || q.Conf != 0 || q.Seed != 0
 	if algo == "" || algo == AlgoAuto {
-		switch {
-		case approxKnobs:
+		algo = AlgoScores
+		if approxKnobs {
 			algo = AlgoApprox
-		case e.mode == ModeLazy:
-			algo = AlgoLazy
-			if e.lazy != nil && k > e.lazy.K() {
-				algo = AlgoOpt // lazy set only holds its configured k
-			}
-		default:
-			algo = AlgoScores
 		}
 	}
 	if approxKnobs && algo != AlgoApprox {
@@ -225,16 +242,20 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 
 // TopKQ answers a top-k query: resolve it to a cache key, answer from the
 // snapshot's cache on a hit, otherwise run the key's algorithm — each one
-// call on the snapshot's view. All strategies except AlgoLazy are served
-// lock-free from the current snapshot; AlgoLazy consults the LazyTopK
-// maintainer under the write lock (its Results() call mutates lazy state).
-// AlgoApprox estimates are a pure function of (seed, vertex id, adjacency),
-// so frozen and overlay snapshots of the same graph answer bit-identically.
-// Answers are cached per (k, algo, ε, δ, seed) in the snapshot they were
-// computed against, so an epoch swap invalidates them wholesale. A search
-// whose request context is done stops and returns its error, caching
-// nothing.
+// call on the snapshot's view, lock-free. AlgoScores selects the k best
+// published scores; in ModeLazy it runs the seeded search, which recomputes
+// on the view only the stale candidates that could enter the answer.
+// AlgoApprox estimates are a
+// pure function of (seed, vertex id, adjacency), so frozen and overlay
+// snapshots of the same graph answer bit-identically. Answers are cached
+// per (k, algo, ε, δ, seed) in the snapshot they were computed against, so
+// an epoch swap invalidates them wholesale. A search whose request context
+// is done stops and returns its error, caching nothing.
 func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
+	var ex *Explain
+	if q.explain {
+		ex = &Explain{last: time.Now()}
+	}
 	e, err := r.get(name)
 	if err != nil {
 		return TopKResult{}, err
@@ -244,27 +265,46 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	if err != nil {
 		return TopKResult{}, err
 	}
+	if ex != nil {
+		ex.ResolveUS = ex.lap()
+	}
 
 	if v, ok := snap.cache.Load(key); ok {
 		e.cacheHits.Add(1)
 		cr := v.(cachedResult)
 		tr := e.topkResult(snap, key, true, cr)
-		tr.hitBody = cr.hitBody
+		if ex != nil {
+			ex.CacheUS = ex.lap()
+			tr.Explain = ex
+		} else {
+			tr.hitBody = cr.hitBody
+		}
 		return tr, nil
 	}
 	e.cacheMisses.Add(1)
+	if ex != nil {
+		ex.CacheUS = ex.lap()
+	}
 
 	ctx := q.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var cr cachedResult
-	switch key.algo {
+	switch sv := snap.scores; key.algo {
 	case AlgoScores:
-		if snap.scores == nil {
-			return TopKResult{}, fmt.Errorf("server: algo %q needs mode %q (graph %q is %q)", AlgoScores, ModeLocal, name, e.mode)
+		if sv.stale == nil {
+			cr.res = ego.TopKOf(sv.n, sv.At, key.k)
+			break
 		}
-		cr.res = ego.TopKOf(snap.scores.Len(), snap.scores.At, key.k)
+		res, st, err := ego.SearchSeeded(ctx, snap.view, key.k, sv.At, sv.Stale)
+		if err != nil {
+			return TopKResult{}, err
+		}
+		cr.res = res
+		if ex != nil {
+			ex.Search = &st
+		}
 	case AlgoOpt, AlgoBase:
 		res, st, err := ego.SearchContext(ctx, snap.view, key.k, ego.DefaultTheta, key.algo == AlgoOpt)
 		if err != nil {
@@ -274,6 +314,9 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		e.exactQueries.Add(1)
 		e.exactComputed.Add(st.Computed)
 		e.exactPruned.Add(st.Pruned)
+		if ex != nil {
+			ex.Search = &st
+		}
 	case AlgoApprox:
 		res, st, err := approx.TopKContext(ctx, snap.view, key.k, approx.Options{
 			Eps:  math.Float64frombits(key.epsBits),
@@ -286,36 +329,22 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		cr = cachedResult{res: res, samples: st.Samples, epsAchieved: st.EpsAchieved}
 		e.approxQueries.Add(1)
 		e.approxSamples.Add(st.Samples)
-	case AlgoLazy:
-		if e.lazy == nil {
-			return TopKResult{}, fmt.Errorf("server: algo %q needs mode %q (graph %q is %q)", AlgoLazy, ModeLazy, name, e.mode)
+		if ex != nil {
+			ex.Approx = &st
 		}
-		if key.k > e.lazy.K() {
-			return TopKResult{}, fmt.Errorf("server: algo %q serves k ≤ %d, got %d", AlgoLazy, e.lazy.K(), key.k)
-		}
-		// Results() refreshes stale members, i.e. mutates maintainer
-		// state: take the write lock. Inside it no swap can happen, so
-		// the snapshot reloaded here is the one the lazy set matches.
-		e.mu.Lock()
-		if e.removed {
-			e.mu.Unlock()
-			return TopKResult{}, notFound(name)
-		}
-		full := e.lazy.Results()
-		snap = e.snap.Load()
-		e.mu.Unlock()
-		if key.k < len(full) {
-			full = full[:key.k]
-		}
-		cr.res = full
 	default:
 		return TopKResult{}, fmt.Errorf("server: unknown algo %q", key.algo)
+	}
+	if ex != nil {
+		ex.SearchUS = ex.lap()
 	}
 	if key.k <= maxHitBodyK {
 		cr.hitBody = encodeJSON(e.topkResult(snap, key, true, cr))
 	}
 	snap.cacheStore(key, cr)
-	return e.topkResult(snap, key, false, cr), nil
+	tr := e.topkResult(snap, key, false, cr)
+	tr.Explain = ex
+	return tr, nil
 }
 
 // topkResult builds the payload for key's answer on s; the knobs it echoes
@@ -343,15 +372,15 @@ type VertexResult struct {
 }
 
 // egoScratch pools the recomputation scratch (vertex → local id table and
-// the dense per-ego arrays of ego.EgoBetweenness) of the lock-free ModeLazy
-// per-vertex read path, so the steady state allocates nothing per query.
+// the dense per-ego arrays of ego.EgoBetweenness) of the per-vertex read of
+// a stale vertex, so the steady state allocates nothing per query.
 // The scratch grows to any graph's vertex count and is safe to share
 // across graphs; a sync.Pool keeps one per P under load.
 var egoScratch = sync.Pool{New: func() any { return ego.NewScratch(0) }}
 
 // EgoBetweenness answers a single-vertex query, lock-free on the current
-// snapshot: from the frozen score vector in ModeLocal, by direct O(local)
-// recomputation (with pooled scratch) in ModeLazy.
+// snapshot: from the frozen score vector, or by direct O(local)
+// recomputation (with pooled scratch) for a stale vertex.
 func (r *Registry) EgoBetweenness(name string, v int32) (VertexResult, error) {
 	e, err := r.get(name)
 	if err != nil {
@@ -361,10 +390,8 @@ func (r *Registry) EgoBetweenness(name string, v int32) (VertexResult, error) {
 	if v < 0 || v >= snap.view.NumVertices() {
 		return VertexResult{}, fmt.Errorf("server: vertex %d out of range [0,%d)", v, snap.view.NumVertices())
 	}
-	var cb float64
-	if snap.scores != nil {
-		cb = snap.scores.At(v)
-	} else {
+	cb := snap.scores.At(v)
+	if snap.scores.Stale(v) {
 		s := egoScratch.Get().(*ego.Scratch)
 		cb = ego.EgoBetweenness(snap.view, v, s)
 		egoScratch.Put(s)

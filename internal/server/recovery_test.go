@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"repro/internal/ego"
@@ -98,7 +95,7 @@ func assertTopKEqual(t *testing.T, label string, got, want []ego.Result) {
 }
 
 // assertRecovered checks every served read shape of graph name against a
-// from-scratch recompute on want.
+// from-scratch recompute on want, in either mode.
 func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph.Graph) {
 	t.Helper()
 	info, err := reg.Info(name)
@@ -108,36 +105,7 @@ func assertRecovered(t *testing.T, reg *Registry, name, mode string, want *graph
 	if info.N != want.NumVertices() || info.M != want.NumEdges() {
 		t.Fatalf("recovered shape (n=%d,m=%d), want (n=%d,m=%d)", info.N, info.M, want.NumVertices(), want.NumEdges())
 	}
-	scores := ego.ComputeAll(want)
-	algos := []string{AlgoOpt, AlgoBase}
-	if mode == ModeLocal {
-		algos = append(algos, AlgoScores)
-	} else {
-		algos = append(algos, AlgoLazy)
-	}
-	for _, k := range []int{1, 5, 10} {
-		want := ego.TopKOfScores(scores, k)
-		for _, algo := range algos {
-			res, err := reg.topK(name, k, algo)
-			if err != nil {
-				t.Fatalf("TopK(%s, k=%d): %v", algo, k, err)
-			}
-			assertTopKEqual(t, fmt.Sprintf("k=%d algo=%s", k, algo), res.Results, want)
-		}
-	}
-	if mode == ModeLocal {
-		// The strongest statement: every maintained per-vertex score equals
-		// the recompute.
-		for v := int32(0); v < want.NumVertices(); v++ {
-			vr, err := reg.EgoBetweenness(name, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vr.CB != scores[v] {
-				t.Fatalf("vertex %d recovered cb %.9f, recompute %.9f", v, vr.CB, scores[v])
-			}
-		}
-	}
+	assertServesExact(t, reg, name, want)
 }
 
 // durableRegistry builds a registry persisting under dir with an aggressive
@@ -499,43 +467,5 @@ func TestRecoverRejectsDuplicate(t *testing.T) {
 	}
 	if _, err := reg.Recover(); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
-	}
-}
-
-// TestRecoverLazyKLimit: the snapshot header persists a lazy graph's k as a
-// uint32, so a larger k is refused at load as a plain validation error (it
-// would come back truncated after a restart), and the largest k that fits
-// survives Close + Recover.
-func TestRecoverLazyKLimit(t *testing.T) {
-	if strconv.IntSize < 64 {
-		t.Skip("a k beyond uint32 needs a 64-bit int")
-	}
-	dir := t.TempDir()
-	g := gen.BarabasiAlbert(40, 3, 5)
-	tooBig, maxK := int(int64(1)<<32+5), int(int64(math.MaxUint32))
-	reg := durableRegistry(dir)
-	if _, err := reg.Add("big", g, ModeLazy, tooBig); err == nil {
-		t.Fatalf("lazy k %d accepted", tooBig)
-	}
-	ts := newTestServer(t)
-	req := LoadRequest{Name: "big", Edges: karateEdges(), Mode: ModeLazy, K: tooBig}
-	if code := doJSON(t, "POST", ts.URL+"/graphs", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("load with lazy k %d: status %d, want 400", tooBig, code)
-	}
-
-	if info, err := reg.Add("g", g, ModeLazy, maxK); err != nil || info.LazyK != maxK {
-		t.Fatalf("Add with lazy k %d: info %+v err %v", maxK, info, err)
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reborn := durableRegistry(dir)
-	defer reborn.Close()
-	infos, err := reborn.Recover()
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(infos) != 1 || infos[0].LazyK != maxK {
-		t.Fatalf("recovered %+v, want one graph with lazy_k %d", infos, maxK)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -16,14 +15,14 @@ import (
 
 // Maintenance modes for a served graph.
 const (
-	// ModeLocal keeps the exact Maintainer (LocalInsert/LocalDelete):
+	// ModeLocal keeps the map-holding Maintainer (LocalInsert/LocalDelete):
 	// every snapshot carries the exact score of every vertex, so top-k for
 	// any k and per-vertex queries are O(1)-per-score reads. Costs the
 	// evidence-map memory.
 	ModeLocal = "local"
-	// ModeLazy keeps the LazyTopK maintainer (LazyInsert/LazyDelete) for
-	// one configured k: minimal memory, top-k answered from the lazily
-	// maintained result set; other read shapes recompute on the snapshot.
+	// ModeLazy keeps the map-free Maintainer: O(n) scalars, and an update
+	// leaves the vertices it touched stale under a bound that reads
+	// recompute on the snapshot, for any k.
 	ModeLazy = "lazy"
 )
 
@@ -65,15 +64,12 @@ type entry struct {
 
 	// mu serializes all mutation of the maintainer state below and every
 	// snapshot publication. Readers never take it.
-	mu    sync.Mutex
-	maint maintainer          // whichever of local and lazy is set
-	local *dynamic.Maintainer // ModeLocal
-	lazy  *dynamic.LazyTopK   // ModeLazy
+	mu sync.Mutex
+	m  *dynamic.Maintainer // map-holding in ModeLocal, map-free in ModeLazy
 
 	// removed marks an entry whose Remove completed: the durable store is
-	// gone, and any straggler that looked the entry up before the removal
-	// must fail instead of touching (and resurrecting) the deleted state.
-	// Guarded by mu.
+	// gone, and a compaction or a shipped batch that raced the removal
+	// must not touch (and resurrect) the deleted state. Guarded by mu.
 	removed bool
 	// failed poisons the pipeline after any durability failure — a WAL
 	// append or checkpoint error (which poisons the store too) or an
@@ -170,23 +166,6 @@ type entry struct {
 	replSeq        atomic.Uint64
 	replLeaderSeq  atomic.Uint64
 	replCaughtNano atomic.Int64
-}
-
-// maintainer is what the write side needs of either maintenance mode: the
-// mutable graph and the paper's two update operations (LocalInsert /
-// LocalDelete for ModeLocal, LazyInsert / LazyDelete for ModeLazy).
-type maintainer interface {
-	Graph() *graph.DynGraph
-	InsertEdge(u, v int32) error
-	DeleteEdge(u, v int32) error
-}
-
-// setMaintainer installs m as the entry's maintainer; local or lazy is set
-// to it by its type, for the read paths that need the mode's own methods.
-func (e *entry) setMaintainer(m maintainer) {
-	e.maint = m
-	e.local, _ = m.(*dynamic.Maintainer)
-	e.lazy, _ = m.(*dynamic.LazyTopK)
 }
 
 // ErrNotFound marks a request naming a graph the registry does not serve —
@@ -396,12 +375,12 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Add registers g under name with the given maintenance mode (lazyK applies
-// to ModeLazy), using the registry's default sliding window (usually none).
-// Building the maintainer computes all initial scores, which for ModeLocal
-// also populates the first snapshot's score vector.
+// Add registers g under name with the given maintenance mode, using the
+// registry's default sliding window (usually none). Building the maintainer
+// computes all initial scores, the first snapshot's. lazyK is unused (lazy
+// mode kept one k once); it stays for the callers that pass it.
 func (r *Registry) Add(name string, g *graph.Graph, mode string, lazyK int) (GraphInfo, error) {
-	return r.AddWindowed(name, g, mode, lazyK, r.window)
+	return r.AddWindowed(name, g, mode, r.window)
 }
 
 // AddWindowed is Add with an explicit sliding window: window > 0 makes the
@@ -410,7 +389,7 @@ func (r *Registry) Add(name string, g *graph.Graph, mode string, lazyK int) (Gra
 // edges older than now−window through WAL-recorded delete batches (DESIGN.md
 // §14). window == 0 serves the graph unwindowed regardless of the registry
 // default.
-func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK int, window time.Duration) (GraphInfo, error) {
+func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, window time.Duration) (GraphInfo, error) {
 	if window < 0 {
 		return GraphInfo{}, fmt.Errorf("server: window must be non-negative, got %v", window)
 	}
@@ -425,10 +404,6 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 	}
 	if mode != ModeLocal && mode != ModeLazy {
 		return GraphInfo{}, fmt.Errorf("server: unknown mode %q (want %q or %q)", mode, ModeLocal, ModeLazy)
-	}
-	if mode == ModeLazy && int64(lazyK) > math.MaxUint32 {
-		// A larger k would come back truncated after a restart.
-		return GraphInfo{}, fmt.Errorf("server: lazy k %d does not fit the snapshot header's uint32", lazyK)
 	}
 	if err := r.readOnlyErr("load graph"); err != nil {
 		return GraphInfo{}, err
@@ -464,17 +439,9 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 		initStamps = &store.TemporalState{WindowMS: uint64(window / time.Millisecond), Stamps: stamps}
 		e.refreshTemporalLocked()
 	}
-	first := &snapshot{epoch: 1, view: g}
 	t0 := time.Now()
-	if mode == ModeLocal {
-		e.setMaintainer(dynamic.NewMaintainer(g))
-		first.scores = newScoreVec(e.local.All())
-	} else {
-		if lazyK < 1 {
-			lazyK = 10
-		}
-		e.setMaintainer(dynamic.NewLazyTopK(g, lazyK))
-	}
+	e.m = newMaintainer(mode, g)
+	first := &snapshot{epoch: 1, view: g, scores: newScoreVec(e.m.All(), e.m.Stale())}
 	first.publishDur = time.Since(t0)
 	// The initial all-vertices build is the moral equivalent of a
 	// compaction: it produced the base CSR every later overlay sits on.
@@ -503,16 +470,24 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, lazyK i
 	return e.info(), nil
 }
 
+// newMaintainer builds mode's maintainer over g: the map-holding form in
+// ModeLocal, the map-free one in ModeLazy.
+func newMaintainer(mode string, g *graph.Graph) *dynamic.Maintainer {
+	if mode == ModeLazy {
+		return dynamic.NewMapFreeMaintainer(g)
+	}
+	return dynamic.NewMaintainer(g)
+}
+
 // Remove drops the named graph, deleting its durable store (if any) with it.
 //
 // Ordering is the use-after-Remove fix: first unregister the name (new
 // lookups fail), then close the admission queue and wait for the writer
 // goroutine to drain and acknowledge every batch admitted before the close,
-// and only then mark the entry removed and delete the store. A straggler
-// that looked the entry up before the removal finds the queue closed (a
-// writer) or the removed flag set (a lazy reader) and fails with not-found —
-// it can no longer append to or checkpoint into the deleted directory,
-// resurrecting it on disk.
+// and only then mark the entry removed and delete the store. A straggling
+// writer that looked the entry up before the removal finds the queue closed
+// and fails with not-found — it can no longer append to or checkpoint into
+// the deleted directory, resurrecting it on disk.
 func (r *Registry) Remove(name string) error {
 	if err := r.readOnlyErr("remove graph"); err != nil {
 		return err
@@ -535,8 +510,8 @@ func (r *Registry) Remove(name string) error {
 // teardown is the one shutdown sequence of an entry that has left (or is
 // leaving with) the registry: close the admission queue, wait for the
 // writer to drain every admitted batch and exit, mark the entry removed so
-// a straggling lazy reader fails with not-found, and only then release the
-// durable store — deleting it when deleteStore is set, else closing it.
+// a straggling compaction or shipped batch leaves it alone, and only then
+// release the durable store — deleting it when deleteStore is set.
 func (e *entry) teardown(deleteStore bool) error {
 	e.closeWrites()
 	<-e.stopped

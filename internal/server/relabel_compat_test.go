@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/dynamic"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/store"
@@ -27,23 +26,13 @@ import (
 // implies.
 func relabelEraDir(t *testing.T, dataDir, mode string, base *graph.Graph, perm []int32, grow bool) *graph.Graph {
 	t.Helper()
-	const lazyK = 10
 	meta := store.SnapshotMeta{Mode: modeToTag(mode)}
-	var (
-		m interface {
-			InsertEdge(u, v int32) error
-			DeleteEdge(u, v int32) error
-			Graph() *graph.DynGraph
+	m := newMaintainer(mode, base)
+	export := func() *store.MaintainerState {
+		if mode == ModeLazy {
+			return &store.MaintainerState{MapFree: m.ExportMapFreeState()}
 		}
-		export func() *store.MaintainerState
-	)
-	if mode == ModeLocal {
-		local := dynamic.NewMaintainer(base)
-		m, export = local, func() *store.MaintainerState { return &store.MaintainerState{Local: local.ExportState()} }
-	} else {
-		meta.LazyK = lazyK
-		lazy := dynamic.NewLazyTopK(base, lazyK)
-		m, export = lazy, func() *store.MaintainerState { return &store.MaintainerState{Lazy: lazy.ExportState()} }
+		return &store.MaintainerState{Local: m.ExportState()}
 	}
 	st, err := store.Create(store.GraphDir(dataDir, "g"), base, meta)
 	if err != nil {
@@ -116,15 +105,8 @@ func TestRelabelServingEquivalence(t *testing.T) {
 			}
 			assertRecovered(t, with, "g", mode, want)
 
-			algos := []string{AlgoOpt, AlgoBase, AlgoApprox, AlgoScores}
-			if mode == ModeLazy {
-				algos[3] = AlgoLazy
-			}
-			for _, algo := range algos {
+			for _, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox, AlgoScores} {
 				for _, k := range []int{1, 10, 100} {
-					if algo == AlgoLazy && k > 10 {
-						continue // the lazy set holds its configured k
-					}
 					label := fmt.Sprintf("algo=%s k=%d", algo, k)
 					a, err := with.TopKQ("g", TopKQuery{K: k, Algo: algo})
 					if err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -103,14 +104,12 @@ func (p *shipPair) syncUntilCaughtUp(t *testing.T, name string) {
 
 // assertBitwiseEqual requires the maintained-state read paths — the ones
 // that are deterministic replays of applyLocked, not recomputes over
-// possibly differently-shaped overlays — to agree exactly between leader
-// and follower.
+// possibly differently-shaped overlays (in ModeLazy, the exact scores
+// beside the recomputed stale ones) — to agree exactly between leader and
+// follower.
 func assertBitwiseEqual(t *testing.T, leader, follower *Registry, name, mode string, n int32) {
 	t.Helper()
 	algo := AlgoScores
-	if mode == ModeLazy {
-		algo = AlgoLazy
-	}
 	for _, k := range []int{1, 5, 10} {
 		lr, err := leader.topK(name, k, algo)
 		if err != nil {
@@ -123,9 +122,6 @@ func assertBitwiseEqual(t *testing.T, leader, follower *Registry, name, mode str
 		if !reflect.DeepEqual(lr.Results, fr.Results) {
 			t.Fatalf("k=%d algo=%s diverged\nleader   %v\nfollower %v", k, algo, lr.Results, fr.Results)
 		}
-	}
-	if mode != ModeLocal {
-		return
 	}
 	for v := int32(0); v < n; v++ {
 		lv, err := leader.EgoBetweenness(name, v)
@@ -513,37 +509,38 @@ func TestRecoverPartialFailure(t *testing.T) {
 	}
 }
 
-// TestRecoverLazyKFallbackReason: a persisted lazy graph whose header
-// carries an invalid maintained k still boots (fallback k=10) but says so
-// in recover_reason instead of silently changing the serving contract.
-func TestRecoverLazyKFallbackReason(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.BarabasiAlbert(40, 3, 12)
-	gdir := store.GraphDir(dir, "g")
-	snap := store.EncodeSnapshot(g, store.SnapshotMeta{Mode: 1 /* lazy */, LazyK: 0, Seq: 0})
-	if err := store.InstallSnapshot(gdir, snap); err != nil {
+// TestRecoverRetiredLazyPayload: a data directory whose checkpoint carries
+// the retired LazyTopK state payload (internal/store's
+// v2_lazy_compacted.snap, a lazy-mode graph with k = 2 in the header's
+// retired slot) recovers through the rebuild path with a reason naming the
+// payload, and then answers like ModeLocal — every k, every vertex, the
+// kernel's bits — and after a batch, too.
+func TestRecoverRetiredLazyPayload(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v2_lazy_compacted.snap"))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	reg := durableRegistry(dir)
+	dir := t.TempDir()
+	if err := store.InstallSnapshot(store.GraphDir(dir, "g"), img); err != nil {
+		t.Fatal(err)
+	}
+	reg, gi := recoverDir(t, dir)
 	defer reg.Close()
-	infos, err := reg.Recover()
+	if gi.Mode != ModeLazy || gi.RecoverPath != "rebuild" || !strings.Contains(gi.RecoverReason, "retired lazy") {
+		t.Fatalf("mode=%q recover_path=%q reason=%q, want lazy, rebuild, naming the retired payload", gi.Mode, gi.RecoverPath, gi.RecoverReason)
+	}
+	g, _, err := store.DecodeSnapshot(img)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatal(err)
 	}
-	if len(infos) != 1 {
-		t.Fatalf("recovered %d graphs, want 1", len(infos))
+	assertServesExact(t, reg, "g", g)
+	mirror := graph.DynFromGraph(g)
+	if _, err := reg.applyEdges("g", [][2]int32{{0, 4}, {3, 5}}, true); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(infos[0].RecoverReason, "lazy-k 0 invalid") {
-		t.Fatalf("recover_reason %q does not record the lazy-k fallback", infos[0].RecoverReason)
-	}
-	res, err := reg.topK("g", 10, AlgoLazy)
-	if err != nil {
-		t.Fatalf("TopK on fallback graph: %v", err)
-	}
-	if len(res.Results) == 0 {
-		t.Fatal("fallback graph served no results")
-	}
+	_ = mirror.InsertEdge(0, 4)
+	_ = mirror.InsertEdge(3, 5)
+	assertServesExact(t, reg, "g", mirror.Freeze(1))
 }
 
 // TestRetryAfterDerivation: a full admission queue fails with an error that

@@ -12,18 +12,19 @@
 //   - Writers (edge batches) enter a per-graph bounded admission queue
 //     drained by a dedicated writer goroutine (DESIGN.md §9): each drain
 //     group-commits everything waiting — one WAL fsync, the per-batch
-//     applies through the maintainer (LocalInsert/LocalDelete or
-//     LazyInsert/LazyDelete), then one exported and atomically published
-//     snapshot with a bumped epoch. Swapping the pointer is also the cache
+//     applies through the maintainer (LocalInsert/LocalDelete, or the
+//     map-free form's bound updates), then one exported and atomically
+//     published snapshot with a bumped epoch. Swapping the pointer is also the cache
 //     invalidation: the old snapshot's cache becomes unreachable with it.
 //     A full queue rejects with 429 (backpressure); ack=async callers get
 //     their response at admission instead of after the group commit.
-//   - The one read shape that touches maintainer state, algo=lazy (LazyTopK
-//     refreshes stale members on read), takes the same write lock.
+//   - No read touches maintainer state: a stale score (ModeLazy) is
+//     recomputed on the snapshot's view by the read that needs it.
 package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -127,6 +128,9 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body) // a client that went away is not the handler's error
 }
 
+// statusClientClosed answers a request whose client went away first.
+const statusClientClosed = 499
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -138,7 +142,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // leader's address, so a client holding only the follower's URL learns where
 // writes go; a full admission queue is backpressure, not failure: 429 with
 // Retry-After: 1, a one-second pacing hint. A storage
-// failure is the server's fault, not the request's. (For a failed checkpoint
+// failure is the server's fault, not the request's; a search its client
+// walked away from is neither (499). (For a failed checkpoint
 // the batch itself is already durable and applied — ApplyEdgesStamped
 // documents this — but the operator needs the 500 more than the client
 // needs the partial result.)
@@ -157,6 +162,8 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrStorage):
 		status = http.StatusInternalServerError
+	case errors.Is(err, context.Canceled):
+		status = statusClientClosed
 	}
 	writeError(w, status, err)
 }
@@ -199,7 +206,6 @@ type LoadRequest struct {
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 	Dataset   string         `json:"dataset,omitempty"`
 	Mode      string         `json:"mode,omitempty"` // local (default) | lazy
-	K         int            `json:"k,omitempty"`    // lazy mode's maintained k
 
 	// Window makes the graph temporal: a Go duration string ("6h", "90s")
 	// sets the sliding window edges live in before the writer expires them
@@ -309,16 +315,16 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var info GraphInfo
 	switch req.Window {
 	case "":
-		info, err = s.reg.Add(req.Name, g, req.Mode, req.K)
+		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, s.reg.window)
 	case "none", "0":
-		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, req.K, 0)
+		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, 0)
 	default:
 		window, perr := time.ParseDuration(req.Window)
 		if perr != nil || window <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad window %q (want a positive duration like \"6h\", or \"none\")", req.Window))
 			return
 		}
-		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, req.K, window)
+		info, err = s.reg.AddWindowed(req.Name, g, req.Mode, window)
 	}
 	if err != nil {
 		s.writeRegistryError(w, err)
@@ -359,6 +365,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		k = v
 	}
 	tq := TopKQuery{K: k, Algo: q.Get("algo"), ctx: r.Context()}
+	if qs := q.Get("explain"); qs != "" {
+		v, err := strconv.ParseBool(qs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad explain %q (want 1 or 0)", qs))
+			return
+		}
+		tq.explain = v
+	}
 	// Range validation lives in Registry.TopKQ, so the HTTP and the library
 	// surface reject exactly the same values.
 	if qs := q.Get("eps"); qs != "" {
@@ -393,6 +407,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if res.hitBody != nil {
 		writeBody(w, http.StatusOK, res.hitBody)
 		return
+	}
+	if res.Explain != nil { // time the encode, then send it with its time
+		t0 := time.Now()
+		encodeJSON(res)
+		res.Explain.EncodeUS = float64(time.Since(t0).Nanoseconds()) / 1e3
 	}
 	writeJSON(w, http.StatusOK, res)
 }

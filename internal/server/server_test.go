@@ -208,24 +208,25 @@ func removeEdge(edges [][2]int32, e [2]int32) [][2]int32 {
 	return out
 }
 
-// TestServeLazyMode exercises a lazy-maintained graph: top-k served from the
-// LazyTopK result set stays exact across updates, and larger k falls back to
-// snapshot search.
+// TestServeLazyMode exercises a lazy-maintained graph over HTTP: auto
+// reads the published scores at any k, exact across updates that leave
+// vertices stale, a stale vertex's read is its kernel score, and algo=lazy
+// is no algorithm any more.
 func TestServeLazyMode(t *testing.T) {
 	ts := newTestServer(t)
 	edges := karateEdges()
 
 	var info GraphInfo
-	if code := doJSON(t, "POST", ts.URL+"/graphs", LoadRequest{Name: "kz", Edges: edges, Mode: ModeLazy, K: 8}, &info); code != http.StatusCreated {
+	if code := doJSON(t, "POST", ts.URL+"/graphs", LoadRequest{Name: "kz", Edges: edges, Mode: ModeLazy}, &info); code != http.StatusCreated {
 		t.Fatalf("load: status %d", code)
 	}
-	if info.Mode != ModeLazy || info.LazyK != 8 {
+	if info.Mode != ModeLazy {
 		t.Fatalf("load: unexpected info %+v", info)
 	}
 
 	var tk TopKResult
 	doJSON(t, "GET", ts.URL+"/graphs/kz/topk?k=8", nil, &tk)
-	if tk.Algo != AlgoLazy {
+	if tk.Algo != AlgoScores {
 		t.Fatalf("auto algo in lazy mode: got %q", tk.Algo)
 	}
 	expectTopK(t, tk.Results, edges, 8)
@@ -237,20 +238,23 @@ func TestServeLazyMode(t *testing.T) {
 	}
 	edges = append(edges, [2]int32{9, 13}, [2]int32{16, 24})
 
-	doJSON(t, "GET", ts.URL+"/graphs/kz/topk?k=8", nil, &tk)
-	expectTopK(t, tk.Results, edges, 8)
-
-	// k beyond the maintained set falls back to snapshot OptBSearch.
-	doJSON(t, "GET", ts.URL+"/graphs/kz/topk?k=12", nil, &tk)
-	if tk.Algo != AlgoOpt {
-		t.Fatalf("fallback algo: got %q", tk.Algo)
+	for _, k := range []int{8, 12, 34} {
+		doJSON(t, "GET", ts.URL+fmt.Sprintf("/graphs/kz/topk?k=%d", k), nil, &tk)
+		if tk.Algo != AlgoScores {
+			t.Fatalf("k=%d: auto algo %q", k, tk.Algo)
+		}
+		expectTopK(t, tk.Results, edges, k)
 	}
-	expectTopK(t, tk.Results, edges, 12)
+	g := graph.MustFromEdges(34, edges)
+	var vr VertexResult
+	doJSON(t, "GET", ts.URL+"/graphs/kz/vertices/13/ego-betweenness", nil, &vr) // stale: an endpoint
+	if want := ego.EgoBetweenness(g, 13, nil); vr.CB != want {
+		t.Fatalf("stale vertex 13 reads %v, kernel %v", vr.CB, want)
+	}
 
-	// Explicitly requesting the lazy set with an oversized k is an error.
 	var errResp map[string]string
-	if code := doJSON(t, "GET", ts.URL+"/graphs/kz/topk?k=12&algo=lazy", nil, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("oversized lazy k: status %d", code)
+	if code := doJSON(t, "GET", ts.URL+"/graphs/kz/topk?k=8&algo=lazy", nil, &errResp); code != http.StatusBadRequest {
+		t.Fatalf("algo=lazy: status %d, want 400", code)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestWindowedServing(t *testing.T) {
 	defer reg.Close()
 
 	const window = time.Minute
-	info, err := reg.AddWindowed("g", base, ModeLocal, 10, window)
+	info, err := reg.AddWindowed("g", base, ModeLocal, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestWindowedValidation(t *testing.T) {
 	defer reg.Close()
 	base, _ := graph.FromEdges(3, [][2]int32{{0, 1}})
 
-	if _, err := reg.AddWindowed("w", base, ModeLocal, 10, 100*time.Microsecond); err == nil {
+	if _, err := reg.AddWindowed("w", base, ModeLocal, 100*time.Microsecond); err == nil {
 		t.Fatal("sub-millisecond window accepted")
 	}
-	if _, err := reg.AddWindowed("w", base, ModeLocal, 10, -time.Second); err == nil {
+	if _, err := reg.AddWindowed("w", base, ModeLocal, -time.Second); err == nil {
 		t.Fatal("negative window accepted")
 	}
 
-	if _, err := reg.AddWindowed("plain", base, ModeLocal, 10, 0); err != nil {
+	if _, err := reg.AddWindowed("plain", base, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.ApplyEdgesStamped("plain", [][2]int32{{0, 2}}, []int64{5}, true, AckDurable); err == nil ||
@@ -149,7 +149,7 @@ func TestWindowedValidation(t *testing.T) {
 		t.Fatalf("stamps on unwindowed graph accepted: %v", err)
 	}
 
-	if _, err := reg.AddWindowed("win", base, ModeLocal, 10, time.Minute); err != nil {
+	if _, err := reg.AddWindowed("win", base, ModeLocal, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.ApplyEdgesStamped("win", [][2]int32{{0, 1}}, []int64{5}, false, AckDurable); err == nil ||
@@ -338,7 +338,7 @@ func TestWindowedRecoveryEquivalence(t *testing.T) {
 			dir := t.TempDir()
 			base := gen.BarabasiAlbert(5, 2, 3)
 			victim := durableRegistry(dir, WithClock(clk.now))
-			if _, err := victim.AddWindowed("g", base, ModeLocal, 10, windowMS*time.Millisecond); err != nil {
+			if _, err := victim.AddWindowed("g", base, ModeLocal, windowMS*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 			stamps := map[[2]int32]int64{}
@@ -390,7 +390,7 @@ func TestWindowedExpiryCrashPoint(t *testing.T) {
 		}
 		return nil
 	}))
-	if _, err := victim.AddWindowed("g", base, ModeLocal, 10, time.Minute); err != nil {
+	if _, err := victim.AddWindowed("g", base, ModeLocal, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := victim.applyEdges("g", [][2]int32{{0, 2}}, true); err != nil {
@@ -441,7 +441,7 @@ func TestApproxTemporalServing(t *testing.T) {
 	base := gen.BarabasiAlbert(300, 8, 5)
 	reg := durableRegistry(t.TempDir(), WithClock(clk.now))
 	defer reg.Close()
-	if _, err := reg.AddWindowed("g", base, ModeLocal, 10, windowMS*time.Millisecond); err != nil {
+	if _, err := reg.AddWindowed("g", base, ModeLocal, windowMS*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	stamps := map[[2]int32]int64{}
@@ -529,7 +529,7 @@ func TestWindowedReplicaEquivalence(t *testing.T) {
 			// guarantees none of them collides with a pre-existing edge (a
 			// duplicate insert is a no-op and would not re-stamp).
 			base := gen.BarabasiAlbert(5, 2, 3)
-			if _, err := p.leader.AddWindowed("g", base, ModeLocal, 10, windowMS*time.Millisecond); err != nil {
+			if _, err := p.leader.AddWindowed("g", base, ModeLocal, windowMS*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 			stamps := map[[2]int32]int64{}

@@ -407,11 +407,11 @@ func (e *entry) applyLocked(edges [][2]int32, stamps []int64, insert bool) Updat
 	// Inserts may grow the vertex set to max(u,v)+1, so bound how far one
 	// batch can push it: ids beyond the limit fail per-edge instead of
 	// allocating an arbitrarily large adjacency array under the lock.
-	curN := e.maint.Graph().NumVertices()
+	curN := e.m.Graph().NumVertices()
 	limit := curN + maxBatchGrowth
-	op := e.maint.DeleteEdge
+	op := e.m.DeleteEdge
 	if insert {
-		op = e.maint.InsertEdge
+		op = e.m.InsertEdge
 	}
 	for i, ed := range edges {
 		if ed[0] >= limit || ed[1] >= limit {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,8 +302,8 @@ func TestAsyncAdmissionAfterPoisonRejected(t *testing.T) {
 }
 
 // TestRemoveConcurrentWithWrites is the use-after-Remove regression test:
-// writers and lazy readers racing a Remove must fail cleanly (not found /
-// backlog), and the durable directory must stay deleted — the old code let
+// writers and lazy-mode readers racing a Remove must fail cleanly (not
+// found / backlog), and the durable directory must stay deleted — the old code let
 // a straggler holding the entry append to the removed store, resurrecting
 // the on-disk directory.
 func TestRemoveConcurrentWithWrites(t *testing.T) {
@@ -342,8 +343,8 @@ func TestRemoveConcurrentWithWrites(t *testing.T) {
 				}
 			}(w)
 		}
-		// Lazy reader: algo=lazy touches maintainer state under the write
-		// lock — exactly the straggler the removed flag must turn away.
+		// Lazy-mode reader: recomputes stale scores on its snapshot while
+		// the graph goes away; it must never touch the removed state.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -353,9 +354,9 @@ func TestRemoveConcurrentWithWrites(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := reg.topK("g", 3, AlgoLazy); err != nil {
+				if _, err := reg.topK("g", 3, AlgoScores); err != nil {
 					if !strings.Contains(err.Error(), "no graph named") {
-						t.Errorf("lazy reader: unexpected error %v", err)
+						t.Errorf("lazy-mode reader: unexpected error %v", err)
 					}
 					return
 				}
@@ -422,5 +423,53 @@ func TestCacheCapConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s2.cacheCount.Load(); got != 1 {
 		t.Fatalf("same-key stampede: cacheCount = %d, want 1", got)
+	}
+}
+
+// TestLazyReadNeverWaitsForTheWriter: a lazy-mode top-k read — a cache
+// miss over stale scores, so it recomputes on the snapshot — returns while
+// the writer is parked at crashBeforeApply holding e.mu: no read path takes
+// the entry's lock.
+func TestLazyReadNeverWaitsForTheWriter(t *testing.T) {
+	var armed atomic.Bool
+	reached, block := make(chan struct{}, 1), make(chan struct{})
+	reg := NewRegistry(WithCrashHook(func(_, p string) error {
+		if p == crashBeforeApply && armed.Load() {
+			reached <- struct{}{}
+			<-block
+		}
+		return nil
+	}))
+	defer reg.Close()
+	base := gen.BarabasiAlbert(200, 3, 42)
+	if _, err := reg.Add("g", base, ModeLazy, 10); err != nil {
+		t.Fatal(err)
+	}
+	hub := base.Neighbors(0)
+	if _, err := reg.applyEdges("g", [][2]int32{{0, hub[0]}, {0, hub[1]}}, false); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	defer close(block)
+	if _, err := reg.applyEdgesAck("g", [][2]int32{{0, hub[0]}}, true, AckAsync); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the writer to park before the apply")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := reg.topK("g", 5, AlgoAuto)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a lazy-mode read waited for the writer's lock")
 	}
 }

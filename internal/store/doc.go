@@ -4,7 +4,7 @@
 //   - A versioned, length-prefixed, CRC-checked binary codec for frozen CSR
 //     snapshots (EncodeSnapshot / DecodeSnapshot): the full graph plus the
 //     maintenance metadata the serving layer needs to rebuild its maintainer
-//     (mode tag, lazy k, and the WAL sequence folded into the snapshot).
+//     (mode tag and the WAL sequence folded into the snapshot).
 //   - A per-graph write-ahead log of edge-update batches (EncodeBatch /
 //     DecodeWAL): the serving layer's serialized writer appends every batch
 //     before applying it, so an acknowledged update is never lost.

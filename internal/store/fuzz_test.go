@@ -24,7 +24,7 @@ func fuzzSnapshotSeeds() [][]byte {
 	g1, _ := graph.FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
 	g2, _ := graph.FromEdges(5, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {3, 4}})
 	empty, _ := graph.FromEdges(0, nil)
-	valid := EncodeSnapshot(g1, SnapshotMeta{Mode: 1, LazyK: 7, Seq: 42})
+	valid := EncodeSnapshot(g1, SnapshotMeta{Mode: 1, Seq: 42})
 	truncated := valid[:len(valid)-6]
 	flipped := append([]byte(nil), EncodeSnapshot(g2, SnapshotMeta{})...)
 	flipped[len(flipped)/2] ^= 0x10
@@ -88,7 +88,7 @@ func FuzzDecodeSnapshotPerm(f *testing.F) {
 }
 
 // fuzzStateSeeds are the FuzzDecodeMaintainerState starting points: valid
-// version-2 images for both maintenance modes, a torn and a bit-flipped one,
+// version-2 images for both maintainer forms, a torn and a bit-flipped one,
 // a version-1 file (no section — must decode to nil, nil), and bare magic.
 func fuzzStateSeeds() [][]byte {
 	g, _ := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
@@ -97,16 +97,16 @@ func fuzzStateSeeds() [][]byte {
 	_ = m.DeleteEdge(0, 1)
 	local := EncodeSnapshotFull(m.Graph().Freeze(1), SnapshotMeta{Seq: 2},
 		&MaintainerState{Local: m.ExportState()}, nil, nil)
-	lt := dynamic.NewLazyTopK(g, 2)
-	_ = lt.DeleteEdge(0, 2)
-	lazy := EncodeSnapshotFull(lt.Graph().Freeze(1), SnapshotMeta{Mode: 1, LazyK: 2, Seq: 1},
-		&MaintainerState{Lazy: lt.ExportState()}, nil, nil)
+	mf := dynamic.NewMapFreeMaintainer(g)
+	_ = mf.DeleteEdge(0, 2)
+	mapFree := EncodeSnapshotFull(mf.Graph().Freeze(1), SnapshotMeta{Mode: 1, Seq: 1},
+		&MaintainerState{MapFree: mf.ExportMapFreeState()}, nil, nil)
 	torn := local[:len(local)-8]
-	flipped := append([]byte(nil), lazy...)
+	flipped := append([]byte(nil), mapFree...)
 	flipped[len(flipped)-2] ^= 0x20
 	return [][]byte{
 		local,
-		lazy,
+		mapFree,
 		torn,
 		flipped,
 		EncodeSnapshot(g, SnapshotMeta{}),
@@ -214,8 +214,8 @@ func FuzzDecodeMaintainerState(f *testing.F) {
 		if st.Local != nil {
 			_, _ = dynamic.NewMaintainerFromState(g, st.Local)
 		}
-		if st.Lazy != nil {
-			_, _ = dynamic.NewLazyTopKFromState(g, int(meta.LazyK), st.Lazy)
+		if st.MapFree != nil {
+			_, _ = dynamic.NewMapFreeMaintainerFromState(g, st.MapFree)
 		}
 	})
 }

@@ -107,14 +107,3 @@ func aliasWords[T word](src []byte, n uint64) []T {
 	decodeWords(dst, src)
 	return dst
 }
-
-// aliasBools views src's first n bytes as a []bool. The caller must already
-// have validated that every byte is 0 or 1 — any other bit pattern in a Go
-// bool is undefined behavior, which is exactly why the decoder checks before
-// aliasing rather than after.
-func aliasBools(src []byte, n uint64) []bool {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*bool)(unsafe.Pointer(unsafe.SliceData(src))), n)
-}

@@ -31,8 +31,6 @@ type SnapshotMeta struct {
 	// Mode is an application-defined maintenance-mode tag (the serving
 	// layer stores 0 for local, 1 for lazy).
 	Mode uint8
-	// LazyK is the maintained k for lazy-mode graphs (0 otherwise).
-	LazyK uint32
 	// Seq is the last WAL batch sequence folded into this snapshot. WAL
 	// records with Seq ≤ this are already reflected in the graph.
 	Seq uint64
@@ -45,7 +43,8 @@ type SnapshotMeta struct {
 //	[4]  version  uint16
 //	[6]  mode     uint8
 //	[7]  reserved uint8 (must be 0)
-//	[8]  lazyK    uint32
+//	[8]  retired  uint32 (written 0, not read: a lazy-mode graph's maintained
+//	                      k until the server's lazy mode answered any k)
 //	[12] seq      uint64
 //	[20] n        uint32
 //	[24] m        uint64
@@ -78,7 +77,7 @@ func encodeGraphPart(g *graph.Graph, meta SnapshotMeta, version uint16, extraCap
 	buf = append(buf, snapMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = append(buf, meta.Mode, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, meta.LazyK)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, meta.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.NumVertices()))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
@@ -150,7 +149,7 @@ var sectionKinds = [...]struct {
 	name    string
 	version uint16
 }{
-	sectionState:  {stateMagic, "maintainer-state", StateVersion},
+	sectionState:  {stateMagic, "maintainer-state", StateVersion}, // mode 1: StateVersionMapFree
 	sectionPerm:   {permMagic, "relabel-section", PermVersion},
 	sectionStamps: {stampsMagic, "temporal-section", TemporalVersion},
 }
@@ -158,6 +157,7 @@ var sectionKinds = [...]struct {
 // section is one framed section whose header and checksum validated.
 type section struct {
 	tag     uint8  // header byte 6: the state section's mode, zero elsewhere
+	version uint16 // the state section's; every other kind's is checked
 	n       uint64 // the graph part's vertex count, which the section matched
 	payload []byte
 }
@@ -170,6 +170,9 @@ func appendSection(buf []byte, kind sectionKind, tag uint8, n uint32, fill func(
 		buf = append(buf, 0)
 	}
 	start, k := len(buf), sectionKinds[kind]
+	if kind == sectionState && tag == stateModeMapFree {
+		k.version = StateVersionMapFree
+	}
 	buf = append(buf, k.magic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, k.version)
 	buf = append(buf, tag, 0)
@@ -184,7 +187,8 @@ func appendSection(buf []byte, kind sectionKind, tag uint8, n uint32, fill func(
 // findSection walks the frames after a snapshot's graph part and returns the
 // section of kind want, or (nil, nil) when the snapshot carries none — every
 // version-1 file, and version-2 files checkpointed without it. Padding,
-// framing and ordering are checked for every frame walked over; version,
+// framing and ordering are checked for every frame walked over; version
+// (the state section's is DecodeSnapshotState's to judge, per mode),
 // reserved fields, n and the CRC only for the wanted one, so damage inside
 // one section never blocks decoding another (nor the graph, which
 // DecodeSnapshot judges alone). Bytes after the wanted section are not
@@ -233,7 +237,7 @@ func findSection(data []byte, want sectionKind) (*section, error) {
 			last, pos = kind, pos+end+4
 			continue
 		}
-		if v, reads := binary.LittleEndian.Uint16(sec[4:6]), sectionKinds[kind].version; v != reads {
+		if v, reads := binary.LittleEndian.Uint16(sec[4:6]), sectionKinds[kind].version; kind != sectionState && v != reads {
 			return nil, fmt.Errorf("store: unsupported %s version %d (this build reads %d)", name, v, reads)
 		}
 		if (kind != sectionState && sec[6] != 0) || sec[7] != 0 || binary.LittleEndian.Uint32(sec[12:16]) != 0 {
@@ -245,7 +249,7 @@ func findSection(data []byte, want sectionKind) (*section, error) {
 		if got, want := crc32.ChecksumIEEE(sec[:end]), binary.LittleEndian.Uint32(sec[end:]); got != want {
 			return nil, fmt.Errorf("store: %s checksum mismatch (file %#x, computed %#x)", name, want, got)
 		}
-		return &section{tag: sec[6], n: n, payload: sec[stateHeaderLen:end]}, nil
+		return &section{tag: sec[6], version: binary.LittleEndian.Uint16(sec[4:6]), n: n, payload: sec[stateHeaderLen:end]}, nil
 	}
 }
 
@@ -259,9 +263,8 @@ func PeekSnapshotMeta(data []byte) (SnapshotMeta, error) {
 		return SnapshotMeta{}, err
 	}
 	return SnapshotMeta{
-		Mode:  data[6],
-		LazyK: binary.LittleEndian.Uint32(data[8:12]),
-		Seq:   binary.LittleEndian.Uint64(data[12:20]),
+		Mode: data[6],
+		Seq:  binary.LittleEndian.Uint64(data[12:20]),
 	}, nil
 }
 
@@ -283,7 +286,6 @@ func DecodeSnapshot(data []byte) (*graph.Graph, SnapshotMeta, error) {
 		return nil, meta, fmt.Errorf("store: snapshot is %d bytes, header implies %d", len(data), graphLen)
 	}
 	meta.Mode = data[6]
-	meta.LazyK = binary.LittleEndian.Uint32(data[8:12])
 	meta.Seq = binary.LittleEndian.Uint64(data[12:20])
 	body, crcBytes := data[:graphLen-snapTrailerLen], data[graphLen-snapTrailerLen:graphLen]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcBytes); got != want {

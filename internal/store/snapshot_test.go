@@ -29,9 +29,9 @@ var goldenCases = []struct {
 	{name: "empty", meta: SnapshotMeta{}, n: 0},
 	{name: "triangle", meta: SnapshotMeta{Mode: 0, Seq: 3}, n: 3,
 		edges: [][2]int32{{0, 1}, {1, 2}, {0, 2}}},
-	{name: "star_isolated", meta: SnapshotMeta{Mode: 1, LazyK: 7, Seq: 42}, n: 6,
+	{name: "star_isolated", meta: SnapshotMeta{Mode: 1, Seq: 42}, n: 6,
 		edges: [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}}}, // vertex 5 isolated
-	{name: "diamond", meta: SnapshotMeta{Mode: 1, LazyK: 2, Seq: 1}, n: 4,
+	{name: "diamond", meta: SnapshotMeta{Mode: 1, Seq: 1}, n: 4,
 		edges: [][2]int32{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}},
 }
 
@@ -116,6 +116,26 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotRetiredSlotIgnored: header bytes 8–12 held a lazy-mode
+// graph's maintained k until that k was retired; the encoder writes 0 there
+// and the decoder reads past whatever an older file holds.
+func TestSnapshotRetiredSlotIgnored(t *testing.T) {
+	g := goldenGraph(t, 3)
+	enc := EncodeSnapshot(g, goldenCases[3].meta)
+	if got := binary.LittleEndian.Uint32(enc[8:12]); got != 0 {
+		t.Fatalf("retired slot written as %d, want 0", got)
+	}
+	binary.LittleEndian.PutUint32(enc[8:12], 2)
+	dg, meta, err := DecodeSnapshot(reseal(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta != goldenCases[3].meta {
+		t.Fatalf("meta = %+v, want %+v", meta, goldenCases[3].meta)
+	}
+	sameGraph(t, dg, g)
+}
+
 // TestSnapshotRoundTripCanonical: decode(encode(x)) is identity and the
 // encoding is canonical — re-encoding a decoded snapshot reproduces the
 // input bytes exactly.
@@ -195,7 +215,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ebws")
 	g := goldenGraph(t, 2)
-	meta := SnapshotMeta{Mode: 1, LazyK: 7, Seq: 42}
+	meta := SnapshotMeta{Mode: 1, Seq: 42}
 	if _, err := writeSnapshotFile(path, g, meta, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // followed by zero padding to the next 8-byte boundary and one state section:
 //
 //	[S+0]  magic      [4]byte "EBMS"
-//	[S+4]  version    uint16 (StateVersion)
-//	[S+6]  mode       uint8 (0 = local/exact, 1 = lazy)
+//	[S+4]  version    uint16 (StateVersion for mode 0, StateVersionMapFree for mode 1)
+//	[S+6]  mode       uint8 (0 = local, 1 = map-free)
 //	[S+7]  reserved   uint8 (must be 0)
 //	[S+8]  n          uint32 (must equal the graph part's n)
 //	[S+12] reserved   uint32 (must be 0)
@@ -38,37 +38,44 @@ import (
 //	dirtyCount uint32
 //	dirty      dirtyCount × int32
 //
-// Lazy (mode 1) payload — the flattened dynamic.LazyState:
+// Map-free (mode 1) payload — the flattened dynamic.MapFreeState:
 //
-//	cached      n × float64
-//	stale       n × uint8 (0 or 1), then zero bytes to the next 4-boundary
-//	memberCount uint32
-//	members     memberCount × int32
+//	scores     n × float64
+//	adjacent   n × int64  (t(v), the adjacent pairs of N(v))
+//	staleCount uint32
+//	stale      staleCount × int32 (ascending)
+//
+// Mode 1 at version 2 was the lazy payload (cached scores, staleness flags,
+// result-set members) of the maintainer lazy mode ran for one k. It is
+// retired: the decoder names it, and recovery rebuilds the map-free
+// maintainer from the graph once.
 const (
-	// StateVersion is the maintainer-state section format version. Version 1
+	// StateVersion is the local (mode 0) payload's version. Version 1
 	// stored each adjacent pair as a marker in the evidence tables; version 2
 	// stores the per-vertex adjacent-pair counts instead.
 	StateVersion = 2
+	// StateVersionMapFree is the map-free (mode 1) payload's version.
+	StateVersionMapFree = 3
 	// stateHeaderLen covers magic through payloadLen.
 	stateHeaderLen = 24
 
-	stateModeLocal uint8 = 0
-	stateModeLazy  uint8 = 1
+	stateModeLocal   uint8 = 0
+	stateModeMapFree uint8 = 1
 )
 
 var stateMagic = [4]byte{'E', 'B', 'M', 'S'}
 
 // MaintainerState is the decoded maintainer-state section: exactly one of
-// the two fields is set, matching the maintenance mode the snapshot was
+// the two fields is set, matching the maintainer form the snapshot was
 // checkpointed under.
 type MaintainerState struct {
-	Local *dynamic.LocalState
-	Lazy  *dynamic.LazyState
+	Local   *dynamic.LocalState
+	MapFree *dynamic.MapFreeState
 }
 
 // empty reports whether no state is carried at all.
 func (st *MaintainerState) empty() bool {
-	return st == nil || (st.Local == nil && st.Lazy == nil)
+	return st == nil || (st.Local == nil && st.MapFree == nil)
 }
 
 // appendStateSection appends the framed state section to buf.
@@ -78,8 +85,8 @@ func appendStateSection(buf []byte, n uint32, st *MaintainerState) []byte {
 			return appendLocalPayload(b, st.Local)
 		})
 	}
-	return appendSection(buf, sectionState, stateModeLazy, n, func(b []byte) []byte {
-		return appendLazyPayload(b, st.Lazy)
+	return appendSection(buf, sectionState, stateModeMapFree, n, func(b []byte) []byte {
+		return appendMapFreePayload(b, st.MapFree)
 	})
 }
 
@@ -94,8 +101,7 @@ func stateSectionLen(n int, st *MaintainerState) int {
 		}
 		return stateHeaderLen + 16*n + 4*n + pad + 8 + 12*len(st.Local.Keys) + 4 + 4*len(st.Local.Dirty) + 4
 	}
-	pad := (4 - (9*n)%4) % 4
-	return stateHeaderLen + 8*n + n + pad + 4 + 4*len(st.Lazy.Members) + 4
+	return stateHeaderLen + 16*n + 4 + 4*len(st.MapFree.Stale) + 4
 }
 
 func appendLocalPayload(buf []byte, st *dynamic.LocalState) []byte {
@@ -112,20 +118,11 @@ func appendLocalPayload(buf []byte, st *dynamic.LocalState) []byte {
 	return appendWords(buf, st.Dirty)
 }
 
-func appendLazyPayload(buf []byte, st *dynamic.LazyState) []byte {
-	buf = appendWords(buf, st.Cached)
-	for _, s := range st.Stale {
-		if s {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	for len(buf)%4 != 0 {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Members)))
-	return appendWords(buf, st.Members)
+func appendMapFreePayload(buf []byte, st *dynamic.MapFreeState) []byte {
+	buf = appendWords(buf, st.Scores)
+	buf = appendWords(buf, st.Adjacent)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Stale)))
+	return appendWords(buf, st.Stale)
 }
 
 // DecodeSnapshotState extracts and decodes the maintainer-state section of a
@@ -149,22 +146,26 @@ func DecodeSnapshotState(data []byte) (*MaintainerState, error) {
 	if sec == nil {
 		return nil, err
 	}
-	switch sec.tag {
-	case stateModeLocal:
+	switch {
+	case sec.tag == stateModeLocal && sec.version == StateVersion:
 		st, err := decodeLocalPayload(sec.payload, sec.n)
 		if err != nil {
 			return nil, err
 		}
 		return &MaintainerState{Local: st}, nil
-	case stateModeLazy:
-		st, err := decodeLazyPayload(sec.payload, sec.n)
+	case sec.tag == stateModeMapFree && sec.version == StateVersionMapFree:
+		st, err := decodeMapFreePayload(sec.payload, sec.n)
 		if err != nil {
 			return nil, err
 		}
-		return &MaintainerState{Lazy: st}, nil
-	default:
+		return &MaintainerState{MapFree: st}, nil
+	case sec.tag == stateModeMapFree && sec.version == 2:
+		return nil, fmt.Errorf("store: retired lazy maintainer-state payload (mode 1, version 2: one k's top-k set); lazy mode keeps a map-free maintainer now")
+	case sec.tag > stateModeMapFree:
 		return nil, fmt.Errorf("store: unknown maintainer-state mode tag %d", sec.tag)
 	}
+	return nil, fmt.Errorf("store: unsupported maintainer-state version %d for mode %d (this build reads %d and %d)",
+		sec.version, sec.tag, StateVersion, StateVersionMapFree)
 }
 
 func decodeLocalPayload(payload []byte, n uint64) (*dynamic.LocalState, error) {
@@ -216,36 +217,20 @@ func decodeLocalPayload(payload []byte, n uint64) (*dynamic.LocalState, error) {
 	return st, nil
 }
 
-func decodeLazyPayload(payload []byte, n uint64) (*dynamic.LazyState, error) {
-	fixed := 8*n + n
-	pad := (4 - fixed%4) % 4
-	fixed += pad + 4 // alignment, memberCount
-	if uint64(len(payload)) < fixed {
-		return nil, fmt.Errorf("store: maintainer state: lazy payload %d bytes, fixed part needs %d", len(payload), fixed)
+func decodeMapFreePayload(payload []byte, n uint64) (*dynamic.MapFreeState, error) {
+	if uint64(len(payload)) < 16*n+4 {
+		return nil, fmt.Errorf("store: maintainer state: map-free payload %d bytes, fixed part needs %d", len(payload), 16*n+4)
 	}
-	// Every stale byte must be 0/1 before the array may be viewed as []bool
-	// (any other bit pattern in a Go bool is undefined behavior).
-	for pos := 8 * n; pos < 9*n; pos++ {
-		if payload[pos] > 1 {
-			return nil, fmt.Errorf("store: maintainer state: staleness flag %#x is not 0/1", payload[pos])
-		}
+	st := &dynamic.MapFreeState{
+		Scores:   aliasWords[float64](payload, n),
+		Adjacent: aliasWords[int64](payload[8*n:], n),
 	}
-	st := &dynamic.LazyState{
-		Cached: aliasWords[float64](payload, n),
-		Stale:  aliasBools(payload[8*n:], n),
-	}
-	pos := 9 * n
-	for i := uint64(0); i < pad; i++ {
-		if payload[pos] != 0 {
-			return nil, fmt.Errorf("store: maintainer state: nonzero alignment padding")
-		}
-		pos++
-	}
-	memberCount := uint64(binary.LittleEndian.Uint32(payload[pos : pos+4]))
+	pos := 16 * n
+	staleCount := uint64(binary.LittleEndian.Uint32(payload[pos : pos+4]))
 	pos += 4
-	if uint64(len(payload))-pos != 4*memberCount {
-		return nil, fmt.Errorf("store: maintainer state frames %d members, %d bytes remain", memberCount, uint64(len(payload))-pos)
+	if uint64(len(payload))-pos != 4*staleCount {
+		return nil, fmt.Errorf("store: maintainer state frames %d stale vertices, %d bytes remain", staleCount, uint64(len(payload))-pos)
 	}
-	st.Members = aliasWords[int32](payload[pos:], memberCount)
+	st.Stale = aliasWords[int32](payload[pos:], staleCount)
 	return st, nil
 }

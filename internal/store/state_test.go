@@ -20,30 +20,31 @@ type stateOp struct {
 	u, v   int32
 }
 
-// stateGoldenCases pin the version-2 encoding byte for byte. The maintainer
-// states are built by running the paper's deterministic update algorithms
-// over fixed scripts (the evidence tables' slot layout is a pure function of
-// the insertion history), covering the satellite matrix: an empty graph, a
-// state fresh after a single update batch, and a post-compaction shape where
-// deletions have left tombstones and dirty bookkeeping behind.
+// stateGoldenCases pin the state section's encodings byte for byte. The
+// maintainer states are built by running the deterministic update
+// algorithms over fixed scripts (the evidence tables' slot layout is a pure
+// function of the insertion history): an empty graph and a state fresh after
+// a single update batch in the local payload, and a map-free state whose
+// updates left stale vertices behind. testdata/v2_lazy_compacted.snap is
+// kept byte for byte beside them as the retired LazyTopK payload, which no
+// build encodes any more (TestStateRetiredLazyPayload).
 var stateGoldenCases = []struct {
-	name  string
-	lazy  bool
-	lazyK int
-	n     int32
-	edges [][2]int32
-	ops   []stateOp
-	meta  SnapshotMeta
+	name    string
+	mapFree bool
+	n       int32
+	edges   [][2]int32
+	ops     []stateOp
+	meta    SnapshotMeta
 }{
 	{name: "v2_local_empty", n: 0, meta: SnapshotMeta{}},
 	{name: "v2_local_batch", n: 5,
 		edges: [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}},
 		ops:   []stateOp{{true, 1, 3}, {true, 0, 3}, {false, 2, 3}},
 		meta:  SnapshotMeta{Mode: 0, Seq: 3}},
-	{name: "v2_lazy_compacted", lazy: true, lazyK: 2, n: 6,
+	{name: "v3_mapfree_batch", mapFree: true, n: 6,
 		edges: [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}, {4, 5}},
 		ops:   []stateOp{{false, 0, 1}, {true, 1, 4}, {true, 0, 1}, {false, 2, 3}},
-		meta:  SnapshotMeta{Mode: 1, LazyK: 2, Seq: 4}},
+		meta:  SnapshotMeta{Mode: 1, Seq: 4}},
 }
 
 // buildStateCase runs case i's script and returns the frozen graph plus the
@@ -68,17 +69,17 @@ func buildStateCase(t *testing.T, i int) (*graph.Graph, *MaintainerState) {
 			}
 		}
 	}
-	if tc.lazy {
-		lt := dynamic.NewLazyTopK(g, tc.lazyK)
-		apply(lt.InsertEdge, lt.DeleteEdge)
-		return lt.Graph().Freeze(1), &MaintainerState{Lazy: lt.ExportState()}
+	if tc.mapFree {
+		m := dynamic.NewMapFreeMaintainer(g)
+		apply(m.InsertEdge, m.DeleteEdge)
+		return m.Graph().Freeze(1), &MaintainerState{MapFree: m.ExportMapFreeState()}
 	}
 	m := dynamic.NewMaintainer(g)
 	apply(m.InsertEdge, m.DeleteEdge)
 	return m.Graph().Freeze(1), &MaintainerState{Local: m.ExportState()}
 }
 
-// TestStateGolden pins the version-2 encoding byte for byte and proves the
+// TestStateGolden pins the state encodings byte for byte and proves the
 // golden files decode into a usable maintainer state: graph part, state
 // section, and an actual state import over the decoded graph.
 func TestStateGolden(t *testing.T) {
@@ -113,12 +114,12 @@ func TestStateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode golden state: %v", err)
 			}
-			if tc.lazy {
-				if dst.Lazy == nil {
-					t.Fatal("lazy case decoded without lazy state")
+			if tc.mapFree {
+				if dst.MapFree == nil {
+					t.Fatal("map-free case decoded without map-free state")
 				}
-				if _, err := dynamic.NewLazyTopKFromState(dg, tc.lazyK, dst.Lazy); err != nil {
-					t.Fatalf("import decoded lazy state: %v", err)
+				if _, err := dynamic.NewMapFreeMaintainerFromState(dg, dst.MapFree); err != nil {
+					t.Fatalf("import decoded map-free state: %v", err)
 				}
 			} else {
 				if dst.Local == nil {
@@ -154,6 +155,30 @@ func TestStateVersion1Refused(t *testing.T) {
 	sameGraph(t, dg, g)
 	if st, err := DecodeSnapshotState(data); err == nil || !strings.Contains(err.Error(), "maintainer-state version 1") {
 		t.Fatalf("DecodeSnapshotState = (%v, %v), want an error naming maintainer-state version 1", st, err)
+	}
+}
+
+// TestStateRetiredLazyPayload: testdata/v2_lazy_compacted.snap is a
+// checkpoint of the retired LazyTopK payload (mode 1, version 2: cached
+// scores, staleness flags, result-set members). Its graph part still
+// loads, and its state section is refused with an error naming the retired
+// payload, which sends recovery down the rebuild path once.
+func TestStateRetiredLazyPayload(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v2_lazy_compacted.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := buildStateCase(t, 2) // the same graph and script
+	dg, meta, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("decode graph part: %v", err)
+	}
+	if meta != stateGoldenCases[2].meta {
+		t.Fatalf("meta = %+v, want %+v", meta, stateGoldenCases[2].meta)
+	}
+	sameGraph(t, dg, g)
+	if st, err := DecodeSnapshotState(data); err == nil || !strings.Contains(err.Error(), "retired lazy") {
+		t.Fatalf("DecodeSnapshotState = (%v, %v), want an error naming the retired LazyTopK payload", st, err)
 	}
 }
 
@@ -225,6 +250,17 @@ func TestStateSectionCorruption(t *testing.T) {
 				return resealState(c)
 			},
 			want: "unsupported maintainer-state version",
+		},
+		"map-free version on local payload": {
+			mutate: func(c []byte) []byte {
+				binary.LittleEndian.PutUint16(c[secAt+4:secAt+6], StateVersionMapFree)
+				return resealState(c)
+			},
+			want: "unsupported maintainer-state version",
+		},
+		"map-free tag on local payload": {
+			mutate: func(c []byte) []byte { c[secAt+6] = stateModeMapFree; return resealState(c) },
+			want:   "retired lazy",
 		},
 		"bad state magic": {
 			mutate: func(c []byte) []byte { c[secAt] ^= 0xFF; return c },

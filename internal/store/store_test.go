@@ -120,7 +120,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 func TestStoreCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "g")
 	g := testGraph(t)
-	s, err := Create(dir, g, SnapshotMeta{Mode: 1, LazyK: 5})
+	s, err := Create(dir, g, SnapshotMeta{Mode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStoreCheckpoint(t *testing.T) {
 		}
 	}
 	preBytes := s.WALBytes()
-	if err := s.CheckpointFull(dyn.Freeze(1), SnapshotMeta{Mode: 1, LazyK: 5, Seq: s.Seq()}, nil, nil, nil); err != nil {
+	if err := s.CheckpointFull(dyn.Freeze(1), SnapshotMeta{Mode: 1, Seq: s.Seq()}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.WALBytes() >= preBytes || s.SnapshotSeq() != 2 || s.Checkpoints() != 1 {
@@ -149,7 +149,7 @@ func TestStoreCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Meta.Seq != 2 || rec.Meta.Mode != 1 || rec.Meta.LazyK != 5 {
+	if rec.Meta.Seq != 2 || rec.Meta.Mode != 1 {
 		t.Fatalf("recovered meta = %+v", rec.Meta)
 	}
 	sameGraph(t, rec.Graph, dyn.Freeze(1))
