@@ -23,9 +23,9 @@ import (
 // in-memory state of a process that never crashed.
 
 // LocalState is the flattened state of an exact Maintainer (ModeLocal): the
-// score vector, every vertex's adjacent-pair count and evidence table dumped
-// slot-for-slot, and the dirty-score bookkeeping of the copy-on-write
-// publication path.
+// score vector and every vertex's adjacent-pair count and evidence table
+// dumped slot-for-slot. It carries no dirty-score list: every recovery
+// publishes a full snapshot, so an imported maintainer starts with none.
 type LocalState struct {
 	// Scores is the exact ego-betweenness vector (length n).
 	Scores []float64
@@ -41,14 +41,10 @@ type LocalState struct {
 	// too — that is what makes import rehash-free.
 	Keys []uint64
 	Vals []int32
-	// Dirty lists the vertices with score changes not yet drained by
-	// TakeDirtyScores, deduplicated.
-	Dirty []int32
 }
 
 // MapFreeState is the flattened state of a map-free Maintainer (the
-// server's ModeLazy) — no dirty list, since every recovery publishes a
-// full snapshot.
+// server's ModeLazy), with no dirty list either.
 type MapFreeState struct {
 	Scores   []float64 // exact, or the ceiling d(d−1)/2 − t(v) where stale (length n)
 	Adjacent []int64   // t(v), the adjacent pairs of N(v) (length n)
@@ -64,7 +60,6 @@ func (m *Maintainer) ExportState() *LocalState {
 		Scores:     m.cb,
 		Adjacent:   make([]int64, len(m.s)),
 		TableSizes: make([]uint32, len(m.s)),
-		Dirty:      append([]int32(nil), m.dirtyCB...),
 	}
 	total := 0
 	for v, s := range m.s {
@@ -188,14 +183,7 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 			return nil, err
 		}
 	}
-	m := newMaintainer(g, maps, hist, st.Scores)
-	for _, v := range st.Dirty {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("dynamic: dirty-score vertex %d out of range", v)
-		}
-		m.markDirty(v)
-	}
-	return m, nil
+	return newMaintainer(g, maps, hist, st.Scores), nil
 }
 
 // ExportMapFreeState flattens the map-free form's state. Scores aliases

@@ -3,7 +3,9 @@
 package ego
 
 import (
+	"context"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -69,6 +71,41 @@ func TestSearchAllocs(t *testing.T) {
 			if small > 64 || large > small+4 {
 				t.Errorf("%s W=%d: %v allocs at k=10 (%d computed), %v at k=300 (%d computed); want ≤ 64 and no growth with computed",
 					name, w, small, few, large, many)
+			}
+		}
+	}
+}
+
+// TestSearchSeededAllocs pins the seeded search's allocation contract: it
+// allocates for what H holds, so with no stale vertex it allocates O(k) —
+// R, the result list, the accessors — and no per-vertex array. The bytes
+// per call are the same on a 2,000- and a 20,000-vertex graph, and stay
+// under 16 KB at k ≤ 100, inline and with helpers.
+func TestSearchSeededAllocs(t *testing.T) {
+	perCall := func(g *graph.Graph, k, w int) uint64 {
+		cb := ComputeAll(g)
+		sd := &seed{func(v int32) float64 { return cb[v] }, func(int32) bool { return false }}
+		run := func() {
+			if _, st, err := search(context.Background(), g, k, 1, nil, false, sd, w, 0); err != nil || st.Computed != 0 {
+				t.Fatalf("k=%d W=%d: %d kernels, %v", k, w, st.Computed, err)
+			}
+		}
+		run()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := gen.ChungLu(2000, 2.2, 5.3, 120, 3), gen.ChungLu(20000, 2.2, 5.3, 120, 3)
+	for _, k := range []int{10, 100} {
+		for _, w := range []int{1, 2} {
+			bs, bl := perCall(small, k, w), perCall(large, k, w)
+			if bl > bs || bl >= 16<<10 {
+				t.Errorf("k=%d W=%d: %d B per seeded search on 2k vertices, %d B on 20k; want no growth and < 16 KB", k, w, bs, bl)
 			}
 		}
 	}

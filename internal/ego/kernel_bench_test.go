@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -124,5 +125,30 @@ func benchSearch(b *testing.B, run func(*graph.Graph) []Result) {
 				benchSink += run(g)[0].CB
 			}
 		})
+	}
+}
+
+// BenchmarkSpecGate re-measures the speculation gate (DESIGN.md §3):
+// OptBSearch at θ = DefaultTheta through the search seam with two helpers
+// at each price gate, and inline ("serial") for reference, on the
+// benchmark's graphs at k ∈ {10, 100, 1000}. Compare medians of
+// interleaved runs: one -count=1 invocation per round.
+func BenchmarkSpecGate(b *testing.B) {
+	for _, sh := range benchShapes {
+		g := sh.make()
+		for _, k := range []int{10, 100, 1000} {
+			for _, gate := range []int64{-1, 0, 250, 1000, 4000, 16000} {
+				w, name := 2, fmt.Sprint("gate=", gate)
+				if gate < 0 {
+					w, name = 1, "serial"
+				}
+				b.Run(fmt.Sprintf("%s/k=%d/%s", sh.name, k, name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						res, _ := searchAll(g, k, DefaultTheta, nil, true, w, gate)
+						benchSink += res[0].CB
+					}
+				})
+			}
+		}
 	}
 }

@@ -65,12 +65,11 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 	return res, st
 }
 
-// SearchContext is OptBSearch under θ when dynamic is set, and BaseBSearch
-// otherwise, for a caller that may stop waiting: it checks ctx once per
-// candidate, and once ctx is done it ends its helpers and returns ctx.Err()
-// without results.
-func SearchContext(ctx context.Context, g graph.View, k int, theta float64, dynamic bool) ([]Result, SearchStats, error) {
-	return search(ctx, g, k, theta, nil, dynamic, nil, runtime.GOMAXPROCS(0), specPrice)
+// SearchContext is OptBSearch at DefaultTheta for a caller that may stop
+// waiting: it checks ctx once per candidate, and once ctx is done it ends
+// its helpers and returns ctx.Err() without results.
+func SearchContext(ctx context.Context, g graph.View, k int) ([]Result, SearchStats, error) {
+	return search(ctx, g, k, DefaultTheta, nil, true, nil, runtime.GOMAXPROCS(0), specPrice)
 }
 
 // SearchSeeded is the searcher over published scores, exact except where
@@ -164,21 +163,27 @@ type searcher struct {
 
 	workers  int         // W; 1 runs every kernel inline
 	minPrice int64       // speculate a candidate from this ego-build price on
-	dmax     int32       // largest degree: sizes the helpers' Scratches
+	dmax     int32       // largest degree H holds: sizes the helpers' Scratches
 	next     []topk.Item // H's next W+1 candidates, as ahead last read them
 	sp       *spec       // nil until the first candidate is speculated
 }
 
+// newSearcher allocates for what H holds — a seeded search O(k) plus its
+// stale set; the Scratch grows on the first inline kernel.
 func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, sd *seed, workers int, minPrice int64) *searcher {
 	n := g.NumVertices()
+	hcap := int(n)
+	if sd != nil {
+		hcap = 0
+	}
 	q := &searcher{
 		g:        g,
 		theta:    theta,
 		ext:      ext,
 		sd:       sd,
 		r:        topk.NewBoundedLabeled(k, ext),
-		h:        topk.NewMaxHeapLabeled(int(n), ext),
-		s:        NewScratch(n),
+		h:        topk.NewMaxHeapLabeled(hcap, ext),
+		s:        NewScratch(0),
 		workers:  workers,
 		minPrice: minPrice,
 	}
@@ -187,15 +192,16 @@ func newSearcher(g graph.View, k int, theta float64, ext []int32, dynamic bool, 
 		q.done = make([]bool, n)
 	}
 	for v := int32(0); v < n; v++ {
+		if sd != nil && !sd.stale(v) {
+			q.r.Add(v, sd.score(v)) // seeded exact: no kernel, no trip through H
+			continue
+		}
 		d := g.Degree(v)
 		q.dmax = max(q.dmax, d)
-		switch {
-		case sd == nil:
+		if sd == nil {
 			q.h.Push(v, StaticUB(d))
-		case sd.stale(v):
+		} else {
 			q.h.Push(v, sd.score(v))
-		default:
-			q.r.Add(v, sd.score(v)) // seeded exact: no kernel, no trip through H
 		}
 	}
 	return q

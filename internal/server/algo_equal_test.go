@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/ego"
@@ -115,8 +117,10 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExactSearchAccounting: an algo=opt or algo=base miss adds exactly the
-// library search's SearchStats for that snapshot to the entry's exact_*
+// TestExactSearchAccounting: algo=base is an alias of algo=opt, so the two
+// share one cache entry per (snapshot, k) — whichever asks first runs the
+// one OptBSearch and the other hits. A miss adds exactly the library
+// OptBSearch's SearchStats for that snapshot to the entry's exact_*
 // counters, and a cache hit adds nothing.
 func TestExactSearchAccounting(t *testing.T) {
 	g := gen.ChungLu(600, 2.2, 5.3, 60, 3)
@@ -138,21 +142,22 @@ func TestExactSearchAccounting(t *testing.T) {
 	if body := encodeJSON(info()); bytes.Contains(body, []byte("exact_")) {
 		t.Fatalf("fresh entry's info names an exact counter: %s", body)
 	}
-	_, optSt := ego.OptBSearch(g, 10, ego.DefaultTheta)
-	_, baseSt := ego.BaseBSearch(g, 25)
+	_, st10 := ego.OptBSearch(g, 10, ego.DefaultTheta)
+	_, st25 := ego.OptBSearch(g, 25, ego.DefaultTheta)
 	var want GraphInfo
 	for _, q := range []struct {
-		algo string
-		k    int
-		st   ego.SearchStats
-	}{{AlgoOpt, 10, optSt}, {AlgoBase, 25, baseSt}} {
-		for _, hit := range []bool{false, true} {
-			res, err := reg.TopKQ("g", TopKQuery{K: q.k, Algo: q.algo})
+		algos [2]string // the miss, then the other name of the same search
+		k     int
+		st    ego.SearchStats
+	}{{[2]string{AlgoOpt, AlgoBase}, 10, st10}, {[2]string{AlgoBase, AlgoOpt}, 25, st25}} {
+		for i, algo := range q.algos {
+			hit := i == 1
+			res, err := reg.TopKQ("g", TopKQuery{K: q.k, Algo: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cached != hit {
-				t.Fatalf("algo=%s k=%d: cached=%v, want %v", q.algo, q.k, res.Cached, hit)
+			if res.Cached != hit || res.Algo != AlgoOpt {
+				t.Fatalf("algo=%s k=%d: cached=%v algo %q, want cached=%v algo %q", algo, q.k, res.Cached, res.Algo, hit, AlgoOpt)
 			}
 			if !hit {
 				want.ExactQueries++
@@ -162,9 +167,38 @@ func TestExactSearchAccounting(t *testing.T) {
 			gi := info()
 			if gi.ExactQueries != want.ExactQueries || gi.ExactComputed != want.ExactComputed || gi.ExactPruned != want.ExactPruned {
 				t.Fatalf("after algo=%s k=%d (hit=%v): exact queries/computed/pruned = %d/%d/%d, want %d/%d/%d",
-					q.algo, q.k, hit, gi.ExactQueries, gi.ExactComputed, gi.ExactPruned,
+					algo, q.k, hit, gi.ExactQueries, gi.ExactComputed, gi.ExactPruned,
 					want.ExactQueries, want.ExactComputed, want.ExactPruned)
 			}
 		}
+	}
+}
+
+// TestUnknownAlgoStopsBeforeCache: an algo outside auto/scores/opt/base/approx
+// — the retired lazy among them — answers 400 before the cache is consulted,
+// so neither cache counter moves.
+func TestUnknownAlgoStopsBeforeCache(t *testing.T) {
+	s := New(WithLogger(func(string, ...any) {}))
+	reg := s.Registry()
+	defer reg.Close()
+	if _, err := reg.Add("g", gen.BarabasiAlbert(200, 3, 5), ModeLocal, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.topK("g", 5, AlgoOpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"lazy", "nope", "OPT"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/graphs/g/topk?k=5&algo="+algo, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("algo=%s: status %d, want 400", algo, rec.Code)
+		}
+	}
+	st, err := reg.Stats("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 0 || st.CacheMisses != 1 {
+		t.Fatalf("cache hits/misses %d/%d after one opt query and three unknown algos, want 0/1", st.CacheHits, st.CacheMisses)
 	}
 }

@@ -241,7 +241,7 @@ func TestApproxWorksInLazyMode(t *testing.T) {
 // TestTopKQueryCancelled: a query whose request context is already done —
 // a client that went away — returns the context's error on every searching
 // algo, caches nothing, and the identical query after it misses the cache
-// and succeeds.
+// and succeeds. Each algo asks its own k, because base shares opt's entry.
 func TestTopKQueryCancelled(t *testing.T) {
 	reg := NewRegistry()
 	if _, err := reg.Add("g", approxTestGraph(), ModeLocal, 0); err != nil {
@@ -254,9 +254,10 @@ func TestTopKQueryCancelled(t *testing.T) {
 	snap := e.snap.Load()
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox} {
+	for i, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox} {
+		k := 20 + i
 		stored := snap.cacheCount.Load()
-		q := TopKQuery{K: 20, Algo: algo}
+		q := TopKQuery{K: k, Algo: algo}
 		q.ctx = gone
 		if _, err := reg.TopKQ("g", q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancelled query returned %v, want context.Canceled", algo, err)
@@ -264,8 +265,8 @@ func TestTopKQueryCancelled(t *testing.T) {
 		if n := snap.cacheCount.Load(); n != stored {
 			t.Fatalf("%s: %d cache entries after the cancelled query, %d before", algo, n, stored)
 		}
-		res, err := reg.TopKQ("g", TopKQuery{K: 20, Algo: algo})
-		if err != nil || res.Cached || len(res.Results) != 20 {
+		res, err := reg.TopKQ("g", TopKQuery{K: k, Algo: algo})
+		if err != nil || res.Cached || len(res.Results) != k {
 			t.Fatalf("%s: query after the cancelled one: cached %v, %d results, err %v", algo, res.Cached, len(res.Results), err)
 		}
 	}

@@ -30,8 +30,9 @@ func getTopK(t *testing.T, h http.Handler, path string) (TopKResult, []byte) {
 }
 
 // TestTopKExplain: ?explain=1 adds the stage timings and the search's own
-// account — SearchStats for opt and base and for a scores read over stale
-// bounds (Computed: the stale candidates recomputed, as the library search
+// account — SearchStats for opt (base answers as opt, here at a k of its
+// own so that it misses) and for a scores read over stale bounds
+// (Computed: the stale candidates recomputed, as the library search
 // reports them), approx.Stats for approx — and nothing for a scores read
 // with no bound or for a cache hit, which still reports its resolve and
 // cache lookup. Without the parameter the payload has no explain object, a
@@ -59,7 +60,7 @@ func TestTopKExplain(t *testing.T) {
 	lazyView := e.snap.Load().view
 	_, seeded, _ := ego.SearchSeeded(context.Background(), lazyView, 10, e.snap.Load().scores.At, e.snap.Load().scores.Stale)
 	_, opt := ego.OptBSearch(base, 10, ego.DefaultTheta)
-	_, bse := ego.BaseBSearch(base, 10)
+	_, bse := ego.OptBSearch(base, 11, ego.DefaultTheta)
 	_, apx := approx.TopK(base, 10, approx.Options{})
 
 	for _, c := range []struct {
@@ -70,7 +71,7 @@ func TestTopKExplain(t *testing.T) {
 		{"/graphs/local/topk?k=10&explain=1", nil, nil},
 		{"/graphs/lazy/topk?k=10&explain=1", &seeded, nil},
 		{"/graphs/local/topk?k=10&algo=opt&explain=1", &opt, nil},
-		{"/graphs/local/topk?k=10&algo=base&explain=1", &bse, nil},
+		{"/graphs/local/topk?k=11&algo=base&explain=1", &bse, nil},
 		{"/graphs/local/topk?k=10&algo=approx&explain=1", nil, &apx},
 	} {
 		tr, _ := getTopK(t, h, c.path)

@@ -86,8 +86,8 @@ type GraphInfo struct {
 	ApproxSamples int64 `json:"approx_samples,omitempty"`
 
 	// Exact-search accounting (set once an AlgoOpt or AlgoBase query has
-	// run): queries computed on this entry (cache hits excluded) and the
-	// vertices their searches computed exactly and pruned by a bound.
+	// run): exact searches computed on this entry (cache hits excluded) and
+	// the vertices they computed exactly and pruned by a bound.
 	ExactQueries  int64 `json:"exact_queries,omitempty"`
 	ExactComputed int64 `json:"exact_computed,omitempty"`
 	ExactPruned   int64 `json:"exact_pruned,omitempty"`
@@ -177,13 +177,8 @@ func (r *Registry) Info(name string) (GraphInfo, error) {
 
 // Infos returns the summaries of all graphs, sorted by name.
 func (r *Registry) Infos() []GraphInfo {
-	names := r.Names()
-	out := make([]GraphInfo, 0, len(names))
-	for _, n := range names {
-		if gi, err := r.Info(n); err == nil {
-			out = append(out, gi)
-		}
-	}
+	out := make([]GraphInfo, 0, r.Len()) // an empty registry lists [], not null
+	r.each(func(e *entry) { out = append(out, e.info()) })
 	return out
 }
 
@@ -208,15 +203,8 @@ func (r *Registry) Stats(name string) (GraphStats, error) {
 		return GraphStats{}, err
 	}
 	s := e.snap.Load()
+	gs := e.counters(s)
 	st := s.Stats()
-	return GraphStats{
-		GraphInfo:   e.infoAt(s),
-		DMax:        st.DMax,
-		AvgDeg:      st.AvgDeg,
-		Triangles:   st.Triangles,
-		Inserts:     e.inserts.Load(),
-		Deletes:     e.deletes.Load(),
-		CacheHits:   e.cacheHits.Load(),
-		CacheMisses: e.cacheMisses.Load(),
-	}, nil
+	gs.DMax, gs.AvgDeg, gs.Triangles = st.DMax, st.AvgDeg, st.Triangles
+	return gs, nil
 }

@@ -21,7 +21,7 @@ const (
 	AlgoAuto   = "auto"   // scores, or approx when an approx knob is set
 	AlgoScores = "scores" // the published scores: selected, or in ModeLazy searched over their stale bounds
 	AlgoOpt    = "opt"    // OptBSearch on the snapshot CSR
-	AlgoBase   = "base"   // BaseBSearch on the snapshot CSR
+	AlgoBase   = "base"   // an alias of opt: BaseBSearch's answer is OptBSearch's to the bit
 	AlgoApprox = "approx" // sampled estimator with (ε, δ) bounds (internal/approx)
 )
 
@@ -152,7 +152,7 @@ type TopKResult struct {
 
 // Explain is the ?explain=1 account of one top-k answer: the microseconds
 // of its stages (search 0 on a hit; the handler times the encode) and what
-// the search did — SearchStats for opt, base and a seeded scores read,
+// the search did — SearchStats for opt (and so base) and a seeded scores read,
 // whose Computed counts stale kernels, or approx.Stats.
 type Explain struct {
 	ResolveUS float64          `json:"resolve_us"`
@@ -192,9 +192,10 @@ type TopKQuery struct {
 // resolveQuery validates q against snap and returns the cache key that
 // identifies its answer there: k clamped, "auto" (or "") replaced by the
 // published scores — or the approx tier when an approx knob is set
-// explicitly — and every unset knob replaced by its
-// default, so a query that spells a default out and one that leaves it
-// unset share an entry. Out-of-range values are rejected, never rewritten.
+// explicitly — "base" replaced by "opt", and every unset knob replaced by
+// its default, so a query that spells a default out and one that leaves it
+// unset share an entry. Out-of-range values and unknown algos are
+// rejected, never rewritten.
 func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 	k, algo := q.K, q.Algo
 	if k < 1 {
@@ -207,14 +208,20 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 		k = n
 	}
 	approxKnobs := q.Eps != 0 || q.Conf != 0 || q.Seed != 0
-	if algo == "" || algo == AlgoAuto {
+	switch algo {
+	case "", AlgoAuto:
 		algo = AlgoScores
 		if approxKnobs {
 			algo = AlgoApprox
 		}
+	case AlgoBase:
+		algo = AlgoOpt
+	case AlgoScores, AlgoOpt, AlgoApprox:
+	default:
+		return cacheKey{}, fmt.Errorf("server: unknown algo %q", algo)
 	}
 	if approxKnobs && algo != AlgoApprox {
-		return cacheKey{}, fmt.Errorf("server: eps/conf/seed apply only to algo %q (got algo %q)", AlgoApprox, algo)
+		return cacheKey{}, fmt.Errorf("server: eps/conf/seed apply only to algo %q (got algo %q)", AlgoApprox, q.Algo)
 	}
 	key := cacheKey{k: k, algo: algo}
 	if algo == AlgoApprox {
@@ -245,6 +252,7 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 // call on the snapshot's view, lock-free. AlgoScores selects the k best
 // published scores; in ModeLazy it runs the seeded search, which recomputes
 // on the view only the stale candidates that could enter the answer.
+// AlgoOpt (which AlgoBase resolves to) is OptBSearch at ego.DefaultTheta.
 // AlgoApprox estimates are a
 // pure function of (seed, vertex id, adjacency), so frozen and overlay
 // snapshots of the same graph answer bit-identically. Answers are cached
@@ -305,8 +313,8 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		if ex != nil {
 			ex.Search = &st
 		}
-	case AlgoOpt, AlgoBase:
-		res, st, err := ego.SearchContext(ctx, snap.view, key.k, ego.DefaultTheta, key.algo == AlgoOpt)
+	case AlgoOpt:
+		res, st, err := ego.SearchContext(ctx, snap.view, key.k)
 		if err != nil {
 			return TopKResult{}, err
 		}
@@ -332,8 +340,6 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 		if ex != nil {
 			ex.Approx = &st
 		}
-	default:
-		return TopKResult{}, fmt.Errorf("server: unknown algo %q", key.algo)
 	}
 	if ex != nil {
 		ex.SearchUS = ex.lap()

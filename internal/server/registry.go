@@ -107,8 +107,8 @@ type entry struct {
 	approxQueries atomic.Int64
 	approxSamples atomic.Int64
 
-	// Exact-search accounting: AlgoOpt / AlgoBase queries computed (cache
-	// hits excluded) and their SearchStats' Computed and Pruned in total.
+	// Exact-search accounting: AlgoOpt searches computed (cache hits
+	// excluded) and their SearchStats' Computed and Pruned in total.
 	exactQueries  atomic.Int64
 	exactComputed atomic.Int64
 	exactPruned   atomic.Int64
@@ -356,16 +356,19 @@ func (r *Registry) get(name string) (*entry, error) {
 	return e, nil
 }
 
-// Names lists the registered graphs, sorted.
-func (r *Registry) Names() []string {
+// each calls f on every graph registered when it starts, in name order,
+// outside the registry lock.
+func (r *Registry) each(f func(*entry)) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
+	es := make([]*entry, 0, len(r.entries))
+	for _, e := range r.entries {
+		es = append(es, e)
 	}
-	sort.Strings(names)
-	return names
+	r.mu.RUnlock()
+	sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
+	for _, e := range es {
+		f(e)
+	}
 }
 
 // Len returns the number of registered graphs.

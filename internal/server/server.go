@@ -87,6 +87,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 //	GET    /graphs/{name}/stats                       stats + serving counters
 //	POST   /graphs/{name}/edges?ack=durable|async     insert edge batch
 //	DELETE /graphs/{name}/edges?ack=durable|async     delete edge batch
+//	GET    /metrics                                   Prometheus text format
 //
 // Edge batches answer 200 after their group commit (ack=durable, the
 // default), 202 at admission (ack=async), or 429 with Retry-After when the
@@ -103,6 +104,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /graphs/{name}/stats", s.handleStats)
 	mux.HandleFunc("POST /graphs/{name}/edges", s.handleEdges(true))
 	mux.HandleFunc("DELETE /graphs/{name}/edges", s.handleEdges(false))
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 

@@ -35,8 +35,8 @@ import (
 //	totalSlots uint64 = Σ tableSizes
 //	keys       totalSlots × uint64  (raw open-addressing slot arrays,
 //	vals       totalSlots × int32    empty/tombstone slots included)
-//	dirtyCount uint32
-//	dirty      dirtyCount × int32
+//	dirtyCount uint32 (written 0)
+//	dirty      dirtyCount × int32 (framed, ignored)
 //
 // Map-free (mode 1) payload — the flattened dynamic.MapFreeState:
 //
@@ -99,7 +99,7 @@ func stateSectionLen(n int, st *MaintainerState) int {
 		if n%2 == 1 {
 			pad = 4
 		}
-		return stateHeaderLen + 16*n + 4*n + pad + 8 + 12*len(st.Local.Keys) + 4 + 4*len(st.Local.Dirty) + 4
+		return stateHeaderLen + 16*n + 4*n + pad + 8 + 12*len(st.Local.Keys) + 4 + 4
 	}
 	return stateHeaderLen + 16*n + 4 + 4*len(st.MapFree.Stale) + 4
 }
@@ -114,8 +114,7 @@ func appendLocalPayload(buf []byte, st *dynamic.LocalState) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.Keys)))
 	buf = appendWords(buf, st.Keys)
 	buf = appendWords(buf, st.Vals)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Dirty)))
-	return appendWords(buf, st.Dirty)
+	return binary.LittleEndian.AppendUint32(buf, 0) // dirty count
 }
 
 func appendMapFreePayload(buf []byte, st *dynamic.MapFreeState) []byte {
@@ -208,12 +207,13 @@ func decodeLocalPayload(payload []byte, n uint64) (*dynamic.LocalState, error) {
 	pos += 8 * totalSlots
 	st.Vals = aliasWords[int32](payload[pos:], totalSlots)
 	pos += 4 * totalSlots
+	// The dirty frame is checked and its ids ignored: the encoder writes it
+	// empty, and a checkpoint that framed some imports without them.
 	dirtyCount := uint64(binary.LittleEndian.Uint32(payload[pos : pos+4]))
 	pos += 4
 	if uint64(len(payload))-pos != 4*dirtyCount {
 		return nil, fmt.Errorf("store: maintainer state frames %d dirty scores, %d bytes remain", dirtyCount, uint64(len(payload))-pos)
 	}
-	st.Dirty = aliasWords[int32](payload[pos:], dirtyCount)
 	return st, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,6 +131,45 @@ func TestStateGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStateDirtyFrameIgnored: a local section may frame dirty-score ids —
+// checkpoints written while the state still carried them do. The decoder
+// checks that frame (the ids it counts fill the rest of the payload) and
+// ignores the ids: the section decodes to what the empty-framed encoding
+// of the same checkpoint decodes to, and imports with no dirty score.
+func TestStateDirtyFrameIgnored(t *testing.T) {
+	g, st := buildStateCase(t, 1)
+	meta := stateGoldenCases[1].meta
+	withDirty := func(count uint32, ids ...int32) []byte {
+		buf := encodeGraphPart(g, meta, SnapshotVersionState, 0)
+		return appendSection(buf, sectionState, stateModeLocal, uint32(g.NumVertices()), func(b []byte) []byte {
+			b = appendLocalPayload(b, st.Local)
+			b = binary.LittleEndian.AppendUint32(b[:len(b)-4], count)
+			return appendWords(b, ids)
+		})
+	}
+	want, err := DecodeSnapshotState(EncodeSnapshotFull(g, meta, st, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshotState(withDirty(2, 3, 1))
+	if err != nil {
+		t.Fatalf("decode a section framing two dirty ids: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty ids changed the decoded state: %+v, want %+v", got.Local, want.Local)
+	}
+	m, err := dynamic.NewMaintainerFromState(g, got.Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.TakeDirtyScores(); len(d) != 0 {
+		t.Fatalf("imported maintainer starts with dirty scores %v", d)
+	}
+	if _, err := DecodeSnapshotState(withDirty(3, 3, 1)); err == nil || !strings.Contains(err.Error(), "dirty scores") {
+		t.Fatalf("a frame counting 3 ids over 2: %v, want a framing error", err)
 	}
 }
 
