@@ -113,7 +113,7 @@ func TestTopKErrorBounds(t *testing.T) {
 			}
 		}
 		if sampled == 0 {
-			t.Fatalf("eps=%v: estimator never sampled (max degrees %d, %d)", eps, graphs[0].MaxDegree(), graphs[1].MaxDegree())
+			t.Fatalf("eps=%v: estimator never sampled (max degrees %d, %d)", eps, graph.ComputeStats(graphs[0]).DMax, graph.ComputeStats(graphs[1]).DMax)
 		}
 	}
 }

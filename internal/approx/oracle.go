@@ -15,7 +15,7 @@ import "repro/internal/graph"
 // The implementation is a dense O(d³) matrix product sharing no code with
 // the per-ego kernel or the sampled estimator,
 // which is what makes it an independent oracle for property tests.
-func EverettBorgatti(a graph.Adjacency, p int32) float64 {
+func EverettBorgatti(a graph.View, p int32) float64 {
 	nu := a.Neighbors(p)
 	d := len(nu)
 	if d < 2 {

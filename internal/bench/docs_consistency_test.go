@@ -271,6 +271,7 @@ var retiredSymbols = []string{
 	"egoWork", "degreeOrder",
 	"AlgoLazy", "LazyK", "LazyState", "NewLazyTopKFromState", "setMaintainer",
 	"appendLazyPayload", "decodeLazyPayload", "aliasBools",
+	"bucketKey", "temporalBuckets", "MaxDegree",
 }
 
 // TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz

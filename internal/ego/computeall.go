@@ -42,7 +42,7 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 
 // EgoBetweenness computes CB(p) for a single vertex from scratch (the core
 // of the paper's EgoBWCal, Algorithm 3, without cross-vertex sharing). It
-// works on any Adjacency (static, overlay or dynamic graph) and is the
+// works on any View (static, overlay or dynamic graph) and is the
 // recomputation primitive of the lazy maintainers. Scratch may be nil;
 // passing a reused Scratch makes the call allocation-free once warm.
 //
@@ -72,14 +72,14 @@ func ComputeAllWithMaps(g graph.View) ([]float64, []*pairmap.Map) {
 // exits when the masked word runs out. This is a sparse evaluation of
 // Everett–Borgatti's A²∘(1−A) over the ego adjacency A, in
 // O(Σ_{v∈N(p)} d(v)) array steps to build plus the ego's Price to count.
-func EgoBetweenness(a graph.Adjacency, p int32, s *Scratch) float64 {
+func EgoBetweenness(a graph.View, p int32, s *Scratch) float64 {
 	cb, _, _ := egoKernel(a, p, s)
 	return cb
 }
 
 // egoKernel is EgoBetweenness that also hands back the ego CSR it scored
 // (see EgoCSR). The top-k search reads p's triangles off it.
-func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, adj []int32) {
+func egoKernel(a graph.View, p int32, s *Scratch) (cb float64, off []int, adj []int32) {
 	if s == nil {
 		s = NewScratch(a.NumVertices())
 	}
@@ -96,7 +96,7 @@ func egoKernel(a graph.Adjacency, p int32, s *Scratch) (cb float64, off []int, a
 // non-zero bucket. Both are owned by the caller; the map is nil when no
 // non-adjacent pair has a connector. ScoreEvidence over hist[0] and the map,
 // and FoldScore over the histogram, both return cb.
-func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, m *pairmap.Map, hist []int64) {
+func EgoBetweennessWithMap(a graph.View, p int32, s *Scratch) (cb float64, m *pairmap.Map, hist []int64) {
 	if s == nil {
 		s = NewScratch(a.NumVertices())
 	}
@@ -115,7 +115,7 @@ func EgoBetweennessWithMap(a graph.Adjacency, p int32, s *Scratch) (cb float64, 
 // next call; both are empty when d(p) < 2: such an ego has no neighbor pair,
 // and no CSR is built for it. Row v reserves d(v) slots, so adj may need
 // capacity up to the ego-build price Σ_{v∈N(p)} d(v), beyond its length.
-func (s *Scratch) EgoCSR(a graph.Adjacency, p int32) (nu []int32, off []int, adj []int32) {
+func (s *Scratch) EgoCSR(a graph.View, p int32) (nu []int32, off []int, adj []int32) {
 	nu = a.Neighbors(p)
 	d := len(nu)
 	if d < 2 {

@@ -12,7 +12,7 @@ import (
 // or combinatorial shortcut with the production kernels — it does not assume
 // pairwise distances are ≤ 2 — which makes it an independent oracle for the
 // cross-validation tests. O(d³) per vertex; use on small graphs only.
-func ReferenceBFS(a graph.Adjacency, u int32) float64 {
+func ReferenceBFS(a graph.View, u int32) float64 {
 	nbrs := a.Neighbors(u)
 	d := len(nbrs)
 	// Local ids: 0..d-1 for neighbors, d for u itself.
@@ -87,7 +87,7 @@ func ReferenceBFS(a graph.Adjacency, u int32) float64 {
 
 // ComputeAllReference applies ReferenceBFS to every vertex. Test helper for
 // whole-graph cross-validation on small inputs.
-func ComputeAllReference(a graph.Adjacency) []float64 {
+func ComputeAllReference(a graph.View) []float64 {
 	n := a.NumVertices()
 	out := make([]float64, n)
 	for v := int32(0); v < n; v++ {

@@ -20,7 +20,7 @@ import (
 // are the same bits at any worker count. Split egos emit no evidence map.
 // Sweep returns the kernel steps each worker ran and the heaviest unit's;
 // they sum to Σ_p Price however egos are cut.
-func Sweep(g graph.Adjacency, workers int, each func(v int32, s *Scratch), split func(v int32, cb float64)) (work []int64, maxUnit int64) {
+func Sweep(g graph.View, workers int, each func(v int32, s *Scratch), split func(v int32, cb float64)) (work []int64, maxUnit int64) {
 	workers = max(workers, 1)
 	var plan []chunk // nil: unit i is the whole ego of vertex i
 	if split != nil {
@@ -72,7 +72,7 @@ type splitEgo struct {
 
 // splitPlan lists the units of a split sweep: each ego whole, unless it
 // costs more than the share total/(4·workers), then ⌈cost/share⌉ chunks.
-func splitPlan(g graph.Adjacency, workers int) []chunk {
+func splitPlan(g graph.View, workers int) []chunk {
 	cost := make([]int64, g.NumVertices())
 	var total atomic.Int64
 	Sweep(g, workers, func(v int32, s *Scratch) {
@@ -100,7 +100,7 @@ func splitPlan(g graph.Adjacency, workers int) []chunk {
 // run counts the chunk's rows of its ego over s, adds the histogram into
 // the ego's shared one and, as the ego's last chunk, folds it. It returns
 // the kernel steps the rows ran.
-func (u chunk) run(g graph.Adjacency, s *Scratch, split func(v int32, cb float64)) int64 {
+func (u chunk) run(g graph.View, s *Scratch, split func(v int32, cb float64)) int64 {
 	nu, off, adj := s.EgoCSR(g, u.v)
 	d := len(nu)
 	lo, hi, steps := chunkRows(off, adj, u.i, u.e.k, s)

@@ -75,13 +75,7 @@ func FromEdges(n int32, edges [][2]int32) (*Graph, error) {
 	newOffsets[n] = write
 	adj = adj[:write:write]
 
-	g := &Graph{offsets: newOffsets, adj: adj, n: n, m: write / 2}
-	for v := int32(0); v < n; v++ {
-		if d := g.Degree(v); d > g.maxDeg {
-			g.maxDeg = d
-		}
-	}
-	return g, nil
+	return &Graph{offsets: newOffsets, adj: adj, n: n, m: write / 2}, nil
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for tests and

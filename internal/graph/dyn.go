@@ -9,7 +9,7 @@ import (
 // DynGraph is a mutable undirected graph with per-vertex sorted adjacency
 // slices. Insertions and deletions cost O(d) for the two endpoint lists; all
 // read operations match the CSR Graph API, so the ego-betweenness kernels
-// that only need reads work on either representation through the Adjacency
+// that only need reads work on either representation through the View
 // interface.
 type DynGraph struct {
 	adj [][]int32
@@ -22,22 +22,6 @@ type DynGraph struct {
 	dirty    []int32
 	dirtySet []bool
 }
-
-// Adjacency is the minimal read-only view shared by Graph and DynGraph.
-// Algorithm kernels that must run on both representations (for example, the
-// exact per-vertex recomputation inside the lazy top-k maintainer) accept
-// this interface.
-type Adjacency interface {
-	NumVertices() int32
-	NumEdges() int64
-	Degree(v int32) int32
-	Neighbors(v int32) []int32
-}
-
-var (
-	_ Adjacency = (*Graph)(nil)
-	_ Adjacency = (*DynGraph)(nil)
-)
 
 // DynFromGraph copies a CSR graph into a mutable representation.
 func DynFromGraph(g *Graph) *DynGraph {
@@ -179,17 +163,6 @@ func (d *DynGraph) DeleteEdge(u, v int32) error {
 	d.markDirty(u)
 	d.markDirty(v)
 	return nil
-}
-
-// MaxDegree returns the current maximum degree.
-func (d *DynGraph) MaxDegree() int32 {
-	var mx int32
-	for _, nbrs := range d.adj {
-		if int32(len(nbrs)) > mx {
-			mx = int32(len(nbrs))
-		}
-	}
-	return mx
 }
 
 func insertSorted(s []int32, x int32) []int32 {

@@ -33,11 +33,9 @@ func TestFreezeMatchesFromAdjacency(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("trial %d (workers=%d): invalid CSR: %v", trial, workers, err)
 			}
-			if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() ||
-				got.MaxDegree() != want.MaxDegree() {
-				t.Fatalf("trial %d (workers=%d): shape mismatch: got n=%d m=%d dmax=%d, want n=%d m=%d dmax=%d",
-					trial, workers, got.NumVertices(), got.NumEdges(), got.MaxDegree(),
-					want.NumVertices(), want.NumEdges(), want.MaxDegree())
+			if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+				t.Fatalf("trial %d (workers=%d): shape mismatch: got n=%d m=%d, want n=%d m=%d",
+					trial, workers, got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 			}
 			for v := int32(0); v < n; v++ {
 				gn, wn := got.Neighbors(v), want.Neighbors(v)

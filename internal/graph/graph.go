@@ -13,7 +13,6 @@ type Graph struct {
 	adj     []int32 // concatenated sorted neighbor lists; len 2m
 	n       int32
 	m       int64
-	maxDeg  int32
 }
 
 // NumVertices returns the number of vertices n.
@@ -21,9 +20,6 @@ func (g *Graph) NumVertices() int32 { return g.n }
 
 // NumEdges returns the number of undirected edges m.
 func (g *Graph) NumEdges() int64 { return g.m }
-
-// MaxDegree returns the maximum vertex degree d_max.
-func (g *Graph) MaxDegree() int32 { return g.maxDeg }
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int32) int32 {
@@ -143,9 +139,6 @@ func FromCSR(offsets []int64, adj []int32) (*Graph, error) {
 		if g.offsets[v] > g.offsets[v+1] {
 			return nil, fmt.Errorf("graph: CSR offsets decrease at vertex %d", v)
 		}
-		if d := g.Degree(v); d > g.maxDeg {
-			g.maxDeg = d
-		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -159,5 +152,5 @@ func (g *Graph) Clone() *Graph {
 	copy(offsets, g.offsets)
 	adj := make([]int32, len(g.adj))
 	copy(adj, g.adj)
-	return &Graph{offsets: offsets, adj: adj, n: g.n, m: g.m, maxDeg: g.maxDeg}
+	return &Graph{offsets: offsets, adj: adj, n: g.n, m: g.m}
 }

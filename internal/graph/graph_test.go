@@ -25,8 +25,8 @@ func TestFromEdgesBasics(t *testing.T) {
 	if g.NumVertices() != 5 || g.NumEdges() != 4 {
 		t.Fatalf("n=%d m=%d, want 5, 4", g.NumVertices(), g.NumEdges())
 	}
-	if g.MaxDegree() != 2 {
-		t.Errorf("dmax=%d, want 2", g.MaxDegree())
+	if dmax := ComputeStats(g).DMax; dmax != 2 {
+		t.Errorf("dmax=%d, want 2", dmax)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestOrderAndRank(t *testing.T) {
 // tie-heavy random graphs — few edges, so most degrees repeat and many are
 // 0 — and on overlay chains, whose degrees come through the delta layers.
 func TestOrderOfMatchesComparisonSort(t *testing.T) {
-	reference := func(a Adjacency) []int32 {
+	reference := func(a View) []int32 {
 		order := make([]int32, a.NumVertices())
 		for v := range order {
 			order[v] = int32(v)
@@ -99,7 +99,7 @@ func TestOrderOfMatchesComparisonSort(t *testing.T) {
 		})
 		return order
 	}
-	check := func(label string, a Adjacency) {
+	check := func(label string, a View) {
 		t.Helper()
 		if got, want := OrderOf(a), reference(a); !slices.Equal(got, want) {
 			t.Fatalf("%s: OrderOf = %v, want %v", label, got, want)

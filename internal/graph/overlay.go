@@ -34,12 +34,6 @@ type Overlay struct {
 	// sizes cost one word test before falling through to the base CSR —
 	// no per-layer map probes.
 	idx *dirtyIndex
-
-	// maxDeg is computed on first demand: deletions can lower the maximum
-	// below the base's, so the exact value needs an O(n) scan, which only
-	// the statistics path wants.
-	maxDegOnce sync.Once
-	maxDeg     int32
 }
 
 // dirtyIndex is a grow-only bitset over base vertex ids, shared across an
@@ -146,22 +140,6 @@ func (o *Overlay) Neighbors(v int32) []int32 {
 // Degree returns the degree of v.
 func (o *Overlay) Degree(v int32) int32 { return int32(len(o.Neighbors(v))) }
 
-// MaxDegree returns the maximum degree, computed once on first demand (the
-// exact value needs a full scan — deletions may have lowered it below the
-// base's maximum).
-func (o *Overlay) MaxDegree() int32 {
-	o.maxDegOnce.Do(func() {
-		var mx int32
-		for v := int32(0); v < o.n; v++ {
-			if d := o.Degree(v); d > mx {
-				mx = d
-			}
-		}
-		o.maxDeg = mx
-	})
-	return o.maxDeg
-}
-
 // Materialize flattens the overlay into a fresh standalone CSR — the
 // compaction step. It reads only immutable state, so it runs without any
 // lock, concurrently with readers and with writers publishing further
@@ -205,13 +183,8 @@ func (o *Overlay) Rebase(at View, g *Graph) (v View, ok bool) {
 // DynGraph.Freeze and Overlay.Materialize.
 func exportCSR(n int32, m int64, row func(int32) []int32, workers int) *Graph {
 	offsets := make([]int64, n+1)
-	var maxDeg int32
 	for v := int32(0); v < n; v++ {
-		deg := int32(len(row(v)))
-		offsets[v+1] = offsets[v] + int64(deg)
-		if deg > maxDeg {
-			maxDeg = deg
-		}
+		offsets[v+1] = offsets[v] + int64(len(row(v)))
 	}
 	adj := make([]int32, offsets[n])
 	copyRows := func(lo, hi int32) {
@@ -237,5 +210,5 @@ func exportCSR(n int32, m int64, row func(int32) []int32, workers int) *Graph {
 		}
 		wg.Wait()
 	}
-	return &Graph{offsets: offsets, adj: adj, n: n, m: m, maxDeg: maxDeg}
+	return &Graph{offsets: offsets, adj: adj, n: n, m: m}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // assertViewEquiv requires two views to describe the same graph: identical
-// shape, per-vertex degrees and neighbor lists, and max degree.
+// shape, per-vertex degrees and neighbor lists.
 func assertViewEquiv(t *testing.T, label string, got, want View) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() {
@@ -15,9 +15,6 @@ func assertViewEquiv(t *testing.T, label string, got, want View) {
 	}
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("%s: m = %d, want %d", label, got.NumEdges(), want.NumEdges())
-	}
-	if got.MaxDegree() != want.MaxDegree() {
-		t.Fatalf("%s: maxDeg = %d, want %d", label, got.MaxDegree(), want.MaxDegree())
 	}
 	n := want.NumVertices()
 	for v := int32(0); v < n; v++ {

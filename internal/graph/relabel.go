@@ -43,6 +43,6 @@ func DegreeRelabel(g *Graph) *Relabeled {
 		}
 		slices.Sort(row)
 	}
-	rg := &Graph{offsets: offsets, adj: adj, n: n, m: g.m, maxDeg: g.maxDeg}
+	rg := &Graph{offsets: offsets, adj: adj, n: n, m: g.m}
 	return &Relabeled{G: rg, Perm: perm, Ext: ext}
 }

@@ -22,7 +22,10 @@ type Stats struct {
 // oriented enumeration: each triangle is found exactly once at its
 // ≺-smallest... highest-ranked vertex, in O(Σ_v d+(v)²) ⊆ O(α·m) time.
 func ComputeStats(g View) Stats {
-	st := Stats{N: g.NumVertices(), M: g.NumEdges(), DMax: g.MaxDegree()}
+	st := Stats{N: g.NumVertices(), M: g.NumEdges()}
+	for v := range st.N {
+		st.DMax = max(st.DMax, g.Degree(v))
+	}
 	if st.N > 0 {
 		st.AvgDeg = 2 * float64(st.M) / float64(st.N)
 	}

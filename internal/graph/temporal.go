@@ -1,31 +1,31 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TemporalIndex is the edge→admission-stamp sidecar of a sliding-window
 // graph. It answers the one question the expiry scheduler asks every drain —
 // "which live edges are older than the cutoff?" — in time proportional to
-// the answer, not the graph: edges are ring-bucketed by coarse time
-// (granularity ≈ window/64), so a drain pops whole expired buckets and only
-// ever filters the single bucket the cutoff falls into.
+// the answer, not the graph: the stamps map holds each live edge's stamp,
+// and a binary min-heap of (edge, stamp) entries orders them by stamp, so a
+// drain pops exactly the entries below the cutoff, O(log m) each.
 //
 // Deletions are lazy. Removing or re-stamping an edge updates only the
-// stamps map; the bucket entry it leaves behind is recognized as stale
-// (its stamp no longer matches the map) and discarded when its bucket is
-// next scanned. Stale entries are bounded by total insertions between
-// expiry sweeps, and each is dropped exactly once.
+// stamps map; the heap entry it leaves behind is recognized as stale (its
+// stamp no longer matches the map) and dropped when it reaches the root.
+// Stale entries never outnumber live ones by more than one: past that the
+// heap is rebuilt from the map in O(live), which amortizes to O(1) per
+// operation that made an entry stale.
 //
 // The index is not goroutine-safe; the serving layer mutates it under the
 // same per-graph write lock as the graph itself.
 type TemporalIndex struct {
 	windowMS int64
-	gran     int64
 	stamps   map[[2]int32]int64
-	buckets  map[int64][]stampedEdge
-	keys     []int64 // sorted live bucket keys
+	heap     []stampedEdge // min-heap by ts
 }
 
 type stampedEdge struct {
@@ -33,27 +33,13 @@ type stampedEdge struct {
 	ts int64
 }
 
-// temporalBuckets is the target number of buckets spanning one window: fine
-// enough that the boundary bucket holds ~1/64 of the window's edges, coarse
-// enough that whole-bucket pops dominate.
-const temporalBuckets = 64
-
 // NewTemporalIndex returns an empty index for a window of windowMS
 // milliseconds (which must be positive).
 func NewTemporalIndex(windowMS int64) *TemporalIndex {
 	if windowMS <= 0 {
 		panic(fmt.Sprintf("graph: temporal window %dms must be positive", windowMS))
 	}
-	gran := windowMS / temporalBuckets
-	if gran == 0 {
-		gran = 1
-	}
-	return &TemporalIndex{
-		windowMS: windowMS,
-		gran:     gran,
-		stamps:   make(map[[2]int32]int64),
-		buckets:  make(map[int64][]stampedEdge),
-	}
+	return &TemporalIndex{windowMS: windowMS, stamps: make(map[[2]int32]int64)}
 }
 
 // NewTemporalIndexFromStamps rebuilds an index from a graph and its per-edge
@@ -65,12 +51,16 @@ func NewTemporalIndexFromStamps(windowMS int64, g *Graph, stamps []int64) (*Temp
 		return nil, fmt.Errorf("graph: %d stamps for %d edges", len(stamps), g.NumEdges())
 	}
 	t := NewTemporalIndex(windowMS)
-	i := 0
+	t.stamps, t.heap = make(map[[2]int32]int64, len(stamps)), make([]stampedEdge, 0, len(stamps))
 	g.EachEdge(func(u, v int32) bool {
-		t.Stamp(u, v, stamps[i])
-		i++
+		ts := stamps[len(t.heap)]
+		t.stamps[[2]int32{u, v}] = ts
+		t.heap = append(t.heap, stampedEdge{e: [2]int32{u, v}, ts: ts})
 		return true
 	})
+	for i := len(t.heap)/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
 	return t, nil
 }
 
@@ -85,123 +75,97 @@ func canonical(u, v int32) [2]int32 {
 	return [2]int32{u, v}
 }
 
-// bucketKey floors ts onto the bucket grid (toward negative infinity, so
-// pre-epoch test stamps bucket consistently).
-func (t *TemporalIndex) bucketKey(ts int64) int64 {
-	k := ts / t.gran
-	if ts < 0 && ts%t.gran != 0 {
-		k--
-	}
-	return k
-}
-
 // Stamp records (or re-records) the admission stamp of edge (u,v). A
-// previous stamp for the same edge is superseded; its bucket entry goes
+// previous stamp for the same edge is superseded; its heap entry goes
 // stale.
 func (t *TemporalIndex) Stamp(u, v int32, ts int64) {
 	e := canonical(u, v)
 	t.stamps[e] = ts
-	k := t.bucketKey(ts)
-	b, ok := t.buckets[k]
-	if !ok {
-		i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= k })
-		t.keys = append(t.keys, 0)
-		copy(t.keys[i+1:], t.keys[i:])
-		t.keys[i] = k
+	h := t.heap
+	if len(h) == cap(h) { // double: append's 1.25× growth copies the heap ~5 times over
+		h = append(make([]stampedEdge, 0, 2*len(h)+64), h...)
 	}
-	t.buckets[k] = append(b, stampedEdge{e: e, ts: ts})
+	i := len(h)
+	h = h[:i+1]
+	for ; i > 0 && h[(i-1)/2].ts > ts; i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2] // sift the hole up
+	}
+	h[i] = stampedEdge{e: e, ts: ts}
+	t.heap = h
+	t.bound()
 }
 
 // Forget drops edge (u,v) from the index (an explicit client delete). Its
-// bucket entry goes stale and is discarded on the next scan of that bucket.
+// heap entry goes stale.
 func (t *TemporalIndex) Forget(u, v int32) {
 	delete(t.stamps, canonical(u, v))
+	t.bound()
 }
 
 // ExpireBefore removes every live edge stamped strictly before cutoff and
 // returns them in canonical order (ascending u, then v) — a deterministic
 // function of the live edge set, independent of insertion history or map
-// iteration. Cost is O(expired + boundary-bucket size), never O(edges).
+// iteration. It pops only entries below the cutoff, O((expired + stale
+// popped) · log m); it never scans the live edges.
 func (t *TemporalIndex) ExpireBefore(cutoff int64) [][2]int32 {
 	var out [][2]int32
-	for len(t.keys) > 0 {
-		k := t.keys[0]
-		if k*t.gran >= cutoff {
-			break // this bucket and all later ones start at or after cutoff
+	for len(t.heap) > 0 && t.heap[0].ts < cutoff {
+		se := t.pop()
+		if ts, ok := t.stamps[se.e]; ok && ts == se.ts { // live, not stale
+			delete(t.stamps, se.e)
+			out = append(out, se.e)
 		}
-		b := t.buckets[k]
-		if (k+1)*t.gran <= cutoff {
-			// Entirely below cutoff: pop the whole bucket.
-			for _, se := range b {
-				if ts, ok := t.stamps[se.e]; ok && ts == se.ts {
-					delete(t.stamps, se.e)
-					out = append(out, se.e)
-				}
-			}
-			delete(t.buckets, k)
-			t.keys = t.keys[1:]
-			continue
-		}
-		// Boundary bucket: filter entries below cutoff, keep the rest.
-		keep := b[:0]
-		for _, se := range b {
-			ts, ok := t.stamps[se.e]
-			if !ok || ts != se.ts {
-				continue // stale
-			}
-			if se.ts < cutoff {
-				delete(t.stamps, se.e)
-				out = append(out, se.e)
-			} else {
-				keep = append(keep, se)
-			}
-		}
-		if len(keep) == 0 {
-			delete(t.buckets, k)
-			t.keys = t.keys[1:]
-		} else {
-			t.buckets[k] = keep
-		}
-		break
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	t.bound()
+	slices.SortFunc(out, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	return out
 }
 
 // OldestStamp returns the smallest live stamp, or false for an empty index.
-// It compacts fully-stale leading buckets as it scans, so repeated calls on
-// an idle graph stay cheap.
+// It drops the stale entries it finds at the root.
 func (t *TemporalIndex) OldestStamp() (int64, bool) {
-	for len(t.keys) > 0 {
-		k := t.keys[0]
-		b := t.buckets[k]
-		keep := b[:0]
-		oldest, found := int64(0), false
-		for _, se := range b {
-			ts, ok := t.stamps[se.e]
-			if !ok || ts != se.ts {
-				continue // stale
-			}
-			keep = append(keep, se)
-			if !found || se.ts < oldest {
-				oldest = se.ts
-				found = true
-			}
+	for len(t.heap) > 0 {
+		if ts, ok := t.stamps[t.heap[0].e]; ok && ts == t.heap[0].ts {
+			return ts, true
 		}
-		if !found {
-			delete(t.buckets, k)
-			t.keys = t.keys[1:]
-			continue
-		}
-		t.buckets[k] = keep
-		return oldest, true
+		t.pop()
 	}
 	return 0, false
+}
+
+// bound rebuilds the heap from the stamps map once its entries exceed
+// twice the live edges plus one, so stale entries stay O(live).
+func (t *TemporalIndex) bound() {
+	if len(t.heap) > 2*len(t.stamps)+1 {
+		t.heap = make([]stampedEdge, 0, len(t.stamps))
+		for e, ts := range t.stamps {
+			t.heap = append(t.heap, stampedEdge{e: e, ts: ts})
+		}
+		for i := len(t.heap)/2 - 1; i >= 0; i-- {
+			t.down(i)
+		}
+	}
+}
+
+// pop removes and returns the root.
+func (t *TemporalIndex) pop() stampedEdge {
+	root, last := t.heap[0], len(t.heap)-1
+	t.heap[0], t.heap = t.heap[last], t.heap[:last]
+	t.down(0)
+	return root
+}
+
+func (t *TemporalIndex) down(i int) {
+	h := t.heap
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].ts < h[c].ts {
+			c++
+		}
+		if h[i].ts <= h[c].ts {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // ExportStamps returns g's per-edge stamps in canonical edge order — the
@@ -209,20 +173,17 @@ func (t *TemporalIndex) OldestStamp() (int64, bool) {
 // unstamped edge is a sidecar/graph divergence and errors.
 func (t *TemporalIndex) ExportStamps(g *Graph) ([]int64, error) {
 	out := make([]int64, 0, g.NumEdges())
-	var missing [2]int32
-	ok := true
+	var err error
 	g.EachEdge(func(u, v int32) bool {
-		ts, found := t.stamps[[2]int32{u, v}]
-		if !found {
-			missing = [2]int32{u, v}
-			ok = false
-			return false
+		ts, ok := t.stamps[[2]int32{u, v}]
+		if !ok {
+			err = fmt.Errorf("graph: edge (%d,%d) has no temporal stamp", u, v)
 		}
 		out = append(out, ts)
-		return true
+		return ok
 	})
-	if !ok {
-		return nil, fmt.Errorf("graph: edge (%d,%d) has no temporal stamp", missing[0], missing[1])
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -12,8 +12,10 @@ package graph
 // ascending neighbor lists, symmetric loop-free adjacency, and Neighbors
 // slices that the caller must not modify.
 type View interface {
-	Adjacency
-	MaxDegree() int32
+	NumVertices() int32
+	NumEdges() int64
+	Degree(v int32) int32
+	Neighbors(v int32) []int32
 }
 
 var (
@@ -27,7 +29,7 @@ var (
 // are read once, into a counting sort over degree buckets: O(n + d_max),
 // where a comparison sort would pay n·log n — and, on an overlay, whose
 // Degree walks the delta chain, an O(depth) factor on every comparison.
-func OrderOf(a Adjacency) []int32 {
+func OrderOf(a View) []int32 {
 	n := a.NumVertices()
 	deg := make([]int32, n)
 	var maxd int32
@@ -55,7 +57,7 @@ func OrderOf(a Adjacency) []int32 {
 
 // RankOf returns rank[v] = position of v in OrderOf(a). Lower rank means
 // earlier in ≺ (higher degree); it is the orientation key for G+.
-func RankOf(a Adjacency) []int32 {
+func RankOf(a View) []int32 {
 	order := OrderOf(a)
 	rank := make([]int32, len(order))
 	for i, v := range order {
@@ -66,7 +68,7 @@ func RankOf(a Adjacency) []int32 {
 
 // EachEdgeIn calls fn exactly once for every undirected edge of a view,
 // with u < v by identifier. Iteration stops early if fn returns false.
-func EachEdgeIn(a Adjacency, fn func(u, v int32) bool) {
+func EachEdgeIn(a View, fn func(u, v int32) bool) {
 	n := a.NumVertices()
 	for u := int32(0); u < n; u++ {
 		for _, v := range a.Neighbors(u) {

@@ -1,11 +1,11 @@
 package server
 
 // This file is the Prometheus scrape: GET /metrics renders, per graph, the
-// counters and gauges GraphInfo and GraphStats already hold, in the text
-// exposition format 0.0.4. It reads what they read and keeps no state.
+// counters and gauges GraphInfo and GraphStats already hold, then the
+// latency histograms the entry keeps (internal/obs), in the text exposition
+// format 0.0.4.
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
@@ -68,6 +68,10 @@ var graphMetrics = []struct {
 		func(g *GraphStats) float64 { return g.ReplicaLagMS / 1e3 }},
 }
 
+// searchAlgos are the algos a query resolves to, in entry.searchSeconds'
+// order (base resolves to opt).
+var searchAlgos = [...]string{AlgoScores, AlgoOpt, AlgoApprox}
+
 // counters is the stats payload without the structural part, which costs a
 // triangle count per epoch: what a scrape reads, and what Stats adds to.
 func (e *entry) counters(s *snapshot) GraphStats {
@@ -86,17 +90,39 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // handleMetrics serves the scrape: every graph served when it starts, one
 // consistent snapshot per graph.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var graphs []GraphStats
-	s.reg.each(func(e *entry) { graphs = append(graphs, e.counters(e.snap.Load())) })
-	var buf bytes.Buffer
+	var (
+		graphs  []GraphStats
+		entries []*entry
+		labels  []string // graph="…", escaped
+	)
+	s.reg.each(func(e *entry) {
+		graphs = append(graphs, e.counters(e.snap.Load()))
+		entries = append(entries, e)
+		labels = append(labels, `graph="`+labelEscaper.Replace(e.name)+`"`)
+	})
+	var buf []byte
+	header := func(name, kind, help string) {
+		buf = append(buf, "# HELP "+name+" "+help+"\n# TYPE "+name+" "+kind+"\n"...)
+	}
 	for _, m := range graphMetrics {
-		buf.WriteString("# HELP " + m.name + " " + m.help + "\n# TYPE " + m.name + " " + m.kind + "\n")
+		header(m.name, m.kind, m.help)
 		for i := range graphs {
-			buf.WriteString(m.name + `{graph="` + labelEscaper.Replace(graphs[i].Name) + `"} `)
-			buf.WriteString(strconv.FormatFloat(m.value(&graphs[i]), 'f', -1, 64) + "\n")
+			buf = append(buf, m.name+"{"+labels[i]+"} "...)
+			buf = strconv.AppendFloat(buf, m.value(&graphs[i]), 'f', -1, 64)
+			buf = append(buf, '\n')
 		}
 	}
+	header("egobw_topk_search_seconds", "histogram", "Search time of top-k cache misses, by the algo the query resolved to.")
+	for i, e := range entries {
+		for a, algo := range searchAlgos {
+			buf = e.searchSeconds[a].AppendText(buf, "egobw_topk_search_seconds", labels[i]+`,algo="`+algo+`"`)
+		}
+	}
+	header("egobw_commit_seconds", "histogram", "Wall time of each commit: WAL append, apply, publish, checkpoint.")
+	for i, e := range entries {
+		buf = e.commitSeconds.AppendText(buf, "egobw_commit_seconds", labels[i])
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes()) // a client that went away is not the handler's error
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	_, _ = w.Write(buf) // a client that went away is not the handler's error
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,10 +12,9 @@ import (
 	"repro/internal/gen"
 )
 
-// scrape GETs /metrics and returns each sample keyed by series name and
-// raw (escaped) graph label, failing on a line the text format does not
-// allow or a series without its HELP and TYPE.
-func scrape(t *testing.T, h http.Handler) map[string]map[string]float64 {
+// scrapeBody GETs /metrics and returns its body, failing on a status or
+// content type the text format does not allow.
+func scrapeBody(t *testing.T, h http.Handler) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -22,18 +22,32 @@ func scrape(t *testing.T, h http.Handler) map[string]map[string]float64 {
 		t.Fatalf("/metrics: status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
 	}
 	body, _ := io.ReadAll(rec.Body)
+	return string(body)
+}
+
+// scrape GETs /metrics and returns each counter and gauge sample keyed by
+// series name and raw (escaped) graph label, failing on a line the text
+// format does not allow or a series without its HELP and TYPE. Histogram
+// families are skipped here and read by scrapeHistograms.
+func scrape(t *testing.T, h http.Handler) map[string]map[string]float64 {
+	t.Helper()
 	out := map[string]map[string]float64{}
 	typed := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+	var histogram string // the histogram family whose samples follow
+	for _, line := range strings.Split(strings.TrimSuffix(scrapeBody(t, h), "\n"), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			name, kind, _ := strings.Cut(rest, " ")
-			if kind != "counter" && kind != "gauge" || typed[name] {
+			if kind != "counter" && kind != "gauge" && kind != "histogram" || typed[name] {
 				t.Fatalf("bad or repeated TYPE line %q", line)
 			}
 			typed[name] = true
+			histogram = ""
+			if kind == "histogram" {
+				histogram = name
+			}
 			continue
 		}
-		if strings.HasPrefix(line, "# HELP ") {
+		if strings.HasPrefix(line, "# HELP ") || histogram != "" && strings.HasPrefix(line, histogram+"_") {
 			continue
 		}
 		name, rest, ok1 := strings.Cut(line, `{graph="`)
@@ -46,6 +60,66 @@ func scrape(t *testing.T, h http.Handler) map[string]map[string]float64 {
 			out[name] = map[string]float64{}
 		}
 		out[name][label] = v
+	}
+	return out
+}
+
+// histSeries is one histogram series read back from a scrape.
+type histSeries struct {
+	les        []string  // bucket bounds in exposition order
+	cum        []float64 // cumulative bucket counts
+	sum, count float64
+}
+
+// scrapeHistograms returns each histogram series keyed by family and raw
+// label set (le excluded), failing on a sample outside a declared
+// histogram family.
+func scrapeHistograms(t *testing.T, h http.Handler) map[string]map[string]*histSeries {
+	t.Helper()
+	out := map[string]map[string]*histSeries{}
+	family := ""
+	for _, line := range strings.Split(strings.TrimSuffix(scrapeBody(t, h), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			if family = ""; kind == "histogram" {
+				family = name
+				out[family] = map[string]*histSeries{}
+			}
+			continue
+		}
+		suffix, ok := strings.CutPrefix(line, family+"_")
+		if family == "" || strings.HasPrefix(line, "#") || !ok {
+			continue
+		}
+		kind, rest, _ := strings.Cut(suffix, "{")
+		labels, value, ok := cutLast(rest, "} ")
+		v, err := strconv.ParseFloat(value, 64)
+		if !ok || err != nil {
+			t.Fatalf("bad histogram line %q", line)
+		}
+		le := ""
+		if kind == "bucket" {
+			var found bool
+			if labels, le, found = cutLast(labels, `,le="`); !found {
+				t.Fatalf("bucket without le: %q", line)
+			}
+			le = strings.TrimSuffix(le, `"`)
+		}
+		s := out[family][labels]
+		if s == nil {
+			s = &histSeries{}
+			out[family][labels] = s
+		}
+		switch kind {
+		case "bucket":
+			s.les, s.cum = append(s.les, le), append(s.cum, v)
+		case "sum":
+			s.sum = v
+		case "count":
+			s.count = v
+		default:
+			t.Fatalf("sample %q is not a histogram's", line)
+		}
 	}
 	return out
 }
@@ -140,5 +214,73 @@ func TestMetricsEscapeLabels(t *testing.T) {
 	got := scrape(t, s.Handler())
 	if v, ok := got["egobw_vertices"][`q\"b\\n\nl`]; !ok || v != 50 {
 		t.Fatalf("egobw_vertices by escaped label: %v", got["egobw_vertices"])
+	}
+}
+
+// TestMetricsHistograms: each computed top-k search is observed once, in its
+// resolved algo's series (base is opt's), a cache hit in none, and each
+// commit once; every series is a well-formed cumulative histogram, an idle
+// graph's included, and a removed graph's series leave the scrape.
+func TestMetricsHistograms(t *testing.T) {
+	s := New(WithLogger(func(string, ...any) {}), WithRegistryOptions(WithDataDir(t.TempDir())))
+	reg := s.Registry()
+	defer reg.Close()
+	for _, name := range []string{"a", `b"\`} {
+		if _, err := reg.Add(name, gen.BarabasiAlbert(200, 3, 5), ModeLocal, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int32(0); i < 3; i++ {
+		if _, err := reg.applyEdges("a", [][2]int32{{i, 150 + i}}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoOpt, AlgoApprox, AlgoScores, AlgoScores} {
+		if _, err := reg.topK("a", 10, algo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := reg.Stats("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := scrapeHistograms(t, s.Handler())
+	search, commit := got["egobw_topk_search_seconds"], got["egobw_commit_seconds"]
+	if len(search) != 6 || len(commit) != 2 {
+		t.Fatalf("%d search and %d commit series, want 3 algos × 2 graphs and 2", len(search), len(commit))
+	}
+	want := map[string]float64{
+		`graph="a",algo="opt"`: float64(st.ExactQueries), `graph="a",algo="approx"`: float64(st.ApproxQueries),
+		`graph="a",algo="scores"`: 1, `graph="b\"\\",algo="opt"`: 0,
+	}
+	if st.ExactQueries != 1 || st.ApproxQueries != 1 || st.CacheMisses != 3 {
+		t.Fatalf("stats: exact %d, approx %d, misses %d; want 1, 1, 3", st.ExactQueries, st.ApproxQueries, st.CacheMisses)
+	}
+	for labels, n := range want {
+		if h := search[labels]; h == nil || h.count != n {
+			t.Fatalf("search series %s = %+v, want count %v", labels, h, n)
+		}
+	}
+	if h := commit[`graph="a"`]; h == nil || h.count != float64(st.GroupCommits) || st.GroupCommits != 3 {
+		t.Fatalf("commit series of a = %+v, group commits %d", h, st.GroupCommits)
+	}
+	for family, series := range got {
+		for labels, h := range series {
+			if len(h.les) < 2 || h.les[len(h.les)-1] != "+Inf" || h.cum[len(h.cum)-1] != h.count ||
+				!slices.IsSorted(h.cum) || (h.count > 0) != (h.sum > 0) {
+				t.Fatalf("%s{%s} is not a cumulative histogram: %+v", family, labels, h)
+			}
+		}
+	}
+
+	if err := reg.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	for family, series := range scrapeHistograms(t, s.Handler()) {
+		for labels := range series {
+			if strings.HasPrefix(labels, `graph="a"`) {
+				t.Fatalf("%s{%s} after removing a", family, labels)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,6 +299,7 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	t0 := time.Now()
 	var cr cachedResult
 	switch sv := snap.scores; key.algo {
 	case AlgoScores:
@@ -341,6 +343,7 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 			ex.Approx = &st
 		}
 	}
+	e.searchSeconds[slices.Index(searchAlgos[:], key.algo)].ObserveSince(t0)
 	if ex != nil {
 		ex.SearchUS = ex.lap()
 	}

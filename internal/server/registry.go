@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -112,6 +113,12 @@ type entry struct {
 	exactQueries  atomic.Int64
 	exactComputed atomic.Int64
 	exactPruned   atomic.Int64
+
+	// Latency instruments, rendered by GET /metrics: the search of each
+	// cache miss by resolved algo (in searchAlgos' order), and every
+	// commitLocked.
+	searchSeconds [len(searchAlgos)]obs.Histogram
+	commitSeconds obs.Histogram
 
 	// Write-pipeline accounting: drains committed, batches carried by them
 	// (coalescedBatches/groupCommits is the amortization factor), and

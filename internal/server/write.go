@@ -329,6 +329,7 @@ func (e *entry) commitGroup(r *Registry, group []*writeReq) {
 // failure came before the apply; a failed checkpoint comes after it, and
 // the results are valid alongside the error. Callers hold e.mu.
 func (e *entry) commitLocked(r *Registry, specs []store.BatchSpec) ([]UpdateResult, error) {
+	defer e.commitSeconds.ObserveSince(time.Now())
 	if e.st != nil {
 		if _, err := e.st.AppendBatches(specs); err != nil {
 			e.mirrorPersist()

@@ -7,35 +7,38 @@ import (
 	"syscall"
 )
 
-// readFileShared returns the contents of path as a copy-on-write mapping of
-// the page cache instead of a heap copy. This is what the snapshot format's
-// 8-aligned word layout exists for: DecodeSnapshotState aliases its arrays
-// straight out of this buffer, so a recovered maintainer's evidence tables
-// are file-backed pages — no read copy, no conversion pass. The mapping is
-// MAP_PRIVATE with write permission because an imported maintainer keeps
-// mutating those tables in place: only the pages it actually dirties are
-// duplicated, on first write. Nothing unmaps the buffer — it lives exactly
-// as long as the recovered state it backs, one mapping per recovery.
-func readFileShared(path string) ([]byte, error) {
+// mapFile returns the contents of path as a copy-on-write mapping of the
+// page cache instead of a heap copy, and unmap, which releases it. This is
+// what the snapshot format's 8-aligned word layout exists for:
+// DecodeSnapshotState aliases its arrays straight out of this buffer, so a
+// recovered maintainer's evidence tables are file-backed pages — no read
+// copy, no conversion pass. The mapping is MAP_PRIVATE with write permission
+// because an imported maintainer keeps mutating those tables in place: only
+// the pages it actually dirties are duplicated, on first write. The caller
+// owns the mapping — a Store holds it from Open to Close — and calls unmap
+// once nothing reads data any more; a mapping left behind would pin the
+// snapshot file's blocks (even after a checkpoint replaced the file) and
+// every page the maintainer dirtied.
+func mapFile(path string) (data []byte, unmap func(), err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	size := info.Size()
-	if size <= 0 || int64(int(size)) != size {
-		// Empty (mmap would fail) or absurdly large: take the plain path,
-		// which also produces the right errors for the decoder to report.
-		return os.ReadFile(path)
+	if size > 0 && int64(int(size)) == size {
+		data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE)
+		if err == nil {
+			return data, func() { _ = syscall.Munmap(data) }, nil
+		}
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE)
-	if err != nil {
-		// mmap is an optimization, never a requirement.
-		return os.ReadFile(path)
-	}
-	return data, nil
+	// Empty (mmap would fail), absurdly large, or unmappable: mmap is an
+	// optimization, never a requirement. The plain read also produces the
+	// right errors for the decoder to report.
+	data, err = os.ReadFile(path)
+	return data, func() {}, err
 }

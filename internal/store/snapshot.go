@@ -360,18 +360,21 @@ func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *Maint
 	return int64(len(img)), syncDir(filepath.Dir(path))
 }
 
-// readSnapshotFile loads the snapshot at path and decodes it (DecodeImage),
-// returning the image's size in bytes too.
-func readSnapshotFile(path string) (*Recovered, int64, error) {
-	data, err := readFileShared(path)
+// readSnapshotFile maps the snapshot at path and decodes it (DecodeImage),
+// returning the image's size in bytes and the mapping's unmap too. The
+// recovered maintainer state aliases the mapping, so the caller unmaps only
+// once nothing reads that state; a decode failure unmaps before returning.
+func readSnapshotFile(path string) (*Recovered, int64, func(), error) {
+	data, unmap, err := mapFile(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	rec, err := DecodeImage(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
+		unmap()
+		return nil, 0, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return rec, int64(len(data)), nil
+	return rec, int64(len(data)), unmap, nil
 }
 
 // DecodeImage decodes a whole snapshot image into a Recovered (Tail and

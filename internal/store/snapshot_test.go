@@ -222,10 +222,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
-	rec, _, err := readSnapshotFile(path)
+	rec, _, unmap, err := readSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer unmap()
 	if rec.State != nil || rec.StateErr != nil {
 		t.Fatalf("version-1 snapshot reports state %v (err %v), want none", rec.State, rec.StateErr)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -96,8 +97,7 @@ func appendStampsPayload(buf []byte, ts *TemporalState) []byte {
 // version-2 files checkpointed without a window). An error means the section
 // is present but unusable — the caller serves the graph unwindowed and
 // reports it, rather than expiring on fabricated stamps. The returned stamp
-// slice aliases data zero-copy on little-endian hosts; the caller must not
-// modify data afterwards.
+// slice is a copy, so it outlives data, which a Store unmaps on Close.
 func DecodeSnapshotStamps(data []byte) (*TemporalState, error) {
 	sec, err := findSection(data, sectionStamps)
 	if sec == nil {
@@ -118,6 +118,6 @@ func DecodeSnapshotStamps(data []byte) (*TemporalState, error) {
 	if uint64(len(payload)) != 16+8*secM {
 		return nil, fmt.Errorf("store: temporal payload frames %d bytes, m=%d implies %d", len(payload), secM, 16+8*secM)
 	}
-	ts.Stamps = aliasWords[int64](payload[16:], secM)
+	ts.Stamps = slices.Clone(aliasWords[int64](payload[16:], secM))
 	return ts, nil
 }

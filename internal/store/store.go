@@ -110,6 +110,7 @@ type Store struct {
 	crash func(point string) error
 
 	lock     *os.File // holds the exclusive flock on lockFile
+	unmap    func()   // releases the snapshot mapping Open's Recovered aliases; nil when none
 	wal      *os.File
 	walBytes int64
 	seq      uint64 // last batch sequence appended to the WAL
@@ -224,6 +225,10 @@ type Recovered struct {
 // Open recovers the store in dir: load the snapshot, decode the WAL, repair
 // a torn tail by truncation, and hand back the batches that post-date the
 // snapshot. The returned Store appends after the repaired tail.
+//
+// The snapshot is mapped, and rec.State and rec.Perm alias the mapping
+// (rec.Graph, rec.Stamps and rec.Tail are copies). The Store owns it: Close
+// unmaps it, so whatever imported rec.State must be done with it first.
 func Open(dir string, opts ...Option) (st *Store, rec *Recovered, err error) {
 	s := newStore(dir, opts...)
 	if err := s.acquireLock(); err != nil {
@@ -231,10 +236,11 @@ func Open(dir string, opts ...Option) (st *Store, rec *Recovered, err error) {
 	}
 	defer func() {
 		if err != nil {
+			s.releaseMapping()
 			s.releaseLock()
 		}
 	}()
-	rec, s.snapSize, err = readSnapshotFile(filepath.Join(dir, snapshotFile))
+	rec, s.snapSize, s.unmap, err = readSnapshotFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -451,16 +457,25 @@ func (s *Store) Checkpoints() int64 { return s.ckpts }
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the WAL handle and the directory lock. The store stays
-// recoverable via Open.
+// Close releases the WAL handle, the snapshot mapping Open made and the
+// directory lock. The store stays recoverable via Open.
 func (s *Store) Close() error {
 	var err error
 	if s.wal != nil {
 		err = s.wal.Close()
 		s.wal = nil
 	}
+	s.releaseMapping()
 	s.releaseLock()
 	return err
+}
+
+// releaseMapping unmaps the snapshot Open mapped, once.
+func (s *Store) releaseMapping() {
+	if s.unmap != nil {
+		s.unmap()
+		s.unmap = nil
+	}
 }
 
 // Remove closes the store and deletes its directory.

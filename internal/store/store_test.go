@@ -19,6 +19,10 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// readFileShared reads a store file for a test to inspect or corrupt. It is
+// a heap copy: a mapping outside a Store would outlive the Store's Close.
+func readFileShared(path string) ([]byte, error) { return os.ReadFile(path) }
+
 func TestStoreCreateOpenReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "g")
 	g := testGraph(t)
