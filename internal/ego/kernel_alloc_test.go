@@ -4,6 +4,7 @@ package ego
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -80,7 +81,10 @@ func TestSearchAllocs(t *testing.T) {
 // allocates for what H holds, so with no stale vertex it allocates O(k) —
 // R, the result list, the accessors — and no per-vertex array. The bytes
 // per call are the same on a 2,000- and a 20,000-vertex graph, and stay
-// under 16 KB at k ≤ 100, inline and with helpers.
+// under 16 KB at k ≤ 100, inline and with helpers. TotalAlloc is
+// process-wide, so an allocation the runtime or another goroutine makes
+// inside a window is charged to the search: each graph's figure is its
+// least bytes per call over several 20-call windows.
 func TestSearchSeededAllocs(t *testing.T) {
 	perCall := func(g *graph.Graph, k, w int) uint64 {
 		cb := ComputeAll(g)
@@ -91,14 +95,18 @@ func TestSearchSeededAllocs(t *testing.T) {
 			}
 		}
 		run()
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			run()
+		const windows, runs = 5, 20
+		least := uint64(math.MaxUint64)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+		return least
 	}
 	small, large := gen.ChungLu(2000, 2.2, 5.3, 120, 3), gen.ChungLu(20000, 2.2, 5.3, 120, 3)
 	for _, k := range []int{10, 100} {

@@ -65,18 +65,13 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 	return res, st
 }
 
-// SearchContext is OptBSearch at DefaultTheta for a caller that may stop
-// waiting: it checks ctx once per candidate, and once ctx is done it ends
-// its helpers and returns ctx.Err() without results.
-func SearchContext(ctx context.Context, g graph.View, k int) ([]Result, SearchStats, error) {
-	return search(ctx, g, k, DefaultTheta, nil, true, nil, runtime.GOMAXPROCS(0), specPrice)
-}
-
 // SearchSeeded is the searcher over published scores, exact except where
 // stale(v) marks an upper bound: exact ones enter R with no kernel, H holds
 // the stale ones under their bounds, and a popped stale candidate runs the
 // kernel on g, speculation included — TopKExact's answer to the bit, with
-// Computed counting the stale kernels. It checks ctx as SearchContext does.
+// Computed counting the stale kernels. It checks ctx once per candidate, and
+// once ctx is done it ends its helpers and returns ctx.Err() without
+// results.
 func SearchSeeded(ctx context.Context, g graph.View, k int, score func(int32) float64, stale func(int32) bool) ([]Result, SearchStats, error) {
 	return search(ctx, g, k, 1, nil, false, &seed{score, stale}, runtime.GOMAXPROCS(0), specPrice)
 }
@@ -501,12 +496,7 @@ func TopKExact(g graph.View, k int) []Result {
 	if k < 1 {
 		return []Result{}
 	}
-	cb := ComputeAll(g)
-	r := topk.NewBounded(min(k, len(cb)))
-	for v := int32(0); v < g.NumVertices(); v++ {
-		r.Add(v, cb[v])
-	}
-	return toResults(r)
+	return TopKOfScores(ComputeAll(g), k)
 }
 
 // TopKOf selects the k best of n scores read through at(v), sorted
@@ -569,9 +559,5 @@ func Overlap(a, b []Result) float64 {
 			inter++
 		}
 	}
-	den := len(a)
-	if len(b) > den {
-		den = len(b)
-	}
-	return float64(inter) / float64(den)
+	return float64(inter) / float64(max(len(a), len(b)))
 }

@@ -13,15 +13,15 @@ import (
 	"repro/internal/graph"
 )
 
-// TestExactAlgosByteIdentical: on one snapshot the exact strategies return
-// the same encoded result list, ties at the k-th rank included — on the
-// frozen snapshot of a fresh graph, on overlay snapshots and on a compacted
-// one, in both modes.
+// TestExactAlgosByteIdentical: on one snapshot every exact spelling —
+// scores, auto, and opt and base, its aliases — returns the encoded result
+// list the library OptBSearch returns on the snapshot's view, ties at the
+// k-th rank included: on the frozen snapshot of a fresh graph, on overlay
+// snapshots and on a compacted one, in both modes.
 //
-// algo=opt and algo=base score every returned vertex with the same kernel,
-// and algo=scores reads the maintained vector, whose every entry is its
-// connector-count histogram folded by the kernel's fold — so all three are
-// held to byte equality everywhere, after score-changing batches too. In
+// algo=scores reads the maintained vector, whose every entry is its
+// connector-count histogram folded by the kernel's fold, so it is held to
+// the search's bytes everywhere, after score-changing batches too. In
 // ModeLazy algo=scores searches the published vector, recomputing the stale
 // bounds it cannot rule out: it is held to the same bytes, and every read —
 // top-k at every k and each vertex — to the same stream served in
@@ -36,23 +36,21 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 			ref := addOverlayGraph(t, base, ModeLocal, 0, 64) // ModeLocal under the same stream
 			check := func(stage string) {
 				t.Helper()
-				info, err := reg.Info("g")
+				e, err := reg.get("g")
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range exactKs(info.N) {
-					opt, err := reg.topK("g", k, AlgoOpt)
-					if err != nil {
-						t.Fatalf("%s k=%d algo=opt: %v", stage, k, err)
-					}
-					want := encodeJSON(opt.Results)
-					for _, algo := range []string{AlgoBase, AlgoScores, AlgoAuto} {
+				view := e.snap.Load().view
+				for _, k := range exactKs(view.NumVertices()) {
+					opt, _ := ego.OptBSearch(view, k, ego.DefaultTheta)
+					want := encodeJSON(opt)
+					for _, algo := range []string{AlgoOpt, AlgoBase, AlgoScores, AlgoAuto} {
 						res, err := reg.topK("g", k, algo)
 						if err != nil {
 							t.Fatalf("%s k=%d algo=%s: %v", stage, k, algo, err)
 						}
 						if got := encodeJSON(res.Results); !bytes.Equal(got, want) {
-							t.Fatalf("%s k=%d: algo=%s returns\n%s\nalgo=opt returns\n%s", stage, k, algo, got, want)
+							t.Fatalf("%s k=%d: algo=%s returns\n%s\nOptBSearch returns\n%s", stage, k, algo, got, want)
 						}
 					}
 					local, err := ref.topK("g", k, AlgoScores)
@@ -63,11 +61,7 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 						t.Fatalf("%s k=%d: ModeLocal serves\n%s\nthis mode\n%s", stage, k, got, want)
 					}
 				}
-				e, err := reg.get("g")
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertServesExact(t, reg, "g", e.snap.Load().view)
+				assertServesExact(t, reg, "g", view)
 			}
 			overlayDepth := func() int {
 				info, err := reg.Info("g")
@@ -117,60 +111,44 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExactSearchAccounting: algo=base is an alias of algo=opt, so the two
-// share one cache entry per (snapshot, k) — whichever asks first runs the
-// one OptBSearch and the other hits. A miss adds exactly the library
-// OptBSearch's SearchStats for that snapshot to the entry's exact_*
-// counters, and a cache hit adds nothing.
-func TestExactSearchAccounting(t *testing.T) {
+// TestExactAliasesShareScoresEntry: algo=opt and algo=base are aliases of
+// algo=scores, so all of them and auto share one cache entry per
+// (snapshot, k) — whichever asks first reads the published scores, the
+// others hit, and every payload names scores. The answer is the library
+// OptBSearch's, and no search counter is left to report it.
+func TestExactAliasesShareScoresEntry(t *testing.T) {
 	g := gen.ChungLu(600, 2.2, 5.3, 60, 3)
 	reg := NewRegistry()
 	if _, err := reg.Add("g", g, ModeLocal, 0); err != nil {
 		t.Fatal(err)
 	}
-	info := func() GraphInfo {
-		t.Helper()
-		gi, err := reg.Info("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gi
-	}
-	if gi := info(); gi.ExactQueries != 0 || gi.ExactComputed != 0 || gi.ExactPruned != 0 {
-		t.Fatalf("fresh entry counts exact queries: %+v", gi)
-	}
-	if body := encodeJSON(info()); bytes.Contains(body, []byte("exact_")) {
-		t.Fatalf("fresh entry's info names an exact counter: %s", body)
-	}
-	_, st10 := ego.OptBSearch(g, 10, ego.DefaultTheta)
-	_, st25 := ego.OptBSearch(g, 25, ego.DefaultTheta)
-	var want GraphInfo
-	for _, q := range []struct {
-		algos [2]string // the miss, then the other name of the same search
-		k     int
-		st    ego.SearchStats
-	}{{[2]string{AlgoOpt, AlgoBase}, 10, st10}, {[2]string{AlgoBase, AlgoOpt}, 25, st25}} {
-		for i, algo := range q.algos {
-			hit := i == 1
-			res, err := reg.TopKQ("g", TopKQuery{K: q.k, Algo: algo})
+	for k, algos := range map[int][]string{
+		10: {AlgoOpt, AlgoBase, AlgoScores, AlgoAuto},
+		25: {AlgoBase, AlgoAuto, AlgoOpt, AlgoScores},
+	} {
+		want, _ := ego.OptBSearch(g, k, ego.DefaultTheta)
+		for i, algo := range algos {
+			res, err := reg.TopKQ("g", TopKQuery{K: k, Algo: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cached != hit || res.Algo != AlgoOpt {
-				t.Fatalf("algo=%s k=%d: cached=%v algo %q, want cached=%v algo %q", algo, q.k, res.Cached, res.Algo, hit, AlgoOpt)
+			if hit := i > 0; res.Cached != hit || res.Algo != AlgoScores {
+				t.Fatalf("algo=%s k=%d: cached=%v algo %q, want cached=%v algo %q", algo, k, res.Cached, res.Algo, hit, AlgoScores)
 			}
-			if !hit {
-				want.ExactQueries++
-				want.ExactComputed += q.st.Computed
-				want.ExactPruned += q.st.Pruned
-			}
-			gi := info()
-			if gi.ExactQueries != want.ExactQueries || gi.ExactComputed != want.ExactComputed || gi.ExactPruned != want.ExactPruned {
-				t.Fatalf("after algo=%s k=%d (hit=%v): exact queries/computed/pruned = %d/%d/%d, want %d/%d/%d",
-					algo, q.k, hit, gi.ExactQueries, gi.ExactComputed, gi.ExactPruned,
-					want.ExactQueries, want.ExactComputed, want.ExactPruned)
+			if !bytes.Equal(encodeJSON(res.Results), encodeJSON(want)) {
+				t.Fatalf("algo=%s k=%d: %v, OptBSearch %v", algo, k, res.Results, want)
 			}
 		}
+	}
+	st, err := reg.Stats("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheMisses != 2 || st.CacheHits != 6 {
+		t.Fatalf("cache hits/misses %d/%d, want 6/2", st.CacheHits, st.CacheMisses)
+	}
+	if body := encodeJSON(st); bytes.Contains(body, []byte("exact_")) {
+		t.Fatalf("stats name an exact-search counter: %s", body)
 	}
 }
 

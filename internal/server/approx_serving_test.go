@@ -240,11 +240,13 @@ func TestApproxWorksInLazyMode(t *testing.T) {
 
 // TestTopKQueryCancelled: a query whose request context is already done —
 // a client that went away — returns the context's error on every searching
-// algo, caches nothing, and the identical query after it misses the cache
-// and succeeds. Each algo asks its own k, because base shares opt's entry.
+// algo (ModeLazy's seeded scores read, under each of its spellings, and
+// approx), caches nothing, and the identical query after it misses the
+// cache and succeeds. Each algo asks its own k, because opt and base share
+// the scores entry.
 func TestTopKQueryCancelled(t *testing.T) {
 	reg := NewRegistry()
-	if _, err := reg.Add("g", approxTestGraph(), ModeLocal, 0); err != nil {
+	if _, err := reg.Add("g", approxTestGraph(), ModeLazy, 0); err != nil {
 		t.Fatal(err)
 	}
 	e, err := reg.get("g")
@@ -254,7 +256,7 @@ func TestTopKQueryCancelled(t *testing.T) {
 	snap := e.snap.Load()
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox} {
+	for i, algo := range []string{AlgoScores, AlgoOpt, AlgoBase, AlgoApprox} {
 		k := 20 + i
 		stored := snap.cacheCount.Load()
 		q := TopKQuery{K: k, Algo: algo}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 )
 
@@ -18,7 +20,9 @@ import (
 // concurrent update. Afterwards the maintained scores are cross-checked
 // against a from-scratch search on the final snapshot.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
-	ts := newTestServer(t)
+	s := New(WithLogger(func(string, ...any) {}))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 
 	g := gen.BarabasiAlbert(800, 3, 99)
 	var info GraphInfo
@@ -125,18 +129,19 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	}
 
 	// Quiescent cross-check: the incrementally maintained scores and a
-	// from-scratch OptBSearch on the final snapshot must agree exactly.
-	var fromScores, fromSearch TopKResult
-	doJSON(t, "GET", ts.URL+"/graphs/churn/topk?k=15&algo=scores", nil, &fromScores)
-	doJSON(t, "GET", ts.URL+"/graphs/churn/topk?k=15&algo=opt", nil, &fromSearch)
-	if fromScores.Epoch != fromSearch.Epoch {
-		t.Fatalf("epoch moved between quiescent queries: %d vs %d", fromScores.Epoch, fromSearch.Epoch)
+	// from-scratch OptBSearch on the final snapshot's view must agree to the
+	// bit.
+	e, err := s.Registry().get("churn")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range fromSearch.Results {
-		a, b := fromScores.Results[i], fromSearch.Results[i]
-		if a.V != b.V || math.Abs(a.CB-b.CB) > 1e-9 {
-			t.Errorf("maintained vs recomputed top-k diverge at %d: (v=%d %.6f) vs (v=%d %.6f)",
-				i, a.V, a.CB, b.V, b.CB)
-		}
+	snap := e.snap.Load()
+	var fromScores TopKResult
+	doJSON(t, "GET", ts.URL+"/graphs/churn/topk?k=15&algo=scores", nil, &fromScores)
+	if fromScores.Epoch != snap.epoch {
+		t.Fatalf("epoch moved after the writer finished: %d vs %d", fromScores.Epoch, snap.epoch)
+	}
+	if fromSearch, _ := ego.OptBSearch(snap.view, 15, ego.DefaultTheta); !slices.Equal(fromScores.Results, fromSearch) {
+		t.Errorf("maintained vs recomputed top-k diverge:\n%v\n%v", fromScores.Results, fromSearch)
 	}
 }

@@ -30,14 +30,14 @@ func getTopK(t *testing.T, h http.Handler, path string) (TopKResult, []byte) {
 }
 
 // TestTopKExplain: ?explain=1 adds the stage timings and the search's own
-// account — SearchStats for opt (base answers as opt, here at a k of its
-// own so that it misses) and for a scores read over stale bounds
-// (Computed: the stale candidates recomputed, as the library search
-// reports them), approx.Stats for approx — and nothing for a scores read
-// with no bound or for a cache hit, which still reports its resolve and
-// cache lookup. Without the parameter the payload has no explain object, a
-// hit answers with the cached body, and an explained query caches the same
-// answer an unexplained one does.
+// account — SearchStats for a scores read over stale bounds, under any of
+// its spellings (Computed: the stale candidates recomputed, as the library
+// search reports them), approx.Stats for approx — and nothing for a scores
+// read with no bound (opt and base included, which read the scores) or for
+// a cache hit, which still reports its resolve and cache lookup. Without
+// the parameter the payload has no explain object, a hit answers with the
+// cached body, and an explained query caches the same answer an unexplained
+// one does.
 func TestTopKExplain(t *testing.T) {
 	s := New(WithLogger(func(string, ...any) {}))
 	reg := s.Registry()
@@ -57,10 +57,17 @@ func TestTopKExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazyView := e.snap.Load().view
-	_, seeded, _ := ego.SearchSeeded(context.Background(), lazyView, 10, e.snap.Load().scores.At, e.snap.Load().scores.Stale)
-	_, opt := ego.OptBSearch(base, 10, ego.DefaultTheta)
-	_, bse := ego.OptBSearch(base, 11, ego.DefaultTheta)
+	lazy := e.snap.Load()
+	seeded := func(k int) *ego.SearchStats {
+		_, st, err := ego.SearchSeeded(context.Background(), lazy.view, k, lazy.scores.At, lazy.scores.Stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Computed == 0 {
+			t.Fatalf("the lazy graph's k=%d read recomputed no stale candidate: the test lost its subject", k)
+		}
+		return &st
+	}
 	_, apx := approx.TopK(base, 10, approx.Options{})
 
 	for _, c := range []struct {
@@ -69,9 +76,11 @@ func TestTopKExplain(t *testing.T) {
 		approx *approx.Stats
 	}{
 		{"/graphs/local/topk?k=10&explain=1", nil, nil},
-		{"/graphs/lazy/topk?k=10&explain=1", &seeded, nil},
-		{"/graphs/local/topk?k=10&algo=opt&explain=1", &opt, nil},
-		{"/graphs/local/topk?k=11&algo=base&explain=1", &bse, nil},
+		{"/graphs/local/topk?k=11&algo=opt&explain=1", nil, nil},
+		{"/graphs/local/topk?k=12&algo=base&explain=1", nil, nil},
+		{"/graphs/lazy/topk?k=10&explain=1", seeded(10), nil},
+		{"/graphs/lazy/topk?k=11&algo=opt&explain=1", seeded(11), nil},
+		{"/graphs/lazy/topk?k=12&algo=base&explain=1", seeded(12), nil},
 		{"/graphs/local/topk?k=10&algo=approx&explain=1", nil, &apx},
 	} {
 		tr, _ := getTopK(t, h, c.path)
@@ -88,9 +97,6 @@ func TestTopKExplain(t *testing.T) {
 		if (x.Approx == nil) != (c.approx == nil) || (c.approx != nil && *x.Approx != *c.approx) {
 			t.Fatalf("%s: approx stats %+v, library %+v", c.path, x.Approx, c.approx)
 		}
-	}
-	if seeded.Computed == 0 {
-		t.Fatal("the lazy graph's read recomputed no stale candidate: the test lost its subject")
 	}
 
 	// A hit: explained without stats; unexplained, the cached body itself.
@@ -109,7 +115,7 @@ func TestTopKExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := le.snap.Load().cache.Load(cacheKey{k: 10, algo: AlgoOpt})
+	v, ok := le.snap.Load().cache.Load(cacheKey{k: 10, algo: AlgoScores})
 	if !ok || string(v.(cachedResult).hitBody) != string(body) {
 		t.Fatal("an unexplained hit does not answer with the cached body")
 	}
@@ -121,18 +127,19 @@ func TestTopKExplain(t *testing.T) {
 	}
 }
 
-// TestCancelledQueryIs499: a top-k search whose client went away answers
-// 499 (client closed request), not the 400 of a malformed request, and
-// caches nothing.
+// TestCancelledQueryIs499: a top-k search whose client went away — a
+// seeded scores read, under any of its spellings, or an approx one —
+// answers 499 (client closed request), not the 400 of a malformed request,
+// and caches nothing.
 func TestCancelledQueryIs499(t *testing.T) {
 	s := New(WithLogger(func(string, ...any) {}))
 	defer s.Registry().Close()
-	if _, err := s.Registry().Add("g", gen.BarabasiAlbert(300, 3, 4), ModeLocal, 0); err != nil {
+	if _, err := s.Registry().Add("g", gen.BarabasiAlbert(300, 3, 4), ModeLazy, 0); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoApprox} {
+	for _, algo := range []string{AlgoScores, AlgoOpt, AlgoBase, AlgoApprox} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("GET", "/graphs/g/topk?k=10&algo="+algo, nil).WithContext(ctx)
 		s.Handler().ServeHTTP(rec, req)

@@ -85,12 +85,12 @@ type GraphInfo struct {
 	ApproxQueries int64 `json:"approx_queries,omitempty"`
 	ApproxSamples int64 `json:"approx_samples,omitempty"`
 
-	// Exact-search accounting (set once an AlgoOpt or AlgoBase query has
-	// run): exact searches computed on this entry (cache hits excluded) and
-	// the vertices they computed exactly and pruned by a bound.
-	ExactQueries  int64 `json:"exact_queries,omitempty"`
-	ExactComputed int64 `json:"exact_computed,omitempty"`
-	ExactPruned   int64 `json:"exact_pruned,omitempty"`
+	// Audit accounting (set once a background compaction has run): the
+	// published scores the compactor recomputed with the kernel, how many
+	// differed from its bits, and the first that did, with both patterns.
+	Audited            int64  `json:"audited,omitempty"`
+	AuditMismatches    int64  `json:"audit_mismatches,omitempty"`
+	AuditFirstMismatch string `json:"audit_first_mismatch,omitempty"`
 
 	// Recovery accounting (set only on entries that came up via Recover):
 	// "fast" when the checkpoint's maintainer-state section was imported
@@ -158,9 +158,9 @@ func (e *entry) infoAt(s *snapshot) GraphInfo {
 	}
 	gi.ApproxQueries = e.approxQueries.Load()
 	gi.ApproxSamples = e.approxSamples.Load()
-	gi.ExactQueries = e.exactQueries.Load()
-	gi.ExactComputed = e.exactComputed.Load()
-	gi.ExactPruned = e.exactPruned.Load()
+	gi.Audited = e.audited.Load()
+	gi.AuditMismatches = e.auditMismatches.Load()
+	gi.AuditFirstMismatch, _ = e.auditFirst.Load().(string)
 	gi.RecoverPath = e.recoverPath
 	gi.RecoverReason = e.recoverReason
 	return gi

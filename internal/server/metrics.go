@@ -20,12 +20,6 @@ var graphMetrics = []struct {
 		func(g *GraphStats) float64 { return float64(g.CacheHits) }},
 	{"egobw_cache_misses_total", "counter", "Top-k queries computed: not in the snapshot's cache.",
 		func(g *GraphStats) float64 { return float64(g.CacheMisses) }},
-	{"egobw_exact_queries_total", "counter", "Exact top-k searches computed (algo=opt, and base, its alias).",
-		func(g *GraphStats) float64 { return float64(g.ExactQueries) }},
-	{"egobw_exact_computed_total", "counter", "Vertices the exact searches computed exactly.",
-		func(g *GraphStats) float64 { return float64(g.ExactComputed) }},
-	{"egobw_exact_pruned_total", "counter", "Vertices the exact searches pruned by a bound.",
-		func(g *GraphStats) float64 { return float64(g.ExactPruned) }},
 	{"egobw_approx_queries_total", "counter", "Approximate top-k queries computed.",
 		func(g *GraphStats) float64 { return float64(g.ApproxQueries) }},
 	{"egobw_approx_samples_total", "counter", "Pair samples the approximate queries drew.",
@@ -38,6 +32,10 @@ var graphMetrics = []struct {
 		func(g *GraphStats) float64 { return float64(g.WriteRejects) }},
 	{"egobw_compactions_total", "counter", "Overlay chains folded into a fresh CSR.",
 		func(g *GraphStats) float64 { return float64(g.Compactions) }},
+	{"egobw_audited_total", "counter", "Fresh published scores the compactor recomputed with the kernel.",
+		func(g *GraphStats) float64 { return float64(g.Audited) }},
+	{"egobw_audit_mismatches_total", "counter", "Audited scores that differed from the kernel's bits.",
+		func(g *GraphStats) float64 { return float64(g.AuditMismatches) }},
 	{"egobw_scores_copied_total", "counter", "Score entries the copy-on-write vector materialized.",
 		func(g *GraphStats) float64 { return float64(g.ScoresCopied) }},
 	{"egobw_checkpoints_total", "counter", "Snapshots checkpointed to disk.",
@@ -69,8 +67,8 @@ var graphMetrics = []struct {
 }
 
 // searchAlgos are the algos a query resolves to, in entry.searchSeconds'
-// order (base resolves to opt).
-var searchAlgos = [...]string{AlgoScores, AlgoOpt, AlgoApprox}
+// order (opt and base resolve to scores).
+var searchAlgos = [...]string{AlgoScores, AlgoApprox}
 
 // counters is the stats payload without the structural part, which costs a
 // triangle count per epoch: what a scrape reads, and what Stats adds to.

@@ -165,12 +165,12 @@ func TestMetricsMatchStats(t *testing.T) {
 		}
 		want := map[string]float64{
 			"egobw_cache_hits_total": float64(st.CacheHits), "egobw_cache_misses_total": float64(st.CacheMisses),
-			"egobw_exact_queries_total": float64(st.ExactQueries), "egobw_exact_computed_total": float64(st.ExactComputed),
-			"egobw_exact_pruned_total": float64(st.ExactPruned), "egobw_approx_queries_total": float64(st.ApproxQueries),
-			"egobw_approx_samples_total": float64(st.ApproxSamples), "egobw_group_commits_total": float64(st.GroupCommits),
-			"egobw_coalesced_batches_total": float64(st.CoalescedBatches), "egobw_write_rejects_total": float64(st.WriteRejects),
-			"egobw_compactions_total": float64(st.Compactions), "egobw_scores_copied_total": float64(st.ScoresCopied),
-			"egobw_checkpoints_total": float64(st.Checkpoints), "egobw_inserts_total": float64(st.Inserts),
+			"egobw_approx_queries_total": float64(st.ApproxQueries), "egobw_approx_samples_total": float64(st.ApproxSamples),
+			"egobw_group_commits_total": float64(st.GroupCommits), "egobw_coalesced_batches_total": float64(st.CoalescedBatches),
+			"egobw_write_rejects_total": float64(st.WriteRejects), "egobw_compactions_total": float64(st.Compactions),
+			"egobw_audited_total": float64(st.Audited), "egobw_audit_mismatches_total": float64(st.AuditMismatches),
+			"egobw_scores_copied_total": float64(st.ScoresCopied),
+			"egobw_checkpoints_total":   float64(st.Checkpoints), "egobw_inserts_total": float64(st.Inserts),
 			"egobw_deletes_total": float64(st.Deletes), "egobw_expired_edges_total": float64(st.ExpiredEdges),
 			"egobw_epoch": float64(st.Epoch), "egobw_vertices": float64(st.N), "egobw_edges": float64(st.M),
 			"egobw_overlay_depth": float64(st.OverlayDepth), "egobw_write_queue_depth": float64(st.WriteQueueDepth),
@@ -186,10 +186,10 @@ func TestMetricsMatchStats(t *testing.T) {
 			}
 		}
 	}
-	if a := got["egobw_cache_hits_total"]["a"]; a != 2 || got["egobw_exact_queries_total"]["a"] != 1 ||
+	if a := got["egobw_cache_hits_total"]["a"]; a != 3 || got["egobw_approx_queries_total"]["a"] != 1 ||
 		got["egobw_inserts_total"]["a"] == 0 || got["egobw_checkpoints_total"]["a"] == 0 {
-		t.Fatalf("graph a's scrape lost its subject: hits %v, exact queries %v, inserts %v, checkpoints %v", a,
-			got["egobw_exact_queries_total"]["a"], got["egobw_inserts_total"]["a"], got["egobw_checkpoints_total"]["a"])
+		t.Fatalf("graph a's scrape lost its subject: hits %v, approx queries %v, inserts %v, checkpoints %v", a,
+			got["egobw_approx_queries_total"]["a"], got["egobw_inserts_total"]["a"], got["egobw_checkpoints_total"]["a"])
 	}
 
 	if err := reg.Remove("a"); err != nil {
@@ -218,9 +218,10 @@ func TestMetricsEscapeLabels(t *testing.T) {
 }
 
 // TestMetricsHistograms: each computed top-k search is observed once, in its
-// resolved algo's series (base is opt's), a cache hit in none, and each
-// commit once; every series is a well-formed cumulative histogram, an idle
-// graph's included, and a removed graph's series leave the scrape.
+// resolved algo's series (opt and base resolve to scores), a cache hit in
+// none, and each commit once; every series is a well-formed cumulative
+// histogram, an idle graph's included, and a removed graph's series leave
+// the scrape.
 func TestMetricsHistograms(t *testing.T) {
 	s := New(WithLogger(func(string, ...any) {}), WithRegistryOptions(WithDataDir(t.TempDir())))
 	reg := s.Registry()
@@ -235,7 +236,7 @@ func TestMetricsHistograms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoOpt, AlgoApprox, AlgoScores, AlgoScores} {
+	for _, algo := range []string{AlgoOpt, AlgoBase, AlgoScores, AlgoApprox, AlgoApprox, AlgoScores} {
 		if _, err := reg.topK("a", 10, algo); err != nil {
 			t.Fatal(err)
 		}
@@ -246,15 +247,15 @@ func TestMetricsHistograms(t *testing.T) {
 	}
 	got := scrapeHistograms(t, s.Handler())
 	search, commit := got["egobw_topk_search_seconds"], got["egobw_commit_seconds"]
-	if len(search) != 6 || len(commit) != 2 {
-		t.Fatalf("%d search and %d commit series, want 3 algos × 2 graphs and 2", len(search), len(commit))
+	if len(search) != 4 || len(commit) != 2 {
+		t.Fatalf("%d search and %d commit series, want 2 algos × 2 graphs and 2", len(search), len(commit))
 	}
 	want := map[string]float64{
-		`graph="a",algo="opt"`: float64(st.ExactQueries), `graph="a",algo="approx"`: float64(st.ApproxQueries),
-		`graph="a",algo="scores"`: 1, `graph="b\"\\",algo="opt"`: 0,
+		`graph="a",algo="scores"`: 1, `graph="a",algo="approx"`: float64(st.ApproxQueries),
+		`graph="b\"\\",algo="scores"`: 0, `graph="b\"\\",algo="approx"`: 0,
 	}
-	if st.ExactQueries != 1 || st.ApproxQueries != 1 || st.CacheMisses != 3 {
-		t.Fatalf("stats: exact %d, approx %d, misses %d; want 1, 1, 3", st.ExactQueries, st.ApproxQueries, st.CacheMisses)
+	if st.ApproxQueries != 1 || st.CacheMisses != 2 || st.CacheHits != 4 {
+		t.Fatalf("stats: approx %d, misses %d, hits %d; want 1, 2, 4", st.ApproxQueries, st.CacheMisses, st.CacheHits)
 	}
 	for labels, n := range want {
 		if h := search[labels]; h == nil || h.count != n {

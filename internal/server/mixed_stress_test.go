@@ -3,12 +3,14 @@ package server
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -16,9 +18,11 @@ import (
 // TestMixedWorkloadStress runs every serving surface at once against a
 // durable registry — top-k in all algorithms, per-vertex and stats reads,
 // edge batches in both ack modes, Remove/re-Add churn — under -race, with
-// two global assertions: every response's epoch is monotone per graph (per
-// observer), and after a kill injected mid-drain the recovered registry
-// still equals a from-scratch recompute of the durable history.
+// three global assertions: every response's epoch is monotone per graph
+// (per observer), a top-k answer served at the epoch a reader saw published
+// is the library OptBSearch's on that snapshot's view, and after a kill
+// injected mid-drain the recovered registry still equals a from-scratch
+// recompute of the durable history.
 func TestMixedWorkloadStress(t *testing.T) {
 	const scriptLen = 40
 	dir := t.TempDir()
@@ -43,6 +47,10 @@ func TestMixedWorkloadStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	mainEntry, err := victim.get("main")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -73,8 +81,9 @@ func TestMixedWorkloadStress(t *testing.T) {
 		}
 	}()
 
-	// Readers on "main": all snapshot algorithms, per-vertex, stats; each
-	// observer's epochs must be non-decreasing.
+	// Readers on "main": every exact spelling, per-vertex, stats; each
+	// observer's epochs must be non-decreasing, and a top-k answer at the
+	// epoch loaded before it must be the search's on that view.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(seed uint64) {
@@ -91,9 +100,14 @@ func TestMixedWorkloadStress(t *testing.T) {
 				var epoch uint64
 				switch rng.IntN(3) {
 				case 0:
-					res, err := victim.topK("main", 1+rng.IntN(10), algos[rng.IntN(len(algos))])
+					k, snap := 1+rng.IntN(10), mainEntry.snap.Load()
+					res, err := victim.topK("main", k, algos[rng.IntN(len(algos))])
 					if err != nil {
 						t.Errorf("reader topk: %v", err)
+						return
+					}
+					if want, _ := ego.OptBSearch(snap.view, k, ego.DefaultTheta); res.Epoch == snap.epoch && !slices.Equal(res.Results, want) {
+						t.Errorf("reader topk k=%d at epoch %d: %v, OptBSearch %v", k, res.Epoch, res.Results, want)
 						return
 					}
 					epoch = res.Epoch

@@ -113,6 +113,10 @@ func TestOverlayCompactionEquivalence(t *testing.T) {
 			if info.CompactMS <= 0 {
 				t.Fatalf("compact_ms %v must be positive after %d compactions", info.CompactMS, info.Compactions)
 			}
+			if info.Audited == 0 || info.AuditMismatches != 0 {
+				t.Fatalf("%d compactions audited %d scores with %d mismatches (%s)",
+					info.Compactions, info.Audited, info.AuditMismatches, info.AuditFirstMismatch)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

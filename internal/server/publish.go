@@ -2,11 +2,15 @@ package server
 
 // This file publishes snapshots (DESIGN.md §10): the O(batch) overlay
 // publication inside the write lock, the background compactor that flattens
-// the overlay chain, and the full-CSR builds recovery and checkpoints need.
+// the overlay chain and audits the published scores on the flattened CSR,
+// and the full-CSR builds recovery and checkpoints need.
 
 import (
+	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/ego"
 	"repro/internal/graph"
 )
 
@@ -65,15 +69,16 @@ func (e *entry) maybeCompactLocked() {
 	go e.compact(s)
 }
 
-// compact flattens the overlay chain of snap into a fresh base CSR and
-// republishes. The O(n+m) Materialize reads only immutable state, so it
-// runs with no lock held — readers keep reading, the writer keeps
-// publishing layers on top. The swap then happens under e.mu: if the
-// published snapshot is still snap, its view is simply replaced; if drains
-// landed meanwhile, the layers they stacked on top are re-anchored onto the
-// new base (sharing their delta maps), so their O(batch) publications
-// survive the compaction. Epoch and scores are untouched — the graph the
-// snapshot answers for is identical, only its representation changed.
+// compact flattens the overlay chain of snap into a fresh base CSR, audits
+// a slice of snap's scores on it, and republishes. The O(n+m) Materialize
+// and the audit read only immutable state, so they run with no lock held —
+// readers keep reading, the writer keeps publishing layers on top. The
+// swap then happens under e.mu: if the published snapshot is still snap,
+// its view is simply replaced; if drains landed meanwhile, the layers they
+// stacked on top are re-anchored onto the new base (sharing their delta
+// maps), so their O(batch) publications survive the compaction. Epoch and
+// scores are untouched — the graph the snapshot answers for is identical,
+// only its representation changed.
 func (e *entry) compact(snap *snapshot) {
 	ov := snap.overlay()
 	if ov == nil {
@@ -82,6 +87,8 @@ func (e *entry) compact(snap *snapshot) {
 	}
 	t0 := time.Now()
 	g := ov.Materialize(e.workers)
+	flat := time.Since(t0)
+	e.audit(snap, g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.compacting.Store(false)
@@ -108,7 +115,38 @@ func (e *entry) compact(snap *snapshot) {
 	}
 	e.snap.Store(cur.withView(nview))
 	e.compactions.Add(1)
-	e.lastCompactNs.Store(time.Since(t0).Nanoseconds())
+	e.lastCompactNs.Store(flat.Nanoseconds())
+}
+
+// audit recomputes fresh published scores of snap with the kernel on g, the
+// CSR just flattened from snap's view, and holds each to its bits at ==:
+// every maintained score is the kernel's fold, so a difference is a
+// maintenance fault (DESIGN.md §10). It walks on from where the previous
+// audit stopped, charging each vertex its ego-build price Σ_{u∈N(v)} d(u),
+// until the charge reaches the CSR's 2m, auditing one score at least. A
+// stale score (ModeLazy) is a bound: it is skipped uncharged. Only the
+// compactor holding compacting calls it, so auditNext has one writer, and
+// n never shrinks, so auditNext < n.
+func (e *entry) audit(snap *snapshot, g *graph.Graph) {
+	s := egoScratch.Get().(*ego.Scratch)
+	defer egoScratch.Put(s)
+	n, v := g.NumVertices(), e.auditNext
+	var spent, audited int64
+	for i := int32(0); i < n && (audited == 0 || spent < 2*g.NumEdges()); i, v = i+1, (v+1)%n {
+		if snap.scores.Stale(v) {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			spent += int64(g.Degree(u))
+		}
+		if got, want := ego.EgoBetweenness(g, v, s), snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
+			e.auditFirst.Store(fmt.Sprintf("vertex %d at epoch %d: published %#016x, kernel %#016x",
+				v, snap.epoch, math.Float64bits(want), math.Float64bits(got)))
+		}
+		audited++
+	}
+	e.auditNext = v
+	e.audited.Add(audited)
 }
 
 // fullGraphLocked returns the full CSR of the published snapshot, forcing a

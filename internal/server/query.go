@@ -21,8 +21,8 @@ import (
 const (
 	AlgoAuto   = "auto"   // scores, or approx when an approx knob is set
 	AlgoScores = "scores" // the published scores: selected, or in ModeLazy searched over their stale bounds
-	AlgoOpt    = "opt"    // OptBSearch on the snapshot CSR
-	AlgoBase   = "base"   // an alias of opt: BaseBSearch's answer is OptBSearch's to the bit
+	AlgoOpt    = "opt"    // an alias of scores: OptBSearch's answer to the bit
+	AlgoBase   = "base"   // an alias of scores: BaseBSearch's answer is OptBSearch's to the bit
 	AlgoApprox = "approx" // sampled estimator with (ε, δ) bounds (internal/approx)
 )
 
@@ -153,8 +153,8 @@ type TopKResult struct {
 
 // Explain is the ?explain=1 account of one top-k answer: the microseconds
 // of its stages (search 0 on a hit; the handler times the encode) and what
-// the search did — SearchStats for opt (and so base) and a seeded scores read,
-// whose Computed counts stale kernels, or approx.Stats.
+// the search did — SearchStats for a seeded scores read, whose Computed
+// counts stale kernels, or approx.Stats.
 type Explain struct {
 	ResolveUS float64          `json:"resolve_us"`
 	CacheUS   float64          `json:"cache_us"`
@@ -193,10 +193,11 @@ type TopKQuery struct {
 // resolveQuery validates q against snap and returns the cache key that
 // identifies its answer there: k clamped, "auto" (or "") replaced by the
 // published scores — or the approx tier when an approx knob is set
-// explicitly — "base" replaced by "opt", and every unset knob replaced by
-// its default, so a query that spells a default out and one that leaves it
-// unset share an entry. Out-of-range values and unknown algos are
-// rejected, never rewritten.
+// explicitly — "opt" and "base" replaced by "scores", whose answer is
+// theirs to the bit (every published score is the kernel's), and every
+// unset knob replaced by its default, so a query that spells a default out
+// and one that leaves it unset share an entry. Out-of-range values and
+// unknown algos are rejected, never rewritten.
 func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 	k, algo := q.K, q.Algo
 	if k < 1 {
@@ -215,9 +216,9 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 		if approxKnobs {
 			algo = AlgoApprox
 		}
-	case AlgoBase:
-		algo = AlgoOpt
-	case AlgoScores, AlgoOpt, AlgoApprox:
+	case AlgoOpt, AlgoBase:
+		algo = AlgoScores
+	case AlgoScores, AlgoApprox:
 	default:
 		return cacheKey{}, fmt.Errorf("server: unknown algo %q", algo)
 	}
@@ -253,13 +254,12 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 // call on the snapshot's view, lock-free. AlgoScores selects the k best
 // published scores; in ModeLazy it runs the seeded search, which recomputes
 // on the view only the stale candidates that could enter the answer.
-// AlgoOpt (which AlgoBase resolves to) is OptBSearch at ego.DefaultTheta.
-// AlgoApprox estimates are a
-// pure function of (seed, vertex id, adjacency), so frozen and overlay
-// snapshots of the same graph answer bit-identically. Answers are cached
-// per (k, algo, ε, δ, seed) in the snapshot they were computed against, so
-// an epoch swap invalidates them wholesale. A search whose request context
-// is done stops and returns its error, caching nothing.
+// AlgoApprox estimates are a pure function of (seed, vertex id, adjacency),
+// so frozen and overlay snapshots of the same graph answer bit-identically.
+// Answers are cached per (k, algo, ε, δ, seed) in the snapshot they were
+// computed against, so an epoch swap invalidates them wholesale. A search
+// (seeded or approx) whose request context is done stops and returns its
+// error, caching nothing.
 func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	var ex *Explain
 	if q.explain {
@@ -312,18 +312,6 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 			return TopKResult{}, err
 		}
 		cr.res = res
-		if ex != nil {
-			ex.Search = &st
-		}
-	case AlgoOpt:
-		res, st, err := ego.SearchContext(ctx, snap.view, key.k)
-		if err != nil {
-			return TopKResult{}, err
-		}
-		cr.res = res
-		e.exactQueries.Add(1)
-		e.exactComputed.Add(st.Computed)
-		e.exactPruned.Add(st.Pruned)
 		if ex != nil {
 			ex.Search = &st
 		}
@@ -381,8 +369,8 @@ type VertexResult struct {
 }
 
 // egoScratch pools the recomputation scratch (vertex → local id table and
-// the dense per-ego arrays of ego.EgoBetweenness) of the per-vertex read of
-// a stale vertex, so the steady state allocates nothing per query.
+// the dense per-ego arrays of ego.EgoBetweenness) of a stale vertex's read
+// and of the compactor's audit, so the steady state allocates nothing.
 // The scratch grows to any graph's vertex count and is safe to share
 // across graphs; a sync.Pool keeps one per P under load.
 var egoScratch = sync.Pool{New: func() any { return ego.NewScratch(0) }}

@@ -108,11 +108,12 @@ type entry struct {
 	approxQueries atomic.Int64
 	approxSamples atomic.Int64
 
-	// Exact-search accounting: AlgoOpt searches computed (cache hits
-	// excluded) and their SearchStats' Computed and Pruned in total.
-	exactQueries  atomic.Int64
-	exactComputed atomic.Int64
-	exactPruned   atomic.Int64
+	// The compactor's audit (entry.audit): where the next one starts, the
+	// scores audited, those that differed, and the first difference (string).
+	auditNext       int32
+	audited         atomic.Int64
+	auditMismatches atomic.Int64
+	auditFirst      atomic.Value
 
 	// Latency instruments, rendered by GET /metrics: the search of each
 	// cache miss by resolved algo (in searchAlgos' order), and every

@@ -31,6 +31,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -357,49 +358,21 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	k := 10
-	if qs := q.Get("k"); qs != "" {
-		v, err := strconv.Atoi(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q: %w", qs, err))
-			return
-		}
-		k = v
-	}
-	tq := TopKQuery{K: k, Algo: q.Get("algo"), ctx: r.Context()}
-	if qs := q.Get("explain"); qs != "" {
-		v, err := strconv.ParseBool(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad explain %q (want 1 or 0)", qs))
-			return
-		}
-		tq.explain = v
-	}
+	tq := TopKQuery{K: 10, Algo: q.Get("algo"), ctx: r.Context()}
 	// Range validation lives in Registry.TopKQ, so the HTTP and the library
 	// surface reject exactly the same values.
-	if qs := q.Get("eps"); qs != "" {
-		v, err := strconv.ParseFloat(qs, 64)
+	float := func(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
+	for _, err := range []error{
+		param(q, "k", "int", strconv.Atoi, &tq.K),
+		param(q, "explain", "1 or 0", strconv.ParseBool, &tq.explain),
+		param(q, "eps", "float in (0, 1)", float, &tq.Eps),
+		param(q, "conf", "float in (0, 1)", float, &tq.Conf),
+		param(q, "seed", "uint64", func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }, &tq.Seed),
+	} {
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad eps %q (want float in (0, 1))", qs))
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		tq.Eps = v
-	}
-	if qs := q.Get("conf"); qs != "" {
-		v, err := strconv.ParseFloat(qs, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad conf %q (want float in (0, 1))", qs))
-			return
-		}
-		tq.Conf = v
-	}
-	if qs := q.Get("seed"); qs != "" {
-		v, err := strconv.ParseUint(qs, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad seed %q (want uint64)", qs))
-			return
-		}
-		tq.Seed = v
 	}
 	res, err := s.reg.TopKQ(r.PathValue("name"), tq)
 	if err != nil {
@@ -416,6 +389,20 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		res.Explain.EncodeUS = float64(time.Since(t0).Nanoseconds()) / 1e3
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// param parses query parameter name into *dst unless it is absent or empty.
+func param[T any](q url.Values, name, want string, parse func(string) (T, error), dst *T) error {
+	v := q.Get(name)
+	if v == "" {
+		return nil
+	}
+	x, err := parse(v)
+	if err != nil {
+		return fmt.Errorf("bad %s %q (want %s)", name, v, want)
+	}
+	*dst = x
+	return nil
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {

@@ -160,12 +160,12 @@ func TestServeLifecycle(t *testing.T) {
 	edges = removeEdge(edges, [2]int32{0, 2})
 
 	// The post-update top-k must match a fresh exact computation, through
-	// every serving algorithm; base is opt's search under another name, so
-	// after opt it hits opt's entry.
+	// every exact spelling; opt and base are aliases of scores, so they hit
+	// its entry.
 	for _, c := range []struct {
 		algo, served string
 		cached       bool
-	}{{AlgoScores, AlgoScores, false}, {AlgoOpt, AlgoOpt, false}, {AlgoBase, AlgoOpt, true}} {
+	}{{AlgoScores, AlgoScores, false}, {AlgoOpt, AlgoScores, true}, {AlgoBase, AlgoScores, true}} {
 		url := fmt.Sprintf("%s/graphs/karate/topk?k=5&algo=%s", ts.URL, c.algo)
 		if code := doJSON(t, "GET", url, nil, &tk); code != http.StatusOK {
 			t.Fatalf("topk %s: status %d", c.algo, code)
@@ -279,7 +279,7 @@ func TestServeGeneratorAndDataset(t *testing.T) {
 	if code := doJSON(t, "GET", ts.URL+"/graphs/ba/topk?k=10&algo=opt", nil, &tk); code != http.StatusOK {
 		t.Fatalf("topk: status %d", code)
 	}
-	if tk.Algo != AlgoOpt || len(tk.Results) != 10 {
+	if tk.Algo != AlgoScores || len(tk.Results) != 10 {
 		t.Fatalf("topk: unexpected %+v", tk)
 	}
 

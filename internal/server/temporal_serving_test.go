@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ship"
+	"repro/internal/store"
 )
 
 // The sliding-window serving suite (DESIGN.md §14): expiry must happen only
@@ -558,6 +561,73 @@ func TestWindowedReplicaEquivalence(t *testing.T) {
 			}
 			if info.ExpiryBatches != 0 {
 				t.Fatalf("follower synthesized %d expiry batches; expiry is the leader's job", info.ExpiryBatches)
+			}
+		})
+	}
+}
+
+// TestWindowOverflowRecoversUnwindowed: a checkpoint whose temporal section
+// is intact and checksummed but names a window no time.Duration holds — 2⁶³
+// ms, which int64 reads as negative, and 10¹³ ms, which overflows on the
+// conversion to nanoseconds — recovers without a panic, serving the graph
+// unwindowed with a recover_reason, the same exact answers, and writes.
+func TestWindowOverflowRecoversUnwindowed(t *testing.T) {
+	for _, windowMS := range []uint64{1 << 63, 1e13} {
+		t.Run(fmt.Sprint(windowMS), func(t *testing.T) {
+			clk := &fakeClock{}
+			clk.set(1_000_000)
+			dir := t.TempDir()
+			base := gen.BarabasiAlbert(60, 3, 9)
+			victim := durableRegistry(dir, WithClock(clk.now))
+			if _, err := victim.AddWindowed("g", base, ModeLocal, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := victim.applyEdges("g", [][2]int32{{0, 59}}, true); err != nil {
+				t.Fatal(err)
+			}
+			victim.Close()
+
+			paths, err := filepath.Glob(filepath.Join(dir, "*", "snapshot.ebws"))
+			if err != nil || len(paths) != 1 {
+				t.Fatalf("snapshot files %v, err %v", paths, err)
+			}
+			st, rec, err := store.Open(filepath.Dir(paths[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Stamps == nil {
+				t.Fatalf("the checkpoint carries no temporal section (err %v): the test lost its subject", rec.StampsErr)
+			}
+			img := store.EncodeSnapshotFull(rec.Graph, rec.Meta, rec.State, nil,
+				&store.TemporalState{WindowMS: windowMS, Stamps: rec.Stamps.Stamps})
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(paths[0], img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reborn := durableRegistry(dir, WithClock(clk.now))
+			defer reborn.Close()
+			if _, err := reborn.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			info, err := reborn.Info("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Window != "" || !strings.Contains(info.RecoverReason, "serving unwindowed") ||
+				!strings.Contains(info.RecoverReason, "exceeds the longest duration") {
+				t.Fatalf("recovered window %q, reason %q; want unwindowed with the window named", info.Window, info.RecoverReason)
+			}
+			want := stateAfter(base, []scriptBatch{{insert: true, edges: [][2]int32{{0, 59}}}}, 1)
+			assertRecovered(t, reborn, "g", ModeLocal, want)
+			clk.advance(10 * 60_000) // past the old window: nothing expires now
+			if _, err := reborn.applyEdges("g", [][2]int32{{1, 58}}, true); err != nil {
+				t.Fatal(err)
+			}
+			if info, _ := reborn.Info("g"); info.M != want.NumEdges()+1 || info.ExpiredEdges != 0 {
+				t.Fatalf("after a write: m=%d expired=%d, want m=%d and nothing expired", info.M, info.ExpiredEdges, want.NumEdges()+1)
 			}
 		})
 	}

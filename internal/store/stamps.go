@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -92,11 +93,15 @@ func appendStampsPayload(buf []byte, ts *TemporalState) []byte {
 	return appendWords(buf, ts.Stamps)
 }
 
+// maxWindowMS is the longest window a time.Duration holds, in milliseconds.
+const maxWindowMS = math.MaxInt64 / 1_000_000
+
 // DecodeSnapshotStamps extracts the temporal section of a snapshot image, or
 // (nil, nil) when the snapshot carries none (every version-1 file, and
 // version-2 files checkpointed without a window). An error means the section
-// is present but unusable — the caller serves the graph unwindowed and
-// reports it, rather than expiring on fabricated stamps. The returned stamp
+// is present but unusable — a window longer than a time.Duration holds
+// included — and the caller serves the graph unwindowed and reports it,
+// rather than expiring on fabricated stamps. The returned stamp
 // slice is a copy, so it outlives data, which a Store unmaps on Close.
 func DecodeSnapshotStamps(data []byte) (*TemporalState, error) {
 	sec, err := findSection(data, sectionStamps)
@@ -110,6 +115,9 @@ func DecodeSnapshotStamps(data []byte) (*TemporalState, error) {
 	ts := &TemporalState{WindowMS: binary.LittleEndian.Uint64(payload[0:8])}
 	if ts.WindowMS == 0 {
 		return nil, fmt.Errorf("store: temporal section with zero window")
+	}
+	if ts.WindowMS > maxWindowMS {
+		return nil, fmt.Errorf("store: temporal window of %d ms exceeds the longest duration, %d ms", ts.WindowMS, uint64(maxWindowMS))
 	}
 	secM := binary.LittleEndian.Uint64(payload[8:16])
 	if m := binary.LittleEndian.Uint64(data[24:32]); secM != m {

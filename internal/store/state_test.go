@@ -373,10 +373,7 @@ func TestCheckpointWithStateStoreCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mustOpen(t, dir)
 	if rec.StateErr != nil {
 		t.Fatalf("state decode error: %v", rec.StateErr)
 	}

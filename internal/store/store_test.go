@@ -112,10 +112,7 @@ func TestStoreTornTailRepair(t *testing.T) {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	s2.Close()
-	_, rec3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec3 := mustOpen(t, dir)
 	if rec3.TornBytes != 0 || len(rec3.Tail) != 2 {
 		t.Fatalf("after repair: torn=%d tail=%d, want 0/2", rec3.TornBytes, len(rec3.Tail))
 	}
@@ -149,10 +146,7 @@ func TestStoreCheckpoint(t *testing.T) {
 	}
 	s.Close()
 
-	_, rec, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mustOpen(t, dir)
 	if rec.Meta.Seq != 2 || rec.Meta.Mode != 1 {
 		t.Fatalf("recovered meta = %+v", rec.Meta)
 	}
@@ -200,10 +194,7 @@ func TestStoreCrashHooks(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 		s.Close()
-		_, rec, err := Open(s.Dir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := mustOpen(t, s.Dir())
 		if len(rec.Tail) != 1 { // the crashed batch was never logged
 			t.Fatalf("tail = %+v, want 1 batch", rec.Tail)
 		}
@@ -215,10 +206,7 @@ func TestStoreCrashHooks(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 		s.Close()
-		_, rec, err := Open(s.Dir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := mustOpen(t, s.Dir())
 		if len(rec.Tail) != 2 { // durable despite the crash: must be replayed
 			t.Fatalf("tail = %+v, want 2 batches", rec.Tail)
 		}
@@ -243,10 +231,7 @@ func TestStoreCrashHooks(t *testing.T) {
 				t.Fatalf("err = %v", err)
 			}
 			s.Close()
-			_, rec, err := Open(s.Dir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			rec := mustOpen(t, s.Dir())
 			if rec.Meta.Seq != tc.snapSeq {
 				t.Fatalf("snapshot seq = %d, want %d", rec.Meta.Seq, tc.snapSeq)
 			}
@@ -449,8 +434,8 @@ func TestStoreShortWALRecovered(t *testing.T) {
 				t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 			}
 			s2.Close()
-			if _, rec3, err := Open(dir); err != nil || len(rec3.Tail) != 1 {
-				t.Fatalf("reopen after repair: %v", err)
+			if rec3 := mustOpen(t, dir); len(rec3.Tail) != 1 {
+				t.Fatalf("reopen after repair: tail %+v, want 1 batch", rec3.Tail)
 			}
 		})
 	}
@@ -480,4 +465,16 @@ func TestStoreCreateFailureLeavesNothing(t *testing.T) {
 // one wraps a single batch as the group AppendBatches takes.
 func one(insert bool, edges [][2]int32) []BatchSpec {
 	return []BatchSpec{{Insert: insert, Edges: edges}}
+}
+
+// mustOpen opens dir, failing the test on an error, and closes the Store —
+// its lock, WAL handle and snapshot mapping — when the test ends.
+func mustOpen(t *testing.T, dir string) *Recovered {
+	t.Helper()
+	s, rec, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return rec
 }
