@@ -44,7 +44,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -110,26 +109,15 @@ func setup(cfg config) (*server.Server, error) {
 	srv := server.New(server.WithRegistryOptions(regOpts...))
 
 	if cfg.dataDir != "" {
-		infos, err := srv.Registry().Recover()
-		if err != nil {
-			// A per-graph failure poisons only that graph: log it, serve the
-			// rest. Anything else (unreadable directory, foreign files) is
-			// still fatal — the data dir itself is suspect.
+		// Recover logs each graph's outcome. A per-graph failure poisons
+		// only that graph: serve the rest. Anything else (unreadable
+		// directory, foreign files) is still fatal — the data dir itself is
+		// suspect.
+		if _, err := srv.Registry().Recover(); err != nil {
 			var recErr *server.RecoverError
 			if !errors.As(err, &recErr) {
 				return nil, fmt.Errorf("recover %s: %w", cfg.dataDir, err)
 			}
-			for _, f := range recErr.Failures {
-				log.Printf("egobwd: recover %q failed, skipping: %v", f.Graph, f.Err)
-			}
-		}
-		for _, info := range infos {
-			line := fmt.Sprintf("egobwd: recovered %q mode=%s n=%d m=%d wal_seq=%d snapshot_seq=%d recover_path=%s",
-				info.Name, info.Mode, info.N, info.M, info.WALSeq, info.SnapshotSeq, info.RecoverPath)
-			if info.RecoverReason != "" {
-				line += " reason=" + strconv.Quote(info.RecoverReason)
-			}
-			log.Print(line)
 		}
 	}
 

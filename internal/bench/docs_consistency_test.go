@@ -272,6 +272,7 @@ var retiredSymbols = []string{
 	"AlgoLazy", "LazyK", "LazyState", "NewLazyTopKFromState", "setMaintainer",
 	"appendLazyPayload", "decodeLazyPayload", "aliasBools",
 	"bucketKey", "temporalBuckets", "MaxDegree",
+	"fullGraphLocked", "buildFullSnapshot",
 }
 
 // TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz

@@ -152,28 +152,26 @@ func (o *Overlay) Materialize(workers int) *Graph {
 // exactly the graph `at` described (its Materialize result). It walks the
 // chain newest-first collecting layers until it reaches `at` — the compacted
 // overlay itself or the old base — and rebuilds those layers, sharing their
-// delta maps, on the new base. ok is false when `at` is not in this chain
-// (a concurrent compaction already replaced it), in which case the caller
-// must discard g.
-func (o *Overlay) Rebase(at View, g *Graph) (v View, ok bool) {
+// delta maps, on the new base. `at` must be in this chain: the compactor is
+// the only code that replaces a chain, one at a time, so a chain published
+// after its flatten began still holds the view it flattened.
+func (o *Overlay) Rebase(at View, g *Graph) View {
 	var layers []*Overlay
-	cur := o
-	for View(cur) != at {
+	for cur := o; View(cur) != at; cur = cur.parent {
 		layers = append(layers, cur)
 		if cur.parent == nil {
 			if View(cur.base) != at {
-				return nil, false
+				panic("graph: Rebase target is not in the overlay chain")
 			}
 			break
 		}
-		cur = cur.parent
 	}
 	var nv View = g
 	for i := len(layers) - 1; i >= 0; i-- {
 		l := layers[i]
 		nv = NewOverlay(nv, l.n, l.m, l.delta)
 	}
-	return nv, true
+	return nv
 }
 
 // exportCSR builds an immutable CSR graph of n vertices and m undirected

@@ -168,13 +168,13 @@ func (t *TemporalIndex) down(i int) {
 	}
 }
 
-// ExportStamps returns g's per-edge stamps in canonical edge order — the
-// temporal section's persisted shape. Every edge of g must be stamped; an
-// unstamped edge is a sidecar/graph divergence and errors.
-func (t *TemporalIndex) ExportStamps(g *Graph) ([]int64, error) {
+// ExportStamps returns the per-edge stamps of g, any view, in canonical
+// edge order — the temporal section's persisted shape. Every edge of g must
+// be stamped; an unstamped edge is a sidecar/graph divergence and errors.
+func (t *TemporalIndex) ExportStamps(g View) ([]int64, error) {
 	out := make([]int64, 0, g.NumEdges())
 	var err error
-	g.EachEdge(func(u, v int32) bool {
+	EachEdgeIn(g, func(u, v int32) bool {
 		ts, ok := t.stamps[[2]int32{u, v}]
 		if !ok {
 			err = fmt.Errorf("graph: edge (%d,%d) has no temporal stamp", u, v)

@@ -100,9 +100,7 @@ func TestExactAlgosByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.mu.Lock()
-			e.fullGraphLocked()
-			e.mu.Unlock()
+			compactNow(t, e)
 			if overlayDepth() != 0 {
 				t.Fatalf("overlay depth %d after a compaction", overlayDepth())
 			}

@@ -42,17 +42,16 @@ func compactNow(t *testing.T, e *entry) {
 
 // TestAuditReportsFlippedScore: a published score one ulp off the kernel's —
 // a hub's or an ordinary vertex's, in either mode — is reported within
-// ⌈Σd²/2m⌉+1 compactions, the lap bound of the audit's 2m budget, even when
-// the audit starts just past it; the report names the vertex and both bit
-// patterns. Each compaction flattens a drain that toggles an edge outside
-// the vertex's ego, so its score stays flipped in every later publication.
+// auditLapBound compactions, the lap bound of the audit's 2m budget, even
+// when the audit starts just past it; the report names the vertex and both
+// bit patterns. Each compaction flattens a drain that toggles an edge
+// outside the vertex's ego, so its score stays flipped in every later
+// publication.
 func TestAuditReportsFlippedScore(t *testing.T) {
 	base := gen.ChungLu(600, 2.2, 5.3, 60, 3)
-	var sumSq int64
 	hub, plain := int32(0), int32(-1) // the largest degree; a small one that scores
 	for v := int32(0); v < base.NumVertices(); v++ {
 		d := base.Degree(v)
-		sumSq += int64(d) * int64(d)
 		if d > base.Degree(hub) {
 			hub = v
 		}
@@ -60,14 +59,12 @@ func TestAuditReportsFlippedScore(t *testing.T) {
 			plain = v
 		}
 	}
-	// Deleting the toggled edge lowers 2m by 2: the bound charges the base
-	// graph's Σd² against that smaller budget.
-	bound := int((sumSq+2*base.NumEdges()-3)/(2*base.NumEdges()-2)) + 1
 	for _, mode := range []string{ModeLocal, ModeLazy} {
 		for _, v := range []int32{hub, plain} {
 			t.Run(fmt.Sprintf("%s/v%d_d%d", mode, v, base.Degree(v)), func(t *testing.T) {
 				reg, e := addAuditGraph(t, base, mode)
 				toggle := edgeOutsideEgo(t, base, v)
+				bound := auditLapBound(t, base, toggle)
 
 				e.mu.Lock()
 				all := e.m.All()
@@ -114,6 +111,35 @@ func TestAuditReportsFlippedScore(t *testing.T) {
 			})
 		}
 	}
+}
+
+// auditLapBound is the number of compactions within which the audit reaches
+// every vertex wherever its cursor starts, when each compaction flattens g
+// or g less toggle: ⌈Σ_v c(v) / 2m'⌉+1, with c(v) the larger of v's audit
+// charges on the two graphs — its ego build's scan Σ_{u∈N(v)} d(u) plus
+// ego.Scratch.Price — and 2m' the smaller graph's budget.
+func auditLapBound(t *testing.T, g *graph.Graph, toggle [2]int32) int {
+	t.Helper()
+	d := graph.DynFromGraph(g)
+	if err := d.DeleteEdge(toggle[0], toggle[1]); err != nil {
+		t.Fatal(err)
+	}
+	cut := d.Freeze(1)
+	s := ego.NewScratch(g.NumVertices())
+	charge := func(g *graph.Graph, v int32) int64 {
+		nu, off, adj := s.EgoCSR(g, v)
+		c := s.Price(off, adj)
+		for _, u := range nu {
+			c += int64(g.Degree(u))
+		}
+		return c
+	}
+	var lap int64
+	for v := range g.NumVertices() {
+		lap += max(charge(g, v), charge(cut, v))
+	}
+	budget := 2 * cut.NumEdges()
+	return int((lap+budget-1)/budget) + 1
 }
 
 // edgeOutsideEgo returns an edge of g whose insertion or deletion leaves

@@ -7,12 +7,13 @@ import "time"
 // GraphInfo summarizes one served graph.
 //
 // PublishMS is how long the currently served snapshot's publication took:
-// the initial all-vertices computation for epoch 1, the O(batch) overlay
-// publication inside the write lock for later epochs. CompactMS is the last
-// compaction's wall-clock — the O(n+m) flatten of the overlay chain into a
-// fresh base CSR, run off the write path (or forced synchronously by a
-// checkpoint). BuildWorkers is the worker budget compactions and freezes
-// shard across.
+// for the first snapshot of a loaded or recovered graph, the whole build
+// (maintainer, tail replay, base CSR); for later epochs, the O(batch)
+// overlay publication inside the write lock. CompactMS is the background
+// compactor's last flatten of the overlay chain into a fresh base CSR, run
+// off the write path; Compactions counts those flattens. Both are 0 at load
+// and after recovery, until the compactor first runs. BuildWorkers is the
+// worker budget compactions and freezes shard across.
 type GraphInfo struct {
 	Name         string  `json:"name"`
 	Mode         string  `json:"mode"`

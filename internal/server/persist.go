@@ -20,6 +20,7 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"slices"
 	"strings"
 	"time"
@@ -86,10 +87,10 @@ func (e *entry) maintainerState() *store.MaintainerState {
 // so: every ckptBatches update batches (a group commit counts each batch it
 // carried) or once the WAL passes ckptBytes. The on-disk format is a full
 // CSR plus the maintainer-state section, unchanged by the overlay scheme:
-// the checkpoint takes its graph from the compactor — fullGraphLocked forces
-// a synchronous compaction when the served view is still an overlay chain,
-// and the flattened CSR is republished so the work also pays down the read
-// path. Callers hold e.mu.
+// the checkpoint encodes the maintainer's live graph, which e.mu holds at
+// exactly the state the WAL reaches, row by row into the CSR layout. It
+// leaves the served view alone — flattening an overlay chain is the
+// compactor's. Callers hold e.mu.
 func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) error {
 	if e.st == nil {
 		return nil
@@ -99,7 +100,7 @@ func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) e
 	if e.sinceCkpt < ckptBatches && e.st.WALBytes() < ckptBytes {
 		return nil
 	}
-	g := e.fullGraphLocked()
+	g := e.m.Graph()
 	// A windowed graph checkpoints its temporal sidecar alongside the CSR,
 	// so recovery keeps expiring from the exact per-edge stamps. A sidecar
 	// that cannot produce a stamp for every graph edge is a divergence bug,
@@ -186,9 +187,10 @@ func (e *RecoverError) Unwrap() []error {
 //
 // One broken graph does not abort the boot: every remaining graph is still
 // recovered and served, and the failures come back collected in a
-// *RecoverError alongside the successful summaries — the daemon logs them
-// and keeps the healthy graphs online rather than refusing to start over
-// one bad directory.
+// *RecoverError alongside the successful summaries — the daemon keeps the
+// healthy graphs online rather than refusing to start over one bad
+// directory. Each graph's outcome is one slog line: its recover_path and
+// recover_reason, or the error.
 func (r *Registry) Recover() ([]GraphInfo, error) {
 	if r.dataDir == "" {
 		return nil, nil
@@ -202,9 +204,13 @@ func (r *Registry) Recover() ([]GraphInfo, error) {
 	for _, name := range names {
 		gi, err := r.recoverOne(name)
 		if err != nil {
+			slog.Error("graph recovery failed", "graph", name, "err", err)
 			failures = append(failures, RecoverFailure{Graph: name, Err: err})
 			continue
 		}
+		slog.Info("graph recovered", "graph", name, "mode", gi.Mode, "n", gi.N, "m", gi.M,
+			"wal_seq", gi.WALSeq, "snapshot_seq", gi.SnapshotSeq,
+			"recover_path", gi.RecoverPath, "recover_reason", gi.RecoverReason)
 		infos = append(infos, gi)
 	}
 	if len(failures) > 0 {
@@ -309,10 +315,7 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 	// batch sequence across restarts instead of snapping back to 1. The
 	// recovered view is a fully compacted CSR: replay dirtied state that no
 	// previous publication exists to overlay on.
-	s := e.buildFullSnapshot(lastSeq + 1)
-	s.publishDur = time.Since(t0)
-	e.lastCompactNs.Store(s.publishDur.Nanoseconds())
-	e.snap.Store(s)
+	e.publishBase(lastSeq+1, e.m.Graph().Freeze(e.workers), t0)
 	e.sinceCkpt = len(rec.Tail)
 	e.replSeq.Store(lastSeq)
 	if r.leader != "" {

@@ -1,9 +1,10 @@
 package server
 
-// This file publishes snapshots (DESIGN.md §10): the O(batch) overlay
-// publication inside the write lock, the background compactor that flattens
-// the overlay chain and audits the published scores on the flattened CSR,
-// and the full-CSR builds recovery and checkpoints need.
+// This file publishes snapshots (DESIGN.md §10): the first snapshot of a
+// loaded or recovered graph on its base CSR, the O(batch) overlay
+// publication inside the write lock, and the background compactor — the one
+// code path that flattens an overlay chain — which audits the published
+// scores on the CSR it flattened.
 
 import (
 	"fmt"
@@ -32,21 +33,15 @@ func (e *entry) publishLocked(epoch uint64) {
 	e.snap.Store(s)
 }
 
-// buildFullSnapshot freezes the maintainer's current graph and scores into
-// a fully compacted snapshot — a standalone CSR, no overlay. Recovery uses
-// it to seed the first published view; the steady-state write path
-// publishes overlays instead. It resets the maintainer's dirty tracking,
-// which the freeze subsumes. Callers must hold e.mu or own the entry
-// exclusively.
-func (e *entry) buildFullSnapshot(epoch uint64) *snapshot {
-	t0 := time.Now()
-	dyn := e.m.Graph()
-	dyn.TakeDirty()
+// publishBase publishes epoch's snapshot on g, a CSR holding the
+// maintainer's current graph, with the maintainer's scores: the first
+// snapshot of a loaded or recovered graph, timed from t0, where building the
+// maintainer began. It resets the maintainer's dirty tracking, which a
+// fresh base subsumes. Callers hold e.mu or own the entry exclusively.
+func (e *entry) publishBase(epoch uint64, g *graph.Graph, t0 time.Time) {
+	e.m.Graph().TakeDirty()
 	e.m.TakeDirtyScores()
-	s := &snapshot{epoch: epoch, view: dyn.Freeze(e.workers), scores: newScoreVec(e.m.All(), e.m.Stale())}
-	s.publishDur = time.Since(t0)
-	e.lastCompactNs.Store(s.publishDur.Nanoseconds())
-	return s
+	e.snap.Store(&snapshot{epoch: epoch, view: g, scores: newScoreVec(e.m.All(), e.m.Stale()), publishDur: time.Since(t0)})
 }
 
 // maybeCompactLocked checks the compaction policy against the just-published
@@ -73,20 +68,16 @@ func (e *entry) maybeCompactLocked() {
 // a slice of snap's scores on it, and republishes. The O(n+m) Materialize
 // and the audit read only immutable state, so they run with no lock held —
 // readers keep reading, the writer keeps publishing layers on top. The
-// swap then happens under e.mu: if the published snapshot is still snap,
-// its view is simply replaced; if drains landed meanwhile, the layers they
-// stacked on top are re-anchored onto the new base (sharing their delta
-// maps), so their O(batch) publications survive the compaction. Epoch and
-// scores are untouched — the graph the snapshot answers for is identical,
-// only its representation changed.
+// swap then happens under e.mu: the layers drains stacked on snap's view
+// meanwhile are re-anchored onto the new base (sharing their delta maps),
+// so their O(batch) publications survive the compaction; with none, the
+// new base is the view. Only the compactor replaces a chain and it runs
+// one at a time (compacting), so the published chain still holds snap's
+// view. Epoch and scores are untouched — the graph the snapshot answers
+// for is identical, only its representation changed.
 func (e *entry) compact(snap *snapshot) {
-	ov := snap.overlay()
-	if ov == nil {
-		e.compacting.Store(false)
-		return
-	}
 	t0 := time.Now()
-	g := ov.Materialize(e.workers)
+	g := snap.overlay().Materialize(e.workers)
 	flat := time.Since(t0)
 	e.audit(snap, g)
 	e.mu.Lock()
@@ -95,34 +86,21 @@ func (e *entry) compact(snap *snapshot) {
 	if e.removed {
 		return
 	}
-	// Whatever happens below, drains may have stacked further layers while
-	// this flatten ran (including on a checkpoint-forced base that makes
-	// the Rebase miss) — re-check the policy on the way out so a too-deep
-	// chain cannot outlive the last drain.
-	defer e.maybeCompactLocked()
 	cur := e.snap.Load()
-	var nview graph.View
-	if cur == snap {
-		nview = g
-	} else if curOv := cur.overlay(); curOv != nil {
-		v, ok := curOv.Rebase(snap.view, g)
-		if !ok {
-			return // a checkpoint-forced compaction already replaced the chain
-		}
-		nview = v
-	} else {
-		return // already a full CSR
-	}
-	e.snap.Store(cur.withView(nview))
+	e.snap.Store(cur.withView(cur.overlay().Rebase(snap.view, g)))
 	e.compactions.Add(1)
 	e.lastCompactNs.Store(flat.Nanoseconds())
+	// Drains may have stacked further layers while this flatten ran:
+	// re-check the policy so a too-deep chain cannot outlive the last drain.
+	e.maybeCompactLocked()
 }
 
 // audit recomputes fresh published scores of snap with the kernel on g, the
 // CSR just flattened from snap's view, and holds each to its bits at ==:
 // every maintained score is the kernel's fold, so a difference is a
 // maintenance fault (DESIGN.md §10). It walks on from where the previous
-// audit stopped, charging each vertex its ego-build price Σ_{u∈N(v)} d(u),
+// audit stopped, charging each vertex the steps its kernel runs — the ego
+// build's scan Σ_{u∈N(v)} d(u) plus the counting pass's ego.Scratch.Price —
 // until the charge reaches the CSR's 2m, auditing one score at least. A
 // stale score (ModeLazy) is a bound: it is skipped uncharged. Only the
 // compactor holding compacting calls it, so auditNext has one writer, and
@@ -136,10 +114,12 @@ func (e *entry) audit(snap *snapshot, g *graph.Graph) {
 		if snap.scores.Stale(v) {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
+		nu, off, adj := s.EgoCSR(g, v)
+		for _, u := range nu {
 			spent += int64(g.Degree(u))
 		}
-		if got, want := ego.EgoBetweenness(g, v, s), snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
+		spent += s.Price(off, adj)
+		if got, want := s.ScoreCSR(off, adj), snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
 			e.auditFirst.Store(fmt.Sprintf("vertex %d at epoch %d: published %#016x, kernel %#016x",
 				v, snap.epoch, math.Float64bits(want), math.Float64bits(got)))
 		}
@@ -147,22 +127,4 @@ func (e *entry) audit(snap *snapshot, g *graph.Graph) {
 	}
 	e.auditNext = v
 	e.audited.Add(audited)
-}
-
-// fullGraphLocked returns the full CSR of the published snapshot, forcing a
-// synchronous compaction when the served view is an overlay — checkpoints
-// need a standalone CSR for the unchanged on-disk format, and reusing the
-// forced flatten as the published view means the work is paid once. Callers
-// must hold e.mu.
-func (e *entry) fullGraphLocked() *graph.Graph {
-	s := e.snap.Load()
-	if g, ok := s.view.(*graph.Graph); ok {
-		return g
-	}
-	t0 := time.Now()
-	g := s.overlay().Materialize(e.workers)
-	e.snap.Store(s.withView(g))
-	e.compactions.Add(1)
-	e.lastCompactNs.Store(time.Since(t0).Nanoseconds())
-	return g
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/store"
@@ -102,6 +103,96 @@ func TestRecoveryFastPath(t *testing.T) {
 				t.Fatal("second recovery reported no recover_path")
 			}
 			assertRecovered(t, final, "g", mode, want2)
+		})
+	}
+}
+
+// TestCheckpointKeepsOverlayView: a checkpoint encodes the maintainer's
+// live graph and leaves the served view alone — an overlay at least two
+// layers deep, with the compaction policy off — flattening nothing. The
+// next compaction audits with zero mismatches; the checkpoint recovers on
+// the fast path, its WAL tail replayed, and answers every exact read as the
+// library OptBSearch does on the durable history; and the recovered graph's
+// first compaction audits clean too. Both modes.
+func TestCheckpointKeepsOverlayView(t *testing.T) {
+	for _, mode := range []string{ModeLocal, ModeLazy} {
+		t.Run(mode, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(5, 0xC4E0))
+			base := gen.BarabasiAlbert(80, 3, 5)
+			script := makeScript(rng, graph.DynFromGraph(base), 5)
+			dir := t.TempDir()
+			reg := durableRegistry(dir) // a checkpoint every 3 batches
+			if _, err := reg.Add("g", base, mode, 0); err != nil {
+				t.Fatal(err)
+			}
+			policyOff := func(reg *Registry) *entry {
+				e, err := reg.get("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.mu.Lock()
+				e.maxDepth, e.dirtyRatio = math.MaxInt, 1e9
+				e.mu.Unlock()
+				return e
+			}
+			apply := func(reg *Registry, sb scriptBatch) GraphInfo {
+				t.Helper()
+				if _, err := reg.applyEdges("g", sb.edges, sb.insert); err != nil {
+					t.Fatal(err)
+				}
+				info, err := reg.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info
+			}
+			auditClean := func(reg *Registry, e *entry) {
+				t.Helper()
+				compactNow(t, e)
+				info, err := reg.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.OverlayDepth != 0 || info.Compactions != 1 || info.Audited == 0 || info.AuditMismatches != 0 {
+					t.Fatalf("after one compaction: depth %d, %d compactions audited %d scores, %d mismatches (%s)",
+						info.OverlayDepth, info.Compactions, info.Audited, info.AuditMismatches, info.AuditFirstMismatch)
+				}
+			}
+
+			e := policyOff(reg)
+			apply(reg, script[0])
+			before := apply(reg, script[1])
+			info := apply(reg, script[2])
+			if info.Checkpoints != 1 || info.Compactions != 0 || info.OverlayDepth < 2 || info.OverlayDepth < before.OverlayDepth {
+				t.Fatalf("checkpoint commit: %d checkpoints, %d compactions, overlay depth %d → %d; want one checkpoint over an unflattened chain",
+					info.Checkpoints, info.Compactions, before.OverlayDepth, info.OverlayDepth)
+			}
+			apply(reg, script[3]) // the WAL tail
+			auditClean(reg, e)
+			reg.Close()
+
+			reborn, gi := recoverDir(t, dir)
+			defer reborn.Close()
+			if gi.RecoverPath != "fast" || gi.RecoverReason != "" {
+				t.Fatalf("recover_path=%q reason=%q, want fast with no reason", gi.RecoverPath, gi.RecoverReason)
+			}
+			want := stateAfter(base, script, 4)
+			for _, k := range exactKs(want.NumVertices()) {
+				opt, _ := ego.OptBSearch(want, k, ego.DefaultTheta)
+				for _, algo := range []string{AlgoScores, AlgoOpt} {
+					res, err := reborn.topK("g", k, algo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := encodeJSON(res.Results); !bytes.Equal(got, encodeJSON(opt)) {
+						t.Fatalf("recovered k=%d algo=%s serves\n%s\nOptBSearch\n%s", k, algo, got, encodeJSON(opt))
+					}
+				}
+			}
+			e = policyOff(reborn)
+			apply(reborn, script[4])
+			auditClean(reborn, e)
+			assertRecovered(t, reborn, "g", mode, stateAfter(base, script, 5))
 		})
 	}
 }

@@ -128,8 +128,8 @@ type entry struct {
 	coalescedBatches atomic.Int64
 	writeRejects     atomic.Int64
 
-	// Snapshot-publication accounting (DESIGN.md §10): compactions folded
-	// (background or checkpoint-forced), the last compaction's wall-clock,
+	// Snapshot-publication accounting (DESIGN.md §10): the compactor's
+	// flattens, the last one's wall-clock (both 0 until it first runs),
 	// and the score entries the copy-on-write vector materialized across
 	// all drains (chunk granularity — a drain that changed nothing adds 0).
 	compactions   atomic.Int64
@@ -452,12 +452,7 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, window 
 	}
 	t0 := time.Now()
 	e.m = newMaintainer(mode, g)
-	first := &snapshot{epoch: 1, view: g, scores: newScoreVec(e.m.All(), e.m.Stale())}
-	first.publishDur = time.Since(t0)
-	// The initial all-vertices build is the moral equivalent of a
-	// compaction: it produced the base CSR every later overlay sits on.
-	e.lastCompactNs.Store(first.publishDur.Nanoseconds())
-	e.snap.Store(first)
+	e.publishBase(1, g, t0)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -11,6 +11,7 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/ship"
@@ -80,6 +81,7 @@ func (r *Registry) InstallReplica(name string, snapshot []byte) error {
 		}
 		return fmt.Errorf("server: graph %q: %w", name, err)
 	}
+	slog.Info("replica installed", "graph", name)
 	return nil
 }
 

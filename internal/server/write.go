@@ -7,6 +7,7 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"runtime"
 	"time"
@@ -321,7 +322,7 @@ func (e *entry) commitGroup(r *Registry, group []*writeReq) {
 // drain and the follower's shipped batches alike: one WAL append for every
 // batch (one fsync), the per-batch apply in order, one snapshot publication
 // if anything applied — each result carries the epoch now serving — then
-// the checkpoint and compaction policies.
+// the compaction and checkpoint policies.
 //
 // An error wraps ErrStorage and has already poisoned the pipeline: past it
 // in-memory and durable state may disagree, so admission (ack=async
@@ -368,22 +369,19 @@ func (e *entry) commitLocked(r *Registry, specs []store.BatchSpec) ([]UpdateResu
 	e.groupCommits.Add(1)
 	e.coalescedBatches.Add(int64(len(specs)))
 
-	// Checkpoint before the compaction check: a checkpoint that fires on
-	// this commit forces its own synchronous flatten (fullGraphLocked),
-	// after which the chain is gone and the background trigger no-ops — the
-	// other order would materialize the same chain twice.
-	ckErr := e.maybeCheckpoint(r.ckptBatches, r.ckptBytes, len(specs))
 	e.maybeCompactLocked()
-	if ckErr != nil {
-		return res, e.poison(ckErr)
+	if err := e.maybeCheckpoint(r.ckptBatches, r.ckptBytes, len(specs)); err != nil {
+		return res, e.poison(err)
 	}
 	return res, nil
 }
 
 // poison stops the pipeline after a durability failure or an injected
-// crash and returns the ErrStorage error the failed commit reports.
+// crash, logs the cause, and returns the ErrStorage error the failed commit
+// reports.
 func (e *entry) poison(cause error) error {
 	e.failed.Store(&cause)
+	slog.Error("graph poisoned", "graph", e.name, "cause", cause)
 	return fmt.Errorf("server: graph %q: %w: %w", e.name, ErrStorage, cause)
 }
 

@@ -62,30 +62,43 @@ const (
 
 // EncodeSnapshot serializes g and its metadata into the version-1 snapshot
 // format (no trailing sections). EncodeSnapshotFull produces version 2.
-func EncodeSnapshot(g *graph.Graph, meta SnapshotMeta) []byte {
+func EncodeSnapshot(g graph.View, meta SnapshotMeta) []byte {
 	return encodeGraphPart(g, meta, SnapshotVersion, 0)
 }
 
-// encodeGraphPart serializes the CSR graph part, closing it with its CRC.
-// extraCap reserves room beyond the graph part, so a state-carrying encoder
-// appends its section without regrowing the buffer.
-func encodeGraphPart(g *graph.Graph, meta SnapshotMeta, version uint16, extraCap int) []byte {
-	offsets, adj := g.CSR()
-	offLen := uint64(len(offsets)) * 8
-	adjLen := uint64(len(adj)) * 4
-	buf := make([]byte, 0, snapFixedHeaderLen+int(offLen)+8+int(adjLen)+snapTrailerLen+extraCap)
+// encodeGraphPart serializes the graph part of any view — the offsets from
+// its degrees, the adjacency from its neighbor rows — closing it with its
+// CRC. Every view of one graph encodes to the same bytes: the layout is the
+// CSR's whatever representation holds the rows. extraCap reserves room
+// beyond the graph part, so a state-carrying encoder appends its section
+// without regrowing the buffer.
+func encodeGraphPart(g graph.View, meta SnapshotMeta, version uint16, extraCap int) []byte {
+	n := g.NumVertices()
+	buf := make([]byte, 0, graphPartLen(g)+extraCap)
 	buf = append(buf, snapMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = append(buf, meta.Mode, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, meta.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.NumVertices()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
-	buf = binary.LittleEndian.AppendUint64(buf, offLen)
-	buf = appendWords(buf, offsets)
-	buf = binary.LittleEndian.AppendUint64(buf, adjLen)
-	buf = appendWords(buf, adj)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n+1)*8)
+	var off int64
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	for v := range n {
+		off += int64(g.Degree(v))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(off)*4)
+	for v := range n {
+		buf = appendWords(buf, g.Neighbors(v))
+	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// graphPartLen is the byte length of g's graph part, CRC included.
+func graphPartLen(g graph.View) int {
+	return snapFixedHeaderLen + (int(g.NumVertices())+1)*8 + 8 + int(g.NumEdges())*8 + snapTrailerLen
 }
 
 // snapshotLayout skims a snapshot header far enough to situate its parts:
@@ -313,14 +326,9 @@ func DecodeSnapshot(data []byte) (*graph.Graph, SnapshotMeta, error) {
 // where a real crash could), CrashAfterSnapshotTmp once the temp file is
 // durable, just before the rename; a non-nil return aborts there. It
 // returns the image's size in bytes.
-func writeSnapshotFile(path string, g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState, hook func(point string) error) (int64, error) {
+func writeSnapshotFile(path string, g graph.View, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState, hook func(point string) error) (int64, error) {
 	img := EncodeSnapshotFull(g, meta, st, perm, ts)
-	split := len(img)
-	if !st.empty() || len(perm) > 0 || !ts.empty() {
-		// The graph part's length is fully determined by g.
-		offsets, adj := g.CSR()
-		split = snapFixedHeaderLen + len(offsets)*8 + 8 + len(adj)*4 + snapTrailerLen
-	}
+	split := graphPartLen(g)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

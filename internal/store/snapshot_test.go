@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"flag"
 	"hash/crc32"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dynamic"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -287,5 +290,69 @@ func TestSectionWalkOrder(t *testing.T) {
 	doubled := stampsSec(permSec(permSec(graphPart())))
 	if _, _, tsErr := decodeAll(doubled); tsErr == nil {
 		t.Error("temporal section behind a duplicated perm section accepted")
+	}
+}
+
+// TestCheckpointEncodingViewInvariant: a checkpoint encodes whichever view
+// holds the graph — the writer's DynGraph, the overlay chain published from
+// it, the chain's Materialize and the DynGraph's Freeze — to the same bytes,
+// with and without the maintainer-state and temporal sections; the temporal
+// section's stamps, exported from each view, agree too. Random
+// insert/delete scripts grow the vertex set and deepen the chain.
+func TestCheckpointEncodingViewInvariant(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xC4EC))
+		m := dynamic.NewMaintainer(gen.BarabasiAlbert(40, 3, seed))
+		d := m.Graph()
+		ti := graph.NewTemporalIndex(1000)
+		graph.EachEdgeIn(d, func(u, v int32) bool { ti.Stamp(u, v, 0); return true })
+		var view graph.View = d.Freeze(1)
+		for batch := int64(1); batch <= 12; batch++ {
+			for range 6 {
+				n := d.NumVertices()
+				u := rng.Int32N(n)
+				if nb := d.Neighbors(u); rng.IntN(3) == 0 && len(nb) > 0 {
+					v := nb[rng.IntN(len(nb))]
+					if m.DeleteEdge(u, v) == nil {
+						ti.Forget(u, v)
+					}
+				} else if v := rng.Int32N(n + 2); m.InsertEdge(u, v) == nil {
+					ti.Stamp(u, v, batch)
+				}
+			}
+			ov := d.FreezeOverlay(view)
+			view = ov
+			views := []graph.View{d, ov, ov.Materialize(2), d.Freeze(1)}
+			meta := SnapshotMeta{Seq: uint64(batch)}
+			st := &MaintainerState{Local: m.ExportState()}
+			for _, mst := range []*MaintainerState{nil, st} {
+				for _, withStamps := range []bool{false, true} {
+					var want []byte
+					for i, v := range views {
+						var ts *TemporalState
+						if withStamps {
+							stamps, err := ti.ExportStamps(v)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ts = &TemporalState{WindowMS: 1000, Stamps: stamps}
+						}
+						got := EncodeSnapshotFull(v, meta, mst, nil, ts)
+						if i == 0 {
+							want = got
+						} else if !bytes.Equal(got, want) {
+							t.Fatalf("seed %d batch %d state=%v stamps=%v: view %d (%T) encodes %d bytes unlike the DynGraph's %d",
+								seed, batch, mst != nil, withStamps, i, v, len(got), len(want))
+						}
+					}
+					if _, _, err := DecodeSnapshot(want); err != nil {
+						t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+					}
+				}
+			}
+		}
+		if depth := view.(*graph.Overlay).Depth(); depth != 12 {
+			t.Fatalf("seed %d: chain depth %d, want 12", seed, depth)
+		}
 	}
 }

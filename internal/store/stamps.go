@@ -59,7 +59,7 @@ func (ts *TemporalState) empty() bool {
 // none present (nil or empty) it degrades to the bit-identical version-1
 // format — EncodeSnapshot — so stores that never checkpointed a section keep
 // producing v1 files; any section present makes it version 2.
-func EncodeSnapshotFull(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) []byte {
+func EncodeSnapshotFull(g graph.View, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) []byte {
 	if st.empty() && len(perm) == 0 && ts.empty() {
 		return EncodeSnapshot(g, meta)
 	}

@@ -154,7 +154,7 @@ func newStore(dir string, opts ...Option) *Store {
 // normally 0) and an empty WAL. An existing store in dir is replaced. On any
 // failure the directory is removed again, so a graph whose creation was
 // reported as failed can never be resurrected by a later recovery scan.
-func Create(dir string, g *graph.Graph, meta SnapshotMeta, opts ...Option) (*Store, error) {
+func Create(dir string, g graph.View, meta SnapshotMeta, opts ...Option) (*Store, error) {
 	return CreateWithStamps(dir, g, meta, nil, opts...)
 }
 
@@ -162,7 +162,7 @@ func Create(dir string, g *graph.Graph, meta SnapshotMeta, opts ...Option) (*Sto
 // carries the temporal section (window length + per-edge stamps), so a crash
 // before the first checkpoint still recovers the window configuration. A nil
 // ts degrades to Create exactly.
-func CreateWithStamps(dir string, g *graph.Graph, meta SnapshotMeta, ts *TemporalState, opts ...Option) (*Store, error) {
+func CreateWithStamps(dir string, g graph.View, meta SnapshotMeta, ts *TemporalState, opts ...Option) (*Store, error) {
 	s := newStore(dir, opts...)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
@@ -389,7 +389,7 @@ func (s *Store) AppendBatches(specs []BatchSpec) (uint64, error) {
 // ts the temporal state of a windowed graph (window length + per-edge
 // admission stamps), so the next recovery resumes expiring without
 // re-deriving any stamp.
-func (s *Store) CheckpointFull(g *graph.Graph, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) error {
+func (s *Store) CheckpointFull(g graph.View, meta SnapshotMeta, st *MaintainerState, perm []int32, ts *TemporalState) error {
 	if s.failed != nil {
 		return fmt.Errorf("store: poisoned by earlier failure: %w", s.failed)
 	}
