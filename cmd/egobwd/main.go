@@ -175,7 +175,7 @@ func run(cfg config) error {
 
 	if cfg.follow != "" {
 		fol := ship.NewFollower(ship.NewClient(cfg.follow, nil), srv.Registry(),
-			ship.WithInterval(cfg.followEvery), ship.WithLogf(log.Printf))
+			ship.WithInterval(cfg.followEvery))
 		go fol.Run(ctx)
 		log.Printf("egobwd: following %s every %s", cfg.follow, cfg.followEvery)
 	}

@@ -62,10 +62,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Default knob values, shared with the serving layer's query parsing.
@@ -394,33 +394,14 @@ func (e *estimator) race(ctx context.Context, cands []*cand, k, workers int) err
 // runRound advances every working candidate by one round, fanning out
 // across workers. Each candidate is owned by exactly one worker per round.
 func (e *estimator) runRound(work []*cand, workers int) {
-	workers = min(workers, len(work))
-	if workers <= 1 {
-		s := scratchPool.Get().(*ego.Scratch)
-		for _, c := range work {
-			e.round(c, s)
-		}
+	scratch := make([]*ego.Scratch, max(min(workers, len(work)), 1))
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*ego.Scratch)
+	}
+	par.For(workers, len(work), func(w, i int) { e.round(work[i], scratch[w]) })
+	for _, s := range scratch {
 		scratchPool.Put(s)
-		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := scratchPool.Get().(*ego.Scratch)
-			defer scratchPool.Put(s)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(work) {
-					break
-				}
-				e.round(work[i], s)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // round advances one candidate by one round. Its first touch builds its ego
@@ -436,7 +417,8 @@ func (e *estimator) round(c *cand, s *ego.Scratch) {
 		_, off, adj := s.EgoCSR(e.g, c.v)
 		draw := drawBase + drawMerge*2*float64(len(adj))/float64(max(c.d, 1))
 		if float64(s.Price(off, adj)) <= float64(e.tMax)*draw {
-			c.settle(s.ScoreCSR(off, adj))
+			cb, _ := s.ScoreCSR(off, adj)
+			c.settle(cb)
 		} else {
 			c.rng = rand.New(rand.NewPCG(e.seed, streamOf(c.v)))
 			c.off, c.arena = slices.Clone(off), slices.Clone(adj)

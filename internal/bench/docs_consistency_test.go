@@ -273,6 +273,7 @@ var retiredSymbols = []string{
 	"appendLazyPayload", "decodeLazyPayload", "aliasBools",
 	"bucketKey", "temporalBuckets", "MaxDegree",
 	"fullGraphLocked", "buildFullSnapshot",
+	"acquireWorker", "releaseWorker", "workerPool", "WithLogf",
 }
 
 // TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz

@@ -11,19 +11,17 @@ package brandes
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/topk"
 )
 
 // Betweenness returns the exact betweenness centrality of every vertex.
 func Betweenness(g *graph.Graph) []float64 {
 	bc := make([]float64, g.NumVertices())
-	w := acquireWorker(g)
-	defer releaseWorker(w)
+	w := newWorker(g)
 	for s := int32(0); s < g.NumVertices(); s++ {
 		w.accumulate(s, bc)
 	}
@@ -39,27 +37,13 @@ func BetweennessParallel(g *graph.Graph, t int) []float64 {
 		t = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
-	partial := make([][]float64, t)
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < t; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			acc := make([]float64, n)
-			w := acquireWorker(g)
-			defer releaseWorker(w)
-			for {
-				s := cursor.Add(1) - 1
-				if s >= n {
-					break
-				}
-				w.accumulate(s, acc)
-			}
-			partial[id] = acc
-		}(i)
-	}
-	wg.Wait()
+	workers, partial := make([]*worker, t), make([][]float64, t)
+	par.For(t, int(n), func(w, s int) {
+		if workers[w] == nil {
+			workers[w], partial[w] = newWorker(g), make([]float64, n)
+		}
+		workers[w].accumulate(int32(s), partial[w])
+	})
 	bc := make([]float64, n)
 	for _, acc := range partial {
 		for v, x := range acc {
@@ -92,10 +76,9 @@ func half(bc []float64) {
 	}
 }
 
-// worker holds the per-source BFS state, reused across sources and pooled
-// across runs: every touched entry is reset after a source finishes, so a
-// released worker's arrays are already in the pristine (-1 / 0) state and
-// repeated TopK/Betweenness calls allocate nothing once the pool is warm.
+// worker holds the per-source BFS state, reused across sources: every
+// touched entry is reset after a source finishes, so the arrays are back in
+// the pristine (-1 / 0) state for the next one.
 type worker struct {
 	g     *graph.Graph
 	dist  []int32
@@ -105,31 +88,13 @@ type worker struct {
 	stack []int32
 }
 
-// workerPool recycles BFS workers. Workers grow to the largest graph seen;
-// growth appends pristine entries so pooled state stays consistent.
-var workerPool = sync.Pool{New: func() any { return &worker{} }}
-
-func acquireWorker(g *graph.Graph) *worker {
-	w := workerPool.Get().(*worker)
-	w.g = g
-	n := int(g.NumVertices())
-	for len(w.dist) < n {
-		w.dist = append(w.dist, -1)
+func newWorker(g *graph.Graph) *worker {
+	n := g.NumVertices()
+	w := &worker{g: g, dist: make([]int32, n), sigma: make([]float64, n), delta: make([]float64, n)}
+	for v := range w.dist {
+		w.dist[v] = -1
 	}
-	for len(w.sigma) < n {
-		w.sigma = append(w.sigma, 0)
-	}
-	for len(w.delta) < n {
-		w.delta = append(w.delta, 0)
-	}
-	w.queue = w.queue[:0]
-	w.stack = w.stack[:0]
 	return w
-}
-
-func releaseWorker(w *worker) {
-	w.g = nil
-	workerPool.Put(w)
 }
 
 // accumulate runs one Brandes iteration from source s, adding the directed

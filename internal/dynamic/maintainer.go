@@ -157,7 +157,8 @@ func NewMapFreeMaintainer(g *graph.Graph) *Maintainer {
 	cb, t := make([]float64, n), make([]int64, n)
 	ego.Sweep(g, sweepWorkers(), func(v int32, s *ego.Scratch) {
 		_, off, adj := s.EgoCSR(g, v)
-		cb[v], t[v] = s.ScoreCSR(off, adj), int64(len(adj)/2)
+		cb[v], _ = s.ScoreCSR(off, adj)
+		t[v] = int64(len(adj) / 2)
 	}, nil)
 	return newMapFree(g, cb, t)
 }

@@ -5,11 +5,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/ego"
 	"repro/internal/graph"
 	"repro/internal/pairmap"
+	"repro/internal/par"
 )
 
 // This file is the maintainer-state export/import seam of the durability
@@ -128,56 +128,50 @@ func NewMaintainerFromState(g *graph.Graph, st *LocalState) (*Maintainer, error)
 	// One slab for every Map header (at hundreds of thousands of per-vertex
 	// tables, individual allocations would dominate the import) and one for
 	// the histograms, d(v) buckets per vertex laid out like g's CSR. Both
-	// are filled in parallel: each worker owns a contiguous vertex range,
-	// whose tables are disjoint sub-slices of the flat arrays, so the only
+	// are filled in parallel: each unit is a contiguous vertex range, whose
+	// tables are disjoint sub-slices of the flat arrays, so the only
 	// coordination is the join. This scan is the O(load) of the fast boot
 	// path — sharding it is what keeps recovery at memory-bandwidth speed.
 	offsets, _ := g.CSR()
 	maps, hist := make([]*pairmap.Map, n), make([][]int64, n)
 	slab, buckets := make([]pairmap.Map, len(tableVertex)), make([]int64, offsets[n])
-	workers := max(1, min(runtime.GOMAXPROCS(0), int(n)))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := int32(int(n)*w/workers), int32(int(n)*(w+1)/workers)
-		wg.Add(1)
-		go func(w int, lo, hi int32) {
-			defer wg.Done()
-			i, _ := slices.BinarySearch(tableVertex, lo)
-			for v := lo; v < hi; v++ {
-				// Full slice expressions cap capacity so a table or a
-				// histogram growing in place can never scribble over its
-				// successor.
-				h := buckets[offsets[v]:offsets[v+1]:offsets[v+1]]
-				if a, d := st.Adjacent[v], int64(len(h)); a < 0 || a > d*(d-1)/2 {
-					errs[w] = fmt.Errorf("dynamic: vertex %d of degree %d has %d adjacent pairs", v, d, a)
-					return
-				} else if a > 0 {
-					h[0] = a
-				}
-				if i < len(tableVertex) && tableVertex[i] == v {
-					start := tableOff[i]
-					end := start + int(st.TableSizes[v])
-					if err := slab[i].ResetFromTable(st.Keys[start:end:end], st.Vals[start:end:end], n, h); err != nil {
-						errs[w] = fmt.Errorf("dynamic: evidence table of vertex %d: %w", v, err)
-						return
-					}
-					maps[v] = &slab[i]
-					i++
-				}
-				t := len(h)
-				for t > 0 && h[t-1] == 0 {
-					t--
-				}
-				hist[v] = h[:t:t]
-				if cb := ego.FoldScore(int32(len(h)), hist[v]); math.Float64bits(cb) != math.Float64bits(st.Scores[v]) {
-					errs[w] = fmt.Errorf("dynamic: persisted score of vertex %d is %v, its evidence folds to %v", v, st.Scores[v], cb)
-					return
-				}
+	units := max(1, min(runtime.GOMAXPROCS(0), int(n)))
+	errs := make([]error, units)
+	par.For(units, units, func(_, u int) {
+		lo, hi := int32(int(n)*u/units), int32(int(n)*(u+1)/units)
+		i, _ := slices.BinarySearch(tableVertex, lo)
+		for v := lo; v < hi; v++ {
+			// Full slice expressions cap capacity so a table or a
+			// histogram growing in place can never scribble over its
+			// successor.
+			h := buckets[offsets[v]:offsets[v+1]:offsets[v+1]]
+			if a, d := st.Adjacent[v], int64(len(h)); a < 0 || a > d*(d-1)/2 {
+				errs[u] = fmt.Errorf("dynamic: vertex %d of degree %d has %d adjacent pairs", v, d, a)
+				return
+			} else if a > 0 {
+				h[0] = a
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			if i < len(tableVertex) && tableVertex[i] == v {
+				start := tableOff[i]
+				end := start + int(st.TableSizes[v])
+				if err := slab[i].ResetFromTable(st.Keys[start:end:end], st.Vals[start:end:end], n, h); err != nil {
+					errs[u] = fmt.Errorf("dynamic: evidence table of vertex %d: %w", v, err)
+					return
+				}
+				maps[v] = &slab[i]
+				i++
+			}
+			t := len(h)
+			for t > 0 && h[t-1] == 0 {
+				t--
+			}
+			hist[v] = h[:t:t]
+			if cb := ego.FoldScore(int32(len(h)), hist[v]); math.Float64bits(cb) != math.Float64bits(st.Scores[v]) {
+				errs[u] = fmt.Errorf("dynamic: persisted score of vertex %d is %v, its evidence folds to %v", v, st.Scores[v], cb)
+				return
+			}
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

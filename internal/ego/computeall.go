@@ -154,11 +154,12 @@ func (s *Scratch) EgoCSR(a graph.View, p int32) (nu []int32, off []int, adj []in
 // ScoreCSR returns the score of the ego whose CSR (off, adj) EgoCSR built —
 // the Scratch's own arrays or a caller's copy of them: the kernel's counting
 // pass and fold without the build, so it is the same bits EgoBetweenness
-// returns for that ego. It sizes the Scratch for the ego itself.
-func (s *Scratch) ScoreCSR(off []int, adj []int32) float64 {
+// returns for that ego — and the steps that pass ran, the ego's Price. It
+// sizes the Scratch for the ego itself.
+func (s *Scratch) ScoreCSR(off []int, adj []int32) (cb float64, steps int64) {
 	s.ensure(0, len(off)-1)
-	cb, _ := s.score(nil, off, adj, nil)
-	return cb
+	cb, _ = s.score(nil, off, adj, nil)
+	return cb, s.steps
 }
 
 // score is the whole-ego counting pass: count over every row of the ego

@@ -84,7 +84,8 @@ func benchEgos(b *testing.B, name string, g *graph.Graph, vs []int32) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, c := range csrs {
-				benchSink += s.ScoreCSR(c.off, c.adj)
+				cb, _ := s.ScoreCSR(c.off, c.adj)
+				benchSink += cb
 			}
 		}
 	})

@@ -2,16 +2,16 @@ package ego
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Sweep is the one parallel all-vertices loop over the per-ego kernel:
-// `workers` goroutines (at least one) claim units through an atomic cursor,
-// each over its own Scratch. A whole-ego unit calls each(v, s), which must
-// run the kernel on v over s and keeps what it needs; nothing is locked.
+// up to `workers` workers (at least one) claim units through par.For, each
+// over its own Scratch. A whole-ego unit calls each(v, s), which must run the
+// kernel on v over s and keeps what it needs; nothing is locked.
 //
 // With split non-nil an ego costing more than total/(4·workers) kernel steps
 // (its Price, read off every CSR by a first sweep) is cut into chunks of
@@ -26,33 +26,29 @@ func Sweep(g graph.View, workers int, each func(v int32, s *Scratch), split func
 	if split != nil {
 		plan = splitPlan(g, workers)
 	}
-	units := max(int64(len(plan)), int64(g.NumVertices()))
+	units := max(len(plan), int(g.NumVertices()))
 	work, maxW := make([]int64, workers), make([]int64, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := NewScratch(g.NumVertices())
-			for i := cursor.Add(1) - 1; i < units; i = cursor.Add(1) - 1 {
-				u := chunk{v: int32(i)}
-				if plan != nil {
-					u = plan[i]
-				}
-				var steps int64
-				if u.e == nil {
-					each(u.v, s)
-					steps = s.steps // each scored v over s
-				} else {
-					steps = u.run(g, s, split)
-				}
-				work[w] += steps
-				maxW[w] = max(maxW[w], steps)
-			}
-		}()
-	}
-	wg.Wait()
+	scratch := make([]*Scratch, workers)
+	par.For(workers, units, func(w, i int) {
+		s := scratch[w]
+		if s == nil {
+			s = NewScratch(g.NumVertices())
+			scratch[w] = s
+		}
+		u := chunk{v: int32(i)}
+		if plan != nil {
+			u = plan[i]
+		}
+		var steps int64
+		if u.e == nil {
+			each(u.v, s)
+			steps = s.steps // each scored v over s
+		} else {
+			steps = u.run(g, s, split)
+		}
+		work[w] += steps
+		maxW[w] = max(maxW[w], steps)
+	})
 	return work, slices.Max(maxW)
 }
 

@@ -54,6 +54,9 @@ func TestKernelPrice(t *testing.T) {
 			if got := s.Price(off, adj); got != want || scored != want {
 				t.Fatalf("%s: ego %d (d=%d) priced %d, scored at %d, its rows run %d", name, p, d, got, scored, want)
 			}
+			if _, steps := s.ScoreCSR(off, adj); steps != want {
+				t.Fatalf("%s: ego %d (d=%d) ScoreCSR ran %d steps, its rows run %d", name, p, d, steps, want)
+			}
 			if d < 2 {
 				continue
 			}

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Overlay is a copy-on-write read view: an immutable base CSR plus a short
@@ -175,8 +176,8 @@ func (o *Overlay) Rebase(at View, g *Graph) View {
 }
 
 // exportCSR builds an immutable CSR graph of n vertices and m undirected
-// edges from per-vertex sorted neighbor lists, sharding the row copy across
-// up to `workers` goroutines. It performs no sorting or validation — the
+// edges from per-vertex sorted neighbor lists, copying units of 1,024 rows
+// on up to `workers` workers. It performs no sorting or validation — the
 // rows must already satisfy the CSR contract — and is shared by
 // DynGraph.Freeze and Overlay.Materialize.
 func exportCSR(n int32, m int64, row func(int32) []int32, workers int) *Graph {
@@ -185,28 +186,11 @@ func exportCSR(n int32, m int64, row func(int32) []int32, workers int) *Graph {
 		offsets[v+1] = offsets[v] + int64(len(row(v)))
 	}
 	adj := make([]int32, offsets[n])
-	copyRows := func(lo, hi int32) {
-		for v := lo; v < hi; v++ {
+	const unit = 1024
+	par.For(workers, (int(n)+unit-1)/unit, func(_, i int) {
+		for v := int32(i * unit); v < int32(min((i+1)*unit, int(n))); v++ {
 			copy(adj[offsets[v]:offsets[v+1]], row(v))
 		}
-	}
-	if workers <= 1 || n < 1024 {
-		copyRows(0, n)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (n + int32(workers) - 1) / int32(workers)
-		for lo := int32(0); lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int32) {
-				defer wg.Done()
-				copyRows(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 	return &Graph{offsets: offsets, adj: adj, n: n, m: m}
 }

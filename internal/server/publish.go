@@ -100,7 +100,7 @@ func (e *entry) compact(snap *snapshot) {
 // every maintained score is the kernel's fold, so a difference is a
 // maintenance fault (DESIGN.md §10). It walks on from where the previous
 // audit stopped, charging each vertex the steps its kernel runs — the ego
-// build's scan Σ_{u∈N(v)} d(u) plus the counting pass's ego.Scratch.Price —
+// build's scan Σ_{u∈N(v)} d(u) plus the steps its counting pass ran —
 // until the charge reaches the CSR's 2m, auditing one score at least. A
 // stale score (ModeLazy) is a bound: it is skipped uncharged. Only the
 // compactor holding compacting calls it, so auditNext has one writer, and
@@ -118,8 +118,9 @@ func (e *entry) audit(snap *snapshot, g *graph.Graph) {
 		for _, u := range nu {
 			spent += int64(g.Degree(u))
 		}
-		spent += s.Price(off, adj)
-		if got, want := s.ScoreCSR(off, adj), snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
+		got, steps := s.ScoreCSR(off, adj)
+		spent += steps
+		if want := snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
 			e.auditFirst.Store(fmt.Sprintf("vertex %d at epoch %d: published %#016x, kernel %#016x",
 				v, snap.epoch, math.Float64bits(want), math.Float64bits(got)))
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/store"
@@ -32,7 +33,6 @@ type Follower struct {
 	client   *Client
 	target   Target
 	interval time.Duration
-	logf     func(format string, args ...any)
 	state    map[string]*followState
 }
 
@@ -48,22 +48,12 @@ func WithInterval(d time.Duration) FollowerOption {
 	}
 }
 
-// WithLogf routes follower progress and error lines (default: silent).
-func WithLogf(logf func(format string, args ...any)) FollowerOption {
-	return func(f *Follower) {
-		if logf != nil {
-			f.logf = logf
-		}
-	}
-}
-
 // NewFollower wires a client to a target.
 func NewFollower(client *Client, target Target, opts ...FollowerOption) *Follower {
 	f := &Follower{
 		client:   client,
 		target:   target,
 		interval: 200 * time.Millisecond,
-		logf:     func(string, ...any) {},
 		state:    make(map[string]*followState),
 	}
 	for _, o := range opts {
@@ -72,15 +62,13 @@ func NewFollower(client *Client, target Target, opts ...FollowerOption) *Followe
 	return f
 }
 
-// Run polls until ctx is cancelled. Per-graph errors are logged and retried
-// next tick, never fatal — a follower outlives leader restarts by design.
+// Run polls until ctx is cancelled. Errors are logged and retried next
+// tick, never fatal — a follower outlives leader restarts by design.
 func (f *Follower) Run(ctx context.Context) error {
 	ticker := time.NewTicker(f.interval)
 	defer ticker.Stop()
 	for {
-		if err := f.SyncOnce(ctx); err != nil && ctx.Err() == nil {
-			f.logf("follow: %v", err)
-		}
+		_ = f.SyncOnce(ctx) // SyncOnce logs each failure
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -91,15 +79,23 @@ func (f *Follower) Run(ctx context.Context) error {
 
 // SyncOnce runs one full pass: enumerate graphs, then bootstrap/tail each
 // until it is caught up with the leader's durable sequence. Per-graph
-// failures don't stop the pass; the joined error reports them all.
+// failures don't stop the pass; the joined error reports them all, and
+// each is logged at Error unless ctx was cancelled.
 func (f *Follower) SyncOnce(ctx context.Context) error {
 	names, err := f.client.Graphs(ctx)
 	if err != nil {
+		if ctx.Err() == nil {
+			slog.Error("follower listing failed", "err", err)
+		}
 		return fmt.Errorf("listing leader graphs: %w", err)
 	}
 	var errs []error
 	for _, name := range names {
 		if err := f.syncGraph(ctx, name); err != nil {
+			if ctx.Err() == nil {
+				st := f.state[name]
+				slog.Error("follower sync failed", "graph", name, "seq", st.applied, "segment", st.segment, "err", err)
+			}
 			errs = append(errs, fmt.Errorf("graph %s: %w", name, err))
 		}
 	}
@@ -116,7 +112,7 @@ func (f *Follower) syncGraph(ctx context.Context, name string) error {
 		// until a resync against the leader's status.
 		if seq, ok := f.target.ReplicaSeq(name); ok {
 			st.bootstrapped, st.applied, st.offset = true, seq, -1
-			f.logf("follow %s: adopted local state at seq %d", name, seq)
+			slog.Info("follower adopted local state", "graph", name, "seq", seq)
 		}
 		f.state[name] = st
 	}
@@ -157,7 +153,7 @@ func (f *Follower) bootstrap(ctx context.Context, name string, st *followState) 
 	st.segment = meta.Seq
 	st.offset = store.WALHeaderLen
 	st.next = meta.Seq + 1
-	f.logf("follow %s: bootstrapped from checkpoint at seq %d (%d bytes)", name, meta.Seq, len(data))
+	slog.Info("follower bootstrapped", "graph", name, "seq", meta.Seq, "segment", st.segment, "bytes", len(data))
 	return nil
 }
 
@@ -173,15 +169,14 @@ func (f *Follower) resync(ctx context.Context, name string, st *followState) err
 		return fmt.Errorf("fetching status for resync: %w", err)
 	}
 	if ls.Segment > st.applied || ls.Seq < st.applied {
-		f.logf("follow %s: local seq %d outside leader segment [%d, %d]; re-bootstrapping",
-			name, st.applied, ls.Segment, ls.Seq)
+		slog.Warn("follower re-bootstrapping", "graph", name, "seq", st.applied, "segment", ls.Segment, "leader_seq", ls.Seq)
 		st.bootstrapped = false
 		return nil
 	}
 	st.segment = ls.Segment
 	st.offset = store.WALHeaderLen
 	st.next = ls.Segment + 1
-	f.logf("follow %s: resynced to segment %d (local seq %d)", name, st.segment, st.applied)
+	slog.Info("follower resynced", "graph", name, "seq", st.applied, "segment", st.segment)
 	return nil
 }
 
@@ -194,7 +189,7 @@ func (f *Follower) tail(ctx context.Context, name string, st *followState) error
 		data, leaderSeq, err := f.client.WALTail(ctx, name, st.segment, st.offset)
 		if errors.Is(err, ErrSegmentGone) {
 			st.offset = -1
-			f.logf("follow %s: segment %d gone; resyncing next pass", name, st.segment)
+			slog.Info("follower segment gone", "graph", name, "seq", st.applied, "segment", st.segment)
 			return nil
 		}
 		if err != nil {

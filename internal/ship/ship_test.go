@@ -1,10 +1,13 @@
 package ship
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -218,6 +221,7 @@ func TestFollowerSegmentRollover(t *testing.T) {
 
 // TestFollowerCheckpointAhead: when the leader's segment starts beyond what
 // the follower applied, only a fresh checkpoint restores a common prefix.
+// Each step is one line on slog's default logger, the re-bootstrap at Warn.
 func TestFollowerCheckpointAhead(t *testing.T) {
 	src := &fakeSource{name: "g", snap: testSnapshot(t, 0), segment: 0, seq: 3, wal: batchRange(1, 3)}
 	tgt := &fakeTarget{}
@@ -225,6 +229,10 @@ func TestFollowerCheckpointAhead(t *testing.T) {
 	if err := f.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	var log bytes.Buffer // SyncOnce logs on this goroutine only
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&log, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
 	src.checkpoint(t, 10) // leader advanced 4..10 and checkpointed while we were away
 	src.seq, src.wal = 12, batchRange(11, 12)
 	if err := f.SyncOnce(context.Background()); err != nil { // 410 → resync pending
@@ -235,6 +243,22 @@ func TestFollowerCheckpointAhead(t *testing.T) {
 	}
 	if tgt.installs != 2 || tgt.seq != 12 || !tgt.caughtUp {
 		t.Fatalf("installs=%d seq=%d caughtUp=%v; want checkpoint re-bootstrap", tgt.installs, tgt.seq, tgt.caughtUp)
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	want := [][]string{
+		{"level=INFO", `msg="follower segment gone"`, "graph=g", "seq=3", "segment=0"},
+		{"level=WARN", `msg="follower re-bootstrapping"`, "graph=g", "seq=3", "segment=10", "leader_seq=12"},
+		{"level=INFO", `msg="follower bootstrapped"`, "graph=g", "seq=10", "segment=10"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d log lines, want %d: %q", len(lines), len(want), lines)
+	}
+	for i, attrs := range want {
+		for _, a := range attrs {
+			if !strings.Contains(lines[i], a) {
+				t.Errorf("log line %q lacks %q", lines[i], a)
+			}
+		}
 	}
 }
 
