@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/ego"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -17,19 +18,28 @@ var updateWork = flag.Bool("update", false, "rewrite testdata/work.json from the
 
 const workPath = "testdata/work.json"
 
-// workLine is one entry of the work record: a search's SearchStats, or a
-// sweep's TotalWork and MaxUnitWork.
+// workLine is one entry of the work record: a search's SearchStats, a
+// sweep's TotalWork and MaxUnitWork, or an approx query's work counts.
 type workLine struct {
 	Case        string           `json:"case"`
 	Search      *ego.SearchStats `json:"search,omitempty"`
 	TotalWork   int64            `json:"total_work,omitempty"`
 	MaxUnitWork int64            `json:"max_unit_work,omitempty"`
+	Approx      *approxWork      `json:"approx,omitempty"`
+}
+
+// approxWork is approx.Stats without its achieved ε, which is an accuracy
+// figure rather than a work count.
+type approxWork struct {
+	Candidates, Escalations         int
+	Exact, Sampled, Pruned, Samples int64
 }
 
 // workRecord measures the work the searches and the sweeps do on two seeded
 // graphs: OptBSearch (θ = DefaultTheta) and BaseBSearch at k = 10 and 100,
-// and ComputeAll under both strategies at 1, 2 and 4 workers. Every count is
-// a pure function of the graph and the arguments.
+// ComputeAll under both strategies at 1, 2 and 4 workers, and approx.TopK
+// (default options, one worker) at k = 10 and 100. Every count is a pure
+// function of the graph and the arguments.
 func workRecord() []workLine {
 	shapes := []struct {
 		name string
@@ -55,6 +65,16 @@ func workRecord() []workLine {
 					TotalWork: st.TotalWork, MaxUnitWork: st.MaxUnitWork,
 				})
 			}
+		}
+		for _, k := range []int{10, 100} {
+			_, st := approx.TopK(sh.g, k, approx.Options{Workers: 1})
+			rec = append(rec, workLine{
+				Case: fmt.Sprintf("%s/approx/k=%d", sh.name, k),
+				Approx: &approxWork{
+					Candidates: st.Candidates, Escalations: st.Escalations,
+					Exact: st.Exact, Sampled: st.Sampled, Pruned: st.Pruned, Samples: st.Samples,
+				},
+			})
 		}
 	}
 	return rec
