@@ -65,6 +65,7 @@ type config struct {
 	follow      string
 	followEvery time.Duration
 	pprof       string
+	deadline    time.Duration
 }
 
 func main() {
@@ -79,6 +80,7 @@ func main() {
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of the leader at this base URL (e.g. http://leader:8080): graphs ship over from its checkpoints and WAL stream; local writes are rejected")
 	flag.DurationVar(&cfg.followEvery, "follow-interval", 200*time.Millisecond, "how often a follower polls the leader's WAL stream (bounds read staleness)")
 	flag.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof under /debug/pprof/ on this address (e.g. 127.0.0.1:6060), a listener of its own that shuts down with the API's; empty = off")
+	flag.DurationVar(&cfg.deadline, "search-deadline", 0, "bound each top-k cache miss's search (e.g. 50ms) unless the query sets ?deadline_ms=: a lazy graph's scores read answers the prefix certified by then with \"complete\": false, an approx read 503; 0 = none")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -97,7 +99,10 @@ func setup(cfg config) (*server.Server, error) {
 	if cfg.window < 0 {
 		return nil, fmt.Errorf("-window must be non-negative, got %v", cfg.window)
 	}
-	regOpts := []server.RegistryOption{server.WithWindow(cfg.window)}
+	if cfg.deadline < 0 {
+		return nil, fmt.Errorf("-search-deadline must be non-negative, got %v", cfg.deadline)
+	}
+	regOpts := []server.RegistryOption{server.WithWindow(cfg.window), server.WithSearchDeadline(cfg.deadline)}
 	if cfg.dataDir != "" {
 		regOpts = append(regOpts,
 			server.WithDataDir(cfg.dataDir),

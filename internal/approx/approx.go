@@ -27,11 +27,11 @@
 // the cheaper way later. An exact candidate's interval has zero width.
 //
 // Candidates come from a betweenness-ordering prescreen (Singh et al.):
-// vertices are visited in the paper's total order ≺ (graph.OrderOf), an
-// initial pool of max(2k, k+64) is estimated, and the pool escalates in
-// batches while the next unseen vertex's static upper bound d(d−1)/2 still
-// exceeds the certified lower bound of the current k-th estimate — every
-// vertex never estimated is provably (up to δ) unable to enter the top-k.
+// vertices are admitted in the paper's total order ≺ (graph.OrderOf), the
+// first k at once, then in batches while the next unseen vertex's static
+// upper bound d(d−1)/2 still reaches the certified lower bound of the
+// current k-th estimate — the cut BaseBSearch makes, so every vertex never
+// estimated is provably (up to δ) unable to enter the top-k.
 //
 // Candidates race rather than resolve one-shot: sampling proceeds in
 // global rounds, and at each round barrier a candidate whose upper
@@ -85,8 +85,8 @@ const (
 	// rounds prune losers sooner; two batches (64 draws) still gives a
 	// t_max-budget candidate ~a dozen pruning checkpoints.
 	roundBatches = 2
-	// escalateMin floors both the initial candidate pool slack and each
-	// escalation batch, so tiny k values still amortize the fan-out.
+	// escalateMin floors each escalation batch, so tiny k values still
+	// amortize the fan-out.
 	escalateMin = 64
 )
 
@@ -143,7 +143,7 @@ func (o Options) withDefaults() Options {
 // Stats reports what a TopK call did.
 type Stats struct {
 	Candidates  int     // vertices admitted to the race (after escalation)
-	Escalations int     // candidate-pool extensions beyond the initial pool
+	Escalations int     // admissions beyond the first k: the normal path whenever k < n
 	Exact       int64   // candidates resolved by the exact counting pass
 	Sampled     int64   // candidates that entered the sampling loop
 	Pruned      int64   // candidates eliminated mid-race by the confidence bounds
@@ -273,9 +273,16 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 	k = min(k, n)
 	e := newEstimator(g, o)
 
+	// Admit along ≺ as BaseBSearch computes: k candidates first, then
+	// batches while the next unseen vertex's static UB could still beat the
+	// certified lower bound of the k-th best estimate — or tie it: ≺ admits
+	// a degree class from its highest id down, while the answer breaks score
+	// ties by ascending id, so an unseen vertex whose bound equals the k-th
+	// score may be the one exact would name. order is sorted by
+	// non-increasing degree, so the first vertex below the bound proves
+	// every later one out too.
 	order := graph.OrderOf(g)
-	pool := min(max(2*k, k+escalateMin), n)
-	cands := make([]*cand, 0, pool)
+	cands := make([]*cand, 0, k)
 	admit := func(to int) {
 		for len(cands) < to {
 			v := order[len(cands)]
@@ -284,27 +291,15 @@ func topK(g graph.View, k int, o Options) ([]*cand, Stats) {
 			cands = append(cands, &cand{v: v, d: d, ub: ub, high: ub, state: candPending})
 		}
 	}
-	admit(pool)
-	if e.race(o.ctx, cands, k, o.Workers) != nil {
-		return nil, st
-	}
-
-	// Escalate while the next unseen vertex's static UB could still beat
-	// the certified lower bound of the k-th best estimate — or tie it: ≺
-	// admits a degree class from its highest id down, while the answer
-	// breaks score ties by ascending id, so an unseen vertex whose bound
-	// equals the k-th score may be the one exact would name. order is
-	// sorted by non-increasing degree, so the first vertex below the bound
-	// proves every later one out too.
-	for len(cands) < n {
-		kthLow := kthBestLow(cands, k)
-		if ego.StaticUB(g.Degree(order[len(cands)])) < kthLow {
-			break
-		}
-		admit(min(len(cands)+max(len(cands)/2, escalateMin), n))
+	admit(k)
+	for {
 		if e.race(o.ctx, cands, k, o.Workers) != nil {
 			return nil, st
 		}
+		if len(cands) == n || ego.StaticUB(g.Degree(order[len(cands)])) < kthBestLow(cands, k) {
+			break
+		}
+		admit(min(len(cands)+max(len(cands)/2, escalateMin), n))
 		st.Escalations++
 	}
 	st.Candidates = len(cands)
@@ -362,14 +357,31 @@ func kthBestLow(cands []*cand, k int) float64 {
 // pruned, or until ctx is done, which it checks once per round. Pruning
 // happens only here, at the round barrier, from the deterministic
 // per-vertex streams — never inside a worker — which is what keeps the
-// outcome independent of worker count and scheduling.
+// outcome independent of worker count and scheduling. Each round fans the
+// working candidates out across workers, one owner per candidate; a worker
+// takes its pooled ego scratch at its first candidate and keeps it for the
+// rest of the race.
 func (e *estimator) race(ctx context.Context, cands []*cand, k, workers int) error {
 	work := make([]*cand, 0, len(cands))
+	scratch := make([]*ego.Scratch, max(min(workers, len(cands)), 1))
+	defer func() {
+		for _, s := range scratch {
+			if s != nil {
+				scratchPool.Put(s)
+			}
+		}
+	}()
+	step := func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = scratchPool.Get().(*ego.Scratch)
+		}
+		e.round(work[i], scratch[w])
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Prune before the round, so escalated candidates whose static UB
+		// Prune before the round, so admitted candidates whose static UB
 		// is already beaten never sample at all.
 		kthLow := kthBestLow(cands, k)
 		work = work[:0]
@@ -387,20 +399,7 @@ func (e *estimator) race(ctx context.Context, cands []*cand, k, workers int) err
 		if len(work) == 0 {
 			return nil
 		}
-		e.runRound(work, workers)
-	}
-}
-
-// runRound advances every working candidate by one round, fanning out
-// across workers. Each candidate is owned by exactly one worker per round.
-func (e *estimator) runRound(work []*cand, workers int) {
-	scratch := make([]*ego.Scratch, max(min(workers, len(work)), 1))
-	for w := range scratch {
-		scratch[w] = scratchPool.Get().(*ego.Scratch)
-	}
-	par.For(workers, len(work), func(w, i int) { e.round(work[i], scratch[w]) })
-	for _, s := range scratch {
-		scratchPool.Put(s)
+		par.For(workers, len(work), step)
 	}
 }
 

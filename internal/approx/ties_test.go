@@ -10,12 +10,13 @@ import (
 
 // TestTopKBreaksTiesLikeExact: when every answer candidate resolves
 // exactly, approx names exact's vertices, score ties at the k-th rank
-// included — even where the initial pool, which admits a degree class in ≺
-// from its highest id down, cuts the tied class.
+// included — even where the first k admitted, which ≺ takes from a degree
+// class's highest id down, cut the tied class.
 func TestTopKBreaksTiesLikeExact(t *testing.T) {
 	// 100 disjoint 3-stars: every center scores 3 = its static bound, every
-	// leaf 0. The pool (max(2k, k+64) = 69 at k = 5) holds the 69
-	// highest-id centers; exact names the 5 lowest-id ones.
+	// leaf 0. At k = 5 the first race holds the 5 highest-id centers; exact
+	// names the 5 lowest-id ones, which escalation admits because their
+	// bound ties the k-th lower bound.
 	var stars [][2]int32
 	for c := int32(0); c < 100; c++ {
 		for l := int32(1); l <= 3; l++ {

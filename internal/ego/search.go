@@ -2,6 +2,9 @@ package ego
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -70,11 +73,26 @@ func OptBSearchLabeled(g graph.View, k int, theta float64, ext []int32) ([]Resul
 // the stale ones under their bounds, and a popped stale candidate runs the
 // kernel on g, speculation included — TopKExact's answer to the bit, with
 // Computed counting the stale kernels. It checks ctx once per candidate, and
-// once ctx is done it ends its helpers and returns ctx.Err() without
-// results.
+// once ctx is done it ends its helpers. A cancelled search returns ctx.Err()
+// without results; one whose deadline passed returns the certified prefix
+// of the answer with a *Partial error, or the whole answer and no error
+// when nothing left undecided could still enter it.
 func SearchSeeded(ctx context.Context, g graph.View, k int, score func(int32) float64, stale func(int32) bool) ([]Result, SearchStats, error) {
 	return search(ctx, g, k, 1, nil, false, &seed{score, stale}, runtime.GOMAXPROCS(0), specPrice)
 }
+
+// Partial is the error of a search its deadline stopped. The results
+// returned with it are the certified prefix of the answer: the members of R
+// that rank strictly above Bound, the largest bound left in H, which caps
+// every score outside the prefix — so they are TopKExact's first results,
+// ids and bits. It unwraps to context.DeadlineExceeded.
+type Partial struct{ Bound float64 }
+
+func (p *Partial) Error() string {
+	return fmt.Sprintf("ego: search deadline exceeded; answer certified above %v", p.Bound)
+}
+
+func (p *Partial) Unwrap() error { return context.DeadlineExceeded }
 
 // seed is a seeded search's published scores.
 type seed struct {
@@ -87,7 +105,8 @@ type seed struct {
 // reaches minPrice. The answer and the SearchStats are the same at every
 // workers and minPrice. θ below 1 is 1, and so is NaN, which max(theta, 1)
 // would pass through. A k beyond n selects what k = n does, so R is never
-// sized past n. A non-nil sd seeds H (SearchSeeded).
+// sized past n. A non-nil sd seeds H (SearchSeeded). A done ctx ends the
+// search as SearchSeeded documents.
 func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32, dynamic bool, sd *seed, workers int, minPrice int64) ([]Result, SearchStats, error) {
 	k = min(k, int(g.NumVertices()))
 	if k < 1 {
@@ -100,12 +119,34 @@ func search(ctx context.Context, g graph.View, k int, theta float64, ext []int32
 	for {
 		if err := ctx.Err(); err != nil {
 			q.sp.close()
+			if errors.Is(err, context.DeadlineExceeded) {
+				return q.prefix()
+			}
 			return nil, q.st, err
 		}
 		if !q.step() {
 			return toResultsLabeled(q.r, q.ext), q.st, nil
 		}
 	}
+}
+
+// prefix returns what a stopped search has certified: R's members above
+// the largest bound left in H (every member when H is empty), with a
+// *Partial error unless they already make up the whole answer.
+func (q *searcher) prefix() ([]Result, SearchStats, error) {
+	res := toResultsLabeled(q.r, q.ext)
+	bound := math.Inf(-1)
+	if q.h.Len() > 0 {
+		bound = q.h.Top(nil, 1)[0].Score
+	}
+	n := 0
+	for n < len(res) && res[n].CB > bound {
+		n++
+	}
+	if n == len(res) && q.r.Full() {
+		return res, q.st, nil
+	}
+	return res[:n], q.st, &Partial{Bound: bound}
 }
 
 // specPrice is the ego-build price Σ_{v∈N(p)} d(v) — the first term of the

@@ -13,10 +13,17 @@ import (
 // workers, at least one. The workers claim each i in ascending order
 // through one atomic cursor; w in [0, min(workers, n)) names the worker
 // that runs the call, so a body keeps per-worker state in a slice indexed
-// by w. Worker 0 is the caller's goroutine, so a single worker starts no
-// goroutine. For returns once every call has.
+// by w. Worker 0 is the caller's goroutine, and a single worker runs the
+// loop inline, starting no goroutine and allocating nothing. For returns
+// once every call has.
 func For(workers, n int, body func(w, i int)) {
 	workers = max(min(workers, n), 1)
+	if workers == 1 {
+		for i := range n {
+			body(0, i)
+		}
+		return
+	}
 	var next atomic.Int64
 	claim := func(w int) {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {

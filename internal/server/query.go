@@ -4,7 +4,9 @@ package server
 // its result cache, the top-k query dispatch, and the per-vertex read.
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -148,6 +150,11 @@ type TopKResult struct {
 	Results           []ego.Result `json:"results"`
 	Explain           *Explain     `json:"explain,omitempty"`
 
+	// Set only on a certified prefix (a seeded search its deadline
+	// stopped): complete false, and the bound on every score outside it.
+	Complete       *bool    `json:"complete,omitempty"`
+	RemainingBound *float64 `json:"remaining_bound,omitempty"`
+
 	hitBody []byte // cache hits: this payload already encoded (cachedResult.hitBody)
 }
 
@@ -162,6 +169,9 @@ type Explain struct {
 	EncodeUS  float64          `json:"encode_us"`
 	Search    *ego.SearchStats `json:"search,omitempty"`
 	Approx    *approx.Stats    `json:"approx,omitempty"`
+	// The search deadline cut the answer to its first Prefix results.
+	DeadlineHit bool `json:"deadline_hit,omitempty"`
+	Prefix      *int `json:"prefix,omitempty"`
 
 	last time.Time // the end of the previous stage
 }
@@ -186,8 +196,9 @@ type TopKQuery struct {
 	Conf float64
 	Seed uint64
 
-	ctx     context.Context // the HTTP request's: a search it outlives stops; nil never does
-	explain bool            // ?explain=1: time the stages and keep the search's stats
+	ctx      context.Context // the HTTP request's: a search it outlives stops; nil never does
+	explain  bool            // ?explain=1: time the stages and keep the search's stats
+	deadline time.Duration   // ?deadline_ms=: bounds a miss's search; 0 = the registry's default
 }
 
 // resolveQuery validates q against snap and returns the cache key that
@@ -259,7 +270,10 @@ func (e *entry) resolveQuery(snap *snapshot, q TopKQuery) (cacheKey, error) {
 // Answers are cached per (k, algo, ε, δ, seed) in the snapshot they were
 // computed against, so an epoch swap invalidates them wholesale. A search
 // (seeded or approx) whose request context is done stops and returns its
-// error, caching nothing.
+// error, caching nothing. A miss's search runs under the query's deadline,
+// else the registry's: a seeded search it stops answers its certified
+// prefix (Complete false), an approx one ErrSearchDeadline; neither is
+// cached.
 func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	var ex *Explain
 	if q.explain {
@@ -299,8 +313,14 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if d := cmp.Or(q.deadline, r.searchDeadline); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
 	t0 := time.Now()
 	var cr cachedResult
+	var cut *ego.Partial
 	switch sv := snap.scores; key.algo {
 	case AlgoScores:
 		if sv.stale == nil {
@@ -308,12 +328,16 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 			break
 		}
 		res, st, err := ego.SearchSeeded(ctx, snap.view, key.k, sv.At, sv.Stale)
-		if err != nil {
+		if err != nil && !errors.As(err, &cut) {
 			return TopKResult{}, err
 		}
 		cr.res = res
 		if ex != nil {
 			ex.Search = &st
+			if cut != nil {
+				n := len(res)
+				ex.DeadlineHit, ex.Prefix = true, &n
+			}
 		}
 	case AlgoApprox:
 		res, st, err := approx.TopKContext(ctx, snap.view, key.k, approx.Options{
@@ -321,6 +345,9 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 			Conf: math.Float64frombits(key.confBits),
 			Seed: key.seed, Workers: e.workers,
 		})
+		if errors.Is(err, context.DeadlineExceeded) {
+			return TopKResult{}, fmt.Errorf("server: approx top-k of %q: %w", e.name, ErrSearchDeadline)
+		}
 		if err != nil {
 			return TopKResult{}, err
 		}
@@ -334,6 +361,11 @@ func (r *Registry) TopKQ(name string, q TopKQuery) (TopKResult, error) {
 	e.searchSeconds[slices.Index(searchAlgos[:], key.algo)].ObserveSince(t0)
 	if ex != nil {
 		ex.SearchUS = ex.lap()
+	}
+	if cut != nil {
+		tr := e.topkResult(snap, key, false, cr)
+		tr.Complete, tr.RemainingBound, tr.Explain = new(bool), &cut.Bound, ex
+		return tr, nil
 	}
 	if key.k <= maxHitBodyK {
 		cr.hitBody = encodeJSON(e.topkResult(snap, key, true, cr))

@@ -189,6 +189,10 @@ func notFound(name string) error { return fmt.Errorf("server: %w %q", ErrNotFoun
 // plain request validation failures (400).
 var ErrDuplicate = fmt.Errorf("graph name already exists")
 
+// ErrSearchDeadline marks an approx top-k search its deadline stopped; the
+// HTTP layer answers 503, and nothing is cached.
+var ErrSearchDeadline = fmt.Errorf("search deadline exceeded")
+
 // ErrStorage marks a durability failure (WAL append, fsync, checkpoint) on
 // an otherwise valid request, so the HTTP layer can answer 500 — the
 // server's disk, not the client's request, is at fault.
@@ -242,6 +246,10 @@ type Registry struct {
 	// in production, injectable for deterministic tests.
 	window time.Duration
 	nowMS  func() int64
+
+	// searchDeadline bounds a top-k cache miss's search when the query sets
+	// no deadline of its own; 0 = none.
+	searchDeadline time.Duration
 }
 
 // RegistryOption configures a Registry.
@@ -289,6 +297,14 @@ func WithWindow(d time.Duration) RegistryOption {
 			r.window = d
 		}
 	}
+}
+
+// WithSearchDeadline bounds every top-k cache miss's search by d unless
+// the query carries a deadline of its own (?deadline_ms=). Zero, the
+// default, sets none. A seeded scores read the deadline stops answers its
+// certified prefix; an approx one fails with ErrSearchDeadline.
+func WithSearchDeadline(d time.Duration) RegistryOption {
+	return func(r *Registry) { r.searchDeadline = d }
 }
 
 // WithClock replaces the wall clock that stamps admitted edges and drives

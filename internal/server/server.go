@@ -146,7 +146,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // writes go; a full admission queue is backpressure, not failure: 429 with
 // Retry-After: 1, a one-second pacing hint. A storage
 // failure is the server's fault, not the request's; a search its client
-// walked away from is neither (499). (For a failed checkpoint
+// walked away from is neither (499); an approx search out of time is the
+// server's capacity (503). (For a failed checkpoint
 // the batch itself is already durable and applied — ApplyEdgesStamped
 // documents this — but the operator needs the 500 more than the client
 // needs the partial result.)
@@ -165,6 +166,8 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrStorage):
 		status = http.StatusInternalServerError
+	case errors.Is(err, ErrSearchDeadline):
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled):
 		status = statusClientClosed
 	}
@@ -368,6 +371,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		param(q, "eps", "float in (0, 1)", float, &tq.Eps),
 		param(q, "conf", "float in (0, 1)", float, &tq.Conf),
 		param(q, "seed", "uint64", func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }, &tq.Seed),
+		param(q, "deadline_ms", "uint32 milliseconds", func(v string) (time.Duration, error) {
+			ms, err := strconv.ParseUint(v, 10, 32)
+			return time.Duration(ms) * time.Millisecond, err
+		}, &tq.deadline),
 	} {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)

@@ -34,6 +34,7 @@ type Follower struct {
 	target   Target
 	interval time.Duration
 	state    map[string]*followState
+	failed   int // consecutive failed listings; only the first is logged
 }
 
 // FollowerOption configures a Follower.
@@ -80,14 +81,23 @@ func (f *Follower) Run(ctx context.Context) error {
 // SyncOnce runs one full pass: enumerate graphs, then bootstrap/tail each
 // until it is caught up with the leader's durable sequence. Per-graph
 // failures don't stop the pass; the joined error reports them all, and
-// each is logged at Error unless ctx was cancelled.
+// each is logged at Error unless ctx was cancelled. An unreachable leader
+// fails every poll, so only the first failed listing of a run is logged;
+// the next listing that succeeds logs one Info line with the count.
 func (f *Follower) SyncOnce(ctx context.Context) error {
 	names, err := f.client.Graphs(ctx)
 	if err != nil {
 		if ctx.Err() == nil {
-			slog.Error("follower listing failed", "err", err)
+			if f.failed == 0 {
+				slog.Error("follower listing failed", "err", err)
+			}
+			f.failed++
 		}
 		return fmt.Errorf("listing leader graphs: %w", err)
+	}
+	if f.failed > 0 {
+		slog.Info("follower leader reachable", "failed_polls", f.failed)
+		f.failed = 0
 	}
 	var errs []error
 	for _, name := range names {

@@ -331,6 +331,50 @@ func TestFollowerLeaderRestart(t *testing.T) {
 	}
 }
 
+// TestFollowerLogsOutageOnce: ten polls against a dead leader log one Error
+// line, the first; the listing that reaches the leader again logs one Info
+// line with the count of failed polls, and a later outage logs afresh.
+func TestFollowerLogsOutageOnce(t *testing.T) {
+	src := &fakeSource{name: "g", snap: testSnapshot(t, 0), segment: 0, seq: 3, wal: batchRange(1, 3)}
+	f, first := newPair(t, src, &fakeTarget{})
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer // SyncOnce logs on this goroutine only
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&log, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	lines := func() []string {
+		defer log.Reset()
+		return strings.Split(strings.TrimSpace(log.String()), "\n")
+	}
+	first.Close()
+	outage := func() {
+		for range 10 {
+			if err := f.SyncOnce(context.Background()); err == nil {
+				t.Fatal("sync against a dead leader must fail")
+			}
+		}
+		if l := lines(); len(l) != 1 || !strings.Contains(l[0], "level=ERROR") || !strings.Contains(l[0], `msg="follower listing failed"`) {
+			t.Fatalf("ten failed polls logged %q, want one Error line", l)
+		}
+	}
+	outage()
+	second := httptest.NewServer(NewHandler(src))
+	defer second.Close()
+	f.client.SetBase(second.URL)
+	for range 2 {
+		if err := f.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l := lines(); len(l) != 1 || !strings.Contains(l[0], "level=INFO") || !strings.Contains(l[0], `msg="follower leader reachable"`) || !strings.Contains(l[0], "failed_polls=10") {
+		t.Fatalf("recovery logged %q, want one Info line counting 10 failed polls", l)
+	}
+	second.Close()
+	outage()
+}
+
 // TestProtocolErrorMapping: sentinels survive the HTTP round trip.
 func TestProtocolErrorMapping(t *testing.T) {
 	src := &fakeSource{name: "g", snap: testSnapshot(t, 0), segment: 0, seq: 0}
