@@ -65,6 +65,7 @@ import (
 
 	"repro/internal/ego"
 	"repro/internal/graph"
+	"repro/internal/nbr"
 	"repro/internal/par"
 )
 
@@ -475,48 +476,12 @@ func (c *cand) sample(n int64) {
 			short, other = rj, int32(i)
 		}
 		var x float64
-		if !containsInt32(short, other) {
-			x = 1 / float64(commonCount(ri, rj)+1)
+		if _, adjacent := slices.BinarySearch(short, other); !adjacent {
+			x = 1 / float64(nbr.IntersectCount(ri, rj)+1)
 		}
 		c.t++
 		delta := x - c.mean
 		c.mean += delta / float64(c.t)
 		c.m2 += delta * (x - c.mean)
 	}
-}
-
-// containsInt32 reports whether sorted list holds v; the restricted lists
-// it probes are short, so a branchless-ish binary search suffices.
-func containsInt32(list []int32, v int32) bool {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(list) && list[lo] == v
-}
-
-// commonCount returns |a ∩ b| for two sorted lists. The restricted lists
-// it merges are short (a neighbor pair's common candidates within one ego
-// net), so a plain two-pointer merge beats anything fancier.
-func commonCount(a, b []int32) int32 {
-	var c int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }

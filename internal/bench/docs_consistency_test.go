@@ -274,6 +274,7 @@ var retiredSymbols = []string{
 	"bucketKey", "temporalBuckets", "MaxDegree",
 	"fullGraphLocked", "buildFullSnapshot",
 	"acquireWorker", "releaseWorker", "workerPool", "WithLogf",
+	"publishBase", "newEntry", "persistMeta", "chunkRows", "commonCount", "containsInt32",
 }
 
 // TestFuzzSmokeRunsEveryFuzzTarget: `make fuzz-smoke` must run every fuzz

@@ -1,6 +1,8 @@
 package ego
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -93,30 +95,35 @@ func TestSearchesExactAcrossViews(t *testing.T) {
 // FuzzSearch: on any edge list, k and θ — NaN, infinite and sub-1 ratios
 // included — OptBSearch == BaseBSearch == TopKExact, two helpers
 // speculating every candidate return the inline loop's lists and
-// SearchStats, and nothing panics. The seeds cover isolated and pendant
-// vertices (the kernel's d < 2 exit, which builds no ego CSR), a star, a
-// clique and a ring where every score ties.
+// SearchStats, and nothing panics. A seeded search whose stale vertices
+// (bit v of stale, cycled) carry StaticUB and the rest their exact scores,
+// cut by a deadline after j candidates (cut, reduced mod 2n+2), returns
+// TopKExact's first results and a *Partial whose Bound caps the first
+// result it left out, or the whole answer and no error — inline and on a
+// helper. The seeds cover isolated and pendant vertices (the kernel's d < 2
+// exit, which builds no ego CSR), a star, a clique and a ring where every
+// score ties.
 func FuzzSearch(f *testing.F) {
-	f.Add([]byte{}, uint16(1), 1.05)
-	f.Add([]byte{7, 0, 1, 1, 2, 2, 3, 3, 1, 3, 4}, uint16(3), 1.05) // triangle + pendant path, 5…7 isolated
+	f.Add([]byte{}, uint16(1), 1.05, []byte{}, uint16(0))
+	f.Add([]byte{7, 0, 1, 1, 2, 2, 3, 3, 1, 3, 4}, uint16(3), 1.05, []byte{0x0a}, uint16(1)) // triangle + pendant path, 5…7 isolated
 	star := []byte{20}
 	for v := byte(1); v <= 20; v++ {
 		star = append(star, 0, v)
 	}
-	f.Add(star, uint16(4), 1.0)
+	f.Add(star, uint16(4), 1.0, []byte{0x01}, uint16(0))
 	clique := []byte{7}
 	for u := byte(0); u < 8; u++ {
 		for v := u + 1; v < 8; v++ {
 			clique = append(clique, u, v)
 		}
 	}
-	f.Add(clique, uint16(5), 1.5)
+	f.Add(clique, uint16(5), 1.5, []byte{0xff}, uint16(3))
 	ring := []byte{11}
 	for v := byte(0); v < 12; v++ {
 		ring = append(ring, v, (v+1)%12)
 	}
-	f.Add(ring, uint16(5), 0.2)
-	f.Fuzz(func(t *testing.T, data []byte, k uint16, theta float64) {
+	f.Add(ring, uint16(5), 0.2, []byte{0x5a, 0x0f}, uint16(4))
+	f.Fuzz(func(t *testing.T, data []byte, k uint16, theta float64, stale []byte, cut uint16) {
 		if len(data) > 1024 {
 			t.Skip()
 		}
@@ -131,6 +138,36 @@ func FuzzSearch(f *testing.F) {
 			inline, ist := searchAll(g, kk, theta, nil, dynamic, 1, 0)
 			spec, sst := searchAll(g, kk, theta, nil, dynamic, 2, 0)
 			assertSameSearch(t, fmt.Sprintf("W=2 dynamic=%v", dynamic), inline, spec, ist, sst)
+		}
+
+		n := g.NumVertices()
+		score, isStale := ComputeAll(g), make([]bool, n)
+		for v := range score {
+			if len(stale) > 0 && stale[v/8%len(stale)]>>(v%8)&1 == 1 {
+				isStale[v] = true
+				score[v] = StaticUB(g.Degree(int32(v)))
+			}
+		}
+		sd := &seed{func(v int32) float64 { return score[v] }, func(v int32) bool { return isStale[v] }}
+		j := int(cut) % (2*int(n) + 2)
+		for _, w := range []int{1, 2} {
+			label := fmt.Sprintf("seeded W=%d cut after %d", w, j)
+			got, _, err := search(&deadlineAfter{context.Background(), j}, g, kk, 1, nil, false, sd, w, 0)
+			if len(got) > len(want) {
+				t.Fatalf("%s: %d results, exact %d", label, len(got), len(want))
+			}
+			assertSameResults(t, label, want[:len(got)], got)
+			var p *Partial
+			switch {
+			case err == nil:
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d of %d results and no error", label, len(got), len(want))
+				}
+			case !errors.As(err, &p) || !errors.Is(err, context.DeadlineExceeded):
+				t.Fatalf("%s: err %v, want a *Partial", label, err)
+			case len(got) == len(want) || want[len(got)].CB > p.Bound:
+				t.Fatalf("%s: %d results under bound %v, exact %v", label, len(got), p.Bound, want)
+			}
 		}
 	})
 }

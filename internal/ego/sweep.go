@@ -59,15 +59,19 @@ type chunk struct {
 	e *splitEgo
 }
 
-// splitEgo is what one ego's chunks share.
+// splitEgo is what one ego's chunks share: chunk i counts the rows
+// [cuts[i], cuts[i+1]) of the ego CSR, which run steps[i] kernel steps, and
+// adds its histogram into hist.
 type splitEgo struct {
-	k    int
-	hist []int64
-	left atomic.Int32
+	cuts  []int
+	steps []int64
+	hist  []int64
+	left  atomic.Int32
 }
 
 // splitPlan lists the units of a split sweep: each ego whole, unless it
-// costs more than the share total/(4·workers), then ⌈cost/share⌉ chunks.
+// costs more than the share total/(4·workers), then ⌈cost/share⌉ chunks,
+// whose rows are cut once here from the ego's row prices.
 func splitPlan(g graph.View, workers int) []chunk {
 	cost := make([]int64, g.NumVertices())
 	var total atomic.Int64
@@ -78,13 +82,19 @@ func splitPlan(g graph.View, workers int) []chunk {
 	}, nil)
 	share := max(total.Load()/int64(4*workers), 1)
 	plan := make([]chunk, 0, len(cost))
+	var s *Scratch
 	for v, c := range cost {
 		k := int((c + share - 1) / share)
 		if k <= 1 {
 			plan = append(plan, chunk{v: int32(v)})
 			continue
 		}
-		e := &splitEgo{k: k, hist: make([]int64, len(g.Neighbors(int32(v))))}
+		if s == nil {
+			s = NewScratch(g.NumVertices())
+		}
+		_, off, adj := s.EgoCSR(g, int32(v))
+		e := &splitEgo{hist: make([]int64, len(off)-1)}
+		e.cuts, e.steps = rowCuts(s.rowPrices(off, adj), k)
 		e.left.Store(int32(k))
 		for i := range k {
 			plan = append(plan, chunk{v: int32(v), i: i, e: e})
@@ -99,8 +109,7 @@ func splitPlan(g graph.View, workers int) []chunk {
 func (u chunk) run(g graph.View, s *Scratch, split func(v int32, cb float64)) int64 {
 	nu, off, adj := s.EgoCSR(g, u.v)
 	d := len(nu)
-	lo, hi, steps := chunkRows(off, adj, u.i, u.e.k, s)
-	s.count(nu, off, adj, lo, hi, nil)
+	s.count(nu, off, adj, u.e.cuts[u.i], u.e.cuts[u.i+1], nil)
 	for c, x := range s.hist[:d] {
 		if x != 0 {
 			atomic.AddInt64(&u.e.hist[c], x)
@@ -111,30 +120,31 @@ func (u chunk) run(g graph.View, s *Scratch, split func(v int32, cb float64)) in
 		u.e.hist[0] = int64(len(adj) / 2)
 		split(u.v, FoldScore(int32(d), u.e.hist))
 	}
-	return steps
+	return u.e.steps[u.i]
 }
 
-// chunkRows returns the rows [lo, hi) of the i-th of k chunks of an ego CSR,
-// cut so that each runs about 1/k of its Price by the rows' prices, and the
-// steps its rows run.
-func chunkRows(off []int, adj []int32, i, k int, s *Scratch) (lo, hi int, steps int64) {
-	w, total, acc := s.rowPrices(off, adj), 0, 0
+// rowCuts cuts the rows of an ego CSR, priced w, into k chunks that each run
+// about 1/k of its Price: row x falls in chunk min(acc·k/total, k−1), acc
+// the prices of the rows before it. Chunk i holds the rows [cuts[i],
+// cuts[i+1]), empty when no row falls in it, and runs steps[i].
+func rowCuts(w []int, k int) (cuts []int, steps []int64) {
+	total := 0
 	for _, wx := range w { // the rows' prices sum to the ego's Price
 		total += wx
 	}
 	total = max(total, 1)
-	lo, hi = len(w), len(w)
+	cuts, steps = make([]int, k+1), make([]int64, k)
+	next, acc := 1, 0 // cuts[0] = 0
 	for x, wx := range w {
-		c := min(acc*k/total, k-1) // the chunk row x falls in
-		if c > i {
-			hi = x
-			break
+		c := min(acc*k/total, k-1) // nondecreasing in x
+		for ; next <= c; next++ {
+			cuts[next] = x
 		}
-		if c == i {
-			lo = min(lo, x)
-			steps += int64(wx)
-		}
+		steps[c] += int64(wx)
 		acc += wx
 	}
-	return min(lo, hi), hi, steps // lo = hi when no row falls in chunk i
+	for ; next <= k; next++ {
+		cuts[next] = len(w)
+	}
+	return cuts, steps
 }

@@ -70,7 +70,7 @@ func TestKernelPrice(t *testing.T) {
 }
 
 // TestSweepChunksMatchWholeEgo: for every ego and every chunk count k, the
-// chunks chunkRows cuts tile the rows [0, d) in order, each is charged the
+// chunks rowCuts cuts tile the rows [0, d) in order, each is charged the
 // steps its rows run, their counting passes add up to the whole ego's
 // histogram — so the one fold scores the same bits as EgoBetweenness — and
 // its Price is the steps all its rows run.
@@ -93,13 +93,14 @@ func TestSweepChunksMatchWholeEgo(t *testing.T) {
 			for k := 1; k <= 5; k++ {
 				hist := make([]int64, d)
 				next := 0
+				cuts, steps := rowCuts(s.rowPrices(off, adj), k)
 				for i := range k {
-					lo, hi, steps := chunkRows(off, adj, i, k, s)
+					lo, hi := cuts[i], cuts[i+1]
 					if lo != next || hi < lo || (i == k-1 && hi != d) {
 						t.Fatalf("%s: ego %d chunk %d/%d: rows [%d, %d) after %d", name, p, i, k, lo, hi, next)
 					}
-					if run := rowSteps(off, adj, lo, hi); steps != run {
-						t.Fatalf("%s: ego %d chunk %d/%d charged %d steps, its rows run %d", name, p, i, k, steps, run)
+					if run := rowSteps(off, adj, lo, hi); steps[i] != run {
+						t.Fatalf("%s: ego %d chunk %d/%d charged %d steps, its rows run %d", name, p, i, k, steps[i], run)
 					}
 					next = hi
 					s.count(nu, off, adj, lo, hi, nil)

@@ -63,6 +63,7 @@ func TestAuditReportsFlippedScore(t *testing.T) {
 		for _, v := range []int32{hub, plain} {
 			t.Run(fmt.Sprintf("%s/v%d_d%d", mode, v, base.Degree(v)), func(t *testing.T) {
 				reg, e := addAuditGraph(t, base, mode)
+				logs := captureLog(t)
 				toggle := edgeOutsideEgo(t, base, v)
 				bound := auditLapBound(t, base, toggle)
 
@@ -105,6 +106,12 @@ func TestAuditReportsFlippedScore(t *testing.T) {
 							t.Fatalf("first mismatch %q does not name %q", info.AuditFirstMismatch, part)
 						}
 					}
+					var epoch uint64
+					if _, err := fmt.Sscanf(info.AuditFirstMismatch, "vertex %d at epoch %d:", new(int32), &epoch); err != nil {
+						t.Fatalf("first mismatch %q names no epoch: %v", info.AuditFirstMismatch, err)
+					}
+					requireLine(t, logs, "audit mismatch", "graph=g ", fmt.Sprintf("vertex=%d epoch=%d published=%#016x kernel=%#016x",
+						v, epoch, math.Float64bits(all[v]), math.Float64bits(want)))
 					t.Logf("reported in compaction %d of at most %d", round, bound)
 					return
 				}

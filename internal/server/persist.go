@@ -54,11 +54,6 @@ func (r *Registry) storeOptions(name string) []store.Option {
 	})}
 }
 
-// persistMeta is the snapshot metadata for this entry at WAL sequence seq.
-func (e *entry) persistMeta(seq uint64) store.SnapshotMeta {
-	return store.SnapshotMeta{Mode: modeToTag(e.mode), Seq: seq}
-}
-
 // mirrorPersist refreshes the entry's lock-free persistence counters from
 // the store. Callers hold e.mu.
 func (e *entry) mirrorPersist() {
@@ -113,7 +108,7 @@ func (e *entry) maybeCheckpoint(ckptBatches int, ckptBytes int64, batches int) e
 		}
 		ts = &store.TemporalState{WindowMS: uint64(e.tidx.WindowMS()), Stamps: stamps}
 	}
-	if err := e.st.CheckpointFull(g, e.persistMeta(e.st.Seq()), e.maintainerState(), nil, ts); err != nil {
+	if err := e.st.CheckpointFull(g, store.SnapshotMeta{Mode: modeToTag(e.mode), Seq: e.st.Seq()}, e.maintainerState(), nil, ts); err != nil {
 		return err
 	}
 	e.sinceCkpt = 0
@@ -253,17 +248,25 @@ func (r *Registry) recoverOne(name string) (GraphInfo, error) {
 
 // restoreEntry builds a served entry from a store's recovered state: the
 // maintainer via fast-import or rebuild, the WAL tail replayed through
-// applyLocked, the first snapshot published as a fully compacted CSR. It is
-// the shared trunk of crash recovery (recoverOne) and replica installation
-// (InstallReplica, where st may be nil for a memory-only follower). The
-// entry is complete but unregistered; callers hand it to register.
+// applyLocked, the first snapshot published on a CSR. It is the one code
+// that assembles an entry: crash recovery (recoverOne), replica installation
+// (InstallReplica, where st may be nil for a memory-only follower) and
+// creation (AddWindowed, which hands it the new graph as an empty history).
+// The entry is complete but unregistered; callers hand it to register.
 func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recovered) (*entry, error) {
 	mode, err := modeFromTag(rec.Meta.Mode)
 	if err != nil {
 		return nil, err
 	}
-	e := r.newEntry(name, mode)
-	e.st = st
+	e := &entry{
+		name: name, mode: mode, workers: r.workers,
+		maxDepth:   compactDepth,
+		dirtyRatio: compactDirty,
+		queue:      make(chan *writeReq, r.queueCap),
+		stopped:    make(chan struct{}),
+		nowMS:      r.nowMS,
+		st:         st,
+	}
 	t0 := time.Now()
 	e.recoverPath = "rebuild"
 	var reasons []string // joined into recover_reason
@@ -313,9 +316,17 @@ func (r *Registry) restoreEntry(name string, st *store.Store, rec *store.Recover
 	e.refreshTemporalLocked()
 	// The epoch restarts at wal-seq+1, so it keeps advancing with the
 	// batch sequence across restarts instead of snapping back to 1. The
-	// recovered view is a fully compacted CSR: replay dirtied state that no
-	// previous publication exists to overlay on.
-	e.publishBase(lastSeq+1, e.m.Graph().Freeze(e.workers), t0)
+	// first view is a CSR, as no previous publication exists to overlay
+	// on: rec.Graph itself when no batch was replayed, else a freeze of the
+	// replayed graph. The fresh base subsumes the maintainer's dirty
+	// tracking.
+	view := rec.Graph
+	if len(rec.Tail) > 0 {
+		view = e.m.Graph().Freeze(e.workers)
+	}
+	e.m.Graph().TakeDirty()
+	e.m.TakeDirtyScores()
+	e.snap.Store(&snapshot{epoch: lastSeq + 1, view: view, scores: newScoreVec(e.m.All(), e.m.Stale()), publishDur: time.Since(t0)})
 	e.sinceCkpt = len(rec.Tail)
 	e.replSeq.Store(lastSeq)
 	if r.leader != "" {

@@ -1,13 +1,14 @@
 package server
 
-// This file publishes snapshots (DESIGN.md §10): the first snapshot of a
-// loaded or recovered graph on its base CSR, the O(batch) overlay
+// This file publishes snapshots (DESIGN.md §10): the O(batch) overlay
 // publication inside the write lock, and the background compactor — the one
 // code path that flattens an overlay chain — which audits the published
-// scores on the CSR it flattened.
+// scores on the CSR it flattened. A graph's first snapshot, on its base
+// CSR, is restoreEntry's (persist.go).
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"time"
 
@@ -31,17 +32,6 @@ func (e *entry) publishLocked(epoch uint64) {
 	}
 	s.publishDur = time.Since(t0)
 	e.snap.Store(s)
-}
-
-// publishBase publishes epoch's snapshot on g, a CSR holding the
-// maintainer's current graph, with the maintainer's scores: the first
-// snapshot of a loaded or recovered graph, timed from t0, where building the
-// maintainer began. It resets the maintainer's dirty tracking, which a
-// fresh base subsumes. Callers hold e.mu or own the entry exclusively.
-func (e *entry) publishBase(epoch uint64, g *graph.Graph, t0 time.Time) {
-	e.m.Graph().TakeDirty()
-	e.m.TakeDirtyScores()
-	e.snap.Store(&snapshot{epoch: epoch, view: g, scores: newScoreVec(e.m.All(), e.m.Stale()), publishDur: time.Since(t0)})
 }
 
 // maybeCompactLocked checks the compaction policy against the just-published
@@ -121,8 +111,9 @@ func (e *entry) audit(snap *snapshot, g *graph.Graph) {
 		got, steps := s.ScoreCSR(off, adj)
 		spent += steps
 		if want := snap.scores.At(v); got != want && e.auditMismatches.Add(1) == 1 {
-			e.auditFirst.Store(fmt.Sprintf("vertex %d at epoch %d: published %#016x, kernel %#016x",
-				v, snap.epoch, math.Float64bits(want), math.Float64bits(got)))
+			pub, ker := fmt.Sprintf("%#016x", math.Float64bits(want)), fmt.Sprintf("%#016x", math.Float64bits(got))
+			e.auditFirst.Store(fmt.Sprintf("vertex %d at epoch %d: published %s, kernel %s", v, snap.epoch, pub, ker))
+			slog.Error("audit mismatch", "graph", e.name, "vertex", v, "epoch", snap.epoch, "published", pub, "kernel", ker)
 		}
 		audited++
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/ego"
 	"repro/internal/gen"
@@ -467,5 +468,100 @@ func TestRecoverRejectsDuplicate(t *testing.T) {
 	}
 	if _, err := reg.Recover(); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
+	}
+}
+
+// TestAddMatchesRecovery: creating a graph is recovering an empty history.
+// A graph just added and a fresh registry's Recover of the directory Add
+// wrote (copied, with no write in between) serve the same epoch, shape,
+// mode, window and oldest edge age, and the same scores and approx top-k and
+// vertex reads, bit for bit — both modes, unwindowed and windowed. The added
+// graph serves the *graph.Graph it was handed as its base view, and only the
+// recovered one reports a recover path.
+func TestAddMatchesRecovery(t *testing.T) {
+	base := gen.BarabasiAlbert(300, 4, 5)
+	for _, mode := range []string{ModeLocal, ModeLazy} {
+		for _, window := range []time.Duration{0, time.Hour} {
+			t.Run(fmt.Sprintf("%s/window=%v", mode, window), func(t *testing.T) {
+				clk := &fakeClock{}
+				clk.set(1_000_000)
+				dir, copyDir := t.TempDir(), t.TempDir()
+				added := durableRegistry(dir, WithClock(clk.now))
+				defer added.Close()
+				if _, err := added.AddWindowed("g", base, mode, window); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
+					t.Fatal(err)
+				}
+				clk.advance(250)
+				recovered := durableRegistry(copyDir, WithClock(clk.now))
+				defer recovered.Close()
+				if _, err := recovered.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				agi, err := added.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if agi.RecoverPath != "" || agi.RecoverReason != "" {
+					t.Fatalf("added graph: recover_path=%q reason=%q, want neither", agi.RecoverPath, agi.RecoverReason)
+				}
+				rgi, err := recovered.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rgi.RecoverPath != "rebuild" {
+					t.Fatalf("recovered graph: recover_path=%q, want rebuild", rgi.RecoverPath)
+				}
+				type shape struct {
+					epoch  uint64
+					n      int32
+					m      int64
+					mode   string
+					window string
+					age    float64
+				}
+				as := shape{agi.Epoch, agi.N, agi.M, agi.Mode, agi.Window, agi.OldestEdgeAgeMS}
+				rs := shape{rgi.Epoch, rgi.N, rgi.M, rgi.Mode, rgi.Window, rgi.OldestEdgeAgeMS}
+				if as != rs || (window > 0) != (as.age == 250) {
+					t.Fatalf("added serves %+v, recovered %+v", as, rs)
+				}
+				e, err := added.get("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, ok := e.snap.Load().view.(*graph.Graph); !ok || v != base {
+					t.Fatalf("added graph's base view is %T, not the graph passed in", e.snap.Load().view)
+				}
+
+				for _, k := range []int{1, 10, 100} {
+					for _, algo := range []string{AlgoScores, AlgoApprox} {
+						want, err := added.topK("g", k, algo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := recovered.topK("g", k, algo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertTopKEqual(t, fmt.Sprintf("k=%d algo=%s", k, algo), got.Results, want.Results)
+					}
+				}
+				for v := int32(0); v < base.NumVertices(); v++ {
+					want, err := added.EgoBetweenness("g", v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := recovered.EgoBetweenness("g", v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := encodeJSON(got), encodeJSON(want); !bytes.Equal(g, w) {
+						t.Fatalf("vertex %d: recovered\n%s\nadded\n%s", v, g, w)
+					}
+				}
+			})
+		}
 	}
 }

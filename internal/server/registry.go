@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,11 +89,12 @@ type entry struct {
 	st        *store.Store
 	sinceCkpt int
 
-	// How this entry's maintainer came to be at recovery: "fast" when the
-	// snapshot's maintainer-state section was imported (O(load) boot),
-	// "rebuild" when scores and evidence were recomputed from the graph, ""
-	// for entries that were never recovered. recoverReason says why a
-	// rebuild happened. Set once in recoverOne before the entry is
+	// How this entry's maintainer came to be at recovery or replica
+	// install: "fast" when the snapshot's maintainer-state section was
+	// imported (O(load) boot), "rebuild" when scores and evidence were
+	// recomputed from the graph, "" for a created graph, which was never
+	// recovered. recoverReason says why a rebuild happened. Set once in
+	// restoreEntry (and cleared by AddWindowed) before the entry is
 	// published, immutable after.
 	recoverPath   string
 	recoverReason string
@@ -344,19 +346,6 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 	return r
 }
 
-// newEntry builds an unpublished entry with its write pipeline initialized
-// (the writer goroutine starts separately, once the entry is registered).
-func (r *Registry) newEntry(name, mode string) *entry {
-	return &entry{
-		name: name, mode: mode, workers: r.workers,
-		maxDepth:   compactDepth,
-		dirtyRatio: compactDirty,
-		queue:      make(chan *writeReq, r.queueCap),
-		stopped:    make(chan struct{}),
-		nowMS:      r.nowMS,
-	}
-}
-
 // Leader returns the leader URL this registry follows, or "" when it is a
 // writable leader itself.
 func (r *Registry) Leader() string { return r.leader }
@@ -445,30 +434,22 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, window 
 		return GraphInfo{}, fmt.Errorf("server: graph %q: %w", name, ErrDuplicate)
 	}
 
-	e := r.newEntry(name, mode)
-	var initStamps *store.TemporalState
+	rec := &store.Recovered{Graph: g, Meta: store.SnapshotMeta{Mode: modeToTag(mode)}}
 	if window > 0 {
 		// Every edge of a windowed graph carries a stamp from birth: the
 		// initial load is stamped with the creation time, and the stamps are
 		// persisted alongside the first snapshot so a crash before the first
 		// checkpoint still recovers a graph that keeps expiring correctly.
-		e.window = window
-		e.tidx = graph.NewTemporalIndex(int64(window / time.Millisecond))
-		now := e.nowMS()
-		g.EachEdge(func(u, v int32) bool {
-			e.tidx.Stamp(u, v, now)
-			return true
-		})
-		stamps, err := e.tidx.ExportStamps(g)
-		if err != nil {
-			return GraphInfo{}, fmt.Errorf("server: graph %q: %w", name, err)
-		}
-		initStamps = &store.TemporalState{WindowMS: uint64(window / time.Millisecond), Stamps: stamps}
-		e.refreshTemporalLocked()
+		rec.Stamps = &store.TemporalState{WindowMS: uint64(window / time.Millisecond),
+			Stamps: slices.Repeat([]int64{r.nowMS()}, int(g.NumEdges()))}
 	}
-	t0 := time.Now()
-	e.m = newMaintainer(mode, g)
-	e.publishBase(1, g, t0)
+	// Creating a graph is recovering an empty history: restoreEntry builds
+	// the maintainer over g and publishes g itself as the first view.
+	e, err := r.restoreEntry(name, nil, rec)
+	if err != nil {
+		return GraphInfo{}, fmt.Errorf("server: graph %q: %w", name, err)
+	}
+	e.recoverPath, e.recoverReason = "", "" // never recovered
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -480,7 +461,7 @@ func (r *Registry) AddWindowed(name string, g *graph.Graph, mode string, window 
 	// same directory); the cost is one snapshot write while lookups wait.
 	if r.dataDir != "" {
 		st, err := store.CreateWithStamps(store.GraphDir(r.dataDir, name), g,
-			e.persistMeta(0), initStamps, r.storeOptions(name)...)
+			rec.Meta, rec.Stamps, r.storeOptions(name)...)
 		if err != nil {
 			return GraphInfo{}, fmt.Errorf("server: graph %q: %w", name, err)
 		}
